@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-noasm bench-overlap bench-overlap-smoke bench-kernel bench-kernel-smoke bench-wire bench-wire-smoke bench-load bench-load-smoke bench-chaos bench-chaos-smoke bench-strassen bench-strassen-smoke fault-conformance fuzz-smoke
+.PHONY: build test race test-noasm bench-overlap bench-overlap-smoke bench-kernel bench-kernel-smoke bench-wire bench-wire-smoke bench-load bench-load-smoke bench-chaos bench-chaos-smoke fault-conformance fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -96,21 +96,6 @@ bench-chaos:
 # runs so the shared runner finishes quickly.
 bench-chaos-smoke:
 	$(GO) run ./cmd/benchchaos -procs 4 -size 128 -runs 8 -out BENCH_chaos.json -guard-recovery 1.0
-
-# bench-strassen emits BENCH_strassen.json: CAPS (Strassen, ω = log₂7)
-# vs COSMA effective Gflop/s, event-clock critical path and measured
-# per-rank volume at 512³/1024³ on p ∈ {8,16}. The guard encodes the
-# BDHS trade-off, not a speed win: at the largest size CAPS's MaxVolume
-# must be ≥ 1.0× COSMA's — a lower ratio means the CAPS schedule
-# silently degenerated to a local run instead of paying for its
-# sub-cubic flop count with redistributions.
-bench-strassen:
-	$(GO) run ./cmd/benchstrassen -sizes 512,1024 -procs 8,16 -reps 3 -out BENCH_strassen.json -guard-volume 1.0
-
-# The CI smoke: identical artifact and guard, smaller shapes and fewer
-# reps so the shared runner finishes quickly.
-bench-strassen-smoke:
-	$(GO) run ./cmd/benchstrassen -sizes 128,256 -procs 8,16 -reps 2 -out BENCH_strassen.json -guard-volume 1.0
 
 # fault-conformance runs the transport-semantics suite's fault-injection
 # section under -race on all three transports: every injected failure

@@ -12,6 +12,7 @@ package cosma
 import (
 	"testing"
 
+	"cosma/internal/algo"
 	"cosma/internal/bound"
 	"cosma/internal/core"
 	"cosma/internal/costmodel"
@@ -107,7 +108,7 @@ func benchCommVolume(b *testing.B, shape workload.Shape, regime workload.Regime)
 				continue
 			}
 			best = -1
-			for j, r := range experiments.Runners() {
+			for j, r := range algo.Comparison(algo.Config{}) {
 				mod := r.Model(c.M, c.N, c.K, c.P, c.S)
 				if j == 0 {
 					cosma = mod.AvgRecv
@@ -250,7 +251,7 @@ func BenchmarkExecutedCOSMA(b *testing.B) {
 	cosma := &core.COSMA{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cosma.Run(a, bb, 8, 1<<16); err != nil {
+		if _, _, err := algo.RunPlanner(cosma, nil, a, bb, 8, 1<<16); err != nil {
 			b.Fatal(err)
 		}
 	}

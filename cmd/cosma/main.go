@@ -123,7 +123,7 @@ func main() {
 			log.Fatal("-transport wire measures real traffic; it cannot run on the timed -network transport")
 		}
 		if *algoName == "all" || *algoName == "list" {
-			log.Fatal("-transport wire runs one algorithm; pick -algo cosma or -algo summa")
+			log.Fatal("-transport wire runs one algorithm; pick one, e.g. -algo cosma, summa or 2.5d")
 		}
 		err := runWire(wireRun{
 			algo: *algoName, m: *m, n: *n, k: *k, p: *p,
@@ -141,7 +141,7 @@ func main() {
 
 	names := []string{*algoName}
 	if *algoName == "all" {
-		names = cosma.AlgorithmNames()
+		names = cosma.Algorithms()
 	}
 
 	ctx := context.Background()

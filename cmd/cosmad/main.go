@@ -9,7 +9,7 @@
 //	       [-shards 4] [-queue 256] [-window 2ms] [-batch 32]
 //	       [-maxdim 8192] [-threads n] [-tune] [-overlap]
 //	       [-retry 0] [-verify] [-fallback]
-//	       [-breaker-threshold 5] [-breaker-cooldown 5s] [-retry-budget 0.1]
+//	       [-breaker-threshold 5] [-breaker-cooldown 5s]
 //	       [-drain-timeout 30s]
 //
 // Endpoints: POST /v1/multiply (JSON in/out; honors X-Cosma-Deadline-Ms),
@@ -80,7 +80,6 @@ func main() {
 	fallback := flag.Bool("fallback", false, "serve open-circuit shards from a degraded in-process engine")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive batch failures that open a shard's circuit (<0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit dwell before a probe")
-	retryBudget := flag.Float64("retry-budget", 0.1, "retry-budget tokens accrued per admitted request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 
 	loadgen := flag.String("loadgen", "", "client mode: drive load at this cosmad base URL instead of serving")
@@ -121,7 +120,6 @@ func main() {
 		MaxDim:           *maxDim,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		RetryBudgetRatio: *retryBudget,
 	}
 	if *fallback {
 		// The degraded stand-in: same shape limits, plain counting

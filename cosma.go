@@ -58,7 +58,7 @@ const DefaultDelta = core.DefaultDelta
 
 // NetworkParams are the α-β-γ constants of the timed machine model: α
 // seconds of latency per message, β seconds per 8-byte word, γ seconds
-// per flop. Passing one via Options.Network executes the multiplication
+// per flop. Passing one via WithNetwork executes the multiplication
 // on the timed transport, so the report carries runtime predictions
 // (PredictedTime, CritPathTime) alongside the counted volumes.
 type NetworkParams = machine.NetworkParams
@@ -95,8 +95,8 @@ var ErrRecvTimeout = machine.ErrRecvTimeout
 // ranks each, intra-node links use intra's α-β, inter-node links use
 // inter's α-β with the per-word cost scaled by congestion (≤0 or 1
 // means none). γ and the memory/overlap knobs come from inter. The
-// result is an ordinary NetworkParams — pass it to WithNetwork or
-// PredictTime like any preset.
+// result is an ordinary NetworkParams — pass it to WithNetwork like
+// any preset.
 func HierarchicalNetwork(intra, inter NetworkParams, ranksPerNode int, congestion float64) NetworkParams {
 	return machine.Hierarchical(intra, inter, ranksPerNode, congestion)
 }
@@ -262,8 +262,9 @@ func ParallelLowerBound(m, n, k, p, s int) float64 {
 type Decomposition = algo.Decomposition
 
 // Algorithms returns the canonical names of every registered algorithm
-// in registry order — the valid WithAlgorithm arguments. Equivalent to
-// AlgorithmNames; it replaces the removed Runner-slice Algorithms.
+// ("cosma", "summa", "2.5d", "carma", "cannon", "caps") in the paper's
+// comparison order followed by the extras. Any of them (or their
+// aliases) is a valid WithAlgorithm argument.
 func Algorithms() []string { return algo.Names() }
 
 // AlgorithmInfo describes one entry of the algorithm registry.
@@ -272,12 +273,6 @@ type AlgorithmInfo struct {
 	Aliases []string // alternative lookup keys, e.g. "ctf"
 	Summary string   // one-line description
 }
-
-// AlgorithmNames returns the canonical names of every registered
-// algorithm ("cosma", "summa", "2.5d", "carma", "cannon", "caps") in
-// the paper's comparison order followed by the extras. Any of them (or
-// their aliases) is a valid WithAlgorithm argument.
-func AlgorithmNames() []string { return algo.Names() }
 
 // AlgorithmInfos returns name, aliases and a one-line summary for every
 // registered algorithm, for CLIs and docs.

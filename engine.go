@@ -22,8 +22,8 @@ import (
 // for concurrent use; every repeated same-shape multiplication pays
 // only the execution cost.
 type Engine struct {
-	cfg    engineConfig
-	runner algo.Runner
+	cfg     engineConfig
+	planner algo.Planner
 
 	// mu guards the plan cache and its hit/miss accounting. Planning a
 	// missed shape happens under the lock too: fits are deterministic
@@ -67,21 +67,9 @@ func (m chanMutex) lock(ctx context.Context) error {
 
 func (m chanMutex) unlock() { <-m }
 
-// planKey identifies one cached plan: the shape plus every normalized
-// option that influences fitting. Two engines with equal options cache
-// interchangeable plans; within one engine only the shape varies.
-type planKey struct {
-	algorithm   string
-	m, n, k     int
-	p, s        int
-	delta       float64
-	net         NetworkParams // zero value when counting
-	timed       bool
-	overlap     bool
-	autotune    bool
-	wire        bool
-	recvTimeout time.Duration
-}
+// planKey identifies one cached plan. An engine's options are fixed at
+// NewEngine, so within its cache only the shape varies.
+type planKey struct{ m, n, k int }
 
 type engineConfig struct {
 	procs         int
@@ -130,8 +118,8 @@ func WithMemory(words int) Option {
 
 // WithDelta sets the grid-fitting idle-rank tolerance δ of §7.1 in
 // [0, 1). Zero (the default) means DefaultDelta. The same δ governs
-// Plan, Exec and PredictTime, so the engine never describes two
-// different grids for one problem.
+// Plan, Exec and Predict, so the engine never describes two different
+// grids for one problem.
 func WithDelta(delta float64) Option {
 	return func(c *engineConfig) {
 		if delta < 0 || delta >= 1 {
@@ -155,8 +143,9 @@ func WithNetwork(net NetworkParams) Option {
 // double-buffered panel pairs per operand, swapped every round. The
 // product is bitwise-identical to the synchronous schedule; on a timed
 // engine the measured CritPathTime drops by up to the hidden
-// communication (Figure 12). COSMA and SUMMA pipeline; the other
-// algorithms execute synchronously regardless.
+// communication (Figure 12). The Algorithm 1 schedules — COSMA, SUMMA
+// and 2.5D — pipeline; CARMA, Cannon and CAPS execute synchronously
+// regardless.
 //
 // The round schedule (and hence the kernel call sequence) is the one
 // fitted for WithMemory's S, so the prefetched pair transiently holds
@@ -185,8 +174,8 @@ func WithAutotune(on bool) Option {
 }
 
 // WithAlgorithm selects the multiplication algorithm by registry name
-// or alias — "cosma" (the default), "summa", "2.5d", "carma", "cannon";
-// see AlgorithmNames. Unknown names error at NewEngine.
+// or alias — "cosma" (the default), "summa", "2.5d", "carma", "cannon",
+// "caps"; see Algorithms. Unknown names error at NewEngine.
 func WithAlgorithm(name string) Option {
 	return func(c *engineConfig) { c.algorithm = name }
 }
@@ -219,8 +208,8 @@ func WithKernelThreads(n int) Option {
 // of multiplications (same shapes, same order). The process hosting
 // rank 0 receives the gathered product; the others get a zero matrix
 // of the right shape. Only algorithms whose plans gather their result
-// tiles (COSMA, SUMMA) are supported. Close the engine to tear the
-// mesh down. Incompatible with WithNetwork — the wire transport
+// tiles (COSMA, SUMMA, 2.5D, CAPS) are supported. Close the engine to
+// tear the mesh down. Incompatible with WithNetwork — the wire transport
 // measures real traffic, not the α-β-γ model.
 func WithWireTransport(cfg WireConfig) Option {
 	return func(c *engineConfig) {
@@ -358,15 +347,15 @@ func NewEngine(opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	runner, err := algo.New(cfg.algorithm, algo.Config{Delta: cfg.delta, Network: cfg.network, Overlap: cfg.overlap})
+	planner, err := algo.New(cfg.algorithm, algo.Config{Delta: cfg.delta, Overlap: cfg.overlap})
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:    cfg,
-		runner: runner,
-		mu:     make(chanMutex, 1),
-		plans:  lru.New[planKey, *Plan](cfg.cacheSize),
+		cfg:     cfg,
+		planner: planner,
+		mu:      make(chanMutex, 1),
+		plans:   lru.New[planKey, *Plan](cfg.cacheSize),
 	}
 	if cfg.wireCfg != nil {
 		tr, err := wire.New(*cfg.wireCfg)
@@ -377,6 +366,10 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		e.wireMach = machine.NewWithTransport(tr)
 		if cfg.recvTimeout > 0 {
 			e.wireMach.SetRecvTimeout(cfg.recvTimeout)
+		}
+		if len(e.wireMach.LocalRanks()) < cfg.procs && !hostsRankZero(e.wireMach) {
+			// Only the process holding the gathered product can check it.
+			e.cfg.verify = false
 		}
 	}
 	return e, nil
@@ -432,7 +425,7 @@ func (e *Engine) WireRank() (int, bool) {
 }
 
 // Algorithm returns the display name of the engine's algorithm.
-func (e *Engine) Algorithm() string { return e.runner.Name() }
+func (e *Engine) Algorithm() string { return e.planner.Name() }
 
 // Procs returns the normalized processor count p.
 func (e *Engine) Procs() int { return e.cfg.procs }
@@ -464,23 +457,6 @@ func (e *Engine) Network() (NetworkParams, bool) {
 	return *e.cfg.network, true
 }
 
-func (e *Engine) key(m, n, k int) planKey {
-	key := planKey{
-		algorithm: e.cfg.algorithm,
-		m:         m, n: n, k: k,
-		p: e.cfg.procs, s: e.cfg.memory,
-		delta: e.cfg.delta,
-	}
-	key.overlap = e.cfg.overlap
-	key.autotune = e.cfg.autotune
-	key.wire = e.cfg.wireCfg != nil
-	key.recvTimeout = e.cfg.recvTimeout
-	if e.cfg.network != nil {
-		key.net, key.timed = *e.cfg.network, true
-	}
-	return key
-}
-
 // Plan returns the engine's immutable compiled schedule for an m×k by
 // k×n multiplication, fitting the grid at most once per shape: repeat
 // calls (and Exec / MultiplyBatch on the same shape) hit the LRU plan
@@ -489,7 +465,7 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 	if m < 1 || n < 1 || k < 1 {
 		return nil, fmt.Errorf("cosma: invalid dimensions %d×%d×%d", m, n, k)
 	}
-	key := e.key(m, n, k)
+	key := planKey{m, n, k}
 	if err := e.mu.lock(ctx); err != nil {
 		return nil, err
 	}
@@ -498,30 +474,21 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 		e.hits++
 		return p, nil
 	}
-	inner, err := e.runner.Plan(m, n, k, e.cfg.procs, e.cfg.memory)
+	inner, err := e.planner.Plan(m, n, k, e.cfg.procs, e.cfg.memory)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{
-		inner: inner, network: e.cfg.network,
-		kernelThreads: e.cfg.kernelThreads, autotune: e.cfg.autotune,
-		recvTimeout: e.cfg.recvTimeout, faults: e.cfg.faults,
-		retry: e.cfg.retry, verify: e.cfg.verify, closed: &e.closed,
-	}
+	p := &Plan{inner: inner, cfg: &e.cfg, closed: &e.closed}
 	if e.wireMach != nil {
 		// The distributed-gather gate of algo.NewExecutorOpts, surfaced
 		// at planning time so execution can't fail on it later.
 		if d, ok := inner.(algo.Distributed); !ok || !d.Distributed() {
-			return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma or summa", inner.Algorithm())
+			return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa, 2.5d or caps", inner.Algorithm())
 		}
 		p.sharedMach = e.wireMach
 		p.execMu = &e.wireMu
 		p.recoverFn = e.wireTr.Recover
 		p.multiProc = len(e.wireMach.LocalRanks()) < e.cfg.procs
-		if p.multiProc && !hostsRankZero(e.wireMach) {
-			// Only the process holding the gathered product can check it.
-			p.verify = false
-		}
 	}
 	e.plans.Add(key, p)
 	e.misses++

@@ -143,8 +143,8 @@ func TestRegistryReachableByName(t *testing.T) {
 			t.Fatalf("%s (%s) disagrees with reference", name, rep.Name)
 		}
 	}
-	if got := AlgorithmNames(); len(got) != 6 || got[0] != "cosma" || got[5] != "caps" {
-		t.Fatalf("AlgorithmNames() = %v", got)
+	if got := Algorithms(); len(got) != 6 || got[0] != "cosma" || got[5] != "caps" {
+		t.Fatalf("Algorithms() = %v", got)
 	}
 	if _, err := NewEngine(WithAlgorithm("winograd")); err == nil ||
 		!strings.Contains(err.Error(), "unknown algorithm") {

@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"cosma/internal/machine"
-	"cosma/internal/matrix"
-)
+import "cosma/internal/machine"
 
 // Model is an algorithm's analytic communication/computation prediction
 // for an m×n×k multiplication on p ranks with S words of memory per rank.
@@ -102,7 +99,8 @@ func (r *Report) PredictedAsExecuted() float64 {
 }
 
 // Overlapper is implemented by plans whose Execute can pipeline rounds
-// (COSMA's and SUMMA's); it reports whether this plan does.
+// (the Algorithm 1 plans: COSMA, SUMMA, 2.5D); it reports whether this
+// plan does.
 type Overlapper interface {
 	Overlap() bool
 }
@@ -113,13 +111,4 @@ type Overlapper interface {
 // bandwidth bounds; plans without it are classical.
 type Exponent interface {
 	Omega() float64
-}
-
-// Runner is a distributed MMM algorithm as the legacy one-shot API saw
-// it: a Planner whose Run method plans, builds a fresh machine and
-// executes in one call (via RunPlanner). New code should plan once and
-// execute many times through Plan/Executor instead.
-type Runner interface {
-	Planner
-	Run(a, b *matrix.Dense, p, s int) (*matrix.Dense, *Report, error)
 }

@@ -68,7 +68,7 @@ func (d Decomposition) String() string {
 }
 
 // Decomposed is implemented by plans that expose their grid geometry
-// (currently COSMA's).
+// (the Algorithm 1 plans: COSMA, SUMMA, 2.5D).
 type Decomposed interface {
 	Decomposition() Decomposition
 }
@@ -242,9 +242,8 @@ func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense,
 	return c, rep, nil
 }
 
-// RunPlanner is the one-shot path behind the legacy Runner API: plan,
-// build a fresh machine, execute once. The algorithm implementations
-// derive their Run methods from it.
+// RunPlanner is the one-shot path of the experiment tables and tests:
+// plan, build a fresh machine on net (nil counts), execute once.
 func RunPlanner(pl Planner, net *machine.NetworkParams, a, b *matrix.Dense, p, s int) (*matrix.Dense, *Report, error) {
 	if a.Cols != b.Rows {
 		return nil, nil, fmt.Errorf("algo: A is %d×%d but B is %d×%d", a.Rows, a.Cols, b.Rows, b.Cols)

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"cosma/internal/machine"
 )
 
 // Config carries the options an algorithm instance is constructed with.
@@ -16,20 +14,18 @@ type Config struct {
 	// Delta is the grid-fitting idle-rank tolerance δ of §7.1; zero
 	// means the algorithm's default.
 	Delta float64
-	// Network, when set, executes runs on the timed α-β-γ transport;
-	// nil uses the counting transport.
-	Network *machine.NetworkParams
 	// Overlap software-pipelines the round loops (§7.3): panels for
 	// round i+1 are prefetched with non-blocking broadcasts while the
-	// kernel multiplies round i's. Honored by COSMA and SUMMA; the
-	// other baselines execute synchronously regardless.
+	// kernel multiplies round i's. Honored by the Algorithm 1 plans
+	// (COSMA, SUMMA, 2.5D); CARMA, Cannon and CAPS execute
+	// synchronously regardless.
 	Overlap bool
 }
 
 // Spec describes one registered algorithm.
 type Spec struct {
 	// Name is the canonical lower-case registry key ("cosma", "summa",
-	// "2.5d", "carma", "cannon").
+	// "2.5d", "carma", "cannon", "caps").
 	Name string
 	// Aliases are alternative lookup keys ("scalapack", "ctf", ...).
 	Aliases []string
@@ -42,7 +38,7 @@ type Spec struct {
 	// set (Cannon is registered but excluded, as in §9).
 	Comparison bool
 	// New constructs a configured instance.
-	New func(Config) Runner
+	New func(Config) Planner
 }
 
 var (
@@ -73,7 +69,7 @@ func Register(s Spec) {
 
 // New constructs the named algorithm (canonical name or alias,
 // case-insensitive) under cfg.
-func New(name string, cfg Config) (Runner, error) {
+func New(name string, cfg Config) (Planner, error) {
 	regMu.RLock()
 	s, ok := byName[strings.ToLower(name)]
 	regMu.RUnlock()
@@ -103,8 +99,8 @@ func Specs() []Spec {
 
 // Comparison constructs the paper's default comparison set (COSMA and
 // the baselines with Comparison set) under cfg.
-func Comparison(cfg Config) []Runner {
-	var rs []Runner
+func Comparison(cfg Config) []Planner {
+	var rs []Planner
 	for _, s := range Specs() {
 		if s.Comparison {
 			rs = append(rs, s.New(cfg))

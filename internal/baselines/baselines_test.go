@@ -53,7 +53,7 @@ func TestSUMMACorrectAcrossShapes(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "summa", func() (*matrix.Dense, *algo.Report, error) {
-			return SUMMA{}.Run(a, b, c.p, c.s)
+			return algo.RunPlanner(SUMMA{}, nil, a, b, c.p, c.s)
 		}, a, b, c.k)
 	}
 }
@@ -67,7 +67,7 @@ func TestSUMMAMeasuredMatchesModel(t *testing.T) {
 	} {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := SUMMA{}.Run(a, b, c.p, c.s)
+		_, rep, err := algo.RunPlanner(SUMMA{}, nil, a, b, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestCannonCorrect(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "cannon", func() (*matrix.Dense, *algo.Report, error) {
-			return Cannon{}.Run(a, b, c.p, 1<<12)
+			return algo.RunPlanner(Cannon{}, nil, a, b, c.p, 1<<12)
 		}, a, b, c.k)
 	}
 }
@@ -97,7 +97,7 @@ func TestCannonMeasuredMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.Random(24, 12, rng)
 	b := matrix.Random(12, 18, rng)
-	_, rep, err := Cannon{}.Run(a, b, 9, 1<<12)
+	_, rep, err := algo.RunPlanner(Cannon{}, nil, a, b, 9, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,10 @@ func TestCannonMeasuredMatchesModel(t *testing.T) {
 func TestCannonRejectsBadConfigs(t *testing.T) {
 	a := matrix.New(8, 8)
 	b := matrix.New(8, 8)
-	if _, _, err := (Cannon{}).Run(a, b, 6, 1<<12); err == nil {
+	if _, _, err := algo.RunPlanner(Cannon{}, nil, a, b, 6, 1<<12); err == nil {
 		t.Fatal("non-square p accepted")
 	}
-	if _, _, err := (Cannon{}).Run(a, b, 9, 1<<12); err == nil {
+	if _, _, err := algo.RunPlanner(Cannon{}, nil, a, b, 9, 1<<12); err == nil {
 		t.Fatal("indivisible dims accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestC25DCorrect(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "2.5d", func() (*matrix.Dense, *algo.Report, error) {
-			return C25D{}.Run(a, b, c.p, c.s)
+			return algo.RunPlanner(C25D{}, nil, a, b, c.p, c.s)
 		}, a, b, c.k)
 	}
 }
@@ -159,7 +159,7 @@ func TestC25DMeasuredMatchesModel(t *testing.T) {
 	} {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := C25D{}.Run(a, b, c.p, c.s)
+		_, rep, err := algo.RunPlanner(C25D{}, nil, a, b, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestCARMACorrectAcrossShapes(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "carma", func() (*matrix.Dense, *algo.Report, error) {
-			return CARMA{}.Run(a, b, c.p, 1<<20)
+			return algo.RunPlanner(CARMA{}, nil, a, b, c.p, 1<<20)
 		}, a, b, c.k)
 	}
 }
@@ -192,7 +192,7 @@ func TestCARMAUsesPowerOfTwo(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := matrix.Random(16, 16, rng)
 	b := matrix.Random(16, 16, rng)
-	_, rep, err := CARMA{}.Run(a, b, 12, 1<<20)
+	_, rep, err := algo.RunPlanner(CARMA{}, nil, a, b, 12, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCARMACorrectnessProperty(t *testing.T) {
 		p := 1 << r.Intn(5)
 		a := matrix.Random(m, k, rng)
 		b := matrix.Random(k, n, rng)
-		got, _, err := CARMA{}.Run(a, b, p, 1<<20)
+		got, _, err := algo.RunPlanner(CARMA{}, nil, a, b, p, 1<<20)
 		if err != nil {
 			return false
 		}
@@ -229,8 +229,8 @@ func TestAllAlgorithmsAgreeOnOneProblem(t *testing.T) {
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
 	want := mulRef(a, b)
-	for _, r := range []algo.Runner{SUMMA{}, Cannon{}, C25D{}, CARMA{}} {
-		got, _, err := r.Run(a, b, p, 1<<16)
+	for _, r := range []algo.Planner{SUMMA{}, Cannon{}, C25D{}, CARMA{}} {
+		got, _, err := algo.RunPlanner(r, nil, a, b, p, 1<<16)
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
@@ -244,19 +244,10 @@ func TestModelsScaleToPaperSizes(t *testing.T) {
 	// All four baselines' models must evaluate at the paper's largest
 	// configuration without executing anything.
 	m, n, k, p, s := 16384, 16384, 16384, 18432, 1<<21
-	for _, r := range []algo.Runner{SUMMA{}, Cannon{}, C25D{}, CARMA{}} {
+	for _, r := range []algo.Planner{SUMMA{}, Cannon{}, C25D{}, CARMA{}} {
 		mod := r.Model(m, n, k, p, s)
 		if mod.AvgRecv <= 0 || math.IsNaN(mod.AvgRecv) || math.IsInf(mod.AvgRecv, 0) {
 			t.Fatalf("%s: bad model %+v", r.Name(), mod)
 		}
-	}
-}
-
-func TestSUMMAPanelWidthRespectsMemory(t *testing.T) {
-	if got := panelWidth(100, 8, 8); got != 2 { // (100-64)/16
-		t.Fatalf("panelWidth = %d, want 2", got)
-	}
-	if got := panelWidth(10, 8, 8); got != 1 {
-		t.Fatalf("overcommitted panelWidth = %d, want 1", got)
 	}
 }

@@ -1,15 +1,12 @@
 package baselines
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"cosma/internal/algo"
-	"cosma/internal/comm"
-	"cosma/internal/layout"
-	"cosma/internal/machine"
-	"cosma/internal/matrix"
+	"cosma/internal/core"
+	"cosma/internal/grid"
 )
 
 // C25D is the 2.5D decomposition of Solomonik and Demmel — the algorithm
@@ -21,20 +18,12 @@ import (
 // divisors of p; with c = 1 the algorithm degenerates to plain SUMMA, with
 // c = p^(1/3) to the 3D decomposition of Agarwal et al.
 type C25D struct {
-	// Network, when set, runs on the timed α-β-γ transport; nil counts.
-	Network *machine.NetworkParams
+	// Overlap software-pipelines each layer's round loop (§7.3).
+	Overlap bool
 }
 
-// Name implements algo.Runner.
+// Name implements algo.Planner.
 func (C25D) Name() string { return "CTF/2.5D" }
-
-const (
-	c25TagScatterA = 1 << 20
-	c25TagScatterB = 2 << 20
-	c25TagReduceC  = 3 << 20
-	c25TagA        = 4 << 20
-	c25TagB        = 5 << 20
-)
 
 // Layers returns the replication factor and layer grid the 2.5D
 // decomposition picks for the given problem: the divisor of p closest to
@@ -62,176 +51,15 @@ func (C25D) Layers(m, n, k, p, sMem int) (pr, pc, c int) {
 	return pr, pc, bestC
 }
 
-// Plan implements algo.Planner: the replication factor and layer grid
-// are fitted once per shape.
+// Plan implements algo.Planner: Algorithm 1 on the fixed grid
+// [pr×pc×c] with the inputs starting on layer 0.
 func (d C25D) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	pr, pc, c := d.Layers(m, n, k, p, sMem)
-	if pr > m || pc > n || c > k {
-		return nil, fmt.Errorf("baselines: 2.5D grid [%d×%d×%d] exceeds %d×%d×%d", pr, pc, c, m, n, k)
-	}
-	return &c25dPlan{
-		m: m, n: n, k: k, p: p, sMem: sMem,
-		pr: pr, pc: pc, c: c,
-		model: d.Model(m, n, k, p, sMem),
-	}, nil
+	g := grid.Grid{Pm: pr, Pn: pc, Pk: c}
+	return core.NewPlan(g, m, n, k, p, sMem, d.Model(m, n, k, p, sMem), d.Overlap, true)
 }
 
-// Run implements algo.Runner — the legacy one-shot path.
-func (d C25D) Run(a, b *matrix.Dense, p, sMem int) (*matrix.Dense, *algo.Report, error) {
-	return algo.RunPlanner(d, d.Network, a, b, p, sMem)
-}
-
-// c25dPlan is the compiled 2.5D schedule on a [pr × pc × c] grid.
-type c25dPlan struct {
-	m, n, k, p, sMem int
-	pr, pc, c        int
-	model            algo.Model
-}
-
-func (pl *c25dPlan) Algorithm() string   { return C25D{}.Name() }
-func (pl *c25dPlan) Grid() string        { return fmt.Sprintf("[%d×%d×%d]", pl.pr, pl.pc, pl.c) }
-func (pl *c25dPlan) Used() int           { return pl.p }
-func (pl *c25dPlan) Procs() int          { return pl.p }
-func (pl *c25dPlan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-func (pl *c25dPlan) Model() algo.Model   { return pl.model }
-
-// Execute implements algo.Plan.
-func (pl *c25dPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	if mach.P() != pl.p {
-		return nil, fmt.Errorf("baselines: plan is for p=%d but machine has %d ranks", pl.p, mach.P())
-	}
-	pr, pc := pl.pr, pl.pc
-	tiles := make([]*matrix.Dense, pl.p)
-	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
-		tile, err := pl.rankProgram(r, scratch, a, b)
-		tiles[r.ID()] = tile
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := matrix.New(pl.m, pl.n)
-	for id := 0; id < pl.p; id++ {
-		i, j, l := id%pr, (id/pr)%pc, id/(pr*pc)
-		if l != 0 {
-			continue // C lives on layer 0 after the reduction
-		}
-		rows := layout.Block(pl.m, pr, i)
-		cols := layout.Block(pl.n, pc, j)
-		out.View(rows.Lo, cols.Lo, rows.Len(), cols.Len()).CopyFrom(tiles[id])
-		machine.Release(tiles[id].Data) // the fiber reduction loaned it
-	}
-	return out, nil
-}
-
-func (pl *c25dPlan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	m, n, k := pl.m, pl.n, pl.k
-	pr, pc, c, sMem := pl.pr, pl.pc, pl.c, pl.sMem
-	i, j, l := r.ID()%pr, (r.ID()/pr)%pc, r.ID()/(pr*pc)
-	rank := func(ii, jj, ll int) int { return ii + pr*(jj+pc*ll) }
-	rows := layout.Block(m, pr, i)
-	cols := layout.Block(n, pc, j)
-	dm, dn := rows.Len(), cols.Len()
-
-	// Layer-0 initial layout, aligned to (slab, owner) so the scatter is
-	// pure point-to-point: layer 0's rank (i,j,0) holds, for every layer
-	// l', the A piece rows×(slab l' ∩ column j's share) and the analogous
-	// B piece. Scatter sends piece l' to (i,j,l').
-	myAPieces := make([]*matrix.Dense, c)
-	myBPieces := make([]*matrix.Dense, c)
-	if l == 0 {
-		for ll := 0; ll < c; ll++ {
-			slab := layout.Block(k, c, ll)
-			aPart := layout.Block(slab.Len(), pc, j)
-			bPart := layout.Block(slab.Len(), pr, i)
-			myAPieces[ll] = a.View(rows.Lo, slab.Lo+aPart.Lo, dm, aPart.Len())
-			myBPieces[ll] = b.View(slab.Lo+bPart.Lo, cols.Lo, bPart.Len(), dn)
-			if ll != 0 {
-				r.Send(rank(i, j, ll), c25TagScatterA, myAPieces[ll].Pack(nil))
-				r.Send(rank(i, j, ll), c25TagScatterB, myBPieces[ll].Pack(nil))
-			}
-		}
-	}
-
-	slab := layout.Block(k, c, l)
-	aPart := layout.Block(slab.Len(), pc, j)
-	bPart := layout.Block(slab.Len(), pr, i)
-	var myA, myB *matrix.Dense
-	if l == 0 {
-		myA = scratch.Clone(r.ID(), myAPieces[0])
-		myB = scratch.Clone(r.ID(), myBPieces[0])
-	} else {
-		myA = matrix.FromSlice(dm, aPart.Len(), r.Recv(rank(i, j, 0), c25TagScatterA))
-		myB = matrix.FromSlice(bPart.Len(), dn, r.Recv(rank(i, j, 0), c25TagScatterB))
-	}
-
-	// SUMMA within my layer over my k slab.
-	rowIDs := make([]int, pc)
-	for cc := 0; cc < pc; cc++ {
-		rowIDs[cc] = rank(i, cc, l)
-	}
-	colIDs := make([]int, pr)
-	for rr := 0; rr < pr; rr++ {
-		colIDs[rr] = rank(rr, j, l)
-	}
-	rowGroup := comm.NewGroup(r, rowIDs)
-	colGroup := comm.NewGroup(r, colIDs)
-
-	cTile := scratch.Matrix(r.ID(), dm, dn)
-	kern := scratch.Kernel(r.ID())
-	dmMax, dnMax := ceilDiv(m, pr), ceilDiv(n, pc)
-	step := panelWidth(sMem, dmMax, dnMax)
-	for _, seg := range kSegments(slab.Len(), pr, pc, step) {
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		aOwner := ownerIn(slab.Len(), pc, seg.Lo)
-		bOwner := ownerIn(slab.Len(), pr, seg.Lo)
-
-		var aChunk []float64
-		if j == aOwner {
-			aChunk = myA.View(0, seg.Lo-aPart.Lo, dm, seg.Len()).Pack(machine.Loan(dm * seg.Len()))
-		}
-		aChunk = rowGroup.Bcast(aOwner, aChunk, c25TagA+seg.Lo)
-
-		var bChunk []float64
-		if i == bOwner {
-			bChunk = myB.View(seg.Lo-bPart.Lo, 0, seg.Len(), dn).Pack(machine.Loan(seg.Len() * dn))
-		}
-		bChunk = colGroup.Bcast(bOwner, bChunk, c25TagB+seg.Lo)
-
-		kern.Mul(cTile,
-			matrix.FromSlice(dm, seg.Len(), aChunk),
-			matrix.FromSlice(seg.Len(), dn, bChunk))
-		r.Compute(matrix.MulFlops(dm, dn, seg.Len()))
-		machine.Release(aChunk)
-		machine.Release(bChunk)
-	}
-
-	// Reduce the layers' partial C tiles onto layer 0.
-	fiberIDs := make([]int, c)
-	for ll := 0; ll < c; ll++ {
-		fiberIDs[ll] = rank(i, j, ll)
-	}
-	sum := comm.NewGroup(r, fiberIDs).Reduce(0, cTile.Data, c25TagReduceC)
-	if l != 0 {
-		return nil, nil
-	}
-	return matrix.FromSlice(dm, dn, sum), nil
-}
-
-// ownerIn returns the balanced-partition member of extent-into-parts that
-// contains position x.
-func ownerIn(extent, parts, x int) int {
-	o := x * parts / extent
-	for layout.Block(extent, parts, o).Hi <= x {
-		o++
-	}
-	return o
-}
-
-// Model implements algo.Runner: scatter + per-layer SUMMA + C reduction.
+// Model implements algo.Planner: scatter + per-layer SUMMA + C reduction.
 func (d C25D) Model(m, n, k, p, sMem int) algo.Model {
 	pr, pc, c := d.Layers(m, n, k, p, sMem)
 	dm, dn := ceilDiv(m, pr), ceilDiv(n, pc)
@@ -244,7 +72,7 @@ func (d C25D) Model(m, n, k, p, sMem int) algo.Model {
 		float64(dn)*kSlab*float64(pr-1)/float64(pr)
 	// Tree reduction of C across layers.
 	reduce := float64(dm) * float64(dn) * float64(c-1) / float64(c)
-	rounds := kSlab/float64(panelWidth(sMem, dm, dn)) + 1
+	rounds := kSlab/float64(core.StepSize(sMem, dm, dn)) + 1
 	return algo.Model{
 		Name:     d.Name(),
 		Grid:     fmt.Sprintf("[%d×%d×%d]", pr, pc, c),

@@ -14,10 +14,7 @@ import (
 // decomposition (1969). It requires p to be a perfect square and the
 // matrix dimensions to be divisible by q; it exists as the classical
 // reference point of Table 3 and Figure 2.
-type Cannon struct {
-	// Network, when set, runs on the timed α-β-γ transport; nil counts.
-	Network *machine.NetworkParams
-}
+type Cannon struct{}
 
 // Name implements algo.Planner.
 func (Cannon) Name() string { return "Cannon-2D" }
@@ -40,11 +37,6 @@ func (c Cannon) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 		return nil, fmt.Errorf("baselines: Cannon needs q=%d to divide %d×%d×%d", q, m, n, k)
 	}
 	return &cannonPlan{m: m, n: n, k: k, p: p, q: q, model: c.Model(m, n, k, p, sMem)}, nil
-}
-
-// Run implements algo.Runner — the legacy one-shot path.
-func (c Cannon) Run(a, b *matrix.Dense, p, sMem int) (*matrix.Dense, *algo.Report, error) {
-	return algo.RunPlanner(c, c.Network, a, b, p, sMem)
 }
 
 // cannonPlan is Cannon's compiled schedule on a q×q torus.
@@ -124,7 +116,7 @@ func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratc
 	return out, nil
 }
 
-// Model implements algo.Runner. Per rank: the skew moves one A block for
+// Model implements algo.Planner. Per rank: the skew moves one A block for
 // every rank off the zeroth row ((q−1)/q of ranks) and one B block off the
 // zeroth column, then q−1 shift rounds move one A and one B block each.
 func (c Cannon) Model(m, n, k, p, sMem int) algo.Model {

@@ -19,14 +19,11 @@ import (
 // recursive layout, which the caller assembles.
 //
 // CARMA requires a power-of-two rank count (§1 lists this as one of its
-// limitations); Run leaves p − 2^⌊log₂ p⌋ ranks idle, exactly as the
+// limitations); the plan leaves p − 2^⌊log₂ p⌋ ranks idle, exactly as the
 // paper's comparisons do on non-power-of-two allocations.
-type CARMA struct {
-	// Network, when set, runs on the timed α-β-γ transport; nil counts.
-	Network *machine.NetworkParams
-}
+type CARMA struct{}
 
-// Name implements algo.Runner.
+// Name implements algo.Planner.
 func (CARMA) Name() string { return "CARMA-recursive" }
 
 // carmaPiece is one rectangle of the output in the recursive layout: the
@@ -50,11 +47,6 @@ func (c CARMA) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 		used *= 2
 	}
 	return &carmaPlan{m: m, n: n, k: k, p: p, used: used, model: c.Model(m, n, k, p, sMem)}, nil
-}
-
-// Run implements algo.Runner — the legacy one-shot path.
-func (c CARMA) Run(a, b *matrix.Dense, p, sMem int) (*matrix.Dense, *algo.Report, error) {
-	return algo.RunPlanner(c, c.Network, a, b, p, sMem)
 }
 
 // carmaPlan is the compiled recursive schedule over a power-of-two
@@ -254,7 +246,7 @@ func largestDim(m, n, k int) byte {
 	return 'k'
 }
 
-// Model implements algo.Runner using the recursive row of Table 3: CARMA
+// Model implements algo.Planner using the recursive row of Table 3: CARMA
 // moves Q = 2·min{√3·mnk/(p√S), (mnk/p)^(2/3)} + (mnk/p)^(2/3) words per
 // rank — the √3 factor over COSMA in the limited-memory regime is the
 // paper's headline comparison (§6.2).

@@ -10,8 +10,11 @@
 //   - CARMA (carma.go) — the recursive split-largest-dimension
 //     decomposition of Demmel et al.
 //
-// Each algorithm is an algo.Planner/algo.Plan pair: planning fits its
-// grid once per shape, execution runs on the simulated machine with
+// SUMMA and 2.5D are grid policies over core.NewPlan — the same
+// Algorithm 1 rank program COSMA runs, on a grid fixed upfront instead
+// of fitted (§6.3) — while Cannon and CARMA bring their own
+// algo.Planner/algo.Plan pair. Either way planning fixes the grid once
+// per shape, execution runs on the simulated machine with
 // real data movement through the §7.2 tree collectives, and the local
 // tile multiplications go through the per-rank packed GEMM kernel
 // drawn from the executor's Arena. Every baseline also provides an

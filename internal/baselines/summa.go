@@ -1,16 +1,12 @@
 package baselines
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"cosma/internal/algo"
-	"cosma/internal/comm"
-	"cosma/internal/layout"
-	"cosma/internal/machine"
-	"cosma/internal/matrix"
+	"cosma/internal/core"
+	"cosma/internal/grid"
 )
 
 // SUMMA is the scalable universal matrix multiplication algorithm of van
@@ -18,8 +14,6 @@ import (
 // by ScaLAPACK's PDGEMM. The grid is the most square factorization of p;
 // every rank is used.
 type SUMMA struct {
-	// Network, when set, runs on the timed α-β-γ transport; nil counts.
-	Network *machine.NetworkParams
 	// Overlap software-pipelines the round loop exactly like COSMA's
 	// (§7.3): round i+1's panels are prefetched with non-blocking
 	// broadcasts while the kernel multiplies round i's, so timed
@@ -34,7 +28,7 @@ func init() {
 		Summary:    "2D SUMMA on the most square grid — what ScaLAPACK's PDGEMM implements",
 		Order:      1,
 		Comparison: true,
-		New:        func(cfg algo.Config) algo.Runner { return SUMMA{Network: cfg.Network, Overlap: cfg.Overlap} },
+		New:        func(cfg algo.Config) algo.Planner { return SUMMA{Overlap: cfg.Overlap} },
 	})
 	algo.Register(algo.Spec{
 		Name:       "2.5d",
@@ -42,7 +36,7 @@ func init() {
 		Summary:    "2.5D decomposition of Solomonik and Demmel — what CTF implements",
 		Order:      2,
 		Comparison: true,
-		New:        func(cfg algo.Config) algo.Runner { return C25D{Network: cfg.Network} },
+		New:        func(cfg algo.Config) algo.Planner { return C25D{Overlap: cfg.Overlap} },
 	})
 	algo.Register(algo.Spec{
 		Name:       "carma",
@@ -50,7 +44,7 @@ func init() {
 		Summary:    "recursive split-largest-dimension decomposition of Demmel et al.",
 		Order:      3,
 		Comparison: true,
-		New:        func(cfg algo.Config) algo.Runner { return CARMA{Network: cfg.Network} },
+		New:        func(cfg algo.Config) algo.Planner { return CARMA{} },
 	})
 	algo.Register(algo.Spec{
 		Name:       "cannon",
@@ -58,7 +52,7 @@ func init() {
 		Summary:    "Cannon's algorithm on a square torus (1969) — needs square p and divisible dims",
 		Order:      4,
 		Comparison: false, // the paper's comparison set (§9) excludes it
-		New:        func(cfg algo.Config) algo.Runner { return Cannon{Network: cfg.Network} },
+		New:        func(cfg algo.Config) algo.Planner { return Cannon{} },
 	})
 }
 
@@ -79,223 +73,16 @@ func NearSquare(p int) (pr, pc int) {
 	return 1, p
 }
 
-const (
-	sumTagA = 1 << 20
-	sumTagB = 2 << 20
-	// sumTagC carries the multi-process result gather: every rank sends
-	// its C tile to rank 0 (tag offset by sender id).
-	sumTagC = 3 << 20
-)
-
-// Plan implements algo.Planner: the grid factorization, round segments
-// and model are computed once per shape.
+// Plan implements algo.Planner: Algorithm 1 on the fixed 2D grid
+// [pr×pc×1] — each rank (i, j) owns the blocks A[Mi, Kj], B[Ki, Nj] and
+// computes C[Mi, Nj]; no fiber, so C never moves.
 func (s SUMMA) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	pr, pc := NearSquare(p)
-	if pr > m || pc > n {
-		return nil, fmt.Errorf("baselines: grid %d×%d exceeds matrix %d×%d", pr, pc, m, n)
-	}
-	dmMax, dnMax := ceilDiv(m, pr), ceilDiv(n, pc)
-	return &summaPlan{
-		m: m, n: n, k: k, p: p,
-		pr: pr, pc: pc,
-		segs:    kSegments(k, pr, pc, panelWidth(sMem, dmMax, dnMax)),
-		model:   s.Model(m, n, k, p, sMem),
-		overlap: s.Overlap,
-	}, nil
+	g := grid.Grid{Pm: pr, Pn: pc, Pk: 1}
+	return core.NewPlan(g, m, n, k, p, sMem, s.Model(m, n, k, p, sMem), s.Overlap, false)
 }
 
-// Run implements algo.Runner — the legacy one-shot path.
-func (s SUMMA) Run(a, b *matrix.Dense, p, sMem int) (*matrix.Dense, *algo.Report, error) {
-	return algo.RunPlanner(s, s.Network, a, b, p, sMem)
-}
-
-// summaPlan is SUMMA's compiled schedule: A is m×k, B is k×n; each rank
-// (i, j) owns the blocks A[Mi, Kj], B[Ki, Nj] and computes C[Mi, Nj].
-// For every k-segment, the owning column broadcasts its A panel along
-// its row and the owning row broadcasts its B panel along its column,
-// sub-chunked to the memory-limited panel width.
-type summaPlan struct {
-	m, n, k, p int
-	pr, pc     int
-	segs       []layout.Range
-	model      algo.Model
-	overlap    bool
-}
-
-func (pl *summaPlan) Algorithm() string   { return SUMMA{}.Name() }
-func (pl *summaPlan) Grid() string        { return fmt.Sprintf("[%d×%d×1]", pl.pr, pl.pc) }
-func (pl *summaPlan) Used() int           { return pl.p }
-func (pl *summaPlan) Procs() int          { return pl.p }
-func (pl *summaPlan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-func (pl *summaPlan) Model() algo.Model   { return pl.model }
-
-// Overlap implements algo.Overlapper.
-func (pl *summaPlan) Overlap() bool { return pl.overlap }
-
-// Distributed implements algo.Distributed: on a multi-process machine
-// Execute gathers every rank's C tile to rank 0.
-func (pl *summaPlan) Distributed() bool { return true }
-
-// Execute implements algo.Plan. On a multi-process machine each rank
-// sends its C tile to rank 0 (the sumTagC gather), so only the process
-// hosting rank 0 assembles the product — the others return a zero
-// matrix.
-func (pl *summaPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	if mach.P() != pl.p {
-		return nil, fmt.Errorf("baselines: plan is for p=%d but machine has %d ranks", pl.p, mach.P())
-	}
-	multi := mach.MultiProcess()
-	tiles := make([]*matrix.Dense, pl.p)
-	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
-		tile, err := pl.rankProgram(r, scratch, a, b)
-		if err != nil || !multi {
-			tiles[r.ID()] = tile
-			return err
-		}
-		return pl.gatherTiles(r, tile, tiles)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := matrix.New(pl.m, pl.n)
-	for id := 0; id < pl.p; id++ {
-		if tiles[id] == nil {
-			continue // a remote rank's tile, gathered elsewhere
-		}
-		i, j := id%pl.pr, id/pl.pr
-		rows := layout.Block(pl.m, pl.pr, i)
-		cols := layout.Block(pl.n, pl.pc, j)
-		out.View(rows.Lo, cols.Lo, rows.Len(), cols.Len()).CopyFrom(tiles[id])
-		if multi && id != 0 {
-			// Gathered tiles are pool-loaned copies; rank 0's own tile
-			// is arena-owned and stays with the arena.
-			machine.Release(tiles[id].Data)
-		}
-	}
-	return out, nil
-}
-
-// gatherTiles is the multi-process epilogue: every rank except 0 sends
-// a copy of its (arena-owned) C tile to rank 0, which collects all p
-// tiles for assembly. Tags are offset by the sender id so the receives
-// match deterministically.
-func (pl *summaPlan) gatherTiles(r *machine.Rank, tile *matrix.Dense, tiles []*matrix.Dense) error {
-	if r.ID() != 0 {
-		// Copying send: the tile is arena scratch, reused next run.
-		r.Send(0, sumTagC+r.ID(), tile.Data)
-		return nil
-	}
-	tiles[0] = tile
-	for id := 1; id < pl.p; id++ {
-		i, j := id%pl.pr, id/pl.pr
-		rows := layout.Block(pl.m, pl.pr, i)
-		cols := layout.Block(pl.n, pl.pc, j)
-		tiles[id] = matrix.FromSlice(rows.Len(), cols.Len(), r.Recv(id, sumTagC+id))
-	}
-	return nil
-}
-
-func (pl *summaPlan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	k, pr, pc := pl.k, pl.pr, pl.pc
-	i, j := r.ID()%pr, r.ID()/pr
-	rows := layout.Block(pl.m, pr, i)
-	cols := layout.Block(pl.n, pc, j)
-	dm, dn := rows.Len(), cols.Len()
-
-	// My input blocks under the 2D blocked layout.
-	aCols := layout.Block(k, pc, j)
-	bRows := layout.Block(k, pr, i)
-	myA := scratch.Clone(r.ID(), a.View(rows.Lo, aCols.Lo, dm, aCols.Len()))
-	myB := scratch.Clone(r.ID(), b.View(bRows.Lo, cols.Lo, bRows.Len(), dn))
-
-	rowIDs := make([]int, pc) // ranks sharing my row i
-	for c := 0; c < pc; c++ {
-		rowIDs[c] = i + pr*c
-	}
-	colIDs := make([]int, pr) // ranks sharing my column j
-	for rr := 0; rr < pr; rr++ {
-		colIDs[rr] = rr + pr*j
-	}
-	rowGroup := comm.NewGroup(r, rowIDs)
-	colGroup := comm.NewGroup(r, colIDs)
-
-	cTile := scratch.Matrix(r.ID(), dm, dn)
-	kern := scratch.Kernel(r.ID())
-
-	// The round loop is COSMA's discipline on the 2D grid: the owning
-	// column/row packs its k-panel into a loaned buffer and posts the
-	// tree broadcast; settling multiplies and recycles. PipelineRounds
-	// sequences the rounds serially or double-buffered under Overlap.
-	startA := func(seg layout.Range) *comm.Pending {
-		owner := ownerIn(k, pc, seg.Lo)
-		var chunk []float64
-		if j == owner {
-			chunk = myA.View(0, seg.Lo-aCols.Lo, dm, seg.Len()).Pack(machine.Loan(dm * seg.Len()))
-		}
-		return rowGroup.IBcast(owner, chunk, sumTagA+seg.Lo)
-	}
-	startB := func(seg layout.Range) *comm.Pending {
-		owner := ownerIn(k, pr, seg.Lo)
-		var chunk []float64
-		if i == owner {
-			chunk = myB.View(seg.Lo-bRows.Lo, 0, seg.Len(), dn).Pack(machine.Loan(seg.Len() * dn))
-		}
-		return colGroup.IBcast(owner, chunk, sumTagB+seg.Lo)
-	}
-	mulRound := func(seg layout.Range, aChunk, bChunk []float64) {
-		kern.Mul(cTile,
-			matrix.FromSlice(dm, seg.Len(), aChunk),
-			matrix.FromSlice(seg.Len(), dn, bChunk))
-		r.Compute(matrix.MulFlops(dm, dn, seg.Len()))
-		machine.Release(aChunk)
-		machine.Release(bChunk)
-	}
-	if err := comm.PipelineRounds(r, pl.segs, pl.overlap, startA, startB, mulRound); err != nil {
-		return nil, err
-	}
-	return cTile, nil
-}
-
-// panelWidth is the largest k-panel that keeps the C tile plus one A and
-// one B panel within memory, at least 1.
-func panelWidth(sMem, dm, dn int) int {
-	h := (sMem - dm*dn) / (dm + dn)
-	if h < 1 {
-		h = 1
-	}
-	return h
-}
-
-// kSegments cuts [0, k) at every boundary of both the pc-way (A ownership)
-// and pr-way (B ownership) partitions, then sub-chunks to step.
-func kSegments(k, pr, pc, step int) []layout.Range {
-	cuts := map[int]bool{0: true, k: true}
-	for c := 0; c < pc; c++ {
-		cuts[layout.Block(k, pc, c).Lo] = true
-	}
-	for r := 0; r < pr; r++ {
-		cuts[layout.Block(k, pr, r).Lo] = true
-	}
-	points := make([]int, 0, len(cuts))
-	for c := range cuts {
-		points = append(points, c)
-	}
-	sort.Ints(points)
-	var out []layout.Range
-	for i := 0; i+1 < len(points); i++ {
-		for lo := points[i]; lo < points[i+1]; lo += step {
-			hi := lo + step
-			if hi > points[i+1] {
-				hi = points[i+1]
-			}
-			out = append(out, layout.Range{Lo: lo, Hi: hi})
-		}
-	}
-	return out
-}
-
-// Model implements algo.Runner: per-rank received words of the 2D
+// Model implements algo.Planner: per-rank received words of the 2D
 // schedule. Every rank receives the A panels of the pc−1 other columns
 // (dm·k·(pc−1)/pc words) and the B panels of the pr−1 other rows; C never
 // moves. This is the k(m+n)/√p + mn/p row of Table 3.
@@ -304,7 +91,7 @@ func (s SUMMA) Model(m, n, k, p, sMem int) algo.Model {
 	dm, dn := ceilDiv(m, pr), ceilDiv(n, pc)
 	avg := float64(dm)*float64(k)*float64(pc-1)/float64(pc) +
 		float64(dn)*float64(k)*float64(pr-1)/float64(pr)
-	rounds := float64(k) / float64(panelWidth(sMem, dm, dn))
+	rounds := float64(k) / float64(core.StepSize(sMem, dm, dn))
 	if min := float64(pr + pc - 1); rounds < min {
 		rounds = min // at least one broadcast per ownership segment
 	}

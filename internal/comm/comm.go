@@ -258,8 +258,8 @@ func (p *Pending) Test() ([]float64, bool) {
 // successful Test returned.
 func (p *Pending) At() float64 { return p.at }
 
-// PipelineRounds drives a broadcast–multiply round loop shared by the
-// COSMA and SUMMA rank programs: startA/startB post round seg's two
+// PipelineRounds drives the broadcast–multiply round loop of the
+// Algorithm 1 rank program: startA/startB post round seg's two
 // panel broadcasts (packing locally owned chunks) and mul folds a
 // settled round into the local tile, releasing the chunk buffers.
 //

@@ -21,10 +21,6 @@ const DefaultDelta = 0.03
 type COSMA struct {
 	// Delta is the grid-fitting idle tolerance; zero means DefaultDelta.
 	Delta float64
-	// Network, when set, runs the algorithm on the timed α-β-γ transport
-	// so the report carries runtime predictions; nil uses the counting
-	// transport.
-	Network *machine.NetworkParams
 	// Overlap software-pipelines the round loop (§7.3): each rank
 	// prefetches round i+1's A/B panels with non-blocking broadcasts
 	// while the kernel multiplies round i's, hiding communication
@@ -39,8 +35,8 @@ func init() {
 		Summary:    "near-I/O-optimal S-partition schedule with §7.1 grid fitting (this paper)",
 		Order:      0,
 		Comparison: true,
-		New: func(cfg algo.Config) algo.Runner {
-			return &COSMA{Delta: cfg.Delta, Network: cfg.Network, Overlap: cfg.Overlap}
+		New: func(cfg algo.Config) algo.Planner {
+			return &COSMA{Delta: cfg.Delta, Overlap: cfg.Overlap}
 		},
 	})
 }
@@ -63,18 +59,27 @@ const (
 	// tagOut carries the multi-process result gather: fiber roots send
 	// their final C tiles to rank 0 (tag offset by sender id).
 	tagOut = 4 << 20
+	// tagInA/tagInB carry the layer-0 input scatter (plan.layer0).
+	tagInA = 5 << 20
+	tagInB = 6 << 20
 )
 
-// plan is COSMA's compiled schedule for one problem shape: the fitted
-// grid, the latency-minimizing step, the round segments of every k slab
-// and the analytic model. It is immutable after Plan returns.
+// plan is Algorithm 1's compiled schedule for one problem shape on one
+// processor grid: the latency-minimizing step, the round segments of
+// every k slab and the analytic model. COSMA, SUMMA and 2.5D differ
+// only in how they choose the grid. It is immutable after NewPlan
+// returns.
 type plan struct {
-	m, n, k, p, s int
-	g             grid.Grid
-	step          int
-	segs          [][]layout.Range // round segments per ik slab index
-	model         algo.Model
-	overlap       bool
+	m, n, k, p int
+	g          grid.Grid
+	step       int
+	segs       [][]layout.Range // round segments per ik slab index
+	model      algo.Model
+	overlap    bool
+	// layer0 is 2.5D's initial layout: the inputs live on the ik = 0
+	// layer, whose ranks mail every other layer its pieces before the
+	// round loop. Otherwise every rank starts with its own pieces (§7.6).
+	layer0 bool
 }
 
 // Plan implements algo.Planner: all grid fitting and round-schedule
@@ -87,8 +92,24 @@ func (c *COSMA) Plan(m, n, k, p, s int) (algo.Plan, error) {
 		return nil, fmt.Errorf("core: p = %d must be ≥ 1", p)
 	}
 	g := grid.Fit(m, n, k, p, s, c.delta())
+	return NewPlan(g, m, n, k, p, s, modelFor(c.Name(), g, m, n, k, p, s), c.Overlap, false)
+}
+
+// NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for
+// an m×k by k×n multiplication on the grid g of a p-rank machine with
+// s words per rank. The grid is the caller's policy — COSMA fits it
+// (§7.1), SUMMA and 2.5D fix it upfront — and so is the model, whose
+// Name the plan reports as its algorithm. overlap pipelines the round
+// loop (§7.3); layer0 starts the inputs on the ik = 0 layer (2.5D).
+func NewPlan(g grid.Grid, m, n, k, p, s int, model algo.Model, overlap, layer0 bool) (algo.Plan, error) {
+	if g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
+		return nil, fmt.Errorf("core: grid %v does not fit p = %d", g, p)
+	}
+	if g.Pm > m || g.Pn > n || g.Pk > k {
+		return nil, fmt.Errorf("core: grid %v exceeds %d×%d×%d", g, m, n, k)
+	}
 	dmMax, dnMax, _ := g.LocalDims(m, n, k)
-	step := stepSize(s, dmMax, dnMax)
+	step := StepSize(s, dmMax, dnMax)
 	segs := make([][]layout.Range, g.Pk)
 	for ik := 0; ik < g.Pk; ik++ {
 		slab := layout.Block(k, g.Pk, ik)
@@ -97,24 +118,14 @@ func (c *COSMA) Plan(m, n, k, p, s int) (algo.Plan, error) {
 		segs[ik] = segments(slab.Len(), aParts, bParts, step)
 	}
 	return &plan{
-		m: m, n: n, k: k, p: p, s: s,
+		m: m, n: n, k: k, p: p,
 		g: g, step: step, segs: segs,
-		model:   modelFor(c.Name(), g, m, n, k, p, s),
-		overlap: c.Overlap,
+		model: model, overlap: overlap, layer0: layer0,
 	}, nil
 }
 
-// Run implements algo.Runner — the legacy one-shot path: plan, build a
-// machine, execute once.
-func (c *COSMA) Run(a, b *matrix.Dense, p, s int) (*matrix.Dense, *algo.Report, error) {
-	if a.Cols != b.Rows {
-		return nil, nil, fmt.Errorf("core: A is %d×%d but B is %d×%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	return algo.RunPlanner(c, c.Network, a, b, p, s)
-}
-
 // Algorithm implements algo.Plan.
-func (pl *plan) Algorithm() string { return "COSMA" }
+func (pl *plan) Algorithm() string { return pl.model.Name }
 
 // Grid implements algo.Plan.
 func (pl *plan) Grid() string { return pl.g.String() }
@@ -235,10 +246,32 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	// Blocked initial layout (§7.6): the A panel rows×slab is divided by
 	// k among the pn members of my column group (the ranks that need it);
 	// the B panel slab×cols among the pm members of my row group.
+	// inputs returns the pieces grid position (im, in, l) starts from.
+	inputs := func(l int) (aPiece, bPiece *matrix.Dense) {
+		sl := layout.Block(pl.k, pl.g.Pk, l)
+		aPart := layout.Block(sl.Len(), pl.g.Pn, in)
+		bPart := layout.Block(sl.Len(), pl.g.Pm, im)
+		return a.View(rows.Lo, sl.Lo+aPart.Lo, dm, aPart.Len()),
+			b.View(sl.Lo+bPart.Lo, cols.Lo, bPart.Len(), dn)
+	}
 	aParts := layout.Split(slab.Len(), pl.g.Pn)
 	bParts := layout.Split(slab.Len(), pl.g.Pm)
-	myA := scratch.Clone(r.ID(), a.View(rows.Lo, slab.Lo+aParts[in].Lo, dm, aParts[in].Len()))
-	myB := scratch.Clone(r.ID(), b.View(slab.Lo+bParts[im].Lo, cols.Lo, bParts[im].Len(), dn))
+	myA, myB := inputs(ik)
+	if pl.layer0 && ik != 0 {
+		root := pl.g.Rank(im, in, 0)
+		myA = matrix.FromSlice(myA.Rows, myA.Cols, r.Recv(root, tagInA))
+		myB = matrix.FromSlice(myB.Rows, myB.Cols, r.Recv(root, tagInB))
+		defer machine.Release(myA.Data)
+		defer machine.Release(myB.Data)
+	} else {
+		for l := 1; pl.layer0 && l < pl.g.Pk; l++ {
+			aPiece, bPiece := inputs(l)
+			dst := pl.g.Rank(im, in, l)
+			r.SendOwned(dst, tagInA, aPiece.Pack(machine.Loan(aPiece.Rows*aPiece.Cols)))
+			r.SendOwned(dst, tagInB, bPiece.Pack(machine.Loan(bPiece.Rows*bPiece.Cols)))
+		}
+		myA, myB = scratch.Clone(r.ID(), myA), scratch.Clone(r.ID(), myB)
+	}
 
 	cTile := scratch.Matrix(r.ID(), dm, dn)
 	kern := scratch.Kernel(r.ID())
@@ -292,10 +325,10 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	return matrix.FromSlice(dm, dn, sum), nil
 }
 
-// stepSize is the latency-minimizing number of outer products per round
+// StepSize is the latency-minimizing number of outer products per round
 // generalized to rectangular dm×dn tiles: the free memory after the
 // resident C tile is spent on one dm×h A chunk and one h×dn B chunk.
-func stepSize(s, dm, dn int) int {
+func StepSize(s, dm, dn int) int {
 	h := (s - dm*dn) / (dm + dn)
 	if h < 1 {
 		h = 1
@@ -352,7 +385,7 @@ func (c *COSMA) Model(m, n, k, p, s int) algo.Model {
 // Plan derives its model without fitting a second time.
 func modelFor(name string, g grid.Grid, m, n, k, p, s int) algo.Model {
 	dm, dn, dk := g.LocalDims(m, n, k)
-	step := stepSize(s, dm, dn)
+	step := StepSize(s, dm, dn)
 	rounds := float64(ceilDiv(dk, step))
 	maxRecv := float64(dm*dk)*float64(g.Pn-1)/float64(g.Pn) +
 		float64(dk*dn)*float64(g.Pm-1)/float64(g.Pm)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cosma/internal/algo"
 	"cosma/internal/bound"
 	"cosma/internal/layout"
 	"cosma/internal/matrix"
@@ -39,7 +40,7 @@ func TestCOSMACorrectAcrossShapes(t *testing.T) {
 			a := matrix.Random(c.m, c.k, rng)
 			b := matrix.Random(c.k, c.n, rng)
 			cosma := &COSMA{}
-			got, rep, err := cosma.Run(a, b, c.p, c.s)
+			got, rep, err := algo.RunPlanner(cosma, nil, a, b, c.p, c.s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		cosma := &COSMA{}
-		_, rep, err := cosma.Run(a, b, c.p, c.s)
+		_, rep, err := algo.RunPlanner(cosma, nil, a, b, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestCOSMAVolumeNearLowerBound(t *testing.T) {
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
 	cosma := &COSMA{}
-	_, rep, err := cosma.Run(a, b, p, s)
+	_, rep, err := algo.RunPlanner(cosma, nil, a, b, p, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCOSMAIdleRanksDoNotCommunicate(t *testing.T) {
 	a := matrix.Random(16, 16, rng)
 	b := matrix.Random(16, 16, rng)
 	cosma := &COSMA{}
-	_, rep, err := cosma.Run(a, b, 65, 1<<10)
+	_, rep, err := algo.RunPlanner(cosma, nil, a, b, 65, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,10 @@ func TestCOSMAIdleRanksDoNotCommunicate(t *testing.T) {
 }
 
 func TestCOSMAStepSize(t *testing.T) {
-	if got := stepSize(160, 10, 10); got != 3 {
-		t.Fatalf("stepSize(160,10,10) = %d, want 3", got)
+	if got := StepSize(160, 10, 10); got != 3 {
+		t.Fatalf("StepSize(160,10,10) = %d, want 3", got)
 	}
-	if got := stepSize(5, 10, 10); got != 1 { // overcommitted memory
+	if got := StepSize(5, 10, 10); got != 1 { // overcommitted memory
 		t.Fatalf("stepSize small = %d, want 1", got)
 	}
 }
@@ -167,7 +168,7 @@ func TestCOSMACorrectnessProperty(t *testing.T) {
 		a := matrix.Random(m, k, rng)
 		b := matrix.Random(k, n, rng)
 		cosma := &COSMA{}
-		got, _, err := cosma.Run(a, b, p, s)
+		got, _, err := algo.RunPlanner(cosma, nil, a, b, p, s)
 		if err != nil {
 			return false
 		}

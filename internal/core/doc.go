@@ -16,4 +16,8 @@
 // fit the grid exactly once. Per-round tile updates run on the packed
 // register-blocked GEMM kernel each rank draws from the executor's
 // Arena (internal/matrix).
+//
+// NewPlan exports the schedule with the grid left to the caller: the
+// 2D and 2.5D baselines (internal/baselines) are the same rank program
+// on a grid fixed upfront instead of fitted (§6.3).
 package core

@@ -22,11 +22,11 @@ func TestCOSMAOverlapBitwiseIdentical(t *testing.T) {
 		s := 3 * 96 * 80 / p // squeeze into the multi-round regime
 		sync := &COSMA{Overlap: false}
 		pipe := &COSMA{Overlap: true}
-		cSync, _, err := sync.Run(a, b, p, s)
+		cSync, _, err := algo.RunPlanner(sync, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d sync: %v", p, err)
 		}
-		cPipe, _, err := pipe.Run(a, b, p, s)
+		cPipe, _, err := algo.RunPlanner(pipe, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d overlap: %v", p, err)
 		}
@@ -49,8 +49,7 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 	b := matrix.Random(n, n, rng(4))
 
 	run := func(overlap bool) (*matrix.Dense, *algo.Report) {
-		c := &COSMA{Network: &net, Overlap: overlap}
-		out, rep, err := c.Run(a, b, p, s)
+		out, rep, err := algo.RunPlanner(&COSMA{Overlap: overlap}, &net, a, b, p, s)
 		if err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}

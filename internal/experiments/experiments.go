@@ -11,32 +11,12 @@ import (
 	"cosma/internal/core"
 	"cosma/internal/costmodel"
 	"cosma/internal/grid"
-	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/perfmodel"
 	"cosma/internal/report"
 	"cosma/internal/seq"
 	"cosma/internal/workload"
 )
-
-// Runners returns the four algorithms in the paper's comparison order.
-func Runners() []algo.Runner { return RunnersNet(nil) }
-
-// RunnersNet returns the comparison algorithms configured to execute on
-// the given network (nil for the counting transport), drawn from the
-// name-keyed algorithm registry (importing core and baselines registers
-// them).
-func RunnersNet(net *machine.NetworkParams) []algo.Runner {
-	return algo.Comparison(algo.Config{Network: net})
-}
-
-// RunnersOverlap returns the comparison algorithms with round-loop
-// pipelining enabled, so timed comparisons pit overlapped COSMA against
-// overlapped SUMMA (the algorithms without a pipelined path run
-// synchronously, as ever).
-func RunnersOverlap(net *machine.NetworkParams) []algo.Runner {
-	return algo.Comparison(algo.Config{Network: net, Overlap: true})
-}
 
 const wordsToMB = 8.0 / 1e6
 
@@ -70,7 +50,7 @@ func CommVolume(shape workload.Shape, regime workload.Regime) *report.Table {
 			continue
 		}
 		row := []interface{}{p}
-		for _, r := range Runners() {
+		for _, r := range algo.Comparison(algo.Config{}) {
 			mod := r.Model(c.M, c.N, c.K, c.P, c.S)
 			row = append(row, perUsedRecv(mod, c.P)*wordsToMB)
 		}
@@ -93,7 +73,7 @@ func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
 			continue
 		}
 		row := []interface{}{p}
-		for _, r := range Runners() {
+		for _, r := range algo.Comparison(algo.Config{}) {
 			res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
 			row = append(row, res.PctPeak)
 		}
@@ -115,7 +95,7 @@ func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 			continue
 		}
 		row := []interface{}{p}
-		for _, r := range Runners() {
+		for _, r := range algo.Comparison(algo.Config{}) {
 			res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
 			row = append(row, res.TimeSec*1e3)
 		}
@@ -148,7 +128,7 @@ func Table4() *report.Table {
 				points++
 				var cosmaT float64
 				secondBest := math.Inf(1)
-				for _, r := range Runners() {
+				for _, r := range algo.Comparison(algo.Config{}) {
 					mod := r.Model(c.M, c.N, c.K, c.P, c.S)
 					sums[r.Name()] += perUsedRecv(mod, c.P) * wordsToMB
 					rt := mach.Evaluate(mod, c.M, c.N, c.K, c.P).TimeSec
@@ -316,7 +296,7 @@ func Fig13() *report.Table {
 		"shape", "benchmark", "algorithm", "min", "median", "max")
 	for _, shape := range []workload.Shape{workload.Square, workload.LargeK, workload.LargeM, workload.Flat} {
 		for _, regime := range []workload.Regime{workload.StrongScaling, workload.LimitedMemory, workload.ExtraMemory} {
-			for _, r := range Runners() {
+			for _, r := range algo.Comparison(algo.Config{}) {
 				var samples []float64
 				for _, p := range workload.CoreCounts() {
 					c := workload.Generate(shape, regime, p)
@@ -349,7 +329,7 @@ func Unfavorable() *report.Table {
 		"Unfavorable processor count: m=n=k=16384",
 		"algorithm", "p", "grid", "time [ms]", "words/rank")
 	for _, p := range []int{9216, 9217} {
-		for _, r := range Runners() {
+		for _, r := range algo.Comparison(algo.Config{}) {
 			mod := r.Model(n, n, n, p, s)
 			res := mach.Evaluate(mod, n, n, n, p)
 			t.AddRow(r.Name(), p, mod.Grid, res.TimeSec*1e3, mod.AvgRecv)
@@ -375,8 +355,8 @@ func Validate() *report.Table {
 	for _, c := range cases {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		for _, r := range Runners() {
-			_, rep, err := r.Run(a, b, c.p, c.s)
+		for _, r := range algo.Comparison(algo.Config{}) {
+			_, rep, err := algo.RunPlanner(r, nil, a, b, c.p, c.s)
 			if err != nil {
 				continue // e.g. Cannon-style restrictions
 			}
@@ -403,7 +383,7 @@ func Table1() *report.Table {
 		"CTF/2.5D":           {"split m, n, k", "map matrices to grid"},
 		"CARMA-recursive":    {"split largest dim recursively", "map matrices to recursion tree"},
 	}
-	for _, r := range Runners() {
+	for _, r := range algo.Comparison(algo.Config{}) {
 		mod := r.Model(c.M, c.N, c.K, c.P, c.S)
 		s := steps[r.Name()]
 		t.AddRow(r.Name(), s[0], s[1], mod.AvgRecv)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cosma/internal/algo"
 	"cosma/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestCommVolumeCOSMAWinsEverywhere(t *testing.T) {
 				}
 				var cosma float64
 				best := -1.0
-				for i, r := range Runners() {
+				for i, r := range algo.Comparison(algo.Config{}) {
 					v := perUsedRecv(r.Model(c.M, c.N, c.K, c.P, c.S), c.P)
 					if i == 0 {
 						cosma = v

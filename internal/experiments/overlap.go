@@ -52,8 +52,7 @@ func OverlapGain(net machine.NetworkParams) *report.Table {
 			report.Seconds(serial.PredictedTime),
 			report.Seconds(serial.PredictedOverlapTime),
 			gain(serial.PredictedTime, serial.PredictedOverlapTime))
-		caps := strassen.CAPS{Network: &net}
-		if _, rep, err := caps.Run(a, b, p, s); err != nil {
+		if _, rep, err := algo.RunPlanner(strassen.CAPS{}, &net, a, b, p, s); err != nil {
 			t.AddRow(p, "CAPS", "error: "+err.Error(), "-", "-", "-", "-", "-", "-")
 		} else {
 			t.AddRow(p, "CAPS", rep.Grid,
@@ -67,8 +66,7 @@ func OverlapGain(net machine.NetworkParams) *report.Table {
 }
 
 func runCOSMA(a, b *matrix.Dense, p, s int, net machine.NetworkParams, overlap bool) (*algo.Report, error) {
-	c := &core.COSMA{Network: &net, Overlap: overlap}
-	_, rep, err := c.Run(a, b, p, s)
+	_, rep, err := algo.RunPlanner(&core.COSMA{Overlap: overlap}, &net, a, b, p, s)
 	return rep, err
 }
 

@@ -19,7 +19,7 @@ import (
 // of (only) volume on the y axis. Memory is constrained to ~3 output
 // tiles per rank so the algorithms are squeezed into their
 // limited-memory regimes, where their volumes genuinely differ. The
-// algorithms with a pipelined round loop (COSMA, SUMMA) run with
+// algorithms with a pipelined round loop (COSMA, SUMMA, 2.5D) run with
 // overlap enabled, so the comparison is overlapped against overlapped —
 // no algorithm gains an artificial edge from the others executing
 // serially. CAPS rides along as the sub-cubic contender: its ω = log₂7
@@ -36,10 +36,10 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	b := matrix.Random(n, n, rng)
 	for _, p := range []int{4, 16, 64} {
 		s := 3 * n * n / p
-		runners := append(RunnersOverlap(&net),
-			baselines.Cannon{Network: &net}, strassen.CAPS{Network: &net})
-		for _, r := range runners {
-			_, rep, err := r.Run(a, b, p, s)
+		planners := append(algo.Comparison(algo.Config{Overlap: true}),
+			baselines.Cannon{}, strassen.CAPS{})
+		for _, r := range planners {
+			_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
 			if err != nil {
 				if _, ok := r.(baselines.Cannon); ok {
 					continue // expected square-grid/divisibility restriction
@@ -63,8 +63,8 @@ func TimedReports(m, n, k, p, s int, net machine.NetworkParams, seed int64) ([]*
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
 	var reps []*algo.Report
-	for _, r := range RunnersNet(&net) {
-		_, rep, err := r.Run(a, b, p, s)
+	for _, r := range algo.Comparison(algo.Config{}) {
+		_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Name(), err)
 		}

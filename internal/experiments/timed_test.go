@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"cosma/internal/algo"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
@@ -83,8 +84,8 @@ func TestTimedCountersMatchCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := matrix.Random(64, 64, rng)
 	b := matrix.Random(64, 64, rng)
-	for i, runner := range Runners() {
-		_, rep, err := runner.Run(a, b, 8, 2048)
+	for i, runner := range algo.Comparison(algo.Config{}) {
+		_, rep, err := algo.RunPlanner(runner, nil, a, b, 8, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}

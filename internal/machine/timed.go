@@ -18,9 +18,9 @@ type NetworkParams struct {
 	Gamma float64 // seconds per flop (inverse peak rate)
 
 	// Hierarchical extension (see Hierarchical). All fields are scalar
-	// so NetworkParams stays comparable — the engine's plan-cache key
-	// embeds it by value. Zero values mean a flat single-level network
-	// with exactly the cost surface above.
+	// so NetworkParams stays a comparable, copyable value. Zero values
+	// mean a flat single-level network with exactly the cost surface
+	// above.
 	RanksPerNode int     // >0: ranks r, q share a node iff r/RanksPerNode == q/RanksPerNode
 	IntraAlpha   float64 // seconds per message on a same-node link
 	IntraBeta    float64 // seconds per word on a same-node link

@@ -70,11 +70,6 @@ type Options struct {
 	// BreakerCooldown is how long an open circuit dwells before
 	// admitting a half-open probe batch; 0 means 5s.
 	BreakerCooldown time.Duration
-	// RetryBudgetRatio is the retry budget accrued per admitted request
-	// (the classic token-bucket retry budget: with 0.1, sustained
-	// retries beyond 10% of traffic exhaust the budget, which /v1/stats
-	// surfaces so operators can see retry amplification). 0 means 0.1.
-	RetryBudgetRatio float64
 }
 
 func (o Options) shards() int {
@@ -126,13 +121,6 @@ func (o Options) breakerCooldown() time.Duration {
 	return o.BreakerCooldown
 }
 
-func (o Options) retryBudgetRatio() float64 {
-	if o.RetryBudgetRatio <= 0 {
-		return 0.1
-	}
-	return o.RetryBudgetRatio
-}
-
 // Server is the coalescing multiplication service. Create one with
 // New, serve requests through Multiply (or the HTTP handler), and
 // shut down with Drain.
@@ -152,7 +140,6 @@ type Server struct {
 	breakers []*breaker // per engine shard; nil when disabled
 	queued   int        // admitted, not yet answered
 	draining bool
-	budget   float64 // retry-budget tokens (see RetryBudgetRatio)
 	stats    Stats
 }
 
@@ -200,12 +187,8 @@ type Stats struct {
 	ShedByShape map[string]int64 `json:"shed_by_shape,omitempty"`
 
 	// Retries counts engine-level re-executions observed across all
-	// answered requests (report attempts beyond the first); RetryBudget
-	// is the remaining token-bucket budget those retries draw down
-	// (accrued at RetryBudgetRatio per admitted request). A budget
-	// pinned at zero means retry amplification exceeds the ratio.
-	Retries     int64   `json:"retries"`
-	RetryBudget float64 `json:"retry_budget"`
+	// answered requests (report attempts beyond the first).
+	Retries int64 `json:"retries"`
 
 	// BreakerOpenShards counts engine shards whose circuit is not
 	// closed (open or probing); FallbackBatches counts batches the
@@ -291,11 +274,6 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 	}
 	s.queued++
 	s.stats.Requests++
-	// Accrue retry budget with admitted traffic, capped at one queue's
-	// worth so long quiet stretches can't bank unbounded tokens.
-	if s.budget += s.opts.retryBudgetRatio(); s.budget > float64(s.opts.queueLimit()) {
-		s.budget = float64(s.opts.queueLimit())
-	}
 	bk := s.buckets[key]
 	if bk == nil {
 		bk = &bucket{key: key}
@@ -435,8 +413,7 @@ func batchDeadline(batch []*request) (time.Time, bool) {
 }
 
 // finish fans one executed (or shed) batch's results back to the
-// waiting callers, accounts retries against the budget, and releases
-// the queue slots.
+// waiting callers, counts their retries, and releases the queue slots.
 func (s *Server) finish(batch []*request, outs []*cosma.Matrix, reps []*cosma.Report, err error) {
 	var retries int64
 	for i, req := range batch {
@@ -454,12 +431,7 @@ func (s *Server) finish(batch []*request, outs []*cosma.Matrix, reps []*cosma.Re
 	if err != nil {
 		s.stats.BatchFailures++
 	}
-	if retries > 0 {
-		s.stats.Retries += retries
-		if s.budget -= float64(retries); s.budget < 0 {
-			s.budget = 0
-		}
-	}
+	s.stats.Retries += retries
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -471,7 +443,6 @@ func (s *Server) Stats() Stats {
 	st := s.stats
 	st.Queued = s.queued
 	st.Draining = s.draining
-	st.RetryBudget = s.budget
 	if len(s.stats.ShedByShape) > 0 {
 		st.ShedByShape = make(map[string]int64, len(s.stats.ShedByShape))
 		for k, v := range s.stats.ShedByShape {

@@ -17,8 +17,6 @@ import (
 // subproblem) when memory allows and DFS steps (the whole team runs
 // the seven subproblems sequentially) when it does not.
 type CAPS struct {
-	// Network, when set, runs on the timed α-β-γ transport; nil counts.
-	Network *machine.NetworkParams
 	// Cutoff is the local recursion floor: a single rank's subproblem
 	// with any dimension at or below it goes straight to the packed
 	// SIMD kernel instead of another Strassen level. Zero means
@@ -42,7 +40,7 @@ func init() {
 		Summary:    "Communication-Optimal Parallel Strassen (BFS/DFS, ω = log₂7) of Ballard et al.",
 		Order:      5,
 		Comparison: false, // the paper's §9 comparison set is classical-only
-		New:        func(cfg algo.Config) algo.Runner { return CAPS{Network: cfg.Network} },
+		New:        func(cfg algo.Config) algo.Planner { return CAPS{} },
 	})
 }
 
@@ -128,11 +126,6 @@ func (c CAPS) Plan(m, n, k, p, s int) (algo.Plan, error) {
 		cutoff: cutoff, steps: steps,
 		model: c.Model(m, n, k, p, s),
 	}, nil
-}
-
-// Run implements algo.Runner — the legacy one-shot path.
-func (c CAPS) Run(a, b *matrix.Dense, p, s int) (*matrix.Dense, *algo.Report, error) {
-	return algo.RunPlanner(c, c.Network, a, b, p, s)
 }
 
 // capsPlan is the compiled CAPS schedule over a power-of-seven team.

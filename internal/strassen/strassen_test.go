@@ -59,7 +59,7 @@ func TestCAPSCorrectness(t *testing.T) {
 			a := matrix.Random(tc.m, tc.k, rng)
 			b := matrix.Random(tc.k, tc.n, rng)
 			c := CAPS{Cutoff: tc.cutoff}
-			got, rep, err := c.Run(a, b, tc.p, tc.s)
+			got, rep, err := algo.RunPlanner(c, nil, a, b, tc.p, tc.s)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,14 +8,14 @@ import (
 )
 
 // TestEngineOverlapBitwiseIdentical drives the public surface: for
-// COSMA and SUMMA across machine sizes and kernel thread counts, an
+// COSMA, SUMMA and 2.5D across machine sizes and kernel thread counts, an
 // overlap engine's product must equal the synchronous engine's bit for
 // bit. Run under -race in CI, this also exercises the pipelined round
 // loop's concurrency.
 func TestEngineOverlapBitwiseIdentical(t *testing.T) {
 	a := RandomMatrix(120, 88, 21)
 	b := RandomMatrix(88, 104, 22)
-	for _, algoName := range []string{"cosma", "summa"} {
+	for _, algoName := range []string{"cosma", "summa", "2.5d"} {
 		for _, p := range []int{4, 8, 16} {
 			for _, threads := range []int{1, 2} {
 				opts := func(overlap bool) []Option {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cosma/internal/algo"
 	"cosma/internal/machine"
@@ -17,20 +16,11 @@ import (
 // fitting when executed — that all happened when it was built — and is
 // safe for concurrent use; per-execution state lives in Executors.
 type Plan struct {
-	inner   algo.Plan
-	network *NetworkParams
-	// kernelThreads bounds each rank's local GEMM worker pool in the
-	// executors built for this plan; 0 resolves GOMAXPROCS-aware.
-	kernelThreads int
-	// autotune makes the executors' rank kernels use autotuned block
-	// sizes and micro-kernel variant (WithAutotune).
-	autotune bool
-	// recvTimeout bounds blocking receives and barrier waits of the
-	// plan's executors (WithRecvTimeout); 0 waits indefinitely.
-	recvTimeout time.Duration
-	// faults, when non-nil, is the engine's fault plan (WithFaultPlan),
-	// installed on every executor machine the plan builds.
-	faults *machine.FaultPlan
+	inner algo.Plan
+	// cfg is the owning engine's normalized options: the executors'
+	// transport, kernel and fault settings, the retry policy (nil =
+	// single attempt) and ABFT verification.
+	cfg *engineConfig
 	// sharedMach, when set, is the engine's wire-transport machine every
 	// executor of this plan runs on (the mesh is one per process, so
 	// executors cannot each own one); execMu serializes executions on
@@ -38,13 +28,10 @@ type Plan struct {
 	sharedMach *machine.Machine
 	execMu     *sync.Mutex
 
-	// Fault-tolerance wiring from the engine (see retry.go): the retry
-	// policy (nil = single attempt), ABFT verification, the transport
-	// recovery hook run between attempts, the engine's closed flag, and
-	// whether the machine's ranks span several OS processes (which
-	// constrains corruption retries — see WithVerification).
-	retry     *RetryPolicy
-	verify    bool
+	// Fault-tolerance wiring from the engine (see retry.go): the
+	// transport recovery hook run between attempts, the engine's closed
+	// flag, and whether the machine's ranks span several OS processes
+	// (which constrains corruption retries — see WithVerification).
 	recoverFn func() error
 	closed    *atomic.Bool
 	multiProc bool
@@ -77,8 +64,8 @@ func (p *Plan) Grid() string { return p.inner.Grid() }
 func (p *Plan) Model() Model { return p.inner.Model() }
 
 // Decomposition returns the §6.3 schedule geometry (grid, local domain,
-// rounds) when the algorithm exposes it — COSMA does; the baselines
-// report false.
+// rounds) when the algorithm exposes it — the Algorithm 1 schedules
+// (COSMA, SUMMA, 2.5D) do; CARMA, Cannon and CAPS report false.
 func (p *Plan) Decomposition() (Decomposition, bool) {
 	if d, ok := p.inner.(algo.Decomposed); ok {
 		return d.Decomposition(), true
@@ -103,12 +90,12 @@ func (p *Plan) String() string {
 // run two of them at once.
 func (p *Plan) NewExecutor() *Executor {
 	inner, err := algo.NewExecutorOpts(p.inner, algo.ExecOptions{
-		Network:       p.network,
-		KernelThreads: p.kernelThreads,
-		Autotune:      p.autotune,
-		RecvTimeout:   p.recvTimeout,
+		Network:       p.cfg.network,
+		KernelThreads: p.cfg.kernelThreads,
+		Autotune:      p.cfg.autotune,
+		RecvTimeout:   p.cfg.recvTimeout,
 		Machine:       p.sharedMach,
-		Faults:        p.faults,
+		Faults:        p.cfg.faults,
 	})
 	if err != nil {
 		// Unreachable: Engine.Plan validates the wire gather gate, the
@@ -160,8 +147,8 @@ func (p *Plan) exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error)
 
 // Executor executes one Plan repeatedly. It owns a pre-built machine
 // and pooled per-rank buffers that every Exec reuses, so the warm path
-// performs zero grid-fitting work and allocates strictly less than the
-// one-shot Multiply. Not safe for concurrent use.
+// performs zero grid-fitting work and allocates only its outputs. Not
+// safe for concurrent use.
 type Executor struct {
 	plan  *Plan
 	inner *algo.Executor

@@ -109,16 +109,16 @@ func Retryable(err error) bool {
 func (p *Plan) runRetry(ctx context.Context, e *Executor, a, b *Matrix) (*Matrix, *Report, error) {
 	maxAttempts := 1
 	var rng *rand.Rand
-	if p.retry != nil {
-		maxAttempts = p.retry.maxAttempts()
-		rng = rand.New(rand.NewSource(p.retry.seed()))
+	if p.cfg.retry != nil {
+		maxAttempts = p.cfg.retry.maxAttempts()
+		rng = rand.New(rand.NewSource(p.cfg.retry.seed()))
 	}
 	for attempt := 1; ; attempt++ {
 		if p.closed != nil && p.closed.Load() {
 			return nil, nil, ErrEngineClosed
 		}
 		c, rep, err := e.Exec(ctx, a, b)
-		if err == nil && p.verify {
+		if err == nil && p.cfg.verify {
 			err = VerifyProduct(a, b, c)
 		}
 		if err == nil {
@@ -144,7 +144,7 @@ func (p *Plan) runRetry(ctx context.Context, e *Executor, a, b *Matrix) (*Matrix
 					attempt+1, rerr, err)
 			}
 		}
-		d := p.retry.backoff(attempt, rng)
+		d := p.cfg.retry.backoff(attempt, rng)
 		timer := time.NewTimer(d)
 		select {
 		case <-ctx.Done():

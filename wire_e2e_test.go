@@ -94,7 +94,7 @@ func TestWireMultiProcessBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	for _, algo := range []string{"cosma", "summa"} {
+	for _, algo := range []string{"cosma", "summa", "2.5d"} {
 		t.Run(algo, func(t *testing.T) {
 			const p = 4
 			peers := cosma.WireSocketAddrs(t.TempDir(), p)
