@@ -500,6 +500,11 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 // returns the product with its report. Cancelling ctx aborts the run at
 // the next communication-round boundary — ranks parked in Recv or
 // Barrier are woken — and Exec returns ctx.Err().
+//
+// a and b are read in place for the duration of the call — every rank
+// multiplies the panels it owns straight out of them, views with
+// Stride > Cols included — and are never written; the caller must not
+// write them until Exec returns.
 func (e *Engine) Exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error) {
 	if e.closed.Load() {
 		return nil, nil, ErrEngineClosed

@@ -39,6 +39,30 @@ func BenchmarkEngineExecWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineExecTallK measures a warm Engine.Exec on a scaled-down
+// tall-k (the benchmark's largeK workload at 1/16 the words): a
+// k-parallel grid whose ranks read 16 MB of input in place, so B/op is
+// the product plus per-round bookkeeping and ns/op has no copy-in.
+func BenchmarkEngineExecTallK(b *testing.B) {
+	eng, err := NewEngine(WithProcs(8), WithMemory(1<<16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := RandomMatrix(64, 16384, 1)
+	bb := RandomMatrix(16384, 64, 2)
+	ctx := context.Background()
+	if _, _, err := eng.Exec(ctx, a, bb); err != nil { // warm the plan + executor
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.Exec(ctx, a, bb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // oneShot builds a fresh engine and multiplies once — the cost of not
 // amortizing: re-planning and rebuilding the machine on every call.
 func oneShot(a, b *Matrix) error {

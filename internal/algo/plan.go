@@ -32,9 +32,11 @@ type Plan interface {
 	Model() Model
 	// Execute runs the planned schedule on mach (which must span
 	// Procs() ranks), multiplying a·b and drawing rank-local scratch
-	// from scratch (nil for fresh allocations). Cancellation of ctx is
-	// honored at communication-round boundaries and unblocks ranks
-	// parked in Recv or Barrier.
+	// from scratch (nil for fresh allocations). a and b are read in place
+	// by every rank for the duration of the call and never written; the
+	// caller must not write them until Execute returns. Cancellation of
+	// ctx is honored at communication-round boundaries and unblocks
+	// ranks parked in Recv or Barrier.
 	Execute(ctx context.Context, mach *machine.Machine, scratch *Arena, a, b *matrix.Dense) (*matrix.Dense, error)
 }
 
@@ -56,8 +58,8 @@ type Decomposition struct {
 	GridPm, GridPn, GridPk    int // the fitted processor grid (§7.1)
 	RanksUsed                 int
 	DomainM, DomainN, DomainK int // local domain extents per rank
-	StepSize                  int // outer products per communication round
-	Rounds                    int // number of rounds t (latency cost L)
+	StepSize                  int // most outer products one communication round carries
+	Rounds                    int // rounds the longest k slab executes, ownership cuts included
 }
 
 // String implements fmt.Stringer.
@@ -255,7 +257,8 @@ func RunPlanner(pl Planner, net *machine.NetworkParams, a, b *matrix.Dense, p, s
 	return NewExecutor(plan, net, 0, false).Exec(context.Background(), a, b)
 }
 
-// Arena is a set of per-rank scratch matrices and GEMM kernels reused
+// Arena is a set of per-rank scratch matrices — the C tiles and
+// temporaries a rank program accumulates into — and GEMM kernels reused
 // across executions. A deterministic schedule requests the same
 // sequence of shapes on every execution, so after the first run every
 // request is served from the buffers of the previous one and the steady
@@ -318,6 +321,22 @@ func (a *Arena) Reset() {
 	}
 }
 
+// Retained returns the words of scratch-matrix storage the arena keeps
+// for the next execution, summed over ranks (kernel pack buffers, which
+// are bounded by the cache-block parameters, not counted).
+func (a *Arena) Retained() int {
+	if a == nil {
+		return 0
+	}
+	words := 0
+	for _, rs := range a.ranks {
+		for _, m := range rs.mats {
+			words += cap(m.Data)
+		}
+	}
+	return words
+}
+
 // Mark returns rank's current arena position for a later Rewind. A nil
 // arena returns 0.
 func (a *Arena) Mark(rank int) int {
@@ -357,7 +376,10 @@ func (a *Arena) Matrix(rank, rows, cols int) *matrix.Dense {
 }
 
 // Clone returns a scratch copy of src owned by rank until the next
-// Reset — the arena-backed counterpart of matrix.Dense.Clone.
+// Reset — the arena-backed counterpart of matrix.Dense.Clone, for a
+// rank program that needs a contiguous or writable copy (the recursive
+// schedules, CARMA and CAPS). The Algorithm 1 rank program reads its
+// input pieces in place and never calls it.
 func (a *Arena) Clone(rank int, src *matrix.Dense) *matrix.Dense {
 	if a == nil {
 		return src.Clone()

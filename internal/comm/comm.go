@@ -260,8 +260,12 @@ func (p *Pending) At() float64 { return p.at }
 
 // PipelineRounds drives the broadcast–multiply round loop of the
 // Algorithm 1 rank program: startA/startB post round seg's two
-// panel broadcasts (packing locally owned chunks) and mul folds a
-// settled round into the local tile, releasing the chunk buffers.
+// panel broadcasts (the owner packing a chunk only when the group has
+// someone to send it to) and mul folds a settled round into the local
+// tile, releasing the chunk buffers. A chunk is what its broadcast
+// settled to: the message at a receiver, the packed copy at a sending
+// owner, nil at the owner of a group of one — which multiplies the
+// panel where it already lies, as every owner may.
 //
 // With overlap false, each collective is settled — including its tree
 // relays — before the next is posted, so the timed transport charges

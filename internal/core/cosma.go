@@ -148,12 +148,16 @@ func (pl *plan) Overlap() bool { return pl.overlap }
 // Decomposition implements algo.Decomposed: the §6.3 schedule geometry.
 func (pl *plan) Decomposition() algo.Decomposition {
 	dm, dn, dk := pl.g.LocalDims(pl.m, pl.n, pl.k)
+	rounds := 0
+	for _, segs := range pl.segs {
+		rounds = max(rounds, len(segs))
+	}
 	return algo.Decomposition{
 		GridPm: pl.g.Pm, GridPn: pl.g.Pn, GridPk: pl.g.Pk,
 		RanksUsed: pl.g.Ranks(),
 		DomainM:   dm, DomainN: dn, DomainK: dk,
 		StepSize: pl.step,
-		Rounds:   ceilDiv(dk, pl.step),
+		Rounds:   rounds,
 	}
 }
 
@@ -162,12 +166,14 @@ func (pl *plan) Decomposition() algo.Decomposition {
 // hosting rank 0 returns the full product.
 func (pl *plan) Distributed() bool { return true }
 
-// Execute implements algo.Plan. The returned matrix is assembled from
-// the ranks' distributed output tiles; the tile payloads (loaned from
-// the machine pool by the fiber reduction) are released back once
-// copied out. On a multi-process machine every fiber root forwards its
-// tile to rank 0 (the tagOut gather), so only the process hosting
-// rank 0 assembles the product — the others return a zero matrix.
+// Execute implements algo.Plan. Every rank reads its pieces of a and b
+// in place, as views, for the whole run. The returned matrix is
+// assembled from the ranks' distributed output tiles; the tile payloads
+// (loaned from the machine pool by the fiber reduction) are released
+// back once copied out. On a multi-process machine every fiber root
+// forwards its tile to rank 0 (the tagOut gather), so only the process
+// hosting rank 0 assembles the product — the others return a zero
+// matrix.
 func (pl *plan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
 	if mach.P() != pl.p {
 		return nil, fmt.Errorf("core: plan is for p=%d but machine has %d ranks", pl.p, mach.P())
@@ -246,7 +252,9 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	// Blocked initial layout (§7.6): the A panel rows×slab is divided by
 	// k among the pn members of my column group (the ranks that need it);
 	// the B panel slab×cols among the pm members of my row group.
-	// inputs returns the pieces grid position (im, in, l) starts from.
+	// inputs returns the pieces grid position (im, in, l) starts from, as
+	// views of the caller's matrices: a word its rank owns is read where
+	// it already is, never copied in.
 	inputs := func(l int) (aPiece, bPiece *matrix.Dense) {
 		sl := layout.Block(pl.k, pl.g.Pk, l)
 		aPart := layout.Block(sl.Len(), pl.g.Pn, in)
@@ -270,7 +278,6 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 			r.SendOwned(dst, tagInA, aPiece.Pack(machine.Loan(aPiece.Rows*aPiece.Cols)))
 			r.SendOwned(dst, tagInB, bPiece.Pack(machine.Loan(bPiece.Rows*bPiece.Cols)))
 		}
-		myA, myB = scratch.Clone(r.ID(), myA), scratch.Clone(r.ID(), myB)
 	}
 
 	cTile := scratch.Matrix(r.ID(), dm, dn)
@@ -278,37 +285,50 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 
 	// Walk the slab over the precomputed round segments — the union
 	// breakpoints of the A and B ownership partitions, sub-chunked to
-	// the latency-minimizing step — so each round broadcasts one owner's
-	// contiguous k-range of each panel. Panel buffers are loaned from
-	// the machine pool and released once multiplied in, so the round
-	// loop allocates nothing at steady state.
-	//
-	// startA/startB post one round's panel broadcast: the owning rank
-	// packs its contiguous k-range into a loaned buffer and the group
-	// relays it down the binary tree. mulRound folds a settled round
-	// into the C tile and recycles the panel buffers. PipelineRounds
-	// sequences them — serially, or double-buffered under Overlap with
-	// round i+1's pair in flight while round i's is multiplied.
+	// the latency-minimizing step — so each round's panel lies inside one
+	// owner's piece. panelA/panelB return a round's operand: at its owner
+	// the view of my piece holding it — multiplied where it already is,
+	// the kernel's packA/packB read any stride — else the received chunk.
+	panelA := func(seg layout.Range, chunk []float64) *matrix.Dense {
+		if part := aParts[in]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
+			return myA.View(0, seg.Lo-part.Lo, dm, seg.Len())
+		}
+		return matrix.FromSlice(dm, seg.Len(), chunk)
+	}
+	panelB := func(seg layout.Range, chunk []float64) *matrix.Dense {
+		if part := bParts[im]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
+			return myB.View(seg.Lo-part.Lo, 0, seg.Len(), dn)
+		}
+		return matrix.FromSlice(seg.Len(), dn, chunk)
+	}
+
+	// startA/startB post one round's panel broadcast. Packing exists to
+	// send: the owner copies its panel into a loaned buffer only when the
+	// group has another member, and the group relays it down the binary
+	// tree. mulRound folds a settled round into the C tile and hands the
+	// chunk buffers — nil where nothing was packed or received — back to
+	// the pool with plain calls (a defer here would be a heap allocation
+	// per round). PipelineRounds sequences them — serially, or
+	// double-buffered under Overlap with round i+1's pair in flight while
+	// round i's is multiplied.
 	startA := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(aParts, seg.Lo)
 		var chunk []float64
-		if in == owner {
-			chunk = myA.View(0, seg.Lo-aParts[owner].Lo, dm, seg.Len()).Pack(machine.Loan(dm * seg.Len()))
+		if in == owner && colGroup.Size() > 1 {
+			chunk = panelA(seg, nil).Pack(machine.Loan(dm * seg.Len()))
 		}
 		return colGroup.IBcast(owner, chunk, tagA+seg.Lo)
 	}
 	startB := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(bParts, seg.Lo)
 		var chunk []float64
-		if im == owner {
-			chunk = myB.View(seg.Lo-bParts[owner].Lo, 0, seg.Len(), dn).Pack(machine.Loan(seg.Len() * dn))
+		if im == owner && rowGroup.Size() > 1 {
+			chunk = panelB(seg, nil).Pack(machine.Loan(seg.Len() * dn))
 		}
 		return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
 	}
 	mulRound := func(seg layout.Range, aChunk, bChunk []float64) {
-		kern.Mul(cTile,
-			matrix.FromSlice(dm, seg.Len(), aChunk),
-			matrix.FromSlice(seg.Len(), dn, bChunk))
+		kern.Mul(cTile, panelA(seg, aChunk), panelB(seg, bChunk))
 		r.Compute(matrix.MulFlops(dm, dn, seg.Len()))
 		machine.Release(aChunk)
 		machine.Release(bChunk)

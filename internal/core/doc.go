@@ -7,7 +7,10 @@
 // latency-minimizing rounds of s = ⌊(S−a²)/(2a)⌋ outer products
 // (Algorithm 1 line 6), with inputs broadcast along grid rows/columns
 // from the blocked data layout (§7.6) and partial C results reduced
-// along the k fibers.
+// along the k fibers. A rank's pieces of that layout are views of the
+// caller's matrices: the panels it owns are multiplied where they
+// already are and packed only to be sent, so every input word is
+// touched once before the kernel packs it into micro-panels.
 //
 // The work splits into two phases. Plan compiles a problem shape into
 // an immutable schedule — the fitted grid, the per-slab round segments

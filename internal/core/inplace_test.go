@@ -1,0 +1,93 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"cosma/internal/algo"
+	"cosma/internal/machine"
+	"cosma/internal/matrix"
+)
+
+// computeCounter counts Rank.Compute calls per rank — the rank program
+// charges one per executed round.
+type computeCounter struct {
+	machine.Transport
+	calls []int // each rank writes only its own entry
+}
+
+func (c *computeCounter) Compute(rank int, flops int64) {
+	c.calls[rank]++
+	c.Transport.Compute(rank, flops)
+}
+
+// TestDecompositionRoundsCountsExecutedRounds holds Decomposition.Rounds
+// to what the rank program does: the most rounds any rank multiplies,
+// ownership cuts included, on the three benchmark shapes and an uneven
+// one.
+func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
+	cases := []struct {
+		name          string
+		m, n, k, p, s int
+		want          int // 0: only checked against the execution
+	}{
+		{"square-roomy", 1024, 1024, 1024, 16, 1 << 20, 2},
+		{"square-tight", 1024, 1024, 1024, 16, 69632, 128},
+		{"tall-k", 128, 128, 65536, 16, 1 << 18, 5},
+		{"uneven", 97, 61, 113, 6, 2000, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && c.k >= 1024 {
+				t.Skip("benchmark-sized multiplication")
+			}
+			pl, err := (&COSMA{}).Plan(c.m, c.n, c.k, c.p, c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := &computeCounter{Transport: machine.New(c.p).Transport(), calls: make([]int, c.p)}
+			a, b := matrix.New(c.m, c.k), matrix.New(c.k, c.n)
+			if _, err := pl.Execute(context.Background(), machine.NewWithTransport(counter), algo.NewArena(c.p), a, b); err != nil {
+				t.Fatal(err)
+			}
+			executed := 0
+			for _, n := range counter.calls {
+				executed = max(executed, n)
+			}
+			got := pl.(algo.Decomposed).Decomposition().Rounds
+			if got != executed || (c.want != 0 && got != c.want) {
+				t.Fatalf("grid %s: Decomposition.Rounds = %d, ranks multiplied at most %d rounds (want %d)",
+					pl.Grid(), got, executed, c.want)
+			}
+		})
+	}
+}
+
+// TestArenaRetainsNoInputSizedBuffer guards the no-clone-in contract on
+// a scaled-down tall-k: after a warm Execute the arena holds the ranks'
+// C tiles and nothing the size of an input piece — the inputs are read
+// where the caller put them.
+func TestArenaRetainsNoInputSizedBuffer(t *testing.T) {
+	const m, n, k, p = 64, 64, 16384, 8
+	pl, err := (&COSMA{}).Plan(m, n, k, p, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pl.(algo.Decomposed).Decomposition()
+	if d.GridPk < 2 {
+		t.Fatalf("grid %s is not k-parallel; the shape no longer stands in for tall-k", pl.Grid())
+	}
+	a, b := matrix.New(m, k), matrix.New(k, n)
+	mach, arena := machine.New(p), algo.NewArena(p)
+	for run := 0; run < 2; run++ {
+		arena.Reset()
+		if _, err := pl.Execute(context.Background(), mach, arena, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cTiles := d.RanksUsed * d.DomainM * d.DomainN
+	if got := arena.Retained(); got > cTiles {
+		t.Fatalf("grid %s: arena retains %d words, more than the %d of the C tiles (inputs are %d)",
+			pl.Grid(), got, cTiles, m*k+k*n)
+	}
+}

@@ -11,16 +11,19 @@ import (
 // README performance table quotes.
 func benchMul(b *testing.B, n int, mul func(c, a, bb *Dense)) {
 	rng := rand.New(rand.NewSource(1))
-	a := Random(n, n, rng)
-	bb := Random(n, n, rng)
-	c := New(n, n)
+	benchMulOperands(b, Random(n, n, rng), Random(n, n, rng), mul)
+}
+
+// benchMulOperands is benchMul on given operands, views included.
+func benchMulOperands(b *testing.B, a, bb *Dense, mul func(c, a, bb *Dense)) {
+	c := New(a.Rows, bb.Cols)
 	mul(c, a, bb) // warm-up: pack buffers, page faults
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mul(c, a, bb)
 	}
 	b.StopTimer()
-	flops := float64(MulFlops(n, n, n)) * float64(b.N)
+	flops := float64(MulFlops(a.Rows, bb.Cols, a.Cols)) * float64(b.N)
 	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }
 
@@ -40,6 +43,26 @@ func BenchmarkKernelPacked(b *testing.B) {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
 			k := NewKernel(1)
 			benchMul(b, n, k.Mul)
+		})
+	}
+}
+
+// BenchmarkKernelPackedStrided is one tall-k round as the rank program
+// now runs it: a 128×960 panel of A multiplied in place out of its
+// 128×65536 parent, whose 512 KiB row stride lands every row packA
+// gathers on the same cache sets, next to the same panel compact — the
+// price of not copying it first.
+func BenchmarkKernelPackedStrided(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const m, kk, n, stride = 128, 960, 128, 65536
+	panel := Random(m, stride, rng).View(0, 7*kk, m, kk)
+	bb := Random(kk, n, rng)
+	for _, c := range []struct {
+		name string
+		a    *Dense
+	}{{"compact", panel.Clone()}, {"stride65536", panel}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchMulOperands(b, c.a, bb, NewKernel(1).Mul)
 		})
 	}
 }

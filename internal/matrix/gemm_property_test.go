@@ -99,6 +99,49 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// viewInStride returns a rows×cols window of a zeroed rows×stride
+// parent, filled randomly — an operand as the rank program hands it to
+// the kernel: a panel of the caller's much wider matrix, read in place.
+func viewInStride(rng *rand.Rand, rows, cols, stride int) *Dense {
+	v := New(rows, stride).View(0, stride-cols-1, rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			v.Data[i*v.Stride+j] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// TestKernelStridedViewsBitwiseIdentical holds packA/packB to reading
+// any stride: with A and B views whose Stride dwarfs Cols — the row
+// stride of tall-k's A (65536 words, every row on the same cache sets),
+// a smaller power of two, and an odd one — every variant and thread
+// count must produce the bits it produces from compact copies.
+func TestKernelStridedViewsBitwiseIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const m, n, kk = 29, 37, 70
+	for _, strides := range [][2]int{{65536, 1537}, {1024, 1024}, {1537, 1024}} {
+		a := viewInStride(rng, m, kk, strides[0])
+		b := viewInStride(rng, kk, n, strides[1])
+		compactA, compactB := a.Clone(), b.Clone()
+		c0 := randomStrided(rng, m, n)
+		for _, v := range Variants() {
+			par := Params{MC: 4 + rng.Intn(40), KC: 8 + rng.Intn(80), NC: 16 + rng.Intn(40), Variant: v}
+			for _, threads := range []int{1, 2, 5} {
+				want, got := cloneStrided(c0), cloneStrided(c0)
+				NewKernelParams(threads, par).Mul(want, compactA, compactB)
+				NewKernelParams(threads, par).Mul(got, a, b)
+				for i := range got.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("strides %v, %+v, %d threads: Data[%d] = %v from views, %v from compact copies",
+							strides, par, threads, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelMatchesNaive pins the variants to the true product, not
 // just to each other: every variant must agree with the textbook
 // triple loop within accumulation-order rounding.

@@ -161,7 +161,8 @@ func (e *Executor) Plan() *Plan { return e.plan }
 // the planned shape. Cancelling ctx aborts the run at the next
 // communication-round boundary (ranks parked in Recv or Barrier are
 // woken) and returns ctx.Err(); the executor remains reusable
-// afterwards.
+// afterwards. a and b are read in place for the duration of the call
+// and must not be written until it returns.
 func (e *Executor) Exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error) {
 	return e.inner.Exec(ctx, a, b)
 }

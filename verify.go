@@ -19,7 +19,8 @@ var ErrCorruption = errors.New("cosma: silent data corruption detected (ABFT che
 // a mismatch beyond floating-point slack means some value of C (or of
 // the communicated panels that produced it) was corrupted in flight.
 // The check costs O(mn + mk + nk) — asymptotically free next to the
-// O(mnk) multiplication — and allocates two k-vectors.
+// O(mnk) multiplication — reads A and C once and B twice, always along
+// rows, and allocates four k-vectors and three n-vectors.
 //
 // The tolerance scales with the accumulated magnitudes |A|·|B|, so
 // legitimate floating-point reassociation passes while any corruption
@@ -46,48 +47,45 @@ func VerifyProduct(a, b, c *Matrix) error {
 		}
 		be[l], babs[l] = s, sa
 	}
+	// The same pass over A gathers its column sums eᵀ·A and eᵀ·|A| for
+	// the column check, and the pass over C its column sums.
+	ea := make([]float64, k)
+	eaabs := make([]float64, k)
+	got := make([]float64, n)
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*a.Stride : i*a.Stride+k]
 		var want, bound float64
 		for l, v := range arow {
 			want += v * be[l]
 			bound += math.Abs(v) * babs[l]
+			ea[l] += v
+			eaabs[l] += math.Abs(v)
 		}
 		crow := c.Data[i*c.Stride : i*c.Stride+n]
-		var got float64
-		for _, v := range crow {
-			got += v
+		var sum float64
+		for j, v := range crow {
+			sum += v
+			got[j] += v
 		}
-		if d := math.Abs(got - want); d > checksumTol(bound, ops) {
+		if d := math.Abs(sum - want); d > checksumTol(bound, ops) {
 			return fmt.Errorf("%w: row %d checksum off by %g", ErrCorruption, i, d)
 		}
 	}
 
-	// Column checksums: eᵀ·C == (eᵀ·A)·B. Reuse be/babs storage for the
-	// column sums of A.
-	ea, eaabs := be, babs
-	for l := range ea {
-		ea[l], eaabs[l] = 0, 0
-	}
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*a.Stride : i*a.Stride+k]
-		for l, v := range arow {
-			ea[l] += v
-			eaabs[l] += math.Abs(v)
+	// Column checksums: eᵀ·C == (eᵀ·A)·B, accumulated over the rows of B
+	// so every operand is read row-major; each column still sums in
+	// ascending l, exactly as a column-at-a-time walk would.
+	want := make([]float64, n)
+	bound := make([]float64, n)
+	for l := 0; l < k; l++ {
+		row := b.Data[l*b.Stride : l*b.Stride+n]
+		for j, v := range row {
+			want[j] += ea[l] * v
+			bound[j] += eaabs[l] * math.Abs(v)
 		}
 	}
-	for j := 0; j < n; j++ {
-		var want, bound float64
-		for l := 0; l < k; l++ {
-			v := b.Data[l*b.Stride+j]
-			want += ea[l] * v
-			bound += eaabs[l] * math.Abs(v)
-		}
-		var got float64
-		for i := 0; i < m; i++ {
-			got += c.Data[i*c.Stride+j]
-		}
-		if d := math.Abs(got - want); d > checksumTol(bound, ops) {
+	for j := range want {
+		if d := math.Abs(got[j] - want[j]); d > checksumTol(bound[j], ops) {
 			return fmt.Errorf("%w: column %d checksum off by %g", ErrCorruption, j, d)
 		}
 	}
