@@ -52,7 +52,11 @@ func ExampleEngine_Plan() {
 
 // ExampleEngine_Predict evaluates the analytic α-β-γ runtime at the
 // paper's 18,432-core scale — far too large to execute — on the
-// Piz-Daint-like network preset.
+// Piz-Daint-like network preset. The fitted grid is [26×26×27] with a
+// 631×631×607 local domain: γ·2·631²·607 = 13.13 ms of compute,
+// β·(2·631·607·25/26 + 631²) = 31.52 ms for the panels and the one C
+// tile the fiber's chain delivers, and α·(2·26 + 2·49) = 0.23 ms for 26
+// rounds of two broadcasts plus 49 reduction segments in and out.
 func ExampleEngine_Predict() {
 	eng, err := cosma.NewEngine(
 		cosma.WithProcs(18432), cosma.WithMemory(1<<25),
@@ -66,5 +70,5 @@ func ExampleEngine_Predict() {
 	}
 	fmt.Printf("predicted %.1f ms at ω=%.0f\n", pred.SerialTime*1e3, pred.Omega)
 	// Output:
-	// predicted 55.7 ms at ω=3
+	// predicted 44.9 ms at ω=3
 }

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"cosma/internal/algo"
+	"cosma/internal/core"
+	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
 
@@ -249,5 +251,40 @@ func TestModelsScaleToPaperSizes(t *testing.T) {
 		if mod.AvgRecv <= 0 || math.IsNaN(mod.AvgRecv) || math.IsInf(mod.AvgRecv, 0) {
 			t.Fatalf("%s: bad model %+v", r.Name(), mod)
 		}
+	}
+}
+
+// TestCOSMAWinsItsOwnComparisonAtPlentifulMemory pins what the chain
+// reduction bought on the busiest rank: at 512³, p = 16, S = 2²⁰ on
+// pizdaint COSMA's [2×2×4] critical path is below SUMMA's and 2.5D's
+// and within 1.3 × Cannon's, and no rank receives more than 1.25 × the
+// average (with a tree on the fiber: 7.75 ms against 5.93, 5.93 and
+// 4.11, and 2.0 ×).
+func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
+	const n, p, s = 512, 16, 1 << 20
+	net := machine.PizDaintNet()
+	a := matrix.Random(n, n, rand.New(rand.NewSource(5)))
+	b := matrix.Random(n, n, rand.New(rand.NewSource(6)))
+	crit := func(pl algo.Planner) *algo.Report {
+		_, rep, err := algo.RunPlanner(pl, &net, a, b, p, s)
+		if err != nil {
+			t.Fatalf("%s: %v", pl.Name(), err)
+		}
+		return rep
+	}
+	cosma := crit(&core.COSMA{})
+	if cosma.Grid != "[2×2×4]" {
+		t.Fatalf("COSMA fitted %s, want [2×2×4]", cosma.Grid)
+	}
+	for _, pl := range []algo.Planner{SUMMA{}, C25D{}} {
+		if rep := crit(pl); cosma.CritPathTime >= rep.CritPathTime {
+			t.Errorf("COSMA's critical path %.4g s is not below %s's %.4g", cosma.CritPathTime, pl.Name(), rep.CritPathTime)
+		}
+	}
+	if cannon := crit(Cannon{}); cosma.CritPathTime > 1.3*cannon.CritPathTime {
+		t.Errorf("COSMA's critical path %.4g s is above 1.3 × Cannon's %.4g", cosma.CritPathTime, cannon.CritPathTime)
+	}
+	if float64(cosma.MaxRecv) > 1.25*cosma.AvgRecv {
+		t.Errorf("COSMA's busiest rank receives %d words, above 1.25 × the average %v", cosma.MaxRecv, cosma.AvgRecv)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cosma/internal/algo"
+	"cosma/internal/comm"
 	"cosma/internal/core"
 	"cosma/internal/grid"
 )
@@ -70,16 +71,18 @@ func (d C25D) Model(m, n, k, p, sMem int) algo.Model {
 	// SUMMA within a layer over the slab.
 	summa := float64(dm)*kSlab*float64(pc-1)/float64(pc) +
 		float64(dn)*kSlab*float64(pr-1)/float64(pr)
-	// Tree reduction of C across layers.
+	// Chain reduction of C across layers: every layer but the last
+	// receives the tile once, in segments a layer in between passes on.
 	reduce := float64(dm) * float64(dn) * float64(c-1) / float64(c)
+	segs, _ := comm.ReduceSegments(c, dm*dn)
 	rounds := kSlab/float64(core.StepSize(sMem, dm, dn)) + 1
 	return algo.Model{
 		Name:     d.Name(),
 		Grid:     fmt.Sprintf("[%d×%d×%d]", pr, pc, c),
 		Used:     p,
 		AvgRecv:  scatter + summa + reduce,
-		MaxRecv:  scatter + summa + 2*float64(dm)*float64(dn),
-		MaxMsgs:  2*rounds + 2*float64(c),
+		MaxRecv:  scatter + summa + float64(dm)*float64(dn),
+		MaxMsgs:  2*rounds + float64(segs*min(c-1, 2)),
 		MaxFlops: 2 * float64(dm) * float64(dn) * math.Ceil(kSlab),
 	}
 }

@@ -15,7 +15,7 @@
 // of fitted (§6.3) — while Cannon and CARMA bring their own
 // algo.Planner/algo.Plan pair. Either way planning fixes the grid once
 // per shape, execution runs on the simulated machine with
-// real data movement through the §7.2 tree collectives, and the local
+// real data movement through the §7.2 collectives, and the local
 // tile multiplications go through the per-rank packed GEMM kernel
 // drawn from the executor's Arena. Every baseline also provides an
 // analytic model derived from the same decomposition code, so measured

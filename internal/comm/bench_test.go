@@ -44,16 +44,17 @@ func BenchmarkBcastP16Unpooled(b *testing.B) { benchBcast(b, machine.NewUnpooled
 func BenchmarkBcastP64(b *testing.B)         { benchBcast(b, machine.New(64)) }
 func BenchmarkBcastP64Unpooled(b *testing.B) { benchBcast(b, machine.NewUnpooled(64)) }
 
-// benchReduce exercises the zero-copy ascent: accumulators travel up the
-// tree with SendOwned and child partials return to the pool.
-func benchReduce(b *testing.B, m *machine.Machine) {
-	const words = 4096
+// benchReduce reduces words-long slices over all of m's ranks b.N times:
+// the segments travel down the chain with SendOwned, the root's total
+// and the received segments return to the pool.
+func benchReduce(b *testing.B, m *machine.Machine, words int) {
 	p := m.P()
 	ids := make([]int, p)
 	for i := range ids {
 		ids[i] = i
 	}
 	b.ReportAllocs()
+	b.SetBytes(int64(8 * words * (p - 1))) // what the chain's links carry
 	b.ResetTimer()
 	err := m.Run(func(r *machine.Rank) error {
 		g := NewGroup(r, ids)
@@ -70,5 +71,13 @@ func benchReduce(b *testing.B, m *machine.Machine) {
 	}
 }
 
-func BenchmarkReduceP16(b *testing.B)         { benchReduce(b, machine.New(16)) }
-func BenchmarkReduceP16Unpooled(b *testing.B) { benchReduce(b, machine.NewUnpooled(16)) }
+func BenchmarkReduceP16(b *testing.B)         { benchReduce(b, machine.New(16), 4096) }
+func BenchmarkReduceP16Unpooled(b *testing.B) { benchReduce(b, machine.NewUnpooled(16), 4096) }
+
+// BenchmarkReduceFiber is the reduction at the repo benchmark's two
+// fiber shapes: square-roomy's 4 × 512² tiles (8 segments a link) and
+// tall-k's 15 × 128² (4 segments).
+func BenchmarkReduceFiber(b *testing.B) {
+	b.Run("4x262144", func(b *testing.B) { benchReduce(b, machine.New(4), 262144) })
+	b.Run("15x16384", func(b *testing.B) { benchReduce(b, machine.New(15), 16384) })
+}

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"cosma/internal/layout"
 	"cosma/internal/machine"
@@ -77,43 +79,91 @@ func (g *Group) Bcast(root int, data []float64, tag int) []float64 {
 	return data
 }
 
-// Reduce sums the members' equally-sized data slices along a binary tree
-// into the member at index root, which receives the total; other members
-// return nil. data is not modified. The accumulator travels up the tree
-// with zero-copy ownership transfer, and received child partials return
-// to the machine's buffer pool once folded in.
-func (g *Group) Reduce(root int, data []float64, tag int) []float64 {
-	g.checkRoot(root)
-	acc := machine.Loan(len(data))
-	copy(acc, data)
-	if len(g.ranks) == 1 {
-		return acc
+// reduceLatencyWords is L = α/β of the reduction's grain formula, in
+// words: what one more message costs a chain hop, measured in words of
+// payload. It is deliberately far above the modelled networks' own ratio
+// (pizdaint: 54): the grain also sets the frame size of the real
+// transports, and below ~16 Ki words the socket mesh loses more wall
+// clock to per-frame costs than the logical clock gains from finer
+// pipelining.
+const reduceLatencyWords = 16384
+
+// ReduceSegments returns how Reduce cuts a w-word slice for a group of n
+// members: the number of segments every chain link carries and the
+// segment length (the grain) in words. A chain of n has n−2 relaying
+// members, so c segments cost (n−2+c)·(α+β·w/c) on the critical path;
+// the optimum grain sqrt(w·L/(n−2)) is rounded down to a power of two,
+// the buffer pool's size classes. A chain of two has nothing to
+// pipeline and sends one message.
+func ReduceSegments(n, w int) (segs, grain int) {
+	if n < 2 || w == 0 {
+		return 0, 0
 	}
-	parent, children := g.tree(root)
-	for _, c := range children {
-		part := g.rank.Recv(g.ranks[c], tag)
-		if len(part) != len(acc) {
-			panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(part), len(acc)))
-		}
-		for i, v := range part {
-			acc[i] += v
-		}
-		machine.Release(part)
+	grain = w
+	if n > 2 {
+		opt := math.Sqrt(float64(w) * reduceLatencyWords / float64(n-2))
+		grain = min(w, 1<<(bits.Len(uint(max(opt, 1)))-1))
 	}
-	if parent >= 0 {
-		g.rank.SendOwned(g.ranks[parent], tag, acc)
-		return nil
-	}
-	return acc
+	return (w + grain - 1) / grain, grain
 }
 
-// Pending is an in-flight asynchronous collective (IBcast or IReduce).
-// Wait drives the remaining hops — settling the underlying point-to-
-// point requests and relaying onward as each payload lands — and
-// returns the caller's result. On the timed transport every relay is
-// stamped with its landing time, so a collective posted before a
-// compute phase overlaps it end to end: no hop's departure is delayed
-// to the relaying rank's compute-advanced clock.
+// Reduce sums the members' equally-sized data slices into the member at
+// index root, which receives the total; other members return nil. data
+// is not modified. The sum travels down a chain that ends at the root —
+// positions root+n−1, …, root+1, root (mod n) — in ReduceSegments
+// pieces: the tail sends its slice segment by segment, every member in
+// between adds its own words into the received segment in place and
+// passes the buffer on, and the root writes segment + own into one
+// loaned result. Every member so receives each word once (the root
+// needs w words; a tree's interior received 2w), successive segments'
+// hops overlap, and the total is the left fold from tail to root
+// whatever the grain.
+func (g *Group) Reduce(root int, data []float64, tag int) []float64 {
+	g.checkRoot(root)
+	n := len(g.ranks)
+	pos := (g.me - root + n) % n // links to the root
+	var sum []float64
+	if pos == 0 {
+		sum = machine.Loan(len(data))
+	}
+	if n == 1 {
+		copy(sum, data)
+		return sum
+	}
+	from, to := g.ranks[(g.me+1)%n], g.ranks[(g.me+n-1)%n] // my chain neighbours
+	_, grain := ReduceSegments(n, len(data))
+	for lo := 0; lo < len(data); lo += grain {
+		own := data[lo:min(lo+grain, len(data))]
+		if pos == n-1 {
+			g.rank.Send(to, tag, own)
+			continue
+		}
+		seg := g.rank.Recv(from, tag)
+		if len(seg) != len(own) {
+			panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(seg), len(own)))
+		}
+		if pos > 0 {
+			for i, v := range own {
+				seg[i] += v
+			}
+			g.rank.SendOwned(to, tag, seg)
+			continue
+		}
+		for i, v := range own {
+			sum[lo+i] = seg[i] + v
+		}
+		machine.Release(seg)
+	}
+	return sum
+}
+
+// Pending is an in-flight asynchronous broadcast (IBcast). Wait drives
+// the remaining hops — settling the parent receive and relaying onward
+// as the payload lands — and returns the caller's copy. On the timed
+// transport every relay is stamped with its landing time, so a
+// broadcast posted before a compute phase overlaps it end to end: no
+// hop's departure is delayed to the relaying rank's compute-advanced
+// clock.
 //
 // A Pending belongs to the rank that posted it; every group member must
 // eventually settle its Pending (the tree's interior hops are driven by
@@ -125,15 +175,10 @@ type Pending struct {
 	data []float64
 	at   float64 // landing time of data (timed transports)
 
-	// Broadcast descent: the parent receive to settle and the children
-	// to relay the payload to as it lands.
+	// The parent receive to settle and the children to relay the payload
+	// to as it lands.
 	recv     machine.Request
 	children []int
-
-	// Reduction ascent: the child partials to fold into data and the
-	// parent (group index, -1 at the root) to pass the sum up to.
-	parts  []machine.Request
-	parent int
 }
 
 // IBcast posts the asynchronous counterpart of Bcast: the root relays
@@ -143,7 +188,7 @@ type Pending struct {
 // subtrees as part of settling. Only the root's data argument is read.
 func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 	g.checkRoot(root)
-	p := &Pending{g: g, tag: tag, data: data, parent: -1}
+	p := &Pending{g: g, tag: tag, data: data}
 	if len(g.ranks) == 1 {
 		p.done = true
 		return p
@@ -164,93 +209,35 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 	return p
 }
 
-// IReduce posts the asynchronous counterpart of Reduce: the caller's
-// contribution is captured (copied into a pooled accumulator) at post
-// time, and non-blocking receives are posted for every child partial.
-// Settling folds the partials as they land and passes the sum up the
-// tree stamped with the time the last partial arrived, so a reduction
-// posted before a compute phase climbs the tree overlapped with it.
-// Wait returns the total at the root and nil elsewhere; data is not
-// modified and may be reused immediately.
-func (g *Group) IReduce(root int, data []float64, tag int) *Pending {
-	g.checkRoot(root)
-	acc := machine.Loan(len(data))
-	copy(acc, data)
-	p := &Pending{g: g, tag: tag, data: acc, at: g.rank.Now(), parent: -1}
-	if len(g.ranks) == 1 {
-		p.done = true
-		return p
-	}
-	parent, children := g.tree(root)
-	p.parent = parent
-	for _, c := range children {
-		p.parts = append(p.parts, g.rank.IRecv(g.ranks[c], tag))
-	}
-	return p
-}
-
-// Wait blocks until the collective's local part completes and returns
-// the caller's result: the payload for a broadcast (every member), the
-// total for a reduction root, nil for other reduction members. The
-// returned buffer follows the same ownership rules as the blocking
-// collectives (broadcast payloads and reduction totals may be handed
-// back with machine.Release).
+// Wait blocks until the payload has landed here and been relayed to the
+// caller's subtrees, and returns it. The returned buffer follows the same
+// ownership rules as the blocking Bcast (it may be handed back with
+// machine.Release).
 func (p *Pending) Wait() []float64 {
 	if p.done {
 		return p.data
 	}
-	if p.recv != nil {
-		// Broadcast descent: receive from the parent, then relay to the
-		// subtrees stamped at the landing time.
-		p.data = p.recv.Wait()
-		p.at = p.recv.At()
-		for _, c := range p.children {
-			p.g.rank.SendAt(p.g.ranks[c], p.tag, p.data, p.at)
-		}
-		p.done = true
-		return p.data
-	}
-	// Reduction ascent: fold the child partials as they land.
-	for _, part := range p.parts {
-		chunk := part.Wait()
-		if len(chunk) != len(p.data) {
-			panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(chunk), len(p.data)))
-		}
-		for i, v := range chunk {
-			p.data[i] += v
-		}
-		if at := part.At(); at > p.at {
-			p.at = at
-		}
-		machine.Release(chunk)
+	// Receive from the parent, then relay to the subtrees stamped at the
+	// landing time.
+	p.data = p.recv.Wait()
+	p.at = p.recv.At()
+	for _, c := range p.children {
+		p.g.rank.SendAt(p.g.ranks[c], p.tag, p.data, p.at)
 	}
 	p.done = true
-	if p.parent >= 0 {
-		p.g.rank.SendOwnedAt(p.g.ranks[p.parent], p.tag, p.data, p.at)
-		p.data = nil
-	}
 	return p.data
 }
 
-// Test polls the collective without blocking: it returns (result, true)
-// once the local part has completed — performing any relaying or
-// folding that became possible — and (nil, false) otherwise.
+// Test polls the broadcast without blocking: it returns (payload, true)
+// once the parent's payload has landed — relaying it onward — and
+// (nil, false) otherwise.
 func (p *Pending) Test() ([]float64, bool) {
-	if p.done {
-		return p.data, true
-	}
-	if p.recv != nil {
+	if !p.done {
 		if _, ok := p.recv.Test(); !ok {
 			return nil, false
 		}
-		return p.Wait(), true // parent payload landed: relay and finish
 	}
-	for _, part := range p.parts {
-		if _, ok := part.Test(); !ok {
-			return nil, false
-		}
-	}
-	return p.Wait(), true // every partial landed: fold without blocking
+	return p.Wait(), true
 }
 
 // At returns the logical landing time of the collective's payload at
@@ -315,93 +302,8 @@ func PipelineRounds(r *machine.Rank, segs []layout.Range, overlap bool,
 	return nil
 }
 
-// AllReduce sums the members' slices and distributes the total to every
-// member (reduce to index 0, then broadcast).
-func (g *Group) AllReduce(data []float64, tag int) []float64 {
-	total := g.Reduce(0, data, tag)
-	return g.Bcast(0, total, tag+1)
-}
-
-// Gather collects the members' slices at the member with index root,
-// concatenated in group order; other members return nil. Members may pass
-// slices of different lengths.
-func (g *Group) Gather(root int, data []float64, tag int) [][]float64 {
-	g.checkRoot(root)
-	if g.me != root {
-		g.rank.Send(g.ranks[root], tag, data)
-		return nil
-	}
-	out := make([][]float64, len(g.ranks))
-	for i, id := range g.ranks {
-		if i == root {
-			// The root's own slot is a pooled copy, matching the Recv'd
-			// slots (and the zero-alloc discipline of Bcast/Reduce): the
-			// caller may Release every entry uniformly.
-			cp := machine.Loan(len(data))
-			copy(cp, data)
-			out[i] = cp
-			continue
-		}
-		out[i] = g.rank.Recv(id, tag)
-	}
-	return out
-}
-
-// Scatter sends parts[i] from the root to member i and returns each
-// member's part. Only the root's parts argument is read.
-func (g *Group) Scatter(root int, parts [][]float64, tag int) []float64 {
-	g.checkRoot(root)
-	if g.me == root {
-		if len(parts) != len(g.ranks) {
-			panic(fmt.Sprintf("comm: scatter %d parts for %d members", len(parts), len(g.ranks)))
-		}
-		for i, id := range g.ranks {
-			if i == root {
-				continue
-			}
-			g.rank.Send(id, tag, parts[i])
-		}
-		cp := machine.Loan(len(parts[root]))
-		copy(cp, parts[root])
-		return cp
-	}
-	return g.rank.Recv(g.ranks[root], tag)
-}
-
 func (g *Group) checkRoot(root int) {
 	if root < 0 || root >= len(g.ranks) {
 		panic(fmt.Sprintf("comm: root %d out of group of %d", root, len(g.ranks)))
 	}
-}
-
-// BcastVolume returns the total words a W-word binary-tree broadcast over
-// a group of n members moves (each non-root receives W once), and
-// ReduceVolume the same for a reduction. These are the model counterparts
-// used by the analytic cost models.
-func BcastVolume(n int, w float64) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return float64(n-1) * w
-}
-
-// ReduceVolume returns the total words moved by a W-word binary-tree
-// reduction over n members: every non-root sends its partial once.
-func ReduceVolume(n int, w float64) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return float64(n-1) * w
-}
-
-// TreeDepth returns the depth ⌈log₂ n⌉ of the binary broadcast and
-// reduction trees over n members — the number of sequential message hops
-// a collective contributes to the timed transport's critical path, and
-// the latency term the analytic models charge per collective.
-func TreeDepth(n int) int {
-	d := 0
-	for v := 1; v < n; v <<= 1 {
-		d++
-	}
-	return d
 }

@@ -119,82 +119,6 @@ func TestReduceDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestAllReduce(t *testing.T) {
-	n := 6
-	m := machine.New(n)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	err := m.Run(func(r *machine.Rank) error {
-		g := groupOf(r, ids)
-		got := g.AllReduce([]float64{1, float64(r.ID())}, 20)
-		if got[0] != float64(n) || got[1] != 15 {
-			t.Errorf("rank %d AllReduce = %v", r.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	n := 5
-	m := machine.New(n)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	err := m.Run(func(r *machine.Rank) error {
-		g := groupOf(r, ids)
-		mine := []float64{float64(r.ID()) * 10}
-		parts := g.Gather(2, mine, 30)
-		if g.Index() == 2 {
-			for i, p := range parts {
-				if p[0] != float64(i)*10 {
-					t.Errorf("gathered parts %v", parts)
-				}
-			}
-		}
-		got := g.Scatter(2, parts, 31)
-		if got[0] != float64(r.ID())*10 {
-			t.Errorf("rank %d scatter returned %v", r.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceTreeVolumeMatchesModel(t *testing.T) {
-	n, w := 7, 16
-	m := machine.New(n)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	err := m.Run(func(r *machine.Rank) error {
-		g := groupOf(r, ids)
-		g.Reduce(0, make([]float64, w), 9)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sent int64
-	for i := 0; i < n; i++ {
-		sent += m.Counters(i).SentWords
-	}
-	if want := int64(ReduceVolume(n, float64(w))); sent != want {
-		t.Fatalf("reduce moved %d words, model %d", sent, want)
-	}
-	if got := BcastVolume(1, 100); got != 0 {
-		t.Fatalf("BcastVolume(1) = %v", got)
-	}
-}
-
 func TestNewGroupValidation(t *testing.T) {
 	m := machine.New(2)
 	err := m.Run(func(r *machine.Rank) error {
@@ -241,5 +165,131 @@ func TestCollectivesUnderRandomGroupOrder(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReduceChainProperty runs the reduction over group sizes 1–9, every
+// root, a shuffled member order and lengths on both sides of a segment
+// cut, on the counting and the timed transport. The total must be
+// bitwise the left fold down the chain — positions root+n−1, …, root+1,
+// root (mod n) — whatever the grain cut it into; inputs stay untouched,
+// non-roots get nil, the tail receives nothing and every other member
+// each word exactly once.
+func TestReduceChainProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	machines := map[string]func(int) *machine.Machine{
+		"counting": machine.New,
+		"timed":    func(p int) *machine.Machine { return machine.NewTimed(p, machine.PizDaintNet()) },
+	}
+	for n := 1; n <= 9; n++ {
+		// A length that is cut (the optimum grain at 4L/(n−2) words is half
+		// of it at most) fixes the grain the others straddle.
+		_, grain := ReduceSegments(n, 4*reduceLatencyWords/max(n-2, 1))
+		if n < 3 {
+			grain = 1 << 10
+		}
+		ids := rng.Perm(n)
+		for _, w := range []int{0, 1, grain - 1, grain, grain + 1, 3*grain + 7} {
+			// Seeded values no float64 represents exactly, so every
+			// association of the sum rounds differently.
+			in := make([][]float64, n)
+			for i := range in {
+				in[i] = make([]float64, w)
+				for j := range in[i] {
+					in[i][j] = rng.NormFloat64() / 3
+				}
+			}
+			segs, _ := ReduceSegments(n, w)
+			if n == 2 && w > 0 && segs != 1 {
+				t.Fatalf("w=%d: a chain of two cuts %d segments, want one message", w, segs)
+			}
+			for root := 0; root < n; root++ {
+				want := append([]float64(nil), in[(root+n-1)%n]...)
+				for pos := n - 2; pos >= 0; pos-- {
+					for j, v := range in[(root+pos)%n] {
+						want[j] += v
+					}
+				}
+				for name, newMachine := range machines {
+					m := newMachine(n)
+					err := m.Run(func(r *machine.Rank) error {
+						g := groupOf(r, ids)
+						data := append([]float64(nil), in[g.Index()]...)
+						got := g.Reduce(root, data, 7)
+						for j, v := range data {
+							if v != in[g.Index()][j] {
+								t.Errorf("%s n=%d root=%d w=%d: member %d's input modified at %d", name, n, root, w, g.Index(), j)
+								break
+							}
+						}
+						if g.Index() != root {
+							if got != nil {
+								t.Errorf("%s n=%d root=%d w=%d: non-root got %d words", name, n, root, w, len(got))
+							}
+							return nil
+						}
+						if len(got) != w {
+							t.Errorf("%s n=%d root=%d w=%d: total has %d words", name, n, root, w, len(got))
+							return nil
+						}
+						for j, v := range got {
+							if v != want[j] {
+								t.Errorf("%s n=%d root=%d w=%d: word %d = %v, left fold %v", name, n, root, w, j, v, want[j])
+								break
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("%s n=%d root=%d w=%d: %v", name, n, root, w, err)
+					}
+					for i, id := range ids {
+						c := m.Counters(id)
+						wantRecv, wantMsgs := int64(w), int64(segs)
+						if i == (root+n-1)%n || n == 1 {
+							wantRecv, wantMsgs = 0, 0
+						}
+						if c.RecvWords != wantRecv || c.RecvMsgs != wantMsgs {
+							t.Fatalf("%s n=%d root=%d w=%d: chain position %d received %d words in %d messages, want %d in %d",
+								name, n, root, w, (i-root+n)%n, c.RecvWords, c.RecvMsgs, wantRecv, wantMsgs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReduceChainPipelinesTimed is the pipelining guard on the benchmark's
+// two fiber shapes: with c segments on a chain of n, the root holds the
+// total within (1 + (n−2)/c)·β·w + (n−2+c)·2α on pizdaint — one tile's
+// transfer plus a segment per relaying member — where unsegmented hops
+// would cost (n−1)·β·w.
+func TestReduceChainPipelinesTimed(t *testing.T) {
+	net := machine.PizDaintNet()
+	for _, c := range []struct{ n, w int }{{4, 262144}, {15, 16384}} {
+		ids := make([]int, c.n)
+		for i := range ids {
+			ids[i] = i
+		}
+		data := make([]float64, c.w)
+		m := machine.NewTimed(c.n, net)
+		err := m.Run(func(r *machine.Rank) error {
+			machine.Release(groupOf(r, ids).Reduce(0, data, 3))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, _ := ReduceSegments(c.n, c.w)
+		if segs < 2 {
+			t.Fatalf("n=%d w=%d: %d segments, nothing to pipeline", c.n, c.w, segs)
+		}
+		relays, s := float64(c.n-2), float64(segs)
+		limit := (1+relays/s)*net.Beta*float64(c.w) + (relays+s)*2*net.Alpha
+		if got := m.MaxTime(); got > limit {
+			t.Errorf("n=%d w=%d: %d segments took %.4g s, want ≤ %.4g (serial hops: %.4g)",
+				c.n, c.w, segs, got, limit, float64(c.n-1)*net.Beta*float64(c.w))
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"math"
 	"testing"
 
 	"cosma/internal/machine"
@@ -40,39 +39,6 @@ func TestIBcastMatchesBcast(t *testing.T) {
 			}
 			if want := int64(4 * (n - 1)); recv != want {
 				t.Fatalf("n=%d root=%d: received %d words, want %d", n, root, recv, want)
-			}
-		}
-	}
-}
-
-// TestIReduceMatchesReduce sums rank-dependent slices asynchronously
-// and checks the root's total and everyone else's nil result.
-func TestIReduceMatchesReduce(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		for root := 0; root < n; root++ {
-			m := machine.New(n)
-			ids := make([]int, n)
-			for i := range ids {
-				ids[i] = i
-			}
-			err := m.Run(func(r *machine.Rank) error {
-				g := groupOf(r, ids)
-				data := []float64{float64(r.ID()), 1}
-				got := g.IReduce(root, data, 20).Wait()
-				if g.Index() != root {
-					if got != nil {
-						t.Errorf("n=%d root=%d rank=%d: non-root got %v", n, root, r.ID(), got)
-					}
-					return nil
-				}
-				wantSum := float64(n*(n-1)) / 2
-				if len(got) != 2 || got[0] != wantSum || got[1] != float64(n) {
-					t.Errorf("n=%d root=%d: total %v, want [%v %v]", n, root, got, wantSum, n)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
 		}
 	}
@@ -150,36 +116,6 @@ func TestIBcastOverlapsComputeThroughTree(t *testing.T) {
 		}
 		if clock < flops {
 			t.Errorf("rank %d clock = %v < compute time %v", id, clock, flops)
-		}
-	}
-}
-
-// TestIReduceOverlapTimed posts the reduction before a compute phase:
-// the ascent is stamped with partial-arrival times, so the root's clock
-// stays at its compute time when the transfers are short.
-func TestIReduceOverlapTimed(t *testing.T) {
-	net := machine.NetworkParams{Name: "unit", Alpha: 1, Beta: 1, Gamma: 1}
-	const flops = 1000
-	m := machine.NewTimed(4, net)
-	ids := []int{0, 1, 2, 3}
-	err := m.Run(func(r *machine.Rank) error {
-		g := groupOf(r, ids)
-		p := g.IReduce(0, []float64{1, 2}, 9)
-		r.Compute(flops)
-		got := p.Wait()
-		if g.Index() == 0 {
-			if len(got) != 2 || got[0] != 4 || got[1] != 8 {
-				t.Errorf("root total = %v, want [4 8]", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, clock := range m.Times() {
-		if math.Abs(clock-flops) > 5*net.Alpha+10*net.Beta {
-			t.Errorf("rank %d clock = %v, want ≈ %v (ascent overlapped)", id, clock, flops)
 		}
 	}
 }

@@ -405,13 +405,18 @@ func (c *COSMA) Model(m, n, k, p, s int) algo.Model {
 // Plan derives its model without fitting a second time.
 func modelFor(name string, g grid.Grid, m, n, k, p, s int) algo.Model {
 	dm, dn, dk := g.LocalDims(m, n, k)
-	step := StepSize(s, dm, dn)
-	rounds := float64(ceilDiv(dk, step))
+	// The rounds the largest slab executes, and how many of a round's two
+	// panel broadcasts have anyone to talk to.
+	rounds := len(segments(dk, layout.Split(dk, g.Pn), layout.Split(dk, g.Pm), StepSize(s, dm, dn)))
+	bcasts := min(g.Pn-1, 1) + min(g.Pm-1, 1)
 	maxRecv := float64(dm*dk)*float64(g.Pn-1)/float64(g.Pn) +
 		float64(dk*dn)*float64(g.Pm-1)/float64(g.Pm)
+	// The fiber reduces down a chain: every member but the tail receives
+	// its tile once, in segments a member between tail and root also
+	// passes on.
+	segs, _ := comm.ReduceSegments(g.Pk, dm*dn)
 	if g.Pk > 1 {
-		// A tree-interior fiber member receives up to two child tiles.
-		maxRecv += 2 * float64(dm*dn)
+		maxRecv += float64(dm * dn)
 	}
 	avg := g.ModelVolume(m, n, k) * float64(g.Ranks()) / float64(p)
 	return algo.Model{
@@ -420,9 +425,7 @@ func modelFor(name string, g grid.Grid, m, n, k, p, s int) algo.Model {
 		Used:     g.Ranks(),
 		AvgRecv:  avg,
 		MaxRecv:  maxRecv,
-		MaxMsgs:  2*rounds + 2*float64(comm.TreeDepth(g.Pk)),
+		MaxMsgs:  float64(bcasts*rounds + segs*min(g.Pk-1, 2)),
 		MaxFlops: 2 * float64(dm) * float64(dn) * float64(dk),
 	}
 }
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

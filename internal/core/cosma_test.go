@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -54,13 +55,22 @@ func TestCOSMACorrectAcrossShapes(t *testing.T) {
 
 func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 	// On divisible problems the measured average received words must equal
-	// the structural model exactly.
+	// the structural model exactly, and so must the busiest rank's words;
+	// where a fiber reduces (Pk > 1) its messages too: the model counts
+	// the chain's segments with the function the reduction cuts them by.
 	rng := rand.New(rand.NewSource(2))
-	cases := []struct{ m, k, n, p, s int }{
-		{32, 32, 32, 8, 1 << 20},
-		{16, 64, 16, 16, 1 << 20},
-		{64, 16, 32, 8, 1 << 20},
-		{32, 32, 32, 8, 600}, // limited memory → k-parallel grid
+	cases := []struct {
+		m, k, n, p, s int
+		grid          string
+	}{
+		{32, 32, 32, 8, 1 << 20, "[2×2×2]"},
+		{16, 64, 16, 16, 1 << 20, "[1×2×8]"},
+		{64, 16, 32, 8, 1 << 20, "[4×2×1]"},
+		{32, 32, 32, 8, 600, "[2×2×2]"}, // limited memory → k-parallel grid
+		// The benchmark's two reducing shapes at an eighth of their edge:
+		// square-roomy's grid (4 segments a link) and tall-k's chain (4).
+		{512, 512, 512, 16, 1 << 20, "[2×2×4]"},
+		{128, 15360, 128, 15, 1 << 22, "[1×1×14]"},
 	}
 	for _, c := range cases {
 		a := matrix.Random(c.m, c.k, rng)
@@ -71,12 +81,17 @@ func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := rep.Model
-		if math.Abs(rep.AvgRecv-model.AvgRecv) > 1e-6*math.Max(1, model.AvgRecv) {
-			t.Fatalf("%+v (grid %s): measured avg recv %v, model %v",
-				c, rep.Grid, rep.AvgRecv, model.AvgRecv)
+		if rep.Grid != c.grid {
+			t.Fatalf("%+v: fitted %s", c, rep.Grid)
 		}
-		if float64(rep.MaxRecv) > model.MaxRecv+1e-6 {
-			t.Fatalf("%+v: measured max recv %d exceeds model %v", c, rep.MaxRecv, model.MaxRecv)
+		if math.Abs(rep.AvgRecv-model.AvgRecv) > 1e-6*math.Max(1, model.AvgRecv) {
+			t.Fatalf("%+v: measured avg recv %v, model %v", c, rep.AvgRecv, model.AvgRecv)
+		}
+		if float64(rep.MaxRecv) != model.MaxRecv {
+			t.Fatalf("%+v: measured max recv %d, model %v", c, rep.MaxRecv, model.MaxRecv)
+		}
+		if reduces := !strings.HasSuffix(c.grid, "×1]"); reduces && float64(rep.MaxMsgs) != model.MaxMsgs {
+			t.Fatalf("%+v: busiest rank exchanged %d messages, model %v", c, rep.MaxMsgs, model.MaxMsgs)
 		}
 	}
 }

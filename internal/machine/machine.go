@@ -522,7 +522,7 @@ func (r *Rank) IRecv(src, tag int) Request {
 
 // SendAt delivers a copy of data to dst stamped as departing at logical
 // time at instead of this rank's current clock — the relay primitive of
-// the async tree collectives, which forward a payload the moment it
+// the async tree broadcast, which forwards a payload the moment it
 // landed even though the relaying rank's clock has already advanced
 // past that moment under overlapped compute. On untimed machines it is
 // Send.
@@ -536,21 +536,9 @@ func (r *Rank) SendAt(dst, tag int, data []float64, at float64) {
 	r.m.t.SendAt(r.id, dst, tag, data, owned, at+delay)
 }
 
-// SendOwnedAt is SendAt with zero-copy ownership transfer of data.
-func (r *Rank) SendOwnedAt(dst, tag int, data []float64, at float64) {
-	r.checkPeer(dst, "sends to")
-	drop, delay, corr := r.faultSend(dst)
-	if drop {
-		Release(data)
-		return
-	}
-	data, _ = corruptPayload(data, true, corr)
-	r.m.t.SendAt(r.id, dst, tag, data, true, at+delay)
-}
-
 // Now returns this rank's current logical clock in seconds on a timed
-// machine and zero on a counting one — the ready-time an async
-// reduction stamps its own contribution with.
+// machine and zero on a counting one — the landing time an async
+// broadcast's root reports for its own payload.
 func (r *Rank) Now() float64 {
 	if ts := r.m.t.Times(); ts != nil {
 		return ts[r.id]

@@ -320,10 +320,14 @@ func (t *Transport) acceptPeer(conns []net.Conn, scratch []byte, timeout time.Du
 	return hello.src, scratch, nil
 }
 
+// outQueueFrames is the capacity of a peer's outgoing frame queue; a
+// sender further ahead of the writer than this blocks in enqueue.
+const outQueueFrames = 256
+
 // startPeer installs a fresh connection to process j and starts its
 // reader and writer goroutines.
 func (t *Transport) startPeer(j int, conn net.Conn) {
-	pr := &peer{proc: j, addr: t.procs[j], conn: conn, out: make(chan frame, 256)}
+	pr := &peer{proc: j, addr: t.procs[j], conn: conn, out: make(chan frame, outQueueFrames)}
 	t.peers[j].Store(pr)
 	t.wg.Add(2)
 	go t.writeLoop(pr)
@@ -357,16 +361,20 @@ func (t *Transport) adoptEpoch(e int64) {
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		// Bound the final flush so a wedged peer cannot hang teardown,
-		// and say goodbye as the last frame on each connection.
+		// and say goodbye as the last frame on each connection. A full
+		// queue is waited for under the same bound — the writer is
+		// draining it — since a dropped goodbye turns a clean departure
+		// into a peer failure at the survivor.
+		deadline := time.Now().Add(2 * time.Second)
 		for i := range t.peers {
 			pr := t.peers[i].Load()
 			if pr == nil {
 				continue
 			}
-			pr.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+			pr.conn.SetWriteDeadline(deadline)
 			select {
 			case pr.out <- frame{kind: kindBye, src: t.rank}:
-			default: // queue full: the peer sees a raw EOF (best effort)
+			case <-time.After(time.Until(deadline)): // wedged: the peer sees a raw EOF
 			}
 		}
 		close(t.dead)

@@ -181,6 +181,75 @@ func TestCleanDepartureDoesNotAbort(t *testing.T) {
 	}
 }
 
+// TestCleanDepartureWithFullQueue departs the way a process whose
+// traffic is all outbound does — as far ahead of its peer as the
+// outgoing queue lets it run. The survivor's dispatch is held so the
+// departing writer wedges on a full socket; the departing rank sends
+// 32 KiB messages until its queue stays full and Closes at once. The
+// goodbye must wait for room behind the queued frames (the survivor
+// resumes well inside Close's bound): dropped, it turns the departure
+// into a lost connection that fails the survivor's run in flight and
+// every later one. Every message must still arrive, in order.
+func TestCleanDepartureWithFullQueue(t *testing.T) {
+	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
+	defer closeAll(trs)
+	m := machine.NewWithTransport(trs[0])
+	m.SetRecvTimeout(10 * time.Second)
+
+	m1 := machine.NewWithTransport(trs[1])
+	held := make(chan struct{})
+	sent := make(chan int, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- m1.Run(func(r *machine.Rank) error {
+			<-held
+			payload := make([]float64, 4096)
+			n := 0
+			for full := 0; full < 3; {
+				if trs[1].OutQueueLen(0) < wire.OutQueueFrames {
+					payload[0], full = float64(n), 0
+					r.Send(0, 7, payload)
+					n++
+					continue
+				}
+				full++ // full and staying full: the writer is wedged
+				time.Sleep(10 * time.Millisecond)
+			}
+			sent <- n
+			trs[1].Close()
+			return nil
+		})
+	}()
+
+	err := m.Run(func(r *machine.Rank) error {
+		resume := trs[0].HoldDispatch()
+		close(held)
+		n := <-sent
+		time.Sleep(50 * time.Millisecond) // the peer is inside Close by now
+		resume()
+		for i := 0; i < n; i++ {
+			got := r.Recv(1, 7)
+			if len(got) != 4096 || got[0] != float64(i) {
+				return fmt.Errorf("rank 0: message %d of %d is %d words starting %v", i, n, len(got), got[0])
+			}
+			machine.Release(got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("survivor's run failed after a clean departure: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("departing process's run failed: %v", err)
+	}
+	// The peer's connection is closed now; once the EOF behind its last
+	// frame has been read, it must not have been taken for a failure.
+	time.Sleep(50 * time.Millisecond)
+	if err := trs[0].Failure(); err != nil {
+		t.Fatalf("survivor took the clean departure for a failure: %v", err)
+	}
+}
+
 // TestRecvDeadlineWithSilentPeer covers the lost-peer case the conn
 // layer cannot see: the peer process is alive (connection healthy) but
 // never sends. The receive deadline must unpark the rank.
