@@ -155,7 +155,7 @@ func BenchmarkFig7CommLargeKExtra(b *testing.B) {
 // benchPctPeak reports COSMA's %-peak at the largest feasible p.
 func benchPctPeak(b *testing.B, shape workload.Shape, regime workload.Regime) {
 	b.Helper()
-	mach := perfmodel.PizDaint()
+	net := PizDaintNetwork()
 	var pct float64
 	for i := 0; i < b.N; i++ {
 		for _, p := range workload.CoreCounts() {
@@ -164,7 +164,7 @@ func benchPctPeak(b *testing.B, shape workload.Shape, regime workload.Regime) {
 				continue
 			}
 			mod := (&core.COSMA{}).Model(c.M, c.N, c.K, c.P, c.S)
-			pct = mach.Evaluate(mod, c.M, c.N, c.K, c.P).PctPeak
+			pct = perfmodel.Evaluate(net, false, mod, c.M, c.N, c.K, c.P).PctPeak
 		}
 	}
 	b.ReportMetric(pct, "%peak-COSMA-maxp")

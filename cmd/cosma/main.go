@@ -6,15 +6,12 @@
 // Usage:
 //
 //	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576 [-delta 0.03]
-//	      [-algo cosma|summa|2.5d|carma|cannon|caps|all]
+//	      [-algo cosma|summa|2.5d|carma|cannon|all]
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
 //	      [-threads n] [-tune]
 //
 // The algorithm is resolved through the name-keyed registry (aliases
-// like "scalapack", "ctf" and "strassen" work too); -algo list prints
-// it. -algo caps selects the sub-cubic CAPS algorithm (Strassen over
-// BFS/DFS rank teams, ω = log₂7), which needs p ≥ 7 and even
-// dimensions to go distributed. With
+// like "scalapack" and "ctf" work too); -algo list prints it. With
 // -network the run executes on the timed α-β-γ transport and the table
 // gains predicted and critical-path runtime columns; adding -calibrate
 // first measures the local packed kernel and replaces the preset's γ

@@ -34,7 +34,6 @@ import (
 	"cosma/internal/machine/wire"
 	"cosma/internal/matrix"
 	"cosma/internal/seq"
-	_ "cosma/internal/strassen" // registers CAPS (Strassen, ω = log₂7)
 )
 
 // Matrix is a dense row-major float64 matrix. One element is one "word"
@@ -262,7 +261,7 @@ func ParallelLowerBound(m, n, k, p, s int) float64 {
 type Decomposition = algo.Decomposition
 
 // Algorithms returns the canonical names of every registered algorithm
-// ("cosma", "summa", "2.5d", "carma", "cannon", "caps") in the paper's
+// ("cosma", "summa", "2.5d", "carma", "cannon") in the paper's
 // comparison order followed by the extras. Any of them (or their
 // aliases) is a valid WithAlgorithm argument.
 func Algorithms() []string { return algo.Names() }

@@ -2,6 +2,7 @@ package cosma
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -108,15 +109,9 @@ func TestAlgorithmsAgree(t *testing.T) {
 }
 
 func TestAlgorithmsListsRegistry(t *testing.T) {
-	names := Algorithms()
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-	}
-	for _, want := range []string{"cosma", "summa", "2.5d", "carma", "cannon", "caps"} {
-		if !seen[want] {
-			t.Fatalf("registry names %v miss %q", names, want)
-		}
+	want := []string{"cosma", "summa", "2.5d", "carma", "cannon"}
+	if names := Algorithms(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("registry names %v, want the paper's order %v", names, want)
 	}
 }
 
@@ -181,25 +176,40 @@ func TestPredictScales(t *testing.T) {
 }
 
 func TestPredictFields(t *testing.T) {
-	eng, err := NewEngine(WithProcs(16), WithMemory(1<<16), WithNetwork(PizDaintNetwork()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := eng.Predict(context.Background(), 512, 512, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Omega != 3 {
-		t.Fatalf("classical ω = %v, want 3", pred.Omega)
-	}
-	if pred.OverlapTime > pred.SerialTime {
-		t.Fatalf("overlapped %v exceeds serial %v", pred.OverlapTime, pred.SerialTime)
-	}
-	if pred.Volume <= 0 || pred.SerialTime <= 0 {
-		t.Fatalf("degenerate prediction %+v", pred)
-	}
-	if want := ParallelLowerBound(512, 512, 512, 16, 1<<16); pred.LowerBound != want {
-		t.Fatalf("classical lower bound %v, want Theorem 2's %v", pred.LowerBound, want)
+	const p, s = 16, 1 << 16
+	net := PizDaintNetwork()
+	// Every registered algorithm: the prediction is exactly the plan's
+	// model under the network's own evaluator, and the bound is
+	// Theorem 2's — no second α-β-γ sum, no per-algorithm exponent.
+	for _, name := range Algorithms() {
+		eng, err := NewEngine(WithAlgorithm(name), WithProcs(p), WithMemory(s), WithNetwork(net))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := eng.Predict(context.Background(), 512, 512, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := eng.Plan(context.Background(), 512, 512, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod := plan.Model()
+		if want := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); pred.SerialTime != want {
+			t.Fatalf("%s: serial prediction %v != model evaluation %v", name, pred.SerialTime, want)
+		}
+		if want := net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); pred.OverlapTime != want {
+			t.Fatalf("%s: overlap prediction %v != model evaluation %v", name, pred.OverlapTime, want)
+		}
+		if pred.OverlapTime > pred.SerialTime {
+			t.Fatalf("%s: overlapped %v exceeds serial %v", name, pred.OverlapTime, pred.SerialTime)
+		}
+		if pred.Volume != mod.MaxRecv || pred.Volume <= 0 || pred.SerialTime <= 0 {
+			t.Fatalf("%s: degenerate prediction %+v", name, pred)
+		}
+		if want := ParallelLowerBound(512, 512, 512, p, s); pred.LowerBound != want {
+			t.Fatalf("%s: lower bound %v, want Theorem 2's %v", name, pred.LowerBound, want)
+		}
 	}
 	// Without a network, Predict must refuse rather than guess.
 	plain, err := NewEngine(WithProcs(16), WithMemory(1<<16))

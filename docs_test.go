@@ -3,6 +3,7 @@ package cosma
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -42,5 +43,34 @@ func TestMarkdownLinks(t *testing.T) {
 			checked++
 		}
 		t.Logf("%s: %d relative links checked", doc, checked)
+	}
+}
+
+// TestReadmeAlgorithmsTableMatchesRegistry parses the first column of
+// the README's algorithms table (header "| name | aliases | …") and
+// requires it to equal cosma.Algorithms(), in order, so a registered
+// algorithm cannot go undocumented and a removed one cannot linger.
+func TestReadmeAlgorithmsTableMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "| name | aliases |") {
+			inTable = true
+			continue
+		}
+		if !inTable || strings.HasPrefix(line, "| ---") {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		names = append(names, strings.Trim(strings.Split(line, "|")[1], " `"))
+	}
+	if want := Algorithms(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("README algorithms table lists %v, the registry holds %v", names, want)
 	}
 }

@@ -144,7 +144,7 @@ func WithNetwork(net NetworkParams) Option {
 // product is bitwise-identical to the synchronous schedule; on a timed
 // engine the measured CritPathTime drops by up to the hidden
 // communication (Figure 12). The Algorithm 1 schedules — COSMA, SUMMA
-// and 2.5D — pipeline; CARMA, Cannon and CAPS execute synchronously
+// and 2.5D — pipeline; CARMA and Cannon execute synchronously
 // regardless.
 //
 // The round schedule (and hence the kernel call sequence) is the one
@@ -174,8 +174,8 @@ func WithAutotune(on bool) Option {
 }
 
 // WithAlgorithm selects the multiplication algorithm by registry name
-// or alias — "cosma" (the default), "summa", "2.5d", "carma", "cannon",
-// "caps"; see Algorithms. Unknown names error at NewEngine.
+// or alias — "cosma" (the default), "summa", "2.5d", "carma",
+// "cannon"; see Algorithms. Unknown names error at NewEngine.
 func WithAlgorithm(name string) Option {
 	return func(c *engineConfig) { c.algorithm = name }
 }
@@ -208,7 +208,7 @@ func WithKernelThreads(n int) Option {
 // of multiplications (same shapes, same order). The process hosting
 // rank 0 receives the gathered product; the others get a zero matrix
 // of the right shape. Only algorithms whose plans gather their result
-// tiles (COSMA, SUMMA, 2.5D, CAPS) are supported. Close the engine to
+// tiles (COSMA, SUMMA, 2.5D) are supported. Close the engine to
 // tear the mesh down. Incompatible with WithNetwork — the wire transport
 // measures real traffic, not the α-β-γ model.
 func WithWireTransport(cfg WireConfig) Option {
@@ -483,7 +483,7 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 		// The distributed-gather gate of algo.NewExecutorOpts, surfaced
 		// at planning time so execution can't fail on it later.
 		if d, ok := inner.(algo.Distributed); !ok || !d.Distributed() {
-			return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa, 2.5d or caps", inner.Algorithm())
+			return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa or 2.5d", inner.Algorithm())
 		}
 		p.sharedMach = e.wireMach
 		p.execMu = &e.wireMu
@@ -598,23 +598,17 @@ type Prediction struct {
 	OverlapTime float64
 	// Volume is the modeled received words on the busiest rank.
 	Volume float64
-	// LowerBound is the per-rank communication lower bound for the
-	// plan's arithmetic exponent: Theorem 2 for classical algorithms,
-	// the BDHS bound N^ω/(p·S^{ω/2−1}) for CAPS.
+	// LowerBound is Theorem 2's per-rank communication lower bound.
 	LowerBound float64
-	// Omega is the plan's arithmetic exponent: 3 for the five classical
-	// algorithms, log₂ 7 for CAPS.
-	Omega float64
 }
 
 // Predict returns the engine's analytic forecast for an m×k by k×n
 // multiplication on its network: the serial and overlapped end-to-end
-// runtimes, the modeled critical-path volume, the communication lower
-// bound at the plan's arithmetic exponent, and the exponent itself.
-// It reads the same cached plan as Plan and Exec — the engine never
-// describes two different grids for one problem — and evaluates at any
-// scale, including the paper's 18,432-core runs, without executing
-// anything. Requires WithNetwork.
+// runtimes, the modeled critical-path volume and the communication
+// lower bound. It reads the same cached plan as Plan and Exec — the
+// engine never describes two different grids for one problem — and
+// evaluates at any scale, including the paper's 18,432-core runs,
+// without executing anything. Requires WithNetwork.
 func (e *Engine) Predict(ctx context.Context, m, n, k int) (Prediction, error) {
 	if e.cfg.network == nil {
 		return Prediction{}, fmt.Errorf("cosma: Predict needs a network; configure the engine with WithNetwork")
@@ -624,16 +618,11 @@ func (e *Engine) Predict(ctx context.Context, m, n, k int) (Prediction, error) {
 		return Prediction{}, err
 	}
 	mod := plan.Model()
-	omega := 3.0
-	if ex, ok := plan.inner.(algo.Exponent); ok {
-		omega = ex.Omega()
-	}
 	return Prediction{
 		SerialTime:  e.cfg.network.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs),
 		OverlapTime: e.cfg.network.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs),
 		Volume:      mod.MaxRecv,
-		LowerBound:  bound.FastLowerBound(m, n, k, e.cfg.procs, e.cfg.memory, omega),
-		Omega:       omega,
+		LowerBound:  bound.ParallelLowerBound(m, n, k, e.cfg.procs, e.cfg.memory),
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package cosma
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -122,14 +124,20 @@ func TestEngineExecCancellation(t *testing.T) {
 	}
 }
 
-// TestRegistryReachableByName exercises COSMA, the four baselines and
-// CAPS end-to-end through WithAlgorithm, by canonical name and alias.
+// TestRegistryReachableByName exercises COSMA and the four baselines
+// end-to-end through WithAlgorithm, by canonical name and alias.
 func TestRegistryReachableByName(t *testing.T) {
 	// 16×16×16 on p=4: Cannon's q=2 divides everything.
 	a := RandomMatrix(16, 16, 3)
 	b := RandomMatrix(16, 16, 4)
 	want := reference(a, b)
-	names := []string{"cosma", "summa", "2.5d", "carma", "cannon", "caps", "scalapack", "ctf", "CARMA", "strassen"}
+	// cmd/cosma prints "<algorithm> plan: <plan>": the plan's text must
+	// not repeat the name, Decomposition or not.
+	planText := map[string]string{
+		"carma":  "grid recursive p=4 (4 ranks)",
+		"cannon": "grid [2×2×1] (4 ranks)",
+	}
+	names := []string{"cosma", "summa", "2.5d", "carma", "cannon", "scalapack", "ctf", "CARMA"}
 	for _, name := range names {
 		eng, err := NewEngine(WithProcs(4), WithMemory(1<<16), WithAlgorithm(name))
 		if err != nil {
@@ -142,13 +150,30 @@ func TestRegistryReachableByName(t *testing.T) {
 		if !matrix.EqualWithin(got, want, 1e-9) {
 			t.Fatalf("%s (%s) disagrees with reference", name, rep.Name)
 		}
+		plan, err := eng.Plan(context.Background(), 16, 16, 16)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text := fmt.Sprint(plan)
+		if strings.Contains(text, plan.Algorithm()) {
+			t.Fatalf("%s: plan text %q repeats the algorithm name %q", name, text, plan.Algorithm())
+		}
+		if pinned, ok := planText[name]; ok && text != pinned {
+			t.Fatalf("%s: plan text %q, want %q", name, text, pinned)
+		}
 	}
-	if got := Algorithms(); len(got) != 6 || got[0] != "cosma" || got[5] != "caps" {
-		t.Fatalf("Algorithms() = %v", got)
+	paperOrder := []string{"cosma", "summa", "2.5d", "carma", "cannon"}
+	if got := Algorithms(); !reflect.DeepEqual(got, paperOrder) {
+		t.Fatalf("Algorithms() = %v, want %v", got, paperOrder)
 	}
-	if _, err := NewEngine(WithAlgorithm("winograd")); err == nil ||
-		!strings.Contains(err.Error(), "unknown algorithm") {
-		t.Fatalf("unknown algorithm error = %v", err)
+	// The sub-cubic algorithm and its aliases (lookup folds case) left
+	// the registry; the error names what is there instead.
+	for _, name := range []string{"winograd", "caps", "STRASSEN", "bdhs"} {
+		_, err := NewEngine(WithAlgorithm(name))
+		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") ||
+			!strings.Contains(err.Error(), strings.Join(paperOrder, ", ")) {
+			t.Fatalf("%s: unknown algorithm error = %v", name, err)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func ExampleEngine_Predict() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("predicted %.1f ms at ω=%.0f\n", pred.SerialTime*1e3, pred.Omega)
+	fmt.Printf("predicted %.1f ms\n", pred.SerialTime*1e3)
 	// Output:
-	// predicted 44.9 ms at ω=3
+	// predicted 44.9 ms
 }

@@ -46,6 +46,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nCOSMA m=n=k=16384 on p=18432 (Piz-Daint-like): predicted %.1f ms (ω=%.3f)\n",
-		pred.SerialTime*1e3, pred.Omega)
+	fmt.Printf("\nCOSMA m=n=k=16384 on p=18432 (Piz-Daint-like): predicted %.1f ms\n",
+		pred.SerialTime*1e3)
 }

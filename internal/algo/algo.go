@@ -104,11 +104,3 @@ func (r *Report) PredictedAsExecuted() float64 {
 type Overlapper interface {
 	Overlap() bool
 }
-
-// Exponent is implemented by plans of algorithms whose arithmetic
-// exponent differs from the classical ω = 3 — CAPS Strassen's
-// ω = log₂ 7. Engine.Predict reads it to report exponent-aware
-// bandwidth bounds; plans without it are classical.
-type Exponent interface {
-	Omega() float64
-}

@@ -337,29 +337,6 @@ func (a *Arena) Retained() int {
 	return words
 }
 
-// Mark returns rank's current arena position for a later Rewind. A nil
-// arena returns 0.
-func (a *Arena) Mark(rank int) int {
-	if a == nil {
-		return 0
-	}
-	return a.ranks[rank].next
-}
-
-// Rewind returns rank's arena to a position previously obtained from
-// Mark, recycling every slot taken since. Recursive schedules use the
-// pair to keep their live scratch proportional to the recursion depth
-// instead of the tree size: matrices taken before the mark stay valid,
-// matrices taken after it are reissued (and re-zeroed) by later
-// requests. Rewinding is deterministic, so the steady state still
-// allocates nothing. A nil arena is a no-op.
-func (a *Arena) Rewind(rank, mark int) {
-	if a == nil {
-		return
-	}
-	a.ranks[rank].next = mark
-}
-
 // Matrix returns a zeroed rows×cols scratch matrix owned by rank until
 // the next Reset. A nil arena degrades to a plain allocation. Arena
 // matrices must never be handed to machine.Release or SendOwned — the
@@ -377,8 +354,8 @@ func (a *Arena) Matrix(rank, rows, cols int) *matrix.Dense {
 
 // Clone returns a scratch copy of src owned by rank until the next
 // Reset — the arena-backed counterpart of matrix.Dense.Clone, for a
-// rank program that needs a contiguous or writable copy (the recursive
-// schedules, CARMA and CAPS). The Algorithm 1 rank program reads its
+// rank program that needs a contiguous or writable copy (CARMA's
+// recursive schedule). The Algorithm 1 rank program reads its
 // input pieces in place and never calls it.
 func (a *Arena) Clone(rank int, src *matrix.Dense) *matrix.Dense {
 	if a == nil {

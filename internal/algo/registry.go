@@ -17,15 +17,15 @@ type Config struct {
 	// Overlap software-pipelines the round loops (§7.3): panels for
 	// round i+1 are prefetched with non-blocking broadcasts while the
 	// kernel multiplies round i's. Honored by the Algorithm 1 plans
-	// (COSMA, SUMMA, 2.5D); CARMA, Cannon and CAPS execute
-	// synchronously regardless.
+	// (COSMA, SUMMA, 2.5D); CARMA and Cannon execute synchronously
+	// regardless.
 	Overlap bool
 }
 
 // Spec describes one registered algorithm.
 type Spec struct {
 	// Name is the canonical lower-case registry key ("cosma", "summa",
-	// "2.5d", "carma", "cannon", "caps").
+	// "2.5d", "carma", "cannon").
 	Name string
 	// Aliases are alternative lookup keys ("scalapack", "ctf", ...).
 	Aliases []string

@@ -112,28 +112,6 @@ func ParallelLowerBound(m, n, k, p, s int) float64 {
 	return math.Min(limited, cubic)
 }
 
-// FastLowerBound generalizes the parallel bandwidth lower bound to
-// Strassen-family algorithms with arithmetic exponent ω (BDHS 2012).
-// With N = (mnk)^{1/3}:
-//
-//	Q ≥ max{ N^ω/(p·S^{ω/2−1}), N²/p^{2/ω} }
-//
-// — the memory-dependent bound (the CAPS analogue of the classical
-// n³/(p√S) term) and the memory-independent one. ω = 3 delegates to
-// ParallelLowerBound, so classical bounds are bitwise-unchanged.
-func FastLowerBound(m, n, k, p, s int, omega float64) float64 {
-	if omega == 3 {
-		return ParallelLowerBound(m, n, k, p, s)
-	}
-	checkDims(m, n, k)
-	checkMem(s)
-	checkProcs(p)
-	nn := math.Cbrt(float64(m) * float64(n) * float64(k))
-	mem := math.Pow(nn, omega) / (float64(p) * math.Pow(float64(s), omega/2-1))
-	indep := nn * nn / math.Pow(float64(p), 2/omega)
-	return math.Max(mem, indep)
-}
-
 // Domain is the local-domain geometry of the optimal parallel schedule: a
 // grid of b outer products of a×a (Eq. 32), so |D| = a²b words of C work.
 type Domain struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"cosma/internal/algo"
 	_ "cosma/internal/baselines" // registers the baseline algorithms
@@ -11,6 +12,7 @@ import (
 	"cosma/internal/core"
 	"cosma/internal/costmodel"
 	"cosma/internal/grid"
+	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/perfmodel"
 	"cosma/internal/report"
@@ -63,7 +65,7 @@ func CommVolume(shape workload.Shape, regime workload.Regime) *report.Table {
 // PctPeak regenerates a Figure 8/10-style panel: % of peak flop/s for
 // every algorithm across the sweep under the performance model.
 func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	t := report.NewTable(
 		fmt.Sprintf("%% of peak performance — %s, %s (Figures 8/10)", shape, regime),
 		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
@@ -74,7 +76,7 @@ func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
 		}
 		row := []interface{}{p}
 		for _, r := range algo.Comparison(algo.Config{}) {
-			res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
+			res := perfmodel.Evaluate(net, false, r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
 			row = append(row, res.PctPeak)
 		}
 		t.AddRow(row...)
@@ -85,7 +87,7 @@ func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
 // Runtime regenerates a Figure 9/11-style panel: total simulated runtime
 // in milliseconds.
 func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	t := report.NewTable(
 		fmt.Sprintf("Total runtime [ms] — %s, %s (Figures 9/11)", shape, regime),
 		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
@@ -96,7 +98,7 @@ func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 		}
 		row := []interface{}{p}
 		for _, r := range algo.Comparison(algo.Config{}) {
-			res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
+			res := perfmodel.Evaluate(net, false, r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
 			row = append(row, res.TimeSec*1e3)
 		}
 		t.AddRow(row...)
@@ -109,7 +111,7 @@ func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 // algorithm, and COSMA's speedup over the second-best algorithm under the
 // performance model (min / geometric mean / max over the sweep).
 func Table4() *report.Table {
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	t := report.NewTable(
 		"Table 4: mean comm volume per rank [MB] and COSMA speedup vs second-best",
 		"shape", "benchmark", "ScaLAPACK", "CTF", "CARMA", "COSMA",
@@ -131,7 +133,7 @@ func Table4() *report.Table {
 				for _, r := range algo.Comparison(algo.Config{}) {
 					mod := r.Model(c.M, c.N, c.K, c.P, c.S)
 					sums[r.Name()] += perUsedRecv(mod, c.P) * wordsToMB
-					rt := mach.Evaluate(mod, c.M, c.N, c.K, c.P).TimeSec
+					rt := perfmodel.Evaluate(net, false, mod, c.M, c.N, c.K, c.P).TimeSec
 					if r.Name() == (&core.COSMA{}).Name() {
 						cosmaT = rt
 					} else if rt < secondBest {
@@ -263,7 +265,7 @@ func SeqIO() *report.Table {
 // COSMA for each shape at the smallest and largest strong-scaling core
 // counts, with and without overlap.
 func Fig12() *report.Table {
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	t := report.NewTable(
 		"Figure 12: COSMA time breakdown [ms], strong scaling",
 		"shape", "cores", "compute", "input A/B", "output C", "total no-overlap", "total overlap")
@@ -278,7 +280,7 @@ func Fig12() *report.Table {
 			g := grid.Fit(c.M, c.N, c.K, c.P, c.S, core.DefaultDelta)
 			dm, dn, _ := g.LocalDims(c.M, c.N, c.K)
 			outWords := float64(dm) * float64(dn) * float64(g.Pk-1) / float64(g.Pk) * 2
-			bd := mach.SplitInputOutput(mod, outWords)
+			bd := perfmodel.SplitInputOutput(net, mod, outWords)
 			t.AddRow(shape.String(), p, bd.ComputeSec*1e3, bd.InputSec*1e3,
 				bd.OutputSec*1e3, bd.TotalNoOv*1e3, bd.TotalOv*1e3)
 		}
@@ -290,7 +292,7 @@ func Fig12() *report.Table {
 // over core counts) of achieved % of peak for every algorithm in every
 // scenario.
 func Fig13() *report.Table {
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	t := report.NewTable(
 		"Figures 13/14: distribution of % peak across core counts",
 		"shape", "benchmark", "algorithm", "min", "median", "max")
@@ -303,13 +305,13 @@ func Fig13() *report.Table {
 					if !feasible(c) {
 						continue
 					}
-					res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
+					res := perfmodel.Evaluate(net, false, r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
 					samples = append(samples, res.PctPeak)
 				}
 				if len(samples) == 0 {
 					continue
 				}
-				sortFloats(samples)
+				sort.Float64s(samples)
 				t.AddRow(shape.String(), regime.String(), r.Name(),
 					samples[0], samples[len(samples)/2], samples[len(samples)-1])
 			}
@@ -322,7 +324,7 @@ func Fig13() *report.Table {
 // comparison: p = 9216 vs 9217 for COSMA (stable thanks to grid fitting)
 // and the 2.5D decomposition (unstable).
 func Unfavorable() *report.Table {
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	n := 16384
 	s := workload.MemoryWordsPerCore
 	t := report.NewTable(
@@ -331,7 +333,7 @@ func Unfavorable() *report.Table {
 	for _, p := range []int{9216, 9217} {
 		for _, r := range algo.Comparison(algo.Config{}) {
 			mod := r.Model(n, n, n, p, s)
-			res := mach.Evaluate(mod, n, n, n, p)
+			res := perfmodel.Evaluate(net, false, mod, n, n, n, p)
 			t.AddRow(r.Name(), p, mod.Grid, res.TimeSec*1e3, mod.AvgRecv)
 		}
 	}
@@ -389,12 +391,4 @@ func Table1() *report.Table {
 		t.AddRow(r.Name(), s[0], s[1], mod.AvgRecv)
 	}
 	return t
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

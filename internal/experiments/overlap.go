@@ -9,7 +9,6 @@ import (
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/report"
-	"cosma/internal/strassen"
 )
 
 // OverlapGain executes COSMA twice per core count on the timed
@@ -19,14 +18,10 @@ import (
 // (§7.3), with the measured gain column showing how much of the
 // communication the pipeline hid behind the kernel. Memory is squeezed
 // to ~3 output tiles per rank so every run has enough rounds for the
-// pipeline to matter. A synchronous CAPS row rides along per core
-// count: CAPS has no pipelined round loop (its BFS/DFS tree is not a
-// round loop), so its overlap columns stay "-", but its critical path
-// shows where the sub-cubic flop count starts beating even overlapped
-// COSMA.
+// pipeline to matter.
 func OverlapGain(net machine.NetworkParams) *report.Table {
 	t := report.NewTable(
-		fmt.Sprintf("Communication–computation overlap on the %q network — COSMA executed both ways, CAPS synchronous (Figure 12 shape)", net.Name),
+		fmt.Sprintf("Communication–computation overlap on the %q network — COSMA executed both ways (Figure 12 shape)", net.Name),
 		"cores", "algorithm", "grid", "critical path", "critical path (overlap)", "measured gain",
 		"predicted", "predicted (overlap)", "predicted gain")
 	rng := rand.New(rand.NewSource(12))
@@ -52,15 +47,6 @@ func OverlapGain(net machine.NetworkParams) *report.Table {
 			report.Seconds(serial.PredictedTime),
 			report.Seconds(serial.PredictedOverlapTime),
 			gain(serial.PredictedTime, serial.PredictedOverlapTime))
-		if _, rep, err := algo.RunPlanner(strassen.CAPS{}, &net, a, b, p, s); err != nil {
-			t.AddRow(p, "CAPS", "error: "+err.Error(), "-", "-", "-", "-", "-", "-")
-		} else {
-			t.AddRow(p, "CAPS", rep.Grid,
-				report.Seconds(rep.CritPathTime), "-", "-",
-				report.Seconds(rep.PredictedTime),
-				report.Seconds(rep.PredictedOverlapTime),
-				gain(rep.PredictedTime, rep.PredictedOverlapTime))
-		}
 	}
 	return t
 }

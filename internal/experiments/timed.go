@@ -9,7 +9,6 @@ import (
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/report"
-	"cosma/internal/strassen"
 )
 
 // TimeVsVolume executes COSMA and every baseline (including Cannon where
@@ -22,10 +21,7 @@ import (
 // algorithms with a pipelined round loop (COSMA, SUMMA, 2.5D) run with
 // overlap enabled, so the comparison is overlapped against overlapped —
 // no algorithm gains an artificial edge from the others executing
-// serially. CAPS rides along as the sub-cubic contender: its ω = log₂7
-// flop count shrinks the "predicted" column while its Strassen
-// redistribution inflates "max words/rank" — the crossover the BDHS
-// analysis predicts.
+// serially.
 func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Time vs volume on the %q network — executed at simulation scale (Figure 6 shape)", net.Name),
@@ -36,8 +32,7 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	b := matrix.Random(n, n, rng)
 	for _, p := range []int{4, 16, 64} {
 		s := 3 * n * n / p
-		planners := append(algo.Comparison(algo.Config{Overlap: true}),
-			baselines.Cannon{}, strassen.CAPS{})
+		planners := append(algo.Comparison(algo.Config{Overlap: true}), baselines.Cannon{})
 		for _, r := range planners {
 			_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
 			if err != nil {

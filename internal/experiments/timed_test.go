@@ -65,9 +65,13 @@ func TestTimedOrderingMatchesVolume(t *testing.T) {
 
 func TestTimeVsVolumeTable(t *testing.T) {
 	tab := TimeVsVolume(machine.CommodityEthernet())
-	// 3 core counts × 6 algorithms (Cannon and CAPS included at every p).
-	if tab.Rows() != 18 {
-		t.Fatalf("timevolume has %d rows, want 18", tab.Rows())
+	// 3 core counts × 5 algorithms (Cannon included at every p).
+	if tab.Rows() != 15 {
+		t.Fatalf("timevolume has %d rows, want 15", tab.Rows())
+	}
+	// One COSMA row per core count.
+	if tab := OverlapGain(machine.CommodityEthernet()); tab.Rows() != 3 {
+		t.Fatalf("overlap has %d rows, want 3", tab.Rows())
 	}
 }
 

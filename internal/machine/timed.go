@@ -39,9 +39,7 @@ func (n NetworkParams) Time(flops, words, msgs float64) float64 {
 
 // TimeOverlap is the analytic evaluation with full communication–
 // computation overlap (§7.3): the compute and communication phases hide
-// each other, so the runtime is their maximum instead of their sum —
-// the perfmodel.Machine{Overlap: true} semantics expressed in α-β-γ
-// form.
+// each other, so the runtime is their maximum instead of their sum.
 func (n NetworkParams) TimeOverlap(flops, words, msgs float64) float64 {
 	compute := n.Gamma * flops
 	comms := n.interBeta()*words + n.Alpha*msgs
@@ -64,9 +62,11 @@ func (n NetworkParams) WithGamma(gamma float64) NetworkParams {
 	return n
 }
 
-// PizDaintNet returns Piz-Daint-like constants, matching the perfmodel
-// package: 1.5 µs Aries latency, 0.29 GB/s sustained per-core injection
-// bandwidth (≈ 3.6e7 words/s) and 36.8 Gflop/s per core.
+// PizDaintNet returns Piz-Daint-like constants (§8's testbed): 1.5 µs
+// Aries latency, 0.29 GB/s sustained per-core injection bandwidth
+// (10.5 GB/s per node / 36 cores ≈ 3.6e7 words/s) and 36.8 Gflop/s per
+// core. The figure-level tables (internal/perfmodel) and the timed
+// transport both price with this one definition.
 func PizDaintNet() NetworkParams {
 	return NetworkParams{
 		Name:  "pizdaint",

@@ -70,9 +70,8 @@ func timeMul(k *Kernel, c, a, b *Dense, runs int) time.Duration {
 // (n, threads) for the process lifetime; the underlying measurement is
 // the best of three timed runs after one warm-up.
 //
-// Feed the result into a network model with NetworkParams.WithGamma
-// (or perfmodel.Machine.WithPeakFlops) so predictions charge compute at
-// the measured rate:
+// Feed the result into a network model with NetworkParams.WithGamma so
+// predictions charge compute at the measured rate:
 //
 //	cal := matrix.Calibrate(0, 0)
 //	net := machine.PizDaintNet().WithGamma(cal.Gamma)

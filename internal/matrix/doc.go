@@ -28,10 +28,8 @@
 // cache the engine's Autotune option reads. Calibrate (calibrate.go)
 // measures the packed kernel's sustained Gflop/s (naming the variant
 // it dispatched to) and returns the measured γ (seconds per flop)
-// consumed by machine.NetworkParams.WithGamma,
-// perfmodel.Machine.WithPeakFlops and costmodel.Costs.TimeUnder, so
-// runtime predictions charge compute at the achieved rather than
-// assumed rate.
+// consumed by machine.NetworkParams.WithGamma, so runtime predictions
+// charge compute at the achieved rather than assumed rate.
 //
 // A matrix element is one "word" in the I/O analyses: the paper's
 // memory parameter S counts exactly these elements.

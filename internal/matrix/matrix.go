@@ -151,25 +151,6 @@ func (m *Dense) Add(src *Dense) {
 	}
 }
 
-// Sub subtracts src from m element-wise; dimensions must match. The
-// Strassen operand combinations (A21−A11, B12−B22, …) are built from
-// Add and Sub on quadrant views.
-func (m *Dense) Sub(src *Dense) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("matrix: Sub %d×%d from %d×%d", src.Rows, src.Cols, m.Rows, m.Cols))
-	}
-	if m.Rows == 0 || m.Cols == 0 {
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		s := src.Data[i*src.Stride : i*src.Stride+m.Cols]
-		for j := range dst {
-			dst[j] -= s[j]
-		}
-	}
-}
-
 // MaxDiff returns the largest absolute element-wise difference between a
 // and b. It panics if the shapes differ.
 func MaxDiff(a, b *Dense) float64 {

@@ -5,9 +5,10 @@
 // follow the measured and modeled communication volumes — which is
 // what Figures 8–14 compare.
 //
-// The default constants come from the single machine.PizDaintNet
-// definition (FromNetwork), so the timed transport and the
-// figure-level models can never drift apart; WithPeakFlops substitutes
-// a measured compute rate (matrix.Calibrate) for calibrated rather
-// than assumed compute time.
+// Every second it reports is machine.NetworkParams.Time or TimeOverlap
+// of some (flops, words, msgs) — the function the timed transport's own
+// predictions use — so a figure-level table can never price a network
+// differently from a timed run. A calibrated compute rate arrives the
+// same way as everywhere else: NetworkParams.WithGamma with
+// matrix.Calibrate's measured γ.
 package perfmodel

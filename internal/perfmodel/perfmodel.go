@@ -2,73 +2,10 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 
 	"cosma/internal/algo"
 	"cosma/internal/machine"
 )
-
-// Machine holds the per-core performance constants. The defaults are
-// Piz-Daint-like (Xeon E5-2695 v4 cores on the Cray Aries network).
-type Machine struct {
-	PeakFlops float64 // flop/s per core
-	Bandwidth float64 // words/s per core (8-byte words)
-	Latency   float64 // seconds per message
-	Overlap   bool    // §7.3: overlap communication with computation
-}
-
-// PizDaint returns the default machine constants: 36.8 Gflop/s per core
-// (18-core 2.3 GHz Broadwell socket with AVX2 FMA ≈ 36.8 Gflop/s/core),
-// 0.29 GB/s sustained injection bandwidth per core (10.5 GB/s Aries
-// injection per node / 36 cores) and ~1.5 µs latency. The constants are
-// the single machine.PizDaintNet definition, so the timed transport and
-// the figure-level models can never drift apart.
-// Overlap defaults to false: cross-algorithm comparisons charge
-// communication and computation serially, which is conservative and
-// identical for every algorithm; Figure 12 quantifies the overlap gain
-// (§7.3) separately.
-func PizDaint() Machine {
-	return FromNetwork(machine.PizDaintNet())
-}
-
-// FromNetwork converts the timed transport's α-β-γ parameters into the
-// rate-based form this package evaluates models with.
-func FromNetwork(net machine.NetworkParams) Machine {
-	return Machine{
-		PeakFlops: 1 / net.Gamma,
-		Bandwidth: 1 / net.Beta,
-		Latency:   net.Alpha,
-	}
-}
-
-// WithPeakFlops returns a copy of the machine whose compute rate is
-// replaced by a measured one — the perfmodel-side counterpart of
-// machine.NetworkParams.WithGamma. Feeding matrix.Calibrate's sustained
-// Gflop/s here makes every %-peak and runtime table report calibrated,
-// not assumed, compute time.
-func (m Machine) WithPeakFlops(flops float64) Machine {
-	if flops <= 0 {
-		panic(fmt.Sprintf("perfmodel: WithPeakFlops(%v) must be > 0", flops))
-	}
-	m.PeakFlops = flops
-	return m
-}
-
-// Time returns the simulated execution time of one rank's critical path
-// given its flop, received-word and message counts. With overlap enabled
-// the compute and communication phases hide each other (max); without it
-// they serialize (sum), reproducing the two bars of Figure 12.
-func (m Machine) Time(flops, words, msgs float64) float64 {
-	if m.PeakFlops <= 0 || m.Bandwidth <= 0 {
-		panic(fmt.Sprintf("perfmodel: invalid machine %+v", m))
-	}
-	compute := flops / m.PeakFlops
-	comms := words/m.Bandwidth + msgs*m.Latency
-	if m.Overlap {
-		return math.Max(compute, comms)
-	}
-	return compute + comms
-}
 
 // Result describes one algorithm's predicted execution.
 type Result struct {
@@ -81,62 +18,30 @@ type Result struct {
 	CommPerRank float64 // average received words per rank
 }
 
-// Evaluate predicts the execution of a model on p ranks for an m×n×k
-// multiplication: total useful work 2mnk flops, critical path set by the
-// busiest rank.
-func (mach Machine) Evaluate(mod algo.Model, m, n, k, p int) Result {
+// Evaluate predicts the execution of a model on p ranks of net for an
+// m×n×k multiplication: total useful work 2mnk flops, critical path set
+// by the busiest rank. TimeSec is net.Time of the model's counts, or
+// net.TimeOverlap when overlap is set (§7.3). Cross-algorithm
+// comparisons pass overlap = false: charging communication and
+// computation serially is conservative and identical for every
+// algorithm; Figure 12 quantifies the overlap gain separately.
+func Evaluate(net machine.NetworkParams, overlap bool, mod algo.Model, m, n, k, p int) Result {
 	if p < 1 {
 		panic(fmt.Sprintf("perfmodel: p = %d", p))
 	}
-	compute := mod.MaxFlops / mach.PeakFlops
-	comms := mod.MaxRecv/mach.Bandwidth + mod.MaxMsgs*mach.Latency
-	var t float64
-	if mach.Overlap {
-		t = math.Max(compute, comms)
-	} else {
-		t = compute + comms
+	t := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+	if overlap {
+		t = net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
 	}
+	// % of peak = the time p ranks at peak need for the useful work,
+	// over the predicted time.
 	useful := 2 * float64(m) * float64(n) * float64(k)
-	pct := 100 * useful / (t * mach.PeakFlops * float64(p))
 	return Result{
 		Name:        mod.Name,
 		TimeSec:     t,
-		PctPeak:     pct,
-		ComputeSec:  compute,
-		CommSec:     comms,
-		CommWords:   mod.MaxRecv,
-		CommPerRank: mod.AvgRecv,
-	}
-}
-
-// EvaluateOmega is Evaluate generalized to arithmetic exponent ω: the
-// %-peak denominator's useful work becomes 2·N^ω with N = (mnk)^{1/3},
-// so a Strassen-family model is scored against the work it actually
-// performs rather than the classical 2mnk. ω = 3 delegates to Evaluate,
-// keeping every classical result bitwise-unchanged.
-func (mach Machine) EvaluateOmega(mod algo.Model, m, n, k, p int, omega float64) Result {
-	if omega == 3 {
-		return mach.Evaluate(mod, m, n, k, p)
-	}
-	if p < 1 {
-		panic(fmt.Sprintf("perfmodel: p = %d", p))
-	}
-	compute := mod.MaxFlops / mach.PeakFlops
-	comms := mod.MaxRecv/mach.Bandwidth + mod.MaxMsgs*mach.Latency
-	var t float64
-	if mach.Overlap {
-		t = math.Max(compute, comms)
-	} else {
-		t = compute + comms
-	}
-	useful := 2 * math.Pow(math.Cbrt(float64(m)*float64(n)*float64(k)), omega)
-	pct := 100 * useful / (t * mach.PeakFlops * float64(p))
-	return Result{
-		Name:        mod.Name,
-		TimeSec:     t,
-		PctPeak:     pct,
-		ComputeSec:  compute,
-		CommSec:     comms,
+		PctPeak:     100 * net.Time(useful/float64(p), 0, 0) / t,
+		ComputeSec:  net.Time(mod.MaxFlops, 0, 0),
+		CommSec:     net.Time(0, mod.MaxRecv, mod.MaxMsgs),
 		CommWords:   mod.MaxRecv,
 		CommPerRank: mod.AvgRecv,
 	}
@@ -154,20 +59,17 @@ type Breakdown struct {
 }
 
 // SplitInputOutput estimates the Figure 12 breakdown assuming the output
-// traffic is outWords of the model's MaxRecv words.
-func (mach Machine) SplitInputOutput(mod algo.Model, outWords float64) Breakdown {
+// traffic is outWords of the model's MaxRecv words; the messages are
+// charged to the input side.
+func SplitInputOutput(net machine.NetworkParams, mod algo.Model, outWords float64) Breakdown {
 	if outWords > mod.MaxRecv {
 		outWords = mod.MaxRecv
 	}
-	in := (mod.MaxRecv - outWords) / mach.Bandwidth
-	out := outWords / mach.Bandwidth
-	compute := mod.MaxFlops / mach.PeakFlops
-	lat := mod.MaxMsgs * mach.Latency
 	return Breakdown{
-		ComputeSec: compute,
-		InputSec:   in + lat,
-		OutputSec:  out,
-		TotalNoOv:  compute + in + out + lat,
-		TotalOv:    math.Max(compute, in+out+lat),
+		ComputeSec: net.Time(mod.MaxFlops, 0, 0),
+		InputSec:   net.Time(0, mod.MaxRecv-outWords, mod.MaxMsgs),
+		OutputSec:  net.Time(0, outWords, 0),
+		TotalNoOv:  net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs),
+		TotalOv:    net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs),
 	}
 }

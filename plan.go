@@ -2,6 +2,7 @@ package cosma
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,7 @@ func (p *Plan) Model() Model { return p.inner.Model() }
 
 // Decomposition returns the §6.3 schedule geometry (grid, local domain,
 // rounds) when the algorithm exposes it — the Algorithm 1 schedules
-// (COSMA, SUMMA, 2.5D) do; CARMA, Cannon and CAPS report false.
+// (COSMA, SUMMA, 2.5D) do; CARMA and Cannon report false.
 func (p *Plan) Decomposition() (Decomposition, bool) {
 	if d, ok := p.inner.(algo.Decomposed); ok {
 		return d.Decomposition(), true
@@ -73,12 +74,14 @@ func (p *Plan) Decomposition() (Decomposition, bool) {
 	return Decomposition{}, false
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the decomposition where the plan has
+// one, else its grid and rank count — never the algorithm's name, which
+// callers print themselves.
 func (p *Plan) String() string {
 	if d, ok := p.Decomposition(); ok {
 		return d.String()
 	}
-	return p.Algorithm() + " " + p.Grid()
+	return fmt.Sprintf("grid %s (%d ranks)", p.Grid(), p.Used())
 }
 
 // NewExecutor returns a fresh executor for this plan: a pre-built
