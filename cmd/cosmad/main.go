@@ -1,12 +1,13 @@
 // Command cosmad serves matrix multiplications over HTTP: a long-lived
-// engine front-end that coalesces same-shape requests into batched
-// executions, sheds load beyond a bounded admission queue (429), and
-// drains gracefully on SIGTERM/SIGINT.
+// engine front-end that executes a request at once when its shape is
+// idle and batches the same-shape requests that arrive meanwhile, sheds
+// load beyond a bounded admission queue (429), and drains gracefully on
+// SIGTERM/SIGINT.
 //
 // Server:
 //
 //	cosmad [-addr :8642] [-p 4] [-S 1048576] [-algo cosma]
-//	       [-shards 4] [-queue 256] [-window 2ms] [-batch 32]
+//	       [-shards 4] [-queue 256] [-batch 32]
 //	       [-maxdim 8192] [-threads n] [-tune] [-overlap]
 //	       [-retry 0] [-verify] [-fallback]
 //	       [-breaker-threshold 5] [-breaker-cooldown 5s]
@@ -69,7 +70,6 @@ func main() {
 	algoName := flag.String("algo", "cosma", "algorithm registry name or alias")
 	shards := flag.Int("shards", 4, "engine shards (independent plan caches)")
 	queue := flag.Int("queue", 256, "admission queue bound before 429 shedding")
-	window := flag.Duration("window", 2*time.Millisecond, "batch coalescing window")
 	batch := flag.Int("batch", 32, "max pairs per batched execution")
 	maxDim := flag.Int("maxdim", 8192, "admission bound on each of m, n, k")
 	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
@@ -115,7 +115,6 @@ func main() {
 		Engine:           engineOpts,
 		Shards:           *shards,
 		QueueLimit:       *queue,
-		BatchWindow:      *window,
 		MaxBatch:         *batch,
 		MaxDim:           *maxDim,
 		BreakerThreshold: *breakerThreshold,
@@ -138,8 +137,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: serve.Handler(srv)}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving %s multiplications on %s (p=%d, S=%d, %d shards, queue %d, window %v)",
-		*algoName, *addr, *p, *s, *shards, *queue, *window)
+	log.Printf("serving %s multiplications on %s (p=%d, S=%d, %d shards, queue %d, batch %d)",
+		*algoName, *addr, *p, *s, *shards, *queue, *batch)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

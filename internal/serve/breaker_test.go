@@ -95,7 +95,6 @@ func TestServerBreakerDegradesAndRecovers(t *testing.T) {
 		Shards:           1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  5 * time.Second,
-		BatchWindow:      time.Millisecond,
 	})
 	var mu sync.Mutex
 	now := time.Unix(2000, 0)
@@ -171,7 +170,6 @@ func TestServerBreakerFailsFastWithoutFallback(t *testing.T) {
 		},
 		Shards:           1,
 		BreakerThreshold: 1,
-		BatchWindow:      time.Millisecond,
 	})
 	a := cosma.RandomMatrix(16, 16, 1)
 	b := cosma.RandomMatrix(16, 16, 2)

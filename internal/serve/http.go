@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"cosma"
@@ -46,21 +48,37 @@ type errorResponse struct {
 // 504.
 const DeadlineHeader = "X-Cosma-Deadline-Ms"
 
+// bufPool recycles the byte buffers of /v1/multiply: the body as it
+// was read and the answer as it is written, each held only while it is
+// parsed or sent, never while the request waits for its batch.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBuffer(b *bytes.Buffer) {
+	b.Reset()
+	bufPool.Put(b)
+}
+
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/multiply — multiply one pair (MultiplyRequest → MultiplyResponse);
 //	                    429 when shedding, 503 while draining or a shard's
-//	                    circuit is open (both with Retry-After), 504 when
+//	                    circuit is open (all with Retry-After), 504 when
 //	                    the X-Cosma-Deadline-Ms budget expires, 400 on bad
-//	                    input
+//	                    input, 413 on a body no admissible request could
+//	                    fill, 422 when the product overflows float64
 //	GET  /v1/stats    — the Stats snapshot as JSON
 //	GET  /healthz     — 200 "ok" while accepting, 503 while draining
 func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/multiply", func(w http.ResponseWriter, r *http.Request) {
-		var req MultiplyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, s.reject(fmt.Errorf("decoding request: %w", err)))
+		req, err := s.readRequest(w, r)
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, s.reject(fmt.Errorf("decoding request: %w", err)))
 			return
 		}
 		a, b, err := req.matrices()
@@ -88,10 +106,23 @@ func Handler(s *Server) http.Handler {
 			httpError(w, status, err)
 			return
 		}
-		writeJSON(w, MultiplyResponse{
+		// The whole answer is encoded before the first byte goes out, so a
+		// product JSON cannot carry still gets a status of its own. 24
+		// bytes a word is room for full-precision values; append grows
+		// past it if a product needs more.
+		buf := bufPool.Get().(*bytes.Buffer)
+		defer putBuffer(buf)
+		buf.Grow(24*len(c.Data) + 256)
+		out, err := appendResponse(buf.AvailableBuffer(), &MultiplyResponse{
 			M: c.Rows, N: c.Cols, C: c.Data,
 			Algorithm: rep.Name, Grid: rep.Grid, MaxRecv: rep.MaxRecv,
 		})
+		if err != nil {
+			httpError(w, http.StatusUnprocessableEntity, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(out)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
@@ -104,6 +135,27 @@ func Handler(s *Server) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// readRequest reads one request body and decodes it. The body is
+// bounded before it is parsed: the largest admissible request carries
+// 2·MaxDim² numbers of at most 25 bytes each (sign, 17 digits, point,
+// four-character exponent, comma), and 1 KiB covers the rest; past that
+// the read fails with *http.MaxBytesError. A client's Content-Length
+// sizes the buffer only up to that limit (and up to 1 GiB, which an int
+// holds on every platform); a longer body grows it as it arrives.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (MultiplyRequest, error) {
+	dim := int64(s.opts.maxDim())
+	limit := 2*dim*dim*25 + 1024
+	body := bufPool.Get().(*bytes.Buffer)
+	defer putBuffer(body)
+	if n := min(r.ContentLength, limit, 1<<30); n > 0 {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return MultiplyRequest{}, err
+	}
+	return decodeRequest(body.Bytes())
 }
 
 func (req *MultiplyRequest) matrices() (a, b *cosma.Matrix, err error) {
@@ -120,8 +172,8 @@ func (req *MultiplyRequest) matrices() (a, b *cosma.Matrix, err error) {
 }
 
 // statusFor maps service errors onto HTTP statuses: shedding is 429
-// (retryable after the batch window), draining and an open circuit are
-// 503 (retry another replica, or after the cooldown), an expired
+// (retryable once a batch has finished), draining and an open circuit
+// are 503 (retry another replica, or after the cooldown), an expired
 // deadline budget is 504, anything else about the request itself is
 // 400.
 func statusFor(err error) int {
@@ -138,16 +190,14 @@ func statusFor(err error) int {
 }
 
 // retryAfter suggests when a rejected request is worth re-sending: one
-// batch window after shedding (the queue drains in window-sized
-// steps), one breaker cooldown after tripping a circuit, and a nominal
-// second while draining (really: go elsewhere). 0 means no header.
+// breaker cooldown after tripping a circuit, and a nominal second — the
+// header's resolution — after shedding (the queue drains at execution
+// speed) and while draining (really: go elsewhere). 0 means no header.
 func (s *Server) retryAfter(err error) time.Duration {
 	switch {
-	case errors.Is(err, ErrOverloaded):
-		return s.opts.batchWindow()
 	case errors.Is(err, ErrShardOpen):
 		return s.opts.breakerCooldown()
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
 		return time.Second
 	default:
 		return 0

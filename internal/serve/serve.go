@@ -3,12 +3,14 @@
 // cosma Engine.
 //
 // Requests are admitted against a bounded global queue (beyond it they
-// are shed immediately — the HTTP layer maps that to 429), coalesced
-// per shape for a short window, and executed as one
-// Engine.MultiplyBatch per bucket, so every request after a shape's
-// first rides a cached plan and a pooled executor. Engines are sharded
-// by shape hash: each shard owns its plan cache and executor pools, so
-// a hot mixed workload never serializes behind one plan-cache mutex.
+// are shed immediately — the HTTP layer maps that to 429) and joined
+// per shape: a request that finds its shape idle is executed at once,
+// and whatever arrives while a batch executes forms the next
+// Engine.MultiplyBatch, so no request waits for company that may never
+// come and every request after a shape's first rides a cached plan and
+// a pooled executor. Engines are sharded by shape hash: each shard owns
+// its plan cache and executor pools, so a hot mixed workload never
+// serializes behind one plan-cache mutex.
 // Drain stops admission and waits for the queue to empty — the
 // graceful-shutdown half of cosmad's SIGTERM handling.
 package serve
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cosma"
@@ -49,9 +52,6 @@ type Options struct {
 	// QueueLimit bounds admitted-but-unfinished requests; beyond it
 	// Multiply sheds with ErrOverloaded. 0 means 256.
 	QueueLimit int
-	// BatchWindow is how long a shape bucket collects requests before
-	// flushing them as one MultiplyBatch; 0 means 2ms.
-	BatchWindow time.Duration
 	// MaxBatch bounds the pairs per MultiplyBatch call; 0 means 32.
 	MaxBatch int
 	// MaxDim bounds each of m, n, k at admission; 0 means 8192. A
@@ -84,13 +84,6 @@ func (o Options) queueLimit() int {
 		return 256
 	}
 	return o.QueueLimit
-}
-
-func (o Options) batchWindow() time.Duration {
-	if o.BatchWindow <= 0 {
-		return 2 * time.Millisecond
-	}
-	return o.BatchWindow
 }
 
 func (o Options) maxBatch() int {
@@ -140,7 +133,11 @@ type Server struct {
 	breakers []*breaker // per engine shard; nil when disabled
 	queued   int        // admitted, not yet answered
 	draining bool
-	stats    Stats
+	// stats holds the counters that change together with the fields
+	// above; the four below stand alone and are only ever added to.
+	stats Stats
+
+	rejected, fallbackBatches, batchFailures, retries atomic.Int64
 }
 
 type shapeKey struct{ m, n, k int }
@@ -297,25 +294,16 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 }
 
 func (s *Server) reject(err error) error {
-	s.mu.Lock()
-	s.stats.Rejected++
-	s.mu.Unlock()
+	s.rejected.Add(1)
 	return err
 }
 
-// flushLoop drains one bucket: wait out the coalescing window, take up
-// to MaxBatch pending requests, execute them as one batch, repeat
-// until the bucket is empty. A full bucket skips the next window so a
-// hot shape is bounded by execution speed, not the timer.
+// flushLoop drains one bucket: take up to MaxBatch pending requests,
+// execute them as one batch, repeat until the bucket is empty. It never
+// waits: the request that started it is executed at once, and a batch
+// is whatever arrived while the previous one executed.
 func (s *Server) flushLoop(bk *bucket) {
 	for {
-		s.mu.Lock()
-		full := len(bk.pending) >= s.opts.maxBatch()
-		s.mu.Unlock()
-		if !full {
-			time.Sleep(s.opts.batchWindow())
-		}
-
 		s.mu.Lock()
 		batch := bk.pending
 		if len(batch) == 0 {
@@ -389,12 +377,10 @@ func (s *Server) execute(key shapeKey, batch []*request) {
 		br.onResult(s.clock(), probe, failed)
 		s.mu.Unlock()
 	}
-	s.finish(batch, outs, reps, err)
 	if degraded {
-		s.mu.Lock()
-		s.stats.FallbackBatches++
-		s.mu.Unlock()
+		s.fallbackBatches.Add(1)
 	}
+	s.finish(batch, outs, reps, err)
 }
 
 // batchDeadline returns the latest member deadline when every member
@@ -414,24 +400,24 @@ func batchDeadline(batch []*request) (time.Time, bool) {
 
 // finish fans one executed (or shed) batch's results back to the
 // waiting callers, counts their retries, and releases the queue slots.
+// Every counter moves before the answer it describes goes out, so a
+// caller that reads Stats after its answer finds itself counted.
 func (s *Server) finish(batch []*request, outs []*cosma.Matrix, reps []*cosma.Report, err error) {
-	var retries int64
+	if err != nil {
+		s.batchFailures.Add(1)
+	}
 	for i, req := range batch {
 		res := result{err: err}
 		if i < len(outs) && outs[i] != nil {
 			res = result{c: outs[i], rep: reps[i]}
 			if n := res.rep.Attempts - 1; n > 0 {
-				retries += int64(n)
+				s.retries.Add(int64(n))
 			}
 		}
 		req.done <- res
 	}
 	s.mu.Lock()
 	s.queued -= len(batch)
-	if err != nil {
-		s.stats.BatchFailures++
-	}
-	s.stats.Retries += retries
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -457,6 +443,10 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	s.mu.Unlock()
+	st.Rejected = s.rejected.Load()
+	st.FallbackBatches = s.fallbackBatches.Load()
+	st.BatchFailures = s.batchFailures.Load()
+	st.Retries = s.retries.Load()
 	for _, eng := range s.engines {
 		cs := eng.CacheStats()
 		st.PlanHits += cs.Hits

@@ -27,6 +27,35 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
+// slowEngine is the test engine with rank 0 stalling for d in every
+// Compute call, so a batch is executing for at least d per pair: the
+// way to keep requests queued behind it, since nothing in the server
+// sleeps.
+func slowEngine(d time.Duration) []cosma.Option {
+	return []cosma.Option{
+		cosma.WithProcs(4), cosma.WithMemory(1 << 14),
+		cosma.WithFaultPlan(cosma.FaultPlan{Slow: []cosma.SlowRank{{Rank: 0, PerCompute: d}}}),
+	}
+}
+
+// waitStats polls until the server's counters satisfy cond.
+func waitStats(t *testing.T, s *Server, what string, cond func(Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(s.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %s: %+v", what, s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitQueued polls until exactly n requests are admitted and unanswered.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	waitStats(t, s, fmt.Sprintf("%d queued", n), func(st Stats) bool { return st.Queued == n })
+}
+
 // reference multiplies on a directly-built engine with the test
 // server's options: the schedule is deterministic, so the server's
 // answer must be bitwise-identical.
@@ -43,13 +72,14 @@ func reference(t *testing.T, a, b *cosma.Matrix) *cosma.Matrix {
 	return c
 }
 
+// TestMultiplyCorrectAndBatched holds the first request's batch in a
+// slow engine and sends the rest meanwhile: they find their bucket busy,
+// queue behind it, and must all ride the one batch that follows.
 func TestMultiplyCorrectAndBatched(t *testing.T) {
-	s := newTestServer(t, Options{BatchWindow: 5 * time.Millisecond})
+	s := newTestServer(t, Options{Engine: slowEngine(50 * time.Millisecond)})
 	ctx := context.Background()
 
-	// Fire a burst of same-shape requests concurrently so the window
-	// coalesces them.
-	const reqs = 12
+	const reqs = 5
 	as := make([]*cosma.Matrix, reqs)
 	bs := make([]*cosma.Matrix, reqs)
 	wants := make([]*cosma.Matrix, reqs)
@@ -60,26 +90,33 @@ func TestMultiplyCorrectAndBatched(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, reqs)
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, rep, err := s.Multiply(ctx, as[i], bs[i])
-			if err != nil {
-				errs[i] = err
+	send := func(i int) {
+		defer wg.Done()
+		c, rep, err := s.Multiply(ctx, as[i], bs[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if rep == nil {
+			errs[i] = errors.New("nil report")
+			return
+		}
+		for j := range wants[i].Data {
+			if c.Data[j] != wants[i].Data[j] {
+				errs[i] = fmt.Errorf("word %d: got %v want %v", j, c.Data[j], wants[i].Data[j])
 				return
 			}
-			if rep == nil {
-				errs[i] = errors.New("nil report")
-				return
-			}
-			for j := range wants[i].Data {
-				if c.Data[j] != wants[i].Data[j] {
-					errs[i] = fmt.Errorf("word %d: got %v want %v", j, c.Data[j], wants[i].Data[j])
-					return
-				}
-			}
-		}(i)
+		}
+	}
+	wg.Add(reqs)
+	go send(0)
+	waitStats(t, s, "the first batch taken", func(st Stats) bool { return st.Batches == 1 })
+	for i := 1; i < reqs; i++ {
+		go send(i)
+	}
+	waitQueued(t, s, reqs)
+	if st := s.Stats(); st.Batches != 1 || st.Batched != 1 {
+		t.Fatalf("%d batches of %d pairs with every request queued; the idle bucket's first request should be executing alone", st.Batches, st.Batched)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -88,28 +125,49 @@ func TestMultiplyCorrectAndBatched(t *testing.T) {
 		}
 	}
 
+	waitQueued(t, s, 0) // slots are released just after the answers go out
 	st := s.Stats()
 	if st.Requests != reqs {
 		t.Fatalf("requests = %d, want %d", st.Requests, reqs)
 	}
-	if st.Batches >= reqs {
-		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, reqs)
+	if st.Batches != 2 || st.Batched != reqs || st.MaxBatch != reqs-1 {
+		t.Fatalf("%d batches, %d pairs, largest %d; want the first alone and the other %d in one batch",
+			st.Batches, st.Batched, st.MaxBatch, reqs-1)
 	}
-	if st.Batched != reqs {
-		t.Fatalf("batched pairs = %d, want %d", st.Batched, reqs)
+}
+
+// TestIdleBucketFlushesWithoutWaiting pins the other half: with nobody
+// to wait for, a request costs its multiplication. The fastest of a run
+// of lone requests must come in far below the 2 ms every one of them
+// used to sleep.
+func TestIdleBucketFlushesWithoutWaiting(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ctx := context.Background()
+	a := cosma.RandomMatrix(16, 16, 1)
+	b := cosma.RandomMatrix(16, 16, 2)
+	best := time.Hour
+	for i := 0; i < 50; i++ {
+		start := time.Now()
+		if _, _, err := s.Multiply(ctx, a, b); err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, time.Since(start))
 	}
-	if st.Queued != 0 {
-		t.Fatalf("queued = %d after all requests answered", st.Queued)
+	if best > time.Millisecond {
+		t.Fatalf("fastest lone request took %v; an idle bucket must not wait", best)
+	}
+	if st := s.Stats(); st.Batches != 50 || st.MaxBatch != 1 {
+		t.Fatalf("%d batches, largest %d; want 50 batches of one", st.Batches, st.MaxBatch)
 	}
 }
 
 func TestShedsBeyondQueueLimit(t *testing.T) {
-	s := newTestServer(t, Options{QueueLimit: 2, BatchWindow: 50 * time.Millisecond})
+	s := newTestServer(t, Options{QueueLimit: 2, Engine: slowEngine(100 * time.Millisecond)})
 	ctx := context.Background()
 	a := cosma.RandomMatrix(16, 16, 1)
 	b := cosma.RandomMatrix(16, 16, 2)
 
-	// Two requests fill the queue; they sit in the coalescing window
+	// Two requests fill the queue — one executing slowly, one behind it —
 	// long enough for the third to arrive and be shed.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -121,19 +179,7 @@ func TestShedsBeyondQueueLimit(t *testing.T) {
 			}
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		q := s.queued
-		s.mu.Unlock()
-		if q == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 2)
 	if _, _, err := s.Multiply(ctx, a, b); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("got %v, want ErrOverloaded", err)
 	}
@@ -148,7 +194,7 @@ func TestShedsBeyondQueueLimit(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	s := newTestServer(t, Options{BatchWindow: 20 * time.Millisecond})
+	s := newTestServer(t, Options{Engine: slowEngine(50 * time.Millisecond)})
 	ctx := context.Background()
 	a := cosma.RandomMatrix(32, 32, 1)
 	b := cosma.RandomMatrix(32, 32, 2)
@@ -159,19 +205,7 @@ func TestDrain(t *testing.T) {
 		done <- err
 	}()
 	// Wait for admission so Drain has something in flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		q := s.queued
-		s.mu.Unlock()
-		if q > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 1)
 
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -292,11 +326,11 @@ func TestHTTPDrainingStatus(t *testing.T) {
 }
 
 // TestHTTPDeadlineHeader proves the X-Cosma-Deadline-Ms budget
-// propagates: a budget shorter than the coalescing window expires while
+// propagates: a budget shorter than the (slowed) execution expires while
 // the request waits for its batch and maps to 504; a malformed value is
 // a 400.
 func TestHTTPDeadlineHeader(t *testing.T) {
-	s := newTestServer(t, Options{BatchWindow: 500 * time.Millisecond})
+	s := newTestServer(t, Options{Engine: slowEngine(150 * time.Millisecond)})
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
@@ -319,7 +353,7 @@ func TestHTTPDeadlineHeader(t *testing.T) {
 	}
 
 	if status := post("20"); status != http.StatusGatewayTimeout {
-		t.Fatalf("20ms budget against a 500ms window: status %d, want 504", status)
+		t.Fatalf("20ms budget against a 150ms execution: status %d, want 504", status)
 	}
 	if status := post("not-a-number"); status != http.StatusBadRequest {
 		t.Fatalf("malformed deadline: status %d, want 400", status)
