@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-noasm bench-overlap bench-overlap-smoke bench-kernel bench-kernel-smoke bench-wire bench-wire-smoke bench-load bench-load-smoke bench-chaos bench-chaos-smoke fault-conformance fuzz-smoke
+.PHONY: build test race test-noasm cross-arm64 bench-overlap bench-overlap-smoke bench-kernel bench-kernel-smoke bench-wire bench-wire-smoke bench-load bench-load-smoke bench-chaos bench-chaos-smoke fault-conformance fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ race:
 # on its own.
 test-noasm:
 	$(GO) test -tags noasm ./...
+
+# cross-arm64 vets and builds the arm64 side, whose NEON kernel and Go
+# glue share the amd64 dispatch signature but cannot be run on an amd64
+# box: asmdecl checks the assembly's frame against its Go declaration.
+cross-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/matrix
+	GOARCH=arm64 $(GO) build ./...
 
 # bench-overlap emits BENCH_overlap.json: warm Engine.Exec wall-clock
 # with the pipelined round loop on vs off at 256^3 and 512^3 on p=16

@@ -193,8 +193,11 @@ type TunedParams = matrix.TunedParams
 func Tune(n, threads int) TunedParams { return matrix.Tune(n, threads) }
 
 // KernelVariants names the register micro-kernel variants available
-// in this binary on this CPU (e.g. "go4x4", "avx2-8x4"), portable
-// fallback first — the set Tune searches and Calibrate reports from.
+// in this binary on this CPU, portable fallback first — "go4x4", then
+// the architecture's one SIMD tile when the CPU has it ("avx2-4x8" on
+// amd64, "neon-8x4" on arm64), which one call sweeps down a whole
+// column of tiles. This is the set Tune searches and Calibrate reports
+// from.
 func KernelVariants() []string {
 	vs := matrix.Variants()
 	names := make([]string, len(vs))

@@ -9,9 +9,10 @@
 // pool splits the M dimension across goroutines in micro-panel-aligned
 // chunks. The micro-kernel is chosen per Kernel from a variant table
 // (variant.go): the portable Go 4×4 tile is always available, and on
-// amd64 (AVX2+FMA, detected at startup) and arm64 (NEON) wider
-// assembly tiles — 8×4 and 4×8 — take over behind the !noasm build
-// tag. Every variant keeps the same per-element accumulation order
+// amd64 (AVX2+FMA, detected at startup) and arm64 (NEON) one wider
+// assembly tile each — 4×8 and 8×4 — takes over behind the !noasm
+// build tag, called once per column of tiles rather than once per
+// tile. Every variant keeps the same per-element accumulation order
 // (one register partial sum per kc block, added to C once, zero-padded
 // fringes), so results are bitwise-identical across thread counts and
 // cache-block sizes; only the fused-multiply-add rounding

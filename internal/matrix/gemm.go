@@ -13,8 +13,8 @@ import (
 // on the cache-block values mc/kc/nc — every loop handles fringes —
 // only throughput does, which is why Tune searches over them. mr and
 // nr are properties of the micro-kernel variant (4×4 for the portable
-// Go tile; the SIMD kernels widen to 8×4 / 4×8) and set the packed
-// micro-panel widths.
+// Go tile; 4×8 for AVX2, 8×4 for NEON) and set the packed micro-panel
+// widths.
 const (
 	mr = 4 // register-tile rows of the portable Go variant
 	nr = 4 // register-tile cols of the portable Go variant
@@ -271,31 +271,36 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 }
 
 // macroKernel sweeps the packed mb×kb A block against the packed kb×nb
-// B block, dispatching one register tile per (mr, nr) pair. Interior
-// tiles go straight to the variant's register kernel; fringe tiles
-// (right and bottom edges) accumulate full-width into zero-padded
-// scratch — the Go tile in its accumulator array, the SIMD kernels in
-// the worker's staging tile — and write back only the live h×w corner,
-// preserving the per-element accumulation order of interior tiles.
+// B block, one B micro-panel at a time. A SIMD variant takes every
+// full-height tile of a full-width panel in one call — the assembly
+// walks the A block and C itself — so Go dispatches once per panel,
+// not once per tile; the portable Go tile keeps its per-tile loop.
+// Fringe tiles (right and bottom edges) accumulate full-width into
+// zero-padded scratch — the Go tile in its accumulator array, the SIMD
+// kernels in the worker's staging tile — and write back only the live
+// h×w corner, preserving the per-element accumulation order of
+// interior tiles.
 func (k *Kernel) macroKernel(pb *packBuf, apack, bpack []float64, c *Dense, ic, jc, mb, nb, kb int) {
 	mr, nr := k.mr, k.nr
+	full := mb / mr // full-height tiles: one SIMD sweep per full-width panel
 	for j := 0; j < nb; j += nr {
 		w := min(nr, nb-j)
 		bp := bpack[(j/nr)*kb*nr:]
-		for i := 0; i < mb; i += mr {
+		i := 0
+		if k.simd != nil && w == nr && full > 0 {
+			k.simd(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &apack[0], &bp[0], full)
+			i = full * mr
+		}
+		for ; i < mb; i += mr {
 			h := min(mr, mb-i)
 			ap := apack[(i/mr)*kb*mr:]
 			switch {
-			case k.simd == nil:
-				if h == mr && w == nr {
-					microKernel4x4(c, ic+i, jc+j, kb, ap, bp)
-				} else {
-					microKernelEdge(c, ic+i, jc+j, h, w, kb, ap, bp)
-				}
-			case h == mr && w == nr:
-				k.simd(&c.Data[(ic+i)*c.Stride+jc+j], c.Stride, kb, &ap[0], &bp[0])
-			default:
+			case k.simd != nil:
 				k.simdEdge(pb, c, ic+i, jc+j, h, w, kb, ap, bp)
+			case h == mr && w == nr:
+				microKernel4x4(c, ic+i, jc+j, kb, ap, bp)
+			default:
+				microKernelEdge(c, ic+i, jc+j, h, w, kb, ap, bp)
 			}
 		}
 	}
@@ -313,7 +318,7 @@ func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []
 	for i := range tile {
 		tile[i] = 0
 	}
-	k.simd(&tile[0], k.nr, kb, &ap[0], &bp[0])
+	k.simd(&tile[0], k.nr, kb, &ap[0], &bp[0], 1)
 	for i := 0; i < h; i++ {
 		row := c.Data[(ci+i)*c.Stride+cj : (ci+i)*c.Stride+cj+w]
 		for j := range row {

@@ -99,3 +99,29 @@ func BenchmarkCalibrate(b *testing.B) {
 		calibrateKernel(128, NewKernel(1))
 	}
 }
+
+// BenchmarkKernelRankShapes is the evidence behind BestVariant: the
+// three per-rank Mul calls of the repo benchmark's engine workloads —
+// one round of square-roomy (grid 2×2×4), square-tight (4×4×1) and
+// tall-k (1×1×15) — on operands strided as the owning rank's Views of
+// the caller's matrices are, for every variant this machine has.
+func BenchmarkKernelRankShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct {
+		name             string
+		m, kk, n         int
+		aStride, bStride int
+	}{
+		{"square-roomy", 512, 128, 512, 1024, 1024},
+		{"square-tight", 256, 8, 256, 1024, 1024},
+		{"tall-k", 128, 874, 128, 65536, 128},
+	} {
+		a := Random(s.m, s.aStride, rng).View(0, s.aStride-s.kk, s.m, s.kk)
+		bb := Random(s.kk, s.bStride, rng).View(0, s.bStride-s.n, s.kk, s.n)
+		for _, v := range Variants() {
+			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", s.name, s.m, s.kk, s.n, v), func(b *testing.B) {
+				benchMulOperands(b, a, bb, NewKernelParams(1, Params{Variant: v}).Mul)
+			})
+		}
+	}
+}

@@ -2,17 +2,15 @@
 
 package matrix
 
-// The AVX2+FMA micro-kernels (gemm_amd64.s). Both accumulate the full
-// register tile over the packed panels and add it into C with plain
-// (unfused) vector adds, exactly mirroring the accumulate-then-add
-// structure of the portable Go tile; each C element's value is a
-// math.FMA chain over the k block followed by one addition.
+// The AVX2+FMA micro-kernel (gemm_amd64.s). It accumulates the full
+// 4×8 register tile over the packed panels and adds it into C with
+// plain (unfused) vector adds, exactly mirroring the accumulate-then-
+// add structure of the portable Go tile; each C element's value is a
+// math.FMA chain over the k block followed by one addition. One call
+// does that for `tiles` consecutive tiles down a column of C.
 //
 //go:noescape
-func kernelAVX2_8x4(c *float64, cstride, kb int, ap, bp *float64)
-
-//go:noescape
-func kernelAVX2_4x8(c *float64, cstride, kb int, ap, bp *float64)
+func kernelAVX2_4x8(c *float64, cstride, kb int, ap, bp *float64, tiles int)
 
 // cpuid executes the CPUID instruction with the given leaf and
 // subleaf (cpu_amd64.s).
@@ -52,9 +50,7 @@ func detectAVX2FMA() bool {
 }
 
 func init() {
-	if !hasAVX2FMA {
-		return
+	if hasAVX2FMA {
+		variantKerns[VariantAVX2_4x8] = kernelAVX2_4x8
 	}
-	variantKerns[VariantAVX2_8x4] = kernelAVX2_8x4
-	variantKerns[VariantAVX2_4x8] = kernelAVX2_4x8
 }

@@ -22,13 +22,9 @@ const (
 	// VariantGo4x4 is the portable register-blocked Go micro-kernel:
 	// a 4×4 tile in sixteen scalar accumulators, unfused multiply-add.
 	VariantGo4x4 Variant = iota
-	// VariantAVX2_8x4 is the amd64 AVX2+FMA kernel: an 8×4 tile in
-	// eight YMM accumulators (one 4-wide row each), one broadcast and
-	// one VFMADD231PD per row per k step.
-	VariantAVX2_8x4
-	// VariantAVX2_4x8 is the amd64 AVX2+FMA kernel with the wide axis
-	// flipped: a 4×8 tile in eight YMM accumulators (two per row) —
-	// sometimes faster when the local tile is short and wide.
+	// VariantAVX2_4x8 is the amd64 AVX2+FMA kernel: a 4×8 tile in
+	// eight YMM accumulators (two 4-wide registers per row), two B
+	// loads, four A broadcasts and eight VFMADD231PDs per k step.
 	VariantAVX2_4x8
 	// VariantNEON_8x4 is the arm64 ASIMD kernel: an 8×4 tile in
 	// sixteen 128-bit accumulators, FMLA with broadcast A lanes.
@@ -40,27 +36,27 @@ const (
 // microKernelFunc is the raw dispatch signature shared by the SIMD
 // register kernels: accumulate the full mr×nr register tile over the
 // kb-deep packed micro-panels ap (mr-wide, k-major) and bp (nr-wide,
-// k-major), then add it into C. c points at the tile's top-left
-// element; cstride is C's row stride in elements.
-type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64)
+// k-major), then add it into C — and do so for `tiles` tiles stacked
+// down one column of C: tile t takes the t-th micro-panel of the
+// packed A block (kb·mr words further on), the same bp, and rows
+// t·mr … t·mr+mr−1. c points at the first tile's top-left element;
+// cstride is C's row stride in elements.
+type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64, tiles int)
 
 var variantNames = [numVariants]string{
 	VariantGo4x4:    "go4x4",
-	VariantAVX2_8x4: "avx2-8x4",
 	VariantAVX2_4x8: "avx2-4x8",
 	VariantNEON_8x4: "neon-8x4",
 }
 
 var variantDims = [numVariants][2]int{
 	VariantGo4x4:    {4, 4},
-	VariantAVX2_8x4: {8, 4},
 	VariantAVX2_4x8: {4, 8},
 	VariantNEON_8x4: {8, 4},
 }
 
 var variantFused = [numVariants]bool{
 	VariantGo4x4:    false,
-	VariantAVX2_8x4: true,
 	VariantAVX2_4x8: true,
 	VariantNEON_8x4: true,
 }
@@ -115,14 +111,17 @@ func Variants() []Variant {
 	return vs
 }
 
-// bestVariantOrder ranks the SIMD variants for the untuned default:
-// the 8×4 tiles amortize one packed-B load over the most FMAs, so
-// they win on every shape we measure; the 4×8 flip exists for the
-// tuner to find the exceptions.
-var bestVariantOrder = []Variant{VariantAVX2_8x4, VariantNEON_8x4, VariantAVX2_4x8}
+// bestVariantOrder ranks the SIMD variants for the untuned default.
+// amd64's tile is 4×8 because, counted in YMM registers, it is 4×2:
+// two B loads and four A broadcasts feed eight FMAs per k step — six
+// load µops, so the two FMA ports set the pace, where a tile one
+// register wide (8×1) would need nine and wait on the two load ports.
+// BenchmarkKernelRankShapes times every available variant at the
+// benchmark's three per-rank call shapes.
+var bestVariantOrder = []Variant{VariantAVX2_4x8, VariantNEON_8x4}
 
-// BestVariant returns the preferred available variant: the widest
-// SIMD kernel the CPU supports, or VariantGo4x4 when none is. This is
+// BestVariant returns the preferred available variant: the SIMD
+// kernel the CPU supports, or VariantGo4x4 when none is. This is
 // what NewKernel dispatches to by default, and the starting point of
 // the autotuner's search.
 func BestVariant() Variant {
