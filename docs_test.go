@@ -74,3 +74,67 @@ func TestReadmeAlgorithmsTableMatchesRegistry(t *testing.T) {
 		t.Fatalf("README algorithms table lists %v, the registry holds %v", names, want)
 	}
 }
+
+// TestDocsNameRealTargets keeps the commands the docs tell a reader to
+// run runnable: every `make <target>` named in README, the architecture
+// doc or the verify skill — in inline code or a fenced block — is a
+// .PHONY target of the Makefile, and every cmd/<x> or examples/<x> they
+// name is a directory of this repository.
+func TestDocsNameRealTargets(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, line := range strings.Split(string(mk), "\n") {
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			for _, name := range strings.Fields(rest) {
+				targets[name] = true
+			}
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("Makefile declares no .PHONY targets")
+	}
+	inlineMake := regexp.MustCompile("`make\\s+([a-z0-9][a-z0-9-]*)")
+	fencedMake := regexp.MustCompile(`^\s*make\s+([a-z0-9][a-z0-9-]*)`)
+	mainDir := regexp.MustCompile(`(?:^|[^\w/.]|\./)((?:cmd|examples)/[a-z0-9_]+)`)
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		var named []string // make targets
+		var prose strings.Builder
+		fenced := false
+		for _, line := range strings.Split(string(data), "\n") {
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(line), "```"):
+				fenced = !fenced
+			case fenced:
+				if m := fencedMake.FindStringSubmatch(line); m != nil {
+					named = append(named, m[1])
+				}
+			default:
+				prose.WriteString(line + "\n")
+			}
+		}
+		for _, m := range inlineMake.FindAllStringSubmatch(prose.String(), -1) {
+			named = append(named, m[1])
+		}
+		for _, name := range named {
+			if !targets[name] {
+				t.Errorf("%s names `make %s`, which is not a .PHONY target of the Makefile", doc, name)
+			}
+		}
+		dirs := 0
+		for _, m := range mainDir.FindAllStringSubmatch(string(data), -1) {
+			if info, err := os.Stat(m[1]); err != nil || !info.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", doc, m[1])
+			}
+			dirs++
+		}
+		t.Logf("%s: %d make targets, %d command directories checked", doc, len(named), dirs)
+	}
+}

@@ -480,7 +480,7 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 	}
 	p := &Plan{inner: inner, cfg: &e.cfg, closed: &e.closed}
 	if e.wireMach != nil {
-		// The distributed-gather gate of algo.NewExecutorOpts, surfaced
+		// The distributed-gather gate of algo.NewExecutor, surfaced
 		// at planning time so execution can't fail on it later.
 		if d, ok := inner.(algo.Distributed); !ok || !d.Distributed() {
 			return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa or 2.5d", inner.Algorithm())

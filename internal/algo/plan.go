@@ -94,23 +94,28 @@ type Executor struct {
 	plan    Plan
 	mach    *machine.Machine
 	scratch *Arena
-	// ownsMach records whether the executor built its machine (and so
-	// nothing else shares it); supplied machines — the wire transport's
-	// shared per-process machine — are left to their owner to close.
-	ownsMach bool
 }
 
-// ExecOptions configures NewExecutorOpts. The zero value reproduces
-// NewExecutor(p, nil, 0, false): a fresh counting machine,
-// GOMAXPROCS-aware kernel threads, default kernel parameters.
+// ExecOptions configures NewExecutor. The zero value is a fresh
+// counting machine, GOMAXPROCS-aware kernel threads and the default
+// kernel parameters.
 type ExecOptions struct {
 	// Network selects the timed α-β-γ transport when set; ignored when
 	// Machine is supplied.
 	Network *machine.NetworkParams
-	// KernelThreads bounds each rank kernel's worker pool; ≤ 0 resolves
-	// the GOMAXPROCS-aware default (see NewExecutor).
+	// KernelThreads bounds the worker pool of each rank's local GEMM
+	// kernel; ≤ 0 resolves GOMAXPROCS-aware — the cores left over after
+	// every working rank has one (max(1, GOMAXPROCS / ranks used)), so
+	// a single-rank plan on an idle machine multiplies with every core
+	// while a fully-populated simulation stays one-goroutine-per-rank.
 	KernelThreads int
-	// Autotune runs the kernels with autotuned block sizes.
+	// Autotune runs the kernels with autotuned block sizes and
+	// micro-kernel variant instead of the package defaults: the plan's
+	// per-rank local work is snapped to a tuning size class
+	// (matrix.SizeClass) and the class's search result (matrix.Tune,
+	// memoized per (class, threads) process-wide) is applied. The first
+	// executor for a new (class, threads) pair pays the sub-second
+	// search; every later one reads the cache.
 	Autotune bool
 	// RecvTimeout, when positive, bounds every blocking receive and
 	// barrier of the executor's machine; an expired wait aborts the run
@@ -127,10 +132,11 @@ type ExecOptions struct {
 	Faults *machine.FaultPlan
 }
 
-// NewExecutorOpts builds an executor for p under o. It is the general
-// form of NewExecutor: a supplied machine is used as-is (its transport
-// may span several OS processes), otherwise one is built on o.Network.
-func NewExecutorOpts(p Plan, o ExecOptions) (*Executor, error) {
+// NewExecutor builds an executor for p under o: the machine and the
+// scratch arena are allocated once here and reused by every Exec. A
+// supplied machine is used as-is (its transport may span several OS
+// processes), otherwise one is built on o.Network.
+func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 	mach := o.Machine
 	if mach == nil {
 		mach = machine.NewWithNetwork(p.Procs(), o.Network)
@@ -174,33 +180,7 @@ func NewExecutorOpts(p Plan, o ExecOptions) (*Executor, error) {
 		tp := matrix.Tune(matrix.SizeClass(m, n, k, used), kernelThreads)
 		scratch.tuned = &tp
 	}
-	return &Executor{plan: p, mach: mach, scratch: scratch, ownsMach: o.Machine == nil}, nil
-}
-
-// NewExecutor builds an executor for p: the machine (on the given
-// network, nil for the counting transport) and the scratch arena are
-// allocated once here and reused by every Exec. kernelThreads bounds
-// the worker pool of each rank's local GEMM kernel; 0 resolves
-// GOMAXPROCS-aware — the cores left over after every working rank has
-// one (max(1, GOMAXPROCS / ranks used)), so a single-rank plan on an
-// idle machine multiplies with every core while a fully-populated
-// simulation stays one-goroutine-per-rank.
-//
-// With autotune set, the arena's kernels run with autotuned block
-// sizes and micro-kernel variant instead of the package defaults: the
-// plan's per-rank local work is snapped to a tuning size class
-// (matrix.SizeClass) and the class's cached search result
-// (matrix.Tune, memoized per (class, threads) process-wide) is
-// applied. The first executor for a new (class, threads) pair pays
-// the sub-second search; every later one reads the cache.
-func NewExecutor(p Plan, net *machine.NetworkParams, kernelThreads int, autotune bool) *Executor {
-	e, err := NewExecutorOpts(p, ExecOptions{Network: net, KernelThreads: kernelThreads, Autotune: autotune})
-	if err != nil {
-		// Unreachable: with no supplied machine every option combination
-		// is valid.
-		panic(err)
-	}
-	return e
+	return &Executor{plan: p, mach: mach, scratch: scratch}, nil
 }
 
 // Plan returns the plan this executor drives.
@@ -208,11 +188,6 @@ func (e *Executor) Plan() Plan { return e.plan }
 
 // Machine returns the machine the executor runs on.
 func (e *Executor) Machine() *machine.Machine { return e.mach }
-
-// OwnsMachine reports whether the executor built (and so exclusively
-// holds) its machine, as opposed to driving one supplied through
-// ExecOptions.Machine.
-func (e *Executor) OwnsMachine() bool { return e.ownsMach }
 
 // Exec multiplies a·b under the executor's plan and reports the
 // executed run. It validates the inputs against the planned shape and
@@ -254,7 +229,11 @@ func RunPlanner(pl Planner, net *machine.NetworkParams, a, b *matrix.Dense, p, s
 	if err != nil {
 		return nil, nil, err
 	}
-	return NewExecutor(plan, net, 0, false).Exec(context.Background(), a, b)
+	ex, err := NewExecutor(plan, ExecOptions{Network: net})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ex.Exec(context.Background(), a, b)
 }
 
 // Arena is a set of per-rank scratch matrices — the C tiles and

@@ -7,10 +7,7 @@ import (
 )
 
 // benchBcast broadcasts a 4096-word panel from rank 0 over a binary tree
-// b.N times. With the pooled machine, interior hops recycle buffers once
-// receivers Release them; the unpooled machine is the naive
-// copy-per-hop baseline the CHANGES.md allocation record compares
-// against.
+// b.N times; interior hops recycle buffers once receivers Release them.
 func benchBcast(b *testing.B, m *machine.Machine) {
 	const words = 4096
 	p := m.P()
@@ -39,10 +36,8 @@ func benchBcast(b *testing.B, m *machine.Machine) {
 	}
 }
 
-func BenchmarkBcastP16(b *testing.B)         { benchBcast(b, machine.New(16)) }
-func BenchmarkBcastP16Unpooled(b *testing.B) { benchBcast(b, machine.NewUnpooled(16)) }
-func BenchmarkBcastP64(b *testing.B)         { benchBcast(b, machine.New(64)) }
-func BenchmarkBcastP64Unpooled(b *testing.B) { benchBcast(b, machine.NewUnpooled(64)) }
+func BenchmarkBcastP16(b *testing.B) { benchBcast(b, machine.New(16)) }
+func BenchmarkBcastP64(b *testing.B) { benchBcast(b, machine.New(64)) }
 
 // benchReduce reduces words-long slices over all of m's ranks b.N times:
 // the segments travel down the chain with SendOwned, the root's total
@@ -71,8 +66,7 @@ func benchReduce(b *testing.B, m *machine.Machine, words int) {
 	}
 }
 
-func BenchmarkReduceP16(b *testing.B)         { benchReduce(b, machine.New(16), 4096) }
-func BenchmarkReduceP16Unpooled(b *testing.B) { benchReduce(b, machine.NewUnpooled(16), 4096) }
+func BenchmarkReduceP16(b *testing.B) { benchReduce(b, machine.New(16), 4096) }
 
 // BenchmarkReduceFiber is the reduction at the repo benchmark's two
 // fiber shapes: square-roomy's 4 × 512² tiles (8 segments a link) and

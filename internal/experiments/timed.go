@@ -49,21 +49,3 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	}
 	return t
 }
-
-// TimedReports runs every algorithm once on the timed transport for the
-// given problem and returns the reports — the cross-algorithm comparison
-// surface the tests assert orderings on.
-func TimedReports(m, n, k, p, s int, net machine.NetworkParams, seed int64) ([]*algo.Report, error) {
-	rng := rand.New(rand.NewSource(seed))
-	a := matrix.Random(m, k, rng)
-	b := matrix.Random(k, n, rng)
-	var reps []*algo.Report
-	for _, r := range algo.Comparison(algo.Config{}) {
-		_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.Name(), err)
-		}
-		reps = append(reps, rep)
-	}
-	return reps, nil
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,6 +10,23 @@ import (
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
+
+// timedReports runs every algorithm once on the timed transport for the
+// given problem and returns the reports the tests assert orderings on.
+func timedReports(m, n, k, p, s int, net machine.NetworkParams, seed int64) ([]*algo.Report, error) {
+	rng := rand.New(rand.NewSource(seed))
+	a := matrix.Random(m, k, rng)
+	b := matrix.Random(k, n, rng)
+	var reps []*algo.Report
+	for _, r := range algo.Comparison(algo.Config{}) {
+		_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Name(), err)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+}
 
 // TestTimedOrderingMatchesVolume is the cross-algorithm sanity check of
 // the timed backend: on a bandwidth-dominated network, the runtime the
@@ -28,7 +46,7 @@ func TestTimedOrderingMatchesVolume(t *testing.T) {
 		p = 16
 		s = 3 * n * n / p
 	)
-	reps, err := TimedReports(n, n, n, p, s, net, 42)
+	reps, err := timedReports(n, n, n, p, s, net, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +99,7 @@ func TestTimeVsVolumeTable(t *testing.T) {
 // behavioral change.
 func TestTimedCountersMatchCounting(t *testing.T) {
 	net := machine.PizDaintNet()
-	timed, err := TimedReports(64, 64, 64, 8, 2048, net, 9)
+	timed, err := timedReports(64, 64, 64, 8, 2048, net, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +128,11 @@ func TestTimedCountersMatchCounting(t *testing.T) {
 func TestTimedHierarchicalNetworkRaisesCritPath(t *testing.T) {
 	flat := machine.PizDaintNet()
 	hier := machine.Hierarchical(flat, flat, 4, 2)
-	flatReps, err := TimedReports(64, 64, 64, 8, 2048, flat, 9)
+	flatReps, err := timedReports(64, 64, 64, 8, 2048, flat, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hierReps, err := TimedReports(64, 64, 64, 8, 2048, hier, 9)
+	hierReps, err := timedReports(64, 64, 64, 8, 2048, hier, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package layout
 import (
 	"fmt"
 
-	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
 
@@ -69,61 +68,6 @@ func (d RowDist) indexOf(id int) int {
 		}
 	}
 	return -1
-}
-
-// Move redistributes a row-distributed matrix from src to dst, optionally
-// narrowing to the column range cols of the source block. Every rank in
-// either team must call Move with identical metadata. local is the
-// caller's source band (nil if the caller is not in src.Team); the return
-// value is the caller's destination band of width cols.Len() (nil if the
-// caller is not in dst.Team). tag must be unique per Move call site and
-// round.
-//
-// Traffic is exactly the words whose source and destination bands lie on
-// different ranks, which is what makes the recursive algorithm's measured
-// volume match its model.
-func Move(r *machine.Rank, src RowDist, local *matrix.Dense, dst RowDist, cols Range, tag int) *matrix.Dense {
-	if src.Rows != dst.Rows {
-		panic(fmt.Sprintf("layout: Move %d rows to %d rows", src.Rows, dst.Rows))
-	}
-	srcIdx := src.indexOf(r.ID())
-	dstIdx := dst.indexOf(r.ID())
-	if srcIdx >= 0 {
-		if local == nil {
-			panic("layout: Move source member without local block")
-		}
-		band := src.Band(srcIdx)
-		if local.Rows != band.Len() {
-			panic(fmt.Sprintf("layout: local block has %d rows, band %d", local.Rows, band.Len()))
-		}
-		if cols.Lo < 0 || cols.Hi > local.Cols {
-			panic(fmt.Sprintf("layout: column range %v out of %d", cols, local.Cols))
-		}
-		// Send each destination band's overlap with my band.
-		for j, dstID := range dst.Team {
-			over := band.Intersect(dst.Band(j))
-			if over.Len() == 0 {
-				continue
-			}
-			piece := local.View(over.Lo-band.Lo, cols.Lo, over.Len(), cols.Len())
-			r.Send(dstID, tag, piece.Pack(nil))
-		}
-	}
-	if dstIdx < 0 {
-		return nil
-	}
-	band := dst.Band(dstIdx)
-	out := matrix.New(band.Len(), cols.Len())
-	for i, srcID := range src.Team {
-		over := band.Intersect(src.Band(i))
-		if over.Len() == 0 {
-			continue
-		}
-		data := r.Recv(srcID, tag)
-		dstView := out.View(over.Lo-band.Lo, 0, over.Len(), cols.Len())
-		dstView.Unpack(data)
-	}
-	return out
 }
 
 // BlockCyclic is a ScaLAPACK-style two-dimensional block-cyclic layout

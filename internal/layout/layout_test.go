@@ -50,6 +50,18 @@ func TestRangeIntersect(t *testing.T) {
 	}
 }
 
+// move redistributes every row of a row-distributed matrix from src to
+// dst through Transfer, narrowed to the column range cols: the caller's
+// destination band, nil for a rank outside dst.Team.
+func move(r *machine.Rank, src RowDist, local *matrix.Dense, dst RowDist, cols Range, tag int) *matrix.Dense {
+	var out *matrix.Dense
+	if i := dst.indexOf(r.ID()); i >= 0 {
+		out = matrix.New(dst.Band(i).Len(), cols.Len())
+	}
+	Transfer(r, src, local, Range{0, src.Rows}, cols, dst, 0, 0, out, false, tag)
+	return out
+}
+
 func TestMoveRebalance(t *testing.T) {
 	// 8 rows over 4 ranks → the first 2 ranks (half the team).
 	p := 4
@@ -63,7 +75,7 @@ func TestMoveRebalance(t *testing.T) {
 	err := m.Run(func(r *machine.Rank) error {
 		band := src.Band(r.ID())
 		local := global.View(band.Lo, 0, band.Len(), cols).Clone()
-		got[r.ID()] = Move(r, src, local, dst, Range{0, cols}, 5)
+		got[r.ID()] = move(r, src, local, dst, Range{0, cols}, 5)
 		return nil
 	})
 	if err != nil {
@@ -97,7 +109,7 @@ func TestMoveColumnSlice(t *testing.T) {
 			band := src.Band(r.ID())
 			local = global.View(band.Lo, 0, band.Len(), cols).Clone()
 		}
-		got[r.ID()] = Move(r, src, local, dst, colRange, 9)
+		got[r.ID()] = move(r, src, local, dst, colRange, 9)
 		return nil
 	})
 	if err != nil {
@@ -122,7 +134,7 @@ func TestMoveSelfOverlapFree(t *testing.T) {
 	err := m.Run(func(r *machine.Rank) error {
 		band := dist.Band(r.ID())
 		local := global.View(band.Lo, 0, band.Len(), cols).Clone()
-		out := Move(r, dist, local, dist, Range{0, cols}, 1)
+		out := move(r, dist, local, dist, Range{0, cols}, 1)
 		if matrix.MaxDiff(out, local) != 0 {
 			t.Errorf("rank %d: self move changed data", r.ID())
 		}

@@ -3,8 +3,8 @@ package machine
 import "testing"
 
 // benchRoundTrip ping-pongs a 1024-word payload between two ranks b.N
-// times: the Send copies draw from the buffer pool (or not, for the
-// unpooled baseline) and the return path transfers ownership.
+// times: the Send copies draw from the buffer pool and the return path
+// transfers ownership.
 func benchRoundTrip(b *testing.B, m *Machine) {
 	const words = 1024
 	b.ReportAllocs()
@@ -29,11 +29,8 @@ func benchRoundTrip(b *testing.B, m *Machine) {
 	}
 }
 
-// BenchmarkSendRecvRoundTrip measures the pooled transport.
+// BenchmarkSendRecvRoundTrip measures the counting transport.
 func BenchmarkSendRecvRoundTrip(b *testing.B) { benchRoundTrip(b, New(2)) }
-
-// BenchmarkSendRecvRoundTripUnpooled is the naive copy-per-hop baseline.
-func BenchmarkSendRecvRoundTripUnpooled(b *testing.B) { benchRoundTrip(b, NewUnpooled(2)) }
 
 // BenchmarkTimedSendRecvRoundTrip measures the α-β-γ event-clock
 // overhead on the same exchange.

@@ -17,12 +17,6 @@ func TestConformanceCounting(t *testing.T) {
 	})
 }
 
-func TestConformanceUnpooled(t *testing.T) {
-	conformance.Run(t, func(t *testing.T, p int) *conformance.Cluster {
-		return &conformance.Cluster{Machines: []*machine.Machine{machine.NewUnpooled(p)}}
-	})
-}
-
 func TestConformanceTimed(t *testing.T) {
 	conformance.Run(t, func(t *testing.T, p int) *conformance.Cluster {
 		return &conformance.Cluster{Machines: []*machine.Machine{machine.NewTimed(p, machine.PizDaintNet())}}

@@ -77,12 +77,10 @@ type Machine struct {
 }
 
 // New returns a machine with p ranks on the counting transport.
-func New(p int) *Machine { return NewWithTransport(newCountingTransport(p, true)) }
-
-// NewUnpooled returns a counting machine whose internal message copies
-// bypass the shared buffer pool — the naive copy-per-hop baseline that
-// the allocation benchmarks compare against.
-func NewUnpooled(p int) *Machine { return NewWithTransport(newCountingTransport(p, false)) }
+func New(p int) *Machine {
+	checkP(p)
+	return NewWithTransport(newCounting(p))
+}
 
 // NewTimed returns a machine with p ranks on the timed α-β-γ transport.
 func NewTimed(p int, net NetworkParams) *Machine {
@@ -122,11 +120,6 @@ func NewWithTransport(t Transport) *Machine {
 		ab.OnAbort(m.interrupt)
 	}
 	return m
-}
-
-func newCountingTransport(p int, pooled bool) Transport {
-	checkP(p)
-	return newCounting(p, pooled)
 }
 
 func checkP(p int) {
@@ -355,11 +348,6 @@ func (m *Machine) TotalVolume() int64 { return sumOver(m, Counters.Volume) / 2 }
 // MaxVolume returns the largest per-rank volume in words.
 func (m *Machine) MaxVolume() int64 { return maxOver(m, Counters.Volume) }
 
-// AvgVolume returns the mean per-rank volume in words.
-func (m *Machine) AvgVolume() float64 {
-	return float64(sumOver(m, Counters.Volume)) / float64(m.P())
-}
-
 // AvgRecv returns the mean per-rank received words — the "MB communicated
 // per core" metric of Figures 6–7 and Table 4.
 func (m *Machine) AvgRecv() float64 {
@@ -489,23 +477,6 @@ func (r *Rank) ISend(dst, tag int, data []float64) Request {
 		return completedRequest{at: r.Now()}
 	}
 	return r.m.t.ISend(r.id, dst, tag, data, owned)
-}
-
-// ISendOwned is ISend with zero-copy ownership transfer of data to the
-// transport; the caller must not touch data afterwards.
-func (r *Rank) ISendOwned(dst, tag int, data []float64) Request {
-	r.checkPeer(dst, "sends to")
-	drop, delay, corr := r.faultSend(dst)
-	if drop {
-		Release(data)
-		return completedRequest{at: r.Now()}
-	}
-	data, _ = corruptPayload(data, true, corr)
-	if delay > 0 {
-		r.m.t.SendAt(r.id, dst, tag, data, true, r.Now()+delay)
-		return completedRequest{at: r.Now()}
-	}
-	return r.m.t.ISend(r.id, dst, tag, data, true)
 }
 
 // IRecv posts a non-blocking receive matched on (src, tag) and returns

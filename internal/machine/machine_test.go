@@ -442,7 +442,4 @@ func TestVolumeStats(t *testing.T) {
 	if got := m.MaxVolume(); got != 60 { // rank 0 sent 60
 		t.Fatalf("MaxVolume = %d, want 60", got)
 	}
-	if got := m.AvgVolume(); got != 30 { // 120 counted words / 4 ranks
-		t.Fatalf("AvgVolume = %v, want 30", got)
-	}
 }

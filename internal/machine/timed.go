@@ -160,7 +160,7 @@ type timed struct {
 
 func newTimed(p int, net NetworkParams) *timed {
 	return &timed{
-		counting: newCounting(p, true),
+		counting: newCounting(p),
 		net:      net,
 		clock:    make([]float64, p),
 		ingress:  make([]float64, p),

@@ -238,24 +238,22 @@ func (po *postOffice) reset() {
 }
 
 // counting is the exact-accounting transport: it moves payloads through
-// keyed mailboxes and counts per-rank words, messages and flops. With
-// pooled set, internal copies are drawn from the shared buffer pool.
+// keyed mailboxes and counts per-rank words, messages and flops.
+// Internal copies are drawn from the shared buffer pool.
 type counting struct {
 	p      int
 	office []*postOffice
 	count  []Counters
-	pooled bool
 	// recvTimeout bounds blocking takes; zero disables. Written by
 	// SetRecvTimeout before a Run starts, read by rank goroutines.
 	recvTimeout time.Duration
 }
 
-func newCounting(p int, pooled bool) *counting {
+func newCounting(p int) *counting {
 	t := &counting{
 		p:      p,
 		office: make([]*postOffice, p),
 		count:  make([]Counters, p),
-		pooled: pooled,
 	}
 	for i := range t.office {
 		t.office[i] = newPostOffice()
@@ -271,12 +269,7 @@ func (t *counting) P() int { return t.p }
 // so the counters need no lock.
 func (t *counting) post(src, dst, tag int, data []float64, owned bool, at float64) {
 	if !owned {
-		var cp []float64
-		if t.pooled {
-			cp = Loan(len(data))
-		} else {
-			cp = make([]float64, len(data))
-		}
+		cp := Loan(len(data))
 		copy(cp, data)
 		data = cp
 	}

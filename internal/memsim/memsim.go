@@ -20,9 +20,6 @@ func NewMemory(capacity int) *Memory {
 	return &Memory{capacity: capacity}
 }
 
-// Capacity returns the fast-memory size in words.
-func (m *Memory) Capacity() int { return m.capacity }
-
 // Used returns the number of currently resident words.
 func (m *Memory) Used() int { return m.used }
 

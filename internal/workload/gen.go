@@ -1,21 +1,17 @@
 package workload
 
-import (
-	"time"
-)
-
-// GenConfig parameterizes the seeded load generator. The zero value of
+// GenConfig parameterizes the seeded shape catalog. The zero value of
 // every field selects a sensible default, so GenConfig{Seed: 42} is a
 // complete configuration. All randomness flows from Seed through one
-// SplitMix64 stream: equal configs produce byte-identical traces.
+// SplitMix64 stream: equal configs produce byte-identical catalogs.
 type GenConfig struct {
 	Seed uint64
 
 	// Shapes is the catalog size: the number of distinct (m,n,k)
-	// problem shapes the trace draws from (default 16). Catalog index
-	// doubles as popularity rank — index 0 is the Zipf-hottest shape —
-	// so a catalog larger than the engine's plan-cache capacity forces
-	// LRU eviction on the tail.
+	// problem shapes (default 16). Catalog index doubles as popularity
+	// rank — index 0 is the Zipf-hottest shape — so a catalog larger
+	// than the engine's plan-cache capacity forces LRU eviction on the
+	// tail.
 	Shapes int
 
 	// ZipfS is the Zipf popularity exponent over the catalog
@@ -25,25 +21,6 @@ type GenConfig struct {
 	// MinDim and MaxDim bound every drawn dimension
 	// (defaults 16 and 256).
 	MinDim, MaxDim int
-
-	// BatchMax caps the number of same-shape multiplications arriving
-	// back-to-back in one request (default 4). Batches exercise the
-	// server's shape-bucket coalescing and Engine.MultiplyBatch.
-	BatchMax int
-
-	// Rate is the baseline open-loop Poisson arrival rate in requests
-	// per second (default 200).
-	Rate float64
-
-	// BurstFactor multiplies Rate during the on-phase of the on/off
-	// modulation (default 4): arrivals alternate between Rate·Burst
-	// and Rate every half Period, so queues see sustained bursts, not
-	// just Poisson jitter.
-	BurstFactor float64
-
-	// Period is the on/off modulation cycle (default 500ms; first half
-	// on, second half off).
-	Period time.Duration
 }
 
 func (c GenConfig) norm() GenConfig {
@@ -62,47 +39,23 @@ func (c GenConfig) norm() GenConfig {
 			c.MaxDim = c.MinDim
 		}
 	}
-	if c.BatchMax < 1 {
-		c.BatchMax = 4
-	}
-	if c.Rate <= 0 {
-		c.Rate = 200
-	}
-	if c.BurstFactor < 1 {
-		c.BurstFactor = 4
-	}
-	if c.Period <= 0 {
-		c.Period = 500 * time.Millisecond
-	}
 	return c
 }
 
-// Request is one generated arrival: Batch ≥ 1 multiplications of the
-// same catalog shape, offset At from the start of the trace.
-type Request struct {
-	At    time.Duration // arrival offset from trace start
-	Shape int           // catalog index (also the popularity rank)
-	Dims  Dims          // the shape's dimensions
-	Batch int           // same-shape multiplications in this arrival
-}
-
-// Generator draws a reproducible stream of Requests. It is not safe
-// for concurrent use — pregenerate with Trace and share the slice.
+// Generator draws a reproducible shape catalog. Callers sample it by
+// popularity with NewZipf(len(catalog), cfg.ZipfS) and their own RNG.
 type Generator struct {
 	cfg     GenConfig
 	rng     *RNG
-	zipf    *Zipf
 	catalog []Dims
-	now     time.Duration
 }
 
 // NewGenerator builds a generator and its shape catalog from cfg.
 func NewGenerator(cfg GenConfig) *Generator {
 	cfg = cfg.norm()
 	g := &Generator{
-		cfg:  cfg,
-		rng:  NewRNG(cfg.Seed),
-		zipf: NewZipf(cfg.Shapes, cfg.ZipfS),
+		cfg: cfg,
+		rng: NewRNG(cfg.Seed),
 	}
 	g.catalog = make([]Dims, cfg.Shapes)
 	for i := range g.catalog {
@@ -111,8 +64,8 @@ func NewGenerator(cfg GenConfig) *Generator {
 	return g
 }
 
-// Catalog returns the generator's shape catalog, indexed by
-// Request.Shape. Callers must not mutate it.
+// Catalog returns the generator's shape catalog, hottest shape first.
+// Callers must not mutate it.
 func (g *Generator) Catalog() []Dims { return g.catalog }
 
 // drawDims draws one catalog entry. The four §8 aspect classes
@@ -148,31 +101,4 @@ func (g *Generator) drawDims(i int) Dims {
 		d := span(2*min, max)
 		return Dims{M: d, N: d, K: span(min, d/2)}
 	}
-}
-
-// Next draws the next arrival, advancing the generator's clock by an
-// exponential inter-arrival time whose rate follows the on/off burst
-// modulation (rate·burst during the first half of each period, rate
-// during the second).
-func (g *Generator) Next() Request {
-	rate := g.cfg.Rate
-	if g.now%g.cfg.Period < g.cfg.Period/2 {
-		rate *= g.cfg.BurstFactor
-	}
-	g.now += time.Duration(g.rng.ExpFloat64() / rate * float64(time.Second))
-	shape := g.zipf.Sample(g.rng)
-	batch := 1
-	for batch < g.cfg.BatchMax && g.rng.Float64() < 0.35 {
-		batch++
-	}
-	return Request{At: g.now, Shape: shape, Dims: g.catalog[shape], Batch: batch}
-}
-
-// Trace pregenerates n arrivals. Equal configs yield equal traces.
-func (g *Generator) Trace(n int) []Request {
-	trace := make([]Request, n)
-	for i := range trace {
-		trace[i] = g.Next()
-	}
-	return trace
 }

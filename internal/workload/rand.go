@@ -5,15 +5,15 @@ import "math"
 // RNG is a tiny, fast, seedable generator (SplitMix64) for use inside
 // benchmark and load-generation loops: one 64-bit multiply-xorshift
 // chain per draw, no locking, no allocation. It is deliberately not
-// math/rand — the load generator's draws sit on the hot path of an
-// open-loop arrival process, and its bounded draws must be cheap and
-// unbiased (see Uint32n).
+// math/rand — a load generator's draws sit between two requests, and
+// its bounded draws must be cheap and unbiased (see Uint32n).
 type RNG struct {
 	state uint64
 }
 
 // NewRNG returns a generator seeded with seed. Equal seeds yield equal
-// streams — the property every trace-replay guarantee rests on.
+// streams — the property every seeded catalog and shape sequence rests
+// on.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Uint64 returns the next 64 pseudo-random bits (SplitMix64: Steele,
@@ -64,12 +64,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform draw in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// ExpFloat64 returns an exponentially distributed draw with mean 1 —
-// the inter-arrival law of the Poisson arrival process.
-func (r *RNG) ExpFloat64() float64 {
-	return -math.Log(1 - r.Float64())
 }
 
 // Zipf samples ranks 0..n−1 with probability ∝ 1/(rank+1)^s — the

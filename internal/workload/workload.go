@@ -148,23 +148,6 @@ type Dims struct {
 
 func (d Dims) String() string { return fmt.Sprintf("%d×%d×%d", d.M, d.N, d.K) }
 
-// ServingDims is the mixed request-shape set the serving front-end
-// (cosmad) benchmarks and load-generates with: miniatures of the four
-// §8 aspect classes — square, inner-product-ish largeK, tall-and-skinny
-// largeM, and a flat rank-k update — small enough that a request is
-// milliseconds, so batching and plan-cache behavior dominate, which is
-// what serving benchmarks must measure. A serving client sees each
-// shape repeatedly, making every shape after its first request a plan
-// cache hit.
-func ServingDims() []Dims {
-	return []Dims{
-		{M: 256, N: 256, K: 256}, // square
-		{M: 128, N: 128, K: 512}, // largeK: m = n ≪ k
-		{M: 384, N: 96, K: 96},   // largeM: m ≫ n = k
-		{M: 320, N: 320, K: 64},  // flat rank-k update
-	}
-}
-
 // RPA returns the random-phase-approximation MMM dimensions for w water
 // molecules (§8): m = n = 136·w and k = 228·w².
 func RPA(w int) (m, n, k int) {

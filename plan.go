@@ -92,7 +92,7 @@ func (p *Plan) String() string {
 // of a wire-transport plan all share the engine's one machine; never
 // run two of them at once.
 func (p *Plan) NewExecutor() *Executor {
-	inner, err := algo.NewExecutorOpts(p.inner, algo.ExecOptions{
+	inner, err := algo.NewExecutor(p.inner, algo.ExecOptions{
 		Network:       p.cfg.network,
 		KernelThreads: p.cfg.kernelThreads,
 		Autotune:      p.cfg.autotune,

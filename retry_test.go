@@ -17,17 +17,17 @@ import (
 var fastRetry = RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 
 // retryTransports enumerates the engine option sets the retry tests run
-// under: the counting transport, the timed transport, and the wire
-// transport in loopback form (every rank hosted by this process, so no
-// helper processes are needed).
-func retryTransports(t *testing.T) []struct {
+// under at p ranks: the counting transport, the timed transport, and the
+// wire transport in loopback form (every rank hosted by this process, so
+// no helper processes are needed).
+func retryTransports(t *testing.T, p int) []struct {
 	name string
 	opts []Option
 } {
 	t.Helper()
 	loopback := []string{}
 	addr := WireSocketAddrs(t.TempDir(), 1)[0]
-	for i := 0; i < 4; i++ {
+	for i := 0; i < p; i++ {
 		loopback = append(loopback, addr)
 	}
 	return []struct {
@@ -43,14 +43,16 @@ func retryTransports(t *testing.T) []struct {
 	}
 }
 
-// TestRetryRecoversFromScriptedDeath injects a rank death on the first
-// attempt only and proves WithRetry re-runs to success on every
-// transport, with the attempt count surfaced and the retried product
-// bitwise-identical to a fault-free engine's.
+// TestRetryRecoversFromScriptedDeath kills each non-root rank of a p = 8
+// run in turn, on the first attempt only, and proves WithRetry re-runs
+// to success on every transport: 100 % recovery, the attempt count
+// surfaced, and the retried product bitwise-identical to a fault-free
+// engine's.
 func TestRetryRecoversFromScriptedDeath(t *testing.T) {
+	const p = 8
 	a := RandomMatrix(64, 64, 1)
 	b := RandomMatrix(64, 64, 2)
-	clean, err := NewEngine(WithProcs(4), WithMemory(1<<16))
+	clean, err := NewEngine(WithProcs(p), WithMemory(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,27 +60,29 @@ func TestRetryRecoversFromScriptedDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range retryTransports(t) {
+	for _, tc := range retryTransports(t, p) {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]Option{
-				WithProcs(4), WithMemory(1 << 16),
-				WithFaultPlan(FaultPlan{Deaths: []RankDeath{{Rank: 1, Round: 0, OnAttempt: 1}}}),
-				WithRetry(fastRetry),
-			}, tc.opts...)
-			eng, err := NewEngine(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			got, rep, err := eng.Exec(context.Background(), a, b)
-			if err != nil {
-				t.Fatalf("retry did not recover: %v", err)
-			}
-			if rep.Attempts != 2 {
-				t.Fatalf("attempts = %d, want 2", rep.Attempts)
-			}
-			if !matrix.EqualWithin(got, want, 0) {
-				t.Fatal("retried product differs bitwise from the fault-free run")
+			for rank := 1; rank < p; rank++ {
+				opts := append([]Option{
+					WithProcs(p), WithMemory(1 << 16),
+					WithFaultPlan(FaultPlan{Deaths: []RankDeath{{Rank: rank, Round: 0, OnAttempt: 1}}}),
+					WithRetry(fastRetry),
+				}, tc.opts...)
+				eng, err := NewEngine(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, rep, err := eng.Exec(context.Background(), a, b)
+				eng.Close()
+				if err != nil {
+					t.Fatalf("rank %d: retry did not recover: %v", rank, err)
+				}
+				if rep.Attempts != 2 {
+					t.Fatalf("rank %d: attempts = %d, want 2", rank, rep.Attempts)
+				}
+				if !matrix.EqualWithin(got, want, 0) {
+					t.Fatalf("rank %d: retried product differs bitwise from the fault-free run", rank)
+				}
 			}
 		})
 	}
@@ -91,7 +95,7 @@ func TestRetryRecoversFromScriptedDeath(t *testing.T) {
 func TestVerificationDetectsCorruption(t *testing.T) {
 	a := RandomMatrix(64, 64, 3)
 	b := RandomMatrix(64, 64, 4)
-	for _, tc := range retryTransports(t) {
+	for _, tc := range retryTransports(t, 4) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := append([]Option{
 				WithProcs(4), WithMemory(1 << 16),
