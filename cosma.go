@@ -85,8 +85,8 @@ func NetworkByName(name string) (NetworkParams, error) { return machine.NetworkB
 // same process. Pass it to NewEngine via WithWireTransport.
 type WireConfig = wire.Config
 
-// ErrRecvTimeout is wrapped by run errors when a receive or barrier
-// wait exceeds the WithRecvTimeout bound; test with errors.Is.
+// ErrRecvTimeout is wrapped by run errors when a receive exceeds the
+// WithRecvTimeout bound; test with errors.Is.
 var ErrRecvTimeout = machine.ErrRecvTimeout
 
 // HierarchicalNetwork composes a two-level network out of two flat
@@ -101,15 +101,18 @@ func HierarchicalNetwork(intra, inter NetworkParams, ranksPerNode int, congestio
 }
 
 // FaultPlan declares faults to inject into every execution of an
-// engine configured with WithFaultPlan: rank deaths at a barrier
-// round, message drops and delays on chosen links, and slow ranks.
+// engine configured with WithFaultPlan: rank deaths in a chosen
+// communication round, message drops and delays on chosen links, and
+// slow ranks.
 // Injected failures surface as prompt Exec errors — never hangs —
 // on all three transports; deaths wrap ErrFaultInjected, drops and
 // wall-clock delays trip the WithRecvTimeout deadline as
 // ErrRecvTimeout.
 type FaultPlan = machine.FaultPlan
 
-// RankDeath kills one rank as it enters its Round-th barrier.
+// RankDeath kills one rank inside its communication round Round
+// (0-based): it receives that round's panels and dies before
+// multiplying them. A Round at or past Decomposition.Rounds never fires.
 type RankDeath = machine.RankDeath
 
 // MessageDrop silently discards messages on the Src→Dst link after

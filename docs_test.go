@@ -1,6 +1,9 @@
 package cosma
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -136,5 +139,80 @@ func TestDocsNameRealTargets(t *testing.T) {
 			dirs++
 		}
 		t.Logf("%s: %d make targets, %d command directories checked", doc, len(named), dirs)
+	}
+}
+
+// TestDocsNameRealIdentifiers keeps the prose honest about the machine
+// layer: every back-ticked `machine.X`, `comm.X`, `layout.X` or `wire.X`
+// in README or the architecture doc is an exported top-level declaration
+// of that package (`pkg.T.M`: method M of its type T), and every
+// `Rank.X` a method of machine.Rank — so naming a deleted primitive in
+// the docs fails tier-1. Benchmark rows (`wire.over_counting`) are
+// lower-case after the dot and are not identifiers.
+func TestDocsNameRealIdentifiers(t *testing.T) {
+	dirs := map[string]string{
+		"machine": "internal/machine", "comm": "internal/comm",
+		"layout": "internal/layout", "wire": "internal/machine/wire",
+	}
+	// decls[pkg] holds "X" for a top-level declaration, "T.M" for a method.
+	decls := map[string]map[string]bool{}
+	for pkg, dir := range dirs {
+		names := map[string]bool{}
+		parsed, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range parsed[pkg].Files {
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil {
+						recv := d.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						name = recv.(*ast.Ident).Name + "." + name
+					}
+					names[name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								names[id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		if len(names) == 0 {
+			t.Fatalf("%s: no declarations parsed from %s", pkg, dir)
+		}
+		decls[pkg] = names
+	}
+	ref := regexp.MustCompile("`(machine|Rank|comm|layout|wire)\\.([A-Z]\\w*(?:\\.[A-Z]\\w*)?)")
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		refs := ref.FindAllStringSubmatch(string(data), -1)
+		for _, m := range refs {
+			pkg, name := m[1], m[2]
+			if pkg == "Rank" {
+				pkg, name = "machine", "Rank."+name
+			}
+			if !decls[pkg][name] {
+				t.Errorf("%s names `%s.%s`, which package %s does not declare", doc, m[1], m[2], dirs[pkg])
+			}
+		}
+		t.Logf("%s: %d identifiers checked", doc, len(refs))
 	}
 }

@@ -225,8 +225,8 @@ func WithWireTransport(cfg WireConfig) Option {
 	}
 }
 
-// WithRecvTimeout bounds every blocking receive and barrier wait of
-// the engine's executions: a rank parked longer than d aborts the run
+// WithRecvTimeout bounds every blocking receive of the engine's
+// executions: a rank parked longer than d aborts the run
 // with an error wrapping ErrRecvTimeout instead of hanging forever.
 // On the wire transport this is the liveness guard against a peer
 // process dying mid-run; it works on the in-process transports too.
@@ -242,7 +242,7 @@ func WithRecvTimeout(d time.Duration) Option {
 }
 
 // WithFaultPlan injects a deterministic chaos schedule into every
-// execution: rank deaths at barrier rounds, message drops and delays,
+// execution: rank deaths in a chosen round, message drops and delays,
 // and slow-rank γ skew, applied at the machine's Rank layer so the
 // same plan perturbs runs identically on the counting, timed and wire
 // transports. Every injected failure class surfaces as a prompt error
@@ -363,7 +363,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 		e.wireTr = tr
-		e.wireMach = machine.NewWithTransport(tr)
+		e.wireMach = machine.NewLinked(tr)
 		if cfg.recvTimeout > 0 {
 			e.wireMach.SetRecvTimeout(cfg.recvTimeout)
 		}
@@ -498,8 +498,8 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 // Exec multiplies a·b under the engine's options: it plans (or reuses
 // the cached plan for) the shape, borrows a pooled executor, runs, and
 // returns the product with its report. Cancelling ctx aborts the run at
-// the next communication-round boundary — ranks parked in Recv or
-// Barrier are woken — and Exec returns ctx.Err().
+// the next communication-round boundary — ranks parked in a receive
+// are woken — and Exec returns ctx.Err().
 //
 // a and b are read in place for the duration of the call — every rank
 // multiplies the panels it owns straight out of them, views with

@@ -36,7 +36,7 @@ type Plan interface {
 	// by every rank for the duration of the call and never written; the
 	// caller must not write them until Execute returns. Cancellation of
 	// ctx is honored at communication-round boundaries and unblocks
-	// ranks parked in Recv or Barrier.
+	// ranks parked in a receive.
 	Execute(ctx context.Context, mach *machine.Machine, scratch *Arena, a, b *matrix.Dense) (*matrix.Dense, error)
 }
 
@@ -117,8 +117,8 @@ type ExecOptions struct {
 	// executor for a new (class, threads) pair pays the sub-second
 	// search; every later one reads the cache.
 	Autotune bool
-	// RecvTimeout, when positive, bounds every blocking receive and
-	// barrier of the executor's machine; an expired wait aborts the run
+	// RecvTimeout, when positive, bounds every blocking receive of the
+	// executor's machine; an expired wait aborts the run
 	// with machine.ErrRecvTimeout instead of hanging on a lost peer.
 	RecvTimeout time.Duration
 	// Machine, when non-nil, is a pre-built machine spanning Procs()
@@ -134,7 +134,7 @@ type ExecOptions struct {
 
 // NewExecutor builds an executor for p under o: the machine and the
 // scratch arena are allocated once here and reused by every Exec. A
-// supplied machine is used as-is (its transport may span several OS
+// supplied machine is used as-is (its ranks may span several OS
 // processes), otherwise one is built on o.Network.
 func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 	mach := o.Machine
@@ -207,10 +207,11 @@ func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense,
 	if err != nil {
 		return nil, nil, err
 	}
-	if e.mach.MultiProcess() {
-		// The report's traffic columns cover all p ranks, not just the
-		// local ones: merge the remote processes' counters first.
-		e.mach.SyncCounters()
+	// The report's traffic columns cover all p ranks, not just the local
+	// ones: on a multi-process machine, merge the remote processes'
+	// counters first. A merge that came up short would under-report.
+	if err := e.mach.SyncCounters(); err != nil {
+		return nil, nil, fmt.Errorf("algo: merging the processes' counters: %w", err)
 	}
 	rep := NewReport(e.plan.Algorithm(), e.plan.Grid(), e.mach, e.plan.Used(), e.plan.Model())
 	if o, ok := e.plan.(Overlapper); ok {

@@ -62,21 +62,11 @@ func (g *Group) tree(root int) (parent int, children []int) {
 }
 
 // Bcast distributes data from the group member at index root to all
-// members along a binary tree and returns each member's copy. Only the
-// root's data argument is read; other members may pass nil.
+// members along a binary tree and returns each member's copy: an IBcast
+// settled where it is posted. Only the root's data argument is read;
+// other members may pass nil.
 func (g *Group) Bcast(root int, data []float64, tag int) []float64 {
-	g.checkRoot(root)
-	if len(g.ranks) == 1 {
-		return data
-	}
-	parent, children := g.tree(root)
-	if parent >= 0 {
-		data = g.rank.Recv(g.ranks[parent], tag)
-	}
-	for _, c := range children {
-		g.rank.Send(g.ranks[c], tag, data)
-	}
-	return data
+	return g.IBcast(root, data, tag).Wait()
 }
 
 // reduceLatencyWords is L = α/β of the reduction's grain formula, in
@@ -177,15 +167,15 @@ type Pending struct {
 
 	// The parent receive to settle and the children to relay the payload
 	// to as it lands.
-	recv     machine.Request
+	recv     *machine.Request
 	children []int
 }
 
-// IBcast posts the asynchronous counterpart of Bcast: the root relays
-// data to its children immediately (sends are eager and never block)
-// and every other member posts a non-blocking receive from its tree
-// parent. Settle with Wait or Test; interior members relay to their
-// subtrees as part of settling. Only the root's data argument is read.
+// IBcast posts a broadcast of data from the group member at index root
+// along the binary tree: the root relays data to its children
+// immediately (sends are eager and never block) and every other member
+// posts a non-blocking receive from its tree parent. Settle with Wait; interior members relay to their subtrees as
+// part of settling. Only the root's data argument is read.
 func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 	g.checkRoot(root)
 	p := &Pending{g: g, tag: tag, data: data}
@@ -210,9 +200,9 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 }
 
 // Wait blocks until the payload has landed here and been relayed to the
-// caller's subtrees, and returns it. The returned buffer follows the same
-// ownership rules as the blocking Bcast (it may be handed back with
-// machine.Release).
+// caller's subtrees, and returns it. A receiving member owns the
+// returned buffer (it may be handed back with machine.Release); the
+// root gets its own data back.
 func (p *Pending) Wait() []float64 {
 	if p.done {
 		return p.data
@@ -228,21 +218,9 @@ func (p *Pending) Wait() []float64 {
 	return p.data
 }
 
-// Test polls the broadcast without blocking: it returns (payload, true)
-// once the parent's payload has landed — relaying it onward — and
-// (nil, false) otherwise.
-func (p *Pending) Test() ([]float64, bool) {
-	if !p.done {
-		if _, ok := p.recv.Test(); !ok {
-			return nil, false
-		}
-	}
-	return p.Wait(), true
-}
-
 // At returns the logical landing time of the collective's payload at
-// this member (timed transports; zero otherwise). Valid once Wait or a
-// successful Test returned.
+// this member (timed machines; zero otherwise). Valid once Wait has
+// returned.
 func (p *Pending) At() float64 { return p.at }
 
 // PipelineRounds drives the broadcast–multiply round loop of the

@@ -18,11 +18,12 @@
 // on without copying, which is what keeps the steady-state round loop
 // allocation-free.
 //
-// The broadcast also exists in asynchronous form (IBcast returning a
-// Pending): posting returns immediately and settling with Wait or Test
-// drives the remaining hops, relaying the payload down the tree stamped
-// at the time it landed. The pipelined round loops post the next
-// round's broadcasts before the current round's kernel call, hiding the
-// tree traffic behind compute (§7.3) while moving exactly the same words
-// as the blocking form.
+// The broadcast is one asynchronous tree walk (IBcast returning a
+// Pending): posting returns immediately and settling with Wait drives
+// the remaining hops, relaying the payload down the tree stamped at the
+// time it landed. The pipelined round loops post the next round's
+// broadcasts before the current round's kernel call, hiding the tree
+// traffic behind compute (§7.3); the blocking Bcast is the same walk
+// settled where it is posted, and charges a timed machine's clocks
+// exactly what a receive-then-send tree would.
 package comm

@@ -44,34 +44,65 @@ func TestIBcastMatchesBcast(t *testing.T) {
 	}
 }
 
-// TestIBcastTestPolls drives an asynchronous broadcast entirely through
-// Test: members poll until their payload lands, with a barrier ensuring
-// the root has pushed before the first poll.
-func TestIBcastTestPolls(t *testing.T) {
-	m := machine.New(4)
-	ids := []int{0, 1, 2, 3}
-	err := m.Run(func(r *machine.Rank) error {
-		g := groupOf(r, ids)
-		var data []float64
-		if g.Index() == 0 {
-			data = []float64{7}
+// blockingBcast is the tree broadcast written with blocking primitives —
+// receive from the parent, send to each child — kept as the reference
+// the one tree walk (IBcast) is held to.
+func blockingBcast(g *Group, root int, data []float64, tag int) []float64 {
+	parent, children := g.tree(root)
+	if parent >= 0 {
+		data = g.rank.Recv(g.ranks[parent], tag)
+	}
+	for _, c := range children {
+		g.rank.Send(g.ranks[c], tag, data)
+	}
+	return data
+}
+
+// TestBcastClocksEqualSettledIBcast is what PipelineRounds' no-overlap
+// mode rests on: an IBcast settled where it is posted charges every
+// rank's clock exactly what the blocking tree broadcast does — receive
+// from the parent, then one α per child in order — bit for bit, for
+// every group size and root.
+func TestBcastClocksEqualSettledIBcast(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 8, 13} {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
 		}
-		p := g.IBcast(0, data, 5)
-		var got []float64
-		ok := false
-		if r.ID() == 0 {
-			got, ok = p.Wait(), true
+		for root := 0; root < n; root++ {
+			times := func(bcast func(g *Group, data []float64) []float64) []float64 {
+				m := machine.NewTimed(n, machine.PizDaintNet())
+				err := m.Run(func(r *machine.Rank) error {
+					g := groupOf(r, ids)
+					// Uneven clocks going in, and traffic after, so a
+					// difference in any port's state would surface.
+					r.Compute(int64(1000 * (1 + r.ID()%3)))
+					var data []float64
+					if g.Index() == root {
+						data = make([]float64, 96)
+					}
+					for round := 0; round < 2; round++ {
+						got := bcast(g, data)
+						if len(got) != 96 {
+							t.Errorf("n=%d root=%d rank %d: got %d words", n, root, r.ID(), len(got))
+						}
+						r.Compute(500)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("n=%d root=%d: %v", n, root, err)
+				}
+				return m.Times()
+			}
+			blocking := times(func(g *Group, data []float64) []float64 { return blockingBcast(g, root, data, 10) })
+			settled := times(func(g *Group, data []float64) []float64 { return g.IBcast(root, data, 10).Wait() })
+			for i := range blocking {
+				if blocking[i] != settled[i] {
+					t.Fatalf("n=%d root=%d rank %d: blocking clock %v, settled IBcast %v", n, root, i, blocking[i], settled[i])
+				}
+			}
 		}
-		for !ok {
-			got, ok = p.Test()
-		}
-		if len(got) != 1 || got[0] != 7 {
-			t.Errorf("rank %d: Test-driven IBcast got %v", r.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"cosma/internal/algo"
@@ -9,22 +10,13 @@ import (
 	"cosma/internal/matrix"
 )
 
-// computeCounter counts Rank.Compute calls per rank — the rank program
-// charges one per executed round.
-type computeCounter struct {
-	machine.Transport
-	calls []int // each rank writes only its own entry
-}
-
-func (c *computeCounter) Compute(rank int, flops int64) {
-	c.calls[rank]++
-	c.Transport.Compute(rank, flops)
-}
-
 // TestDecompositionRoundsCountsExecutedRounds holds Decomposition.Rounds
 // to what the rank program does: the most rounds any rank multiplies,
 // ownership cuts included, on the three benchmark shapes and an uneven
-// one.
+// one. The rank program charges one Compute per executed round, and
+// that is the clock a RankDeath's Round counts: a death scheduled for
+// round Rounds−1 must fire on some rank, one scheduled for round Rounds
+// on none.
 func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -45,19 +37,33 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counter := &computeCounter{Transport: machine.New(c.p).Transport(), calls: make([]int, c.p)}
-			a, b := matrix.New(c.m, c.k), matrix.New(c.k, c.n)
-			if _, err := pl.Execute(context.Background(), machine.NewWithTransport(counter), algo.NewArena(c.p), a, b); err != nil {
-				t.Fatal(err)
-			}
-			executed := 0
-			for _, n := range counter.calls {
-				executed = max(executed, n)
-			}
 			got := pl.(algo.Decomposed).Decomposition().Rounds
-			if got != executed || (c.want != 0 && got != c.want) {
-				t.Fatalf("grid %s: Decomposition.Rounds = %d, ranks multiplied at most %d rounds (want %d)",
-					pl.Grid(), got, executed, c.want)
+			if c.want != 0 && got != c.want {
+				t.Fatalf("grid %s: Decomposition.Rounds = %d, want %d", pl.Grid(), got, c.want)
+			}
+			a, b := matrix.New(c.m, c.k), matrix.New(c.k, c.n)
+			mach, arena := machine.New(c.p), algo.NewArena(c.p)
+			// diesIn reports whether any rank reaches a round-th Compute.
+			diesIn := func(round int) bool {
+				var deaths []machine.RankDeath
+				for rank := 0; rank < c.p; rank++ {
+					deaths = append(deaths, machine.RankDeath{Rank: rank, Round: round})
+				}
+				if err := mach.SetFaultPlan(machine.FaultPlan{Deaths: deaths}); err != nil {
+					t.Fatal(err)
+				}
+				arena.Reset()
+				_, err := pl.Execute(context.Background(), mach, arena, a, b)
+				if err != nil && !errors.Is(err, machine.ErrFaultInjected) {
+					t.Fatal(err)
+				}
+				return err != nil
+			}
+			if !diesIn(got - 1) {
+				t.Fatalf("grid %s: Decomposition.Rounds = %d but no rank multiplies a round %d", pl.Grid(), got, got-1)
+			}
+			if diesIn(got) {
+				t.Fatalf("grid %s: Decomposition.Rounds = %d but some rank multiplies a round %d", pl.Grid(), got, got)
 			}
 		})
 	}

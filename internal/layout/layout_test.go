@@ -147,78 +147,3 @@ func TestMoveSelfOverlapFree(t *testing.T) {
 		t.Fatalf("self move counted %d words", m.TotalVolume())
 	}
 }
-
-func TestBlockCyclicOwnerAndLocalIndex(t *testing.T) {
-	b := BlockCyclic{R: 10, C: 10, RB: 2, CB: 3, PR: 2, PC: 2}
-	// Element (0,0): block (0,0) → process (0,0), local (0,0).
-	if pr, pc := b.Owner(0, 0); pr != 0 || pc != 0 {
-		t.Fatalf("Owner(0,0) = (%d,%d)", pr, pc)
-	}
-	// Element (2,0): row block 1 → pr = 1.
-	if pr, _ := b.Owner(2, 0); pr != 1 {
-		t.Fatalf("Owner(2,0) wrong row owner")
-	}
-	// Element (4,0): row block 2 → pr = 0 again, second local row block.
-	if pr, _ := b.Owner(4, 0); pr != 0 {
-		t.Fatal("cyclic wrap wrong")
-	}
-	li, _ := b.LocalIndex(4, 0)
-	if li != 2 {
-		t.Fatalf("LocalIndex(4,0) row = %d, want 2", li)
-	}
-}
-
-func TestBlockCyclicSizesCoverMatrix(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		b := BlockCyclic{
-			R: 1 + r.Intn(40), C: 1 + r.Intn(40),
-			RB: 1 + r.Intn(5), CB: 1 + r.Intn(5),
-			PR: 1 + r.Intn(4), PC: 1 + r.Intn(4),
-		}
-		// Sum of local rows over pr at fixed pc must equal R (same for C).
-		total := 0
-		for pr := 0; pr < b.PR; pr++ {
-			rows, _ := b.LocalSize(pr, 0)
-			total += rows
-		}
-		if total != b.R {
-			return false
-		}
-		total = 0
-		for pc := 0; pc < b.PC; pc++ {
-			_, cols := b.LocalSize(0, pc)
-			total += cols
-		}
-		return total == b.C
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockCyclicDistributeCollectRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, c := range []BlockCyclic{
-		{R: 9, C: 7, RB: 2, CB: 2, PR: 2, PC: 3},
-		{R: 16, C: 16, RB: 4, CB: 4, PR: 2, PC: 2},
-		{R: 5, C: 5, RB: 3, CB: 1, PR: 2, PC: 4},
-	} {
-		global := matrix.Random(c.R, c.C, rng)
-		locals := c.Distribute(global)
-		back := c.Collect(locals)
-		if matrix.MaxDiff(global, back) != 0 {
-			t.Fatalf("%+v: round trip failed", c)
-		}
-		// Local sizes must match the descriptor math.
-		for pr := 0; pr < c.PR; pr++ {
-			for pc := 0; pc < c.PC; pc++ {
-				r, cc := c.LocalSize(pr, pc)
-				if locals[pr][pc].Rows != r || locals[pr][pc].Cols != cc {
-					t.Fatalf("%+v: local (%d,%d) is %d×%d, descriptor says %d×%d",
-						c, pr, pc, locals[pr][pc].Rows, locals[pr][pc].Cols, r, cc)
-				}
-			}
-		}
-	}
-}

@@ -33,37 +33,9 @@ func TestRunCtxCancelUnblocksRecv(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelUnblocksBarrier parks all but one rank at a barrier
-// while the last blocks in Recv; cancellation must release both paths.
-func TestRunCtxCancelUnblocksBarrier(t *testing.T) {
-	m := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- m.RunCtx(ctx, func(r *Rank) error {
-			if r.ID() == 0 {
-				r.Recv(1, 7) // never sent: holds rank 0 out of the barrier
-				return nil
-			}
-			r.Barrier()
-			return nil
-		})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunCtx returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled RunCtx did not return")
-	}
-}
-
 // TestMachineReusableAfterCancel cancels one run mid-flight and then
-// reuses the same machine for a full exchange: mailboxes, barrier
-// poisoning and interruption must all reset.
+// reuses the same machine for a full exchange: mailboxes and
+// interruption must both reset.
 func TestMachineReusableAfterCancel(t *testing.T) {
 	m := New(2)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -77,11 +49,10 @@ func TestMachineReusableAfterCancel(t *testing.T) {
 
 	err := m.Run(func(r *Rank) error {
 		peer := (r.ID() + 1) % 2
-		got := r.SendRecv(peer, []float64{float64(r.ID())}, peer, 3)
-		if got[0] != float64(peer) {
+		r.Send(peer, 3, []float64{float64(r.ID())})
+		if got := r.Recv(peer, 3); got[0] != float64(peer) {
 			t.Errorf("rank %d received %v", r.ID(), got)
 		}
-		r.Barrier()
 		return nil
 	})
 	if err != nil {
@@ -153,7 +124,7 @@ func TestRankPanicUnblocksParkedPeers(t *testing.T) {
 	}
 
 	// The machine must be reusable after the failure.
-	if err := m.Run(func(r *Rank) error { r.Barrier(); return nil }); err != nil {
+	if err := m.Run(func(r *Rank) error { rendezvous(r, 12); return nil }); err != nil {
 		t.Fatalf("machine not reusable after a rank panic: %v", err)
 	}
 }

@@ -1,21 +1,19 @@
-// Package conformance is the backend-agnostic machine.Transport test
-// suite: one set of semantic checks — FIFO delivery per (src, tag),
-// owned-vs-copied sends, Request Wait/Test, barriers and their
-// poisoning, cancellation, receive deadlines, machine reuse, and the
-// fault-injection section (rank death mid-round, dropped and delayed
-// messages, stragglers — each must surface as a prompt error, never a
-// hang) — run against every backend (counting, timed, wire loopback,
-// wire over sockets) so a new transport cannot drift from the
-// delivery discipline the algorithms assume.
+// Package conformance is the backend-agnostic machine test suite: one
+// set of semantic checks — FIFO delivery per (src, tag), owned-vs-copied
+// sends, posted receives, identical accounting, cancellation, receive
+// deadlines, machine reuse, and the fault-injection section (rank death
+// mid-round, dropped and delayed messages, stragglers — each must
+// surface as a prompt error, never a hang) — run against every backend
+// (counting, timed, wire loopback, wire over sockets) so a clock or a
+// link cannot drift from the delivery discipline the algorithms assume.
 package conformance
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +28,7 @@ type Cluster struct {
 	// Cleanup tears the cluster down (closing transports); may be nil.
 	Cleanup func()
 	// Recover heals the cluster after a failed run — multi-process
-	// backends rebuild lost connections here (wire.Transport.Recover
+	// backends rebuild lost connections here (the wire mesh's Recover
 	// on every process). In-process backends may leave it nil:
 	// recovery is a no-op for them.
 	Recover func() error
@@ -173,35 +171,18 @@ func Run(t *testing.T, factory Factory) {
 		err := first(c.run(context.Background(), func(r *machine.Rank) error {
 			dst := (r.ID() + 1) % r.P()
 			src := (r.ID() + r.P() - 1) % r.P()
-			recv := r.IRecv(src, 11)
-			send := r.ISend(dst, 11, []float64{float64(r.ID())})
-			if _, done := send.Test(); !done {
-				return fmt.Errorf("rank %d: eager ISend not complete at post", r.ID())
-			}
-			send.Wait()
-			// Poll the receive to completion, then check Wait returns
-			// the identical settled payload.
-			var got []float64
-			for {
-				var done bool
-				if got, done = recv.Test(); done {
-					break
-				}
-				runtime.Gosched()
-			}
-			if again := recv.Wait(); &again[0] != &got[0] {
-				return fmt.Errorf("rank %d: Wait after Test returned a different payload", r.ID())
-			}
+			// A receive posted before its send, settled after it; a second
+			// Wait must return the identical settled payload.
+			req := r.IRecv(src, 11)
+			r.Send(dst, 11, []float64{float64(r.ID())})
+			got := req.Wait()
 			if len(got) != 1 || got[0] != float64(src) {
 				return fmt.Errorf("rank %d: IRecv payload %v, want [%d]", r.ID(), got, src)
 			}
+			if again := req.Wait(); &again[0] != &got[0] {
+				return fmt.Errorf("rank %d: second Wait returned a different payload", r.ID())
+			}
 			machine.Release(got)
-			// And a plain blocking Wait.
-			req := r.IRecv(src, 12)
-			r.Send(dst, 12, []float64{42})
-			if got := req.Wait(); len(got) != 1 || got[0] != 42 {
-				return fmt.Errorf("rank %d: IRecv Wait payload %v, want [42]", r.ID(), got)
-			}
 			return nil
 		}))
 		if err != nil {
@@ -209,39 +190,25 @@ func Run(t *testing.T, factory Factory) {
 		}
 	})
 
-	t.Run("Barrier", func(t *testing.T) {
+	// Accounting lives in the machine, not in its clock or link, so one
+	// program must leave the same Counters on every backend: the cluster
+	// is held to a plain counting machine running the same program.
+	t.Run("AccountingIdentical", func(t *testing.T) {
 		c := cluster(t)
-		const rounds = 3
-		var arrived [rounds]atomic.Int64
-		err := first(c.run(context.Background(), func(r *machine.Rank) error {
-			for round := 0; round < rounds; round++ {
-				arrived[round].Add(1)
-				r.Barrier()
-				if n := arrived[round].Load(); n != int64(r.P()) {
-					return fmt.Errorf("rank %d: released from barrier round %d with %d/%d ranks arrived", r.ID(), round, n, r.P())
-				}
-			}
-			return nil
-		}))
-		if err != nil {
+		ref := machine.New(p)
+		if err := ref.Run(mixedTraffic); err != nil {
 			t.Fatal(err)
 		}
-	})
-
-	t.Run("BarrierPoisoning", func(t *testing.T) {
-		c := cluster(t)
-		errs := c.run(context.Background(), func(r *machine.Rank) error {
-			if r.ID() == r.P()-1 {
-				panic("conformance: simulated rank failure")
+		if err := first(c.run(context.Background(), mixedTraffic)); err != nil {
+			t.Fatal(err)
+		}
+		for rank := 0; rank < p; rank++ {
+			got, want := c.HostOf(rank).Counters(rank), ref.Counters(rank)
+			if got != want {
+				t.Errorf("rank %d: counters %+v, counting machine has %+v", rank, got, want)
 			}
-			r.Barrier()
-			return nil
-		})
-		// Every machine must unwind: the failing rank's with the panic
-		// as root cause, the rest via poisoning/abort — never a hang.
-		for i, err := range errs {
-			if err == nil {
-				t.Fatalf("machine %d returned nil from a poisoned run", i)
+			if want.SentMsgs == 0 || want.RecvWords == 0 {
+				t.Errorf("rank %d moved no traffic: %+v", rank, want)
 			}
 		}
 	})
@@ -301,12 +268,14 @@ func Run(t *testing.T, factory Factory) {
 			}
 		}
 		errs := runWithin(t, 30*time.Second, c, context.Background(), func(r *machine.Rank) error {
+			// Rank p−1 dies in round 1. A ring starves one more neighbour
+			// per round, so p+2 rounds leave no rank able to finish.
 			next, prev := (r.ID()+1)%r.P(), (r.ID()+r.P()-1)%r.P()
-			for round := 0; round < 3; round++ {
+			for round := 0; round < p+2; round++ {
 				r.Send(next, round, []float64{float64(round)})
 				got := r.Recv(prev, round)
 				machine.Release(got)
-				r.Barrier() // rank p−1 dies entering round 1
+				r.Compute(1)
 			}
 			return nil
 		})
@@ -417,15 +386,16 @@ func Run(t *testing.T, factory Factory) {
 		prog := func(r *machine.Rank) error {
 			// A deterministic multi-round reduction whose per-rank result
 			// depends on every round's traffic, so any replay divergence
-			// shows up in the recorded values.
+			// shows up in the recorded values — and long enough (p+2
+			// rounds) that a death in round 1 starves every rank.
 			acc := float64(r.ID() + 1)
 			next, prev := (r.ID()+1)%r.P(), (r.ID()+r.P()-1)%r.P()
-			for round := 0; round < 3; round++ {
+			for round := 0; round < p+2; round++ {
 				r.Send(next, 30+round, []float64{acc + float64(round)})
 				got := r.Recv(prev, 30+round)
 				acc = acc*3 + got[0]
 				machine.Release(got)
-				r.Barrier()
+				r.Compute(1)
 			}
 			record[r.ID()] = acc
 			return nil
@@ -437,8 +407,8 @@ func Run(t *testing.T, factory Factory) {
 		}
 		want := append([]float64(nil), record...)
 
-		// Seeded kill: rank p−1 dies entering its round-1 barrier, on the
-		// first attempt only.
+		// Seeded kill: rank p−1 dies at its round-1 Compute, on the first
+		// attempt only.
 		plan := machine.FaultPlan{Deaths: []machine.RankDeath{{Rank: p - 1, Round: 1, OnAttempt: 1}}}
 		for _, m := range c.Machines {
 			if err := m.SetFaultPlan(plan); err != nil {
@@ -492,6 +462,51 @@ func Run(t *testing.T, factory Factory) {
 			t.Fatalf("counters not reset between runs: first %+v, second %+v", want, got)
 		}
 	})
+}
+
+// mixedTraffic is the seeded program of AccountingIdentical: every rank
+// derives the same schedule — copied, owned, relayed and self-sends of
+// assorted lengths (empty included) on three tags — posts its own part,
+// charges some flops and then takes what is addressed to it.
+func mixedTraffic(r *machine.Rank) error {
+	type msg struct{ src, dst, tag, words, kind int }
+	rng := rand.New(rand.NewSource(23))
+	sched := make([]msg, 40*r.P())
+	for i := range sched {
+		sched[i] = msg{src: rng.Intn(r.P()), dst: rng.Intn(r.P()), tag: 60 + rng.Intn(3), words: rng.Intn(9), kind: rng.Intn(3)}
+	}
+	for i, s := range sched {
+		if s.src != r.ID() {
+			continue
+		}
+		data := machine.Loan(s.words)
+		for j := range data {
+			data[j] = float64(i)
+		}
+		switch s.kind {
+		case 0:
+			r.Send(s.dst, s.tag, data)
+			machine.Release(data)
+		case 1:
+			r.SendOwned(s.dst, s.tag, data)
+		default:
+			r.SendAt(s.dst, s.tag, data, r.Now())
+			machine.Release(data)
+		}
+	}
+	r.Compute(int64(100 + r.ID()))
+	for i, s := range sched {
+		if s.dst != r.ID() {
+			continue
+		}
+		got := r.Recv(s.src, s.tag)
+		if len(got) != s.words || (s.words > 0 && got[0] != float64(i)) {
+			return fmt.Errorf("rank %d: message %d from %d (tag %d) arrived as %v, want %d words of %d",
+				r.ID(), i, s.src, s.tag, got, s.words, i)
+		}
+		machine.Release(got)
+	}
+	return nil
 }
 
 // pingRing is the minimal all-ranks program reused by several

@@ -8,12 +8,12 @@ import (
 )
 
 // FaultPlan is a deterministic chaos schedule injected at the Rank
-// layer, so one plan perturbs a run identically on all three
-// transports: rank deaths fire entering a barrier round, message
-// drops and delays fire at the sender's send sites, and slow ranks
-// stretch their Compute calls. Every failure class surfaces as a
-// prompt error from Run — a dead rank interrupts the machine (on the
-// wire backend that rides the existing abort broadcast, so peer
+// layer, so one plan perturbs a run identically on every machine,
+// whatever clock or link it carries: rank deaths fire entering a
+// Compute, message drops, corruptions and delays fire in the one send
+// path, and slow ranks stretch their Compute calls. Every failure class
+// surfaces as a prompt error from Run — a dead rank interrupts the
+// machine (on a linked machine that rides the abort broadcast, so peer
 // processes unwind too), and a dropped or over-delayed message trips
 // the SetRecvTimeout deadline at the receiver. Set a deadline when
 // injecting drops or delays on machines that are not otherwise
@@ -31,12 +31,15 @@ type FaultPlan struct {
 	Corrupts []Corrupt
 }
 
-// RankDeath kills Rank at its first send, compute or barrier once the
-// rank has passed Round barriers (0-based, counted per rank within one
-// Run) — in a barrier-per-round program that is within round Round; in
-// a barrier-free program Round 0 fires at the first operation. The rank
-// panics, the run is interrupted, and Run reports an error wrapping
-// ErrFaultInjected.
+// RankDeath kills Rank inside its communication round Round (0-based,
+// counted per rank within one Run). Compute is the round clock — every
+// registered rank program charges one Compute per round — so the rank
+// completes Round of them and dies entering the next: it has received
+// round Round's panels and never multiplies them. A rank that computes
+// Round times or fewer survives, whatever it sends afterwards (the
+// fiber reduction and the result gather follow the last round). The
+// rank panics, the run is interrupted, and Run reports an error
+// wrapping ErrFaultInjected.
 //
 // OnAttempt restricts the death to the OnAttempt-th Run since the plan
 // was installed (1-based); 0 fires on every Run. A retry layer uses
@@ -184,12 +187,6 @@ type faultPanic struct {
 	err error
 }
 
-// clockSkewer is implemented by transports with a logical clock that
-// injected stragglers can stretch (the timed backend).
-type clockSkewer interface {
-	SkewClock(rank int, seconds float64)
-}
-
 // faultState is a FaultPlan compiled per rank. The mutable fields of
 // each rankFaults entry are touched only by that rank's own program
 // goroutine, so no locking is needed; reset runs between Runs with no
@@ -209,7 +206,7 @@ type rankFaults struct {
 	delays   []MessageDelay // likewise
 	corrupts []Corrupt      // likewise
 	// Mutable per-run state, owned by the rank's goroutine:
-	barriers int
+	computes int   // completed Compute calls: the round the rank is in
 	sent     []int // per-destination send attempts (nil unless drops or corrupts exist)
 }
 
@@ -277,23 +274,10 @@ func compileFaults(fp FaultPlan, p int) *faultState {
 func (f *faultState) reset() {
 	f.run++
 	for i := range f.ranks {
-		f.ranks[i].barriers = 0
+		f.ranks[i].computes = 0
 		for j := range f.ranks[i].sent {
 			f.ranks[i].sent[j] = 0
 		}
-	}
-}
-
-// maybeDie fires a scheduled death once the rank's barrier count has
-// reached the death round. Checking at every send and compute — not
-// only at barrier entry — makes Round-0 deaths fire in barrier-free
-// programs too (the GEMM executors never call Barrier), while
-// barrier-driven programs still die within their scheduled round.
-func (rf *rankFaults) maybeDie(rank, run int) {
-	if rf.death != nil && rf.barriers >= rf.death.Round &&
-		(rf.death.OnAttempt == 0 || rf.death.OnAttempt == run) {
-		panic(faultPanic{fmt.Errorf("%w: rank %d died in round %d (attempt %d)",
-			ErrFaultInjected, rank, rf.death.Round, run)})
 	}
 }
 
@@ -305,7 +289,6 @@ func (rf *rankFaults) maybeDie(rank, run int) {
 // match. A dropped message is never also corrupted.
 func (f *faultState) send(rank, dst int) (drop bool, logical float64, corr *Corrupt) {
 	rf := &f.ranks[rank]
-	rf.maybeDie(rank, f.run)
 	n := 0
 	if rf.sent != nil {
 		n = rf.sent[dst]
@@ -345,30 +328,27 @@ func (f *faultState) send(rank, dst int) (drop bool, logical float64, corr *Corr
 	return false, logical, corr
 }
 
-// barrier fires any scheduled death for rank at its current round,
-// then advances the round count.
-func (f *faultState) barrier(rank int) {
+// compute is the plan's hook in Rank.Compute, called after the charge:
+// a death scheduled for the round this Compute closes fires, the round
+// count advances, and any straggler skew is applied — as a real stall,
+// and on a timed machine (c non-nil) as extra seconds on the rank's
+// clock.
+func (f *faultState) compute(c *clock, rank int, flops int64) {
 	rf := &f.ranks[rank]
-	rf.maybeDie(rank, f.run)
-	rf.barriers++
-}
-
-// compute applies any straggler skew for rank after a Compute charge.
-func (f *faultState) compute(m *Machine, rank int, flops int64) {
-	f.ranks[rank].maybeDie(rank, f.run)
-	s := f.ranks[rank].slow
+	if d := rf.death; d != nil && rf.computes == d.Round && (d.OnAttempt == 0 || d.OnAttempt == f.run) {
+		panic(faultPanic{fmt.Errorf("%w: rank %d died in round %d (attempt %d)",
+			ErrFaultInjected, rank, d.Round, f.run)})
+	}
+	rf.computes++
+	s := rf.slow
 	if s == nil {
 		return
 	}
 	if s.PerCompute > 0 {
 		time.Sleep(s.PerCompute)
 	}
-	if s.Factor > 1 {
-		if sk, ok := m.t.(clockSkewer); ok {
-			if net, timed := m.t.Network(); timed {
-				sk.SkewClock(rank, (s.Factor-1)*net.Gamma*float64(flops))
-			}
-		}
+	if s.Factor > 1 && c != nil {
+		c.skew(rank, (s.Factor-1)*c.net.Gamma*float64(flops))
 	}
 }
 

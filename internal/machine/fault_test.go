@@ -7,7 +7,7 @@ import (
 )
 
 // ringProgram is the canonical 3-round neighbor exchange used by the
-// fault tests: deterministic traffic on every rank, a barrier per
+// fault tests: deterministic traffic on every rank, one Compute per
 // round.
 func ringProgram(rounds, words int) func(r *Rank) error {
 	return func(r *Rank) error {
@@ -17,7 +17,6 @@ func ringProgram(rounds, words int) func(r *Rank) error {
 			r.Send(next, round, make([]float64, words))
 			r.Recv(prev, round)
 			r.Compute(1 << 10)
-			r.Barrier()
 		}
 		return nil
 	}
@@ -42,8 +41,7 @@ func TestFaultRankDeathSurfacesAsError(t *testing.T) {
 }
 
 func TestFaultDeathReportedAsRootCauseNotCollateral(t *testing.T) {
-	// Rank 0 dies; every other rank unwinds through a poisoned barrier
-	// or an interrupted Recv. The error Run returns must still be the
+	// Rank 0 dies; every other rank unwinds through an interrupted Recv. The error Run returns must still be the
 	// injected death, not the collateral.
 	m := New(4)
 	if err := m.SetFaultPlan(FaultPlan{Deaths: []RankDeath{{Rank: 0, Round: 0}}}); err != nil {
@@ -179,7 +177,6 @@ func TestFaultSlowRankSkewsTimedClock(t *testing.T) {
 		}
 		if err := m.Run(func(r *Rank) error {
 			r.Compute(1 << 20)
-			r.Barrier()
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -49,15 +49,15 @@ func TestHierarchicalFlatRanksUnaffected(t *testing.T) {
 }
 
 // hierProgram is a clock-sensitive mixed program: ring exchange,
-// relayed send, compute and barriers — every timed-transport charge
-// site fires at least once.
+// relayed send, posted receive, compute and zero-word rendezvous — every
+// charge site of the clock fires at least once.
 func hierProgram(r *Rank) error {
 	p, id := r.P(), r.ID()
 	next, prev := (id+1)%p, (id+p-1)%p
 	r.Send(next, 1, make([]float64, 64))
 	r.Recv(prev, 1)
 	r.Compute(1 << 12)
-	r.Barrier()
+	rendezvous(r, 4)
 	if id == 0 {
 		r.SendAt(p-1, 2, make([]float64, 32), r.Now())
 	}
@@ -65,10 +65,10 @@ func hierProgram(r *Rank) error {
 		r.Recv(0, 2)
 	}
 	req := r.IRecv(prev, 3)
-	r.ISend(next, 3, make([]float64, 16))
+	r.Send(next, 3, make([]float64, 16))
 	r.Compute(1 << 10)
 	req.Wait()
-	r.Barrier()
+	rendezvous(r, 5)
 	return nil
 }
 

@@ -2,9 +2,24 @@ package machine
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 )
+
+// rendezvous sequences the ranks where a test needs every one of them
+// to have reached a point: a zero-word message to rank 0 and one back.
+func rendezvous(r *Rank, tag int) {
+	if r.ID() != 0 {
+		r.Send(0, tag, nil)
+		r.Recv(0, tag)
+		return
+	}
+	for src := 1; src < r.P(); src++ {
+		r.Recv(src, tag)
+	}
+	for dst := 1; dst < r.P(); dst++ {
+		r.Send(dst, tag, nil)
+	}
+}
 
 func TestPingPong(t *testing.T) {
 	m := New(2)
@@ -123,40 +138,6 @@ func TestSelfSendNotCounted(t *testing.T) {
 	}
 }
 
-func TestSendRecvExchangeNoDeadlock(t *testing.T) {
-	p := 8
-	m := New(p)
-	err := m.Run(func(r *Rank) error {
-		partner := r.ID() ^ 1
-		got := r.SendRecv(partner, []float64{float64(r.ID())}, partner, 9)
-		if got[0] != float64(partner) {
-			t.Errorf("rank %d got %v", r.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierOrdersPhases(t *testing.T) {
-	p := 16
-	m := New(p)
-	var phase1 atomic.Int64
-	err := m.Run(func(r *Rank) error {
-		phase1.Add(1)
-		r.Barrier()
-		if got := phase1.Load(); got != int64(p) {
-			t.Errorf("rank %d passed barrier with %d/%d in phase 1", r.ID(), got, p)
-		}
-		r.Barrier() // reusable
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunReportsError(t *testing.T) {
 	m := New(3)
 	want := errors.New("boom")
@@ -168,20 +149,6 @@ func TestRunReportsError(t *testing.T) {
 	})
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRunRecoversPanicAndUnblocksBarrier(t *testing.T) {
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			panic("rank 0 dies")
-		}
-		r.Barrier() // would deadlock without poisoning
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error from panicked rank")
 	}
 }
 
@@ -231,27 +198,6 @@ func TestManyRanksAllToOne(t *testing.T) {
 	}
 	if m.MaxMessages() != int64(p-1) {
 		t.Fatalf("MaxMessages = %d", m.MaxMessages())
-	}
-}
-
-func TestSendRecvSelfPairing(t *testing.T) {
-	// SendRecv with dst == src == self must round-trip through the local
-	// mailbox without blocking or counting traffic.
-	m := New(3)
-	err := m.Run(func(r *Rank) error {
-		got := r.SendRecv(r.ID(), []float64{float64(r.ID()), 7}, r.ID(), 4)
-		if len(got) != 2 || got[0] != float64(r.ID()) || got[1] != 7 {
-			t.Errorf("rank %d self SendRecv = %v", r.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 3; id++ {
-		if c := m.Counters(id); c.Volume() != 0 || c.Messages() != 0 {
-			t.Fatalf("rank %d self SendRecv counted: %+v", id, c)
-		}
 	}
 }
 
@@ -314,29 +260,6 @@ func TestSendOwnedCountsLikeSend(t *testing.T) {
 	}
 }
 
-func TestBarrierPoisonedByPanicThenMachineReusable(t *testing.T) {
-	// A rank panic poisons the barrier so survivors unblock; the next Run
-	// must start with a clean barrier.
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			panic("rank 0 dies mid-phase")
-		}
-		r.Barrier()
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error from panicked rank")
-	}
-	err = m.Run(func(r *Rank) error {
-		r.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("machine unusable after poisoning: %v", err)
-	}
-}
-
 func TestFailedRunLeavesNoStaleMessages(t *testing.T) {
 	// Run 1 dies with a message still undelivered; Run 2 on the same
 	// machine must not receive Run 1's payload.
@@ -346,7 +269,7 @@ func TestFailedRunLeavesNoStaleMessages(t *testing.T) {
 			r.Send(1, 1, []float64{-1}) // never received
 			panic("rank 0 dies after sending")
 		}
-		r.Barrier()
+		r.Recv(0, 2) // never sent: parks rank 1 until the panic unwinds it
 		return nil
 	})
 	if err == nil {

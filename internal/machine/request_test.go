@@ -7,38 +7,27 @@ import (
 	"time"
 )
 
-// TestISendIRecvRoundTrip exercises the non-blocking pair on the
-// counting transport: a request posted before the matching send arrives
-// reports not-ready under Test and completes under Wait, and the
-// counters match a blocking exchange.
-func TestISendIRecvRoundTrip(t *testing.T) {
+// TestIRecvRoundTrip exercises the posted receive on the counting
+// machine: a request posted before the matching send exists completes
+// under Wait, a second Wait returns the same buffer, and the counters
+// match a blocking exchange.
+func TestIRecvRoundTrip(t *testing.T) {
 	m := New(2)
 	err := m.Run(func(r *Rank) error {
 		switch r.ID() {
 		case 0:
 			req := r.IRecv(1, 7)
-			r.Barrier() // rank 1 sends only after this barrier
-			r.Barrier() // ...and has sent before this one
-			data, ok := req.Test()
-			if !ok {
-				t.Error("Test reported an arrived message as pending")
-			}
+			rendezvous(r, 8) // rank 1 sends only after this
+			data := req.Wait()
 			if len(data) != 3 || data[0] != 42 {
 				t.Errorf("IRecv payload = %v, want [42 0 0]", data)
 			}
 			if again := req.Wait(); &again[0] != &data[0] {
-				t.Error("Wait after Test returned a different buffer")
+				t.Error("second Wait returned a different buffer")
 			}
 		case 1:
-			if _, ok := r.IRecv(0, 9).Test(); ok {
-				t.Error("Test reported an unsent message as arrived")
-			}
-			r.Barrier()
-			req := r.ISend(0, 7, []float64{42, 0, 0})
-			if _, ok := req.Test(); !ok {
-				t.Error("eager ISend did not complete at post time")
-			}
-			r.Barrier()
+			rendezvous(r, 8)
+			r.Send(0, 7, []float64{42, 0, 0})
 		}
 		return nil
 	})
@@ -82,7 +71,7 @@ func TestRequestWaitInterruptedByCancel(t *testing.T) {
 	// The machine must remain reusable after the interrupted run.
 	if err := m.Run(func(r *Rank) error {
 		req := r.IRecv((r.ID()+1)%r.P(), 1)
-		r.ISend((r.ID()+r.P()-1)%r.P(), 1, []float64{1})
+		r.Send((r.ID()+r.P()-1)%r.P(), 1, []float64{1})
 		req.Wait()
 		return nil
 	}); err != nil {

@@ -116,17 +116,17 @@ func NetworkByName(name string) (NetworkParams, error) {
 	return NetworkParams{}, fmt.Errorf("machine: unknown network %q (want pizdaint, ethernet or sharedmem)", name)
 }
 
-// timed is the event-clock transport: counting's delivery and
-// accounting, plus a per-rank logical clock advanced by sends, receives
-// and compute. The model is congestion-free in the network core:
+// clock is the α-β-γ event clock a timed machine (NewTimed) carries
+// beside its mailboxes: one logical clock per rank, advanced by that
+// rank's sends, receives and compute. Delivery and accounting are the
+// machine's; the clock only prices them. The model is congestion-free
+// in the network core:
 //
 //   - a send occupies the sender's injection port for α seconds and the
 //     message departs at the sender's new clock;
 //   - a receive serializes on the receiver's ingress port: the receiver
 //     advances to max(own clock, departure) + β·words;
-//   - compute advances the rank's clock by γ·flops;
-//   - a machine barrier max-propagates all clocks (every rank leaves at
-//     the latest arrival).
+//   - compute advances the rank's clock by γ·flops.
 //
 // Dependencies therefore chain exactly along messages, so the final
 // maximum clock is the critical-path runtime of the executed schedule —
@@ -142,168 +142,102 @@ func NetworkByName(name string) (NetworkParams, error) {
 // outlives the compute. Blocking Recv keeps the serial semantics above
 // — so one schedule executed both ways measures exactly the Figure 12
 // overlap gain on its critical path.
-type timed struct {
-	*counting
-	net   NetworkParams
-	clock []float64
-	// ingress[i] is the time rank i's ingress port is next free. Only
-	// rank i's own goroutine touches it (transfers are accounted when
-	// that rank settles the receive), so it needs no lock.
+//
+// Every entry of every slice is touched only by its rank's own program
+// goroutine, so the clock needs no lock.
+type clock struct {
+	net NetworkParams
+	now []float64
+	// ingress[i] is the time rank i's ingress port is next free;
+	// transfers are accounted when that rank settles the receive.
 	ingress []float64
 	// egress[i] is the time rank i's injection port last released a
 	// departure. Relayed sends (SendAt) serialize against it, so a node
 	// forwarding to several children charges each child one more α —
 	// exactly the blocking collective's per-child injection sequence.
-	// Touched only by rank i's own goroutine, like ingress.
 	egress []float64
 }
 
-func newTimed(p int, net NetworkParams) *timed {
-	return &timed{
-		counting: newCounting(p),
-		net:      net,
-		clock:    make([]float64, p),
-		ingress:  make([]float64, p),
-		egress:   make([]float64, p),
+func newClock(p int, net NetworkParams) *clock {
+	return &clock{
+		net:     net,
+		now:     make([]float64, p),
+		ingress: make([]float64, p),
+		egress:  make([]float64, p),
 	}
 }
 
-// Send implements Transport: the sender pays α and the message departs
-// at the sender's advanced clock. Self-sends are free, mirroring the
-// counting transport's accounting.
-func (t *timed) Send(src, dst, tag int, data []float64, owned bool) {
-	if src != dst {
-		t.clock[src] += t.net.LinkAlpha(src, dst)
-		if t.clock[src] > t.egress[src] {
-			t.egress[src] = t.clock[src]
-		}
-	}
-	t.post(src, dst, tag, data, owned, t.clock[src])
-}
-
-// SendAt implements Transport: the relay departs at the stamped time
-// (the moment the payload landed at the relaying rank) plus α, not at
-// the rank's compute-advanced clock — this is what keeps a pipelined
+// depart charges a send from src to dst and returns the message's
+// departure time. Posting costs the sender α of clock time either way;
+// self-sends are free, mirroring the accounting. A plain send departs
+// at the sender's advanced clock. A relay departs at the stamped time
+// at (the moment the payload landed at the relaying rank) plus α, not
+// at the rank's compute-advanced clock — this is what keeps a pipelined
 // tree collective's downstream hops overlapped with the upstream ranks'
-// compute. Departures still serialize on the injection port: a node
-// relaying to several children charges each successive child one more
-// α, matching the blocking collective's send sequence. Posting also
-// costs the sender α of clock time.
-func (t *timed) SendAt(src, dst, tag int, data []float64, owned bool, at float64) {
+// compute — but still serializes on the injection port: a node relaying
+// to several children charges each successive child one more α,
+// matching the blocking collective's send sequence.
+func (c *clock) depart(src, dst int, relay bool, at float64) float64 {
 	if src == dst {
-		t.post(src, dst, tag, data, owned, t.clock[src])
-		return
+		return c.now[src]
 	}
-	alpha := t.net.LinkAlpha(src, dst)
-	t.clock[src] += alpha
-	if t.egress[src] > at {
-		at = t.egress[src]
+	alpha := c.net.LinkAlpha(src, dst)
+	c.now[src] += alpha
+	if !relay {
+		if c.now[src] > c.egress[src] {
+			c.egress[src] = c.now[src]
+		}
+		return c.now[src]
+	}
+	if c.egress[src] > at {
+		at = c.egress[src]
 	}
 	dep := at + alpha
-	t.egress[src] = dep
-	t.post(src, dst, tag, data, owned, dep)
+	c.egress[src] = dep
+	return dep
 }
 
-// Recv implements Transport: the receiver waits for the message's
-// departure time, then pays β per word on its ingress port, serially on
-// its own clock — a blocking receive is a receive posted and settled at
-// the same instant, so no part of the transfer can hide behind compute
-// (the no-overlap path). Equivalent to IRecv immediately followed by
-// Wait.
-func (t *timed) Recv(dst, src, tag int) []float64 {
-	e := t.take(dst, src, tag)
-	t.land(dst, src, e, t.clock[dst])
-	return e.data
-}
-
-// ISend implements Transport: identical cost to Send (eager buffering
-// completes the operation at post time).
-func (t *timed) ISend(src, dst, tag int, data []float64, owned bool) Request {
-	t.Send(src, dst, tag, data, owned)
-	return completedRequest{at: t.clock[src]}
-}
-
-// IRecv implements Transport: the transfer is accounted on the
-// receiver's ingress port when the request settles, and cannot have
-// started before the post time recorded here — so a receive posted
-// early overlaps subsequent compute, while one posted and settled
-// back-to-back degenerates to exactly the blocking Recv cost.
-func (t *timed) IRecv(dst, src, tag int) Request {
-	return &timedRecv{t: t, dst: dst, src: src, tag: tag, post: t.clock[dst]}
-}
-
-// land accounts a settled non-blocking receive: the β·words transfer
-// occupied the ingress port from max(port free, message departure,
-// request post time) — independent of the compute clock after the post
-// — and the clock only advances if the transfer finished after it. It
-// returns the transfer completion time, the stamp relays carry onward.
-func (t *timed) land(dst, src int, e envelope, post float64) float64 {
+// land accounts a settled receive posted at time post: the β·words
+// transfer occupied the ingress port from max(port free, message
+// departure, post) — independent of the compute clock after the post —
+// and the clock only advances if the transfer finished after it. A
+// blocking Recv is posted and settled at the same instant, so no part
+// of its transfer can hide behind compute. land returns the transfer
+// completion time, the stamp relays carry onward.
+func (c *clock) land(dst, src int, e envelope, post float64) float64 {
 	if src == dst {
-		return t.clock[dst]
+		return c.now[dst]
 	}
-	start := t.ingress[dst]
+	start := c.ingress[dst]
 	if e.at > start {
 		start = e.at
 	}
 	if post > start {
 		start = post
 	}
-	done := start + t.net.LinkBeta(src, dst)*float64(len(e.data))
-	t.ingress[dst] = done
-	if done > t.clock[dst] {
-		t.clock[dst] = done
+	done := start + c.net.LinkBeta(src, dst)*float64(len(e.data))
+	c.ingress[dst] = done
+	if done > c.now[dst] {
+		c.now[dst] = done
 	}
 	return done
 }
 
-// Compute implements Transport.
-func (t *timed) Compute(rank int, flops int64) {
-	t.counting.Compute(rank, flops)
-	t.clock[rank] += t.net.Gamma * float64(flops)
+// compute charges γ·flops to rank.
+func (c *clock) compute(rank int, flops int64) {
+	c.now[rank] += c.net.Gamma * float64(flops)
 }
 
-// BarrierSync implements Transport: congestion-free max-propagation —
-// every rank leaves the barrier at the latest arrival time. The machine
-// calls it with every rank parked, so the clocks are quiescent.
-func (t *timed) BarrierSync() {
-	var max float64
-	for _, c := range t.clock {
-		if c > max {
-			max = c
-		}
-	}
-	for i := range t.clock {
-		t.clock[i] = max
-		// An idle port is free from the barrier time on; a port still
-		// busy with an unsettled transfer keeps its later time.
-		if t.ingress[i] < max {
-			t.ingress[i] = max
-		}
-		if t.egress[i] < max {
-			t.egress[i] = max
-		}
+// skew stretches rank's clock by extra seconds of compute — an injected
+// straggler (SlowRank).
+func (c *clock) skew(rank int, seconds float64) {
+	c.now[rank] += seconds
+}
+
+func (c *clock) reset() {
+	for i := range c.now {
+		c.now[i] = 0
+		c.ingress[i] = 0
+		c.egress[i] = 0
 	}
 }
-
-// SkewClock implements clockSkewer: an injected straggler (SlowRank)
-// stretches this rank's logical clock by extra seconds of compute.
-// Called only from the rank's own program goroutine, like Compute.
-func (t *timed) SkewClock(rank int, seconds float64) {
-	t.clock[rank] += seconds
-}
-
-// Reset implements Transport.
-func (t *timed) Reset() {
-	t.counting.Reset()
-	for i := range t.clock {
-		t.clock[i] = 0
-		t.ingress[i] = 0
-		t.egress[i] = 0
-	}
-}
-
-// Network implements Transport.
-func (t *timed) Network() (NetworkParams, bool) { return t.net, true }
-
-// Times implements Transport.
-func (t *timed) Times() []float64 { return t.clock }

@@ -90,23 +90,6 @@ func TestTimedSelfTrafficFree(t *testing.T) {
 	}
 }
 
-func TestTimedBarrierMaxPropagates(t *testing.T) {
-	m := NewTimed(4, testNet())
-	err := m.Run(func(r *Rank) error {
-		r.Compute(int64(1000 * (r.ID() + 1))) // clocks 1, 2, 3, 4
-		r.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, c := range m.Times() {
-		if !almost(c, 4) {
-			t.Fatalf("rank %d clock %v after barrier, want 4", id, c)
-		}
-	}
-}
-
 func TestTimedDependencyChainsThroughTree(t *testing.T) {
 	// 0 → 1 → 2 relay: rank 2's clock must include both hops even though
 	// rank 0 and rank 1 send "concurrently" in wall-clock terms.

@@ -19,20 +19,20 @@ import (
 //	off  4  src        uint32  sending rank
 //	off  8  dst        uint32  destination rank (data frames)
 //	off 12  words      uint32  payload length in float64 words
-//	off 16  tag        int64   message tag / barrier key / ctrl epoch
-//	off 24  at         float64 logical SendAt timestamp (0 for Send)
+//	off 16  tag        int64   message tag / ctrl epoch
+//	off 24  at         float64 reserved for a departure stamp; 0 (a linked machine has no clock)
 //	off 32  epoch      int64   sender's run number
 //	off 40  payload    words × 8 bytes of little-endian float64s
 //
 // Data frames are demultiplexed into the destination rank's
 // (src, tag)-keyed mailbox, so the matching discipline over the wire is
-// bit-for-bit the in-process one. Control frames (barrier, abort,
-// counters) never touch mailboxes or traffic counters.
+// bit-for-bit the in-process one. Control frames (abort, counters)
+// never touch mailboxes or traffic counters.
 //
 // The epoch pins every frame to the run that produced it: processes
-// Reset in lockstep (runs are collective) but not simultaneously, so a
-// fast peer's first sends of run n can reach a process that has not
-// started run n yet — those are buffered and delivered at its Reset —
+// begin runs in lockstep (runs are collective) but not simultaneously, so
+// a fast peer's first sends of run n can reach a process that has not
+// started run n yet — those are buffered and delivered at its Begin —
 // while frames from an aborted run n-1 must never satisfy a receive in
 // run n, and are dropped.
 const (
@@ -50,15 +50,14 @@ const (
 	maxScratchBytes = 64 << 10
 )
 
-// Frame kinds.
+// Frame kinds. 3 and 4 carried the distributed barrier and are retired,
+// not reused: readFrame rejects them like any other unknown kind.
 const (
-	kindHello   byte = iota + 1 // handshake: src = dialing process index
-	kindData                    // counted point-to-point message
-	kindBarrier                 // barrier ENTER, peer → coordinator; tag = epoch<<32|round
-	kindRelease                 // barrier RELEASE, coordinator → peer
-	kindAbort                   // run aborted (cancellation or rank failure)
-	kindCtrl                    // uncounted out-of-band payload (counter sync)
-	kindBye                     // clean departure: the sender is closing this connection
+	kindHello byte = 1 // handshake: src = dialing process index
+	kindData  byte = 2 // counted point-to-point message
+	kindAbort byte = 5 // run aborted (cancellation or rank failure)
+	kindCtrl  byte = 6 // uncounted out-of-band payload (counter merge)
+	kindBye   byte = 7 // clean departure: the sender is closing this connection
 )
 
 type frame struct {
@@ -111,6 +110,11 @@ func readFrame(r io.Reader, scratch []byte) (frame, []byte, error) {
 	}
 	if hdr[0] != frameMagic || hdr[1] != frameVersion {
 		return frame{}, scratch, fmt.Errorf("wire: bad frame header % x (magic/version mismatch)", hdr[:2])
+	}
+	switch hdr[2] {
+	case kindHello, kindData, kindAbort, kindCtrl, kindBye:
+	default:
+		return frame{}, scratch, fmt.Errorf("wire: unknown frame kind %d", hdr[2])
 	}
 	f := frame{
 		kind:  hdr[2],

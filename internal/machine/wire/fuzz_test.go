@@ -21,8 +21,8 @@ func FuzzFrameDecode(f *testing.F) {
 		appendFrame(nil, frame{kind: kindHello, src: 3}),
 		appendFrame(nil, frame{kind: kindData, src: 1, dst: 2, tag: 7, epoch: 1, payload: []float64{1, 2, 3}}),
 		appendFrame(nil, frame{kind: kindData, src: 0, dst: 1, tag: -1, at: 2.5, epoch: 9, payload: []float64{0.5}}),
-		appendFrame(nil, frame{kind: kindBarrier, src: 2, tag: 1<<32 | 4, epoch: 1}),
-		appendFrame(nil, frame{kind: kindRelease, tag: 5}),
+		appendFrame(nil, frame{kind: 3, src: 2, tag: 1<<32 | 4, epoch: 1}), // retired barrier ENTER
+		appendFrame(nil, frame{kind: 4, tag: 5}),                           // retired barrier RELEASE
 		appendFrame(nil, frame{kind: kindAbort, epoch: 2}),
 		appendFrame(nil, frame{kind: kindCtrl, payload: []float64{42}}),
 		appendFrame(nil, frame{kind: kindBye}),

@@ -27,9 +27,6 @@ type Config struct {
 	// (with retry, since processes start in any order) and the
 	// handshake read on accepted connections. Zero means 10s.
 	DialTimeout time.Duration
-	// RecvTimeout is the initial receive deadline (see
-	// Transport.SetRecvTimeout). Zero disables the bound.
-	RecvTimeout time.Duration
 	// Respawn, when set, lets Recover re-exec a dead worker process:
 	// it is called with the process index and address of each dead
 	// peer before the lost connections are rebuilt. Only the launcher
@@ -38,14 +35,16 @@ type Config struct {
 	Respawn func(proc int, addr string) error
 }
 
-// Transport is the out-of-process machine.Transport: every rank's
-// sends become length-prefixed frames over a per-process-pair
-// connection, demultiplexed at the far end into the same
-// (src, tag)-keyed mailbox discipline the in-process backends use, so
-// rank programs (and the tree collectives built on them) run unchanged
-// and produce bitwise-identical results. It additionally implements
-// the machine's MultiProcess, failer, aborter and counterSyncer
-// extension interfaces.
+// Transport is the socket mesh behind a multi-process machine, the
+// machine.Link of machine.NewLinked: a message for a rank hosted by
+// another process becomes a length-prefixed frame on the connection to
+// that process, and is handed at the far end to that process's Machine,
+// which posts it into the same (src, tag)-keyed mailbox an in-process
+// send would have reached — so rank programs (and the tree collectives
+// built on them) run unchanged and produce bitwise-identical results.
+// Everything a message costs or can suffer — counting, deadlines, fault
+// injection — happens in the Machine; the Transport only moves frames
+// and keeps the processes' runs aligned.
 type Transport struct {
 	p       int
 	rank    int      // bootstrap rank identifying this process
@@ -55,12 +54,15 @@ type Transport struct {
 	local   []int    // ranks hosted by this process
 	isLocal []bool
 
-	office []*machine.Mailbox // per-rank; nil for remote ranks
-	count  []machine.Counters
+	// deliver and interrupt are the bound machine's half of the link
+	// (Bind): deliver is called under bmu — only for frames of the run
+	// in progress, so never before the machine's first Begin — and
+	// interrupt is read under fmu.
+	deliver   func(dst, src, tag int, data []float64)
+	interrupt func()
 
-	recvTimeout time.Duration
-	dialT       time.Duration
-	respawn     func(proc int, addr string) error
+	dialT   time.Duration
+	respawn func(proc int, addr string) error
 
 	ln net.Listener
 	// peers holds one connection per peer process (nil at self and for
@@ -73,30 +75,26 @@ type Transport struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	// fmu guards the failure record and the abort callback.
+	// fmu guards the failure record and the interrupt callback.
 	fmu      sync.Mutex
 	failed   error  // sticky: a connection died; poisons later runs
 	deadProc []bool // per process: its connection is gone (crash or clean exit)
-	abortErr error  // per-run: a peer aborted; cleared by Reset
-	onAbort  func()
+	abortErr error  // per-run: a peer aborted; cleared by Begin
 
-	// bmu guards all barrier/abort/ctrl bookkeeping; bcond wakes
-	// coordinator and peers parked in waitBarrier or SyncCounters.
+	// bmu guards the run/abort/ctrl bookkeeping; bcond wakes the
+	// coordinator parked in MergeCounters.
 	bmu     sync.Mutex
 	bcond   *sync.Cond
 	aborted bool
-	epoch   int64 // run number; advanced by Reset, aligned across processes
-	round   int64 // barrier round within the run
+	epoch   int64 // run number; advanced by Begin, aligned across processes
 	// pendingAbort is the epoch of an ABORT frame that arrived from a
-	// process already ahead of us; it is applied when Reset advances us
+	// process already ahead of us; it is applied when Begin advances us
 	// to that run.
 	pendingAbort int64
 	// early buffers data frames from a peer already in a later run
-	// than us; Reset delivers them once we catch up.
-	early    []frame
-	entered  map[int64]int         // coordinator: ENTER count per epoch<<32|round
-	released map[int64]bool        // peers: RELEASE received per key
-	ctrl     map[int64][][]float64 // coordinator: counter payloads per epoch
+	// than us; Begin delivers them once we catch up.
+	early []frame
+	ctrl  map[int64][][]float64 // coordinator: counter payloads per epoch
 }
 
 type peer struct {
@@ -130,9 +128,9 @@ func New(cfg Config) (*Transport, error) {
 }
 
 // NewLoopback returns a wire transport hosting all p ranks in this
-// process, with no sockets — frames short-circuit through the local
-// mailboxes. It exists so the wire delivery semantics can be exercised
-// (and conformance-tested) without a cluster.
+// process, with no sockets — nothing is ever forwarded. It exists so
+// the linked machine's paths (run epochs, the result gather of the
+// distributed plans) can be exercised without a cluster.
 func NewLoopback(p int) *Transport {
 	peers := make([]string, p)
 	for i := range peers {
@@ -154,19 +152,14 @@ func build(cfg Config) (*Transport, error) {
 		return nil, fmt.Errorf("wire: rank %d outside [0, %d)", cfg.Rank, p)
 	}
 	t := &Transport{
-		p:           p,
-		rank:        cfg.Rank,
-		procOf:      make([]int, p),
-		isLocal:     make([]bool, p),
-		office:      make([]*machine.Mailbox, p),
-		count:       make([]machine.Counters, p),
-		recvTimeout: cfg.RecvTimeout,
-		dialT:       cfg.dialTimeout(),
-		respawn:     cfg.Respawn,
-		dead:        make(chan struct{}),
-		entered:     make(map[int64]int),
-		released:    make(map[int64]bool),
-		ctrl:        make(map[int64][][]float64),
+		p:       p,
+		rank:    cfg.Rank,
+		procOf:  make([]int, p),
+		isLocal: make([]bool, p),
+		dialT:   cfg.dialTimeout(),
+		respawn: cfg.Respawn,
+		dead:    make(chan struct{}),
+		ctrl:    make(map[int64][][]float64),
 	}
 	t.bcond = sync.NewCond(&t.bmu)
 	index := make(map[string]int)
@@ -187,8 +180,6 @@ func build(cfg Config) (*Transport, error) {
 		if pi == t.self {
 			t.local = append(t.local, rank)
 			t.isLocal[rank] = true
-			t.office[rank] = machine.NewMailbox()
-			t.office[rank].SetTimeout(cfg.RecvTimeout)
 		}
 	}
 	t.peers = make([]atomic.Pointer[peer], len(t.procs))
@@ -208,7 +199,7 @@ func (cfg Config) dialTimeout() time.Duration {
 // with a two-way HELLO exchange (dialer's hello, acceptor's ack) that
 // carries both sides' run epochs, so a process joining an established
 // mesh — a worker Recover re-execed — fast-forwards to the survivors'
-// epoch before its first Reset.
+// epoch before its first Begin.
 func (t *Transport) connect(timeout time.Duration) error {
 	network, target := splitAddr(t.procs[t.self])
 	ln, err := listen(network, target)
@@ -342,7 +333,7 @@ func (t *Transport) curEpoch() int64 {
 
 // adoptEpoch fast-forwards the run epoch to a peer's: a process that
 // joined (or rejoined) an established mesh must count runs from where
-// the survivors are, so its next Reset lands on the same epoch as
+// the survivors are, so its next Begin lands on the same epoch as
 // theirs.
 func (t *Transport) adoptEpoch(e int64) {
 	t.bmu.Lock()
@@ -381,9 +372,7 @@ func (t *Transport) Close() error {
 		if t.ln != nil {
 			t.ln.Close()
 		}
-		for _, id := range t.local {
-			t.office[id].Interrupt()
-		}
+		t.interruptLocal() // wake any rank still parked in a receive
 		t.wg.Wait()
 		t.bmu.Lock()
 		for i, f := range t.early {
@@ -515,11 +504,11 @@ func (t *Transport) dispatch(f frame) {
 			return
 		}
 		// Deliver under bmu so the epoch check and the mailbox post are
-		// atomic with respect to Reset advancing the run.
+		// atomic with respect to Begin advancing the run.
 		t.bmu.Lock()
 		switch {
 		case f.epoch == t.epoch:
-			t.office[f.dst].Post(f.src, int(f.tag), f.payload)
+			t.deliver(f.dst, f.src, int(f.tag), f.payload)
 			t.bmu.Unlock()
 		case f.epoch > t.epoch:
 			t.early = append(t.early, f)
@@ -530,16 +519,6 @@ func (t *Transport) dispatch(f frame) {
 				machine.Release(f.payload)
 			}
 		}
-	case kindBarrier:
-		t.bmu.Lock()
-		t.entered[f.tag]++
-		t.bcond.Broadcast()
-		t.bmu.Unlock()
-	case kindRelease:
-		t.bmu.Lock()
-		t.released[f.tag] = true
-		t.bcond.Broadcast()
-		t.bmu.Unlock()
 	case kindAbort:
 		t.remoteAbort(f.epoch)
 	case kindCtrl:
@@ -618,24 +597,30 @@ func (t *Transport) fail(err error) {
 	if first {
 		t.failed = err
 	}
-	cb := t.onAbort
 	t.fmu.Unlock()
-	if !first {
-		return
+	if first {
+		t.interruptLocal()
 	}
+}
+
+// interruptLocal unwinds the bound machine's run — its parked receivers
+// wake, and it calls Abort in turn. A transport no machine is bound to
+// yet has no run to unwind.
+func (t *Transport) interruptLocal() {
+	t.fmu.Lock()
+	cb := t.interrupt
+	t.fmu.Unlock()
 	if cb != nil {
-		cb() // machine.interrupt: poisons the barrier, then calls Interrupt
-	} else {
-		t.Interrupt()
+		cb()
 	}
 }
 
 // remoteAbort handles a peer's ABORT frame for the given run epoch:
 // the matching run is interrupted (once) and the reason recorded for
 // Failure, but the condition is per-run — the peer is alive and will
-// Reset with us. A stale epoch (that run already ended here) is
-// dropped; a future one is remembered and applied when Reset advances
-// us to it, so an abort can never poison the wrong run.
+// Begin the next run with us. A stale epoch (that run already ended
+// here) is dropped; a future one is remembered and applied when Begin
+// advances us to it, so an abort can never poison the wrong run.
 func (t *Transport) remoteAbort(epoch int64) {
 	t.bmu.Lock()
 	if epoch < t.epoch || (epoch == t.epoch && t.aborted) {
@@ -654,26 +639,21 @@ func (t *Transport) remoteAbort(epoch int64) {
 	if t.abortErr == nil {
 		t.abortErr = errAbortedByPeer
 	}
-	cb := t.onAbort
 	t.fmu.Unlock()
-	if cb != nil {
-		cb()
-	} else {
-		t.Interrupt()
-	}
+	t.interruptLocal()
 }
 
 // ErrPeerFailure marks every failure caused by a peer process rather
 // than by this one — a lost connection, a peer's abort broadcast, a
-// barrier starved of a dead peer. Match it with errors.Is on the error
-// Run returns; it is the wire-level signal a retry layer treats as
+// counter merge starved of a late peer. Match it with errors.Is on the
+// error Run returns; it is the wire-level signal a retry layer treats as
 // transient (call Recover, then run again).
 var ErrPeerFailure = errors.New("peer process failure")
 
 var errAbortedByPeer = fmt.Errorf("wire: run aborted by a peer process (%w)", ErrPeerFailure)
 
-// Failure implements the machine's failer extension: the sticky
-// connection failure if any, else the per-run peer abort.
+// Failure implements machine.Link: the sticky connection failure if
+// any, else the per-run peer abort.
 func (t *Transport) Failure() error {
 	t.fmu.Lock()
 	defer t.fmu.Unlock()
@@ -683,228 +663,37 @@ func (t *Transport) Failure() error {
 	return t.abortErr
 }
 
-// OnAbort implements the machine's aborter extension.
-func (t *Transport) OnAbort(fn func()) {
+// Bind implements machine.Link.
+func (t *Transport) Bind(deliver func(dst, src, tag int, data []float64), interrupt func()) {
+	t.bmu.Lock()
+	t.deliver = deliver
+	t.bmu.Unlock()
 	t.fmu.Lock()
-	t.onAbort = fn
+	t.interrupt = interrupt
 	t.fmu.Unlock()
 }
 
-// LocalRanks implements machine.MultiProcess.
-func (t *Transport) LocalRanks() []int { return t.local }
+// Ranks implements machine.Link.
+func (t *Transport) Ranks() (p int, local []int) { return t.p, t.local }
 
-// P implements machine.Transport.
-func (t *Transport) P() int { return t.p }
-
-// post is the shared send path: local destinations short-circuit into
-// their mailbox, remote ones become data frames on the destination
-// process's connection. Counting matches the in-process transports:
-// src accounts at send, dst at take, self-sends are free.
-func (t *Transport) post(src, dst, tag int, data []float64, owned bool) {
-	if !owned {
-		cp := machine.Loan(len(data))
-		copy(cp, data)
-		data = cp
-	}
-	if src != dst {
-		t.count[src].SentWords += int64(len(data))
-		t.count[src].SentMsgs++
-	}
-	if t.isLocal[dst] {
-		t.office[dst].Post(src, tag, data)
-		return
-	}
-	// Reading epoch without bmu is safe on this path: only Reset writes
-	// it, and Reset is sequenced before (and after) the rank goroutines
-	// that send.
+// Forward implements machine.Link: the message becomes a data frame on
+// the destination process's connection, stamped with the run it belongs
+// to. Reading epoch without bmu is safe on this path: only Begin writes
+// it, and Begin is sequenced before (and after) the rank goroutines that
+// send.
+func (t *Transport) Forward(src, dst, tag int, data []float64) {
 	t.enqueue(t.procOf[dst], frame{kind: kindData, src: src, dst: dst, tag: int64(tag), epoch: t.epoch, payload: data, release: true})
 }
 
-func (t *Transport) take(dst, src, tag int) []float64 {
-	data := t.office[dst].Take(src, tag)
-	if src != dst {
-		t.count[dst].RecvWords += int64(len(data))
-		t.count[dst].RecvMsgs++
-	}
-	return data
-}
-
-func (t *Transport) tryTake(dst, src, tag int) ([]float64, bool) {
-	data, ok := t.office[dst].TryTake(src, tag)
-	if !ok {
-		return nil, false
-	}
-	if src != dst {
-		t.count[dst].RecvWords += int64(len(data))
-		t.count[dst].RecvMsgs++
-	}
-	return data, true
-}
-
-// Send implements machine.Transport.
-func (t *Transport) Send(src, dst, tag int, data []float64, owned bool) {
-	t.post(src, dst, tag, data, owned)
-}
-
-// SendAt implements machine.Transport: the wire transport is untimed,
-// so a relayed send is an ordinary send (the stamp still travels in
-// the frame header for protocol completeness).
-func (t *Transport) SendAt(src, dst, tag int, data []float64, owned bool, at float64) {
-	t.post(src, dst, tag, data, owned)
-}
-
-// Recv implements machine.Transport.
-func (t *Transport) Recv(dst, src, tag int) []float64 {
-	return t.take(dst, src, tag)
-}
-
-// ISend implements machine.Transport: frames are queued eagerly, so
-// the request completes at post time.
-func (t *Transport) ISend(src, dst, tag int, data []float64, owned bool) machine.Request {
-	t.post(src, dst, tag, data, owned)
-	return sentRequest{}
-}
-
-// IRecv implements machine.Transport.
-func (t *Transport) IRecv(dst, src, tag int) machine.Request {
-	return &wireRecv{t: t, dst: dst, src: src, tag: tag}
-}
-
-// Compute implements machine.Transport.
-func (t *Transport) Compute(rank int, flops int64) {
-	t.count[rank].Flops += flops
-}
-
-// SetRecvTimeout implements machine.Transport; the deadline also
-// bounds barrier waits, the other place a lost peer could park us.
-func (t *Transport) SetRecvTimeout(d time.Duration) {
-	t.recvTimeout = d
-	for _, id := range t.local {
-		t.office[id].SetTimeout(d)
-	}
-}
-
-// sentRequest is an eagerly-completed wire send.
-type sentRequest struct{}
-
-func (sentRequest) Wait() []float64         { return nil }
-func (sentRequest) Test() ([]float64, bool) { return nil, true }
-func (sentRequest) At() float64             { return 0 }
-
-// wireRecv is a pending receive: posting records the match key, the
-// mailbox take happens at Wait/Test.
-type wireRecv struct {
-	t             *Transport
-	dst, src, tag int
-	done          bool
-	data          []float64
-}
-
-func (r *wireRecv) Wait() []float64 {
-	if !r.done {
-		r.data = r.t.take(r.dst, r.src, r.tag)
-		r.done = true
-	}
-	return r.data
-}
-
-func (r *wireRecv) Test() ([]float64, bool) {
-	if r.done {
-		return r.data, true
-	}
-	data, ok := r.t.tryTake(r.dst, r.src, r.tag)
-	if !ok {
-		return nil, false
-	}
-	r.data = data
-	r.done = true
-	return r.data, true
-}
-
-func (r *wireRecv) At() float64 { return 0 }
-
-// BarrierSync implements machine.Transport. It runs once per completed
-// local barrier, with every local rank parked, and performs the
-// inter-process half: processes send ENTER to the coordinator (the
-// process hosting rank 0), which releases them once all have arrived.
-// Keys carry the run epoch and round, so a stale ENTER from an aborted
-// run can never satisfy a later barrier.
-func (t *Transport) BarrierSync() {
-	if len(t.procs) == 1 {
-		return
-	}
-	t.bmu.Lock()
-	key := t.epoch<<32 | t.round
-	t.round++
-	t.bmu.Unlock()
-	if t.self == 0 {
-		need := len(t.procs) - 1
-		t.waitBarrier(key, func() bool { return t.entered[key] >= need })
-		t.bmu.Lock()
-		delete(t.entered, key)
-		t.bmu.Unlock()
-		for pi := range t.peers {
-			if t.peers[pi].Load() != nil {
-				t.enqueue(pi, frame{kind: kindRelease, src: t.rank, tag: key})
-			}
-		}
-	} else {
-		t.enqueue(0, frame{kind: kindBarrier, src: t.rank, tag: key})
-		t.waitBarrier(key, func() bool { return t.released[key] })
-		t.bmu.Lock()
-		delete(t.released, key)
-		t.bmu.Unlock()
-	}
-}
-
-// waitBarrier parks until ready (under bmu), the run aborts, or the
-// recv deadline expires. Abort unwinds with the machine's cancellation
-// panic (the caller rank is collateral); a deadline is a lost peer and
-// becomes the sticky transport failure.
-func (t *Transport) waitBarrier(key int64, ready func() bool) {
-	t.bmu.Lock()
-	expired := false
-	if t.recvTimeout > 0 {
-		deadline := time.Now().Add(t.recvTimeout)
-		timer := time.AfterFunc(t.recvTimeout, func() {
-			t.bmu.Lock()
-			t.bcond.Broadcast()
-			t.bmu.Unlock()
-		})
-		for !ready() && !t.aborted && !expired {
-			t.bcond.Wait()
-			expired = !ready() && !t.aborted && !time.Now().Before(deadline)
-		}
-		timer.Stop()
-	} else {
-		for !ready() && !t.aborted {
-			t.bcond.Wait()
-		}
-	}
-	aborted := t.aborted
-	t.bmu.Unlock()
-	if aborted {
-		panic(machine.InterruptPanic())
-	}
-	if expired {
-		t.fail(fmt.Errorf("wire: barrier %#x timed out after %v waiting for peers (%w)", key, t.recvTimeout, ErrPeerFailure))
-		panic(machine.InterruptPanic())
-	}
-}
-
-// Interrupt implements machine.Transport: local receivers wake with
-// the cancellation panic, barrier waiters unwind, and (once per run)
-// every peer process is told to abort too.
-func (t *Transport) Interrupt() {
+// Abort implements machine.Link: once per run, every peer process is
+// told to unwind too, and a coordinator parked in MergeCounters wakes.
+func (t *Transport) Abort() {
 	t.bmu.Lock()
 	already := t.aborted
 	t.aborted = true
 	epoch := t.epoch
 	t.bcond.Broadcast()
 	t.bmu.Unlock()
-	for _, id := range t.local {
-		t.office[id].Interrupt()
-	}
 	if !already {
 		for pi := range t.peers {
 			if t.peers[pi].Load() != nil {
@@ -914,34 +703,21 @@ func (t *Transport) Interrupt() {
 	}
 }
 
-// Reset implements machine.Transport: counters clear, the run epoch
-// advances (in lockstep on every process, since runs are collective),
-// and barrier bookkeeping left over from an aborted run is dropped. A
-// transport whose connection has died stays poisoned — the next run
-// fails fast with the recorded failure instead of hanging.
-func (t *Transport) Reset() {
-	for i := range t.count {
-		t.count[i] = machine.Counters{}
-	}
+// Begin implements machine.Link: the run epoch advances (in lockstep on
+// every process, since runs are collective) and counter payloads left
+// over from earlier runs are dropped. A transport whose connection has
+// died stays poisoned, and a peer may already have aborted the run being
+// started — either way Begin says so, so the run fails fast with the
+// recorded failure instead of hanging.
+func (t *Transport) Begin(reset func()) error {
 	t.fmu.Lock()
 	t.abortErr = nil
 	failed := t.failed
 	t.fmu.Unlock()
 	t.bmu.Lock()
 	t.epoch++
-	t.round = 0
 	pendingHit := t.pendingAbort == t.epoch
 	t.aborted = failed != nil || pendingHit
-	for key := range t.entered {
-		if key>>32 < t.epoch {
-			delete(t.entered, key)
-		}
-	}
-	for key := range t.released {
-		if key>>32 < t.epoch {
-			delete(t.released, key)
-		}
-	}
 	for epoch, payloads := range t.ctrl {
 		if epoch < t.epoch {
 			for _, pl := range payloads {
@@ -952,19 +728,13 @@ func (t *Transport) Reset() {
 	}
 	// Mailboxes clear and early frames replay inside the same critical
 	// section as the epoch advance, so the reader goroutines' delivery
-	// decisions can never interleave with a half-done Reset.
-	for _, id := range t.local {
-		if failed != nil || pendingHit {
-			t.office[id].Interrupt()
-		} else {
-			t.office[id].Reset()
-		}
-	}
+	// decisions can never interleave with a half-done Begin.
+	reset()
 	keep := t.early[:0]
 	for _, f := range t.early {
 		switch {
 		case f.epoch == t.epoch:
-			t.office[f.dst].Post(f.src, int(f.tag), f.payload)
+			t.deliver(f.dst, f.src, int(f.tag), f.payload)
 		case f.epoch > t.epoch:
 			keep = append(keep, f)
 		default:
@@ -983,18 +753,19 @@ func (t *Transport) Reset() {
 		t.abortErr = errAbortedByPeer
 		t.fmu.Unlock()
 	}
+	return t.Failure()
 }
 
 // Recover heals the mesh after peer-process loss: dead workers are
 // re-execed (when Config.Respawn is set), only the lost connections
 // are rebuilt — survivors keep theirs — and the sticky transport
-// failure is cleared so the next Reset starts a clean run. It is a
+// failure is cleared so the next Begin starts a clean run. It is a
 // collective: every surviving process must call it between runs (the
 // engine's retry layer does), each rebuilding its own lost
 // connections, while the rejoining process simply runs New — that
 // dials and accepts exactly the connections the survivors are
 // rebuilding, and adopts their run epoch through the handshake, so its
-// first Reset lands on the same run as their retry. With nothing lost,
+// first Begin lands on the same run as their retry. With nothing lost,
 // Recover only clears any recorded failure, so it is always safe to
 // call before a retry.
 func (t *Transport) Recover() error {
@@ -1111,13 +882,17 @@ func (t *Transport) clearFailure() {
 // counts are < 2^53, so the float64 round-trip is exact.
 const ctrlWords = 6
 
-// SyncCounters implements the machine's counterSyncer extension: a
-// collective that merges every process's per-rank traffic counters
-// into the coordinator, so rank 0's process reports machine-wide
-// volumes. Every process must call it after the same (successful) run.
-func (t *Transport) SyncCounters() {
+// MergeCounters implements machine.Link: a collective that merges
+// every process's per-rank traffic counters into the coordinator's
+// count, so rank 0's process reports machine-wide volumes. Every process
+// must call it after the same (successful) run. The coordinator waits
+// at most wait (capped at, and when zero defaulting to, 5 s) for the
+// peers' payloads; if one is still missing then, the counters of its
+// ranks would read zero and every aggregate under-report, so that is an
+// error wrapping ErrPeerFailure, not a smaller number.
+func (t *Transport) MergeCounters(count []machine.Counters, wait time.Duration) error {
 	if len(t.procs) == 1 {
-		return
+		return nil
 	}
 	t.bmu.Lock()
 	epoch := t.epoch
@@ -1125,7 +900,7 @@ func (t *Transport) SyncCounters() {
 	if t.self != 0 {
 		payload := machine.Loan(ctrlWords * len(t.local))
 		for i, id := range t.local {
-			c := t.count[id]
+			c := count[id]
 			w := payload[ctrlWords*i:]
 			w[0] = float64(id)
 			w[1] = float64(c.SentWords)
@@ -1135,10 +910,9 @@ func (t *Transport) SyncCounters() {
 			w[5] = float64(c.Flops)
 		}
 		t.enqueue(0, frame{kind: kindCtrl, src: t.rank, tag: epoch, payload: payload, release: true})
-		return
+		return nil
 	}
 	need := len(t.procs) - 1
-	wait := t.recvTimeout
 	if wait <= 0 || wait > 5*time.Second {
 		wait = 5 * time.Second
 	}
@@ -1162,7 +936,7 @@ func (t *Transport) SyncCounters() {
 			if id < 0 || id >= t.p || t.isLocal[id] {
 				continue
 			}
-			t.count[id] = machine.Counters{
+			count[id] = machine.Counters{
 				SentWords: int64(pl[i+1]),
 				RecvWords: int64(pl[i+2]),
 				SentMsgs:  int64(pl[i+3]),
@@ -1172,15 +946,9 @@ func (t *Transport) SyncCounters() {
 		}
 		machine.Release(pl)
 	}
+	if len(payloads) < need {
+		return fmt.Errorf("wire: counter merge of run %d got %d of %d peer payloads within %v (%w)",
+			epoch, len(payloads), need, wait, ErrPeerFailure)
+	}
+	return nil
 }
-
-// Counters implements machine.Transport. Remote ranks read zero until
-// SyncCounters has merged them (coordinator only).
-func (t *Transport) Counters(rank int) machine.Counters { return t.count[rank] }
-
-// Network implements machine.Transport: the wire backend measures real
-// time instead of modeling it.
-func (t *Transport) Network() (machine.NetworkParams, bool) { return machine.NetworkParams{}, false }
-
-// Times implements machine.Transport.
-func (t *Transport) Times() []float64 { return nil }

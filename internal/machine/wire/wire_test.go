@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -13,13 +14,13 @@ import (
 	"cosma/internal/machine/wire"
 )
 
-// TestConformanceLoopback runs the shared transport suite against the
-// wire backend with all ranks hosted in one process (no sockets).
+// TestConformanceLoopback runs the shared machine suite against a
+// linked machine with all ranks hosted in one process (no sockets).
 func TestConformanceLoopback(t *testing.T) {
 	conformance.Run(t, func(t *testing.T, p int) *conformance.Cluster {
 		tr := wire.NewLoopback(p)
 		return &conformance.Cluster{
-			Machines: []*machine.Machine{machine.NewWithTransport(tr)},
+			Machines: []*machine.Machine{machine.NewLinked(tr)},
 			Cleanup:  func() { tr.Close() },
 			Recover:  tr.Recover,
 		}
@@ -34,7 +35,7 @@ func TestConformanceUnixSockets(t *testing.T) {
 		trs := bringUp(t, wire.SocketAddrs(t.TempDir(), p))
 		machines := make([]*machine.Machine, p)
 		for i, tr := range trs {
-			machines[i] = machine.NewWithTransport(tr)
+			machines[i] = machine.NewLinked(tr)
 		}
 		return &conformance.Cluster{
 			Machines: machines,
@@ -90,7 +91,7 @@ func TestTCPRing(t *testing.T) {
 				}
 				return nil
 			})
-		}(i, machine.NewWithTransport(tr))
+		}(i, machine.NewLinked(tr))
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -107,7 +108,7 @@ func TestTCPRing(t *testing.T) {
 func TestLostPeerFailsRun(t *testing.T) {
 	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
 	defer closeAll(trs)
-	m := machine.NewWithTransport(trs[0])
+	m := machine.NewLinked(trs[0])
 	m.SetRecvTimeout(10 * time.Second) // backstop only; the conn loss must fire first
 
 	go func() {
@@ -150,10 +151,10 @@ func TestLostPeerFailsRun(t *testing.T) {
 func TestCleanDepartureDoesNotAbort(t *testing.T) {
 	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
 	defer closeAll(trs)
-	m := machine.NewWithTransport(trs[0])
+	m := machine.NewLinked(trs[0])
 	m.SetRecvTimeout(10 * time.Second)
 
-	m1 := machine.NewWithTransport(trs[1])
+	m1 := machine.NewLinked(trs[1])
 	done := make(chan error, 1)
 	go func() {
 		err := m1.Run(func(r *machine.Rank) error {
@@ -193,10 +194,10 @@ func TestCleanDepartureDoesNotAbort(t *testing.T) {
 func TestCleanDepartureWithFullQueue(t *testing.T) {
 	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
 	defer closeAll(trs)
-	m := machine.NewWithTransport(trs[0])
+	m := machine.NewLinked(trs[0])
 	m.SetRecvTimeout(10 * time.Second)
 
-	m1 := machine.NewWithTransport(trs[1])
+	m1 := machine.NewLinked(trs[1])
 	held := make(chan struct{})
 	sent := make(chan int, 1)
 	done := make(chan error, 1)
@@ -256,7 +257,7 @@ func TestCleanDepartureWithFullQueue(t *testing.T) {
 func TestRecvDeadlineWithSilentPeer(t *testing.T) {
 	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
 	defer closeAll(trs)
-	m := machine.NewWithTransport(trs[0])
+	m := machine.NewLinked(trs[0])
 	m.SetRecvTimeout(100 * time.Millisecond)
 	err := m.Run(func(r *machine.Rank) error {
 		r.Recv(1, 99)
@@ -264,6 +265,51 @@ func TestRecvDeadlineWithSilentPeer(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("got %v, want a receive-deadline failure", err)
+	}
+}
+
+// TestCounterMergeMissingPeerIsAnError holds the counter merge to its
+// contract on a two-process machine: when both sides take part, the
+// coordinator reads the remote rank's counters; when the peer skips the
+// merge, the coordinator reports it — wrapped in ErrPeerFailure — rather
+// than returning aggregates with that rank at zero.
+func TestCounterMergeMissingPeerIsAnError(t *testing.T) {
+	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
+	defer closeAll(trs)
+	ms := []*machine.Machine{machine.NewLinked(trs[0]), machine.NewLinked(trs[1])}
+	ms[0].SetRecvTimeout(200 * time.Millisecond) // bounds the coordinator's wait
+	exchange := func(merge1 bool) error {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, m := range ms {
+			wg.Add(1)
+			go func(i int, m *machine.Machine) {
+				defer wg.Done()
+				errs[i] = m.Run(func(r *machine.Rank) error {
+					r.Send(1-r.ID(), 3, make([]float64, 5+r.ID()))
+					machine.Release(r.Recv(1-r.ID(), 3))
+					return nil
+				})
+				if errs[i] == nil && (i == 0 || merge1) {
+					errs[i] = m.SyncCounters()
+				}
+			}(i, m)
+		}
+		wg.Wait()
+		if errs[1] != nil {
+			t.Fatalf("process 1: %v", errs[1])
+		}
+		return errs[0]
+	}
+	if err := exchange(true); err != nil {
+		t.Fatalf("merge with every process taking part: %v", err)
+	}
+	if c := ms[0].Counters(1); c.SentWords != 6 || c.RecvWords != 5 || c.SentMsgs != 1 || c.RecvMsgs != 1 {
+		t.Fatalf("coordinator's view of rank 1 after the merge: %+v", c)
+	}
+	err := exchange(false)
+	if !errors.Is(err, wire.ErrPeerFailure) {
+		t.Fatalf("merge with a silent peer returned %v, want an error wrapping ErrPeerFailure", err)
 	}
 }
 

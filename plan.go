@@ -162,8 +162,8 @@ func (e *Executor) Plan() *Plan { return e.plan }
 
 // Exec multiplies a·b under the executor's plan. The inputs must match
 // the planned shape. Cancelling ctx aborts the run at the next
-// communication-round boundary (ranks parked in Recv or Barrier are
-// woken) and returns ctx.Err(); the executor remains reusable
+// communication-round boundary (ranks parked in a receive are woken)
+// and returns ctx.Err(); the executor remains reusable
 // afterwards. a and b are read in place for the duration of the call
 // and must not be written until it returns.
 func (e *Executor) Exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error) {
