@@ -109,7 +109,11 @@ func benchCommVolume(b *testing.B, shape workload.Shape, regime workload.Regime)
 			}
 			best = -1
 			for j, r := range algo.Comparison(algo.Config{}) {
-				mod := r.Model(c.M, c.N, c.K, c.P, c.S)
+				plan, err := r.Plan(c.M, c.N, c.K, c.P, c.S)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mod := plan.Model()
 				if j == 0 {
 					cosma = mod.AvgRecv
 				} else if best < 0 || mod.AvgRecv < best {
@@ -163,8 +167,11 @@ func benchPctPeak(b *testing.B, shape workload.Shape, regime workload.Regime) {
 			if float64(c.P)*float64(c.S) < c.InputWords() {
 				continue
 			}
-			mod := (&core.COSMA{}).Model(c.M, c.N, c.K, c.P, c.S)
-			pct = perfmodel.Evaluate(net, false, mod, c.M, c.N, c.K, c.P).PctPeak
+			plan, err := (&core.COSMA{}).Plan(c.M, c.N, c.K, c.P, c.S)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pct = perfmodel.Evaluate(net, false, plan.Model(), c.M, c.N, c.K, c.P).PctPeak
 		}
 	}
 	b.ReportMetric(pct, "%peak-COSMA-maxp")

@@ -39,6 +39,7 @@ package main
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -160,15 +161,16 @@ func main() {
 			log.Fatal(err)
 		}
 		plan, err := eng.Plan(ctx, *m, *n, *k)
-		if err != nil {
-			log.Printf("%s: %v", name, err)
+		if errors.Is(err, cosma.ErrUnsupportedShape) {
+			log.Printf("%s: %v", name, err) // a restriction of the algorithm: skip its row
 			continue
+		} else if err != nil {
+			log.Fatalf("%s: %v", name, err)
 		}
 		fmt.Printf("%s plan: %v\n", plan.Algorithm(), plan)
 		c, rep, err := eng.Exec(ctx, a, b)
 		if err != nil {
-			log.Printf("%s: %v", name, err)
-			continue
+			log.Fatalf("%s: %v", name, err)
 		}
 		if *checksum {
 			fmt.Printf("%s checksum %016x\n", rep.Name, digest(c))
@@ -180,8 +182,7 @@ func main() {
 		t.AddRow(row...)
 	}
 	if t.Rows() == 0 {
-		log.Print("no algorithm matched or ran; see -algo list")
-		os.Exit(1)
+		log.Fatal("no algorithm matched or ran; see -algo list")
 	}
 	fmt.Println()
 	fmt.Print(t.String())

@@ -143,6 +143,12 @@ var ErrPeerFailure = wire.ErrPeerFailure
 // rank death; test with errors.Is.
 var ErrFaultInjected = machine.ErrFaultInjected
 
+// ErrUnsupportedShape is wrapped by Plan and Exec errors when the
+// engine's algorithm cannot schedule an otherwise valid shape — Cannon
+// off a square torus that divides the dimensions, SUMMA's or 2.5D's fixed
+// grid on a shorter dimension; test with errors.Is.
+var ErrUnsupportedShape = algo.ErrUnsupportedShape
+
 // WireFromEnv reads the wire bootstrap handshake from the environment
 // (WIRE_RANK, WIRE_PEERS) and reports whether one is present — the way
 // a launched worker process discovers its cluster. The launcher sets

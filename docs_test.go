@@ -216,3 +216,83 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 		t.Logf("%s: %d identifiers checked", doc, len(refs))
 	}
 }
+
+// TestDocsNameRealFlags keeps a flag in the docs a flag in the binary:
+// every -flag on a command line of cmd/<x> — a fenced line or inline
+// code span of README, the architecture doc or the verify skill that
+// names `go run ./cmd/<x>`, `cmd/<x>` or the bare command, up to a shell
+// comment or pipe — and every -flag anywhere in cmd/<x>/main.go's doc
+// comment is defined by a flag.*("name", …) call of that command.
+func TestDocsNameRealFlags(t *testing.T) {
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go found (%v)", err)
+	}
+	flagDef := regexp.MustCompile(`flag\.[A-Z]\w*\("([^"]+)"`)
+	dash := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
+	check := func(where, cmd, text string, defined map[string]bool) int {
+		found := dash.FindAllStringSubmatch(text, -1)
+		for _, m := range found {
+			if !defined[m[1]] {
+				t.Errorf("%s: -%s is not a flag of cmd/%s", where, m[1], cmd)
+			}
+		}
+		return len(found)
+	}
+
+	defined := map[string]map[string]bool{} // command → the flags its main.go defines
+	var cmds []string
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(path))
+		cmds = append(cmds, cmd)
+		defined[cmd] = map[string]bool{}
+		for _, m := range flagDef.FindAllSubmatch(src, -1) {
+			defined[cmd][string(m[1])] = true
+		}
+		doc, _, _ := strings.Cut(string(src), "\npackage main")
+		n := check(path+" doc comment", cmd, strings.ReplaceAll(doc, "//", " "), defined[cmd])
+		t.Logf("%s: %d flags defined, %d named in its doc comment", path, len(defined[cmd]), n)
+	}
+
+	command := regexp.MustCompile(`(?:^|\s|cmd/)(` + strings.Join(cmds, "|") + `)(?:\s|$)`)
+	span := regexp.MustCompile("`([^`]+)`")
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		// Command lines: fenced lines (a trailing \ continues one) and
+		// inline code spans.
+		var lines []string
+		var prose strings.Builder
+		fenced := false
+		for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(line), "```"):
+				fenced = !fenced
+			case fenced:
+				lines = append(lines, line)
+			default:
+				prose.WriteString(line + " ")
+			}
+		}
+		for _, m := range span.FindAllStringSubmatch(prose.String(), -1) {
+			lines = append(lines, m[1])
+		}
+		n := 0
+		for _, line := range lines {
+			line, _, _ = strings.Cut(line, " #")
+			line, _, _ = strings.Cut(line, " | ")
+			if loc := command.FindStringSubmatchIndex(line); loc != nil {
+				cmd := line[loc[2]:loc[3]]
+				n += check(doc, cmd, line[loc[3]:], defined[cmd])
+			}
+		}
+		t.Logf("%s: %d flags on command lines checked", doc, n)
+	}
+}

@@ -2,12 +2,16 @@ package algo
 
 import "cosma/internal/machine"
 
-// Model is an algorithm's analytic communication/computation prediction
-// for an m×n×k multiplication on p ranks with S words of memory per rank.
-// Models are derived from each algorithm's decomposition structure (the
-// same code paths that drive execution), not from Table 3 closed forms,
-// except where noted. They evaluate at any scale, including the paper's
-// 18,432-core runs that are too large to execute in-process.
+// Model is a plan's analytic communication/computation prediction for an
+// m×n×k multiplication on p ranks with S words of memory per rank. The
+// Algorithm 1 plans (COSMA, SUMMA, 2.5D) count their words rank by rank
+// from the partitions their rank program walks, so AvgRecv and MaxRecv
+// equal what an execution measures; Cannon's is derived from its torus
+// schedule; CARMA's Q is the recursive closed form of Table 3
+// (costmodel.Recursive) — the one exception. MaxMsgs is a receive-side
+// estimate (the machine also counts a rank's sends). Models evaluate at
+// any scale, including the paper's 18,432-core runs that are too large to
+// execute in-process.
 type Model struct {
 	Name     string
 	Grid     string  // human-readable decomposition

@@ -7,8 +7,9 @@
 // §6.3/§7.1 of the paper depends only on the problem shape:
 //
 //   - A Planner compiles (m, n, k, p, S) into an immutable Plan — the
-//     fitted processor grid, ownership partitions and round schedule —
-//     and can produce an analytic Model at any scale.
+//     fitted processor grid, ownership partitions, round schedule and
+//     the Model of what that schedule moves, at any scale — or refuses
+//     the shape with ErrUnsupportedShape.
 //   - An Executor replays a Plan against matrix values on a pre-built
 //     simulated machine, drawing per-rank scratch matrices and packed
 //     GEMM kernels from an Arena that is recycled across executions,

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -41,16 +42,23 @@ type Plan interface {
 }
 
 // Planner is the planning phase of a distributed MMM algorithm: it
-// compiles a problem shape into an executable Plan and can predict its
-// communication analytically at any scale.
+// compiles a problem shape into an executable Plan. The plan's Model is
+// the only prediction there is, so no model exists of a schedule that
+// cannot be planned.
 type Planner interface {
 	Name() string
 	// Plan compiles the schedule for an m×k by k×n multiplication on p
 	// ranks with s words of memory each. It performs all grid fitting;
-	// executing the returned plan does none.
+	// executing the returned plan does none. A valid (m, n, k, p, s) the
+	// algorithm cannot schedule is refused with ErrUnsupportedShape.
 	Plan(m, n, k, p, s int) (Plan, error)
-	Model(m, n, k, p, s int) Model
 }
+
+// ErrUnsupportedShape marks a Plan refusal that is a restriction of the
+// algorithm, not a bug or an invalid argument: Cannon off a square torus
+// that divides the dimensions, a fixed grid longer than a dimension it
+// cuts. Comparisons skip such a row and fail on any other error.
+var ErrUnsupportedShape = errors.New("shape not supported by this algorithm")
 
 // Decomposition describes a plan's §6.3 schedule geometry: the fitted
 // processor grid and the local-domain extents per rank.

@@ -1,11 +1,9 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"cosma/internal/algo"
-	"cosma/internal/comm"
 	"cosma/internal/core"
 	"cosma/internal/grid"
 )
@@ -56,33 +54,5 @@ func (C25D) Layers(m, n, k, p, sMem int) (pr, pc, c int) {
 // [pr×pc×c] with the inputs starting on layer 0.
 func (d C25D) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	pr, pc, c := d.Layers(m, n, k, p, sMem)
-	g := grid.Grid{Pm: pr, Pn: pc, Pk: c}
-	return core.NewPlan(g, m, n, k, p, sMem, d.Model(m, n, k, p, sMem), d.Overlap, true)
-}
-
-// Model implements algo.Planner: scatter + per-layer SUMMA + C reduction.
-func (d C25D) Model(m, n, k, p, sMem int) algo.Model {
-	pr, pc, c := d.Layers(m, n, k, p, sMem)
-	dm, dn := ceilDiv(m, pr), ceilDiv(n, pc)
-	kSlab := float64(k) / float64(c)
-	// Scatter: each non-zero layer rank receives its A and B slab pieces.
-	scatter := (float64(dm)*kSlab/float64(pc) + float64(dn)*kSlab/float64(pr)) *
-		float64(c-1) / float64(c)
-	// SUMMA within a layer over the slab.
-	summa := float64(dm)*kSlab*float64(pc-1)/float64(pc) +
-		float64(dn)*kSlab*float64(pr-1)/float64(pr)
-	// Chain reduction of C across layers: every layer but the last
-	// receives the tile once, in segments a layer in between passes on.
-	reduce := float64(dm) * float64(dn) * float64(c-1) / float64(c)
-	segs, _ := comm.ReduceSegments(c, dm*dn)
-	rounds := kSlab/float64(core.StepSize(sMem, dm, dn)) + 1
-	return algo.Model{
-		Name:     d.Name(),
-		Grid:     fmt.Sprintf("[%d×%d×%d]", pr, pc, c),
-		Used:     p,
-		AvgRecv:  scatter + summa + reduce,
-		MaxRecv:  scatter + summa + float64(dm)*float64(dn),
-		MaxMsgs:  2*rounds + float64(segs*min(c-1, 2)),
-		MaxFlops: 2 * float64(dm) * float64(dn) * math.Ceil(kSlab),
-	}
+	return core.NewPlan(d.Name(), grid.Grid{Pm: pr, Pn: pc, Pk: c}, m, n, k, p, sMem, d.Overlap, true)
 }

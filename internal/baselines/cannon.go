@@ -31,18 +31,17 @@ const (
 func (c Cannon) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	q := int(math.Round(math.Sqrt(float64(p))))
 	if q*q != p {
-		return nil, fmt.Errorf("baselines: Cannon needs a square p, got %d", p)
+		return nil, fmt.Errorf("baselines: Cannon needs a square p, got %d: %w", p, algo.ErrUnsupportedShape)
 	}
 	if m%q != 0 || n%q != 0 || k%q != 0 {
-		return nil, fmt.Errorf("baselines: Cannon needs q=%d to divide %d×%d×%d", q, m, n, k)
+		return nil, fmt.Errorf("baselines: Cannon needs q=%d to divide %d×%d×%d: %w", q, m, n, k, algo.ErrUnsupportedShape)
 	}
-	return &cannonPlan{m: m, n: n, k: k, p: p, q: q, model: c.Model(m, n, k, p, sMem)}, nil
+	return &cannonPlan{m: m, n: n, k: k, p: p, q: q}, nil
 }
 
 // cannonPlan is Cannon's compiled schedule on a q×q torus.
 type cannonPlan struct {
 	m, n, k, p, q int
-	model         algo.Model
 }
 
 func (pl *cannonPlan) Algorithm() string   { return Cannon{}.Name() }
@@ -50,7 +49,6 @@ func (pl *cannonPlan) Grid() string        { return fmt.Sprintf("[%d×%d×1]", p
 func (pl *cannonPlan) Used() int           { return pl.p }
 func (pl *cannonPlan) Procs() int          { return pl.p }
 func (pl *cannonPlan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-func (pl *cannonPlan) Model() algo.Model   { return pl.model }
 
 // Execute implements algo.Plan.
 func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
@@ -116,24 +114,23 @@ func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratc
 	return out, nil
 }
 
-// Model implements algo.Planner. Per rank: the skew moves one A block for
+// Model implements algo.Plan. Per rank: the skew moves one A block for
 // every rank off the zeroth row ((q−1)/q of ranks) and one B block off the
 // zeroth column, then q−1 shift rounds move one A and one B block each.
-func (c Cannon) Model(m, n, k, p, sMem int) algo.Model {
-	q := int(math.Round(math.Sqrt(float64(p))))
-	dm, dk, dn := ceilDiv(m, q), ceilDiv(k, q), ceilDiv(n, q)
+func (pl *cannonPlan) Model() algo.Model {
+	q := pl.q
+	dm, dk, dn := pl.m/q, pl.k/q, pl.n/q
 	aBlk, bBlk := float64(dm*dk), float64(dk*dn)
 	shifts := float64(q - 1)
 	skewFrac := float64(q-1) / float64(q)
-	avg := aBlk*(shifts+skewFrac) + bBlk*(shifts+skewFrac)
 	return algo.Model{
-		Name:     c.Name(),
-		Grid:     fmt.Sprintf("[%d×%d×1]", q, q),
-		Used:     p,
-		AvgRecv:  avg,
+		Name:     pl.Algorithm(),
+		Grid:     pl.Grid(),
+		Used:     pl.p,
+		AvgRecv:  aBlk*(shifts+skewFrac) + bBlk*(shifts+skewFrac),
 		MaxRecv:  (aBlk + bBlk) * (shifts + 1),
 		MaxMsgs:  2 * (shifts + 1),
-		MaxFlops: 2 * float64(dm) * float64(dn) * float64(k),
+		MaxFlops: 2 * float64(dm) * float64(dn) * float64(pl.k),
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cosma/internal/algo"
+	"cosma/internal/costmodel"
 	"cosma/internal/layout"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
@@ -46,14 +48,13 @@ func (c CARMA) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	for used*2 <= p {
 		used *= 2
 	}
-	return &carmaPlan{m: m, n: n, k: k, p: p, used: used, model: c.Model(m, n, k, p, sMem)}, nil
+	return &carmaPlan{m: m, n: n, k: k, p: p, s: sMem, used: used}, nil
 }
 
 // carmaPlan is the compiled recursive schedule over a power-of-two
-// team of `used` ranks.
+// team of `used` ranks with s words of memory each.
 type carmaPlan struct {
-	m, n, k, p, used int
-	model            algo.Model
+	m, n, k, p, s, used int
 }
 
 func (pl *carmaPlan) Algorithm() string   { return CARMA{}.Name() }
@@ -61,7 +62,6 @@ func (pl *carmaPlan) Grid() string        { return fmt.Sprintf("recursive p=%d",
 func (pl *carmaPlan) Used() int           { return pl.used }
 func (pl *carmaPlan) Procs() int          { return pl.p }
 func (pl *carmaPlan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-func (pl *carmaPlan) Model() algo.Model   { return pl.model }
 
 // Execute implements algo.Plan.
 func (pl *carmaPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
@@ -246,38 +246,23 @@ func largestDim(m, n, k int) byte {
 	return 'k'
 }
 
-// Model implements algo.Planner using the recursive row of Table 3: CARMA
-// moves Q = 2·min{√3·mnk/(p√S), (mnk/p)^(2/3)} + (mnk/p)^(2/3) words per
-// rank — the √3 factor over COSMA in the limited-memory regime is the
-// paper's headline comparison (§6.2).
-func (c CARMA) Model(m, n, k, p, sMem int) algo.Model {
-	used := 1
-	levels := 0
-	for used*2 <= p {
-		used *= 2
-		levels++
-	}
-	w := float64(m) * float64(n) * float64(k) / float64(used)
-	cubic := math.Pow(w, 2.0/3.0)
-	// Feasibility-aware branch: the cubic leaf applies only when its
-	// working set fits in memory; otherwise CARMA pays the √3-factor
-	// limited-memory branch (§6.2).
-	var q float64
-	if 3*cubic <= float64(sMem) {
-		q = 3 * cubic
-	} else {
-		q = 2*math.Sqrt(3)*w/math.Sqrt(float64(sMem)) + cubic
-	}
+// Model implements algo.Plan with the recursive row of Table 3 on the
+// team CARMA uses (costmodel.Recursive — the √3 factor over COSMA in the
+// limited-memory regime is the paper's headline comparison, §6.2); only
+// the busiest rank's terms are CARMA's own.
+func (pl *carmaPlan) Model() algo.Model {
+	q := costmodel.Recursive(costmodel.Params{M: pl.m, N: pl.n, K: pl.k, P: pl.used, S: pl.s}).Q
+	w := float64(pl.m) * float64(pl.n) * float64(pl.k) / float64(pl.used)
 	return algo.Model{
-		Name:    c.Name(),
-		Grid:    fmt.Sprintf("recursive p=%d", used),
-		Used:    used,
-		AvgRecv: q * float64(used) / float64(p),
+		Name:    pl.Algorithm(),
+		Grid:    pl.Grid(),
+		Used:    pl.used,
+		AvgRecv: q * float64(pl.used) / float64(pl.p),
 		// The busiest rank additionally receives a sibling C tile at each
 		// k-split ascent (structurally comparable to COSMA's reduction
-		// tree accounting).
-		MaxRecv:  q + cubic,
-		MaxMsgs:  4 * float64(levels),
+		// chain accounting).
+		MaxRecv:  q + math.Pow(w, 2.0/3.0),
+		MaxMsgs:  4 * float64(bits.Len(uint(pl.used))-1), // four transfers per recursion level
 		MaxFlops: 2 * w,
 	}
 }

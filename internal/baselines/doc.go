@@ -17,8 +17,9 @@
 // per shape, execution runs on the simulated machine with
 // real data movement through the §7.2 collectives, and the local
 // tile multiplications go through the per-rank packed GEMM kernel
-// drawn from the executor's Arena. Every baseline also provides an
-// analytic model derived from the same decomposition code, so measured
-// and predicted traffic are cross-checked at small scale and the model
-// trusted at paper scale.
+// drawn from the executor's Arena. A model is read off a plan: SUMMA's
+// and 2.5D's is core.NewPlan's count of their grid's schedule (equal to
+// the measurement), Cannon's follows its torus schedule, and CARMA's is
+// the recursive closed form of Table 3 — the one that is cross-checked
+// against execution with a tolerance rather than with ==.
 package baselines

@@ -75,35 +75,9 @@ func NearSquare(p int) (pr, pc int) {
 
 // Plan implements algo.Planner: Algorithm 1 on the fixed 2D grid
 // [pr×pc×1] — each rank (i, j) owns the blocks A[Mi, Kj], B[Ki, Nj] and
-// computes C[Mi, Nj]; no fiber, so C never moves.
+// computes C[Mi, Nj]; no fiber, so C never moves. What the ranks receive
+// (the k(m+n)/√p row of Table 3) is the plan's own count.
 func (s SUMMA) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	pr, pc := NearSquare(p)
-	g := grid.Grid{Pm: pr, Pn: pc, Pk: 1}
-	return core.NewPlan(g, m, n, k, p, sMem, s.Model(m, n, k, p, sMem), s.Overlap, false)
+	return core.NewPlan(s.Name(), grid.Grid{Pm: pr, Pn: pc, Pk: 1}, m, n, k, p, sMem, s.Overlap, false)
 }
-
-// Model implements algo.Planner: per-rank received words of the 2D
-// schedule. Every rank receives the A panels of the pc−1 other columns
-// (dm·k·(pc−1)/pc words) and the B panels of the pr−1 other rows; C never
-// moves. This is the k(m+n)/√p + mn/p row of Table 3.
-func (s SUMMA) Model(m, n, k, p, sMem int) algo.Model {
-	pr, pc := NearSquare(p)
-	dm, dn := ceilDiv(m, pr), ceilDiv(n, pc)
-	avg := float64(dm)*float64(k)*float64(pc-1)/float64(pc) +
-		float64(dn)*float64(k)*float64(pr-1)/float64(pr)
-	rounds := float64(k) / float64(core.StepSize(sMem, dm, dn))
-	if min := float64(pr + pc - 1); rounds < min {
-		rounds = min // at least one broadcast per ownership segment
-	}
-	return algo.Model{
-		Name:     s.Name(),
-		Grid:     fmt.Sprintf("[%d×%d×1]", pr, pc),
-		Used:     p,
-		AvgRecv:  avg,
-		MaxRecv:  avg, // the 2D schedule is symmetric
-		MaxMsgs:  2 * rounds,
-		MaxFlops: 2 * float64(dm) * float64(dn) * float64(k),
-	}
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

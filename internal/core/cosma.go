@@ -66,9 +66,9 @@ const (
 
 // plan is Algorithm 1's compiled schedule for one problem shape on one
 // processor grid: the latency-minimizing step, the round segments of
-// every k slab and the analytic model. COSMA, SUMMA and 2.5D differ
-// only in how they choose the grid. It is immutable after NewPlan
-// returns.
+// every k slab and the count of what its ranks receive. COSMA, SUMMA
+// and 2.5D differ only in how they choose the grid. It is immutable
+// after NewPlan returns.
 type plan struct {
 	m, n, k, p int
 	g          grid.Grid
@@ -91,22 +91,23 @@ func (c *COSMA) Plan(m, n, k, p, s int) (algo.Plan, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("core: p = %d must be ≥ 1", p)
 	}
-	g := grid.Fit(m, n, k, p, s, c.delta())
-	return NewPlan(g, m, n, k, p, s, modelFor(c.Name(), g, m, n, k, p, s), c.Overlap, false)
+	return NewPlan(c.Name(), grid.Fit(m, n, k, p, s, c.delta()), m, n, k, p, s, c.Overlap, false)
 }
 
 // NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for
 // an m×k by k×n multiplication on the grid g of a p-rank machine with
-// s words per rank. The grid is the caller's policy — COSMA fits it
-// (§7.1), SUMMA and 2.5D fix it upfront — and so is the model, whose
-// Name the plan reports as its algorithm. overlap pipelines the round
-// loop (§7.3); layer0 starts the inputs on the ik = 0 layer (2.5D).
-func NewPlan(g grid.Grid, m, n, k, p, s int, model algo.Model, overlap, layer0 bool) (algo.Plan, error) {
-	if g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
-		return nil, fmt.Errorf("core: grid %v does not fit p = %d", g, p)
+// s words per rank, reported under the algorithm name. The grid is the
+// caller's policy — COSMA fits it (§7.1), SUMMA and 2.5D fix it upfront;
+// the model is not: the plan counts its own schedule. overlap pipelines
+// the round loop (§7.3); layer0 starts the inputs on the ik = 0 layer
+// (2.5D). A grid longer than a dimension it cuts is refused with
+// algo.ErrUnsupportedShape.
+func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (algo.Plan, error) {
+	if m < 1 || n < 1 || k < 1 || g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
+		return nil, fmt.Errorf("core: grid %v does not fit %d×%d×%d on p = %d", g, m, n, k, p)
 	}
 	if g.Pm > m || g.Pn > n || g.Pk > k {
-		return nil, fmt.Errorf("core: grid %v exceeds %d×%d×%d", g, m, n, k)
+		return nil, fmt.Errorf("core: grid %v exceeds %d×%d×%d: %w", g, m, n, k, algo.ErrUnsupportedShape)
 	}
 	dmMax, dnMax, _ := g.LocalDims(m, n, k)
 	step := StepSize(s, dmMax, dnMax)
@@ -117,11 +118,13 @@ func NewPlan(g grid.Grid, m, n, k, p, s int, model algo.Model, overlap, layer0 b
 		bParts := layout.Split(slab.Len(), g.Pm)
 		segs[ik] = segments(slab.Len(), aParts, bParts, step)
 	}
-	return &plan{
+	pl := &plan{
 		m: m, n: n, k: k, p: p,
 		g: g, step: step, segs: segs,
-		model: model, overlap: overlap, layer0: layer0,
-	}, nil
+		overlap: overlap, layer0: layer0,
+	}
+	pl.model = pl.count(name)
+	return pl, nil
 }
 
 // Algorithm implements algo.Plan.
@@ -395,37 +398,51 @@ func ownerOf(parts []layout.Range, x int) int {
 	return i
 }
 
-// Model implements algo.Planner: the analytic prediction derived from
-// the same grid fitting and round structure as Plan.
-func (c *COSMA) Model(m, n, k, p, s int) algo.Model {
-	return modelFor(c.Name(), grid.Fit(m, n, k, p, s, c.delta()), m, n, k, p, s)
-}
-
-// modelFor evaluates the analytic model on an already-fitted grid, so
-// Plan derives its model without fitting a second time.
-func modelFor(name string, g grid.Grid, m, n, k, p, s int) algo.Model {
-	dm, dn, dk := g.LocalDims(m, n, k)
-	// The rounds the largest slab executes, and how many of a round's two
-	// panel broadcasts have anyone to talk to.
-	rounds := len(segments(dk, layout.Split(dk, g.Pn), layout.Split(dk, g.Pm), StepSize(s, dm, dn)))
-	bcasts := min(g.Pn-1, 1) + min(g.Pm-1, 1)
-	maxRecv := float64(dm*dk)*float64(g.Pn-1)/float64(g.Pn) +
-		float64(dk*dn)*float64(g.Pm-1)/float64(g.Pm)
-	// The fiber reduces down a chain: every member but the tail receives
-	// its tile once, in segments a member between tail and root also
-	// passes on.
-	segs, _ := comm.ReduceSegments(g.Pk, dm*dn)
-	if g.Pk > 1 {
-		maxRecv += float64(dm * dn)
+// count is the plan's model: the words Algorithm 1's ranks receive, added
+// up rank by rank over the layout.Block cuts rankProgram walks — the
+// share of its A panel (rows × slab) and B panel (slab × cols) a rank does
+// not own, its C tile unless it is the tail of the fiber's reduction chain,
+// and under layer0 its own pieces too if it is off layer 0 — so average
+// and maximum equal what an execution measures. MaxMsgs is per round one
+// message for each panel broadcast with anyone to talk to, the reduction's
+// segments (twice for a chain member that passes them on) and the two
+// scattered pieces; MaxFlops is the largest local domain's.
+func (pl *plan) count(name string) algo.Model {
+	g, d := pl.g, pl.Decomposition()
+	var total, maxRecv int
+	for ik := 0; ik < g.Pk; ik++ {
+		slab := layout.Block(pl.k, g.Pk, ik).Len()
+		for in := 0; in < g.Pn; in++ {
+			dn := layout.Block(pl.n, g.Pn, in).Len()
+			aMine := layout.Block(slab, g.Pn, in).Len()
+			for im := 0; im < g.Pm; im++ {
+				dm := layout.Block(pl.m, g.Pm, im).Len()
+				bMine := layout.Block(slab, g.Pm, im).Len()
+				recv := dm*(slab-aMine) + (slab-bMine)*dn
+				if ik != g.Pk-1 {
+					recv += dm * dn
+				}
+				if pl.layer0 && ik != 0 {
+					recv += dm*aMine + bMine*dn
+				}
+				total += recv
+				maxRecv = max(maxRecv, recv)
+			}
+		}
 	}
-	avg := g.ModelVolume(m, n, k) * float64(g.Ranks()) / float64(p)
+	bcasts := min(g.Pn-1, 1) + min(g.Pm-1, 1)
+	segs, _ := comm.ReduceSegments(g.Pk, d.DomainM*d.DomainN)
+	msgs := bcasts*d.Rounds + segs*min(g.Pk-1, 2)
+	if pl.layer0 && g.Pk > 1 {
+		msgs += 2
+	}
 	return algo.Model{
 		Name:     name,
 		Grid:     g.String(),
 		Used:     g.Ranks(),
-		AvgRecv:  avg,
-		MaxRecv:  maxRecv,
-		MaxMsgs:  float64(bcasts*rounds + segs*min(g.Pk-1, 2)),
-		MaxFlops: 2 * float64(dm) * float64(dn) * float64(dk),
+		AvgRecv:  float64(total) / float64(pl.p),
+		MaxRecv:  float64(maxRecv),
+		MaxMsgs:  float64(msgs),
+		MaxFlops: 2 * float64(d.DomainM) * float64(d.DomainN) * float64(d.DomainK),
 	}
 }

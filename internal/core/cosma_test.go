@@ -9,6 +9,7 @@ import (
 
 	"cosma/internal/algo"
 	"cosma/internal/bound"
+	"cosma/internal/grid"
 	"cosma/internal/layout"
 	"cosma/internal/matrix"
 )
@@ -194,13 +195,47 @@ func TestCOSMACorrectnessProperty(t *testing.T) {
 	}
 }
 
+// planModel is COSMA's model of a shape: the count its plan carries.
+func planModel(t *testing.T, m, n, k, p, s int) algo.Model {
+	t.Helper()
+	plan, err := (&COSMA{}).Plan(m, n, k, p, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Model()
+}
+
+// TestFitObjectiveIsTheCount ties grid.ModelVolume — Fit's O(1)
+// objective — to the number the plan reports: on evenly divisible shapes
+// it is the count's average over the ranks the grid uses, so the two
+// cannot drift apart silently.
+func TestFitObjectiveIsTheCount(t *testing.T) {
+	for _, c := range []struct {
+		g       grid.Grid
+		m, n, k int
+	}{
+		{grid.Grid{Pm: 2, Pn: 2, Pk: 4}, 64, 64, 64},
+		{grid.Grid{Pm: 3, Pn: 2, Pk: 3}, 96, 48, 72},
+		{grid.Grid{Pm: 4, Pn: 4, Pk: 1}, 128, 128, 128},
+		{grid.Grid{Pm: 1, Pn: 1, Pk: 8}, 16, 16, 512},
+	} {
+		plan, err := NewPlan("COSMA", c.g, c.m, c.n, c.k, c.g.Ranks(), 1<<20, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := plan.Model().AvgRecv, c.g.ModelVolume(c.m, c.n, c.k); got != want {
+			t.Errorf("%v on %d×%d×%d: counted %v words/rank, Fit's objective says %v", c.g, c.m, c.n, c.k, got, want)
+		}
+	}
+}
+
 func TestCOSMAModelScalesToPaperSizes(t *testing.T) {
 	// The model must evaluate instantly at the paper's largest runs and
 	// decrease with p.
 	s := 1 << 21
 	prev := math.Inf(1)
 	for _, p := range []int{2048, 4096, 8192, 16384} {
-		mod := (&COSMA{}).Model(16384, 16384, 16384, p, s)
+		mod := planModel(t, 16384, 16384, 16384, p, s)
 		if mod.AvgRecv <= 0 || math.IsNaN(mod.AvgRecv) {
 			t.Fatalf("p=%d: bad model %+v", p, mod)
 		}
@@ -215,8 +250,8 @@ func TestCOSMALimitedVsExtraMemoryRegimes(t *testing.T) {
 	// Eq. 33: with ample memory COSMA switches to the cubic regime and
 	// communicates less than in the limited regime.
 	m, n, k, p := 1<<12, 1<<12, 1<<12, 64
-	limited := (&COSMA{}).Model(m, n, k, p, 2*m*n/p)
-	extra := (&COSMA{}).Model(m, n, k, p, 1<<30)
+	limited := planModel(t, m, n, k, p, 2*m*n/p)
+	extra := planModel(t, m, n, k, p, 1<<30)
 	if extra.AvgRecv >= limited.AvgRecv {
 		t.Fatalf("extra-memory volume %v not below limited %v", extra.AvgRecv, limited.AvgRecv)
 	}

@@ -14,7 +14,8 @@
 //
 // The work splits into two phases. Plan compiles a problem shape into
 // an immutable schedule — the fitted grid, the per-slab round segments
-// and the analytic model — and Execute replays that schedule against
+// and the model, a rank-by-rank count of the words that schedule moves —
+// and Execute replays that schedule against
 // matrix values on a machine, so repeated same-shape multiplications
 // fit the grid exactly once. Per-round tile updates run on the packed
 // register-blocked GEMM kernel each rank draws from the executor's
@@ -22,5 +23,6 @@
 //
 // NewPlan exports the schedule with the grid left to the caller: the
 // 2D and 2.5D baselines (internal/baselines) are the same rank program
-// on a grid fixed upfront instead of fitted (§6.3).
+// on a grid fixed upfront instead of fitted (§6.3), and the same count
+// is their model.
 package core

@@ -9,8 +9,9 @@
 // runtime on the y axis).
 //
 // Small-scale points are executed on the machine simulator with real
-// data movement; paper-scale points are evaluated with the structural
-// models that the test suite cross-checks against execution. The timed
+// data movement; paper-scale points are the models of plans compiled at
+// that scale (sweep plans each scenario once), which the test suite holds
+// equal to execution for the Algorithm 1 plans. The timed
 // experiments accept any machine.NetworkParams, including presets
 // whose γ has been replaced by a matrix.Calibrate measurement
 // (cmd/experiments -calibrate).

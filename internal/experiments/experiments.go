@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"cosma/internal/algo"
 	_ "cosma/internal/baselines" // registers the baseline algorithms
@@ -27,9 +29,6 @@ const wordsToMB = 8.0 / 1e6
 // remainder, COSMA's fitted-out δ share) would otherwise dilute the
 // figure, hiding the extra traffic the active ranks carry.
 func perUsedRecv(mod algo.Model, p int) float64 {
-	if mod.Used <= 0 {
-		return mod.AvgRecv
-	}
 	return mod.AvgRecv * float64(p) / float64(mod.Used)
 }
 
@@ -39,24 +38,89 @@ func feasible(c workload.Config) bool {
 	return float64(c.P)*float64(c.S) >= c.InputWords()
 }
 
+var (
+	shapes  = []workload.Shape{workload.Square, workload.LargeK, workload.LargeM, workload.Flat}
+	regimes = []workload.Regime{workload.StrongScaling, workload.LimitedMemory, workload.ExtraMemory}
+)
+
+// cell is one configuration with the models of the paper's comparison
+// set on it, in algo.Comparison order (COSMA first).
+type cell struct {
+	workload.Config
+	mods []algo.Model
+}
+
+// compare plans every algorithm of the comparison set on c. ok is false
+// when c is infeasible or an algorithm refuses the shape
+// (algo.ErrUnsupportedShape) — a row to skip; any other planning error is
+// a bug and panics.
+func compare(c workload.Config) (_ cell, ok bool) {
+	if !feasible(c) {
+		return cell{}, false
+	}
+	var mods []algo.Model
+	for _, r := range algo.Comparison(algo.Config{}) {
+		pl, err := r.Plan(c.M, c.N, c.K, c.P, c.S)
+		if errors.Is(err, algo.ErrUnsupportedShape) {
+			return cell{}, false
+		} else if err != nil {
+			panic(fmt.Sprintf("experiments: %s on %v: %v", r.Name(), c, err))
+		}
+		mods = append(mods, pl.Model())
+	}
+	return cell{c, mods}, true
+}
+
+// evaluate predicts mod's execution of the cell's problem on Piz Daint.
+func (c cell) evaluate(mod algo.Model) perfmodel.Result {
+	return perfmodel.Evaluate(machine.PizDaintNet(), false, mod, c.M, c.N, c.K, c.P)
+}
+
+// sweeps plans the paper's evaluation (§8) once per process: for every
+// shape and regime, each feasible core count of the sweep. Figures 6–11,
+// 13/14 and Table 4 are renderings of these cells, and fitting their
+// grids takes longer than rendering all of them.
+var sweeps = sync.OnceValue(func() map[workload.Shape]map[workload.Regime][]cell {
+	out := map[workload.Shape]map[workload.Regime][]cell{}
+	for _, shape := range shapes {
+		out[shape] = map[workload.Regime][]cell{}
+		for _, regime := range regimes {
+			for _, p := range workload.CoreCounts() {
+				if c, ok := compare(workload.Generate(shape, regime, p)); ok {
+					out[shape][regime] = append(out[shape][regime], c)
+				}
+			}
+		}
+	}
+	return out
+})
+
 // CommVolume regenerates a Figure 6/7-style panel: average received MB
 // per core for every algorithm across the core-count sweep, using the
-// structural models at paper scale.
+// plans' models at paper scale.
 func CommVolume(shape workload.Shape, regime workload.Regime) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Communication volume per core [MB] — %s, %s (Figures 6/7)", shape, regime),
 		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA", "LowerBound")
-	for _, p := range workload.CoreCounts() {
-		c := workload.Generate(shape, regime, p)
-		if !feasible(c) {
-			continue
-		}
-		row := []interface{}{p}
-		for _, r := range algo.Comparison(algo.Config{}) {
-			mod := r.Model(c.M, c.N, c.K, c.P, c.S)
+	for _, c := range sweeps()[shape][regime] {
+		row := []interface{}{c.P}
+		for _, mod := range c.mods {
 			row = append(row, perUsedRecv(mod, c.P)*wordsToMB)
 		}
-		row = append(row, bound.ParallelLowerBound(c.M, c.N, c.K, c.P, c.S)*wordsToMB)
+		t.AddRow(append(row, bound.ParallelLowerBound(c.M, c.N, c.K, c.P, c.S)*wordsToMB)...)
+	}
+	return t
+}
+
+// predicted renders one performance-model value per algorithm for every
+// core count of a sweep.
+func predicted(title string, shape workload.Shape, regime workload.Regime, value func(perfmodel.Result) float64) *report.Table {
+	t := report.NewTable(fmt.Sprintf(title, shape, regime), "cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
+	for _, c := range sweeps()[shape][regime] {
+		row := []interface{}{c.P}
+		for _, mod := range c.mods {
+			row = append(row, value(c.evaluate(mod)))
+		}
 		t.AddRow(row...)
 	}
 	return t
@@ -65,45 +129,15 @@ func CommVolume(shape workload.Shape, regime workload.Regime) *report.Table {
 // PctPeak regenerates a Figure 8/10-style panel: % of peak flop/s for
 // every algorithm across the sweep under the performance model.
 func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
-	net := machine.PizDaintNet()
-	t := report.NewTable(
-		fmt.Sprintf("%% of peak performance — %s, %s (Figures 8/10)", shape, regime),
-		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
-	for _, p := range workload.CoreCounts() {
-		c := workload.Generate(shape, regime, p)
-		if !feasible(c) {
-			continue
-		}
-		row := []interface{}{p}
-		for _, r := range algo.Comparison(algo.Config{}) {
-			res := perfmodel.Evaluate(net, false, r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
-			row = append(row, res.PctPeak)
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return predicted("%% of peak performance — %s, %s (Figures 8/10)", shape, regime,
+		func(r perfmodel.Result) float64 { return r.PctPeak })
 }
 
 // Runtime regenerates a Figure 9/11-style panel: total simulated runtime
 // in milliseconds.
 func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
-	net := machine.PizDaintNet()
-	t := report.NewTable(
-		fmt.Sprintf("Total runtime [ms] — %s, %s (Figures 9/11)", shape, regime),
-		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
-	for _, p := range workload.CoreCounts() {
-		c := workload.Generate(shape, regime, p)
-		if !feasible(c) {
-			continue
-		}
-		row := []interface{}{p}
-		for _, r := range algo.Comparison(algo.Config{}) {
-			res := perfmodel.Evaluate(net, false, r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
-			row = append(row, res.TimeSec*1e3)
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return predicted("Total runtime [ms] — %s, %s (Figures 9/11)", shape, regime,
+		func(r perfmodel.Result) float64 { return r.TimeSec * 1e3 })
 }
 
 // Table4 regenerates Table 4: for each shape and regime, the mean over
@@ -111,54 +145,36 @@ func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 // algorithm, and COSMA's speedup over the second-best algorithm under the
 // performance model (min / geometric mean / max over the sweep).
 func Table4() *report.Table {
-	net := machine.PizDaintNet()
 	t := report.NewTable(
 		"Table 4: mean comm volume per rank [MB] and COSMA speedup vs second-best",
 		"shape", "benchmark", "ScaLAPACK", "CTF", "CARMA", "COSMA",
 		"min", "mean", "max")
-	for _, shape := range []workload.Shape{workload.Square, workload.LargeK, workload.LargeM, workload.Flat} {
-		for _, regime := range []workload.Regime{workload.StrongScaling, workload.LimitedMemory, workload.ExtraMemory} {
-			sums := make(map[string]float64)
-			var points int
-			minSp, maxSp := math.Inf(1), 0.0
-			logSum := 0.0
-			for _, p := range workload.CoreCounts() {
-				c := workload.Generate(shape, regime, p)
-				if !feasible(c) {
-					continue
-				}
-				points++
-				var cosmaT float64
-				secondBest := math.Inf(1)
-				for _, r := range algo.Comparison(algo.Config{}) {
-					mod := r.Model(c.M, c.N, c.K, c.P, c.S)
-					sums[r.Name()] += perUsedRecv(mod, c.P) * wordsToMB
-					rt := perfmodel.Evaluate(net, false, mod, c.M, c.N, c.K, c.P).TimeSec
-					if r.Name() == (&core.COSMA{}).Name() {
-						cosmaT = rt
-					} else if rt < secondBest {
-						secondBest = rt
-					}
-				}
-				sp := secondBest / cosmaT
-				if sp < minSp {
-					minSp = sp
-				}
-				if sp > maxSp {
-					maxSp = sp
-				}
-				logSum += math.Log(sp)
-			}
-			if points == 0 {
+	for _, shape := range shapes {
+		for _, regime := range regimes {
+			cells := sweeps()[shape][regime]
+			if len(cells) == 0 {
 				continue
 			}
-			names := []string{"ScaLAPACK/SUMMA-2D", "CTF/2.5D", "CARMA-recursive", "COSMA"}
-			row := []interface{}{shape.String(), regime.String()}
-			for _, n := range names {
-				row = append(row, sums[n]/float64(points))
+			points := float64(len(cells))
+			sums := make([]float64, len(cells[0].mods))
+			minSp, maxSp, logSum := math.Inf(1), 0.0, 0.0
+			for _, c := range cells {
+				secondBest := math.Inf(1)
+				for i, mod := range c.mods {
+					sums[i] += perUsedRecv(mod, c.P) * wordsToMB
+					if i > 0 { // COSMA is the comparison set's first
+						secondBest = min(secondBest, c.evaluate(mod).TimeSec)
+					}
+				}
+				sp := secondBest / c.evaluate(c.mods[0]).TimeSec
+				minSp, maxSp = min(minSp, sp), max(maxSp, sp)
+				logSum += math.Log(sp)
 			}
-			row = append(row, minSp, math.Exp(logSum/float64(points)), maxSp)
-			t.AddRow(row...)
+			row := []interface{}{shape.String(), regime.String()}
+			for _, sum := range append(sums[1:], sums[0]) { // the baselines, then COSMA
+				row = append(row, sum/points)
+			}
+			t.AddRow(append(row, minSp, math.Exp(logSum/points), maxSp)...)
 		}
 	}
 	return t
@@ -269,18 +285,19 @@ func Fig12() *report.Table {
 	t := report.NewTable(
 		"Figure 12: COSMA time breakdown [ms], strong scaling",
 		"shape", "cores", "compute", "input A/B", "output C", "total no-overlap", "total overlap")
-	cosma := &core.COSMA{}
-	for _, shape := range []workload.Shape{workload.Square, workload.LargeK, workload.LargeM, workload.Flat} {
+	for _, shape := range shapes {
 		for _, p := range []int{2048, 18432} {
 			c := workload.Generate(shape, workload.StrongScaling, p)
 			if !feasible(c) {
 				continue
 			}
-			mod := cosma.Model(c.M, c.N, c.K, c.P, c.S)
-			g := grid.Fit(c.M, c.N, c.K, c.P, c.S, core.DefaultDelta)
-			dm, dn, _ := g.LocalDims(c.M, c.N, c.K)
-			outWords := float64(dm) * float64(dn) * float64(g.Pk-1) / float64(g.Pk) * 2
-			bd := perfmodel.SplitInputOutput(net, mod, outWords)
+			pl, err := (&core.COSMA{}).Plan(c.M, c.N, c.K, c.P, c.S)
+			if err != nil {
+				panic(fmt.Sprintf("experiments: COSMA on %+v: %v", c, err))
+			}
+			d := pl.(algo.Decomposed).Decomposition()
+			outWords := float64(d.DomainM) * float64(d.DomainN) * float64(d.GridPk-1) / float64(d.GridPk) * 2
+			bd := perfmodel.SplitInputOutput(net, pl.Model(), outWords)
 			t.AddRow(shape.String(), p, bd.ComputeSec*1e3, bd.InputSec*1e3,
 				bd.OutputSec*1e3, bd.TotalNoOv*1e3, bd.TotalOv*1e3)
 		}
@@ -292,27 +309,22 @@ func Fig12() *report.Table {
 // over core counts) of achieved % of peak for every algorithm in every
 // scenario.
 func Fig13() *report.Table {
-	net := machine.PizDaintNet()
 	t := report.NewTable(
 		"Figures 13/14: distribution of % peak across core counts",
 		"shape", "benchmark", "algorithm", "min", "median", "max")
-	for _, shape := range []workload.Shape{workload.Square, workload.LargeK, workload.LargeM, workload.Flat} {
-		for _, regime := range []workload.Regime{workload.StrongScaling, workload.LimitedMemory, workload.ExtraMemory} {
-			for _, r := range algo.Comparison(algo.Config{}) {
-				var samples []float64
-				for _, p := range workload.CoreCounts() {
-					c := workload.Generate(shape, regime, p)
-					if !feasible(c) {
-						continue
-					}
-					res := perfmodel.Evaluate(net, false, r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
-					samples = append(samples, res.PctPeak)
-				}
-				if len(samples) == 0 {
-					continue
+	for _, shape := range shapes {
+		for _, regime := range regimes {
+			cells := sweeps()[shape][regime]
+			if len(cells) == 0 {
+				continue
+			}
+			for i, mod := range cells[0].mods {
+				samples := make([]float64, len(cells))
+				for j, c := range cells {
+					samples[j] = c.evaluate(c.mods[i]).PctPeak
 				}
 				sort.Float64s(samples)
-				t.AddRow(shape.String(), regime.String(), r.Name(),
+				t.AddRow(shape.String(), regime.String(), mod.Name,
 					samples[0], samples[len(samples)/2], samples[len(samples)-1])
 			}
 		}
@@ -324,17 +336,15 @@ func Fig13() *report.Table {
 // comparison: p = 9216 vs 9217 for COSMA (stable thanks to grid fitting)
 // and the 2.5D decomposition (unstable).
 func Unfavorable() *report.Table {
-	net := machine.PizDaintNet()
 	n := 16384
 	s := workload.MemoryWordsPerCore
 	t := report.NewTable(
 		"Unfavorable processor count: m=n=k=16384",
 		"algorithm", "p", "grid", "time [ms]", "words/rank")
 	for _, p := range []int{9216, 9217} {
-		for _, r := range algo.Comparison(algo.Config{}) {
-			mod := r.Model(n, n, n, p, s)
-			res := perfmodel.Evaluate(net, false, mod, n, n, n, p)
-			t.AddRow(r.Name(), p, mod.Grid, res.TimeSec*1e3, mod.AvgRecv)
+		c, _ := compare(workload.Config{M: n, N: n, K: n, P: p, S: s})
+		for _, mod := range c.mods {
+			t.AddRow(mod.Name, p, mod.Grid, c.evaluate(mod).TimeSec*1e3, mod.AvgRecv)
 		}
 	}
 	return t
@@ -359,14 +369,12 @@ func Validate() *report.Table {
 		b := matrix.Random(c.k, c.n, rng)
 		for _, r := range algo.Comparison(algo.Config{}) {
 			_, rep, err := algo.RunPlanner(r, nil, a, b, c.p, c.s)
-			if err != nil {
-				continue // e.g. Cannon-style restrictions
+			if errors.Is(err, algo.ErrUnsupportedShape) {
+				continue
+			} else if err != nil {
+				panic(fmt.Sprintf("experiments: %s on %+v: %v", r.Name(), c, err))
 			}
-			ratio := 0.0
-			if rep.Model.AvgRecv > 0 {
-				ratio = rep.AvgRecv / rep.Model.AvgRecv
-			}
-			t.AddRow(r.Name(), c.m, c.n, c.k, c.p, rep.AvgRecv, rep.Model.AvgRecv, ratio)
+			t.AddRow(r.Name(), c.m, c.n, c.k, c.p, rep.AvgRecv, rep.Model.AvgRecv, rep.AvgRecv/rep.Model.AvgRecv)
 		}
 	}
 	return t
@@ -378,17 +386,16 @@ func Table1() *report.Table {
 	t := report.NewTable(
 		"Table 1: decomposition comparison (concrete volumes for square n=16384, p=1024, S=2^27)",
 		"algorithm", "step 1", "step 2", "words/rank")
-	c := workload.Generate(workload.Square, workload.StrongScaling, 1024)
+	c, _ := compare(workload.Generate(workload.Square, workload.StrongScaling, 1024))
 	steps := map[string][2]string{
 		"COSMA":              {"find optimal sequential schedule", "map sequential domain to matrices"},
 		"ScaLAPACK/SUMMA-2D": {"split m and n", "map matrices to grid"},
 		"CTF/2.5D":           {"split m, n, k", "map matrices to grid"},
 		"CARMA-recursive":    {"split largest dim recursively", "map matrices to recursion tree"},
 	}
-	for _, r := range algo.Comparison(algo.Config{}) {
-		mod := r.Model(c.M, c.N, c.K, c.P, c.S)
-		s := steps[r.Name()]
-		t.AddRow(r.Name(), s[0], s[1], mod.AvgRecv)
+	for _, mod := range c.mods {
+		s := steps[mod.Name]
+		t.AddRow(mod.Name, s[0], s[1], mod.AvgRecv)
 	}
 	return t
 }

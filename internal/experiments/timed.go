@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -35,10 +36,9 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 		planners := append(algo.Comparison(algo.Config{Overlap: true}), baselines.Cannon{})
 		for _, r := range planners {
 			_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
-			if err != nil {
-				if _, ok := r.(baselines.Cannon); ok {
-					continue // expected square-grid/divisibility restriction
-				}
+			if errors.Is(err, algo.ErrUnsupportedShape) {
+				continue // Cannon's square-torus/divisibility restriction
+			} else if err != nil {
 				t.AddRow(p, r.Name(), "error: "+err.Error(), "-", "-", "-", "-")
 				continue
 			}
