@@ -8,7 +8,7 @@
 //	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576 [-delta 0.03]
 //	      [-algo cosma|summa|2.5d|carma|cannon|all]
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
-//	      [-threads n] [-tune]
+//	      [-threads n]
 //
 // The algorithm is resolved through the name-keyed registry (aliases
 // like "scalapack" and "ctf" work too); -algo list prints it. With
@@ -18,8 +18,6 @@
 // with the measured seconds-per-flop, so the predictions charge compute
 // at the rate this machine actually achieves. -threads bounds each
 // rank's local GEMM worker pool (0 = GOMAXPROCS-aware default).
-// -tune autotunes the rank kernels' block sizes and micro-kernel
-// variant (printing the search result) before executing.
 //
 // With -transport wire the multiplication is genuinely distributed:
 // the p ranks are spread over -wire-procs OS processes connected by
@@ -68,7 +66,6 @@ func main() {
 	netName := flag.String("network", "", "timed α-β-γ preset: pizdaint, ethernet or sharedmem (empty counts only)")
 	calibrate := flag.Bool("calibrate", false, "measure the local kernel and substitute its γ into -network")
 	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
-	tune := flag.Bool("tune", false, "autotune rank-kernel block sizes and micro-kernel variant")
 	overlap := flag.Bool("overlap", false,
 		"pipeline the round loops (§7.3): prefetch the next round's panels while multiplying")
 	transport := flag.String("transport", "inprocess",
@@ -96,10 +93,6 @@ func main() {
 	opts := []cosma.Option{
 		cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithDelta(*delta),
 		cosma.WithKernelThreads(*threads), cosma.WithOverlap(*overlap),
-		cosma.WithAutotune(*tune),
-	}
-	if *tune {
-		fmt.Println(cosma.Tune(0, *threads))
 	}
 	if *netName != "" {
 		net, err := cosma.NetworkByName(*netName)

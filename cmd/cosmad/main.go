@@ -8,7 +8,7 @@
 //
 //	cosmad [-addr :8642] [-p 4] [-S 1048576] [-algo cosma]
 //	       [-shards 4] [-queue 256] [-batch 32]
-//	       [-maxdim 8192] [-threads n] [-tune] [-overlap]
+//	       [-maxdim 8192] [-threads n] [-overlap]
 //	       [-retry 0] [-verify] [-fallback]
 //	       [-breaker-threshold 5] [-breaker-cooldown 5s]
 //	       [-drain-timeout 30s]
@@ -51,7 +51,6 @@ func main() {
 	batch := flag.Int("batch", 32, "max pairs per batched execution")
 	maxDim := flag.Int("maxdim", 8192, "admission bound on each of m, n, k")
 	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
-	tune := flag.Bool("tune", false, "autotune rank-kernel block sizes")
 	overlap := flag.Bool("overlap", false, "pipeline the round loops (§7.3)")
 	retry := flag.Int("retry", 0, "engine retry attempts per execution (0 = no retries)")
 	verify := flag.Bool("verify", false, "ABFT-verify every product (cosma.WithVerification)")
@@ -63,7 +62,7 @@ func main() {
 
 	engineOpts := []cosma.Option{
 		cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithAlgorithm(*algoName),
-		cosma.WithKernelThreads(*threads), cosma.WithAutotune(*tune), cosma.WithOverlap(*overlap),
+		cosma.WithKernelThreads(*threads), cosma.WithOverlap(*overlap),
 		cosma.WithVerification(*verify),
 	}
 	if *retry > 0 {

@@ -2,7 +2,7 @@
 // simulated substrate. With no arguments it prints everything; pass
 // subcommand names to select individual experiments:
 //
-//	experiments [-network pizdaint|ethernet|sharedmem] [-calibrate] [-tune]
+//	experiments [-network pizdaint|ethernet|sharedmem] [-calibrate]
 //	            [-ranks-per-node 0] [-intra sharedmem] [-congestion 1]
 //	            [table1] [fig3] [seqio] [fig5] [table3] [fig6] [fig7]
 //	            [fig8] [fig9] [fig10] [fig11] [fig12] [fig13] [table4]
@@ -12,9 +12,7 @@
 // experiments (timevolume, overlap) execute on. -calibrate first
 // measures the local packed kernel (matrix.Calibrate) and substitutes
 // the measured γ into the preset, so the reported compute times are
-// calibrated to this machine rather than assumed. -tune goes further: it autotunes
-// the kernel's block sizes and micro-kernel variant (matrix.Tune) and
-// derives γ from the tuned throughput instead.
+// calibrated to this machine rather than assumed.
 //
 // -ranks-per-node N (N > 0) makes the network hierarchical: groups of
 // N consecutive ranks share a node, intra-node links take their α-β
@@ -45,8 +43,6 @@ func main() {
 		"α-β-γ network preset for timed experiments: pizdaint, ethernet or sharedmem")
 	calibrate := flag.Bool("calibrate", false,
 		"measure the local packed kernel and substitute its γ into the network preset")
-	tune := flag.Bool("tune", false,
-		"autotune the local kernel (block sizes + micro-kernel variant) and derive γ from the tuned throughput")
 	ranksPerNode := flag.Int("ranks-per-node", 0,
 		"make the network hierarchical: ranks per node (0 = flat)")
 	intraName := flag.String("intra", "sharedmem",
@@ -58,11 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *tune {
-		tp := matrix.Tune(0, 0)
-		fmt.Println(tp)
-		network = network.WithGamma(1 / (tp.GFlops * 1e9))
-	} else if *calibrate {
+	if *calibrate {
 		cal := matrix.Calibrate(0, 0)
 		fmt.Println(cal)
 		network = network.WithGamma(cal.Gamma)

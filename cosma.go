@@ -89,17 +89,6 @@ type WireConfig = wire.Config
 // WithRecvTimeout bound; test with errors.Is.
 var ErrRecvTimeout = machine.ErrRecvTimeout
 
-// HierarchicalNetwork composes a two-level network out of two flat
-// profiles: ranks are packed onto nodes of ranksPerNode consecutive
-// ranks each, intra-node links use intra's α-β, inter-node links use
-// inter's α-β with the per-word cost scaled by congestion (≤0 or 1
-// means none). γ and the memory/overlap knobs come from inter. The
-// result is an ordinary NetworkParams — pass it to WithNetwork like
-// any preset.
-func HierarchicalNetwork(intra, inter NetworkParams, ranksPerNode int, congestion float64) NetworkParams {
-	return machine.Hierarchical(intra, inter, ranksPerNode, congestion)
-}
-
 // FaultPlan declares faults to inject into every execution of an
 // engine configured with WithFaultPlan: rank deaths in a chosen
 // communication round, message drops and delays on chosen links, and
@@ -187,35 +176,6 @@ type Calibration = matrix.Calibration
 //	    cosma.WithNetwork(cosma.PizDaintNetwork().WithGamma(cal.Gamma)))
 func Calibrate(n, threads int) Calibration { return matrix.Calibrate(n, threads) }
 
-// TunedParams is an autotuned local-kernel configuration: the
-// cache-block sizes and register micro-kernel variant the Tune search
-// measured fastest for one problem-size class and thread count.
-type TunedParams = matrix.TunedParams
-
-// Tune autotunes the packed local GEMM kernel for n×n×n problems with
-// the given worker bound (n <= 0 picks the default size class,
-// threads <= 0 means GOMAXPROCS): a coordinate-descent search over
-// cache-block sizes (mc, kc, nc) and every micro-kernel variant this
-// CPU supports, each candidate timed with the calibration harness.
-// Results are cached process-wide per (n, threads) — the same cache
-// engines built WithAutotune read — so repeated calls are free.
-func Tune(n, threads int) TunedParams { return matrix.Tune(n, threads) }
-
-// KernelVariants names the register micro-kernel variants available
-// in this binary on this CPU, portable fallback first — "go4x4", then
-// the architecture's one SIMD tile when the CPU has it ("avx2-4x8" on
-// amd64, "neon-8x4" on arm64), which one call sweeps down a whole
-// column of tiles. This is the set Tune searches and Calibrate reports
-// from.
-func KernelVariants() []string {
-	vs := matrix.Variants()
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = v.String()
-	}
-	return names
-}
-
 // NewMatrix returns a zeroed r×c matrix.
 func NewMatrix(r, c int) *Matrix { return matrix.New(r, c) }
 
@@ -230,30 +190,15 @@ func RandomMatrix(r, c int, seed int64) *Matrix {
 }
 
 // SequentialResult reports an executed near-I/O-optimal sequential
-// multiplication (Listing 1): the product and the exact vertical I/O.
-type SequentialResult struct {
-	C      *Matrix
-	Loads  int64 // words loaded from slow memory
-	Stores int64 // words stored to slow memory
-	Peak   int   // peak fast-memory residency in words
-	TileA  int   // tile rows a_opt
-	TileB  int   // tile cols b_opt
-}
-
-// IO returns loads + stores — the schedule's vertical I/O cost Q.
-func (r *SequentialResult) IO() int64 { return r.Loads + r.Stores }
+// multiplication (Listing 1): the product C and the exact vertical I/O
+// (Loads, Stores, their sum IO(), the Peak residency and the tile).
+type SequentialResult = seq.Result
 
 // MultiplySequential computes C = A·B with the near-optimal sequential
 // schedule under a fast memory of s words (s ≥ 4), counting every load
 // and store. The measured I/O is within √S/(√(S+1)−1) of
 // SequentialLowerBound.
-func MultiplySequential(a, b *Matrix, s int) *SequentialResult {
-	res := seq.Multiply(a, b, s)
-	return &SequentialResult{
-		C: res.C, Loads: res.Loads, Stores: res.Stores,
-		Peak: res.Peak, TileA: res.TileA, TileB: res.TileB,
-	}
-}
+func MultiplySequential(a, b *Matrix, s int) *SequentialResult { return seq.Multiply(a, b, s) }
 
 // SequentialLowerBound is Theorem 1: any schedule multiplying m×k by k×n
 // with fast memory S performs at least 2mnk/√S + mn I/O operations.

@@ -102,17 +102,12 @@ func TestWarmExecAllocatesLessThanOneShot(t *testing.T) {
 	a := RandomMatrix(benchDim, benchDim, 1)
 	b := RandomMatrix(benchDim, benchDim, 2)
 	ctx := context.Background()
-	plan, err := eng.Plan(ctx, benchDim, benchDim, benchDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := plan.NewExecutor()
-	if _, _, err := exec.Exec(ctx, a, b); err != nil { // populate the scratch arena
+	if _, _, err := eng.Exec(ctx, a, b); err != nil { // plan, pool an executor, populate its scratch arena
 		t.Fatal(err)
 	}
 
 	warm := testing.AllocsPerRun(3, func() {
-		if _, _, err := exec.Exec(ctx, a, b); err != nil {
+		if _, _, err := eng.Exec(ctx, a, b); err != nil {
 			t.Fatal(err)
 		}
 	})

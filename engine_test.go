@@ -205,22 +205,22 @@ func TestEnginePlanIsCachedAndImmutable(t *testing.T) {
 }
 
 func TestEnginePlanCacheEviction(t *testing.T) {
-	eng, err := NewEngine(WithProcs(4), WithMemory(1<<16), WithPlanCacheSize(2))
+	eng, err := NewEngine(WithProcs(4), WithMemory(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, n := range []int{16, 24, 32} { // 3 shapes through a 2-entry cache
+	for n := 1; n <= planCacheSize+1; n++ { // one shape more than the cache holds
 		if _, err := eng.Plan(ctx, n, n, n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := eng.Plan(ctx, 16, 16, 16); err != nil { // evicted: re-planned
+	if _, err := eng.Plan(ctx, 1, 1, 1); err != nil { // evicted: re-planned
 		t.Fatal(err)
 	}
 	stats := eng.CacheStats()
-	if stats.Misses != 4 || stats.Len != 2 || stats.Cap != 2 {
-		t.Fatalf("stats %+v, want 4 misses in a full 2-entry cache", stats)
+	if stats.Misses != planCacheSize+2 || stats.Len != planCacheSize || stats.Cap != planCacheSize {
+		t.Fatalf("stats %+v, want %d misses in a full %d-entry cache", stats, planCacheSize+2, planCacheSize)
 	}
 }
 
@@ -300,7 +300,6 @@ func TestNewEngineValidation(t *testing.T) {
 		{"negative procs", []Option{WithProcs(-1)}},
 		{"negative memory", []Option{WithMemory(-5)}},
 		{"delta out of range", []Option{WithDelta(1.5)}},
-		{"zero cache", []Option{WithPlanCacheSize(0)}},
 		{"unknown algorithm", []Option{WithAlgorithm("nope")}},
 	}
 	for _, c := range cases {
@@ -326,16 +325,19 @@ func TestExecutorShapeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := eng.Plan(context.Background(), 16, 16, 16)
+	ctx := context.Background()
+	a16, a8 := RandomMatrix(16, 16, 1), RandomMatrix(8, 8, 1)
+	outs, _, err := eng.MultiplyBatch(ctx, []Pair{{a16, a16}, {a8, a8}})
+	if err == nil || outs != nil {
+		t.Fatalf("batch must reject a pair off the first pair's shape before running any: %v, %v", outs, err)
+	}
+	// Behind the batch's own check the pooled executor validates again:
+	// a plan never multiplies a shape it was not fitted for.
+	plan, err := eng.Plan(ctx, 16, 16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := plan.NewExecutor()
-	if ex.Plan() != plan {
-		t.Fatal("executor must report its plan")
-	}
-	a := RandomMatrix(8, 8, 1)
-	if _, _, err := ex.Exec(context.Background(), a, a); err == nil {
+	if _, _, err := plan.run(ctx, []Pair{{a8, a8}}); err == nil {
 		t.Fatal("executor must reject mismatched shapes")
 	}
 }

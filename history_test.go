@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -14,11 +17,12 @@ import (
 // on the timed transport under the Piz Daint preset — and requires them
 // to equal the last line of BENCH_history.jsonl exactly. A PR that moves
 // one of them fails here until it appends a line saying so, so the file
-// is the trajectory of the rows that do not depend on the clock.
+// is the trajectory of the rows that do not depend on the clock. The
+// line's go_lines is checked the same way: it must equal the newline
+// count of every .go file that is not a _test.go and not under
+// benchmark/ — the size the ROADMAP quotes — so the column cannot be
+// mis-copied.
 func TestBenchHistoryHead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("executes two 1024³ and one 128×128×65536 multiplication")
-	}
 	data, err := os.ReadFile("BENCH_history.jsonl")
 	if err != nil {
 		t.Fatal(err)
@@ -26,6 +30,7 @@ func TestBenchHistoryHead(t *testing.T) {
 	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
 	var head struct {
 		PR        int `json:"pr"`
+		GoLines   int `json:"go_lines"`
 		Workloads map[string]struct {
 			CritPathMs   float64 `json:"crit_path_ms"`
 			MaxRecvWords int64   `json:"max_recv_words"`
@@ -33,6 +38,33 @@ func TestBenchHistoryHead(t *testing.T) {
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &head); err != nil {
 		t.Fatalf("last line of BENCH_history.jsonl: %v", err)
+	}
+	goLines := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		goLines += bytes.Count(src, []byte("\n"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goLines != head.GoLines {
+		t.Errorf("non-test Go lines outside benchmark/ = %d, PR %d recorded go_lines %d", goLines, head.PR, head.GoLines)
+	}
+	if testing.Short() {
+		t.Skip("executes two 1024³ and one 128×128×65536 multiplication")
 	}
 	for _, w := range []struct {
 		name          string

@@ -105,8 +105,7 @@ type Executor struct {
 }
 
 // ExecOptions configures NewExecutor. The zero value is a fresh
-// counting machine, GOMAXPROCS-aware kernel threads and the default
-// kernel parameters.
+// counting machine and GOMAXPROCS-aware kernel threads.
 type ExecOptions struct {
 	// Network selects the timed α-β-γ transport when set; ignored when
 	// Machine is supplied.
@@ -117,14 +116,6 @@ type ExecOptions struct {
 	// a single-rank plan on an idle machine multiplies with every core
 	// while a fully-populated simulation stays one-goroutine-per-rank.
 	KernelThreads int
-	// Autotune runs the kernels with autotuned block sizes and
-	// micro-kernel variant instead of the package defaults: the plan's
-	// per-rank local work is snapped to a tuning size class
-	// (matrix.SizeClass) and the class's search result (matrix.Tune,
-	// memoized per (class, threads) process-wide) is applied. The first
-	// executor for a new (class, threads) pair pays the sub-second
-	// search; every later one reads the cache.
-	Autotune bool
 	// RecvTimeout, when positive, bounds every blocking receive of the
 	// executor's machine; an expired wait aborts the run
 	// with machine.ErrRecvTimeout instead of hanging on a lost peer.
@@ -164,11 +155,10 @@ func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 			return nil, err
 		}
 	}
-	used := p.Used()
-	if used < 1 {
-		used = 1
+	sharing := p.Used()
+	if sharing < 1 {
+		sharing = 1
 	}
-	sharing := used
 	// On a multi-process machine only the local ranks compete for this
 	// process's cores.
 	if l := len(mach.LocalRanks()); l > 0 && l < sharing {
@@ -183,19 +173,8 @@ func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 	}
 	scratch := NewArena(p.Procs())
 	scratch.kernelThreads = kernelThreads
-	if o.Autotune {
-		m, n, k := p.Dims()
-		tp := matrix.Tune(matrix.SizeClass(m, n, k, used), kernelThreads)
-		scratch.tuned = &tp
-	}
 	return &Executor{plan: p, mach: mach, scratch: scratch}, nil
 }
-
-// Plan returns the plan this executor drives.
-func (e *Executor) Plan() Plan { return e.plan }
-
-// Machine returns the machine the executor runs on.
-func (e *Executor) Machine() *machine.Machine { return e.mach }
 
 // Exec multiplies a·b under the executor's plan and reports the
 // executed run. It validates the inputs against the planned shape and
@@ -259,10 +238,6 @@ type Arena struct {
 	// kernelThreads bounds each rank kernel's worker pool; ≤ 0 means
 	// serial. NewExecutor resolves the GOMAXPROCS-aware default here.
 	kernelThreads int
-	// tuned, when set, supplies autotuned kernel parameters (cache
-	// blocks + micro-kernel variant) for every rank kernel the arena
-	// creates; nil means the package defaults.
-	tuned *matrix.TunedParams
 }
 
 type rankScratch struct {
@@ -290,11 +265,7 @@ func (a *Arena) Kernel(rank int) *matrix.Kernel {
 		if t < 1 {
 			t = 1
 		}
-		if a.tuned != nil {
-			rs.kern = matrix.NewKernelParams(t, a.tuned.Params)
-		} else {
-			rs.kern = matrix.NewKernel(t)
-		}
+		rs.kern = matrix.NewKernel(t)
 	}
 	return rs.kern
 }

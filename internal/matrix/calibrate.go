@@ -44,8 +44,7 @@ var calMemo struct {
 // timeMul times kernel multiplications of a·b into c and returns the
 // fastest of runs repetitions — the standard best-of-N discipline
 // against scheduler noise. One untimed warm-up run populates the pack
-// buffers and faults pages in. This is the shared measurement harness
-// of Calibrate and Tune.
+// buffers and faults pages in.
 func timeMul(k *Kernel, c, a, b *Dense, runs int) time.Duration {
 	k.Mul(c, a, b) // warm-up: allocate pack buffers, fault pages in
 	best := time.Duration(1<<63 - 1)

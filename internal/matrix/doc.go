@@ -22,15 +22,13 @@
 // is the independently written triple-loop oracle the packed kernel is
 // tested and speed-guarded against.
 //
-// Tune (tune.go) autotunes the kernel for this machine: a coordinate
-// descent over cache-block candidates (MC, KC, NC) and every available
-// micro-kernel variant, each configuration timed with the calibration
-// harness, memoized per (size class, threads) for the process — the
-// cache the engine's Autotune option reads. Calibrate (calibrate.go)
-// measures the packed kernel's sustained Gflop/s (naming the variant
-// it dispatched to) and returns the measured γ (seconds per flop)
-// consumed by machine.NetworkParams.WithGamma, so runtime predictions
-// charge compute at the achieved rather than assumed rate.
+// There is one kernel configuration — the stock cache blocks and the
+// best variant the CPU supports (DefaultParams) — and no search over
+// it. Calibrate (calibrate.go) measures the packed kernel's sustained
+// Gflop/s (naming the variant it dispatched to) and returns the
+// measured γ (seconds per flop) consumed by
+// machine.NetworkParams.WithGamma, so runtime predictions charge
+// compute at the achieved rather than assumed rate.
 //
 // A matrix element is one "word" in the I/O analyses: the paper's
 // memory parameter S counts exactly these elements.

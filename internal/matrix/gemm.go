@@ -11,10 +11,9 @@ import (
 // A are packed at a time so the A panel stays L2-resident while the
 // kc×nc B panel streams from L3/memory. Correctness does not depend
 // on the cache-block values mc/kc/nc — every loop handles fringes —
-// only throughput does, which is why Tune searches over them. mr and
-// nr are properties of the micro-kernel variant (4×4 for the portable
-// Go tile; 4×8 for AVX2, 8×4 for NEON) and set the packed micro-panel
-// widths.
+// only throughput does. mr and nr are properties of the micro-kernel
+// variant (4×4 for the portable Go tile; 4×8 for AVX2, 8×4 for NEON)
+// and set the packed micro-panel widths.
 const (
 	mr = 4 // register-tile rows of the portable Go variant
 	nr = 4 // register-tile cols of the portable Go variant
@@ -28,20 +27,20 @@ const (
 // of the three outer loops and the register micro-kernel variant
 // (which fixes the tile shape mr×nr). The zero value selects the
 // portable defaults; DefaultParams additionally picks the best SIMD
-// variant the CPU supports. Tune searches over Params and returns the
-// fastest configuration it measured.
+// variant the CPU supports — the one configuration executions run;
+// other values exist for the bitwise-identity property tests.
 type Params struct {
 	MC int // rows of A packed per block (≤ 0: default mc)
 	KC int // packed panel depth (≤ 0: default kc)
 	NC int // cols of B packed per block (≤ 0: default nc)
 	// Variant is the register micro-kernel. An unavailable variant
 	// (wrong architecture, noasm build, or unsupported CPU) silently
-	// degrades to VariantGo4x4 so tuned parameters stay portable.
+	// degrades to VariantGo4x4 so explicit parameters stay portable.
 	Variant Variant
 }
 
-// DefaultParams returns the untuned configuration: the package's
-// default cache blocks with the best micro-kernel variant available
+// DefaultParams returns the configuration executions run: the
+// package's cache blocks with the best micro-kernel variant available
 // on this machine.
 func DefaultParams() Params {
 	return Params{MC: mc, KC: kc, NC: nc, Variant: BestVariant()}
@@ -119,10 +118,10 @@ func NewKernel(threads int) *Kernel {
 	return NewKernelParams(threads, DefaultParams())
 }
 
-// NewKernelParams returns a kernel with an explicit configuration,
-// normally one produced by Tune. Zero Params fields resolve to the
-// defaults; an unavailable Variant degrades to the portable Go tile,
-// so tuned parameters from another machine still run.
+// NewKernelParams returns a kernel with an explicit configuration.
+// Zero Params fields resolve to the defaults; an unavailable Variant
+// degrades to the portable Go tile, so parameters written for another
+// machine still run.
 func NewKernelParams(threads int, par Params) *Kernel {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -140,9 +139,6 @@ func NewKernelParams(threads int, par Params) *Kernel {
 
 // Threads returns the kernel's worker bound.
 func (k *Kernel) Threads() int { return k.threads }
-
-// Params returns the kernel's normalized configuration.
-func (k *Kernel) Params() Params { return k.par }
 
 // Variant returns the register micro-kernel the kernel dispatches to.
 func (k *Kernel) Variant() Variant { return k.par.Variant }

@@ -67,8 +67,8 @@ var variantFused = [numVariants]bool{
 // nil entry means "not available in this binary on this machine".
 var variantKerns [numVariants]microKernelFunc
 
-// String returns the variant's stable name, as used by TunedParams,
-// Calibration and the benchmark artifacts.
+// String returns the variant's stable name, as used by Calibration
+// and the benchmark artifacts.
 func (v Variant) String() string {
 	if int(v) >= len(variantNames) {
 		return "invalid"
@@ -100,7 +100,7 @@ func (v Variant) Available() bool {
 }
 
 // Variants returns every variant available on this machine, portable
-// first. The autotuner searches exactly this set.
+// first.
 func Variants() []Variant {
 	vs := []Variant{VariantGo4x4}
 	for v := VariantGo4x4 + 1; v < numVariants; v++ {
@@ -111,7 +111,7 @@ func Variants() []Variant {
 	return vs
 }
 
-// bestVariantOrder ranks the SIMD variants for the untuned default.
+// bestVariantOrder ranks the SIMD variants for the default.
 // amd64's tile is 4×8 because, counted in YMM registers, it is 4×2:
 // two B loads and four A broadcasts feed eight FMAs per k step — six
 // load µops, so the two FMA ports set the pace, where a tile one
@@ -122,8 +122,7 @@ var bestVariantOrder = []Variant{VariantAVX2_4x8, VariantNEON_8x4}
 
 // BestVariant returns the preferred available variant: the SIMD
 // kernel the CPU supports, or VariantGo4x4 when none is. This is
-// what NewKernel dispatches to by default, and the starting point of
-// the autotuner's search.
+// what NewKernel dispatches to.
 func BestVariant() Variant {
 	for _, v := range bestVariantOrder {
 		if v.Available() {

@@ -65,7 +65,8 @@ func putBuffer(b *bytes.Buffer) {
 //	                    circuit is open (all with Retry-After), 504 when
 //	                    the X-Cosma-Deadline-Ms budget expires, 400 on bad
 //	                    input, 413 on a body no admissible request could
-//	                    fill, 422 when the product overflows float64
+//	                    fill, 422 when the product overflows float64, 500
+//	                    when the engine fails
 //	GET  /v1/stats    — the Stats snapshot as JSON
 //	GET  /healthz     — 200 "ok" while accepting, 503 while draining
 func Handler(s *Server) http.Handler {
@@ -174,9 +175,12 @@ func (req *MultiplyRequest) matrices() (a, b *cosma.Matrix, err error) {
 // statusFor maps service errors onto HTTP statuses: shedding is 429
 // (retryable once a batch has finished), draining and an open circuit
 // are 503 (retry another replica, or after the cooldown), an expired
-// deadline budget is 504, anything else about the request itself is
-// 400.
+// deadline budget is 504, a request the server refused for what it asks
+// (a rejection, or a shape the algorithm cannot schedule) is 400, and
+// anything else is the engine failing under a well-formed request: 500,
+// so a retrying client is not told the fault is its own.
 func statusFor(err error) int {
+	var rej rejection
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
@@ -184,8 +188,10 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	default:
+	case errors.As(err, &rej), errors.Is(err, cosma.ErrUnsupportedShape):
 		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
 	}
 }
 

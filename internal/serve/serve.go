@@ -43,7 +43,7 @@ var ErrShardOpen = errors.New("serve: circuit open — engine shard temporarily 
 // Options configure a Server. The zero value is usable.
 type Options struct {
 	// Engine options applied to every shard (procs, memory, algorithm,
-	// autotune, ...).
+	// overlap, ...).
 	Engine []cosma.Option
 	// Shards is the number of engines requests are sharded over by
 	// shape hash; 0 means 4. Each shard has its own plan cache and
@@ -293,9 +293,16 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 	}
 }
 
+// rejection marks an error as the request's own fault — bad shape, bad
+// header, oversize — which is what separates a 400 from an engine
+// failure.
+type rejection struct{ error }
+
+func (r rejection) Unwrap() error { return r.error }
+
 func (s *Server) reject(err error) error {
 	s.rejected.Add(1)
-	return err
+	return rejection{err}
 }
 
 // flushLoop drains one bucket: take up to MaxBatch pending requests,

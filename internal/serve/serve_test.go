@@ -362,3 +362,58 @@ func TestHTTPDeadlineHeader(t *testing.T) {
 		t.Fatalf("generous budget: status %d, want 200", status)
 	}
 }
+
+// TestEngineFailureIs500 separates whose fault a failed request is: an
+// engine that dies under a well-formed request answers 500 (a retrying
+// client must not be told 400, "never retry"), while a request the
+// server refuses for what it asks is still 400 and an expired
+// X-Cosma-Deadline-Ms budget still 504.
+func TestEngineFailureIs500(t *testing.T) {
+	base := []cosma.Option{cosma.WithProcs(4), cosma.WithMemory(1 << 14)}
+	square := func(n int) []byte {
+		w := make([]float64, n*n)
+		body, _ := json.Marshal(MultiplyRequest{M: n, N: n, K: n, A: w, B: w})
+		return body
+	}
+	cases := []struct {
+		name     string
+		opts     Options
+		body     []byte
+		deadline string
+		want     int
+	}{
+		{"rank death", Options{Engine: append(base[:2:2],
+			cosma.WithFaultPlan(cosma.FaultPlan{Deaths: []cosma.RankDeath{{Rank: 1, Round: 0}}}))},
+			square(4), "", http.StatusInternalServerError},
+		{"oversized shape", Options{Engine: base, MaxDim: 2}, square(4), "", http.StatusBadRequest},
+		{"unschedulable shape", Options{Engine: append(base[:2:2], cosma.WithAlgorithm("cannon"))},
+			square(3), "", http.StatusBadRequest},
+		{"expired deadline", Options{Engine: slowEngine(150 * time.Millisecond)},
+			square(4), "20", http.StatusGatewayTimeout},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(Handler(newTestServer(t, tc.opts)))
+			defer srv.Close()
+			req, err := http.NewRequest("POST", srv.URL+"/v1/multiply", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.deadline != "" {
+				req.Header.Set(DeadlineHeader, tc.deadline)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var msg errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.want, msg.Error)
+			}
+		})
+	}
+}

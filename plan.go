@@ -5,43 +5,26 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cosma/internal/algo"
-	"cosma/internal/machine"
 )
 
 // Plan is an immutable compiled multiplication schedule for one problem
 // shape under one engine's options: the fitted processor grid, the
 // round schedule and the analytic model. A Plan performs no grid
 // fitting when executed — that all happened when it was built — and is
-// safe for concurrent use; per-execution state lives in Executors.
+// safe for concurrent use. It is executed through its engine
+// (Engine.Exec, Engine.MultiplyBatch), which is where the closed check,
+// the wire serialization, the retry policy and verification live.
 type Plan struct {
 	inner algo.Plan
-	// cfg is the owning engine's normalized options: the executors'
-	// transport, kernel and fault settings, the retry policy (nil =
-	// single attempt) and ABFT verification.
-	cfg *engineConfig
-	// sharedMach, when set, is the engine's wire-transport machine every
-	// executor of this plan runs on (the mesh is one per process, so
-	// executors cannot each own one); execMu serializes executions on
-	// it across all of the engine's plans.
-	sharedMach *machine.Machine
-	execMu     *sync.Mutex
+	eng   *Engine
 
-	// Fault-tolerance wiring from the engine (see retry.go): the
-	// transport recovery hook run between attempts, the engine's closed
-	// flag, and whether the machine's ranks span several OS processes
-	// (which constrains corruption retries — see WithVerification).
-	recoverFn func() error
-	closed    *atomic.Bool
-	multiProc bool
-
-	// Executor free list. Engine.Exec borrows from here so concurrent
-	// same-shape multiplications each get a machine of their own while
-	// sequential ones keep reusing one.
+	// Executor free list: concurrent same-shape multiplications each
+	// borrow a machine of their own while sequential ones keep reusing
+	// one.
 	mu   sync.Mutex
-	free []*Executor
+	free []*algo.Executor
 }
 
 // Algorithm returns the display name of the algorithm that produced
@@ -84,42 +67,33 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("grid %s (%d ranks)", p.Grid(), p.Used())
 }
 
-// NewExecutor returns a fresh executor for this plan: a pre-built
-// simulated machine and a per-rank scratch arena, both reused across
-// every Exec call, so repeated same-shape multiplications allocate only
-// their outputs. An Executor is not safe for concurrent use — create
-// one per goroutine (Engine.Exec pools them automatically). Executors
-// of a wire-transport plan all share the engine's one machine; never
-// run two of them at once.
-func (p *Plan) NewExecutor() *Executor {
-	inner, err := algo.NewExecutor(p.inner, algo.ExecOptions{
-		Network:       p.cfg.network,
-		KernelThreads: p.cfg.kernelThreads,
-		Autotune:      p.cfg.autotune,
-		RecvTimeout:   p.cfg.recvTimeout,
-		Machine:       p.sharedMach,
-		Faults:        p.cfg.faults,
+// newExecutor builds an executor for this plan under the engine's
+// options: a pre-built machine (the engine's one shared machine on the
+// wire transport) and a per-rank scratch arena, both reused by every
+// run on it, so repeated same-shape multiplications allocate only
+// their outputs.
+func (p *Plan) newExecutor() (*algo.Executor, error) {
+	cfg := &p.eng.cfg
+	return algo.NewExecutor(p.inner, algo.ExecOptions{
+		Network:       cfg.network,
+		KernelThreads: cfg.kernelThreads,
+		RecvTimeout:   cfg.recvTimeout,
+		Machine:       p.eng.wireMach,
+		Faults:        cfg.faults,
 	})
-	if err != nil {
-		// Unreachable: Engine.Plan validates the wire gather gate, the
-		// shared machine's rank count and the fault plan's rank bounds
-		// before building the plan.
-		panic(err)
-	}
-	return &Executor{plan: p, inner: inner}
 }
 
 // acquire borrows a pooled executor, building one on first use.
-func (p *Plan) acquire() *Executor {
+func (p *Plan) acquire() (*algo.Executor, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		e := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		return e
+		return e, nil
 	}
 	p.mu.Unlock()
-	return p.NewExecutor()
+	return p.newExecutor()
 }
 
 // release returns a borrowed executor to the pool. The pool is capped
@@ -127,7 +101,7 @@ func (p *Plan) acquire() *Executor {
 // per-rank scratch, and keeping more than can ever run concurrently
 // would pin a past burst's memory forever — beyond the cap the executor
 // is dropped for the GC instead.
-func (p *Plan) release(e *Executor) {
+func (p *Plan) release(e *algo.Executor) {
 	p.mu.Lock()
 	if len(p.free) < runtime.GOMAXPROCS(0) {
 		p.free = append(p.free, e)
@@ -135,37 +109,30 @@ func (p *Plan) release(e *Executor) {
 	p.mu.Unlock()
 }
 
-// exec runs one multiplication on a pooled executor. Wire-transport
-// plans additionally serialize on the engine's machine: wire runs are
-// collective across processes and must not interleave epochs.
-func (p *Plan) exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error) {
-	if p.execMu != nil {
-		p.execMu.Lock()
-		defer p.execMu.Unlock()
+// run multiplies pairs in order on one pooled executor, each pair under
+// the engine's retry policy and verification. Wire-transport engines
+// additionally serialize on their one machine: wire runs are collective
+// across processes and must not interleave epochs. The returned slices
+// have len(pairs) capacity and hold the pairs completed — on error,
+// their length is the index of the pair that failed.
+func (p *Plan) run(ctx context.Context, pairs []Pair) ([]*Matrix, []*Report, error) {
+	outs := make([]*Matrix, 0, len(pairs))
+	reps := make([]*Report, 0, len(pairs))
+	if p.eng.wireMach != nil {
+		p.eng.wireMu.Lock()
+		defer p.eng.wireMu.Unlock()
 	}
-	e := p.acquire()
-	defer p.release(e)
-	return p.runRetry(ctx, e, a, b)
-}
-
-// Executor executes one Plan repeatedly. It owns a pre-built machine
-// and pooled per-rank buffers that every Exec reuses, so the warm path
-// performs zero grid-fitting work and allocates only its outputs. Not
-// safe for concurrent use.
-type Executor struct {
-	plan  *Plan
-	inner *algo.Executor
-}
-
-// Plan returns the plan this executor drives.
-func (e *Executor) Plan() *Plan { return e.plan }
-
-// Exec multiplies a·b under the executor's plan. The inputs must match
-// the planned shape. Cancelling ctx aborts the run at the next
-// communication-round boundary (ranks parked in a receive are woken)
-// and returns ctx.Err(); the executor remains reusable
-// afterwards. a and b are read in place for the duration of the call
-// and must not be written until it returns.
-func (e *Executor) Exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error) {
-	return e.inner.Exec(ctx, a, b)
+	ex, err := p.acquire()
+	if err != nil {
+		return outs, reps, err
+	}
+	defer p.release(ex)
+	for _, pr := range pairs {
+		c, rep, err := p.runRetry(ctx, ex, pr.A, pr.B)
+		if err != nil {
+			return outs, reps, err
+		}
+		outs, reps = append(outs, c), append(reps, rep)
+	}
+	return outs, reps, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"cosma/internal/algo"
 	"cosma/internal/machine"
 	"cosma/internal/machine/wire"
 )
@@ -106,19 +107,20 @@ func Retryable(err error) bool {
 // — reusing it keeps the per-rank scratch warm and advances the fault
 // plan's attempt clock, so OnAttempt-scripted faults play out as
 // scheduled. The successful report carries the attempt count.
-func (p *Plan) runRetry(ctx context.Context, e *Executor, a, b *Matrix) (*Matrix, *Report, error) {
+func (p *Plan) runRetry(ctx context.Context, ex *algo.Executor, a, b *Matrix) (*Matrix, *Report, error) {
+	e := p.eng
 	maxAttempts := 1
 	var rng *rand.Rand
-	if p.cfg.retry != nil {
-		maxAttempts = p.cfg.retry.maxAttempts()
-		rng = rand.New(rand.NewSource(p.cfg.retry.seed()))
+	if e.cfg.retry != nil {
+		maxAttempts = e.cfg.retry.maxAttempts()
+		rng = rand.New(rand.NewSource(e.cfg.retry.seed()))
 	}
 	for attempt := 1; ; attempt++ {
-		if p.closed != nil && p.closed.Load() {
+		if e.closed.Load() {
 			return nil, nil, ErrEngineClosed
 		}
-		c, rep, err := e.Exec(ctx, a, b)
-		if err == nil && p.cfg.verify {
+		c, rep, err := ex.Exec(ctx, a, b)
+		if err == nil && e.cfg.verify {
 			err = VerifyProduct(a, b, c)
 		}
 		if err == nil {
@@ -131,20 +133,20 @@ func (p *Plan) runRetry(ctx context.Context, e *Executor, a, b *Matrix) (*Matrix
 			}
 			return nil, nil, err
 		}
-		if errors.Is(err, ErrCorruption) && p.multiProc {
+		if errors.Is(err, ErrCorruption) && e.multiProc() {
 			// A corruption verdict exists only in the process hosting
 			// rank 0; the peers saw a clean run and will not re-run with
 			// us. Re-running alone would wedge the collective — surface
 			// the verdict instead.
 			return nil, nil, err
 		}
-		if p.recoverFn != nil {
-			if rerr := p.recoverFn(); rerr != nil {
+		if e.wireTr != nil {
+			if rerr := e.wireTr.Recover(); rerr != nil {
 				return nil, nil, fmt.Errorf("cosma: recovering before attempt %d: %v (run failed with %w)",
 					attempt+1, rerr, err)
 			}
 		}
-		d := p.cfg.retry.backoff(attempt, rng)
+		d := e.cfg.retry.backoff(attempt, rng)
 		timer := time.NewTimer(d)
 		select {
 		case <-ctx.Done():

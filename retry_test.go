@@ -90,8 +90,9 @@ func TestRetryRecoversFromScriptedDeath(t *testing.T) {
 
 // TestVerificationDetectsCorruption injects a silent payload corruption
 // and proves WithVerification turns it into ErrCorruption on every
-// transport — without verification the corruption passes unnoticed, so
-// this is the only line of defense.
+// transport, through both doors that execute a plan (Exec and
+// MultiplyBatch) — without verification the corruption passes
+// unnoticed, so this is the only line of defense.
 func TestVerificationDetectsCorruption(t *testing.T) {
 	a := RandomMatrix(64, 64, 3)
 	b := RandomMatrix(64, 64, 4)
@@ -109,7 +110,11 @@ func TestVerificationDetectsCorruption(t *testing.T) {
 			defer eng.Close()
 			_, _, err = eng.Exec(context.Background(), a, b)
 			if !errors.Is(err, ErrCorruption) {
-				t.Fatalf("err = %v, want ErrCorruption", err)
+				t.Fatalf("Exec: err = %v, want ErrCorruption", err)
+			}
+			outs, _, err := eng.MultiplyBatch(context.Background(), []Pair{{a, b}})
+			if !errors.Is(err, ErrCorruption) || outs[0] != nil {
+				t.Fatalf("MultiplyBatch: product %v, err = %v, want no product and ErrCorruption", outs[0], err)
 			}
 		})
 	}
