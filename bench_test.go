@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
+	"cosma/internal/baselines"
 	"cosma/internal/bound"
 	"cosma/internal/core"
 	"cosma/internal/costmodel"
@@ -20,7 +21,6 @@ import (
 	"cosma/internal/grid"
 	"cosma/internal/matrix"
 	"cosma/internal/pebble"
-	"cosma/internal/perfmodel"
 	"cosma/internal/seq"
 	"cosma/internal/workload"
 )
@@ -108,12 +108,15 @@ func benchCommVolume(b *testing.B, shape workload.Shape, regime workload.Regime)
 				continue
 			}
 			best = -1
-			for j, r := range algo.Comparison(algo.Config{}) {
-				plan, err := r.Plan(c.M, c.N, c.K, c.P, c.S)
+			for j, r := range baselines.Algorithms {
+				if !r.Comparison {
+					continue
+				}
+				plan, err := r.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mod := plan.Model()
+				mod := plan.Model
 				if j == 0 {
 					cosma = mod.AvgRecv
 				} else if best < 0 || mod.AvgRecv < best {
@@ -167,11 +170,12 @@ func benchPctPeak(b *testing.B, shape workload.Shape, regime workload.Regime) {
 			if float64(c.P)*float64(c.S) < c.InputWords() {
 				continue
 			}
-			plan, err := (&core.COSMA{}).Plan(c.M, c.N, c.K, c.P, c.S)
+			plan, err := core.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pct = perfmodel.Evaluate(net, false, plan.Model(), c.M, c.N, c.K, c.P).PctPeak
+			useful := 2 * float64(c.M) * float64(c.N) * float64(c.K)
+			pct = 100 * net.Time(useful/float64(c.P), 0, 0) / plan.Time(net, false)
 		}
 	}
 	b.ReportMetric(pct, "%peak-COSMA-maxp")
@@ -255,10 +259,9 @@ func BenchmarkAblationDelta(b *testing.B) {
 func BenchmarkExecutedCOSMA(b *testing.B) {
 	a := RandomMatrix(128, 128, 1)
 	bb := RandomMatrix(128, 128, 2)
-	cosma := &core.COSMA{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := algo.RunPlanner(cosma, nil, a, bb, 8, 1<<16); err != nil {
+		if _, _, err := algo.Run(core.Plan, algo.Config{}, nil, a, bb, 8, 1<<16); err != nil {
 			b.Fatal(err)
 		}
 	}

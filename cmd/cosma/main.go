@@ -10,7 +10,7 @@
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
 //	      [-threads n]
 //
-// The algorithm is resolved through the name-keyed registry (aliases
+// The algorithm is looked up by name in the table of algorithms (aliases
 // like "scalapack" and "ctf" work too); -algo list prints it. With
 // -network the run executes on the timed α-β-γ transport and the table
 // gains predicted and critical-path runtime columns; adding -calibrate
@@ -75,7 +75,7 @@ func main() {
 	wireHost := flag.String("wire-host", "127.0.0.1", "wire: host for -wire-net tcp")
 	wirePort := flag.Int("wire-port", 7650, "wire: first TCP port for -wire-net tcp")
 	recvTimeout := flag.Duration("recv-timeout", 2*time.Minute,
-		"wire: abort a run whose receive or barrier waits longer than this (0 = wait forever)")
+		"wire: abort a run whose receive waits longer than this (0 = wait forever)")
 	checksum := flag.Bool("checksum", false, "print a FNV-64a digest of each result matrix")
 	flag.Parse()
 

@@ -27,7 +27,7 @@ import (
 	"math/rand"
 
 	"cosma/internal/algo"
-	_ "cosma/internal/baselines" // registers SUMMA, 2.5D, CARMA and Cannon
+	"cosma/internal/baselines"
 	"cosma/internal/bound"
 	"cosma/internal/core"
 	"cosma/internal/machine"
@@ -217,25 +217,30 @@ func ParallelLowerBound(m, n, k, p, s int) float64 {
 // the processor grid and the local-domain geometry of §6.3.
 type Decomposition = algo.Decomposition
 
-// Algorithms returns the canonical names of every registered algorithm
-// ("cosma", "summa", "2.5d", "carma", "cannon") in the paper's
-// comparison order followed by the extras. Any of them (or their
-// aliases) is a valid WithAlgorithm argument.
-func Algorithms() []string { return algo.Names() }
+// Algorithms returns the canonical names of every algorithm ("cosma",
+// "summa", "2.5d", "carma", "cannon") in the paper's comparison order
+// followed by the extras. Any of them (or their aliases) is a valid
+// WithAlgorithm argument.
+func Algorithms() []string {
+	names := make([]string, len(baselines.Algorithms))
+	for i, s := range baselines.Algorithms {
+		names[i] = s.Name
+	}
+	return names
+}
 
-// AlgorithmInfo describes one entry of the algorithm registry.
+// AlgorithmInfo describes one row of the table of algorithms.
 type AlgorithmInfo struct {
-	Name    string   // canonical registry key, e.g. "cosma", "2.5d"
+	Name    string   // canonical lookup key, e.g. "cosma", "2.5d"
 	Aliases []string // alternative lookup keys, e.g. "ctf"
 	Summary string   // one-line description
 }
 
 // AlgorithmInfos returns name, aliases and a one-line summary for every
-// registered algorithm, for CLIs and docs.
+// algorithm, for CLIs and docs.
 func AlgorithmInfos() []AlgorithmInfo {
-	specs := algo.Specs()
-	infos := make([]AlgorithmInfo, len(specs))
-	for i, s := range specs {
+	infos := make([]AlgorithmInfo, len(baselines.Algorithms))
+	for i, s := range baselines.Algorithms {
 		infos[i] = AlgorithmInfo{Name: s.Name, Aliases: s.Aliases, Summary: s.Summary}
 	}
 	return infos

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cosma/internal/algo"
+	"cosma/internal/baselines"
 	"cosma/internal/bound"
 	"cosma/internal/lru"
 	"cosma/internal/machine"
@@ -22,8 +23,8 @@ import (
 // for concurrent use; every repeated same-shape multiplication pays
 // only the execution cost.
 type Engine struct {
-	cfg     engineConfig
-	planner algo.Planner
+	cfg  engineConfig
+	spec algo.Spec // the engine's row of the table of algorithms
 
 	// mu guards the plan cache and its hit/miss accounting. Planning a
 	// missed shape happens under the lock too: fits are deterministic
@@ -163,9 +164,9 @@ func WithOverlap(on bool) Option {
 // configuration. The option leaves together with that benchmark row.
 func WithAutotune(bool) Option { return func(*engineConfig) {} }
 
-// WithAlgorithm selects the multiplication algorithm by registry name
-// or alias — "cosma" (the default), "summa", "2.5d", "carma",
-// "cannon"; see Algorithms. Unknown names error at NewEngine.
+// WithAlgorithm selects the multiplication algorithm by name or alias —
+// "cosma" (the default), "summa", "2.5d", "carma", "cannon"; see
+// Algorithms. Unknown names error at NewEngine.
 func WithAlgorithm(name string) Option {
 	return func(c *engineConfig) { c.algorithm = name }
 }
@@ -329,15 +330,15 @@ func NewEngine(opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	planner, err := algo.New(cfg.algorithm, algo.Config{Delta: cfg.delta, Overlap: cfg.overlap})
+	spec, err := baselines.Lookup(cfg.algorithm)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:     cfg,
-		planner: planner,
-		mu:      make(chanMutex, 1),
-		plans:   lru.New[planKey, *Plan](planCacheSize),
+		cfg:   cfg,
+		spec:  spec,
+		mu:    make(chanMutex, 1),
+		plans: lru.New[planKey, *Plan](planCacheSize),
 	}
 	if cfg.wireCfg != nil {
 		tr, err := wire.New(*cfg.wireCfg)
@@ -407,7 +408,7 @@ func (e *Engine) WireRank() (int, bool) {
 }
 
 // Algorithm returns the display name of the engine's algorithm.
-func (e *Engine) Algorithm() string { return e.planner.Name() }
+func (e *Engine) Algorithm() string { return e.spec.Display }
 
 // Procs returns the normalized processor count p.
 func (e *Engine) Procs() int { return e.cfg.procs }
@@ -452,16 +453,14 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 		e.hits++
 		return p, nil
 	}
-	inner, err := e.planner.Plan(m, n, k, e.cfg.procs, e.cfg.memory)
+	inner, err := e.spec.Plan(algo.Config{Delta: e.cfg.delta, Overlap: e.cfg.overlap}, m, n, k, e.cfg.procs, e.cfg.memory)
 	if err != nil {
 		return nil, err
 	}
-	if e.wireMach != nil {
+	if e.wireMach != nil && !inner.Distributed {
 		// The distributed-gather gate of algo.NewExecutor, surfaced
 		// at planning time so execution can't fail on it later.
-		if d, ok := inner.(algo.Distributed); !ok || !d.Distributed() {
-			return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa or 2.5d", inner.Algorithm())
-		}
+		return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa or 2.5d", inner.Name)
 	}
 	p := &Plan{inner: inner, eng: e}
 	e.plans.Add(key, p)
@@ -592,8 +591,8 @@ func (e *Engine) Predict(ctx context.Context, m, n, k int) (Prediction, error) {
 	}
 	mod := plan.Model()
 	return Prediction{
-		SerialTime:  e.cfg.network.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs),
-		OverlapTime: e.cfg.network.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs),
+		SerialTime:  mod.Time(*e.cfg.network, false),
+		OverlapTime: mod.Time(*e.cfg.network, true),
 		Volume:      mod.MaxRecv,
 		LowerBound:  bound.ParallelLowerBound(m, n, k, e.cfg.procs, e.cfg.memory),
 	}, nil

@@ -22,6 +22,20 @@ type Model struct {
 	MaxFlops float64 // flops on the busiest rank (2·work)
 }
 
+// Time is the α-β-γ price of the model on net, in seconds — the one place
+// a model's three counts meet the network's three constants. Serially it
+// is γ·MaxFlops + β·MaxRecv + α·MaxMsgs; with overlap (§7.3) communication
+// and computation hide each other: max(γ·MaxFlops, β·MaxRecv + α·MaxMsgs).
+// Cross-algorithm comparisons pass overlap = false: charging the two
+// serially is conservative and identical for every algorithm; Figure 12
+// quantifies the overlap gain separately.
+func (mod Model) Time(net machine.NetworkParams, overlap bool) float64 {
+	if overlap {
+		return net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+	}
+	return net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+}
+
 // Report describes one executed run on the simulated machine.
 type Report struct {
 	Name      string
@@ -64,28 +78,29 @@ type Report struct {
 	CritPathTime float64
 }
 
-// NewReport assembles a Report from a finished machine run. Runs on a
-// timed transport gain runtime predictions for free: the measured
-// event-clock critical path and the analytic evaluation of the model
-// under the same network parameters.
-func NewReport(name, gridStr string, m *machine.Machine, used int, model Model) *Report {
+// NewReport assembles the Report of a finished run of plan on m. Runs on
+// a timed transport gain runtime predictions for free: the measured
+// event-clock critical path and the price of the plan's model under the
+// same network parameters.
+func NewReport(m *machine.Machine, plan *Plan) *Report {
 	rep := &Report{
-		Name:      name,
-		Grid:      gridStr,
+		Name:      plan.Name,
+		Grid:      plan.Grid,
 		P:         m.P(),
-		Used:      used,
+		Used:      plan.Used,
 		Attempts:  1,
 		AvgRecv:   m.AvgRecv(),
 		MaxRecv:   m.MaxRecv(),
 		MaxVolume: m.MaxVolume(),
 		Total:     m.TotalVolume(),
 		MaxMsgs:   m.MaxMessages(),
-		Model:     model,
+		Model:     plan.Model,
+		Overlap:   plan.Overlap,
 	}
 	if net, ok := m.Network(); ok {
 		rep.Network = net.Name
-		rep.PredictedTime = net.Time(model.MaxFlops, model.MaxRecv, model.MaxMsgs)
-		rep.PredictedOverlapTime = net.TimeOverlap(model.MaxFlops, model.MaxRecv, model.MaxMsgs)
+		rep.PredictedTime = plan.Time(net, false)
+		rep.PredictedOverlapTime = plan.Time(net, true)
 		rep.CritPathTime = m.MaxTime()
 	}
 	return rep
@@ -100,11 +115,4 @@ func (r *Report) PredictedAsExecuted() float64 {
 		return r.PredictedOverlapTime
 	}
 	return r.PredictedTime
-}
-
-// Overlapper is implemented by plans whose Execute can pipeline rounds
-// (the Algorithm 1 plans: COSMA, SUMMA, 2.5D); it reports whether this
-// plan does.
-type Overlapper interface {
-	Overlap() bool
 }

@@ -11,53 +11,45 @@ import (
 	"cosma/internal/matrix"
 )
 
-// Plan is the shape-dependent half of an algorithm: everything derived
-// from (m, n, k, p, S) alone — the fitted processor grid, ownership
-// partitions and round schedule — independent of the matrix values.
-// Plans are immutable and safe for concurrent use; all per-execution
-// state lives in the Executor driving them.
-type Plan interface {
-	// Algorithm returns the display name of the algorithm that produced
-	// the plan.
-	Algorithm() string
-	// Grid returns the human-readable decomposition.
-	Grid() string
-	// Used returns the number of ranks that perform work.
-	Used() int
-	// Procs returns the machine size p the plan was fitted for.
-	Procs() int
-	// Dims returns the (m, n, k) problem shape the plan multiplies.
-	Dims() (m, n, k int)
-	// Model returns the analytic communication/computation prediction
-	// for the planned schedule.
-	Model() Model
-	// Execute runs the planned schedule on mach (which must span
-	// Procs() ranks), multiplying a·b and drawing rank-local scratch
+// Plan is a compiled schedule and its numbers: everything derived from
+// (m, n, k, p, S) alone — the fitted processor grid, the round schedule,
+// the count of what it moves — independent of the matrix values. The
+// embedded Model carries the plan's name, grid string, working ranks and
+// analytic counts. A Plan is immutable once its algorithm returns it and
+// safe for concurrent use; all per-execution state lives in the Executor
+// driving it.
+type Plan struct {
+	Model
+	// M, N, K is the problem shape the plan multiplies, P the machine
+	// size it was compiled for.
+	M, N, K, P int
+	// Geometry is the §6.3 schedule geometry of an Algorithm 1 plan
+	// (COSMA, SUMMA, 2.5D); nil where the schedule has none (CARMA,
+	// Cannon).
+	Geometry *Decomposition
+	// Overlap records that Execute pipelines its rounds (§7.3).
+	Overlap bool
+	// Distributed records that Execute gathers the result tiles to rank
+	// 0 when the machine's ranks span several OS processes (the wire
+	// transport), so the process hosting rank 0 returns the full product
+	// and every other process a zero matrix. A plan without it is refused
+	// on a multi-process machine rather than silently returning a partial
+	// result.
+	Distributed bool
+	// Execute runs the schedule on mach, which spans P ranks
+	// (NewExecutor checks), multiplying a·b and drawing rank-local scratch
 	// from scratch (nil for fresh allocations). a and b are read in place
 	// by every rank for the duration of the call and never written; the
 	// caller must not write them until Execute returns. Cancellation of
 	// ctx is honored at communication-round boundaries and unblocks
 	// ranks parked in a receive.
-	Execute(ctx context.Context, mach *machine.Machine, scratch *Arena, a, b *matrix.Dense) (*matrix.Dense, error)
+	Execute func(ctx context.Context, mach *machine.Machine, scratch *Arena, a, b *matrix.Dense) (*matrix.Dense, error)
 }
 
-// Planner is the planning phase of a distributed MMM algorithm: it
-// compiles a problem shape into an executable Plan. The plan's Model is
-// the only prediction there is, so no model exists of a schedule that
-// cannot be planned.
-type Planner interface {
-	Name() string
-	// Plan compiles the schedule for an m×k by k×n multiplication on p
-	// ranks with s words of memory each. It performs all grid fitting;
-	// executing the returned plan does none. A valid (m, n, k, p, s) the
-	// algorithm cannot schedule is refused with ErrUnsupportedShape.
-	Plan(m, n, k, p, s int) (Plan, error)
-}
-
-// ErrUnsupportedShape marks a Plan refusal that is a restriction of the
-// algorithm, not a bug or an invalid argument: Cannon off a square torus
-// that divides the dimensions, a fixed grid longer than a dimension it
-// cuts. Comparisons skip such a row and fail on any other error.
+// ErrUnsupportedShape marks a Spec.Plan refusal that is a restriction of
+// the algorithm, not a bug or an invalid argument: Cannon off a square
+// torus that divides the dimensions, a fixed grid longer than a dimension
+// it cuts. Comparisons skip such a row and fail on any other error.
 var ErrUnsupportedShape = errors.New("shape not supported by this algorithm")
 
 // Decomposition describes a plan's §6.3 schedule geometry: the fitted
@@ -77,29 +69,13 @@ func (d Decomposition) String() string {
 		d.DomainM, d.DomainN, d.DomainK, d.Rounds, d.StepSize)
 }
 
-// Decomposed is implemented by plans that expose their grid geometry
-// (the Algorithm 1 plans: COSMA, SUMMA, 2.5D).
-type Decomposed interface {
-	Decomposition() Decomposition
-}
-
-// Distributed is implemented by plans whose Execute gathers the result
-// tiles to rank 0 when the machine's ranks span several OS processes
-// (the wire transport), so the process hosting rank 0 returns the full
-// product and every other process returns a zero matrix. Plans without
-// it are rejected by Exec on a multi-process machine rather than
-// silently returning a partial result.
-type Distributed interface {
-	Distributed() bool
-}
-
 // Executor executes one Plan repeatedly on a dedicated pre-built
 // machine with per-rank scratch buffers that are recycled across calls,
 // so repeated same-shape multiplications pay only the execution cost.
 // An Executor is not safe for concurrent use; run concurrent executions
 // on separate Executors of the same Plan.
 type Executor struct {
-	plan    Plan
+	plan    *Plan
 	mach    *machine.Machine
 	scratch *Arena
 }
@@ -120,7 +96,7 @@ type ExecOptions struct {
 	// executor's machine; an expired wait aborts the run
 	// with machine.ErrRecvTimeout instead of hanging on a lost peer.
 	RecvTimeout time.Duration
-	// Machine, when non-nil, is a pre-built machine spanning Procs()
+	// Machine, when non-nil, is a pre-built machine spanning the plan's P
 	// ranks to execute on — the way wire-backed executors share their
 	// process's one socket mesh. The caller keeps ownership; executions
 	// on the same machine must not overlap.
@@ -135,17 +111,15 @@ type ExecOptions struct {
 // scratch arena are allocated once here and reused by every Exec. A
 // supplied machine is used as-is (its ranks may span several OS
 // processes), otherwise one is built on o.Network.
-func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
+func NewExecutor(p *Plan, o ExecOptions) (*Executor, error) {
 	mach := o.Machine
 	if mach == nil {
-		mach = machine.NewWithNetwork(p.Procs(), o.Network)
-	} else if mach.P() != p.Procs() {
-		return nil, fmt.Errorf("algo: plan is for p=%d but the supplied machine has %d ranks", p.Procs(), mach.P())
+		mach = machine.NewWithNetwork(p.P, o.Network)
+	} else if mach.P() != p.P {
+		return nil, fmt.Errorf("algo: plan is for p=%d but the supplied machine has %d ranks", p.P, mach.P())
 	}
-	if mach.MultiProcess() {
-		if d, ok := p.(Distributed); !ok || !d.Distributed() {
-			return nil, fmt.Errorf("algo: %s plans cannot run on a multi-process machine (no distributed result gather)", p.Algorithm())
-		}
+	if mach.MultiProcess() && !p.Distributed {
+		return nil, fmt.Errorf("algo: %s plans cannot run on a multi-process machine (no distributed result gather)", p.Name)
 	}
 	if o.RecvTimeout > 0 {
 		mach.SetRecvTimeout(o.RecvTimeout)
@@ -155,10 +129,7 @@ func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 			return nil, err
 		}
 	}
-	sharing := p.Used()
-	if sharing < 1 {
-		sharing = 1
-	}
+	sharing := max(p.Used, 1)
 	// On a multi-process machine only the local ranks compete for this
 	// process's cores.
 	if l := len(mach.LocalRanks()); l > 0 && l < sharing {
@@ -171,7 +142,7 @@ func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 			kernelThreads = 1
 		}
 	}
-	scratch := NewArena(p.Procs())
+	scratch := NewArena(p.P)
 	scratch.kernelThreads = kernelThreads
 	return &Executor{plan: p, mach: mach, scratch: scratch}, nil
 }
@@ -181,7 +152,7 @@ func NewExecutor(p Plan, o ExecOptions) (*Executor, error) {
 // returns ctx.Err() if the context is cancelled before or during the
 // run.
 func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense, *Report, error) {
-	m, n, k := e.plan.Dims()
+	m, n, k := e.plan.M, e.plan.N, e.plan.K
 	if a.Rows != m || a.Cols != k || b.Rows != k || b.Cols != n {
 		return nil, nil, fmt.Errorf("algo: plan is for %d×%d·%d×%d but got %d×%d·%d×%d",
 			m, k, k, n, a.Rows, a.Cols, b.Rows, b.Cols)
@@ -200,24 +171,21 @@ func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense,
 	if err := e.mach.SyncCounters(); err != nil {
 		return nil, nil, fmt.Errorf("algo: merging the processes' counters: %w", err)
 	}
-	rep := NewReport(e.plan.Algorithm(), e.plan.Grid(), e.mach, e.plan.Used(), e.plan.Model())
-	if o, ok := e.plan.(Overlapper); ok {
-		rep.Overlap = o.Overlap()
-	}
-	return c, rep, nil
+	return c, NewReport(e.mach, e.plan), nil
 }
 
-// RunPlanner is the one-shot path of the experiment tables and tests:
-// plan, build a fresh machine on net (nil counts), execute once.
-func RunPlanner(pl Planner, net *machine.NetworkParams, a, b *matrix.Dense, p, s int) (*matrix.Dense, *Report, error) {
+// Run is the one-shot path of the experiment tables and tests: compile
+// the shape of a·b with plan (a Spec's Plan) under cfg, build a fresh
+// machine on net (nil counts), execute once.
+func Run(plan func(cfg Config, m, n, k, p, s int) (*Plan, error), cfg Config, net *machine.NetworkParams, a, b *matrix.Dense, p, s int) (*matrix.Dense, *Report, error) {
 	if a.Cols != b.Rows {
 		return nil, nil, fmt.Errorf("algo: A is %d×%d but B is %d×%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	plan, err := pl.Plan(a.Rows, b.Cols, a.Cols, p, s)
+	pl, err := plan(cfg, a.Rows, b.Cols, a.Cols, p, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	ex, err := NewExecutor(plan, ExecOptions{Network: net})
+	ex, err := NewExecutor(pl, ExecOptions{Network: net})
 	if err != nil {
 		return nil, nil, err
 	}

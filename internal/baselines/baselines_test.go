@@ -8,10 +8,12 @@ import (
 	"testing/quick"
 
 	"cosma/internal/algo"
-	"cosma/internal/core"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
+
+// The rows of the table, for the tests that run one algorithm.
+var cosma, summa, c25d, carma, cannon = Algorithms[0], Algorithms[1], Algorithms[2], Algorithms[3], Algorithms[4]
 
 func mulRef(a, b *matrix.Dense) *matrix.Dense {
 	c := matrix.New(a.Rows, b.Cols)
@@ -56,7 +58,7 @@ func TestSUMMACorrectAcrossShapes(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "summa", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.RunPlanner(SUMMA{}, nil, a, b, c.p, c.s)
+			return algo.Run(summa.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 		}, a, b, c.k)
 	}
 }
@@ -70,7 +72,7 @@ func TestSUMMAMeasuredMatchesModel(t *testing.T) {
 	} {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := algo.RunPlanner(SUMMA{}, nil, a, b, c.p, c.s)
+		_, rep, err := algo.Run(summa.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +93,7 @@ func TestCannonCorrect(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "cannon", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.RunPlanner(Cannon{}, nil, a, b, c.p, 1<<12)
+			return algo.Run(cannon.Plan, algo.Config{}, nil, a, b, c.p, 1<<12)
 		}, a, b, c.k)
 	}
 }
@@ -100,7 +102,7 @@ func TestCannonMeasuredMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.Random(24, 12, rng)
 	b := matrix.Random(12, 18, rng)
-	_, rep, err := algo.RunPlanner(Cannon{}, nil, a, b, 9, 1<<12)
+	_, rep, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 9, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +114,10 @@ func TestCannonMeasuredMatchesModel(t *testing.T) {
 func TestCannonRejectsBadConfigs(t *testing.T) {
 	a := matrix.New(8, 8)
 	b := matrix.New(8, 8)
-	if _, _, err := algo.RunPlanner(Cannon{}, nil, a, b, 6, 1<<12); err == nil {
+	if _, _, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 6, 1<<12); err == nil {
 		t.Fatal("non-square p accepted")
 	}
-	if _, _, err := algo.RunPlanner(Cannon{}, nil, a, b, 9, 1<<12); err == nil {
+	if _, _, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 9, 1<<12); err == nil {
 		t.Fatal("indivisible dims accepted")
 	}
 }
@@ -132,22 +134,22 @@ func TestC25DCorrect(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "2.5d", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.RunPlanner(C25D{}, nil, a, b, c.p, c.s)
+			return algo.Run(c25d.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 		}, a, b, c.k)
 	}
 }
 
 func TestC25DLayerSelection(t *testing.T) {
 	// Tiny memory: no replication possible.
-	if _, _, c := (C25D{}).Layers(1024, 1024, 1024, 64, 64); c != 1 {
+	if _, _, c := Layers(1024, 1024, 1024, 64, 64); c != 1 {
 		t.Fatalf("tiny memory picked c = %d", c)
 	}
 	// Huge memory: replication capped at p^(1/3).
-	if _, _, c := (C25D{}).Layers(64, 64, 64, 64, 1<<30); c != 4 {
+	if _, _, c := Layers(64, 64, 64, 64, 1<<30); c != 4 {
 		t.Fatalf("huge memory picked c = %d, want 4 = 64^(1/3)", c)
 	}
 	// c must divide p.
-	_, _, c := (C25D{}).Layers(128, 128, 128, 12, 1<<18)
+	_, _, c := Layers(128, 128, 128, 12, 1<<18)
 	if 12%c != 0 {
 		t.Fatalf("c = %d does not divide p", c)
 	}
@@ -162,7 +164,7 @@ func TestC25DMeasuredMatchesModel(t *testing.T) {
 	} {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := algo.RunPlanner(C25D{}, nil, a, b, c.p, c.s)
+		_, rep, err := algo.Run(c25d.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +188,7 @@ func TestCARMACorrectAcrossShapes(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		checkCorrect(t, "carma", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.RunPlanner(CARMA{}, nil, a, b, c.p, 1<<20)
+			return algo.Run(carma.Plan, algo.Config{}, nil, a, b, c.p, 1<<20)
 		}, a, b, c.k)
 	}
 }
@@ -195,7 +197,7 @@ func TestCARMAUsesPowerOfTwo(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := matrix.Random(16, 16, rng)
 	b := matrix.Random(16, 16, rng)
-	_, rep, err := algo.RunPlanner(CARMA{}, nil, a, b, 12, 1<<20)
+	_, rep, err := algo.Run(carma.Plan, algo.Config{}, nil, a, b, 12, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestCARMACorrectnessProperty(t *testing.T) {
 		p := 1 << r.Intn(5)
 		a := matrix.Random(m, k, rng)
 		b := matrix.Random(k, n, rng)
-		got, _, err := algo.RunPlanner(CARMA{}, nil, a, b, p, 1<<20)
+		got, _, err := algo.Run(carma.Plan, algo.Config{}, nil, a, b, p, 1<<20)
 		if err != nil {
 			return false
 		}
@@ -232,13 +234,13 @@ func TestAllAlgorithmsAgreeOnOneProblem(t *testing.T) {
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
 	want := mulRef(a, b)
-	for _, r := range []algo.Planner{SUMMA{}, Cannon{}, C25D{}, CARMA{}} {
-		got, _, err := algo.RunPlanner(r, nil, a, b, p, 1<<16)
+	for _, r := range []algo.Spec{summa, cannon, c25d, carma} {
+		got, _, err := algo.Run(r.Plan, algo.Config{}, nil, a, b, p, 1<<16)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.Display, err)
 		}
 		if d := matrix.MaxDiff(got, want); d > 1e-9*float64(k) {
-			t.Fatalf("%s: max diff %g", r.Name(), d)
+			t.Fatalf("%s: max diff %g", r.Display, d)
 		}
 	}
 }
@@ -247,21 +249,21 @@ func TestModelsScaleToPaperSizes(t *testing.T) {
 	// All four baselines' models must evaluate at the paper's largest
 	// configuration without executing anything.
 	m, n, k, p, s := 16384, 16384, 16384, 18432, 1<<21
-	for _, r := range []algo.Planner{SUMMA{}, Cannon{}, C25D{}, CARMA{}} {
-		plan, err := r.Plan(m, n, k, p, s)
-		if _, torus := r.(Cannon); torus {
+	for _, r := range []algo.Spec{summa, cannon, c25d, carma} {
+		plan, err := r.Plan(algo.Config{}, m, n, k, p, s)
+		if r.Name == "cannon" {
 			// 18 432 is not a square: no torus, so no model of one.
 			if !errors.Is(err, algo.ErrUnsupportedShape) {
-				t.Fatalf("%s: err = %v, want ErrUnsupportedShape", r.Name(), err)
+				t.Fatalf("%s: err = %v, want ErrUnsupportedShape", r.Display, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.Display, err)
 		}
-		mod := plan.Model()
+		mod := plan.Model
 		if mod.AvgRecv <= 0 || math.IsNaN(mod.AvgRecv) || math.IsInf(mod.AvgRecv, 0) {
-			t.Fatalf("%s: bad model %+v", r.Name(), mod)
+			t.Fatalf("%s: bad model %+v", r.Display, mod)
 		}
 	}
 }
@@ -277,23 +279,23 @@ func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
 	net := machine.PizDaintNet()
 	a := matrix.Random(n, n, rand.New(rand.NewSource(5)))
 	b := matrix.Random(n, n, rand.New(rand.NewSource(6)))
-	crit := func(pl algo.Planner) *algo.Report {
-		_, rep, err := algo.RunPlanner(pl, &net, a, b, p, s)
+	crit := func(pl algo.Spec) *algo.Report {
+		_, rep, err := algo.Run(pl.Plan, algo.Config{}, &net, a, b, p, s)
 		if err != nil {
-			t.Fatalf("%s: %v", pl.Name(), err)
+			t.Fatalf("%s: %v", pl.Display, err)
 		}
 		return rep
 	}
-	cosma := crit(&core.COSMA{})
+	cosma := crit(cosma)
 	if cosma.Grid != "[2×2×4]" {
 		t.Fatalf("COSMA fitted %s, want [2×2×4]", cosma.Grid)
 	}
-	for _, pl := range []algo.Planner{SUMMA{}, C25D{}} {
+	for _, pl := range []algo.Spec{summa, c25d} {
 		if rep := crit(pl); cosma.CritPathTime >= rep.CritPathTime {
-			t.Errorf("COSMA's critical path %.4g s is not below %s's %.4g", cosma.CritPathTime, pl.Name(), rep.CritPathTime)
+			t.Errorf("COSMA's critical path %.4g s is not below %s's %.4g", cosma.CritPathTime, pl.Display, rep.CritPathTime)
 		}
 	}
-	if cannon := crit(Cannon{}); cosma.CritPathTime > 1.3*cannon.CritPathTime {
+	if cannon := crit(cannon); cosma.CritPathTime > 1.3*cannon.CritPathTime {
 		t.Errorf("COSMA's critical path %.4g s is above 1.3 × Cannon's %.4g", cosma.CritPathTime, cannon.CritPathTime)
 	}
 	if float64(cosma.MaxRecv) > 1.25*cosma.AvgRecv {

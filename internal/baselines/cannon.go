@@ -10,15 +10,6 @@ import (
 	"cosma/internal/matrix"
 )
 
-// Cannon is Cannon's algorithm on a q×q torus: the original 2D
-// decomposition (1969). It requires p to be a perfect square and the
-// matrix dimensions to be divisible by q; it exists as the classical
-// reference point of Table 3 and Figure 2.
-type Cannon struct{}
-
-// Name implements algo.Planner.
-func (Cannon) Name() string { return "Cannon-2D" }
-
 const (
 	canTagSkewA = 1 << 20
 	canTagSkewB = 2 << 20
@@ -26,9 +17,14 @@ const (
 	canTagB     = 4 << 20
 )
 
-// Plan implements algo.Planner: validates the torus constraints once
-// per shape.
-func (c Cannon) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
+// planCannon is Cannon's algorithm on a q×q torus: the original 2D
+// decomposition (1969). It requires p to be a perfect square and the
+// matrix dimensions to be divisible by q; it exists as the classical
+// reference point of Table 3 and Figure 2. The model follows the torus
+// schedule: per rank the skew moves one A block for every rank off the
+// zeroth row ((q−1)/q of ranks) and one B block off the zeroth column,
+// then q−1 shift rounds move one A and one B block each.
+func planCannon(_ algo.Config, m, n, k, p, _ int) (*algo.Plan, error) {
 	q := int(math.Round(math.Sqrt(float64(p))))
 	if q*q != p {
 		return nil, fmt.Errorf("baselines: Cannon needs a square p, got %d: %w", p, algo.ErrUnsupportedShape)
@@ -36,7 +32,23 @@ func (c Cannon) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	if m%q != 0 || n%q != 0 || k%q != 0 {
 		return nil, fmt.Errorf("baselines: Cannon needs q=%d to divide %d×%d×%d: %w", q, m, n, k, algo.ErrUnsupportedShape)
 	}
-	return &cannonPlan{m: m, n: n, k: k, p: p, q: q}, nil
+	dm, dk, dn := m/q, k/q, n/q
+	aBlk, bBlk := float64(dm*dk), float64(dk*dn)
+	shifts := float64(q - 1)
+	skewFrac := float64(q-1) / float64(q)
+	return &algo.Plan{
+		Model: algo.Model{
+			Name:     "Cannon-2D",
+			Grid:     fmt.Sprintf("[%d×%d×1]", q, q),
+			Used:     p,
+			AvgRecv:  aBlk*(shifts+skewFrac) + bBlk*(shifts+skewFrac),
+			MaxRecv:  (aBlk + bBlk) * (shifts + 1),
+			MaxMsgs:  2 * (shifts + 1),
+			MaxFlops: 2 * float64(dm) * float64(dn) * float64(k),
+		},
+		M: m, N: n, K: k, P: p,
+		Execute: (&cannonPlan{m: m, n: n, k: k, p: p, q: q}).Execute,
+	}, nil
 }
 
 // cannonPlan is Cannon's compiled schedule on a q×q torus.
@@ -44,17 +56,8 @@ type cannonPlan struct {
 	m, n, k, p, q int
 }
 
-func (pl *cannonPlan) Algorithm() string   { return Cannon{}.Name() }
-func (pl *cannonPlan) Grid() string        { return fmt.Sprintf("[%d×%d×1]", pl.q, pl.q) }
-func (pl *cannonPlan) Used() int           { return pl.p }
-func (pl *cannonPlan) Procs() int          { return pl.p }
-func (pl *cannonPlan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-
-// Execute implements algo.Plan.
+// Execute is the algo.Plan's Execute.
 func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	if mach.P() != pl.p {
-		return nil, fmt.Errorf("baselines: plan is for p=%d but machine has %d ranks", pl.p, mach.P())
-	}
 	q := pl.q
 	dm, dk, dn := pl.m/q, pl.k/q, pl.n/q
 	tiles := make([]*matrix.Dense, pl.p)
@@ -112,26 +115,6 @@ func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratc
 		out.View(i*dm, j*dn, dm, dn).CopyFrom(tiles[id])
 	}
 	return out, nil
-}
-
-// Model implements algo.Plan. Per rank: the skew moves one A block for
-// every rank off the zeroth row ((q−1)/q of ranks) and one B block off the
-// zeroth column, then q−1 shift rounds move one A and one B block each.
-func (pl *cannonPlan) Model() algo.Model {
-	q := pl.q
-	dm, dk, dn := pl.m/q, pl.k/q, pl.n/q
-	aBlk, bBlk := float64(dm*dk), float64(dk*dn)
-	shifts := float64(q - 1)
-	skewFrac := float64(q-1) / float64(q)
-	return algo.Model{
-		Name:     pl.Algorithm(),
-		Grid:     pl.Grid(),
-		Used:     pl.p,
-		AvgRecv:  aBlk*(shifts+skewFrac) + bBlk*(shifts+skewFrac),
-		MaxRecv:  (aBlk + bBlk) * (shifts + 1),
-		MaxMsgs:  2 * (shifts + 1),
-		MaxFlops: 2 * float64(dm) * float64(dn) * float64(pl.k),
-	}
 }
 
 func mod(x, q int) int { return ((x % q) + q) % q }

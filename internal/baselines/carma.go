@@ -13,21 +13,6 @@ import (
 	"cosma/internal/matrix"
 )
 
-// CARMA is the communication-avoiding recursive algorithm of Demmel et
-// al. [22]: recursively split the largest of (m, n, k) in half together
-// with the rank team, until every team is a single rank that multiplies
-// its subproblem locally. Only the k-splits need an ascent step (summing
-// the two half-teams' partial C); m- and n-splits leave C in the
-// recursive layout, which the caller assembles.
-//
-// CARMA requires a power-of-two rank count (§1 lists this as one of its
-// limitations); the plan leaves p − 2^⌊log₂ p⌋ ranks idle, exactly as the
-// paper's comparisons do on non-power-of-two allocations.
-type CARMA struct{}
-
-// Name implements algo.Planner.
-func (CARMA) Name() string { return "CARMA-recursive" }
-
 // carmaPiece is one rectangle of the output in the recursive layout: the
 // sub-block C[rowOff:, colOff:] of width cols, row-distributed over a
 // team. local is the caller's band (nil if it is not a team member).
@@ -38,9 +23,22 @@ type carmaPiece struct {
 	local          *matrix.Dense
 }
 
-// Plan implements algo.Planner: the power-of-two team is fixed once per
-// shape.
-func (c CARMA) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
+// planCARMA is the communication-avoiding recursive algorithm of Demmel
+// et al. [22]: recursively split the largest of (m, n, k) in half together
+// with the rank team, until every team is a single rank that multiplies
+// its subproblem locally. Only the k-splits need an ascent step (summing
+// the two half-teams' partial C); m- and n-splits leave C in the
+// recursive layout, which the caller assembles.
+//
+// CARMA requires a power-of-two rank count (§1 lists this as one of its
+// limitations); the plan leaves p − 2^⌊log₂ p⌋ ranks idle, exactly as the
+// paper's comparisons do on non-power-of-two allocations.
+//
+// The model is the recursive row of Table 3 on the team CARMA uses
+// (costmodel.Recursive — the √3 factor over COSMA in the limited-memory
+// regime is the paper's headline comparison, §6.2); only the busiest
+// rank's terms are CARMA's own.
+func planCARMA(_ algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if m < 1 || n < 1 || k < 1 {
 		return nil, fmt.Errorf("baselines: invalid dimensions %d×%d×%d", m, n, k)
 	}
@@ -48,26 +46,34 @@ func (c CARMA) Plan(m, n, k, p, sMem int) (algo.Plan, error) {
 	for used*2 <= p {
 		used *= 2
 	}
-	return &carmaPlan{m: m, n: n, k: k, p: p, s: sMem, used: used}, nil
+	q := costmodel.Recursive(costmodel.Params{M: m, N: n, K: k, P: used, S: s}).Q
+	w := float64(m) * float64(n) * float64(k) / float64(used)
+	return &algo.Plan{
+		Model: algo.Model{
+			Name:    "CARMA-recursive",
+			Grid:    fmt.Sprintf("recursive p=%d", used),
+			Used:    used,
+			AvgRecv: q * float64(used) / float64(p),
+			// The busiest rank additionally receives a sibling C tile at each
+			// k-split ascent (structurally comparable to COSMA's reduction
+			// chain accounting).
+			MaxRecv:  q + math.Pow(w, 2.0/3.0),
+			MaxMsgs:  4 * float64(bits.Len(uint(used))-1), // four transfers per recursion level
+			MaxFlops: 2 * w,
+		},
+		M: m, N: n, K: k, P: p,
+		Execute: (&carmaPlan{m: m, n: n, k: k, used: used}).Execute,
+	}, nil
 }
 
 // carmaPlan is the compiled recursive schedule over a power-of-two
-// team of `used` ranks with s words of memory each.
+// team of `used` ranks.
 type carmaPlan struct {
-	m, n, k, p, s, used int
+	m, n, k, used int
 }
 
-func (pl *carmaPlan) Algorithm() string   { return CARMA{}.Name() }
-func (pl *carmaPlan) Grid() string        { return fmt.Sprintf("recursive p=%d", pl.used) }
-func (pl *carmaPlan) Used() int           { return pl.used }
-func (pl *carmaPlan) Procs() int          { return pl.p }
-func (pl *carmaPlan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-
-// Execute implements algo.Plan.
+// Execute is the algo.Plan's Execute.
 func (pl *carmaPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	if mach.P() != pl.p {
-		return nil, fmt.Errorf("baselines: plan is for p=%d but machine has %d ranks", pl.p, mach.P())
-	}
 	m, n, k, used := pl.m, pl.n, pl.k, pl.used
 	team := make([]int, used)
 	for i := range team {
@@ -244,25 +250,4 @@ func largestDim(m, n, k int) byte {
 		return 'n'
 	}
 	return 'k'
-}
-
-// Model implements algo.Plan with the recursive row of Table 3 on the
-// team CARMA uses (costmodel.Recursive — the √3 factor over COSMA in the
-// limited-memory regime is the paper's headline comparison, §6.2); only
-// the busiest rank's terms are CARMA's own.
-func (pl *carmaPlan) Model() algo.Model {
-	q := costmodel.Recursive(costmodel.Params{M: pl.m, N: pl.n, K: pl.k, P: pl.used, S: pl.s}).Q
-	w := float64(pl.m) * float64(pl.n) * float64(pl.k) / float64(pl.used)
-	return algo.Model{
-		Name:    pl.Algorithm(),
-		Grid:    pl.Grid(),
-		Used:    pl.used,
-		AvgRecv: q * float64(pl.used) / float64(pl.p),
-		// The busiest rank additionally receives a sibling C tile at each
-		// k-split ascent (structurally comparable to COSMA's reduction
-		// chain accounting).
-		MaxRecv:  q + math.Pow(w, 2.0/3.0),
-		MaxMsgs:  4 * float64(bits.Len(uint(pl.used))-1), // four transfers per recursion level
-		MaxFlops: 2 * w,
-	}
 }

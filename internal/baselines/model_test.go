@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
-	"cosma/internal/core"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/workload"
@@ -14,8 +13,8 @@ import (
 
 // gridPolicies are the three planners that differ only in the grid they
 // hand core.NewPlan.
-func gridPolicies() []algo.Planner {
-	return []algo.Planner{&core.COSMA{}, SUMMA{}, C25D{}}
+func gridPolicies() []algo.Spec {
+	return []algo.Spec{cosma, summa, c25d}
 }
 
 // TestModelWordsEqualMeasured holds the plan's count to the machine's
@@ -46,13 +45,13 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		for _, pl := range gridPolicies() {
-			_, rep, err := algo.RunPlanner(pl, nil, a, b, c.p, c.s)
+			_, rep, err := algo.Run(pl.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 			if err != nil {
-				t.Fatalf("%s %+v: %v", pl.Name(), c, err)
+				t.Fatalf("%s %+v: %v", pl.Display, c, err)
 			}
 			if rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv {
 				t.Errorf("%s %+v grid %s: measured avg %v max %d, model avg %v max %v",
-					pl.Name(), c, rep.Grid, rep.AvgRecv, rep.MaxRecv, rep.Model.AvgRecv, rep.Model.MaxRecv)
+					pl.Display, c, rep.Grid, rep.AvgRecv, rep.MaxRecv, rep.Model.AvgRecv, rep.Model.MaxRecv)
 			}
 		}
 	}
@@ -68,9 +67,9 @@ func TestSameGridSameModel(t *testing.T) {
 	b := matrix.Random(n, n, rand.New(rand.NewSource(2)))
 	var ref *algo.Report
 	for _, pl := range gridPolicies() {
-		_, rep, err := algo.RunPlanner(pl, &net, a, b, p, s)
+		_, rep, err := algo.Run(pl.Plan, algo.Config{}, &net, a, b, p, s)
 		if err != nil {
-			t.Fatalf("%s: %v", pl.Name(), err)
+			t.Fatalf("%s: %v", pl.Display, err)
 		}
 		if ref == nil {
 			ref = rep
@@ -80,7 +79,7 @@ func TestSameGridSameModel(t *testing.T) {
 		mod.Name = ref.Model.Name
 		if rep.Grid != ref.Grid || mod != ref.Model || rep.PredictedTime != ref.PredictedTime {
 			t.Errorf("%s on %s: model %+v predicts %v s; COSMA on %s: %+v predicts %v s",
-				pl.Name(), rep.Grid, mod, rep.PredictedTime, ref.Grid, ref.Model, ref.PredictedTime)
+				pl.Display, rep.Grid, mod, rep.PredictedTime, ref.Grid, ref.Model, ref.PredictedTime)
 		}
 	}
 }
@@ -90,19 +89,19 @@ func TestSameGridSameModel(t *testing.T) {
 func TestPlanRefusalsAreTyped(t *testing.T) {
 	for _, c := range []struct {
 		name          string
-		pl            algo.Planner
+		pl            algo.Spec
 		m, n, k, p, s int
 		unsupported   bool
 	}{
-		{"Cannon on a non-square p", Cannon{}, 12, 12, 12, 6, 1 << 12, true},
-		{"Cannon with 3 ∤ dims", Cannon{}, 10, 10, 10, 9, 1 << 12, true},
-		{"SUMMA's 4×4 grid on m = 2", SUMMA{}, 2, 64, 64, 16, 1 << 12, true},
-		{"2.5D's grid on m = 1", C25D{}, 1, 64, 64, 16, 1 << 12, true},
-		{"SUMMA with m = 0", SUMMA{}, 0, 64, 64, 16, 1 << 12, false},
-		{"COSMA with k = 0", &core.COSMA{}, 8, 8, 0, 4, 1 << 12, false},
-		{"CARMA with n = 0", CARMA{}, 8, 0, 8, 4, 1 << 12, false},
+		{"Cannon on a non-square p", cannon, 12, 12, 12, 6, 1 << 12, true},
+		{"Cannon with 3 ∤ dims", cannon, 10, 10, 10, 9, 1 << 12, true},
+		{"SUMMA's 4×4 grid on m = 2", summa, 2, 64, 64, 16, 1 << 12, true},
+		{"2.5D's grid on m = 1", c25d, 1, 64, 64, 16, 1 << 12, true},
+		{"SUMMA with m = 0", summa, 0, 64, 64, 16, 1 << 12, false},
+		{"COSMA with k = 0", cosma, 8, 8, 0, 4, 1 << 12, false},
+		{"CARMA with n = 0", carma, 8, 0, 8, 4, 1 << 12, false},
 	} {
-		_, err := c.pl.Plan(c.m, c.n, c.k, c.p, c.s)
+		_, err := c.pl.Plan(algo.Config{}, c.m, c.n, c.k, c.p, c.s)
 		if err == nil {
 			t.Errorf("%s: planned", c.name)
 		} else if errors.Is(err, algo.ErrUnsupportedShape) != c.unsupported {

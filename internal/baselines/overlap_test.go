@@ -17,11 +17,11 @@ func TestSUMMAOverlapBitwiseIdentical(t *testing.T) {
 	b := matrix.Random(112, 80, rand.New(rand.NewSource(6)))
 	for _, p := range []int{4, 8, 16} {
 		s := 3 * 96 * 80 / p
-		cSync, _, err := algo.RunPlanner(SUMMA{}, nil, a, b, p, s)
+		cSync, _, err := algo.Run(summa.Plan, algo.Config{}, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d sync: %v", p, err)
 		}
-		cPipe, _, err := algo.RunPlanner(SUMMA{Overlap: true}, nil, a, b, p, s)
+		cPipe, _, err := algo.Run(summa.Plan, algo.Config{Overlap: true}, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d overlap: %v", p, err)
 		}
@@ -45,11 +45,11 @@ func TestSUMMAOverlapCritPathNotWorse(t *testing.T) {
 	net := machine.PizDaintNet()
 	a := matrix.Random(n, n, rand.New(rand.NewSource(7)))
 	b := matrix.Random(n, n, rand.New(rand.NewSource(8)))
-	_, repSync, err := algo.RunPlanner(SUMMA{}, &net, a, b, p, s)
+	_, repSync, err := algo.Run(summa.Plan, algo.Config{}, &net, a, b, p, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repPipe, err := algo.RunPlanner(SUMMA{Overlap: true}, &net, a, b, p, s)
+	_, repPipe, err := algo.Run(summa.Plan, algo.Config{Overlap: true}, &net, a, b, p, s)
 	if err != nil {
 		t.Fatal(err)
 	}

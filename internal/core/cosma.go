@@ -17,40 +17,6 @@ import (
 // step, matching the paper's Piz Daint experiments (§7.1).
 const DefaultDelta = 0.03
 
-// COSMA is the communication-optimal S-partition-based algorithm.
-type COSMA struct {
-	// Delta is the grid-fitting idle tolerance; zero means DefaultDelta.
-	Delta float64
-	// Overlap software-pipelines the round loop (§7.3): each rank
-	// prefetches round i+1's A/B panels with non-blocking broadcasts
-	// while the kernel multiplies round i's, hiding communication
-	// behind compute. The product is bitwise-identical to the
-	// synchronous schedule.
-	Overlap bool
-}
-
-func init() {
-	algo.Register(algo.Spec{
-		Name:       "cosma",
-		Summary:    "near-I/O-optimal S-partition schedule with §7.1 grid fitting (this paper)",
-		Order:      0,
-		Comparison: true,
-		New: func(cfg algo.Config) algo.Planner {
-			return &COSMA{Delta: cfg.Delta, Overlap: cfg.Overlap}
-		},
-	})
-}
-
-// Name implements algo.Planner.
-func (c *COSMA) Name() string { return "COSMA" }
-
-func (c *COSMA) delta() float64 {
-	if c.Delta == 0 {
-		return DefaultDelta
-	}
-	return c.Delta
-}
-
 // tags for the communication rounds.
 const (
 	tagA = 1 << 20
@@ -74,7 +40,6 @@ type plan struct {
 	g          grid.Grid
 	step       int
 	segs       [][]layout.Range // round segments per ik slab index
-	model      algo.Model
 	overlap    bool
 	// layer0 is 2.5D's initial layout: the inputs live on the ik = 0
 	// layer, whose ranks mail every other layer its pieces before the
@@ -82,16 +47,21 @@ type plan struct {
 	layer0 bool
 }
 
-// Plan implements algo.Planner: all grid fitting and round-schedule
-// construction happens here, once per shape.
-func (c *COSMA) Plan(m, n, k, p, s int) (algo.Plan, error) {
+// Plan is COSMA: the communication-optimal S-partition schedule on the
+// grid §7.1 fits, idling up to cfg.Delta·p ranks (zero means
+// DefaultDelta). All grid fitting and round-schedule construction happens
+// here, once per shape.
+func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if m < 1 || n < 1 || k < 1 {
 		return nil, fmt.Errorf("core: invalid dimensions %d×%d×%d", m, n, k)
 	}
 	if p < 1 {
 		return nil, fmt.Errorf("core: p = %d must be ≥ 1", p)
 	}
-	return NewPlan(c.Name(), grid.Fit(m, n, k, p, s, c.delta()), m, n, k, p, s, c.Overlap, false)
+	if cfg.Delta == 0 {
+		cfg.Delta = DefaultDelta
+	}
+	return NewPlan("COSMA", grid.Fit(m, n, k, p, s, cfg.Delta), m, n, k, p, s, cfg.Overlap, false)
 }
 
 // NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for
@@ -102,7 +72,7 @@ func (c *COSMA) Plan(m, n, k, p, s int) (algo.Plan, error) {
 // the round loop (§7.3); layer0 starts the inputs on the ik = 0 layer
 // (2.5D). A grid longer than a dimension it cuts is refused with
 // algo.ErrUnsupportedShape.
-func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (algo.Plan, error) {
+func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*algo.Plan, error) {
 	if m < 1 || n < 1 || k < 1 || g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
 		return nil, fmt.Errorf("core: grid %v does not fit %d×%d×%d on p = %d", g, m, n, k, p)
 	}
@@ -123,33 +93,19 @@ func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) 
 		g: g, step: step, segs: segs,
 		overlap: overlap, layer0: layer0,
 	}
-	pl.model = pl.count(name)
-	return pl, nil
+	d := pl.geometry()
+	return &algo.Plan{
+		Model: pl.count(name, d),
+		M:     m, N: n, K: k, P: p,
+		Geometry:    &d,
+		Overlap:     overlap,
+		Distributed: true,
+		Execute:     pl.Execute,
+	}, nil
 }
 
-// Algorithm implements algo.Plan.
-func (pl *plan) Algorithm() string { return pl.model.Name }
-
-// Grid implements algo.Plan.
-func (pl *plan) Grid() string { return pl.g.String() }
-
-// Used implements algo.Plan.
-func (pl *plan) Used() int { return pl.g.Ranks() }
-
-// Procs implements algo.Plan.
-func (pl *plan) Procs() int { return pl.p }
-
-// Dims implements algo.Plan.
-func (pl *plan) Dims() (m, n, k int) { return pl.m, pl.n, pl.k }
-
-// Model implements algo.Plan.
-func (pl *plan) Model() algo.Model { return pl.model }
-
-// Overlap implements algo.Overlapper: whether Execute pipelines rounds.
-func (pl *plan) Overlap() bool { return pl.overlap }
-
-// Decomposition implements algo.Decomposed: the §6.3 schedule geometry.
-func (pl *plan) Decomposition() algo.Decomposition {
+// geometry is the §6.3 schedule geometry the plan publishes.
+func (pl *plan) geometry() algo.Decomposition {
 	dm, dn, dk := pl.g.LocalDims(pl.m, pl.n, pl.k)
 	rounds := 0
 	for _, segs := range pl.segs {
@@ -164,12 +120,7 @@ func (pl *plan) Decomposition() algo.Decomposition {
 	}
 }
 
-// Distributed implements algo.Distributed: on a multi-process machine
-// Execute gathers the fiber roots' tiles to rank 0, so the process
-// hosting rank 0 returns the full product.
-func (pl *plan) Distributed() bool { return true }
-
-// Execute implements algo.Plan. Every rank reads its pieces of a and b
+// Execute is the algo.Plan's Execute. Every rank reads its pieces of a and b
 // in place, as views, for the whole run. The returned matrix is
 // assembled from the ranks' distributed output tiles; the tile payloads
 // (loaned from the machine pool by the fiber reduction) are released
@@ -178,9 +129,6 @@ func (pl *plan) Distributed() bool { return true }
 // hosting rank 0 assembles the product — the others return a zero
 // matrix.
 func (pl *plan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	if mach.P() != pl.p {
-		return nil, fmt.Errorf("core: plan is for p=%d but machine has %d ranks", pl.p, mach.P())
-	}
 	multi := mach.MultiProcess()
 	tiles := make([]*matrix.Dense, pl.g.Ranks()) // final C tiles, indexed by rank
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
@@ -407,8 +355,8 @@ func ownerOf(parts []layout.Range, x int) int {
 // message for each panel broadcast with anyone to talk to, the reduction's
 // segments (twice for a chain member that passes them on) and the two
 // scattered pieces; MaxFlops is the largest local domain's.
-func (pl *plan) count(name string) algo.Model {
-	g, d := pl.g, pl.Decomposition()
+func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
+	g := pl.g
 	var total, maxRecv int
 	for ik := 0; ik < g.Pk; ik++ {
 		slab := layout.Block(pl.k, g.Pk, ik).Len()

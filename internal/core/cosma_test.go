@@ -41,8 +41,7 @@ func TestCOSMACorrectAcrossShapes(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			a := matrix.Random(c.m, c.k, rng)
 			b := matrix.Random(c.k, c.n, rng)
-			cosma := &COSMA{}
-			got, rep, err := algo.RunPlanner(cosma, nil, a, b, c.p, c.s)
+			got, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, c.p, c.s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,8 +75,7 @@ func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 	for _, c := range cases {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		cosma := &COSMA{}
-		_, rep, err := algo.RunPlanner(cosma, nil, a, b, c.p, c.s)
+		_, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +103,7 @@ func TestCOSMAVolumeNearLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
-	cosma := &COSMA{}
-	_, rep, err := algo.RunPlanner(cosma, nil, a, b, p, s)
+	_, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, p, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +126,7 @@ func TestCOSMAIdleRanksDoNotCommunicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.Random(16, 16, rng)
 	b := matrix.Random(16, 16, rng)
-	cosma := &COSMA{}
-	_, rep, err := algo.RunPlanner(cosma, nil, a, b, 65, 1<<10)
+	_, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, 65, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +179,7 @@ func TestCOSMACorrectnessProperty(t *testing.T) {
 		s := 16 + r.Intn(2000)
 		a := matrix.Random(m, k, rng)
 		b := matrix.Random(k, n, rng)
-		cosma := &COSMA{}
-		got, _, err := algo.RunPlanner(cosma, nil, a, b, p, s)
+		got, _, err := algo.Run(Plan, algo.Config{}, nil, a, b, p, s)
 		if err != nil {
 			return false
 		}
@@ -198,11 +193,11 @@ func TestCOSMACorrectnessProperty(t *testing.T) {
 // planModel is COSMA's model of a shape: the count its plan carries.
 func planModel(t *testing.T, m, n, k, p, s int) algo.Model {
 	t.Helper()
-	plan, err := (&COSMA{}).Plan(m, n, k, p, s)
+	plan, err := Plan(algo.Config{}, m, n, k, p, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plan.Model()
+	return plan.Model
 }
 
 // TestFitObjectiveIsTheCount ties grid.ModelVolume — Fit's O(1)
@@ -223,7 +218,7 @@ func TestFitObjectiveIsTheCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := plan.Model().AvgRecv, c.g.ModelVolume(c.m, c.n, c.k); got != want {
+		if got, want := plan.Model.AvgRecv, c.g.ModelVolume(c.m, c.n, c.k); got != want {
 			t.Errorf("%v on %d×%d×%d: counted %v words/rank, Fit's objective says %v", c.g, c.m, c.n, c.k, got, want)
 		}
 	}

@@ -13,9 +13,9 @@
 // touched once before the kernel packs it into micro-panels.
 //
 // The work splits into two phases. Plan compiles a problem shape into
-// an immutable schedule — the fitted grid, the per-slab round segments
+// an immutable algo.Plan — the fitted grid, the per-slab round segments
 // and the model, a rank-by-rank count of the words that schedule moves —
-// and Execute replays that schedule against
+// whose Execute replays that schedule against
 // matrix values on a machine, so repeated same-shape multiplications
 // fit the grid exactly once. Per-round tile updates run on the packed
 // register-blocked GEMM kernel each rank draws from the executor's

@@ -33,13 +33,13 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 			if testing.Short() && c.k >= 1024 {
 				t.Skip("benchmark-sized multiplication")
 			}
-			pl, err := (&COSMA{}).Plan(c.m, c.n, c.k, c.p, c.s)
+			pl, err := Plan(algo.Config{}, c.m, c.n, c.k, c.p, c.s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := pl.(algo.Decomposed).Decomposition().Rounds
+			got := pl.Geometry.Rounds
 			if c.want != 0 && got != c.want {
-				t.Fatalf("grid %s: Decomposition.Rounds = %d, want %d", pl.Grid(), got, c.want)
+				t.Fatalf("grid %s: Decomposition.Rounds = %d, want %d", pl.Grid, got, c.want)
 			}
 			a, b := matrix.New(c.m, c.k), matrix.New(c.k, c.n)
 			mach, arena := machine.New(c.p), algo.NewArena(c.p)
@@ -60,10 +60,10 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 				return err != nil
 			}
 			if !diesIn(got - 1) {
-				t.Fatalf("grid %s: Decomposition.Rounds = %d but no rank multiplies a round %d", pl.Grid(), got, got-1)
+				t.Fatalf("grid %s: Decomposition.Rounds = %d but no rank multiplies a round %d", pl.Grid, got, got-1)
 			}
 			if diesIn(got) {
-				t.Fatalf("grid %s: Decomposition.Rounds = %d but some rank multiplies a round %d", pl.Grid(), got, got)
+				t.Fatalf("grid %s: Decomposition.Rounds = %d but some rank multiplies a round %d", pl.Grid, got, got)
 			}
 		})
 	}
@@ -75,13 +75,13 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 // where the caller put them.
 func TestArenaRetainsNoInputSizedBuffer(t *testing.T) {
 	const m, n, k, p = 64, 64, 16384, 8
-	pl, err := (&COSMA{}).Plan(m, n, k, p, 1<<16)
+	pl, err := Plan(algo.Config{}, m, n, k, p, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := pl.(algo.Decomposed).Decomposition()
+	d := pl.Geometry
 	if d.GridPk < 2 {
-		t.Fatalf("grid %s is not k-parallel; the shape no longer stands in for tall-k", pl.Grid())
+		t.Fatalf("grid %s is not k-parallel; the shape no longer stands in for tall-k", pl.Grid)
 	}
 	a, b := matrix.New(m, k), matrix.New(k, n)
 	mach, arena := machine.New(p), algo.NewArena(p)
@@ -94,6 +94,6 @@ func TestArenaRetainsNoInputSizedBuffer(t *testing.T) {
 	cTiles := d.RanksUsed * d.DomainM * d.DomainN
 	if got := arena.Retained(); got > cTiles {
 		t.Fatalf("grid %s: arena retains %d words, more than the %d of the C tiles (inputs are %d)",
-			pl.Grid(), got, cTiles, m*k+k*n)
+			pl.Grid, got, cTiles, m*k+k*n)
 	}
 }

@@ -20,13 +20,11 @@ func TestCOSMAOverlapBitwiseIdentical(t *testing.T) {
 	b := matrix.Random(112, 80, rng(2))
 	for _, p := range []int{4, 8, 16} {
 		s := 3 * 96 * 80 / p // squeeze into the multi-round regime
-		sync := &COSMA{Overlap: false}
-		pipe := &COSMA{Overlap: true}
-		cSync, _, err := algo.RunPlanner(sync, nil, a, b, p, s)
+		cSync, _, err := algo.Run(Plan, algo.Config{Overlap: false}, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d sync: %v", p, err)
 		}
-		cPipe, _, err := algo.RunPlanner(pipe, nil, a, b, p, s)
+		cPipe, _, err := algo.Run(Plan, algo.Config{Overlap: true}, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d overlap: %v", p, err)
 		}
@@ -37,7 +35,7 @@ func TestCOSMAOverlapBitwiseIdentical(t *testing.T) {
 // TestCOSMAOverlapCritPathLower is the paper-facing acceptance
 // property (§7.3, Figure 12): at m=n=k=512 on p=16 timed ranks the
 // pipelined schedule's measured critical path is strictly below the
-// synchronous one's, and respects the perfmodel overlap semantics —
+// synchronous one's, and respects Model.Time's overlap semantics —
 // communication hides up to (but never below) the per-rank compute
 // time, so the overlapped critical path still dominates the pure
 // compute term.
@@ -49,7 +47,7 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 	b := matrix.Random(n, n, rng(4))
 
 	run := func(overlap bool) (*matrix.Dense, *algo.Report) {
-		out, rep, err := algo.RunPlanner(&COSMA{Overlap: overlap}, &net, a, b, p, s)
+		out, rep, err := algo.Run(Plan, algo.Config{Overlap: overlap}, &net, a, b, p, s)
 		if err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}
@@ -63,13 +61,13 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 			repPipe.CritPathTime, repSync.CritPathTime)
 	}
 
-	// perfmodel overlap semantics: the hidden communication cannot push
+	// Model.Time's overlap semantics: the hidden communication cannot push
 	// the critical path below the busiest rank's compute time.
-	pl, err := (&COSMA{}).Plan(n, n, n, p, s)
+	pl, err := Plan(algo.Config{}, n, n, n, p, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := pl.(algo.Decomposed).Decomposition()
+	d := pl.Geometry
 	computeOnly := net.Gamma * 2 * float64(d.DomainM) * float64(d.DomainN) * float64(d.DomainK)
 	if repPipe.CritPathTime < computeOnly {
 		t.Errorf("overlapped critical path %v below the compute-only bound %v: overlap hid compute, not just communication",

@@ -56,6 +56,9 @@ func TestTallExtraRegime(t *testing.T) {
 func TestCOSMAMatchesTheorem2(t *testing.T) {
 	// In the cubic (ample-memory) regime COSMA's attainable Q equals the
 	// Theorem 2 bound exactly; in every regime it is at least the bound.
+	// The second check cannot fail on S: bound.ParallelLowerBound as coded
+	// is 3(mnk/p)^(2/3) for every S (AM-GM, see its doc comment), while
+	// COSMA's Q case-splits on Eq. 32's domain — ROADMAP item 3(a).
 	extra := Params{M: 4096, N: 4096, K: 4096, P: 64, S: 1 << 25}
 	got := COSMA(extra).Q
 	want := bound.ParallelLowerBound(extra.M, extra.N, extra.K, extra.P, extra.S)

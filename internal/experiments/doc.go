@@ -15,4 +15,10 @@
 // experiments accept any machine.NetworkParams, including presets
 // whose γ has been replaced by a matrix.Calibrate measurement
 // (cmd/experiments -calibrate).
+//
+// All is the one ordered table of experiments cmd/experiments iterates;
+// TestExperimentsGolden pins every cell it renders under the pizdaint
+// preset to testdata/experiments.golden. Runtimes are Model.Time; percent
+// of peak (cell.pctPeak) and Figure 12's compute / input / output split
+// are written beside the tables that print them.
 package experiments

@@ -9,14 +9,13 @@ import (
 	"sync"
 
 	"cosma/internal/algo"
-	_ "cosma/internal/baselines" // registers the baseline algorithms
+	"cosma/internal/baselines"
 	"cosma/internal/bound"
 	"cosma/internal/core"
 	"cosma/internal/costmodel"
 	"cosma/internal/grid"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
-	"cosma/internal/perfmodel"
 	"cosma/internal/report"
 	"cosma/internal/seq"
 	"cosma/internal/workload"
@@ -44,7 +43,7 @@ var (
 )
 
 // cell is one configuration with the models of the paper's comparison
-// set on it, in algo.Comparison order (COSMA first).
+// set on it, in baselines.Algorithms order (COSMA first).
 type cell struct {
 	workload.Config
 	mods []algo.Model
@@ -59,21 +58,40 @@ func compare(c workload.Config) (_ cell, ok bool) {
 		return cell{}, false
 	}
 	var mods []algo.Model
-	for _, r := range algo.Comparison(algo.Config{}) {
-		pl, err := r.Plan(c.M, c.N, c.K, c.P, c.S)
+	for _, r := range comparison() {
+		pl, err := r.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 		if errors.Is(err, algo.ErrUnsupportedShape) {
 			return cell{}, false
 		} else if err != nil {
-			panic(fmt.Sprintf("experiments: %s on %v: %v", r.Name(), c, err))
+			panic(fmt.Sprintf("experiments: %s on %v: %v", r.Display, c, err))
 		}
-		mods = append(mods, pl.Model())
+		mods = append(mods, pl.Model)
 	}
 	return cell{c, mods}, true
 }
 
-// evaluate predicts mod's execution of the cell's problem on Piz Daint.
-func (c cell) evaluate(mod algo.Model) perfmodel.Result {
-	return perfmodel.Evaluate(machine.PizDaintNet(), false, mod, c.M, c.N, c.K, c.P)
+// comparison is the paper's default comparison set (§9): COSMA and the
+// baselines with Comparison set, in table order.
+func comparison() []algo.Spec {
+	var rs []algo.Spec
+	for _, s := range baselines.Algorithms {
+		if s.Comparison {
+			rs = append(rs, s)
+		}
+	}
+	return rs
+}
+
+// timeSec predicts mod's runtime on Piz Daint, communication and
+// computation charged serially.
+func timeSec(mod algo.Model) float64 { return mod.Time(machine.PizDaintNet(), false) }
+
+// pctPeak is the % of aggregate machine peak mod achieves on the cell's
+// problem: the time p ranks at peak need for the 2mnk useful flops, over
+// the predicted time set by the busiest rank.
+func (c cell) pctPeak(mod algo.Model) float64 {
+	useful := 2 * float64(c.M) * float64(c.N) * float64(c.K)
+	return 100 * machine.PizDaintNet().Time(useful/float64(c.P), 0, 0) / timeSec(mod)
 }
 
 // sweeps plans the paper's evaluation (§8) once per process: for every
@@ -114,12 +132,12 @@ func CommVolume(shape workload.Shape, regime workload.Regime) *report.Table {
 
 // predicted renders one performance-model value per algorithm for every
 // core count of a sweep.
-func predicted(title string, shape workload.Shape, regime workload.Regime, value func(perfmodel.Result) float64) *report.Table {
+func predicted(title string, shape workload.Shape, regime workload.Regime, value func(cell, algo.Model) float64) *report.Table {
 	t := report.NewTable(fmt.Sprintf(title, shape, regime), "cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
 	for _, c := range sweeps()[shape][regime] {
 		row := []interface{}{c.P}
 		for _, mod := range c.mods {
-			row = append(row, value(c.evaluate(mod)))
+			row = append(row, value(c, mod))
 		}
 		t.AddRow(row...)
 	}
@@ -129,15 +147,14 @@ func predicted(title string, shape workload.Shape, regime workload.Regime, value
 // PctPeak regenerates a Figure 8/10-style panel: % of peak flop/s for
 // every algorithm across the sweep under the performance model.
 func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
-	return predicted("%% of peak performance — %s, %s (Figures 8/10)", shape, regime,
-		func(r perfmodel.Result) float64 { return r.PctPeak })
+	return predicted("%% of peak performance — %s, %s (Figures 8/10)", shape, regime, cell.pctPeak)
 }
 
 // Runtime regenerates a Figure 9/11-style panel: total simulated runtime
 // in milliseconds.
 func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 	return predicted("Total runtime [ms] — %s, %s (Figures 9/11)", shape, regime,
-		func(r perfmodel.Result) float64 { return r.TimeSec * 1e3 })
+		func(_ cell, mod algo.Model) float64 { return timeSec(mod) * 1e3 })
 }
 
 // Table4 regenerates Table 4: for each shape and regime, the mean over
@@ -163,10 +180,10 @@ func Table4() *report.Table {
 				for i, mod := range c.mods {
 					sums[i] += perUsedRecv(mod, c.P) * wordsToMB
 					if i > 0 { // COSMA is the comparison set's first
-						secondBest = min(secondBest, c.evaluate(mod).TimeSec)
+						secondBest = min(secondBest, timeSec(mod))
 					}
 				}
-				sp := secondBest / c.evaluate(c.mods[0]).TimeSec
+				sp := secondBest / timeSec(c.mods[0])
 				minSp, maxSp = min(minSp, sp), max(maxSp, sp)
 				logSum += math.Log(sp)
 			}
@@ -291,18 +308,27 @@ func Fig12() *report.Table {
 			if !feasible(c) {
 				continue
 			}
-			pl, err := (&core.COSMA{}).Plan(c.M, c.N, c.K, c.P, c.S)
+			pl, err := core.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: COSMA on %+v: %v", c, err))
 			}
-			d := pl.(algo.Decomposed).Decomposition()
+			d := pl.Geometry
 			outWords := float64(d.DomainM) * float64(d.DomainN) * float64(d.GridPk-1) / float64(d.GridPk) * 2
-			bd := perfmodel.SplitInputOutput(net, pl.Model(), outWords)
-			t.AddRow(shape.String(), p, bd.ComputeSec*1e3, bd.InputSec*1e3,
-				bd.OutputSec*1e3, bd.TotalNoOv*1e3, bd.TotalOv*1e3)
+			compute, input, output := split(net, pl.Model, outWords)
+			t.AddRow(shape.String(), p, compute*1e3, input*1e3, output*1e3,
+				pl.Time(net, false)*1e3, pl.Time(net, true)*1e3)
 		}
 	}
 	return t
+}
+
+// split is Figure 12's breakdown of mod's serial time on net into
+// computation, input (A and B panels) and output (reducing C)
+// communication, taking outWords of the model's MaxRecv words as output
+// traffic and charging the messages to the input side.
+func split(net machine.NetworkParams, mod algo.Model, outWords float64) (compute, input, output float64) {
+	outWords = min(outWords, mod.MaxRecv)
+	return net.Time(mod.MaxFlops, 0, 0), net.Time(0, mod.MaxRecv-outWords, mod.MaxMsgs), net.Time(0, outWords, 0)
 }
 
 // Fig13 regenerates Figures 13/14: the distribution (min / median / max
@@ -321,7 +347,7 @@ func Fig13() *report.Table {
 			for i, mod := range cells[0].mods {
 				samples := make([]float64, len(cells))
 				for j, c := range cells {
-					samples[j] = c.evaluate(c.mods[i]).PctPeak
+					samples[j] = c.pctPeak(c.mods[i])
 				}
 				sort.Float64s(samples)
 				t.AddRow(shape.String(), regime.String(), mod.Name,
@@ -344,7 +370,7 @@ func Unfavorable() *report.Table {
 	for _, p := range []int{9216, 9217} {
 		c, _ := compare(workload.Config{M: n, N: n, K: n, P: p, S: s})
 		for _, mod := range c.mods {
-			t.AddRow(mod.Name, p, mod.Grid, c.evaluate(mod).TimeSec*1e3, mod.AvgRecv)
+			t.AddRow(mod.Name, p, mod.Grid, timeSec(mod)*1e3, mod.AvgRecv)
 		}
 	}
 	return t
@@ -367,14 +393,14 @@ func Validate() *report.Table {
 	for _, c := range cases {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		for _, r := range algo.Comparison(algo.Config{}) {
-			_, rep, err := algo.RunPlanner(r, nil, a, b, c.p, c.s)
+		for _, r := range comparison() {
+			_, rep, err := algo.Run(r.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 			if errors.Is(err, algo.ErrUnsupportedShape) {
 				continue
 			} else if err != nil {
-				panic(fmt.Sprintf("experiments: %s on %+v: %v", r.Name(), c, err))
+				panic(fmt.Sprintf("experiments: %s on %+v: %v", r.Display, c, err))
 			}
-			t.AddRow(r.Name(), c.m, c.n, c.k, c.p, rep.AvgRecv, rep.Model.AvgRecv, rep.AvgRecv/rep.Model.AvgRecv)
+			t.AddRow(r.Display, c.m, c.n, c.k, c.p, rep.AvgRecv, rep.Model.AvgRecv, rep.AvgRecv/rep.Model.AvgRecv)
 		}
 	}
 	return t

@@ -52,7 +52,7 @@ func OverlapGain(net machine.NetworkParams) *report.Table {
 }
 
 func runCOSMA(a, b *matrix.Dense, p, s int, net machine.NetworkParams, overlap bool) (*algo.Report, error) {
-	_, rep, err := algo.RunPlanner(&core.COSMA{Overlap: overlap}, &net, a, b, p, s)
+	_, rep, err := algo.Run(core.Plan, algo.Config{Overlap: overlap}, &net, a, b, p, s)
 	return rep, err
 }
 

@@ -33,13 +33,12 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	b := matrix.Random(n, n, rng)
 	for _, p := range []int{4, 16, 64} {
 		s := 3 * n * n / p
-		planners := append(algo.Comparison(algo.Config{Overlap: true}), baselines.Cannon{})
-		for _, r := range planners {
-			_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
+		for _, r := range baselines.Algorithms {
+			_, rep, err := algo.Run(r.Plan, algo.Config{Overlap: true}, &net, a, b, p, s)
 			if errors.Is(err, algo.ErrUnsupportedShape) {
 				continue // Cannon's square-torus/divisibility restriction
 			} else if err != nil {
-				t.AddRow(p, r.Name(), "error: "+err.Error(), "-", "-", "-", "-")
+				t.AddRow(p, r.Display, "error: "+err.Error(), "-", "-", "-", "-")
 				continue
 			}
 			t.AddRow(p, rep.Name, rep.Grid, float64(rep.MaxVolume),

@@ -18,10 +18,10 @@ func timedReports(m, n, k, p, s int, net machine.NetworkParams, seed int64) ([]*
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
 	var reps []*algo.Report
-	for _, r := range algo.Comparison(algo.Config{}) {
-		_, rep, err := algo.RunPlanner(r, &net, a, b, p, s)
+	for _, r := range comparison() {
+		_, rep, err := algo.Run(r.Plan, algo.Config{}, &net, a, b, p, s)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.Name(), err)
+			return nil, fmt.Errorf("%s: %w", r.Display, err)
 		}
 		reps = append(reps, rep)
 	}
@@ -106,8 +106,8 @@ func TestTimedCountersMatchCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := matrix.Random(64, 64, rng)
 	b := matrix.Random(64, 64, rng)
-	for i, runner := range algo.Comparison(algo.Config{}) {
-		_, rep, err := algo.RunPlanner(runner, nil, a, b, 8, 2048)
+	for i, runner := range comparison() {
+		_, rep, err := algo.Run(runner.Plan, algo.Config{}, nil, a, b, 8, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,35 +115,6 @@ func TestTimedCountersMatchCounting(t *testing.T) {
 		if rep.MaxVolume != tr.MaxVolume || rep.MaxRecv != tr.MaxRecv ||
 			rep.Total != tr.Total || rep.MaxMsgs != tr.MaxMsgs {
 			t.Errorf("%s: counting %+v vs timed %+v traffic differs", rep.Name, rep, tr)
-		}
-	}
-}
-
-// TestTimedHierarchicalNetworkRaisesCritPath runs the same problem on
-// a flat Piz-Daint network and on a hierarchical one with the same
-// α-β on every link but congested inter-node words: since no link got
-// cheaper, the predicted critical path must not drop for any
-// algorithm, and traffic counters (a property of the schedule, not
-// the network) must agree across the two networks.
-func TestTimedHierarchicalNetworkRaisesCritPath(t *testing.T) {
-	flat := machine.PizDaintNet()
-	hier := machine.Hierarchical(flat, flat, 4, 2)
-	flatReps, err := timedReports(64, 64, 64, 8, 2048, flat, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hierReps, err := timedReports(64, 64, 64, 8, 2048, hier, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range flatReps {
-		hr := hierReps[i]
-		if hr.MaxVolume != fr.MaxVolume || hr.MaxMsgs != fr.MaxMsgs {
-			t.Errorf("%s: traffic differs across networks: %+v vs %+v", fr.Name, fr, hr)
-		}
-		if hr.CritPathTime < fr.CritPathTime {
-			t.Errorf("%s: congested hierarchical critical path %v beats flat %v",
-				fr.Name, hr.CritPathTime, fr.CritPathTime)
 		}
 	}
 }

@@ -16,25 +16,13 @@ type NetworkParams struct {
 	Alpha float64 // seconds per message (latency)
 	Beta  float64 // seconds per word (inverse bandwidth)
 	Gamma float64 // seconds per flop (inverse peak rate)
-
-	// Hierarchical extension (see Hierarchical). All fields are scalar
-	// so NetworkParams stays a comparable, copyable value. Zero values
-	// mean a flat single-level network with exactly the cost surface
-	// above.
-	RanksPerNode int     // >0: ranks r, q share a node iff r/RanksPerNode == q/RanksPerNode
-	IntraAlpha   float64 // seconds per message on a same-node link
-	IntraBeta    float64 // seconds per word on a same-node link
-	Congestion   float64 // inter-node β multiplier (≤0 means 1)
 }
 
 // Time is the analytic evaluation of the model: the runtime of a rank
 // that computes flops, receives words and exchanges msgs messages with
-// no overlap. A hierarchical network charges the inter-node link
-// (α, congested β) — the analytic form has no per-message routing, so
-// it conservatively prices every word at the slowest level; the timed
-// transport, which knows src and dst, prices each link exactly.
+// no overlap.
 func (n NetworkParams) Time(flops, words, msgs float64) float64 {
-	return n.Gamma*flops + n.interBeta()*words + n.Alpha*msgs
+	return n.Gamma*flops + n.Beta*words + n.Alpha*msgs
 }
 
 // TimeOverlap is the analytic evaluation with full communication–
@@ -42,7 +30,7 @@ func (n NetworkParams) Time(flops, words, msgs float64) float64 {
 // each other, so the runtime is their maximum instead of their sum.
 func (n NetworkParams) TimeOverlap(flops, words, msgs float64) float64 {
 	compute := n.Gamma * flops
-	comms := n.interBeta()*words + n.Alpha*msgs
+	comms := n.Beta*words + n.Alpha*msgs
 	return math.Max(compute, comms)
 }
 
@@ -65,7 +53,7 @@ func (n NetworkParams) WithGamma(gamma float64) NetworkParams {
 // PizDaintNet returns Piz-Daint-like constants (§8's testbed): 1.5 µs
 // Aries latency, 0.29 GB/s sustained per-core injection bandwidth
 // (10.5 GB/s per node / 36 cores ≈ 3.6e7 words/s) and 36.8 Gflop/s per
-// core. The figure-level tables (internal/perfmodel) and the timed
+// core. The figure-level tables (internal/experiments) and the timed
 // transport both price with this one definition.
 func PizDaintNet() NetworkParams {
 	return NetworkParams{
@@ -181,7 +169,7 @@ func (c *clock) depart(src, dst int, relay bool, at float64) float64 {
 	if src == dst {
 		return c.now[src]
 	}
-	alpha := c.net.LinkAlpha(src, dst)
+	alpha := c.net.Alpha
 	c.now[src] += alpha
 	if !relay {
 		if c.now[src] > c.egress[src] {
@@ -215,7 +203,7 @@ func (c *clock) land(dst, src int, e envelope, post float64) float64 {
 	if post > start {
 		start = post
 	}
-	done := start + c.net.LinkBeta(src, dst)*float64(len(e.data))
+	done := start + c.net.Beta*float64(len(e.data))
 	c.ingress[dst] = done
 	if done > c.now[dst] {
 		c.now[dst] = done

@@ -12,7 +12,7 @@ import (
 // flop), the constant the α-β-γ cost surface charges compute with. The
 // paper's predictions assume a tuned dgemm running at hardware speed;
 // Calibrate replaces that assumption with a measurement, so
-// Engine.Predict and the perfmodel tables report what this binary
+// Engine.Predict and the figure tables report what this binary
 // actually achieves rather than a Piz Daint constant.
 type Calibration struct {
 	N       int           // problem size measured (n×n×n)

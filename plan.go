@@ -17,7 +17,7 @@ import (
 // (Engine.Exec, Engine.MultiplyBatch), which is where the closed check,
 // the wire serialization, the retry policy and verification live.
 type Plan struct {
-	inner algo.Plan
+	inner *algo.Plan
 	eng   *Engine
 
 	// Executor free list: concurrent same-shape multiplications each
@@ -29,32 +29,32 @@ type Plan struct {
 
 // Algorithm returns the display name of the algorithm that produced
 // the plan.
-func (p *Plan) Algorithm() string { return p.inner.Algorithm() }
+func (p *Plan) Algorithm() string { return p.inner.Name }
 
 // Dims returns the (m, n, k) problem shape the plan multiplies.
-func (p *Plan) Dims() (m, n, k int) { return p.inner.Dims() }
+func (p *Plan) Dims() (m, n, k int) { return p.inner.M, p.inner.N, p.inner.K }
 
 // Procs returns the machine size p the plan was fitted for.
-func (p *Plan) Procs() int { return p.inner.Procs() }
+func (p *Plan) Procs() int { return p.inner.P }
 
 // Used returns the number of ranks that perform work.
-func (p *Plan) Used() int { return p.inner.Used() }
+func (p *Plan) Used() int { return p.inner.Used }
 
 // Grid returns the human-readable decomposition.
-func (p *Plan) Grid() string { return p.inner.Grid() }
+func (p *Plan) Grid() string { return p.inner.Grid }
 
 // Model returns the analytic communication/computation prediction for
 // the planned schedule.
-func (p *Plan) Model() Model { return p.inner.Model() }
+func (p *Plan) Model() Model { return p.inner.Model }
 
 // Decomposition returns the §6.3 schedule geometry (grid, local domain,
 // rounds) when the algorithm exposes it — the Algorithm 1 schedules
 // (COSMA, SUMMA, 2.5D) do; CARMA and Cannon report false.
 func (p *Plan) Decomposition() (Decomposition, bool) {
-	if d, ok := p.inner.(algo.Decomposed); ok {
-		return d.Decomposition(), true
+	if p.inner.Geometry == nil {
+		return Decomposition{}, false
 	}
-	return Decomposition{}, false
+	return *p.inner.Geometry, true
 }
 
 // String implements fmt.Stringer: the decomposition where the plan has
