@@ -54,9 +54,10 @@ func ExampleEngine_Plan() {
 // paper's 18,432-core scale — far too large to execute — on the
 // Piz-Daint-like network preset. The fitted grid is [26×26×27] with a
 // 631×631×607 local domain: γ·2·631²·607 = 13.13 ms of compute,
-// β·(2·631·607·25/26 + 631²) = 31.52 ms for the panels and the one C
-// tile the fiber's chain delivers, and α·(2·26 + 2·49) = 0.23 ms for 26
-// rounds of two broadcasts plus 49 reduction segments in and out.
+// β·(2·631·607·25/26 + 631²·26/27) = 31.11 ms for the panels and the 26
+// blocks of its C share the fiber's other members send it, and
+// α·(2·26 + 2·26) = 0.16 ms for 26 rounds of two broadcasts plus 26
+// reduction blocks out and 26 in.
 func ExampleEngine_Predict() {
 	eng, err := cosma.NewEngine(
 		cosma.WithProcs(18432), cosma.WithMemory(1<<25),
@@ -70,5 +71,5 @@ func ExampleEngine_Predict() {
 	}
 	fmt.Printf("predicted %.1f ms\n", pred.SerialTime*1e3)
 	// Output:
-	// predicted 44.9 ms
+	// predicted 44.4 ms
 }

@@ -29,7 +29,7 @@ type Plan struct {
 	Geometry *Decomposition
 	// Overlap records that Execute pipelines its rounds (§7.3).
 	Overlap bool
-	// Distributed records that Execute gathers the result tiles to rank
+	// Distributed records that Execute gathers the ranks' pieces of C to rank
 	// 0 when the machine's ranks span several OS processes (the wire
 	// transport), so the process hosting rank 0 returns the full product
 	// and every other process a zero matrix. A plan without it is refused

@@ -268,8 +268,8 @@ func TestModelsScaleToPaperSizes(t *testing.T) {
 	}
 }
 
-// TestCOSMAWinsItsOwnComparisonAtPlentifulMemory pins what the chain
-// reduction bought on the busiest rank: at 512³, p = 16, S = 2²⁰ on
+// TestCOSMAWinsItsOwnComparisonAtPlentifulMemory pins what the fiber
+// reduction's shape buys on the busiest rank: at 512³, p = 16, S = 2²⁰ on
 // pizdaint COSMA's [2×2×4] critical path is below SUMMA's and 2.5D's
 // and within 1.3 × Cannon's, and no rank receives more than 1.25 × the
 // average (with a tree on the fiber: 7.75 ms against 5.93, 5.93 and

@@ -55,8 +55,7 @@ func planCARMA(_ algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 			Used:    used,
 			AvgRecv: q * float64(used) / float64(p),
 			// The busiest rank additionally receives a sibling C tile at each
-			// k-split ascent (structurally comparable to COSMA's reduction
-			// chain accounting).
+			// k-split ascent.
 			MaxRecv:  q + math.Pow(w, 2.0/3.0),
 			MaxMsgs:  4 * float64(bits.Len(uint(used))-1), // four transfers per recursion level
 			MaxFlops: 2 * w,

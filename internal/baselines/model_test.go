@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,8 @@ func gridPolicies() []algo.Spec {
 // counters: for the three grid policies the modelled average and maximum
 // received words are the measured ones — ==, not a tolerance — on the
 // seeded catalog, the three benchmark shapes, ragged dimensions and
-// prime rank counts.
+// prime rank counts; so is the busiest rank's message count on the grids
+// whose broadcasts have no relay.
 func TestModelWordsEqualMeasured(t *testing.T) {
 	type shape struct{ m, n, k, p, s int }
 	shapes := []shape{
@@ -52,6 +54,18 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 			if rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv {
 				t.Errorf("%s %+v grid %s: measured avg %v max %d, model avg %v max %v",
 					pl.Display, c, rep.Grid, rep.AvgRecv, rep.MaxRecv, rep.Model.AvgRecv, rep.Model.MaxRecv)
+			}
+			// Messages are == too where no broadcast has a tree relay (both
+			// groups ≤ 2 members); with Pm or Pn > 2 (square-tight: 384
+			// measured, 256 modelled) MaxMsgs stays a receive-side estimate
+			// until ROADMAP item 1.
+			var pm, pn, pk int
+			if _, err := fmt.Sscanf(rep.Grid, "[%d×%d×%d]", &pm, &pn, &pk); err != nil {
+				t.Fatalf("%s grid %q: %v", pl.Display, rep.Grid, err)
+			}
+			if pm <= 2 && pn <= 2 && float64(rep.MaxMsgs) != rep.Model.MaxMsgs {
+				t.Errorf("%s %+v grid %s: busiest rank exchanged %d messages, model %v",
+					pl.Display, c, rep.Grid, rep.MaxMsgs, rep.Model.MaxMsgs)
 			}
 		}
 	}

@@ -25,8 +25,8 @@ func TestGridPoliciesPinSchedule(t *testing.T) {
 	}{
 		{summa, 97, 61, 113, 6, 4000, "[2×3×1]", 4851, 9772, 28815, 10, 2.31738551e-4},
 		{summa, 300, 200, 100, 12, 20000, "[3×4×1]", 10850, 21700, 130000, 18, 5.97729469e-4},
-		{c25d, 300, 200, 100, 12, 20000, "[2×3×2]", 16675, 27675, 165000, 13, 7.35726449e-4},
-		{c25d, 128, 128, 128, 4, 1 << 20, "[1×2×2]", 12288, 24576, 49152, 5, 7.1716058e-4},
+		{c25d, 300, 200, 100, 12, 20000, "[2×3×2]", 15875, 27675, 165000, 14, 5.96143116e-4},
+		{c25d, 128, 128, 128, 4, 1 << 20, "[1×2×2]", 16384, 24576, 49152, 6, 6.03382802e-4},
 	} {
 		a := matrix.Random(c.m, c.k, rand.New(rand.NewSource(1)))
 		b := matrix.Random(c.k, c.n, rand.New(rand.NewSource(2)))

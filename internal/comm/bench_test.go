@@ -40,8 +40,7 @@ func BenchmarkBcastP16(b *testing.B) { benchBcast(b, machine.New(16)) }
 func BenchmarkBcastP64(b *testing.B) { benchBcast(b, machine.New(64)) }
 
 // benchReduce reduces words-long slices over all of m's ranks b.N times:
-// the segments travel down the chain with SendOwned, the root's total
-// and the received segments return to the pool.
+// every member's share and the blocks it received return to the pool.
 func benchReduce(b *testing.B, m *machine.Machine, words int) {
 	p := m.P()
 	ids := make([]int, p)
@@ -49,15 +48,13 @@ func benchReduce(b *testing.B, m *machine.Machine, words int) {
 		ids[i] = i
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(8 * words * (p - 1))) // what the chain's links carry
+	b.SetBytes(int64(8 * words * (p - 1))) // p members each receive (p−1)/p of a slice
 	b.ResetTimer()
 	err := m.Run(func(r *machine.Rank) error {
 		g := NewGroup(r, ids)
 		data := make([]float64, words)
 		for i := 0; i < b.N; i++ {
-			if got := g.Reduce(0, data, 1); got != nil {
-				machine.Release(got)
-			}
+			machine.Release(g.Reduce(0, data, 1))
 		}
 		return nil
 	})
@@ -69,8 +66,8 @@ func benchReduce(b *testing.B, m *machine.Machine, words int) {
 func BenchmarkReduceP16(b *testing.B) { benchReduce(b, machine.New(16), 4096) }
 
 // BenchmarkReduceFiber is the reduction at the repo benchmark's two
-// fiber shapes: square-roomy's 4 × 512² tiles (8 segments a link) and
-// tall-k's 15 × 128² (4 segments).
+// fiber shapes: square-roomy's 4 × 512² tiles (65 536-word blocks) and
+// tall-k's 15 × 128² (1 092 or 1 093).
 func BenchmarkReduceFiber(b *testing.B) {
 	b.Run("4x262144", func(b *testing.B) { benchReduce(b, machine.New(4), 262144) })
 	b.Run("15x16384", func(b *testing.B) { benchReduce(b, machine.New(15), 16384) })

@@ -2,8 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 
 	"cosma/internal/layout"
 	"cosma/internal/machine"
@@ -69,80 +67,61 @@ func (g *Group) Bcast(root int, data []float64, tag int) []float64 {
 	return g.IBcast(root, data, tag).Wait()
 }
 
-// reduceLatencyWords is L = α/β of the reduction's grain formula, in
-// words: what one more message costs a chain hop, measured in words of
-// payload. It is deliberately far above the modelled networks' own ratio
-// (pizdaint: 54): the grain also sets the frame size of the real
-// transports, and below ~16 Ki words the socket mesh loses more wall
-// clock to per-frame costs than the logical clock gains from finer
-// pipelining.
-const reduceLatencyWords = 16384
-
-// ReduceSegments returns how Reduce cuts a w-word slice for a group of n
-// members: the number of segments every chain link carries and the
-// segment length (the grain) in words. A chain of n has n−2 relaying
-// members, so c segments cost (n−2+c)·(α+β·w/c) on the critical path;
-// the optimum grain sqrt(w·L/(n−2)) is rounded down to a power of two,
-// the buffer pool's size classes. A chain of two has nothing to
-// pipeline and sends one message.
-func ReduceSegments(n, w int) (segs, grain int) {
-	if n < 2 || w == 0 {
-		return 0, 0
-	}
-	grain = w
-	if n > 2 {
-		opt := math.Sqrt(float64(w) * reduceLatencyWords / float64(n-2))
-		grain = min(w, 1<<(bits.Len(uint(max(opt, 1)))-1))
-	}
-	return (w + grain - 1) / grain, grain
-}
-
-// Reduce sums the members' equally-sized data slices into the member at
-// index root, which receives the total; other members return nil. data
-// is not modified. The sum travels down a chain that ends at the root —
-// positions root+n−1, …, root+1, root (mod n) — in ReduceSegments
-// pieces: the tail sends its slice segment by segment, every member in
-// between adds its own words into the received segment in place and
-// passes the buffer on, and the root writes segment + own into one
-// loaned result. Every member so receives each word once (the root
-// needs w words; a tree's interior received 2w), successive segments'
-// hops overlap, and the total is the left fold from tail to root
-// whatever the grain.
+// Reduce sums the members' equally-sized data slices and leaves every
+// member with its share of the total: the member at position
+// pos = (me − root) mod n returns words layout.Block(len(data), n, pos)
+// of it in a loaned buffer (nil for an empty block). data is not
+// modified. Every member first sends each other member that member's
+// block of its own slice — destinations staggered pos+1, pos+2, … so no
+// receiver is everybody's first target — then folds its block of the n
+// slices in the fixed order n−1, n−2, …, 0 of their owners' positions,
+// its own in its place. That is the left fold from root+n−1 down to
+// root (mod n) whatever n cuts the slice into: root anchors the fold
+// order and the block assignment, it does not collect anything. Every
+// member receives (n−1)·|block| words in n−1 messages, and members that
+// enter together finish (n−1)·(α + β·|block|) later on the event clock.
 func (g *Group) Reduce(root int, data []float64, tag int) []float64 {
 	g.checkRoot(root)
 	n := len(g.ranks)
-	pos := (g.me - root + n) % n // links to the root
+	pos := (g.me - root + n) % n
+	for d := 1; d < n; d++ {
+		q := (pos + d) % n
+		if blk := layout.Block(len(data), n, q); blk.Len() > 0 {
+			g.rank.Send(g.ranks[(root+q)%n], tag, data[blk.Lo:blk.Hi])
+		}
+	}
+	mine := layout.Block(len(data), n, pos)
+	if mine.Len() == 0 {
+		return nil
+	}
+	own := data[mine.Lo:mine.Hi]
+	recv := func(q int) []float64 {
+		part := g.rank.Recv(g.ranks[(root+q)%n], tag)
+		if len(part) != len(own) {
+			panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(part), len(own)))
+		}
+		return part
+	}
+	// The fold starts in position n−1's block: a received buffer is the
+	// receiver's to keep, only the tail has to copy its own.
 	var sum []float64
-	if pos == 0 {
-		sum = machine.Loan(len(data))
+	if pos == n-1 {
+		sum = machine.Loan(len(own))
+		copy(sum, own)
+	} else {
+		sum = recv(n - 1)
 	}
-	if n == 1 {
-		copy(sum, data)
-		return sum
-	}
-	from, to := g.ranks[(g.me+1)%n], g.ranks[(g.me+n-1)%n] // my chain neighbours
-	_, grain := ReduceSegments(n, len(data))
-	for lo := 0; lo < len(data); lo += grain {
-		own := data[lo:min(lo+grain, len(data))]
-		if pos == n-1 {
-			g.rank.Send(to, tag, own)
-			continue
+	for q := n - 2; q >= 0; q-- {
+		part := own
+		if q != pos {
+			part = recv(q)
 		}
-		seg := g.rank.Recv(from, tag)
-		if len(seg) != len(own) {
-			panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(seg), len(own)))
+		for i, v := range part {
+			sum[i] += v
 		}
-		if pos > 0 {
-			for i, v := range own {
-				seg[i] += v
-			}
-			g.rank.SendOwned(to, tag, seg)
-			continue
+		if q != pos {
+			machine.Release(part)
 		}
-		for i, v := range own {
-			sum[lo+i] = seg[i] + v
-		}
-		machine.Release(seg)
 	}
 	return sum
 }
@@ -174,8 +153,9 @@ type Pending struct {
 // IBcast posts a broadcast of data from the group member at index root
 // along the binary tree: the root relays data to its children
 // immediately (sends are eager and never block) and every other member
-// posts a non-blocking receive from its tree parent. Settle with Wait; interior members relay to their subtrees as
-// part of settling. Only the root's data argument is read.
+// posts a non-blocking receive from its tree parent. Settle with Wait;
+// interior members relay to their subtrees as part of settling. Only
+// the root's data argument is read.
 func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 	g.checkRoot(root)
 	p := &Pending{g: g, tag: tag, data: data}

@@ -1,9 +1,11 @@
 package comm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"cosma/internal/layout"
 	"cosma/internal/machine"
 )
 
@@ -85,13 +87,18 @@ func TestReduceSums(t *testing.T) {
 				g := groupOf(r, ids)
 				data := []float64{float64(r.ID()), 1}
 				got := g.Reduce(root, data, 5)
-				if g.Index() == root {
-					wantSum := float64(n*(n-1)) / 2
-					if got[0] != wantSum || got[1] != float64(n) {
-						t.Errorf("n=%d root=%d: got %v", n, root, got)
+				defer machine.Release(got)
+				pos := (g.Index() - root + n) % n
+				want := []float64{float64(n*(n-1)) / 2, float64(n)}
+				share := layout.Block(len(want), n, pos)
+				if len(got) != share.Len() {
+					t.Errorf("n=%d root=%d: position %d got %v", n, root, pos, got)
+					return nil
+				}
+				for j, v := range got {
+					if v != want[share.Lo+j] {
+						t.Errorf("n=%d root=%d: position %d got %v", n, root, pos, got)
 					}
-				} else if got != nil {
-					t.Errorf("non-root got %v", got)
 				}
 				return nil
 			})
@@ -157,9 +164,15 @@ func TestCollectivesUnderRandomGroupOrder(t *testing.T) {
 		if got := g.Bcast(4, data, 2); got[0] != 7 {
 			t.Errorf("rank %d got %v", r.ID(), got)
 		}
+		// One word over nine members: Block(1, n, ·) is empty but for the
+		// last position, root+n−1.
 		sum := g.Reduce(1, []float64{1}, 3)
-		if g.Index() == 1 && sum[0] != float64(n) {
+		defer machine.Release(sum)
+		if g.Index() == 0 && (len(sum) != 1 || sum[0] != float64(n)) {
 			t.Errorf("reduce got %v", sum)
+		}
+		if g.Index() != 0 && sum != nil {
+			t.Errorf("position %d got %v, want an empty share", (g.Index()-1+n)%n, sum)
 		}
 		return nil
 	})
@@ -168,28 +181,22 @@ func TestCollectivesUnderRandomGroupOrder(t *testing.T) {
 	}
 }
 
-// TestReduceChainProperty runs the reduction over group sizes 1–9, every
-// root, a shuffled member order and lengths on both sides of a segment
-// cut, on the counting and the timed transport. The total must be
-// bitwise the left fold down the chain — positions root+n−1, …, root+1,
-// root (mod n) — whatever the grain cut it into; inputs stay untouched,
-// non-roots get nil, the tail receives nothing and every other member
-// each word exactly once.
-func TestReduceChainProperty(t *testing.T) {
+// TestReduceShareProperty runs the reduction over group sizes 1–9, every
+// root, a shuffled member order and lengths around a multiple of n, on
+// the counting and the timed transport. The member at position pos must
+// hold bitwise words Block(w, n, pos) of the left fold down positions
+// root+n−1, …, root+1, root (mod n); inputs stay untouched, and every
+// member receives its block from each of the others — (n−1)·|block|
+// words in n−1 messages, nothing for an empty block.
+func TestReduceShareProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	machines := map[string]func(int) *machine.Machine{
 		"counting": machine.New,
 		"timed":    func(p int) *machine.Machine { return machine.NewTimed(p, machine.PizDaintNet()) },
 	}
 	for n := 1; n <= 9; n++ {
-		// A length that is cut (the optimum grain at 4L/(n−2) words is half
-		// of it at most) fixes the grain the others straddle.
-		_, grain := ReduceSegments(n, 4*reduceLatencyWords/max(n-2, 1))
-		if n < 3 {
-			grain = 1 << 10
-		}
 		ids := rng.Perm(n)
-		for _, w := range []int{0, 1, grain - 1, grain, grain + 1, 3*grain + 7} {
+		for _, w := range []int{0, 1, n - 1, n, n + 1, 37*n + 5} {
 			// Seeded values no float64 represents exactly, so every
 			// association of the sum rounds differently.
 			in := make([][]float64, n)
@@ -198,10 +205,6 @@ func TestReduceChainProperty(t *testing.T) {
 				for j := range in[i] {
 					in[i][j] = rng.NormFloat64() / 3
 				}
-			}
-			segs, _ := ReduceSegments(n, w)
-			if n == 2 && w > 0 && segs != 1 {
-				t.Fatalf("w=%d: a chain of two cuts %d segments, want one message", w, segs)
 			}
 			for root := 0; root < n; root++ {
 				want := append([]float64(nil), in[(root+n-1)%n]...)
@@ -216,25 +219,22 @@ func TestReduceChainProperty(t *testing.T) {
 						g := groupOf(r, ids)
 						data := append([]float64(nil), in[g.Index()]...)
 						got := g.Reduce(root, data, 7)
+						defer machine.Release(got)
 						for j, v := range data {
 							if v != in[g.Index()][j] {
 								t.Errorf("%s n=%d root=%d w=%d: member %d's input modified at %d", name, n, root, w, g.Index(), j)
 								break
 							}
 						}
-						if g.Index() != root {
-							if got != nil {
-								t.Errorf("%s n=%d root=%d w=%d: non-root got %d words", name, n, root, w, len(got))
-							}
-							return nil
-						}
-						if len(got) != w {
-							t.Errorf("%s n=%d root=%d w=%d: total has %d words", name, n, root, w, len(got))
+						pos := (g.Index() - root + n) % n
+						share := layout.Block(w, n, pos)
+						if len(got) != share.Len() {
+							t.Errorf("%s n=%d root=%d w=%d: position %d holds %d words, want %d", name, n, root, w, pos, len(got), share.Len())
 							return nil
 						}
 						for j, v := range got {
-							if v != want[j] {
-								t.Errorf("%s n=%d root=%d w=%d: word %d = %v, left fold %v", name, n, root, w, j, v, want[j])
+							if v != want[share.Lo+j] {
+								t.Errorf("%s n=%d root=%d w=%d: word %d = %v, left fold %v", name, n, root, w, share.Lo+j, v, want[share.Lo+j])
 								break
 							}
 						}
@@ -244,14 +244,15 @@ func TestReduceChainProperty(t *testing.T) {
 						t.Fatalf("%s n=%d root=%d w=%d: %v", name, n, root, w, err)
 					}
 					for i, id := range ids {
-						c := m.Counters(id)
-						wantRecv, wantMsgs := int64(w), int64(segs)
-						if i == (root+n-1)%n || n == 1 {
-							wantRecv, wantMsgs = 0, 0
+						pos := (i - root + n) % n
+						block := int64(layout.Block(w, n, pos).Len())
+						wantRecv, wantMsgs := int64(n-1)*block, int64(n-1)
+						if block == 0 {
+							wantMsgs = 0
 						}
-						if c.RecvWords != wantRecv || c.RecvMsgs != wantMsgs {
-							t.Fatalf("%s n=%d root=%d w=%d: chain position %d received %d words in %d messages, want %d in %d",
-								name, n, root, w, (i-root+n)%n, c.RecvWords, c.RecvMsgs, wantRecv, wantMsgs)
+						if c := m.Counters(id); c.RecvWords != wantRecv || c.RecvMsgs != wantMsgs {
+							t.Fatalf("%s n=%d root=%d w=%d: position %d received %d words in %d messages, want %d in %d",
+								name, n, root, w, pos, c.RecvWords, c.RecvMsgs, wantRecv, wantMsgs)
 						}
 					}
 				}
@@ -260,12 +261,11 @@ func TestReduceChainProperty(t *testing.T) {
 	}
 }
 
-// TestReduceChainPipelinesTimed is the pipelining guard on the benchmark's
-// two fiber shapes: with c segments on a chain of n, the root holds the
-// total within (1 + (n−2)/c)·β·w + (n−2+c)·2α on pizdaint — one tile's
-// transfer plus a segment per relaying member — where unsegmented hops
-// would cost (n−1)·β·w.
-func TestReduceChainPipelinesTimed(t *testing.T) {
+// TestReduceClosedFormTimed pins the event clock on the benchmark's two
+// fiber shapes: members that enter together post n−1 sends (α each) and
+// then take n−1 blocks (β·⌈w/n⌉ each) that have all departed by then, so
+// the slowest finishes at (n−1)·(α + β·⌈w/n⌉) on pizdaint.
+func TestReduceClosedFormTimed(t *testing.T) {
 	net := machine.PizDaintNet()
 	for _, c := range []struct{ n, w int }{{4, 262144}, {15, 16384}} {
 		ids := make([]int, c.n)
@@ -281,15 +281,10 @@ func TestReduceChainPipelinesTimed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, _ := ReduceSegments(c.n, c.w)
-		if segs < 2 {
-			t.Fatalf("n=%d w=%d: %d segments, nothing to pipeline", c.n, c.w, segs)
-		}
-		relays, s := float64(c.n-2), float64(segs)
-		limit := (1+relays/s)*net.Beta*float64(c.w) + (relays+s)*2*net.Alpha
-		if got := m.MaxTime(); got > limit {
-			t.Errorf("n=%d w=%d: %d segments took %.4g s, want ≤ %.4g (serial hops: %.4g)",
-				c.n, c.w, segs, got, limit, float64(c.n-1)*net.Beta*float64(c.w))
+		block := (c.w + c.n - 1) / c.n
+		want := float64(c.n-1) * (net.Alpha + net.Beta*float64(block))
+		if got := m.MaxTime(); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("n=%d w=%d: finished at %.17g s, want %.17g", c.n, c.w, got, want)
 		}
 	}
 }

@@ -22,8 +22,8 @@ const (
 	tagA = 1 << 20
 	tagB = 2 << 20
 	tagC = 3 << 20
-	// tagOut carries the multi-process result gather: fiber roots send
-	// their final C tiles to rank 0 (tag offset by sender id).
+	// tagOut carries the multi-process result gather: every rank sends
+	// its share of C to rank 0 (tag offset by sender id).
 	tagOut = 4 << 20
 	// tagInA/tagInB carry the layer-0 input scatter (plan.layer0).
 	tagInA = 5 << 20
@@ -122,74 +122,80 @@ func (pl *plan) geometry() algo.Decomposition {
 
 // Execute is the algo.Plan's Execute. Every rank reads its pieces of a and b
 // in place, as views, for the whole run. The returned matrix is
-// assembled from the ranks' distributed output tiles; the tile payloads
-// (loaned from the machine pool by the fiber reduction) are released
-// back once copied out. On a multi-process machine every fiber root
-// forwards its tile to rank 0 (the tagOut gather), so only the process
-// hosting rank 0 assembles the product — the others return a zero
-// matrix.
+// assembled from the ranks' shares of C; the share payloads (loaned from
+// the machine pool by the fiber reduction) are released back once copied
+// out. On a multi-process machine every rank forwards its share to
+// rank 0 (the tagOut gather), so only the process hosting rank 0
+// assembles the product — the others return a zero matrix.
 func (pl *plan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
 	multi := mach.MultiProcess()
-	tiles := make([]*matrix.Dense, pl.g.Ranks()) // final C tiles, indexed by rank
+	shares := make([][]float64, pl.g.Ranks()) // indexed by rank
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
 		if r.ID() >= pl.g.Ranks() {
 			return nil // idle rank left out by the grid fitting
 		}
-		tile, err := pl.rankProgram(r, scratch, a, b)
+		share, err := pl.rankProgram(r, scratch, a, b)
 		if err != nil || !multi {
-			tiles[r.ID()] = tile
+			shares[r.ID()] = share
 			return err
 		}
-		return pl.gatherTiles(r, tile, tiles)
+		pl.gatherShares(r, share, shares)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
+	// A share is a flat word range of its fiber's row-major tile: it
+	// lands in out one row piece at a time.
 	out := matrix.New(pl.m, pl.n)
-	for id := 0; id < pl.g.Ranks(); id++ {
-		if tiles[id] == nil {
-			continue
+	for id, share := range shares {
+		rows, cols, words := pl.share(id)
+		dn := cols.Len()
+		for rest := share; len(rest) > 0; {
+			i, j := words.Lo/dn, words.Lo%dn
+			c := copy(out.Data[(rows.Lo+i)*out.Stride+cols.Lo+j:][:dn-j], rest)
+			rest, words.Lo = rest[c:], words.Lo+c
 		}
-		im, in, _ := pl.g.Coords(id)
-		rows := layout.Block(pl.m, pl.g.Pm, im)
-		cols := layout.Block(pl.n, pl.g.Pn, in)
-		out.View(rows.Lo, cols.Lo, rows.Len(), cols.Len()).CopyFrom(tiles[id])
-		machine.Release(tiles[id].Data)
+		machine.Release(share)
 	}
 	return out, nil
 }
 
-// gatherTiles is the multi-process epilogue: fiber roots other than
-// rank 0 hand their (pool-loaned) tile to rank 0, which collects every
-// root's tile into tiles for assembly. The tags are offset by the
-// sender id, so the receives match deterministically regardless of
-// arrival order. Non-root ranks have no tile and send nothing.
-func (pl *plan) gatherTiles(r *machine.Rank, tile *matrix.Dense, tiles []*matrix.Dense) error {
+// share returns what rank id ends with: words of the row-major
+// rows×cols C tile of its fiber, cut evenly over the fiber's Pk members
+// by the reduction.
+func (pl *plan) share(id int) (rows, cols, words layout.Range) {
+	im, in, ik := pl.g.Coords(id)
+	rows = layout.Block(pl.m, pl.g.Pm, im)
+	cols = layout.Block(pl.n, pl.g.Pn, in)
+	return rows, cols, layout.Block(rows.Len()*cols.Len(), pl.g.Pk, ik)
+}
+
+// gatherShares is the multi-process epilogue: every rank other than
+// rank 0 hands its (pool-loaned) share to rank 0, which collects them
+// into shares for assembly. The tags are offset by the sender id, so
+// the receives match deterministically regardless of arrival order. An
+// empty share is neither sent nor awaited.
+func (pl *plan) gatherShares(r *machine.Rank, share []float64, shares [][]float64) {
 	if r.ID() != 0 {
-		if tile != nil {
-			r.SendOwned(0, tagOut+r.ID(), tile.Data)
+		if len(share) > 0 {
+			r.SendOwned(0, tagOut+r.ID(), share)
 		}
-		return nil
+		return
 	}
-	tiles[0] = tile
+	shares[0] = share
 	for id := 1; id < pl.g.Ranks(); id++ {
-		im, in, ik := pl.g.Coords(id)
-		if ik != 0 {
-			continue // not a fiber root: no output tile
+		if _, _, words := pl.share(id); words.Len() > 0 {
+			shares[id] = r.Recv(id, tagOut+id)
 		}
-		rows := layout.Block(pl.m, pl.g.Pm, im)
-		cols := layout.Block(pl.n, pl.g.Pn, in)
-		tiles[id] = matrix.FromSlice(rows.Len(), cols.Len(), r.Recv(id, tagOut+id))
 	}
-	return nil
 }
 
 // rankProgram is one rank's part of Algorithm 1. It returns the rank's
-// final C tile if it is a fiber root (ik == 0), else nil. The tile's
-// payload is loaned from the machine pool; Execute releases it after
-// assembly.
-func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
+// share of its fiber's summed C tile (plan.share), loaned from the
+// machine pool; Execute releases it after assembly.
+func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.Dense) ([]float64, error) {
 	im, in, ik := pl.g.Coords(r.ID())
 	rows := layout.Block(pl.m, pl.g.Pm, im) // my M range
 	cols := layout.Block(pl.n, pl.g.Pn, in) // my N range
@@ -288,12 +294,9 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		return nil, err
 	}
 
-	// Reduce the partial C tiles along the fiber to the ik = 0 root.
-	sum := fiber.Reduce(0, cTile.Data, tagC)
-	if ik != 0 {
-		return nil, nil
-	}
-	return matrix.FromSlice(dm, dn, sum), nil
+	// Sum the partial C tiles along the fiber; every member keeps its
+	// share of the total.
+	return fiber.Reduce(0, cTile.Data, tagC), nil
 }
 
 // StepSize is the latency-minimizing number of outer products per round
@@ -349,12 +352,12 @@ func ownerOf(parts []layout.Range, x int) int {
 // count is the plan's model: the words Algorithm 1's ranks receive, added
 // up rank by rank over the layout.Block cuts rankProgram walks — the
 // share of its A panel (rows × slab) and B panel (slab × cols) a rank does
-// not own, its C tile unless it is the tail of the fiber's reduction chain,
+// not own, its block of the C tile from each of the fiber's other members,
 // and under layer0 its own pieces too if it is off layer 0 — so average
 // and maximum equal what an execution measures. MaxMsgs is per round one
 // message for each panel broadcast with anyone to talk to, the reduction's
-// segments (twice for a chain member that passes them on) and the two
-// scattered pieces; MaxFlops is the largest local domain's.
+// Pk−1 blocks out and Pk−1 in, and the two scattered pieces; MaxFlops is
+// the largest local domain's.
 func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 	g := pl.g
 	var total, maxRecv int
@@ -366,10 +369,8 @@ func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 			for im := 0; im < g.Pm; im++ {
 				dm := layout.Block(pl.m, g.Pm, im).Len()
 				bMine := layout.Block(slab, g.Pm, im).Len()
-				recv := dm*(slab-aMine) + (slab-bMine)*dn
-				if ik != g.Pk-1 {
-					recv += dm * dn
-				}
+				recv := dm*(slab-aMine) + (slab-bMine)*dn +
+					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
 				if pl.layer0 && ik != 0 {
 					recv += dm*aMine + bMine*dn
 				}
@@ -379,8 +380,7 @@ func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 		}
 	}
 	bcasts := min(g.Pn-1, 1) + min(g.Pm-1, 1)
-	segs, _ := comm.ReduceSegments(g.Pk, d.DomainM*d.DomainN)
-	msgs := bcasts*d.Rounds + segs*min(g.Pk-1, 2)
+	msgs := bcasts*d.Rounds + 2*(g.Pk-1)
 	if pl.layer0 && g.Pk > 1 {
 		msgs += 2
 	}

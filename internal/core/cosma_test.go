@@ -36,6 +36,7 @@ func TestCOSMACorrectAcrossShapes(t *testing.T) {
 		{"odd p", 24, 24, 24, 7, 1 << 10},
 		{"p65 fig5", 16, 16, 16, 65, 1 << 10},
 		{"prime dims", 13, 17, 11, 6, 1 << 10},
+		{"tile smaller than its fiber", 1, 64, 2, 8, 1 << 10}, // empty shares of C
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,7 +58,7 @@ func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 	// On divisible problems the measured average received words must equal
 	// the structural model exactly, and so must the busiest rank's words;
 	// where a fiber reduces (Pk > 1) its messages too: the model counts
-	// the chain's segments with the function the reduction cuts them by.
+	// the reduction's Pk−1 blocks out and Pk−1 in.
 	rng := rand.New(rand.NewSource(2))
 	cases := []struct {
 		m, k, n, p, s int
@@ -68,7 +69,7 @@ func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 		{64, 16, 32, 8, 1 << 20, "[4×2×1]"},
 		{32, 32, 32, 8, 600, "[2×2×2]"}, // limited memory → k-parallel grid
 		// The benchmark's two reducing shapes at an eighth of their edge:
-		// square-roomy's grid (4 segments a link) and tall-k's chain (4).
+		// square-roomy's grid and tall-k's 14-deep fiber.
 		{512, 512, 512, 16, 1 << 20, "[2×2×4]"},
 		{128, 15360, 128, 15, 1 << 22, "[1×1×14]"},
 	}

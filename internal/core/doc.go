@@ -6,8 +6,9 @@
 // may idle up to δ·p ranks, and execution proceeds in
 // latency-minimizing rounds of s = ⌊(S−a²)/(2a)⌋ outer products
 // (Algorithm 1 line 6), with inputs broadcast along grid rows/columns
-// from the blocked data layout (§7.6) and partial C results reduced
-// along the k fibers. A rank's pieces of that layout are views of the
+// from the blocked data layout (§7.6) and partial C results
+// reduce-scattered along the k fibers, so C ends distributed over all
+// ranks like A and B. A rank's pieces of that layout are views of the
 // caller's matrices: the panels it owns are multiplied where they
 // already are and packed only to be sent, so every input word is
 // touched once before the kernel packs it into micro-panels.

@@ -77,9 +77,9 @@ func (g Grid) LocalDims(m, n, k int) (dm, dn, dk int) {
 // ModelVolume estimates the average per-rank received words of a
 // COSMA-style schedule on this grid: each rank assembles its dm×dk panel
 // of A (receiving the (pn−1)/pn share it does not already hold), its
-// dk×dn panel of B, and takes part in the k-dimension chain reduction of
-// its dm×dn C tile, in which every fiber member but the tail receives the
-// tile once: dm·dn·(pk−1)/pk received words on average. It is Fit's O(1)
+// dk×dn panel of B, and takes part in the k-dimension reduce-scatter of
+// its dm×dn C tile, in which every fiber member receives its 1/pk share
+// from each of the others: dm·dn·(pk−1)/pk received words. It is Fit's O(1)
 // objective; the number a plan reports is core's per-rank count, which
 // this equals on evenly divisible shapes.
 func (g Grid) ModelVolume(m, n, k int) float64 {

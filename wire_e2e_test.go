@@ -145,8 +145,8 @@ func TestWireMultiProcessBitwise(t *testing.T) {
 					t.Fatalf("word %d: wire %v != in-process %v (bitwise mismatch)", i, got.Data[i], want.Data[i])
 				}
 			}
-			// The wire report includes the result gather (fiber roots ship
-			// their C tiles to rank 0 — traffic the in-process machine
+			// The wire report includes the result gather (every rank ships
+			// its share of C to rank 0 — traffic the in-process machine
 			// never needs), so rank 0's measured receive volume exceeds
 			// the algorithm's by exactly that much, never less.
 			if got, want := rep.MaxRecv, wantRep.MaxRecv; got < want {
