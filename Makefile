@@ -22,10 +22,13 @@ test-noasm:
 
 # cross-arm64 vets and builds the arm64 side, whose NEON kernel and Go
 # glue share the amd64 dispatch signature but cannot be run on an amd64
-# box: asmdecl checks the assembly's frame against its Go declaration.
+# box: asmdecl checks the assembly's frame against its Go declaration,
+# and the matrix test binary, which names the tile simd_arm64.go sets,
+# is compiled without running.
 cross-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/matrix
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/matrix
 
 # fault-conformance runs the transport-semantics suite's fault-injection
 # section under -race on all three transports: every injected failure

@@ -273,9 +273,10 @@ func BenchmarkLocalKernel(b *testing.B) {
 	a := RandomMatrix(n, n, 1)
 	bb := RandomMatrix(n, n, 2)
 	c := NewMatrix(n, n)
+	k := matrix.NewKernel(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matrix.Mul(c, a, bb)
+		k.Mul(c, a, bb)
 	}
 	flops := 2 * float64(n) * float64(n) * float64(n)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")

@@ -158,18 +158,17 @@ func WireSocketAddrs(dir string, p int) []string { return wire.SocketAddrs(dir, 
 func WireTCPAddrs(host string, base, p int) []string { return wire.TCPAddrs(host, base, p) }
 
 // Calibration is the measured local-compute profile of this machine:
-// the packed kernel's sustained Gflop/s (and the micro-kernel variant
-// it dispatched to) and its reciprocal γ in seconds per flop.
+// the packed kernel's sustained Gflop/s (and the register tile it ran)
+// and its reciprocal γ in seconds per flop.
 type Calibration = matrix.Calibration
 
 // Calibrate measures the packed local GEMM kernel on this machine
 // (n <= 0 picks the default problem size, threads <= 0 means GOMAXPROCS)
-// and returns the measured γ. The kernel dispatches to the best SIMD
-// micro-kernel variant the CPU supports — the same default executions
-// use — and the result names it. Measurements are memoized per
-// (n, threads) for the process lifetime. Substitute the result into a
-// network preset to make predictions charge compute at the achieved,
-// not assumed, rate:
+// and returns the measured γ. The kernel runs the register tile the
+// process selected at startup — the one executions use — and the
+// result names it. Every call measures afresh. Substitute the result
+// into a network preset to make predictions charge compute at the
+// achieved, not assumed, rate:
 //
 //	cal := cosma.Calibrate(0, 0)
 //	eng, _ := cosma.NewEngine(cosma.WithProcs(p),

@@ -143,16 +143,18 @@ func TestDocsNameRealTargets(t *testing.T) {
 }
 
 // TestDocsNameRealIdentifiers keeps the prose honest about the machine
-// layer: every back-ticked `machine.X`, `comm.X`, `layout.X` or `wire.X`
-// in README or the architecture doc is an exported top-level declaration
-// of that package (`pkg.T.M`: method M of its type T), and every
-// `Rank.X` a method of machine.Rank — so naming a deleted primitive in
-// the docs fails tier-1. Benchmark rows (`wire.over_counting`) are
-// lower-case after the dot and are not identifiers.
+// layer and the local kernel: every back-ticked `machine.X`, `comm.X`,
+// `layout.X`, `wire.X` or `matrix.X` in README or the architecture doc
+// is an exported top-level declaration of that package (`pkg.T.M`:
+// method M of its type T), and every `Rank.X` a method of machine.Rank —
+// so naming a deleted primitive in the docs fails tier-1. Benchmark rows
+// (`wire.over_counting`, `matrix.kernel_ms`) are lower-case after the
+// dot and are not identifiers.
 func TestDocsNameRealIdentifiers(t *testing.T) {
 	dirs := map[string]string{
 		"machine": "internal/machine", "comm": "internal/comm",
 		"layout": "internal/layout", "wire": "internal/machine/wire",
+		"matrix": "internal/matrix",
 	}
 	// decls[pkg] holds "X" for a top-level declaration, "T.M" for a method.
 	decls := map[string]map[string]bool{}
@@ -196,7 +198,7 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 		}
 		decls[pkg] = names
 	}
-	ref := regexp.MustCompile("`(machine|Rank|comm|layout|wire)\\.([A-Z]\\w*(?:\\.[A-Z]\\w*)?)")
+	ref := regexp.MustCompile("`(machine|Rank|comm|layout|wire|matrix)\\.([A-Z]\\w*(?:\\.[A-Z]\\w*)?)")
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 // reference computes the plain O(n³) product for verification.
 func reference(a, b *Matrix) *Matrix {
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b)
+	matrix.NewKernel(1).Mul(c, a, b)
 	return c
 }
 

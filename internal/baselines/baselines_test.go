@@ -17,7 +17,7 @@ var cosma, summa, c25d, carma, cannon = Algorithms[0], Algorithms[1], Algorithms
 
 func mulRef(a, b *matrix.Dense) *matrix.Dense {
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b)
+	matrix.NewKernel(1).Mul(c, a, b)
 	return c
 }
 

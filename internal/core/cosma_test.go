@@ -16,7 +16,7 @@ import (
 
 func mulRef(a, b *matrix.Dense) *matrix.Dense {
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b)
+	matrix.NewKernel(1).Mul(c, a, b)
 	return c
 }
 

@@ -80,11 +80,7 @@ func StepAblation() *report.Table {
 	s := 1 << 21
 	g := grid.Fit(m, n, k, p, s, core.DefaultDelta)
 	dm, dn, dk := g.LocalDims(m, n, k)
-	free := s - dm*dn
-	hOpt := free / (dm + dn)
-	if hOpt < 1 {
-		hOpt = 1
-	}
+	hOpt := core.StepSize(s, dm, dn)
 	t := report.NewTable(
 		fmt.Sprintf("Ablation: round step size (grid %s, domain %d×%d×%d, h*=%d)",
 			g.String(), dm, dn, dk, hOpt),

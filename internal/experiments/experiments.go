@@ -14,6 +14,7 @@ import (
 	"cosma/internal/core"
 	"cosma/internal/costmodel"
 	"cosma/internal/grid"
+	"cosma/internal/layout"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/report"
@@ -312,9 +313,7 @@ func Fig12() *report.Table {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: COSMA on %+v: %v", c, err))
 			}
-			d := pl.Geometry
-			outWords := float64(d.DomainM) * float64(d.DomainN) * float64(d.GridPk-1) / float64(d.GridPk) * 2
-			compute, input, output := split(net, pl.Model, outWords)
+			compute, input, output := split(net, pl.Model, outputWords(*pl.Geometry))
 			t.AddRow(shape.String(), p, compute*1e3, input*1e3, output*1e3,
 				pl.Time(net, false)*1e3, pl.Time(net, true)*1e3)
 		}
@@ -322,12 +321,20 @@ func Fig12() *report.Table {
 	return t
 }
 
+// outputWords is the C traffic of COSMA's busiest rank: the fiber
+// reduce-scatters the dm×dn tile, so a member receives its block of the
+// tile, cut as core's count cuts it (layout.Block, the largest block),
+// from each of the Pk−1 other members.
+func outputWords(d algo.Decomposition) float64 {
+	tile := d.DomainM * d.DomainN
+	return float64((d.GridPk - 1) * layout.Block(tile, d.GridPk, d.GridPk-1).Len())
+}
+
 // split is Figure 12's breakdown of mod's serial time on net into
 // computation, input (A and B panels) and output (reducing C)
 // communication, taking outWords of the model's MaxRecv words as output
 // traffic and charging the messages to the input side.
 func split(net machine.NetworkParams, mod algo.Model, outWords float64) (compute, input, output float64) {
-	outWords = min(outWords, mod.MaxRecv)
 	return net.Time(mod.MaxFlops, 0, 0), net.Time(0, mod.MaxRecv-outWords, mod.MaxMsgs), net.Time(0, outWords, 0)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
+	"cosma/internal/core"
 	"cosma/internal/machine"
 	"cosma/internal/workload"
 )
@@ -191,10 +192,32 @@ func TestSplitInputOutput(t *testing.T) {
 	if _, in, out := split(net, mod, 1.6e8); in <= input || out != output {
 		t.Fatalf("100 messages moved input %v → %v, output %v → %v", input, in, output, out)
 	}
-	// Clamp: more output than total traffic.
-	mod.MaxMsgs = 0
-	if _, in, _ := split(net, mod, 1e12); in != 0 {
-		t.Fatalf("clamped input time %v, want 0", in)
+}
+
+// TestFig12OutputWithinMaxRecv: Figure 12's C share is part of the
+// busiest rank's words, never more — on every row the output words are
+// at most MaxRecv and input + output words are exactly MaxRecv.
+func TestFig12OutputWithinMaxRecv(t *testing.T) {
+	rows := 0
+	for _, shape := range shapes {
+		for _, p := range []int{2048, 18432} {
+			c := workload.Generate(shape, workload.StrongScaling, p)
+			if !feasible(c) {
+				continue
+			}
+			pl, err := core.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, maxRecv := outputWords(*pl.Geometry), pl.Model.MaxRecv
+			if in := maxRecv - out; out < 0 || out > maxRecv || in+out != maxRecv {
+				t.Errorf("%v p=%d: output %v, input %v words of MaxRecv %v", shape, p, out, in, maxRecv)
+			}
+			rows++
+		}
+	}
+	if rows != 8 {
+		t.Fatalf("checked %d Figure 12 rows, want 8", rows)
 	}
 }
 

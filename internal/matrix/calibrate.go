@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -18,7 +17,7 @@ type Calibration struct {
 	N       int           // problem size measured (n×n×n)
 	Threads int           // kernel worker bound used
 	Runs    int           // timed repetitions (best run is kept)
-	Variant string        // micro-kernel variant the kernel dispatched to
+	Variant string        // register tile the kernel dispatched to
 	Best    time.Duration // fastest single multiplication
 	GFlops  float64       // sustained 2n³/Best in Gflop/s
 	Gamma   float64       // measured seconds per flop: 1/(GFlops·1e9)
@@ -30,44 +29,14 @@ func (c Calibration) String() string {
 		c.N, c.Threads, c.Variant, c.GFlops, c.Gamma, c.Runs, c.Best)
 }
 
-// calMemo caches calibration results per (n, resolved threads) for the
-// lifetime of the process: a calibration is a property of the machine
-// and binary, not of the caller, so cmd/cosma -calibrate and
-// cmd/experiments -calibrate never redundantly re-run the measurement
-// loop within one invocation.
-var calMemo struct {
-	sync.Mutex
-	m    map[[2]int]Calibration
-	runs int // measurement loops actually executed (for tests)
-}
-
-// timeMul times kernel multiplications of a·b into c and returns the
-// fastest of runs repetitions — the standard best-of-N discipline
-// against scheduler noise. One untimed warm-up run populates the pack
-// buffers and faults pages in.
-func timeMul(k *Kernel, c, a, b *Dense, runs int) time.Duration {
-	k.Mul(c, a, b) // warm-up: allocate pack buffers, fault pages in
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < runs; r++ {
-		c.Zero()
-		start := time.Now()
-		k.Mul(c, a, b)
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Calibrate measures the achieved throughput of the packed kernel on an
 // n×n×n multiplication with the given worker bound (n <= 0 picks 384, a
 // size past the L2 cliff but quick to repeat; threads <= 0 means
-// GOMAXPROCS) and returns the measured γ. The kernel dispatches to the
-// best micro-kernel variant available on this CPU — the same default
-// the executors use — and the returned Calibration names it, so γ
-// reflects the kernel that actually runs. Results are memoized per
-// (n, threads) for the process lifetime; the underlying measurement is
-// the best of three timed runs after one warm-up.
+// GOMAXPROCS) and returns the measured γ. The kernel runs the register
+// tile this process dispatched to — the one the executors run — and the
+// returned Calibration names it, so γ reflects the kernel that actually
+// runs. The measurement is the best of three timed runs after one
+// warm-up; each call measures afresh.
 //
 // Feed the result into a network model with NetworkParams.WithGamma so
 // predictions charge compute at the measured rate:
@@ -79,35 +48,27 @@ func Calibrate(n, threads int) Calibration {
 		n = 384
 	}
 	k := NewKernel(threads)
-	key := [2]int{n, k.Threads()}
-	calMemo.Lock()
-	defer calMemo.Unlock()
-	if cal, ok := calMemo.m[key]; ok {
-		return cal
-	}
-	cal := calibrateKernel(n, k)
-	if calMemo.m == nil {
-		calMemo.m = make(map[[2]int]Calibration)
-	}
-	calMemo.m[key] = cal
-	calMemo.runs++
-	return cal
-}
-
-// calibrateKernel runs the uncached measurement loop for one kernel.
-func calibrateKernel(n int, k *Kernel) Calibration {
 	rng := rand.New(rand.NewSource(1))
 	a := Random(n, n, rng)
 	b := Random(n, n, rng)
 	c := New(n, n)
 
+	// Best of three timed runs against scheduler noise, after one
+	// untimed warm-up that allocates the pack buffers and faults pages in.
 	const runs = 3
-	best := timeMul(k, c, a, b, runs)
+	k.Mul(c, a, b)
+	best := time.Duration(1<<63 - 1)
+	for r := 0; r < runs; r++ {
+		c.Zero()
+		start := time.Now()
+		k.Mul(c, a, b)
+		best = min(best, time.Since(start))
+	}
 	flops := float64(MulFlops(n, n, n))
 	gflops := flops / best.Seconds() / 1e9
 	return Calibration{
 		N: n, Threads: k.Threads(), Runs: runs,
-		Variant: k.Variant().String(),
+		Variant: k.tile.name,
 		Best:    best,
 		GFlops:  gflops,
 		Gamma:   best.Seconds() / flops,

@@ -5,76 +5,33 @@ import (
 	"sync"
 )
 
-// Default cache-blocking parameters of the packed kernel, following
-// the GotoBLAS/BLIS decomposition: the innermost computation is an
-// mr×nr register tile updated over a kc-deep packed panel; mc rows of
-// A are packed at a time so the A panel stays L2-resident while the
-// kc×nc B panel streams from L3/memory. Correctness does not depend
-// on the cache-block values mc/kc/nc — every loop handles fringes —
-// only throughput does. mr and nr are properties of the micro-kernel
-// variant (4×4 for the portable Go tile; 4×8 for AVX2, 8×4 for NEON)
-// and set the packed micro-panel widths.
+// Cache-blocking parameters of the packed kernel, following the
+// GotoBLAS/BLIS decomposition: the innermost computation is an mr×nr
+// register tile updated over a kc-deep packed panel; mc rows of A are
+// packed at a time so the A panel stays L2-resident while the kc×nc B
+// panel streams from L3/memory. Correctness does not depend on the
+// cache-block values mc/kc/nc — every loop handles fringes — only
+// throughput does. mr and nr are the portable Go tile's; the dispatched
+// tile (4×8 for AVX2, 8×4 for NEON) sets the packed micro-panel widths.
 const (
-	mr = 4 // register-tile rows of the portable Go variant
-	nr = 4 // register-tile cols of the portable Go variant
+	mr = 4 // register-tile rows of the portable Go tile
+	nr = 4 // register-tile cols of the portable Go tile
 
 	mc = 128 // rows of A packed per L2 block
 	kc = 256 // panel depth: packed A is mc×kc ≈ 256 KB, one B strip nr×kc ≈ 8 KB
 	nc = 512 // cols of B packed per outer block (kc×nc ≈ 1 MB)
 )
 
-// Params selects a packed-kernel configuration: the cache-block sizes
-// of the three outer loops and the register micro-kernel variant
-// (which fixes the tile shape mr×nr). The zero value selects the
-// portable defaults; DefaultParams additionally picks the best SIMD
-// variant the CPU supports — the one configuration executions run;
-// other values exist for the bitwise-identity property tests.
-type Params struct {
-	MC int // rows of A packed per block (≤ 0: default mc)
-	KC int // packed panel depth (≤ 0: default kc)
-	NC int // cols of B packed per block (≤ 0: default nc)
-	// Variant is the register micro-kernel. An unavailable variant
-	// (wrong architecture, noasm build, or unsupported CPU) silently
-	// degrades to VariantGo4x4 so explicit parameters stay portable.
-	Variant Variant
-}
-
-// DefaultParams returns the configuration executions run: the
-// package's cache blocks with the best micro-kernel variant available
-// on this machine.
-func DefaultParams() Params {
-	return Params{MC: mc, KC: kc, NC: nc, Variant: BestVariant()}
-}
-
-// normalized resolves zero fields to the defaults and unavailable
-// variants to the portable fallback.
-func (p Params) normalized() Params {
-	if p.MC < 1 {
-		p.MC = mc
-	}
-	if p.KC < 1 {
-		p.KC = kc
-	}
-	if p.NC < 1 {
-		p.NC = nc
-	}
-	if !p.Variant.Available() {
-		p.Variant = VariantGo4x4
-	}
-	return p
-}
-
 // packBuf is one worker's private packing scratch. The buffers grow to
-// the largest block the worker has packed (capped by MC×KC and KC×NC)
-// and are reused for every panel of every Mul call, so steady-state
-// packing performs zero allocations while small problems — the common
-// case for simulated ranks, whose local tiles shrink with p — never
-// pay for full-size blocks. Go float64 slices are 8-byte aligned and
-// blocks beyond ~32 KB come from the page-aligned large-object
-// allocator, which is what the micro-kernel's streaming access wants.
+// the largest block the worker has packed (capped by mc×kc) and are
+// reused for every panel of every Mul call, so steady-state packing
+// performs zero allocations while small problems — the common case for
+// simulated ranks, whose local tiles shrink with p — never pay for
+// full-size blocks. Go float64 slices are 8-byte aligned and blocks
+// beyond ~32 KB come from the page-aligned large-object allocator,
+// which is what the micro-kernel's streaming access wants.
 type packBuf struct {
-	a []float64 // packed A block: up to MC×KC in mr-wide micro-panels
-	b []float64 // packed B block: up to KC×NC in nr-wide micro-panels
+	a []float64 // packed A block: up to mc×kc in mr-wide micro-panels
 	// tile is the SIMD fringe staging buffer: an mr×nr scratch tile
 	// the full-width register kernel accumulates into when the live
 	// C corner is smaller than the tile, so the asm never writes out
@@ -91,133 +48,94 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Kernel is a reusable local GEMM context: a micro-kernel variant,
-// cache-block parameters, a thread count, and one packing scratch per
-// worker. It is the stand-in for a tuned BLAS handle — the distributed
-// algorithms draw one per rank from the executor's Arena so repeated
-// executions pack into the same buffers. A Kernel is not safe for
-// concurrent use; concurrent multiplications need one Kernel each.
+// Kernel is a reusable local GEMM context: the process's register tile,
+// the cache blocks, a thread count, and one packing scratch per worker.
+// It is the stand-in for a BLAS handle — the distributed algorithms
+// draw one per rank from the executor's Arena so repeated executions
+// pack into the same buffers. A Kernel is not safe for concurrent use;
+// concurrent multiplications need one Kernel each.
 type Kernel struct {
-	threads int
-	par     Params
-	mr, nr  int             // register-tile shape of par.Variant
-	simd    microKernelFunc // nil: dispatch to the portable Go tile
-	workers []packBuf
-	// shared holds the packed B block of the threaded path: B is
-	// packed once per (jc, pc) block and read concurrently by every
-	// worker, so the packing work and footprint do not scale with the
-	// thread count.
+	threads    int
+	tile       tile
+	mc, kc, nc int // the package's cache blocks; tests shrink them
+	workers    []packBuf
+	// shared holds the packed B block: B is packed once per (jc, pc)
+	// block and read concurrently by every worker, so the packing work
+	// and footprint do not scale with the thread count.
 	shared []float64
 }
 
-// NewKernel returns a kernel with the default parameters — the best
-// available micro-kernel variant and the stock cache blocks — that
-// splits the M dimension of every Mul across up to threads goroutines.
-// threads <= 0 means GOMAXPROCS.
-func NewKernel(threads int) *Kernel {
-	return NewKernelParams(threads, DefaultParams())
-}
+// NewKernel returns a kernel that runs the dispatched register tile
+// with the package's cache blocks and splits the M dimension of every
+// Mul across up to threads goroutines. threads <= 0 means GOMAXPROCS.
+func NewKernel(threads int) *Kernel { return newKernel(threads, dispatched) }
 
-// NewKernelParams returns a kernel with an explicit configuration.
-// Zero Params fields resolve to the defaults; an unavailable Variant
-// degrades to the portable Go tile, so parameters written for another
-// machine still run.
-func NewKernelParams(threads int, par Params) *Kernel {
+func newKernel(threads int, tl tile) *Kernel {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	par = par.normalized()
-	kmr, knr := par.Variant.Dims()
-	return &Kernel{
-		threads: threads,
-		par:     par,
-		mr:      kmr, nr: knr,
-		simd:    variantKerns[par.Variant],
-		workers: make([]packBuf, threads),
-	}
+	return &Kernel{threads: threads, tile: tl, mc: mc, kc: kc, nc: nc, workers: make([]packBuf, threads)}
 }
 
 // Threads returns the kernel's worker bound.
 func (k *Kernel) Threads() int { return k.threads }
 
-// Variant returns the register micro-kernel the kernel dispatches to.
-func (k *Kernel) Variant() Variant { return k.par.Variant }
-
-// Mul computes C += A·B with the packed, register-blocked kernel,
-// splitting the rows of C across the kernel's workers. Each (jc, pc)
-// block of B is packed exactly once into the shared buffer and read
-// concurrently by every worker; workers own disjoint, micro-panel-
-// aligned row ranges of C/A with private A pack buffers, so the only
-// synchronization is one WaitGroup per B block and the per-element
-// accumulation order is identical to the serial kernel's (the result
+// Mul computes C += A·B with the packed, register-blocked kernel: for
+// every kc×nc block of B (packed once into the shared buffer) the rows
+// of C are split across the kernel's workers, and each packs its mc×kc
+// blocks of A and sweeps them with the register tile. Workers own
+// disjoint, micro-panel-aligned row ranges of C/A with private A pack
+// buffers, so the only synchronization is one WaitGroup per B block —
+// none with one worker, which runs inline — and the per-element
+// accumulation order does not depend on the worker count (the result
 // is bitwise-reproducible for any thread count).
 func (k *Kernel) Mul(c, a, b *Dense) {
 	checkMulShapes(c, a, b)
-	m := a.Rows
-	if m == 0 || b.Cols == 0 || a.Cols == 0 {
+	m, kk, n := a.Rows, a.Cols, b.Cols
+	if m == 0 || n == 0 || kk == 0 {
 		return
 	}
 	// One contiguous row chunk per worker, each a whole number of
 	// micro-panels so no register tile straddles two workers.
-	t := k.threads
-	panels := (m + k.mr - 1) / k.mr
-	if t > panels {
-		t = panels
-	}
-	if t <= 1 {
-		k.gemm(&k.workers[0], c, a, b, 0, m)
-		return
-	}
-	chunk := ((panels + t - 1) / t) * k.mr
-	kk, n := a.Cols, b.Cols
-	for jc := 0; jc < n; jc += k.par.NC {
-		nb := min(k.par.NC, n-jc)
-		for pc := 0; pc < kk; pc += k.par.KC {
-			kb := min(k.par.KC, kk-pc)
-			k.shared = grow(k.shared, (nb+k.nr-1)/k.nr*k.nr*kb)
-			packB(k.shared, b, pc, jc, kb, nb, k.nr)
+	mr, nr := k.tile.mr, k.tile.nr
+	panels := (m + mr - 1) / mr
+	t := min(k.threads, panels)
+	chunk := (panels + t - 1) / t * mr
+	for jc := 0; jc < n; jc += k.nc {
+		nb := min(k.nc, n-jc)
+		for pc := 0; pc < kk; pc += k.kc {
+			kb := min(k.kc, kk-pc)
+			k.shared = grow(k.shared, (nb+nr-1)/nr*nr*kb)
+			packB(k.shared, b, pc, jc, kb, nb, nr)
+			if t == 1 {
+				k.rows(&k.workers[0], c, a, 0, m, pc, jc, kb, nb)
+				continue
+			}
+			// The loop variables pc and jc go in as arguments: captured,
+			// they would move to the heap every iteration, inline path too.
 			var wg sync.WaitGroup
-			for w := 0; w < t; w++ {
-				lo := w * chunk
-				if lo >= m {
-					break
-				}
-				hi := min(lo+chunk, m)
+			for lo := 0; lo < m; lo += chunk {
 				wg.Add(1)
-				go func(pb *packBuf, lo, hi int) {
+				go func(pb *packBuf, lo, hi, pc, jc int) {
 					defer wg.Done()
-					for ic := lo; ic < hi; ic += k.par.MC {
-						mb := min(k.par.MC, hi-ic)
-						pb.a = grow(pb.a, (mb+k.mr-1)/k.mr*k.mr*kb)
-						packA(pb.a, a, ic, pc, mb, kb, k.mr)
-						k.macroKernel(pb, pb.a, k.shared, c, ic, jc, mb, nb, kb)
-					}
-				}(&k.workers[w], lo, hi)
+					k.rows(pb, c, a, lo, hi, pc, jc, kb, nb)
+				}(&k.workers[lo/chunk], lo, min(lo+chunk, m), pc, jc)
 			}
 			wg.Wait()
 		}
 	}
 }
 
-// gemm runs the serial five-loop blocked algorithm over the row range
-// [rowLo, rowHi) of C and A: for every KC×NC block of B (packed once,
-// reused by every row block) and every MC×KC block of A (packed, then
-// swept by the register tiles), the micro-kernel updates C in place.
-func (k *Kernel) gemm(pb *packBuf, c, a, b *Dense, rowLo, rowHi int) {
-	kk, n := a.Cols, b.Cols
-	for jc := 0; jc < n; jc += k.par.NC {
-		nb := min(k.par.NC, n-jc)
-		for pc := 0; pc < kk; pc += k.par.KC {
-			kb := min(k.par.KC, kk-pc)
-			pb.b = grow(pb.b, (nb+k.nr-1)/k.nr*k.nr*kb)
-			packB(pb.b, b, pc, jc, kb, nb, k.nr)
-			for ic := rowLo; ic < rowHi; ic += k.par.MC {
-				mb := min(k.par.MC, rowHi-ic)
-				pb.a = grow(pb.a, (mb+k.mr-1)/k.mr*k.mr*kb)
-				packA(pb.a, a, ic, pc, mb, kb, k.mr)
-				k.macroKernel(pb, pb.a, pb.b, c, ic, jc, mb, nb, kb)
-			}
-		}
+// rows is one worker's share of a (jc, pc) block: every mc-row block
+// of A in [lo, hi) is packed into the worker's buffer and swept
+// against the shared packed B block.
+func (k *Kernel) rows(pb *packBuf, c, a *Dense, lo, hi, pc, jc, kb, nb int) {
+	mr := k.tile.mr
+	for ic := lo; ic < hi; ic += k.mc {
+		mb := min(k.mc, hi-ic)
+		pb.a = grow(pb.a, (mb+mr-1)/mr*mr*kb)
+		packA(pb.a, a, ic, pc, mb, kb, mr)
+		k.macroKernel(pb, c, ic, jc, mb, nb, kb)
 	}
 }
 
@@ -266,32 +184,32 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 	}
 }
 
-// macroKernel sweeps the packed mb×kb A block against the packed kb×nb
-// B block, one B micro-panel at a time. A SIMD variant takes every
-// full-height tile of a full-width panel in one call — the assembly
-// walks the A block and C itself — so Go dispatches once per panel,
-// not once per tile; the portable Go tile keeps its per-tile loop.
-// Fringe tiles (right and bottom edges) accumulate full-width into
-// zero-padded scratch — the Go tile in its accumulator array, the SIMD
-// kernels in the worker's staging tile — and write back only the live
-// h×w corner, preserving the per-element accumulation order of
+// macroKernel sweeps the worker's packed mb×kb A block against the
+// shared packed kb×nb B block, one B micro-panel at a time. A SIMD tile
+// takes every full-height tile of a full-width panel in one call — the
+// assembly walks the A block and C itself — so Go dispatches once per
+// panel, not once per tile; the portable Go tile keeps its per-tile
+// loop. Fringe tiles (right and bottom edges) accumulate full-width
+// into zero-padded scratch — the Go tile in its accumulator array, the
+// SIMD kernels in the worker's staging tile — and write back only the
+// live h×w corner, preserving the per-element accumulation order of
 // interior tiles.
-func (k *Kernel) macroKernel(pb *packBuf, apack, bpack []float64, c *Dense, ic, jc, mb, nb, kb int) {
-	mr, nr := k.mr, k.nr
+func (k *Kernel) macroKernel(pb *packBuf, c *Dense, ic, jc, mb, nb, kb int) {
+	mr, nr, sweep := k.tile.mr, k.tile.nr, k.tile.sweep
 	full := mb / mr // full-height tiles: one SIMD sweep per full-width panel
 	for j := 0; j < nb; j += nr {
 		w := min(nr, nb-j)
-		bp := bpack[(j/nr)*kb*nr:]
+		bp := k.shared[(j/nr)*kb*nr:]
 		i := 0
-		if k.simd != nil && w == nr && full > 0 {
-			k.simd(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &apack[0], &bp[0], full)
+		if sweep != nil && w == nr && full > 0 {
+			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &pb.a[0], &bp[0], full)
 			i = full * mr
 		}
 		for ; i < mb; i += mr {
 			h := min(mr, mb-i)
-			ap := apack[(i/mr)*kb*mr:]
+			ap := pb.a[(i/mr)*kb*mr:]
 			switch {
-			case k.simd != nil:
+			case sweep != nil:
 				k.simdEdge(pb, c, ic+i, jc+j, h, w, kb, ap, bp)
 			case h == mr && w == nr:
 				microKernel4x4(c, ic+i, jc+j, kb, ap, bp)
@@ -308,17 +226,17 @@ func (k *Kernel) macroKernel(pb *packBuf, apack, bpack []float64, c *Dense, ic, 
 // h×w corner is added into C — the same accumulate-then-add sequence
 // as an interior tile, so fringes stay bitwise consistent.
 func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
-	n := k.mr * k.nr
-	pb.tile = grow(pb.tile, n)
-	tile := pb.tile
-	for i := range tile {
-		tile[i] = 0
+	nr := k.tile.nr
+	pb.tile = grow(pb.tile, k.tile.mr*nr)
+	staged := pb.tile
+	for i := range staged {
+		staged[i] = 0
 	}
-	k.simd(&tile[0], k.nr, kb, &ap[0], &bp[0], 1)
+	k.tile.sweep(&staged[0], nr, kb, &ap[0], &bp[0], 1)
 	for i := 0; i < h; i++ {
 		row := c.Data[(ci+i)*c.Stride+cj : (ci+i)*c.Stride+cj+w]
 		for j := range row {
-			row[j] += tile[i*k.nr+j]
+			row[j] += staged[i*nr+j]
 		}
 	}
 }
@@ -381,7 +299,7 @@ func microKernel4x4(c *Dense, ci, cj, kb int, ap, bp []float64) {
 }
 
 // microKernelEdge handles the h×w fringe tiles (h ≤ mr, w ≤ nr) of the
-// portable Go variant. The packed panels are zero-padded to full
+// portable Go tile. The packed panels are zero-padded to full
 // micro-panel width, so it can accumulate full-width and write back
 // only the live h×w corner.
 func microKernelEdge(c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
@@ -403,23 +321,4 @@ func microKernelEdge(c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
 			row[j] += acc[i][j]
 		}
 	}
-}
-
-// defaultKernels pools serial kernels behind the package-level Mul so
-// library callers (and concurrent rank programs that have not been
-// given an arena kernel) get packed performance with steady-state-free
-// allocation and no hidden goroutines.
-var defaultKernels = sync.Pool{New: func() any { return NewKernel(1) }}
-
-// Mul computes C += A·B with the packed, register-blocked kernel
-// (dispatching to the best SIMD micro-kernel the CPU supports). A is
-// m×k, B is k×n and C is m×n; any shape mismatch panics. Mul is the
-// local compute kernel used by every distributed algorithm (the
-// stand-in for the paper's MKL dgemm); hot paths that multiply
-// repeatedly should hold a Kernel (or draw one from an Arena) instead,
-// which also unlocks multi-goroutine execution and tuned parameters.
-func Mul(c, a, b *Dense) {
-	k := defaultKernels.Get().(*Kernel)
-	k.Mul(c, a, b)
-	defaultKernels.Put(k)
 }

@@ -79,32 +79,31 @@ func BenchmarkKernelPackedThreads(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelPackedGo is the portable Go 4×4 variant forced, so
-// the SIMD speedup stays visible next to BenchmarkKernelPacked (which
-// dispatches to the best variant).
+// BenchmarkKernelPackedGo is the portable Go 4×4 tile forced, so the
+// SIMD speedup stays visible next to BenchmarkKernelPacked (which runs
+// the dispatched tile).
 func BenchmarkKernelPackedGo(b *testing.B) {
 	for _, n := range []int{256, 512} {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			k := NewKernelParams(1, Params{Variant: VariantGo4x4})
+			k := newKernel(1, portableTile)
 			benchMul(b, n, k.Mul)
 		})
 	}
 }
 
 // BenchmarkCalibrate tracks the cost of one calibration measurement
-// (three timed multiplications); it times the uncached loop, since
-// Calibrate itself memoizes per (n, threads).
+// (a warm-up and three timed multiplications).
 func BenchmarkCalibrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		calibrateKernel(128, NewKernel(1))
+		Calibrate(128, 1)
 	}
 }
 
-// BenchmarkKernelRankShapes is the evidence behind BestVariant: the
-// three per-rank Mul calls of the repo benchmark's engine workloads —
-// one round of square-roomy (grid 2×2×4), square-tight (4×4×1) and
-// tall-k (1×1×15) — on operands strided as the owning rank's Views of
-// the caller's matrices are, for every variant this machine has.
+// BenchmarkKernelRankShapes times the three per-rank Mul calls of the
+// repo benchmark's engine workloads — one round of square-roomy (grid
+// 2×2×4), square-tight (4×4×1) and tall-k (1×1×15) — on operands
+// strided as the owning rank's Views of the caller's matrices are, for
+// the portable tile and the dispatched SIMD tile.
 func BenchmarkKernelRankShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range []struct {
@@ -118,9 +117,9 @@ func BenchmarkKernelRankShapes(b *testing.B) {
 	} {
 		a := Random(s.m, s.aStride, rng).View(0, s.aStride-s.kk, s.m, s.kk)
 		bb := Random(s.kk, s.bStride, rng).View(0, s.bStride-s.n, s.kk, s.n)
-		for _, v := range Variants() {
-			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", s.name, s.m, s.kk, s.n, v), func(b *testing.B) {
-				benchMulOperands(b, a, bb, NewKernelParams(1, Params{Variant: v}).Mul)
+		for _, tl := range testTiles() {
+			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", s.name, s.m, s.kk, s.n, tl.name), func(b *testing.B) {
+				benchMulOperands(b, a, bb, newKernel(1, tl).Mul)
 			})
 		}
 	}

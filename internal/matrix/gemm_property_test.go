@@ -8,13 +8,13 @@ import (
 
 // mulBlockedRef is the scalar reference for the packed kernel's
 // reproducibility contract. For each C element it forms one partial
-// sum per KC block — fused (math.FMA, matching the SIMD variants'
+// sum per KC block — fused (math.FMA, matching the SIMD tiles'
 // one-rounding multiply-add) or unfused (separate multiply and add,
 // matching the portable Go tile) — and adds each partial into C once.
 // That is the complete description of the kernel's per-element
 // floating-point order: the MC/NC blocking, the micro-panel packing
 // and the thread decomposition only reorder independent elements, so
-// any kernel configuration sharing (KC, fusedness) must agree with
+// any kernel sharing (KC, fusedness) must agree with
 // this reference bit for bit.
 func mulBlockedRef(c, a, b *Dense, kcb int, fused bool) {
 	for i := 0; i < a.Rows; i++ {
@@ -99,10 +99,27 @@ func requireSameBits(t *testing.T, got, want []float64, format string, args ...a
 	}
 }
 
+// testTiles returns the tiles this binary can run, portable first: the
+// Go 4×4, and the dispatched SIMD tile when the CPU has one.
+func testTiles() []tile {
+	if dispatched.sweep == nil {
+		return []tile{portableTile}
+	}
+	return []tile{portableTile, dispatched}
+}
+
+// blockedKernel is a kernel running tl with the given cache blocks.
+func blockedKernel(threads int, tl tile, mcb, kcb, ncb int) *Kernel {
+	k := newKernel(threads, tl)
+	k.mc, k.kc, k.nc = mcb, kcb, ncb
+	return k
+}
+
 // TestKernelVariantsBitwiseIdentical is the randomized property test of
 // the reproducibility contract: for random problem shapes, random
-// strides, random cache-block parameters, every available micro-kernel
-// variant and several thread counts, the packed kernel's output —
+// strides, random cache blocks, both register tiles this binary can run
+// (the portable Go 4×4 and the dispatched SIMD tile) and several thread
+// counts, the packed kernel's output —
 // padding bytes included — must equal mulBlockedRef bit for bit. This
 // is what guarantees a distributed run's product does not depend on
 // how many worker goroutines each rank happened to get.
@@ -117,22 +134,17 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 		a := randomStrided(rng, m, kk)
 		b := randomStrided(rng, kk, n)
 		c0 := randomStrided(rng, m, n) // nonzero C exercises the += contract
-		for _, v := range Variants() {
-			par := Params{
-				MC:      4 + rng.Intn(160),
-				KC:      8 + rng.Intn(300),
-				NC:      16 + rng.Intn(600),
-				Variant: v,
-			}
+		for _, tl := range testTiles() {
+			mcb, kcb, ncb := 4+rng.Intn(160), 8+rng.Intn(300), 16+rng.Intn(600)
 			want := cloneStrided(c0)
-			mulBlockedRef(want, a, b, par.KC, v.Fused())
+			mulBlockedRef(want, a, b, kcb, tl.fused)
 			for _, threads := range []int{1, 2, 5} {
 				got := cloneStrided(c0)
-				NewKernelParams(threads, par).Mul(got, a, b)
+				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(got, a, b)
 				for i := range got.Data {
 					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("trial %d (%d×%d·%d×%d, %+v, %d threads): Data[%d] = %v, reference %v",
-							trial, m, kk, kk, n, par, threads, i, got.Data[i], want.Data[i])
+						t.Fatalf("trial %d (%d×%d·%d×%d, %s, blocks %d/%d/%d, %d threads): Data[%d] = %v, reference %v",
+							trial, m, kk, kk, n, tl.name, mcb, kcb, ncb, threads, i, got.Data[i], want.Data[i])
 					}
 				}
 			}
@@ -146,23 +158,21 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 	// next; and MC values that are not multiples of mr, which put a
 	// fringe tile in the middle of a column (the sweep runs ⌊mb/mr⌋
 	// tiles, the staged edge kernel the rest, then the next block).
-	for _, v := range Variants() {
-		vmr, vnr := v.Dims()
-		for _, mcb := range []int{mc, vmr + 1, 2*vmr + 1} {
-			par := Params{MC: mcb, Variant: v}
-			for _, m := range []int{vmr - 1, vmr, vmr + 1, 2*vmr + 3} {
-				for _, n := range []int{vnr - 1, vnr, vnr + 1} {
+	for _, tl := range testTiles() {
+		for _, mcb := range []int{mc, tl.mr + 1, 2*tl.mr + 1} {
+			for _, m := range []int{tl.mr - 1, tl.mr, tl.mr + 1, 2*tl.mr + 3} {
+				for _, n := range []int{tl.nr - 1, tl.nr, tl.nr + 1} {
 					for _, kk := range []int{1, 8, kc, kc + 1} {
 						a := randomStrided(rng, m, kk)
 						b := randomStrided(rng, kk, n)
 						c0 := borderedC(rng, m, n)
 						want := cloneStrided(c0)
-						mulBlockedRef(window(want), a, b, kc, v.Fused())
+						mulBlockedRef(window(want), a, b, kc, tl.fused)
 						for _, threads := range []int{1, 2, 5} {
 							got := cloneStrided(c0)
-							NewKernelParams(threads, par).Mul(window(got), a, b)
-							requireSameBits(t, got.Data, want.Data, "%d×%d·%d×%d, %+v, %d threads, C with its border",
-								m, kk, kk, n, par, threads)
+							blockedKernel(threads, tl, mcb, kc, nc).Mul(window(got), a, b)
+							requireSameBits(t, got.Data, want.Data, "%d×%d·%d×%d, %s, mc %d, %d threads, C with its border",
+								m, kk, kk, n, tl.name, mcb, threads)
 						}
 					}
 				}
@@ -187,7 +197,7 @@ func viewInStride(rng *rand.Rand, rows, cols, stride int) *Dense {
 // TestKernelStridedViewsBitwiseIdentical holds packA/packB to reading
 // any stride: with A and B views whose Stride dwarfs Cols — the row
 // stride of tall-k's A (65536 words, every row on the same cache sets),
-// a smaller power of two, and an odd one — every variant and thread
+// a smaller power of two, and an odd one — every tile and thread
 // count must produce the bits it produces from compact copies, and,
 // into a C that is itself a view inside a −0 border, the bits the
 // scalar reference produces from those copies.
@@ -201,31 +211,31 @@ func TestKernelStridedViewsBitwiseIdentical(t *testing.T) {
 		compactA, compactB := a.Clone(), b.Clone()
 		c0 := randomStrided(rng, m, n)
 		bordered0 := borderedC(borderRng, m, n)
-		for _, v := range Variants() {
-			par := Params{MC: 4 + rng.Intn(40), KC: 8 + rng.Intn(80), NC: 16 + rng.Intn(40), Variant: v}
+		for _, tl := range testTiles() {
+			mcb, kcb, ncb := 4+rng.Intn(40), 8+rng.Intn(80), 16+rng.Intn(40)
 			ref := cloneStrided(bordered0)
-			mulBlockedRef(window(ref), compactA, compactB, par.KC, v.Fused())
+			mulBlockedRef(window(ref), compactA, compactB, kcb, tl.fused)
 			for _, threads := range []int{1, 2, 5} {
 				want, got := cloneStrided(c0), cloneStrided(c0)
-				NewKernelParams(threads, par).Mul(want, compactA, compactB)
-				NewKernelParams(threads, par).Mul(got, a, b)
+				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(want, compactA, compactB)
+				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(got, a, b)
 				for i := range got.Data {
 					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("strides %v, %+v, %d threads: Data[%d] = %v from views, %v from compact copies",
-							strides, par, threads, i, got.Data[i], want.Data[i])
+						t.Fatalf("strides %v, %s, blocks %d/%d/%d, %d threads: Data[%d] = %v from views, %v from compact copies",
+							strides, tl.name, mcb, kcb, ncb, threads, i, got.Data[i], want.Data[i])
 					}
 				}
 				bordered := cloneStrided(bordered0)
-				NewKernelParams(threads, par).Mul(window(bordered), a, b)
-				requireSameBits(t, bordered.Data, ref.Data, "strides %v, %+v, %d threads, views into C with its border",
-					strides, par, threads)
+				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(window(bordered), a, b)
+				requireSameBits(t, bordered.Data, ref.Data, "strides %v, %s, blocks %d/%d/%d, %d threads, views into C with its border",
+					strides, tl.name, mcb, kcb, ncb, threads)
 			}
 		}
 	}
 }
 
-// TestKernelMatchesNaive pins the variants to the true product, not
-// just to each other: every variant must agree with the textbook
+// TestKernelMatchesNaive pins the tiles to the true product, not just
+// to each other: every tile must agree with the textbook
 // triple loop within accumulation-order rounding.
 func TestKernelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -234,12 +244,12 @@ func TestKernelMatchesNaive(t *testing.T) {
 	b := Random(n, n, rng)
 	want := New(n, n)
 	MulNaive(want, a, b)
-	for _, v := range Variants() {
+	for _, tl := range testTiles() {
 		got := New(n, n)
-		NewKernelParams(2, Params{Variant: v}).Mul(got, a, b)
+		newKernel(2, tl).Mul(got, a, b)
 		for i := range got.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9*math.Max(1, math.Abs(want.Data[i])) {
-				t.Fatalf("%s: element %d = %v, naive %v", v, i, got.Data[i], want.Data[i])
+				t.Fatalf("%s: element %d = %v, naive %v", tl.name, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

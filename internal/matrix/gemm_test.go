@@ -82,7 +82,7 @@ func TestKernelZeroDims(t *testing.T) {
 		m, n, k := s[0], s[1], s[2]
 		c := New(m, n)
 		kern.Mul(c, New(m, k), New(k, n))
-		Mul(c, New(m, k), New(k, n))
+		NewKernel(1).Mul(c, New(m, k), New(k, n))
 	}
 	// A 0-row view with nonzero stride, as rank programs produce.
 	base := New(6, 6)
@@ -122,6 +122,20 @@ func TestKernelReuseAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestKernelWarmMulAllocatesNothing: a warm one-worker kernel — what
+// every rank of a two-core box runs — multiplies without allocating,
+// fringes and several kc/nc blocks included.
+func TestKernelWarmMulAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a, b := Random(37, kc+9, rng), Random(kc+9, nc+5, rng)
+	c := New(37, nc+5)
+	kern := NewKernel(1)
+	kern.Mul(c, a, b)
+	if n := testing.AllocsPerRun(3, func() { kern.Mul(c, a, b) }); n != 0 {
+		t.Errorf("warm Mul allocates %v times per call, want 0", n)
+	}
+}
+
 // TestKernelMatVecStructural cross-checks the packed kernel with the
 // matrix-vector associativity property the package's structural tests
 // use: (A·B)·x = A·(B·x) on fringe-heavy shapes.
@@ -149,8 +163,8 @@ func TestKernelMatVecStructural(t *testing.T) {
 
 // TestPackedKernelBeatsNaive is the kernel's throughput guard, two
 // ratios from one set of 512³ operands: the packed register-blocked
-// kernel must be at least 3× the naive triple loop, and the best SIMD
-// variant at least 2× the portable Go 4×4 tile. Both bars sit far under
+// kernel must be at least 3× the naive triple loop, and the dispatched
+// SIMD tile at least 2× the portable Go 4×4 tile. Both bars sit far under
 // what the reference box measures (35× under -tags noasm, 7×), leaving
 // room for loaded CI runners. Timing is best-of-3 against scheduler
 // noise.
@@ -190,15 +204,15 @@ func TestPackedKernelBeatsNaive(t *testing.T) {
 		t.Errorf("packed kernel only %.2f× naive at 512³, want ≥ 3×", ratio)
 	}
 
-	if BestVariant() == VariantGo4x4 {
+	if dispatched.sweep == nil {
 		return // -tags noasm, or no SIMD on this CPU: nothing to compare
 	}
-	portable := bestOf3(NewKernelParams(1, Params{Variant: VariantGo4x4}))
+	portable := bestOf3(newKernel(1, portableTile))
 	ratio = float64(portable) / float64(packed)
 	t.Logf("512³: %s %v, %s %v (%.2f Gflop/s) — %.1f×",
-		BestVariant(), packed, VariantGo4x4, portable, flops/portable.Seconds()/1e9, ratio)
+		dispatched.name, packed, portableTile.name, portable, flops/portable.Seconds()/1e9, ratio)
 	if ratio < 2 {
-		t.Errorf("%s only %.2f× the portable tile at 512³, want ≥ 2×", BestVariant(), ratio)
+		t.Errorf("%s only %.2f× the portable tile at 512³, want ≥ 2×", dispatched.name, ratio)
 	}
 }
 

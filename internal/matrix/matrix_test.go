@@ -201,7 +201,7 @@ func TestMulMatchesNaive(t *testing.T) {
 		b := Random(k, n, rng)
 		c1 := Random(m, n, rng)
 		c2 := c1.Clone()
-		Mul(c1, a, b)
+		NewKernel(1).Mul(c1, a, b)
 		MulNaive(c2, a, b)
 		if d := MaxDiff(c1, c2); d > 1e-10*float64(k) {
 			t.Fatalf("Mul vs naive for %v: max diff %g", dims, d)
@@ -216,7 +216,7 @@ func TestMulOnViews(t *testing.T) {
 	b := big.View(7, 7, 7, 5)
 	c := New(6, 5)
 	cRef := New(6, 5)
-	Mul(c, a, b)
+	NewKernel(1).Mul(c, a, b)
 	MulNaive(cRef, a.Clone(), b.Clone())
 	if d := MaxDiff(c, cRef); d > 1e-9 {
 		t.Fatalf("Mul on views: max diff %g", d)
@@ -227,7 +227,7 @@ func TestMulAccumulates(t *testing.T) {
 	a := Eye(3)
 	b := FromSlice(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	c := b.Clone()
-	Mul(c, a, b) // C = B + I·B = 2B
+	NewKernel(1).Mul(c, a, b) // C = B + I·B = 2B
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if c.At(i, j) != 2*b.At(i, j) {
@@ -239,7 +239,7 @@ func TestMulAccumulates(t *testing.T) {
 
 func TestMulShapePanic(t *testing.T) {
 	defer wantPanic(t, "shape mismatch")
-	Mul(New(2, 2), New(2, 3), New(4, 2))
+	NewKernel(1).Mul(New(2, 2), New(2, 3), New(4, 2))
 }
 
 func TestRankOneUpdate(t *testing.T) {
@@ -258,7 +258,7 @@ func TestRankOneEqualsMul(t *testing.T) {
 	b := Random(k, n, rng)
 	c1 := New(m, n)
 	c2 := New(m, n)
-	Mul(c1, a, b)
+	NewKernel(1).Mul(c1, a, b)
 	col := make([]float64, m)
 	row := make([]float64, n)
 	for p := 0; p < k; p++ {
@@ -288,13 +288,13 @@ func TestMulAssociativityProperty(t *testing.T) {
 		b := Random(k, n, rng)
 		x := Random(n, 1, rng)
 		ab := New(m, n)
-		Mul(ab, a, b)
+		NewKernel(1).Mul(ab, a, b)
 		abx := New(m, 1)
-		Mul(abx, ab, x)
+		NewKernel(1).Mul(abx, ab, x)
 		bx := New(k, 1)
-		Mul(bx, b, x)
+		NewKernel(1).Mul(bx, b, x)
 		abx2 := New(m, 1)
-		Mul(abx2, a, bx)
+		NewKernel(1).Mul(abx2, a, bx)
 		return MaxDiff(abx, abx2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -310,9 +310,9 @@ func TestMulIdentityProperty(t *testing.T) {
 		n := 1 + r.Intn(20)
 		a := Random(m, n, r)
 		left := New(m, n)
-		Mul(left, Eye(m), a)
+		NewKernel(1).Mul(left, Eye(m), a)
 		right := New(m, n)
-		Mul(right, a, Eye(n))
+		NewKernel(1).Mul(right, a, Eye(n))
 		return MaxDiff(left, a) == 0 && MaxDiff(right, a) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -21,7 +21,7 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 // hasAVX2FMA reports whether both the CPU and the OS support the
-// AVX2+FMA kernels: the FMA/AVX/AVX2 feature bits plus OSXSAVE with
+// AVX2+FMA kernel: the FMA/AVX/AVX2 feature bits plus OSXSAVE with
 // XMM and YMM state enabled (without the latter, the OS would not
 // preserve the upper YMM halves across context switches).
 var hasAVX2FMA = detectAVX2FMA()
@@ -49,8 +49,12 @@ func detectAVX2FMA() bool {
 	return b7&avx2 != 0
 }
 
+// The 4×8 tile is, counted in YMM registers, 4×2: two B loads and four
+// A broadcasts feed eight FMAs per k step — six load µops, so the two
+// FMA ports set the pace, where a tile one register wide (8×1) would
+// need nine and wait on the two load ports.
 func init() {
 	if hasAVX2FMA {
-		variantKerns[VariantAVX2_4x8] = kernelAVX2_4x8
+		dispatched = tile{name: "avx2-4x8", mr: 4, nr: 8, fused: true, sweep: kernelAVX2_4x8}
 	}
 }

@@ -25,5 +25,5 @@ func sweepNEON_8x4(c *float64, cstride, kb int, ap, bp *float64, tiles int) {
 }
 
 func init() {
-	variantKerns[VariantNEON_8x4] = sweepNEON_8x4
+	dispatched = tile{name: "neon-8x4", mr: 8, nr: 4, fused: true, sweep: sweepNEON_8x4}
 }

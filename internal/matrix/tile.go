@@ -1,0 +1,41 @@
+package matrix
+
+// tile is a register micro-kernel: its stable name (as Calibration
+// reports it), its register-tile shape mr×nr — which is also the
+// micro-panel width of the packed A and B blocks — whether it
+// multiply-adds fused (one rounding per step, math.FMA semantics) or
+// split (separate multiply and add roundings, the portable Go
+// semantics), and its assembly sweep (nil for the Go tile, which has
+// its own typed path). Every tile obeys the kernel's reproducibility
+// contract: a fixed k-accumulation order per element of C (one
+// register-resident partial sum per kc block, added to C once),
+// zero-padded fringe micro-panels, and therefore bitwise-identical
+// results across thread counts and cache blocks. Fused and unfused
+// tiles agree to rounding error, not bitwise.
+type tile struct {
+	name   string
+	mr, nr int
+	fused  bool
+	sweep  microKernelFunc
+}
+
+// microKernelFunc is the raw dispatch signature of the SIMD register
+// kernels: accumulate the full mr×nr register tile over the kb-deep
+// packed micro-panels ap (mr-wide, k-major) and bp (nr-wide, k-major),
+// then add it into C — and do so for `tiles` tiles stacked down one
+// column of C: tile t takes the t-th micro-panel of the packed A block
+// (kb·mr words further on), the same bp, and rows t·mr … t·mr+mr−1. c
+// points at the first tile's top-left element; cstride is C's row
+// stride in elements.
+type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64, tiles int)
+
+// portableTile is the register-blocked Go micro-kernel: a 4×4 tile in
+// sixteen scalar accumulators, unfused multiply-add.
+var portableTile = tile{name: "go4x4", mr: mr, nr: nr}
+
+// dispatched is the tile every Kernel runs. It is the portable tile
+// unless the build-tagged simd_*.go replaces it at init: amd64 with
+// AVX2+FMA (CPUID-detected) takes the 4×8 assembly tile, arm64 the 8×4
+// NEON tile. There is one per process and nothing chooses between
+// tiles afterwards.
+var dispatched = portableTile

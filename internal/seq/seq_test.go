@@ -21,7 +21,7 @@ func TestMultiplyCorrect(t *testing.T) {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
 		want := matrix.New(c.m, c.n)
-		matrix.Mul(want, a, b)
+		matrix.NewKernel(1).Mul(want, a, b)
 		got := Multiply(a, b, c.s)
 		if d := matrix.MaxDiff(got.C, want); d > 1e-9*float64(c.k) {
 			t.Fatalf("%+v: max diff %g", c, d)
