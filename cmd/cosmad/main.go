@@ -9,19 +9,16 @@
 //	cosmad [-addr :8642] [-p 4] [-S 1048576] [-algo cosma]
 //	       [-shards 4] [-queue 256] [-batch 32]
 //	       [-maxdim 8192] [-threads n] [-overlap]
-//	       [-retry 0] [-verify] [-fallback]
-//	       [-breaker-threshold 5] [-breaker-cooldown 5s]
-//	       [-drain-timeout 30s]
+//	       [-retry 0] [-verify] [-drain-timeout 30s]
 //
 // Endpoints: POST /v1/multiply (JSON in/out; honors X-Cosma-Deadline-Ms),
 // GET /v1/stats, GET /healthz (503 while draining).
 //
-// Fault tolerance: -retry re-runs transiently-failed executions inside
-// the engine, -verify checks every product with ABFT checksums, and a
-// per-shard circuit breaker opens after -breaker-threshold consecutive
-// batch failures — while open, batches degrade to a plain in-process
-// fallback engine when -fallback is set, else shed with 503 until the
-// -breaker-cooldown probe succeeds.
+// Fault tolerance lives in the engine: -retry re-runs transiently-failed
+// executions and -verify checks every product served with ABFT
+// checksums. A batch that still fails answers its own requests (400 for
+// a shape the algorithm cannot schedule, 500 for an engine failure) and
+// nothing else.
 package main
 
 import (
@@ -54,9 +51,6 @@ func main() {
 	overlap := flag.Bool("overlap", false, "pipeline the round loops (§7.3)")
 	retry := flag.Int("retry", 0, "engine retry attempts per execution (0 = no retries)")
 	verify := flag.Bool("verify", false, "ABFT-verify every product (cosma.WithVerification)")
-	fallback := flag.Bool("fallback", false, "serve open-circuit shards from a degraded in-process engine")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive batch failures that open a shard's circuit (<0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit dwell before a probe")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	flag.Parse()
 
@@ -68,25 +62,13 @@ func main() {
 	if *retry > 0 {
 		engineOpts = append(engineOpts, cosma.WithRetry(cosma.RetryPolicy{MaxAttempts: *retry}))
 	}
-	sopts := serve.Options{
-		Engine:           engineOpts,
-		Shards:           *shards,
-		QueueLimit:       *queue,
-		MaxBatch:         *batch,
-		MaxDim:           *maxDim,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-	}
-	if *fallback {
-		// The degraded stand-in: same shape limits, plain counting
-		// transport, no retries — it exists to keep answering while a
-		// sick shard cools off.
-		sopts.Fallback = []cosma.Option{
-			cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithAlgorithm(*algoName),
-			cosma.WithKernelThreads(*threads),
-		}
-	}
-	srv, err := serve.New(sopts)
+	srv, err := serve.New(serve.Options{
+		Engine:     engineOpts,
+		Shards:     *shards,
+		QueueLimit: *queue,
+		MaxBatch:   *batch,
+		MaxDim:     *maxDim,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,6 +99,6 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	st := srv.Stats()
-	log.Printf("served %d requests in %d batches (max batch %d), shed %d; plan cache %d hits / %d misses; %d retries, %d fallback batches",
-		st.Requests, st.Batches, st.MaxBatch, st.Shed, st.PlanHits, st.PlanMisses, st.Retries, st.FallbackBatches)
+	log.Printf("served %d requests in %d batches (max batch %d), shed %d; plan cache %d hits / %d misses; %d retries, %d failed batches",
+		st.Requests, st.Batches, st.MaxBatch, st.Shed, st.PlanHits, st.PlanMisses, st.Retries, st.BatchFailures)
 }

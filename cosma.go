@@ -123,9 +123,8 @@ type SlowRank = machine.SlowRank
 type Corrupt = machine.Corrupt
 
 // ErrPeerFailure is wrapped by wire-transport run errors caused by a
-// lost or aborted peer process; test with errors.Is. Engine.Recover
-// (or a WithRetry policy, which calls it automatically) heals the
-// mesh afterwards.
+// lost or aborted peer process; test with errors.Is. A WithRetry
+// engine heals the mesh before its next attempt.
 var ErrPeerFailure = wire.ErrPeerFailure
 
 // ErrFaultInjected is wrapped by run errors caused by a FaultPlan

@@ -257,9 +257,10 @@ func WithFaultPlan(fp FaultPlan) Option {
 // (ErrFaultInjected), a receive deadline (ErrRecvTimeout), a wire peer
 // failure or abort (ErrPeerFailure), or a detected silent corruption
 // (ErrCorruption, with WithVerification) — the engine recovers the
-// transport (on wire: Engine.Recover, re-execing dead workers and
-// rebuilding lost connections), sleeps a capped exponential backoff
-// with seeded jitter, and re-runs on the same executor, up to
+// transport (on wire: re-execing dead workers through
+// WireConfig.Respawn and rebuilding the lost connections), sleeps a
+// capped exponential backoff with seeded jitter, and re-runs on the
+// same executor, up to
 // policy.MaxAttempts total attempts. Per-rank scratch resets between
 // attempts as it does between any two runs, so a retried product is
 // bitwise-identical to a fault-free one. Permanent errors — validation,
@@ -379,23 +380,6 @@ func (e *Engine) Close() error {
 		e.closeErr = e.wireTr.Close()
 	})
 	return e.closeErr
-}
-
-// Recover heals the engine's wire mesh after a peer-process loss: dead
-// workers are re-execed (when the wire config carries a Respawn hook)
-// and only the lost connections are rebuilt, under the epoch-carrying
-// handshake, so the next Exec runs on a whole mesh again. The retry
-// layer (WithRetry) calls it automatically between attempts; call it
-// directly when orchestrating retries yourself. On engines without a
-// wire transport it is a no-op.
-func (e *Engine) Recover() error {
-	if e.closed.Load() {
-		return ErrEngineClosed
-	}
-	if e.wireTr == nil {
-		return nil
-	}
-	return e.wireTr.Recover()
 }
 
 // WireRank returns the index of this process in the wire peer list and

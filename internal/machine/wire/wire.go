@@ -24,8 +24,9 @@ type Config struct {
 	// Peers is the address of every rank of the machine.
 	Peers []string
 	// DialTimeout bounds mesh bring-up — dialing lower-indexed peers
-	// (with retry, since processes start in any order) and the
-	// handshake read on accepted connections. Zero means 10s.
+	// (with retry, since processes start in any order), waiting for
+	// higher-indexed ones to connect, and each handshake read. Zero
+	// means 10s.
 	DialTimeout time.Duration
 	// Respawn, when set, lets Recover re-exec a dead worker process:
 	// it is called with the process index and address of each dead
@@ -110,8 +111,9 @@ type peer struct {
 // New connects this process into the wire machine described by cfg:
 // it listens on its own address, dials every lower-indexed process
 // (retrying until DialTimeout, since peers start in any order),
-// accepts every higher-indexed one, and exchanges a HELLO handshake
-// on each dialed connection. It returns once the full mesh is up.
+// accepts every higher-indexed one (waiting at most DialTimeout), and
+// exchanges a HELLO handshake on each connection. It returns once the
+// full mesh is up, or with an error once a peer fails to join.
 func New(cfg Config) (*Transport, error) {
 	t, err := build(cfg)
 	if err != nil {
@@ -120,7 +122,7 @@ func New(cfg Config) (*Transport, error) {
 	if len(t.procs) == 1 {
 		return t, nil // single process: pure loopback, no sockets
 	}
-	if err := t.connect(cfg.dialTimeout()); err != nil {
+	if err := t.connect(); err != nil {
 		t.Close()
 		return nil, err
 	}
@@ -194,60 +196,69 @@ func (cfg Config) dialTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// connect brings up the one-connection-per-process-pair mesh: dial
-// processes below us, accept processes above us. Each connection opens
-// with a two-way HELLO exchange (dialer's hello, acceptor's ack) that
-// carries both sides' run epochs, so a process joining an established
-// mesh — a worker Recover re-execed — fast-forwards to the survivors'
-// epoch before its first Begin.
-func (t *Transport) connect(timeout time.Duration) error {
+// connect listens on our address and links every other process.
+func (t *Transport) connect() error {
 	network, target := splitAddr(t.procs[t.self])
 	ln, err := listen(network, target)
 	if err != nil {
 		return fmt.Errorf("wire: process %d listening on %s: %w", t.self, t.procs[t.self], err)
 	}
 	t.ln = ln
+	return t.link(func(int) bool { return true })
+}
 
+// link connects this process to the processes want selects — all of
+// them for New, the lost ones for Recover — with the bootstrap roles:
+// dial the processes below us, accept the ones above us. Each
+// connection opens with a two-way HELLO exchange (dialer's hello,
+// acceptor's ack) that carries both sides' run epochs, so a process
+// joining an established mesh — a worker Recover re-execed —
+// fast-forwards to the survivors' epoch before its first Begin. Dialing
+// retries, and accepting waits under a listener deadline, for at most
+// DialTimeout each, so an absent peer fails bring-up instead of hanging
+// it. On error every new connection is closed; otherwise all of them
+// start together.
+func (t *Transport) link(want func(proc int) bool) error {
 	conns := make([]net.Conn, len(t.procs))
+	accepts := 0
+	for pi := t.self + 1; pi < len(t.procs); pi++ {
+		if want(pi) {
+			accepts++
+		}
+	}
 	acceptErr := make(chan error, 1)
 	go func() {
+		if d, ok := t.ln.(interface{ SetDeadline(time.Time) error }); ok {
+			d.SetDeadline(time.Now().Add(t.dialT))
+			defer d.SetDeadline(time.Time{})
+		}
 		var scratch []byte
-		for n := len(t.procs) - 1 - t.self; n > 0; n-- {
-			var src int
-			var err error
-			src, scratch, err = t.acceptPeer(conns, scratch, timeout, nil)
-			if err != nil {
-				acceptErr <- err
-				return
-			}
-			_ = src
+		var err error
+		for ; accepts > 0 && err == nil; accepts-- {
+			scratch, err = t.acceptPeer(conns, scratch, want)
 		}
-		acceptErr <- nil
+		acceptErr <- err
 	}()
-
-	var dialErr error
-	for j := 0; j < t.self && dialErr == nil; j++ {
-		conn, err := t.dialPeer(j, timeout)
-		if err != nil {
-			dialErr = err
-			break
+	var err error
+	for pi := 0; pi < t.self && err == nil; pi++ {
+		if want(pi) {
+			conns[pi], err = t.dialPeer(pi)
 		}
-		conns[j] = conn
 	}
-	if err := <-acceptErr; dialErr == nil {
-		dialErr = err
+	if aerr := <-acceptErr; err == nil {
+		err = aerr
 	}
-	if dialErr != nil {
+	if err != nil {
 		for _, c := range conns {
 			if c != nil {
 				c.Close()
 			}
 		}
-		return dialErr
+		return err
 	}
-	for j, conn := range conns {
+	for pi, conn := range conns {
 		if conn != nil {
-			t.startPeer(j, conn)
+			t.startPeer(pi, conn)
 		}
 	}
 	return nil
@@ -255,8 +266,8 @@ func (t *Transport) connect(timeout time.Duration) error {
 
 // dialPeer dials process j, sends our hello and waits for the
 // acceptor's ack, adopting its epoch.
-func (t *Transport) dialPeer(j int, timeout time.Duration) (net.Conn, error) {
-	conn, err := dialRetry(t.procs[j], timeout)
+func (t *Transport) dialPeer(j int) (net.Conn, error) {
+	conn, err := dialRetry(t.procs[j], t.dialT)
 	if err != nil {
 		return nil, fmt.Errorf("wire: process %d dialing process %d (%s): %w", t.self, j, t.procs[j], err)
 	}
@@ -265,7 +276,7 @@ func (t *Transport) dialPeer(j int, timeout time.Duration) (net.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: process %d handshake with process %d: %w", t.self, j, err)
 	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
+	conn.SetReadDeadline(time.Now().Add(t.dialT))
 	ack, _, err := readFrame(conn, nil)
 	if err != nil || ack.kind != kindHello || ack.tag != int64(t.p) || ack.src != j {
 		conn.Close()
@@ -279,45 +290,45 @@ func (t *Transport) dialPeer(j int, timeout time.Duration) (net.Conn, error) {
 	return conn, nil
 }
 
-// acceptPeer accepts one handshake from a higher-indexed process,
-// recording the connection in conns[src]. accept (nil = any new
-// higher-indexed process) further restricts which processes are
-// expected — Recover passes the set of dead ones.
-func (t *Transport) acceptPeer(conns []net.Conn, scratch []byte, timeout time.Duration, accept func(src int) bool) (int, []byte, error) {
+// acceptPeer accepts one handshake from a higher-indexed process that
+// want selects, recording the connection in conns[src].
+func (t *Transport) acceptPeer(conns []net.Conn, scratch []byte, want func(src int) bool) ([]byte, error) {
 	conn, err := t.ln.Accept()
 	if err != nil {
-		return 0, scratch, fmt.Errorf("wire: process %d accepting peer: %w", t.self, err)
+		return scratch, fmt.Errorf("wire: process %d accepting peer: %w", t.self, err)
 	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
+	conn.SetReadDeadline(time.Now().Add(t.dialT))
 	var hello frame
 	hello, scratch, err = readFrame(conn, scratch)
 	if err != nil || hello.kind != kindHello || hello.tag != int64(t.p) ||
-		hello.src <= t.self || hello.src >= len(t.procs) || conns[hello.src] != nil ||
-		(accept != nil && !accept(hello.src)) {
+		hello.src <= t.self || hello.src >= len(t.procs) || conns[hello.src] != nil || !want(hello.src) {
 		conn.Close()
 		if err == nil {
 			err = fmt.Errorf("handshake from process %d rejected", hello.src)
 		}
-		return 0, scratch, fmt.Errorf("wire: process %d handshake: %w", t.self, err)
+		return scratch, fmt.Errorf("wire: process %d handshake: %w", t.self, err)
 	}
 	ack := appendFrame(nil, frame{kind: kindHello, src: t.self, dst: hello.src, tag: int64(t.p), epoch: t.curEpoch()})
 	if _, err := conn.Write(ack); err != nil {
 		conn.Close()
-		return 0, scratch, fmt.Errorf("wire: process %d handshake ack to process %d: %w", t.self, hello.src, err)
+		return scratch, fmt.Errorf("wire: process %d handshake ack to process %d: %w", t.self, hello.src, err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	t.adoptEpoch(hello.epoch)
 	conns[hello.src] = conn
-	return hello.src, scratch, nil
+	return scratch, nil
 }
 
 // outQueueFrames is the capacity of a peer's outgoing frame queue; a
 // sender further ahead of the writer than this blocks in enqueue.
 const outQueueFrames = 256
 
-// startPeer installs a fresh connection to process j and starts its
-// reader and writer goroutines.
+// startPeer installs a fresh connection to process j, clears its lost
+// mark, and starts its reader and writer goroutines.
 func (t *Transport) startPeer(j int, conn net.Conn) {
+	t.fmu.Lock()
+	t.deadProc[j] = false
+	t.fmu.Unlock()
 	pr := &peer{proc: j, addr: t.procs[j], conn: conn, out: make(chan frame, outQueueFrames)}
 	t.peers[j].Store(pr)
 	t.wg.Add(2)
@@ -796,66 +807,18 @@ func (t *Transport) Recover() error {
 	// still parked on one can never record a failure against the fresh
 	// mesh.
 	deadSet := make(map[int]bool, len(lost))
-	acceptN := 0
 	for _, pi := range lost {
 		deadSet[pi] = true
-		if pi > t.self {
-			acceptN++
-		}
 		if old := t.peers[pi].Load(); old != nil {
 			old.superseded.Store(true)
 			old.conn.Close()
 			t.peers[pi].Store(nil)
 		}
 	}
-	// Rebuild with the same roles as connect: dial the dead below us,
-	// accept the dead above us (they dial everyone below themselves as
-	// part of their fresh New).
-	conns := make([]net.Conn, len(t.procs))
-	acceptErr := make(chan error, 1)
-	go func() {
-		if d, ok := t.ln.(interface{ SetDeadline(time.Time) error }); ok {
-			d.SetDeadline(time.Now().Add(t.dialT))
-			defer d.SetDeadline(time.Time{})
-		}
-		var scratch []byte
-		var err error
-		for n := acceptN; n > 0; n-- {
-			_, scratch, err = t.acceptPeer(conns, scratch, t.dialT, func(src int) bool { return deadSet[src] })
-			if err != nil {
-				acceptErr <- err
-				return
-			}
-		}
-		acceptErr <- nil
-	}()
-	var dialErr error
-	for _, pi := range lost {
-		if pi >= t.self || dialErr != nil {
-			continue
-		}
-		conns[pi], dialErr = t.dialPeer(pi, t.dialT)
-	}
-	if err := <-acceptErr; dialErr == nil {
-		dialErr = err
-	}
-	if dialErr != nil {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		return dialErr
-	}
-	t.fmu.Lock()
-	for _, pi := range lost {
-		t.deadProc[pi] = false
-	}
-	t.fmu.Unlock()
-	for pi, conn := range conns {
-		if conn != nil {
-			t.startPeer(pi, conn)
-		}
+	// The dead above us dial everyone below themselves as part of their
+	// fresh New.
+	if err := t.link(func(pi int) bool { return deadSet[pi] }); err != nil {
+		return err
 	}
 	t.clearFailure()
 	return nil

@@ -313,6 +313,29 @@ func TestCounterMergeMissingPeerIsAnError(t *testing.T) {
 	}
 }
 
+// TestNewAbsentPeerTimesOut holds bring-up to DialTimeout on the accept
+// side: process 0 of a two-process mesh only accepts, and a peer that
+// never starts must fail New once the timeout passes, not hang it.
+func TestNewAbsentPeerTimesOut(t *testing.T) {
+	peers := wire.SocketAddrs(t.TempDir(), 2)
+	done := make(chan error, 1)
+	go func() {
+		tr, err := wire.New(wire.Config{Rank: 0, Peers: peers, DialTimeout: 200 * time.Millisecond})
+		if err == nil {
+			tr.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("New brought up a mesh whose peer never started")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("New still blocked 2s after a 200ms DialTimeout")
+	}
+}
+
 // bringUp connects one single-rank transport per address concurrently
 // (processes of a real launch start in arbitrary order) and fails the
 // test if any cannot join.

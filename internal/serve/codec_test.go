@@ -46,11 +46,7 @@ func referenceHandler(s *Server) http.Handler {
 		}
 		c, rep, err := s.Multiply(ctx, a, b)
 		if err != nil {
-			status := statusFor(err)
-			if d := s.retryAfter(err); d > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(int((d+time.Second-1)/time.Second)))
-			}
-			httpError(w, status, err)
+			multiplyError(w, err)
 			return
 		}
 		writeJSON(w, MultiplyResponse{

@@ -61,12 +61,12 @@ func putBuffer(b *bytes.Buffer) {
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/multiply — multiply one pair (MultiplyRequest → MultiplyResponse);
-//	                    429 when shedding, 503 while draining or a shard's
-//	                    circuit is open (all with Retry-After), 504 when
-//	                    the X-Cosma-Deadline-Ms budget expires, 400 on bad
-//	                    input, 413 on a body no admissible request could
-//	                    fill, 422 when the product overflows float64, 500
-//	                    when the engine fails
+//	                    429 when shedding, 503 while draining (both with
+//	                    Retry-After), 504 when the X-Cosma-Deadline-Ms
+//	                    budget expires, 400 on bad input, 413 on a body no
+//	                    admissible request could fill, 422 when the
+//	                    product overflows float64, 500 when the engine
+//	                    fails
 //	GET  /v1/stats    — the Stats snapshot as JSON
 //	GET  /healthz     — 200 "ok" while accepting, 503 while draining
 func Handler(s *Server) http.Handler {
@@ -100,11 +100,7 @@ func Handler(s *Server) http.Handler {
 		}
 		c, rep, err := s.Multiply(ctx, a, b)
 		if err != nil {
-			status := statusFor(err)
-			if d := s.retryAfter(err); d > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(int((d+time.Second-1)/time.Second)))
-			}
-			httpError(w, status, err)
+			multiplyError(w, err)
 			return
 		}
 		// The whole answer is encoded before the first byte goes out, so a
@@ -173,18 +169,18 @@ func (req *MultiplyRequest) matrices() (a, b *cosma.Matrix, err error) {
 }
 
 // statusFor maps service errors onto HTTP statuses: shedding is 429
-// (retryable once a batch has finished), draining and an open circuit
-// are 503 (retry another replica, or after the cooldown), an expired
-// deadline budget is 504, a request the server refused for what it asks
-// (a rejection, or a shape the algorithm cannot schedule) is 400, and
-// anything else is the engine failing under a well-formed request: 500,
-// so a retrying client is not told the fault is its own.
+// (retryable once a batch has finished), draining is 503 (retry another
+// replica), an expired deadline budget is 504, a request the server
+// refused for what it asks (a rejection, or a shape the algorithm cannot
+// schedule) is 400, and anything else is the engine failing under a
+// well-formed request: 500, so a retrying client is not told the fault
+// is its own.
 func statusFor(err error) int {
 	var rej rejection
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrShardOpen):
+	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -195,19 +191,16 @@ func statusFor(err error) int {
 	}
 }
 
-// retryAfter suggests when a rejected request is worth re-sending: one
-// breaker cooldown after tripping a circuit, and a nominal second — the
-// header's resolution — after shedding (the queue drains at execution
-// speed) and while draining (really: go elsewhere). 0 means no header.
-func (s *Server) retryAfter(err error) time.Duration {
-	switch {
-	case errors.Is(err, ErrShardOpen):
-		return s.opts.breakerCooldown()
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
-		return time.Second
-	default:
-		return 0
+// multiplyError answers a failed Multiply with statusFor's status. A
+// 429 or 503 also carries a Retry-After of one second, the header's
+// resolution: the queue drains at execution speed, and a draining
+// server really means "go elsewhere".
+func multiplyError(w http.ResponseWriter, err error) {
+	status := statusFor(err)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
 	}
+	httpError(w, status, err)
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

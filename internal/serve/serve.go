@@ -34,12 +34,6 @@ var ErrOverloaded = errors.New("serve: overloaded — admission queue full")
 // ErrDraining is returned for requests arriving after Drain began.
 var ErrDraining = errors.New("serve: draining — not accepting new requests")
 
-// ErrShardOpen is returned (mapped to 503 with a Retry-After of the
-// breaker cooldown) when a shape's engine shard has its circuit breaker
-// open and no fallback engine is configured: the shard failed
-// repeatedly and is cooling off before a probe.
-var ErrShardOpen = errors.New("serve: circuit open — engine shard temporarily disabled")
-
 // Options configure a Server. The zero value is usable.
 type Options struct {
 	// Engine options applied to every shard (procs, memory, algorithm,
@@ -58,18 +52,6 @@ type Options struct {
 	// request beyond it is rejected (the HTTP layer maps that to 400),
 	// which keeps one oversized multiplication from starving the mix.
 	MaxDim int
-	// Fallback, when non-nil, are engine options for a degraded
-	// in-process engine that serves a shard's batches while that shard's
-	// circuit breaker is open — e.g. a plain counting-transport engine
-	// standing in for a wire-transport one whose mesh keeps failing.
-	// Without it an open shard fails fast with ErrShardOpen.
-	Fallback []cosma.Option
-	// BreakerThreshold is how many consecutive batch failures open a
-	// shard's circuit; 0 means 5, negative disables the breakers.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit dwells before
-	// admitting a half-open probe batch; 0 means 5s.
-	BreakerCooldown time.Duration
 }
 
 func (o Options) shards() int {
@@ -100,44 +82,25 @@ func (o Options) maxDim() int {
 	return o.MaxDim
 }
 
-func (o Options) breakerThreshold() int {
-	if o.BreakerThreshold == 0 {
-		return 5
-	}
-	return o.BreakerThreshold
-}
-
-func (o Options) breakerCooldown() time.Duration {
-	if o.BreakerCooldown <= 0 {
-		return 5 * time.Second
-	}
-	return o.BreakerCooldown
-}
-
 // Server is the coalescing multiplication service. Create one with
 // New, serve requests through Multiply (or the HTTP handler), and
-// shut down with Drain.
+// shut down with Drain. A failed batch answers its own requests and
+// nothing else: recovery from a transient fault is the engine's
+// (cosma.WithRetry), not the server's.
 type Server struct {
 	opts    Options
 	engines []*cosma.Engine
-	// fallback is the degraded engine batches run on while their
-	// shard's breaker is open (Options.Fallback); nil fails fast.
-	fallback *cosma.Engine
-	// clock feeds the breakers; tests substitute a fake for
-	// deterministic transition coverage.
-	clock func() time.Time
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast when queued drops or drain starts
 	buckets  map[shapeKey]*bucket
-	breakers []*breaker // per engine shard; nil when disabled
-	queued   int        // admitted, not yet answered
+	queued   int // admitted, not yet answered
 	draining bool
 	// stats holds the counters that change together with the fields
-	// above; the four below stand alone and are only ever added to.
+	// above; the three below stand alone and are only ever added to.
 	stats Stats
 
-	rejected, fallbackBatches, batchFailures, retries atomic.Int64
+	rejected, batchFailures, retries atomic.Int64
 }
 
 type shapeKey struct{ m, n, k int }
@@ -170,7 +133,7 @@ type result struct {
 type Stats struct {
 	Requests   int64 `json:"requests"`  // admitted requests
 	Shed       int64 `json:"shed"`      // rejected with ErrOverloaded
-	Rejected   int64 `json:"rejected"`  // invalid or oversized requests
+	Rejected   int64 `json:"rejected"`  // invalid, oversized or unschedulable requests
 	Batches    int64 `json:"batches"`   // MultiplyBatch calls issued
 	Batched    int64 `json:"batched"`   // pairs across all batches
 	MaxBatch   int   `json:"max_batch"` // largest batch executed
@@ -187,19 +150,15 @@ type Stats struct {
 	// answered requests (report attempts beyond the first).
 	Retries int64 `json:"retries"`
 
-	// BreakerOpenShards counts engine shards whose circuit is not
-	// closed (open or probing); FallbackBatches counts batches the
-	// degraded fallback engine served while shards were open; and
-	// BatchFailures counts batch executions that returned an error.
-	BreakerOpenShards int   `json:"breaker_open_shards"`
-	FallbackBatches   int64 `json:"fallback_batches"`
-	BatchFailures     int64 `json:"batch_failures"`
+	// BatchFailures counts batch executions that failed in the engine;
+	// a batch refused for its shape counts its requests under Rejected.
+	BatchFailures int64 `json:"batch_failures"`
 }
 
 // New builds a server: the engine shards are constructed eagerly so a
 // misconfiguration surfaces here, not on the first request.
 func New(opts Options) (*Server, error) {
-	s := &Server{opts: opts, buckets: make(map[shapeKey]*bucket), clock: time.Now}
+	s := &Server{opts: opts, buckets: make(map[shapeKey]*bucket)}
 	s.stats.ShedByShape = make(map[string]int64)
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < opts.shards(); i++ {
@@ -208,19 +167,6 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.engines = append(s.engines, eng)
-		if opts.breakerThreshold() > 0 {
-			s.breakers = append(s.breakers, &breaker{
-				threshold: opts.breakerThreshold(),
-				cooldown:  opts.breakerCooldown(),
-			})
-		}
-	}
-	if opts.Fallback != nil {
-		eng, err := cosma.NewEngine(opts.Fallback...)
-		if err != nil {
-			return nil, fmt.Errorf("building fallback engine: %w", err)
-		}
-		s.fallback = eng
 	}
 	return s, nil
 }
@@ -335,58 +281,24 @@ func (s *Server) flushLoop(bk *bucket) {
 	}
 }
 
-// execute runs one batch on the shape's engine shard — or, while the
-// shard's circuit breaker is open, on the degraded fallback engine —
-// and fans the results back out. The batch context is the server's,
-// not any one caller's (a single abandoned request must not cancel its
-// batchmates), except that when every member carries a deadline the
-// batch runs under the latest of them: once no caller is still
-// waiting, an engine-side hang is cancelled rather than ridden out.
+// execute runs one batch on the shape's engine shard and fans the
+// results back out. The batch context is the server's, not any one
+// caller's (a single abandoned request must not cancel its batchmates),
+// except that when every member carries a deadline the batch runs under
+// the latest of them: once no caller is still waiting, an engine-side
+// hang is cancelled rather than ridden out.
 func (s *Server) execute(key shapeKey, batch []*request) {
 	pairs := make([]cosma.Pair, len(batch))
 	for i, req := range batch {
 		pairs[i] = cosma.Pair{A: req.a, B: req.b}
 	}
-	shard := key.shard(len(s.engines))
-	eng := s.engines[shard]
-
-	// Route through the shard's breaker.
-	var br *breaker
-	probe, degraded := false, false
-	if s.breakers != nil {
-		s.mu.Lock()
-		br = s.breakers[shard]
-		var primary bool
-		primary, probe = br.route(s.clock())
-		s.mu.Unlock()
-		if !primary {
-			if s.fallback == nil {
-				s.finish(batch, nil, nil, ErrShardOpen)
-				return
-			}
-			eng, degraded = s.fallback, true
-		}
-	}
-
 	ctx := context.Background()
 	if d, ok := batchDeadline(batch); ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, d)
 		defer cancel()
 	}
-	outs, reps, err := eng.MultiplyBatch(ctx, pairs)
-
-	if br != nil && !degraded {
-		// Deadline expiry is the callers' doing, not shard sickness —
-		// don't let it move the circuit.
-		failed := err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-		s.mu.Lock()
-		br.onResult(s.clock(), probe, failed)
-		s.mu.Unlock()
-	}
-	if degraded {
-		s.fallbackBatches.Add(1)
-	}
+	outs, reps, err := s.engines[key.shard(len(s.engines))].MultiplyBatch(ctx, pairs)
 	s.finish(batch, outs, reps, err)
 }
 
@@ -405,12 +317,17 @@ func batchDeadline(batch []*request) (time.Time, bool) {
 	return latest, len(batch) > 0
 }
 
-// finish fans one executed (or shed) batch's results back to the
-// waiting callers, counts their retries, and releases the queue slots.
-// Every counter moves before the answer it describes goes out, so a
-// caller that reads Stats after its answer finds itself counted.
+// finish fans one executed batch's results back to the waiting
+// callers, counts their retries, and releases the queue slots. A shape
+// the algorithm cannot schedule is the requests' fault (400), so they
+// count as rejected, not as an engine failure. Every counter moves
+// before the answer it describes goes out, so a caller that reads Stats
+// after its answer finds itself counted.
 func (s *Server) finish(batch []*request, outs []*cosma.Matrix, reps []*cosma.Report, err error) {
-	if err != nil {
+	switch {
+	case errors.Is(err, cosma.ErrUnsupportedShape):
+		s.rejected.Add(int64(len(batch)))
+	case err != nil:
 		s.batchFailures.Add(1)
 	}
 	for i, req := range batch {
@@ -444,14 +361,8 @@ func (s *Server) Stats() Stats {
 	} else {
 		st.ShedByShape = nil
 	}
-	for _, br := range s.breakers {
-		if br.state != breakerClosed {
-			st.BreakerOpenShards++
-		}
-	}
 	s.mu.Unlock()
 	st.Rejected = s.rejected.Load()
-	st.FallbackBatches = s.fallbackBatches.Load()
 	st.BatchFailures = s.batchFailures.Load()
 	st.Retries = s.retries.Load()
 	for _, eng := range s.engines {

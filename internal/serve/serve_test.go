@@ -232,6 +232,81 @@ func TestRejectsOversized(t *testing.T) {
 	}
 }
 
+// TestServeUnschedulableShapeDoesNotStarveOthers holds a batch's error
+// to its own requests: shapes Cannon cannot schedule are each refused
+// and counted as rejected, and a schedulable shape on the same shard is
+// answered right after them, bit for bit as a direct Exec would.
+func TestServeUnschedulableShapeDoesNotStarveOthers(t *testing.T) {
+	engine := []cosma.Option{cosma.WithProcs(4), cosma.WithMemory(1 << 14), cosma.WithAlgorithm("cannon")}
+	s := newTestServer(t, Options{Engine: engine, Shards: 1})
+	ctx := context.Background()
+
+	for i := 0; i < 6; i++ {
+		_, _, err := s.Multiply(ctx, cosma.RandomMatrix(3, 3, int64(i)), cosma.RandomMatrix(3, 3, int64(i+10)))
+		if !errors.Is(err, cosma.ErrUnsupportedShape) {
+			t.Fatalf("3×3×3 request %d: err = %v, want ErrUnsupportedShape", i, err)
+		}
+	}
+	if st := s.Stats(); st.Rejected != 6 || st.BatchFailures != 0 {
+		t.Fatalf("rejected = %d, batch failures = %d; want 6 and 0", st.Rejected, st.BatchFailures)
+	}
+
+	a := cosma.RandomMatrix(4, 4, 1)
+	b := cosma.RandomMatrix(4, 4, 2)
+	got, _, err := s.Multiply(ctx, a, b)
+	if err != nil {
+		t.Fatalf("4×4×4 request after the refusals: %v", err)
+	}
+	eng, err := cosma.NewEngine(engine...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := eng.Exec(ctx, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("word %d: got %v want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestServeRetryRecoversScriptedDeaths is recovery on the serving path:
+// the engine's first two executions lose a rank each, its retry policy
+// re-runs them, and every request is answered with the fault-free
+// product — the two re-runs counted as retries, no batch as failed.
+func TestServeRetryRecoversScriptedDeaths(t *testing.T) {
+	s := newTestServer(t, Options{
+		Engine: []cosma.Option{
+			cosma.WithProcs(4), cosma.WithMemory(1 << 14),
+			cosma.WithFaultPlan(cosma.FaultPlan{Deaths: []cosma.RankDeath{
+				{Rank: 1, Round: 0, OnAttempt: 1},
+				{Rank: 2, Round: 0, OnAttempt: 2},
+			}}),
+			cosma.WithRetry(cosma.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}),
+		},
+		Shards: 1,
+	})
+	a := cosma.RandomMatrix(32, 32, 1)
+	b := cosma.RandomMatrix(32, 32, 2)
+	want := reference(t, a, b)
+	for i := 0; i < 4; i++ {
+		got, _, err := s.Multiply(context.Background(), a, b)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("request %d, word %d: got %v want %v", i, j, got.Data[j], want.Data[j])
+			}
+		}
+	}
+	if st := s.Stats(); st.Retries != 2 || st.BatchFailures != 0 {
+		t.Fatalf("retries = %d, batch failures = %d; want 2 and 0", st.Retries, st.BatchFailures)
+	}
+}
+
 func TestShardingSpreadsShapes(t *testing.T) {
 	s := newTestServer(t, Options{Shards: 4})
 	seen := map[int]bool{}

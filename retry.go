@@ -78,8 +78,8 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	return d
 }
 
-// ErrEngineClosed is returned by Exec, MultiplyBatch and Recover once
-// Close has been called on the engine.
+// ErrEngineClosed is returned by Exec and MultiplyBatch once Close has
+// been called on the engine.
 var ErrEngineClosed = errors.New("cosma: engine is closed")
 
 // Retryable classifies an execution error for the retry layer: true
