@@ -27,7 +27,8 @@ func wordsHash(m *Matrix) uint64 {
 // Algorithm 1 rank program: operands are read where the caller put them.
 // Sub-views of larger matrices (Stride > Cols, one stride a power of
 // two) give the product of their compact copies bit for bit, and not a
-// word of the parents changes.
+// word of the parents changes — at 3 output tiles of S, where the round
+// loop runs one panel pair at a time, and at 8, where it pipelines.
 func TestExecReadsStridedOperandsInPlace(t *testing.T) {
 	const m, k, n = 120, 88, 104
 	parentA := RandomMatrix(m+5, 128, 31) // power-of-two stride
@@ -40,11 +41,10 @@ func TestExecReadsStridedOperandsInPlace(t *testing.T) {
 	ctx := context.Background()
 	for _, algoName := range []string{"cosma", "summa", "2.5d"} {
 		for _, timed := range []bool{false, true} {
-			for _, overlap := range []bool{false, true} {
-				name := fmt.Sprintf("%s/timed=%v/overlap=%v", algoName, timed, overlap)
+			for _, tiles := range []int{3, 8} {
+				name := fmt.Sprintf("%s/timed=%v/tiles=%d", algoName, timed, tiles)
 				opts := []Option{
-					WithAlgorithm(algoName), WithProcs(8),
-					WithMemory(3 * m * n / 8), WithOverlap(overlap),
+					WithAlgorithm(algoName), WithProcs(8), WithMemory(tiles * m * n / 8),
 				}
 				if timed {
 					opts = append(opts, WithNetwork(PizDaintNetwork()))
@@ -57,9 +57,12 @@ func TestExecReadsStridedOperandsInPlace(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s compact: %v", name, err)
 				}
-				got, _, err := eng.Exec(ctx, a, b)
+				got, rep, err := eng.Exec(ctx, a, b)
 				if err != nil {
 					t.Fatalf("%s views: %v", name, err)
+				}
+				if rep.Overlap != (tiles == 8) {
+					t.Errorf("%s: pipelined = %v", name, rep.Overlap)
 				}
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {

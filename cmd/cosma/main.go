@@ -8,10 +8,12 @@
 //	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576 [-delta 0.03]
 //	      [-algo cosma|summa|2.5d|carma|cannon|all]
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
-//	      [-threads n]
+//	      [-threads n] [-overlap=false]
 //
 // The algorithm is looked up by name in the table of algorithms (aliases
-// like "scalapack" and "ctf" work too); -algo list prints it. With
+// like "scalapack" and "ctf" work too); -algo list prints it. The round
+// loops pipeline wherever S has room for a second panel pair (§7.3);
+// -overlap=false runs the synchronous reference schedule. With
 // -network the run executes on the timed α-β-γ transport and the table
 // gains predicted and critical-path runtime columns; adding -calibrate
 // first measures the local packed kernel and replaces the preset's γ
@@ -66,8 +68,8 @@ func main() {
 	netName := flag.String("network", "", "timed α-β-γ preset: pizdaint, ethernet or sharedmem (empty counts only)")
 	calibrate := flag.Bool("calibrate", false, "measure the local kernel and substitute its γ into -network")
 	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
-	overlap := flag.Bool("overlap", false,
-		"pipeline the round loops (§7.3): prefetch the next round's panels while multiplying")
+	overlap := flag.Bool("overlap", true,
+		"pipeline the round loops where S has room for a second panel pair (§7.3)")
 	transport := flag.String("transport", "inprocess",
 		"rank transport: inprocess (simulated machine) or wire (real OS processes over sockets)")
 	wireProcs := flag.Int("wire-procs", 0, "wire: OS processes to spread the p ranks over (0 = p)")

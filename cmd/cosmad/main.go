@@ -8,7 +8,7 @@
 //
 //	cosmad [-addr :8642] [-p 4] [-S 1048576] [-algo cosma]
 //	       [-shards 4] [-queue 256] [-batch 32]
-//	       [-maxdim 8192] [-threads n] [-overlap]
+//	       [-maxdim 8192] [-threads n]
 //	       [-retry 0] [-verify] [-drain-timeout 30s]
 //
 // Endpoints: POST /v1/multiply (JSON in/out; honors X-Cosma-Deadline-Ms),
@@ -48,7 +48,6 @@ func main() {
 	batch := flag.Int("batch", 32, "max pairs per batched execution")
 	maxDim := flag.Int("maxdim", 8192, "admission bound on each of m, n, k")
 	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
-	overlap := flag.Bool("overlap", false, "pipeline the round loops (§7.3)")
 	retry := flag.Int("retry", 0, "engine retry attempts per execution (0 = no retries)")
 	verify := flag.Bool("verify", false, "ABFT-verify every product (cosma.WithVerification)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
@@ -56,8 +55,7 @@ func main() {
 
 	engineOpts := []cosma.Option{
 		cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithAlgorithm(*algoName),
-		cosma.WithKernelThreads(*threads), cosma.WithOverlap(*overlap),
-		cosma.WithVerification(*verify),
+		cosma.WithKernelThreads(*threads), cosma.WithVerification(*verify),
 	}
 	if *retry > 0 {
 		engineOpts = append(engineOpts, cosma.WithRetry(cosma.RetryPolicy{MaxAttempts: *retry}))

@@ -136,21 +136,21 @@ func WithNetwork(net NetworkParams) Option {
 	return func(c *engineConfig) { c.network = &net }
 }
 
-// WithOverlap enables communication–computation overlap (§7.3): the
-// round loops software-pipeline, prefetching round i+1's panels with
-// non-blocking broadcasts while the kernel multiplies round i's —
-// double-buffered panel pairs per operand, swapped every round. The
-// product is bitwise-identical to the synchronous schedule; on a timed
-// engine the measured CritPathTime drops by up to the hidden
-// communication (Figure 12). The Algorithm 1 schedules — COSMA, SUMMA
-// and 2.5D — pipeline; CARMA and Cannon execute synchronously
-// regardless.
+// WithOverlap requests communication–computation overlap (§7.3), and
+// it is on by default: the round loops software-pipeline, prefetching
+// round i+1's panels with non-blocking broadcasts while the kernel
+// multiplies round i's — double-buffered panel pairs per operand,
+// swapped every round. The product is bitwise-identical to the
+// synchronous schedule; on a timed engine the measured CritPathTime
+// drops by up to the hidden communication (Figure 12). The Algorithm 1
+// schedules — COSMA, SUMMA and 2.5D — pipeline; CARMA and Cannon
+// execute synchronously regardless.
 //
-// The round schedule (and hence the kernel call sequence) is the one
-// fitted for WithMemory's S, so the prefetched pair transiently holds
-// one extra A+B panel beyond S per rank — overlap trades that buffer
-// space for hidden latency. Run synchronously when S must bound the
-// true peak residency.
+// The second panel pair is paid for out of WithMemory's S: a plan
+// pipelines only where its C tile plus two panel pairs of its longest
+// round fit in S, and otherwise runs one pair at a time, as its step
+// was fitted for. Report.Overlap says which ran. WithOverlap(false) is
+// the synchronous reference schedule.
 func WithOverlap(on bool) Option {
 	return func(c *engineConfig) { c.overlap = on }
 }
@@ -299,9 +299,9 @@ const planCacheSize = 64
 
 // NewEngine builds an engine from functional options. The zero
 // configuration is a single-processor, unbounded-memory, counting
-// COSMA engine.
+// COSMA engine that overlaps wherever S has room.
 func NewEngine(opts ...Option) (*Engine, error) {
-	cfg := engineConfig{algorithm: "cosma"}
+	cfg := engineConfig{algorithm: "cosma", overlap: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -407,8 +407,10 @@ func (e *Engine) Delta() float64 { return e.cfg.delta }
 // means the GOMAXPROCS-aware default is resolved per executor.
 func (e *Engine) KernelThreads() int { return e.cfg.kernelThreads }
 
-// Overlap reports whether executions pipeline their round loops
-// (communication–computation overlap, WithOverlap).
+// Overlap reports whether the engine requests pipelined round loops
+// (communication–computation overlap, WithOverlap). Whether a run
+// pipelined is its Report.Overlap: a plan whose S has no room for a
+// second panel pair runs synchronously either way.
 func (e *Engine) Overlap() bool { return e.cfg.overlap }
 
 // Network returns the engine's α-β-γ parameters and true when runs

@@ -9,12 +9,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cosma/internal/workload"
 )
 
 // TestBenchHistoryHead re-derives the deterministic end-to-end rows of
 // `go run ./benchmark` — crit_path_ms and max_recv_words on its three
-// engine workloads, the way benchmark/engine.go reports them: one Exec
-// on the timed transport under the Piz Daint preset — and requires them
+// engine workloads and on serve-mix's hottest shape, the way
+// benchmark/engine.go and benchmark/serve.go report them: one Exec on
+// the timed transport under the Piz Daint preset — and requires them
 // to equal the last line of BENCH_history.jsonl exactly. A PR that moves
 // one of them fails here until it appends a line saying so, so the file
 // is the trajectory of the rows that do not depend on the clock. The
@@ -64,8 +67,9 @@ func TestBenchHistoryHead(t *testing.T) {
 		t.Errorf("non-test Go lines outside benchmark/ = %d, PR %d recorded go_lines %d", goLines, head.PR, head.GoLines)
 	}
 	if testing.Short() {
-		t.Skip("executes two 1024³ and one 128×128×65536 multiplication")
+		t.Skip("executes the benchmark's four timed shapes")
 	}
+	hottest := workload.NewGenerator(workload.GenConfig{Seed: 1, Shapes: 12, ZipfS: 1.1, MinDim: 32, MaxDim: 192}).Catalog()[0]
 	for _, w := range []struct {
 		name          string
 		m, n, k, p, s int
@@ -73,6 +77,7 @@ func TestBenchHistoryHead(t *testing.T) {
 		{"square-roomy", 1024, 1024, 1024, 16, 1 << 20},
 		{"square-tight", 1024, 1024, 1024, 16, 69632},
 		{"tall-k", 128, 128, 65536, 16, 1 << 18},
+		{"serve-mix", hottest.M, hottest.N, hottest.K, 4, 3 * 192 * 192},
 	} {
 		want, ok := head.Workloads[w.name]
 		if !ok {

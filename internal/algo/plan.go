@@ -27,7 +27,8 @@ type Plan struct {
 	// (COSMA, SUMMA, 2.5D); nil where the schedule has none (CARMA,
 	// Cannon).
 	Geometry *Decomposition
-	// Overlap records that Execute pipelines its rounds (§7.3).
+	// Overlap records that Execute pipelines its rounds (§7.3): what the
+	// plan decided, which is Config.Overlap only where S has room.
 	Overlap bool
 	// Distributed records that Execute gathers the ranks' pieces of C to rank
 	// 0 when the machine's ranks span several OS processes (the wire

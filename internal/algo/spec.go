@@ -7,10 +7,11 @@ type Config struct {
 	// Delta is the grid-fitting idle-rank tolerance δ of §7.1; zero
 	// means core.DefaultDelta.
 	Delta float64
-	// Overlap software-pipelines the round loop (§7.3): panels for
-	// round i+1 are prefetched with non-blocking broadcasts while the
-	// kernel multiplies round i's. CARMA and Cannon execute
-	// synchronously regardless.
+	// Overlap asks to software-pipeline the round loop (§7.3): panels
+	// for round i+1 are prefetched with non-blocking broadcasts while
+	// the kernel multiplies round i's. A plan grants it only where S
+	// holds the second panel pair (Plan.Overlap); CARMA and Cannon
+	// execute synchronously regardless.
 	Overlap bool
 }
 

@@ -16,7 +16,7 @@ func TestSUMMAOverlapBitwiseIdentical(t *testing.T) {
 	a := matrix.Random(96, 112, rand.New(rand.NewSource(5)))
 	b := matrix.Random(112, 80, rand.New(rand.NewSource(6)))
 	for _, p := range []int{4, 8, 16} {
-		s := 3 * 96 * 80 / p
+		s := 12 * 96 * 80 / p // room for two panel pairs
 		cSync, _, err := algo.Run(summa.Plan, algo.Config{}, nil, a, b, p, s)
 		if err != nil {
 			t.Fatalf("p=%d sync: %v", p, err)
@@ -37,11 +37,12 @@ func TestSUMMAOverlapBitwiseIdentical(t *testing.T) {
 }
 
 // TestSUMMAOverlapCritPathNotWorse runs SUMMA both ways on the timed
-// transport: pipelining must never lengthen the measured critical path,
-// and the report must record the executed mode.
+// transport, at an S with room for two panel pairs of its four rounds:
+// pipelining must never lengthen the measured critical path, and the
+// report must record the executed mode.
 func TestSUMMAOverlapCritPathNotWorse(t *testing.T) {
 	const n, p = 256, 16
-	s := 3 * n * n / p
+	s := 8 * n * n / p
 	net := machine.PizDaintNet()
 	a := matrix.Random(n, n, rand.New(rand.NewSource(7)))
 	b := matrix.Random(n, n, rand.New(rand.NewSource(8)))

@@ -212,22 +212,18 @@ func (p *Pending) At() float64 { return p.at }
 // owner, nil at the owner of a group of one — which multiplies the
 // panel where it already lies, as every owner may.
 //
-// With overlap false, each collective is settled — including its tree
-// relays — before the next is posted, so the timed transport charges
-// exactly the serial blocking-collective sequence. With overlap true,
-// the loop double-buffers: round i+1's broadcasts are posted before
-// round i's are settled, two loaned panel buffers per operand in
-// flight, and the tree traffic hides behind mul's compute (§7.3). The
-// mul call sequence is identical either way, so the computed values
-// are bitwise-equal across both modes.
-//
-// Keeping the segments identical is what buys that bitwise identity,
-// and it has a memory price: while round i multiplies, round i+1's
-// panel pair is already resident, so a rank transiently holds one
-// extra A+B chunk beyond the S words the plan's step size was fitted
-// to (up to ~2S − |C tile| at the memory-squeezed step). That is the
-// §7.3 trade — overlap spends buffer space to hide latency; callers
-// that must hold the fitted S exactly should run synchronously.
+// It is one loop with a lookahead of 0 or 1 rounds. Before round i
+// multiplies, the broadcasts of every round up to i + lookahead are
+// posted; then round i's two are settled, A's first. With overlap
+// false the lookahead is 0: a round's A and B broadcasts go out
+// together, so B's root sends without waiting for A to land there,
+// and one panel pair is in flight — the pair the plan's step budgets.
+// With overlap true it is 1: round i+1's pair is in flight while round
+// i's is multiplied, and the tree traffic hides behind mul's compute
+// (§7.3). That second pair comes out of S, not on top of it: the plan
+// grants overlap only where the C tile and two pairs fit. The mul call
+// sequence is identical either way, so the computed values are
+// bitwise-equal across both modes.
 //
 // Cancellation is polled once per round via r.Err; every rank sees the
 // same context, and a cancelled context also interrupts ranks already
@@ -235,27 +231,20 @@ func (p *Pending) At() float64 { return p.at }
 func PipelineRounds(r *machine.Rank, segs []layout.Range, overlap bool,
 	startA, startB func(layout.Range) *Pending,
 	mul func(seg layout.Range, aChunk, bChunk []float64)) error {
-	if !overlap {
-		for _, seg := range segs {
-			if err := r.Err(); err != nil {
-				return err
-			}
-			aChunk := startA(seg).Wait()
-			bChunk := startB(seg).Wait()
-			mul(seg, aChunk, bChunk)
-		}
-		return nil
+	lookahead := 0
+	if overlap {
+		lookahead = 1
 	}
-	nextA, nextB := startA(segs[0]), startB(segs[0])
+	var pendA, pendB [2]*Pending // round j's pair sits in slot j%2
+	posted := 0
 	for i, seg := range segs {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		curA, curB := nextA, nextB
-		if i+1 < len(segs) {
-			nextA, nextB = startA(segs[i+1]), startB(segs[i+1])
+		for ; posted <= i+lookahead && posted < len(segs); posted++ {
+			pendA[posted%2], pendB[posted%2] = startA(segs[posted]), startB(segs[posted])
 		}
-		mul(seg, curA.Wait(), curB.Wait())
+		mul(seg, pendA[i%2].Wait(), pendB[i%2].Wait())
 	}
 	return nil
 }

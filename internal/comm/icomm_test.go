@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"math"
 	"testing"
 
+	"cosma/internal/layout"
 	"cosma/internal/machine"
 )
 
@@ -58,11 +60,10 @@ func blockingBcast(g *Group, root int, data []float64, tag int) []float64 {
 	return data
 }
 
-// TestBcastClocksEqualSettledIBcast is what PipelineRounds' no-overlap
-// mode rests on: an IBcast settled where it is posted charges every
-// rank's clock exactly what the blocking tree broadcast does — receive
-// from the parent, then one α per child in order — bit for bit, for
-// every group size and root.
+// TestBcastClocksEqualSettledIBcast is what Bcast rests on: an IBcast
+// settled where it is posted charges every rank's clock exactly what
+// the blocking tree broadcast does — receive from the parent, then one
+// α per child in order — bit for bit, for every group size and root.
 func TestBcastClocksEqualSettledIBcast(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 13} {
 		ids := make([]int, n)
@@ -102,6 +103,45 @@ func TestBcastClocksEqualSettledIBcast(t *testing.T) {
 					t.Fatalf("n=%d root=%d rank %d: blocking clock %v, settled IBcast %v", n, root, i, blocking[i], settled[i])
 				}
 			}
+		}
+	}
+}
+
+// TestPipelineRoundsPostsBothBroadcasts pins the synchronous round loop
+// on a 2×2 grid, rank = im + 2·in: A is broadcast down the column group
+// {im, im+2} from in = 0, B along the row group {2·in, 2·in+1} from
+// im = 0, w words each, in one round with no compute. Rank 2 receives A
+// from rank 0 and is B's root for rank 3. Both broadcasts are posted
+// before either is settled, so rank 2 sends B at α instead of after A
+// lands (2α + β·w), and rank 3, whose ingress takes A then B back to
+// back, finishes at α + 2β·w rather than 2α + 2β·w.
+func TestPipelineRoundsPostsBothBroadcasts(t *testing.T) {
+	net := machine.PizDaintNet()
+	const w = 1024 // β·w ≥ α: the transfers, not the posts, set the pace
+	m := machine.NewTimed(4, net)
+	err := m.Run(func(r *machine.Rank) error {
+		im, in := r.ID()%2, r.ID()/2
+		colGroup := groupOf(r, []int{im, im + 2})
+		rowGroup := groupOf(r, []int{2 * in, 2*in + 1})
+		start := func(g *Group, tag int) func(layout.Range) *Pending {
+			return func(seg layout.Range) *Pending {
+				var data []float64
+				if g.Index() == 0 {
+					data = make([]float64, seg.Len())
+				}
+				return g.IBcast(0, data, tag)
+			}
+		}
+		return PipelineRounds(r, []layout.Range{{Lo: 0, Hi: w}}, false,
+			start(colGroup, 1), start(rowGroup, 2), func(layout.Range, []float64, []float64) {})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, bw := net.Alpha, net.Beta*w
+	for id, want := range []float64{2 * a, 2*a + bw, a + bw, a + 2*bw} {
+		if got := m.Times()[id]; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("rank %d finished at %.17g s, want %.17g", id, got, want)
 		}
 	}
 }

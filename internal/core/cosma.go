@@ -68,10 +68,11 @@ func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 // an m×k by k×n multiplication on the grid g of a p-rank machine with
 // s words per rank, reported under the algorithm name. The grid is the
 // caller's policy — COSMA fits it (§7.1), SUMMA and 2.5D fix it upfront;
-// the model is not: the plan counts its own schedule. overlap pipelines
-// the round loop (§7.3); layer0 starts the inputs on the ik = 0 layer
-// (2.5D). A grid longer than a dimension it cuts is refused with
-// algo.ErrUnsupportedShape.
+// the model is not: the plan counts its own schedule. overlap asks for
+// the pipelined round loop (§7.3), which the plan grants only where s
+// holds the C tile and two panel pairs of its longest round; layer0
+// starts the inputs on the ik = 0 layer (2.5D). A grid longer than a
+// dimension it cuts is refused with algo.ErrUnsupportedShape.
 func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*algo.Plan, error) {
 	if m < 1 || n < 1 || k < 1 || g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
 		return nil, fmt.Errorf("core: grid %v does not fit %d×%d×%d on p = %d", g, m, n, k, p)
@@ -82,12 +83,19 @@ func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) 
 	dmMax, dnMax, _ := g.LocalDims(m, n, k)
 	step := StepSize(s, dmMax, dnMax)
 	segs := make([][]layout.Range, g.Pk)
+	hMax := 0
 	for ik := 0; ik < g.Pk; ik++ {
 		slab := layout.Block(k, g.Pk, ik)
 		aParts := layout.Split(slab.Len(), g.Pn)
 		bParts := layout.Split(slab.Len(), g.Pm)
 		segs[ik] = segments(slab.Len(), aParts, bParts, step)
+		for _, seg := range segs[ik] {
+			hMax = max(hMax, seg.Len())
+		}
 	}
+	// Overlap buys its second panel pair out of s (§7.3): the segments,
+	// and with them the product bits, are the same either way.
+	overlap = overlap && dmMax*dnMax+2*hMax*(dmMax+dnMax) <= s
 	pl := &plan{
 		m: m, n: n, k: k, p: p,
 		g: g, step: step, segs: segs,
@@ -265,9 +273,9 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	// tree. mulRound folds a settled round into the C tile and hands the
 	// chunk buffers — nil where nothing was packed or received — back to
 	// the pool with plain calls (a defer here would be a heap allocation
-	// per round). PipelineRounds sequences them — serially, or
-	// double-buffered under Overlap with round i+1's pair in flight while
-	// round i's is multiplied.
+	// per round). PipelineRounds sequences them — one round's pair in
+	// flight at a time, or double-buffered under overlap with round i+1's
+	// pair in flight while round i's is multiplied.
 	startA := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(aParts, seg.Lo)
 		var chunk []float64
@@ -301,7 +309,8 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 
 // StepSize is the latency-minimizing number of outer products per round
 // generalized to rectangular dm×dn tiles: the free memory after the
-// resident C tile is spent on one dm×h A chunk and one h×dn B chunk.
+// resident C tile is spent on one dm×h A chunk and one h×dn B chunk —
+// the one pair a round has in flight when the plan does not overlap.
 func StepSize(s, dm, dn int) int {
 	h := (s - dm*dn) / (dm + dn)
 	if h < 1 {

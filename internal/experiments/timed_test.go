@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cosma/internal/algo"
@@ -90,6 +93,22 @@ func TestTimeVsVolumeTable(t *testing.T) {
 	// One COSMA row per core count.
 	if tab := OverlapGain(machine.CommodityEthernet()); tab.Rows() != 3 {
 		t.Fatalf("overlap has %d rows, want 3", tab.Rows())
+	}
+}
+
+// TestOverlapGainShowsAGain keeps Figure 12 a figure about overlap: at
+// the S the table runs at, every row's plan has room for the second
+// panel pair, so on the default network every measured gain, as
+// printed, exceeds 1.00×.
+func TestOverlapGainShowsAGain(t *testing.T) {
+	rows := strings.Split(strings.TrimSpace(OverlapGain(machine.PizDaintNet()).CSV()), "\n")
+	col := slices.Index(strings.Split(rows[0], ","), "measured gain")
+	for _, row := range rows[1:] {
+		cell := strings.Split(row, ",")[col]
+		gain, err := strconv.ParseFloat(strings.TrimSuffix(cell, "×"), 64)
+		if err != nil || gain <= 1.00 {
+			t.Errorf("row %q measures gain %q, want > 1.00×", row, cell)
+		}
 	}
 }
 
