@@ -144,7 +144,7 @@ func main() {
 	fmt.Printf("Theorem 2 lower bound: %.0f words/rank\n\n",
 		cosma.ParallelLowerBound(*m, *n, *k, *p, *s))
 
-	headers := []string{"algorithm", "grid", "ranks used", "avg recv words/rank", "max recv", "max msgs", "model words/rank"}
+	headers := []string{"algorithm", "grid", "ranks used", "avg recv words/rank", "max recv", "max msgs", "model msgs", "model words/rank"}
 	timed := *netName != ""
 	if timed {
 		headers = append(headers, "predicted", "critical path")
@@ -170,7 +170,7 @@ func main() {
 		if *checksum {
 			fmt.Printf("%s checksum %016x\n", rep.Name, digest(c))
 		}
-		row := []interface{}{rep.Name, rep.Grid, rep.Used, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs, rep.Model.AvgRecv}
+		row := []interface{}{rep.Name, rep.Grid, rep.Used, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs, int64(rep.Model.MaxMsgs), rep.Model.AvgRecv}
 		if timed {
 			row = append(row, report.Seconds(rep.PredictedAsExecuted()), report.Seconds(rep.CritPathTime))
 		}

@@ -71,5 +71,5 @@ func ExampleEngine_Predict() {
 	}
 	fmt.Printf("predicted %.1f ms\n", pred.SerialTime*1e3)
 	// Output:
-	// predicted 44.4 ms
+	// predicted 44.5 ms
 }

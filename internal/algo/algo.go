@@ -4,21 +4,22 @@ import "cosma/internal/machine"
 
 // Model is a plan's analytic communication/computation prediction for an
 // m×n×k multiplication on p ranks with S words of memory per rank. The
-// Algorithm 1 plans (COSMA, SUMMA, 2.5D) count their words rank by rank
-// from the partitions their rank program walks, so AvgRecv and MaxRecv
-// equal what an execution measures; Cannon's is derived from its torus
-// schedule; CARMA's Q is the recursive closed form of Table 3
-// (costmodel.Recursive) — the one exception. MaxMsgs is a receive-side
-// estimate (the machine also counts a rank's sends). Models evaluate at
-// any scale, including the paper's 18,432-core runs that are too large to
-// execute in-process.
+// Algorithm 1 plans (COSMA, SUMMA, 2.5D) count their words and messages
+// rank by rank from the round table their rank program walks, so AvgRecv,
+// MaxRecv and MaxMsgs equal what an execution measures; Cannon's are
+// derived from its torus schedule (MaxMsgs exactly); CARMA's Q is the
+// recursive closed form of Table 3 (costmodel.Recursive) — the one
+// exception. MaxMsgs counts messages sent plus received on the busiest
+// rank, as machine.Counters.Messages does. Models evaluate at any scale,
+// including the paper's 18,432-core runs that are too large to execute
+// in-process.
 type Model struct {
 	Name     string
 	Grid     string  // human-readable decomposition
 	Used     int     // ranks that perform work
 	AvgRecv  float64 // average received words per rank (over all p ranks)
 	MaxRecv  float64 // received words on the busiest rank
-	MaxMsgs  float64 // messages on the busiest rank (latency proxy L)
+	MaxMsgs  float64 // messages sent + received on the busiest rank (latency proxy L)
 	MaxFlops float64 // flops on the busiest rank (2·work)
 }
 

@@ -23,7 +23,9 @@ const (
 // reference point of Table 3 and Figure 2. The model follows the torus
 // schedule: per rank the skew moves one A block for every rank off the
 // zeroth row ((q−1)/q of ranks) and one B block off the zeroth column,
-// then q−1 shift rounds move one A and one B block each.
+// then q−1 shift rounds move one A and one B block each. Every move is a
+// send and a receive, so the busiest rank exchanges 4q messages (none on
+// a 1×1 torus).
 func planCannon(_ algo.Config, m, n, k, p, _ int) (*algo.Plan, error) {
 	q := int(math.Round(math.Sqrt(float64(p))))
 	if q*q != p {
@@ -43,7 +45,7 @@ func planCannon(_ algo.Config, m, n, k, p, _ int) (*algo.Plan, error) {
 			Used:     p,
 			AvgRecv:  aBlk*(shifts+skewFrac) + bBlk*(shifts+skewFrac),
 			MaxRecv:  (aBlk + bBlk) * (shifts + 1),
-			MaxMsgs:  2 * (shifts + 1),
+			MaxMsgs:  4 * float64(q) * min(shifts, 1),
 			MaxFlops: 2 * float64(dm) * float64(dn) * float64(k),
 		},
 		M: m, N: n, K: k, P: p,

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,9 +20,10 @@ func gridPolicies() []algo.Spec {
 // TestModelWordsEqualMeasured holds the plan's count to the machine's
 // counters: for the three grid policies the modelled average and maximum
 // received words are the measured ones — ==, not a tolerance — on the
-// seeded catalog, the three benchmark shapes, ragged dimensions and
-// prime rank counts; so is the busiest rank's message count on the grids
-// whose broadcasts have no relay.
+// seeded catalog, the three benchmark shapes, ragged dimensions, prime
+// rank counts and a C tile smaller than its fiber (1×2×64, p = 8: empty
+// reduction blocks); so is the busiest rank's message count, for them and
+// for Cannon, wherever a baseline plans at all.
 func TestModelWordsEqualMeasured(t *testing.T) {
 	type shape struct{ m, n, k, p, s int }
 	shapes := []shape{
@@ -32,6 +32,7 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 		{64, 64, 64, 27, 1 << 20},
 		{33, 500, 77, 24, 1 << 20},
 		{1000, 30, 30, 10, 1 << 20},
+		{1, 2, 64, 8, 1 << 20},
 	}
 	for i, d := range workload.NewGenerator(workload.GenConfig{Seed: 1, Shapes: 12}).Catalog() {
 		shapes = append(shapes, shape{d.M, d.N, d.K, 4 + 3*i, 1 << (12 + i%3*4)})
@@ -46,24 +47,19 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 	for _, c := range shapes {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		for _, pl := range gridPolicies() {
+		for _, pl := range append(gridPolicies(), cannon) {
 			_, rep, err := algo.Run(pl.Plan, algo.Config{}, nil, a, b, c.p, c.s)
+			if errors.Is(err, algo.ErrUnsupportedShape) && pl.Name != cosma.Name {
+				continue // SUMMA's 2D grid on 1×2×64, Cannon off a square p
+			}
 			if err != nil {
 				t.Fatalf("%s %+v: %v", pl.Display, c, err)
 			}
-			if rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv {
+			if pl.Name != cannon.Name && (rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv) {
 				t.Errorf("%s %+v grid %s: measured avg %v max %d, model avg %v max %v",
 					pl.Display, c, rep.Grid, rep.AvgRecv, rep.MaxRecv, rep.Model.AvgRecv, rep.Model.MaxRecv)
 			}
-			// Messages are == too where no broadcast has a tree relay (both
-			// groups ≤ 2 members); with Pm or Pn > 2 (square-tight: 384
-			// measured, 256 modelled) MaxMsgs stays a receive-side estimate
-			// until ROADMAP item 1.
-			var pm, pn, pk int
-			if _, err := fmt.Sscanf(rep.Grid, "[%d×%d×%d]", &pm, &pn, &pk); err != nil {
-				t.Fatalf("%s grid %q: %v", pl.Display, rep.Grid, err)
-			}
-			if pm <= 2 && pn <= 2 && float64(rep.MaxMsgs) != rep.Model.MaxMsgs {
+			if float64(rep.MaxMsgs) != rep.Model.MaxMsgs {
 				t.Errorf("%s %+v grid %s: busiest rank exchanged %d messages, model %v",
 					pl.Display, c, rep.Grid, rep.MaxMsgs, rep.Model.MaxMsgs)
 			}

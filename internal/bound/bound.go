@@ -120,76 +120,6 @@ func ParallelLowerBound(m, n, k, p, s int) float64 {
 	return math.Min(limited, cubic)
 }
 
-// Domain is the local-domain geometry of the optimal parallel schedule: a
-// grid of b outer products of a×a (Eq. 32), so |D| = a²b words of C work.
-type Domain struct {
-	A int // side of the square ij face
-	B int // extent along k
-}
-
-// OptimalDomain solves Eq. 32 for the I/O-optimal local domain:
-//
-//	a = min{ √S, (mnk/p)^(1/3) },  b = max{ mnk/(pS), (mnk/p)^(1/3) }
-//
-// rounded to feasible integers: a is clamped so that one a×a partial-result
-// tile plus one column/row pair fits in S (a² + 2a ≤ S, §5.2.7), and b is
-// rounded up so the domain covers the per-processor work a²b ≥ mnk/p.
-func OptimalDomain(m, n, k, p, s int) Domain {
-	checkDims(m, n, k)
-	checkMem(s)
-	checkProcs(p)
-	work := float64(m) * float64(n) * float64(k) / float64(p)
-	cube := math.Cbrt(work)
-
-	// Largest a with a² + 2a ≤ S, i.e. a ≤ √(S+1) − 1.
-	aMem := int(math.Floor(math.Sqrt(float64(s)+1) - 1))
-	if aMem < 1 {
-		aMem = 1
-	}
-	a := int(math.Floor(cube))
-	if a > aMem {
-		a = aMem
-	}
-	if a < 1 {
-		a = 1
-	}
-	b := int(math.Ceil(work / float64(a*a)))
-	if b < 1 {
-		b = 1
-	}
-	return Domain{A: a, B: b}
-}
-
-// CommVolume returns the per-processor communication volume of the COSMA
-// schedule with local domain d: the 2ab input words plus the a² output
-// words (§6.3, Q = 2ab + a²).
-func (d Domain) CommVolume() float64 {
-	return 2*float64(d.A)*float64(d.B) + float64(d.A)*float64(d.A)
-}
-
-// StepSize returns the latency-minimizing communication step
-// s = ⌊(S−a²)/(2a)⌋ (Algorithm 1 line 6): how many of the b outer products
-// are exchanged per round while the a×a partial results stay resident.
-// The result is at least 1.
-func (d Domain) StepSize(s int) int {
-	checkMem(s)
-	free := s - d.A*d.A
-	step := free / (2 * d.A)
-	if step < 1 {
-		step = 1
-	}
-	if step > d.B {
-		step = d.B
-	}
-	return step
-}
-
-// Rounds returns t = ⌈b/step⌉, the number of communication rounds
-// (Algorithm 1 line 7), which is also the latency cost L of the schedule.
-func (d Domain) Rounds(s int) int {
-	return ceilDiv(d.B, d.StepSize(s))
-}
-
 func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }

@@ -134,112 +134,6 @@ func TestParallelLowerBoundMonotoneInP(t *testing.T) {
 	}
 }
 
-func TestOptimalDomainLimitedMemory(t *testing.T) {
-	// Square, limited memory (S ≈ 2n²/p): a should hit the memory wall √S
-	// and b should stretch along k (Pijk-like schedule).
-	n := 1 << 10
-	p := 64
-	s := 2 * n * n / p
-	d := OptimalDomain(n, n, n, p, s)
-	aMem := int(math.Floor(math.Sqrt(float64(s)+1) - 1))
-	if d.A != aMem {
-		t.Fatalf("limited memory: a = %d, want memory-bound %d", d.A, aMem)
-	}
-	if d.B <= d.A {
-		t.Fatalf("limited memory: b = %d should exceed a = %d", d.B, d.A)
-	}
-}
-
-func TestOptimalDomainExtraMemory(t *testing.T) {
-	// Ample memory: the domain should be (nearly) cubic.
-	n, p := 1<<9, 8
-	s := 1 << 30
-	d := OptimalDomain(n, n, n, p, s)
-	cube := math.Cbrt(float64(n) * float64(n) * float64(n) / float64(p))
-	if math.Abs(float64(d.A)-cube) > 1 {
-		t.Fatalf("extra memory: a = %d, want ≈ %v", d.A, cube)
-	}
-	if math.Abs(float64(d.B)-cube) > 1 {
-		t.Fatalf("extra memory: b = %d, want ≈ %v", d.B, cube)
-	}
-}
-
-func TestOptimalDomainCoversWork(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 1 + r.Intn(2048)
-		n := 1 + r.Intn(2048)
-		k := 1 + r.Intn(2048)
-		p := 1 + r.Intn(512)
-		s := 16 + r.Intn(1<<16)
-		d := OptimalDomain(m, n, k, p, s)
-		// Domain volume must cover the per-processor work share.
-		if float64(d.A*d.A)*float64(d.B) < float64(m)*float64(n)*float64(k)/float64(p)-1e-9 {
-			return false
-		}
-		// And the ij face must fit in memory with room for one a-column
-		// and one a-row.
-		return d.A*d.A+2*d.A <= s || d.A == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCommVolumeNearRegimeOptimum(t *testing.T) {
-	// The constructive schedule's volume 2ab+a² must sit within the
-	// integer-rounding slack of the regime-appropriate branch of Eq. 33:
-	// 2mnk/(p√S)+S when the memory constraint a² ≤ S binds, 3(mnk/p)^(2/3)
-	// otherwise. (In the deep limited-memory regime the min{} of Theorem 2
-	// selects the cubic branch, which is a valid but loose bound there —
-	// only the limited branch is attainable.)
-	cases := []struct{ m, n, k, p, s int }{
-		{4096, 4096, 4096, 64, 2 * 4096 * 4096 / 64}, // limited
-		{4096, 4096, 4096, 64, 1 << 28},              // extra
-		{17408, 17408, 3735552, 4096, 1 << 21},       // RPA tall, limited
-	}
-	for _, c := range cases {
-		d := OptimalDomain(c.m, c.n, c.k, c.p, c.s)
-		q := d.CommVolume()
-		w := float64(c.m) * float64(c.n) * float64(c.k) / float64(c.p)
-		var want float64
-		if math.Cbrt(w) > math.Sqrt(float64(c.s)+1)-1 { // memory binds
-			want = 2*w/math.Sqrt(float64(c.s)) + float64(c.s)
-		} else {
-			want = 3 * math.Pow(w, 2.0/3.0)
-		}
-		if q < want*0.9 || q > want*1.1 {
-			t.Fatalf("%+v: schedule volume %v, regime optimum %v", c, q, want)
-		}
-		// The Theorem 2 min{} must never exceed the attainable volume by
-		// more than integer slack — it is a lower bound.
-		if lb := ParallelLowerBound(c.m, c.n, c.k, c.p, c.s); q < lb*0.95 {
-			t.Fatalf("%+v: volume %v below the Theorem 2 bound %v", c, q, lb)
-		}
-	}
-}
-
-func TestStepSizeAndRounds(t *testing.T) {
-	d := Domain{A: 10, B: 100}
-	s := 160 // S − a² = 60, step = 60/20 = 3
-	if got := d.StepSize(s); got != 3 {
-		t.Fatalf("StepSize = %d, want 3", got)
-	}
-	if got := d.Rounds(s); got != 34 { // ⌈100/3⌉
-		t.Fatalf("Rounds = %d, want 34", got)
-	}
-}
-
-func TestStepSizeClamps(t *testing.T) {
-	d := Domain{A: 10, B: 5}
-	if got := d.StepSize(101); got != 1 { // free memory 1 word → min step 1
-		t.Fatalf("StepSize tiny memory = %d, want 1", got)
-	}
-	if got := d.StepSize(1 << 20); got != 5 { // cannot exceed b
-		t.Fatalf("StepSize huge memory = %d, want b=5", got)
-	}
-}
-
 func TestIntensity(t *testing.T) {
 	if got := Intensity(100, 30, 10, 0); got != 5 {
 		t.Fatalf("Intensity = %v, want 5", got)

@@ -1,9 +1,11 @@
 // Package bound implements the closed-form I/O results of the paper:
 // the sequential lower bound 2mnk/√S + mn (Theorem 1), the parallel
 // per-processor bound min{2mnk/(p√S) + S, 3(mnk/p)^(2/3)} (Theorem 2),
-// the optimal greedy-schedule tile sizes (Eq. 27/28), the optimal
-// parallel local-domain dimensions [a×a×b] (Eq. 32), and the
-// computational-intensity machinery of Lemma 4.
+// the optimal greedy-schedule tile sizes (Eq. 27/28) and the
+// computational-intensity machinery of Lemma 4. The parallel schedule's
+// local domain (Eq. 32) is not here: the executed one is grid.Fit's grid
+// with core.StepSize's step, and Table 3's closed form is
+// costmodel.COSMA.
 //
 // SequentialGap returns the attainability factor √S/(√(S+1)−1) that
 // separates the executable Listing 1 schedule (internal/seq) from

@@ -42,21 +42,35 @@ func (g *Group) Size() int { return len(g.ranks) }
 // Index returns the caller's position within the group.
 func (g *Group) Index() int { return g.me }
 
-// tree computes the caller's parent and children in the binary tree
-// rooted at group index root.
-func (g *Group) tree(root int) (parent int, children []int) {
-	n := len(g.ranks)
-	rel := (g.me - root + n) % n
+// treeLinks returns member me's parent (−1 at the root) and children (−1
+// where absent) in the binary tree over n members rooted at index root.
+func treeLinks(n, root, me int) (parent int, children [2]int) {
+	rel := (me - root + n) % n
 	parent = -1
 	if rel > 0 {
 		parent = ((rel-1)/2 + root) % n
 	}
-	for _, c := range []int{2*rel + 1, 2*rel + 2} {
-		if c < n {
-			children = append(children, (c+root)%n)
+	for i := range children {
+		children[i] = -1
+		if c := 2*rel + 1 + i; c < n {
+			children[i] = (c + root) % n
 		}
 	}
 	return parent, children
+}
+
+// BcastMsgs is the number of messages member me of an n-member group
+// sends and receives in a broadcast from root: one from its tree parent
+// unless it is the root, plus one to each child.
+func BcastMsgs(n, root, me int) int {
+	parent, children := treeLinks(n, root, me)
+	msgs := 0
+	for _, l := range [3]int{parent, children[0], children[1]} {
+		if l >= 0 {
+			msgs++
+		}
+	}
+	return msgs
 }
 
 // Bcast distributes data from the group member at index root to all
@@ -126,6 +140,23 @@ func (g *Group) Reduce(root int, data []float64, tag int) []float64 {
 	return sum
 }
 
+// ReduceMsgs is the number of messages the member at position pos sends
+// and receives in a Reduce of words-long slices over n members: one send
+// per other member whose block is non-empty, plus n−1 receives if its own
+// block is.
+func ReduceMsgs(words, n, pos int) int {
+	msgs := 0
+	for q := 0; q < n; q++ {
+		if q != pos && layout.Block(words, n, q).Len() > 0 {
+			msgs++
+		}
+	}
+	if layout.Block(words, n, pos).Len() > 0 {
+		msgs += n - 1
+	}
+	return msgs
+}
+
 // Pending is an in-flight asynchronous broadcast (IBcast). Wait drives
 // the remaining hops — settling the parent receive and relaying onward
 // as the payload lands — and returns the caller's copy. On the timed
@@ -147,7 +178,7 @@ type Pending struct {
 	// The parent receive to settle and the children to relay the payload
 	// to as it lands.
 	recv     *machine.Request
-	children []int
+	children [2]int // −1 where absent
 }
 
 // IBcast posts a broadcast of data from the group member at index root
@@ -163,12 +194,14 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 		p.done = true
 		return p
 	}
-	parent, children := g.tree(root)
+	parent, children := treeLinks(len(g.ranks), root, g.me)
 	if parent < 0 {
 		// Root: the payload is already here; push it downstream now so
 		// the children's transfers start at the post time, and complete.
 		for _, c := range children {
-			g.rank.Send(g.ranks[c], tag, data)
+			if c >= 0 {
+				g.rank.Send(g.ranks[c], tag, data)
+			}
 		}
 		p.at = g.rank.Now()
 		p.done = true
@@ -192,7 +225,9 @@ func (p *Pending) Wait() []float64 {
 	p.data = p.recv.Wait()
 	p.at = p.recv.At()
 	for _, c := range p.children {
-		p.g.rank.SendAt(p.g.ranks[c], p.tag, p.data, p.at)
+		if c >= 0 {
+			p.g.rank.SendAt(p.g.ranks[c], p.tag, p.data, p.at)
+		}
 	}
 	p.done = true
 	return p.data

@@ -288,3 +288,54 @@ func TestReduceClosedFormTimed(t *testing.T) {
 		}
 	}
 }
+
+// TestMsgRulesEqualCounters holds the two message rules the plan model
+// reads to the collectives they describe: for group sizes 1–9, every root
+// and every member — lengths below n included, so some reduction blocks
+// are empty — BcastMsgs and ReduceMsgs equal the member's sent + received
+// messages after one IBcast or one Reduce on a counting machine.
+func TestMsgRulesEqualCounters(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		for root := 0; root < n; root++ {
+			m := machine.New(n)
+			err := m.Run(func(r *machine.Rank) error {
+				g := groupOf(r, ids)
+				var data []float64
+				if g.Index() == root {
+					data = []float64{1, 2, 3}
+				}
+				g.IBcast(root, data, 1).Wait()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for me := 0; me < n; me++ {
+				if got, want := m.Counters(me).Messages(), int64(BcastMsgs(n, root, me)); got != want {
+					t.Errorf("bcast n=%d root=%d member %d: %d messages, BcastMsgs %d", n, root, me, got, want)
+				}
+			}
+			for _, w := range []int{0, 1, n - 1, n, 2*n + 1} {
+				m := machine.New(n)
+				err := m.Run(func(r *machine.Rank) error {
+					g := groupOf(r, ids)
+					machine.Release(g.Reduce(root, make([]float64, w), 2))
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for me := 0; me < n; me++ {
+					pos := (me - root + n) % n
+					if got, want := m.Counters(me).Messages(), int64(ReduceMsgs(w, n, pos)); got != want {
+						t.Errorf("reduce n=%d root=%d w=%d member %d: %d messages, ReduceMsgs %d", n, root, w, me, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -50,12 +50,14 @@ func TestIBcastMatchesBcast(t *testing.T) {
 // receive from the parent, send to each child — kept as the reference
 // the one tree walk (IBcast) is held to.
 func blockingBcast(g *Group, root int, data []float64, tag int) []float64 {
-	parent, children := g.tree(root)
+	parent, children := treeLinks(g.Size(), root, g.me)
 	if parent >= 0 {
 		data = g.rank.Recv(g.ranks[parent], tag)
 	}
 	for _, c := range children {
-		g.rank.Send(g.ranks[c], tag, data)
+		if c >= 0 {
+			g.rank.Send(g.ranks[c], tag, data)
+		}
 	}
 	return data
 }

@@ -358,40 +358,64 @@ func ownerOf(parts []layout.Range, x int) int {
 	return i
 }
 
-// count is the plan's model: the words Algorithm 1's ranks receive, added
-// up rank by rank over the layout.Block cuts rankProgram walks — the
-// share of its A panel (rows × slab) and B panel (slab × cols) a rank does
-// not own, its block of the C tile from each of the fiber's other members,
-// and under layer0 its own pieces too if it is off layer 0 — so average
-// and maximum equal what an execution measures. MaxMsgs is per round one
-// message for each panel broadcast with anyone to talk to, the reduction's
-// Pk−1 blocks out and Pk−1 in, and the two scattered pieces; MaxFlops is
-// the largest local domain's.
+// count is the plan's model, read off the schedule rankProgram runs: per
+// k slab it tallies the round segments by the owners rankProgram
+// broadcasts them from, and since a broadcast's messages depend only on
+// its root, a member's are each root's rounds times comm.BcastMsgs. Rank
+// by rank it adds the A and B panel words it does not own, its block of
+// the C tile from each of the fiber's other members with the
+// reduce-scatter's messages (comm.ReduceMsgs) and, under layer0, the
+// scatter: layer 0 mails every other layer its two pieces. Average and
+// maximum words and MaxMsgs (sent + received on the busiest rank)
+// therefore equal what an execution measures; MaxFlops is the largest
+// local domain's.
 func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 	g := pl.g
-	var total, maxRecv int
-	for ik := 0; ik < g.Pk; ik++ {
-		slab := layout.Block(pl.k, g.Pk, ik).Len()
-		for in := 0; in < g.Pn; in++ {
-			dn := layout.Block(pl.n, g.Pn, in).Len()
-			aMine := layout.Block(slab, g.Pn, in).Len()
-			for im := 0; im < g.Pm; im++ {
-				dm := layout.Block(pl.m, g.Pm, im).Len()
-				bMine := layout.Block(slab, g.Pm, im).Len()
-				recv := dm*(slab-aMine) + (slab-bMine)*dn +
-					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
-				if pl.layer0 && ik != 0 {
-					recv += dm*aMine + bMine*dn
-				}
-				total += recv
-				maxRecv = max(maxRecv, recv)
+	var total, maxRecv, maxMsgs int
+	aRounds, aMsgs := make([]int, g.Pn), make([]int, g.Pn) // by root / by in
+	bRounds, bMsgs := make([]int, g.Pm), make([]int, g.Pm) // by root / by im
+	bcastMsgs := func(rounds, msgs []int) {
+		for me := range msgs {
+			msgs[me] = 0
+			for root, r := range rounds {
+				msgs[me] += r * comm.BcastMsgs(len(rounds), root, me)
 			}
 		}
 	}
-	bcasts := min(g.Pn-1, 1) + min(g.Pm-1, 1)
-	msgs := bcasts*d.Rounds + 2*(g.Pk-1)
-	if pl.layer0 && g.Pk > 1 {
-		msgs += 2
+	for ik := 0; ik < g.Pk; ik++ {
+		slab := layout.Block(pl.k, g.Pk, ik).Len()
+		aParts := layout.Split(slab, g.Pn)
+		bParts := layout.Split(slab, g.Pm)
+		clear(aRounds)
+		clear(bRounds)
+		for _, seg := range pl.segs[ik] {
+			aRounds[ownerOf(aParts, seg.Lo)]++
+			bRounds[ownerOf(bParts, seg.Lo)]++
+		}
+		bcastMsgs(aRounds, aMsgs)
+		bcastMsgs(bRounds, bMsgs)
+		for in := 0; in < g.Pn; in++ {
+			dn := layout.Block(pl.n, g.Pn, in).Len()
+			aMine := aParts[in].Len()
+			for im := 0; im < g.Pm; im++ {
+				dm := layout.Block(pl.m, g.Pm, im).Len()
+				bMine := bParts[im].Len()
+				recv := dm*(slab-aMine) + (slab-bMine)*dn +
+					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
+				msgs := aMsgs[in] + bMsgs[im] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
+				if pl.layer0 && g.Pk > 1 {
+					if ik == 0 {
+						msgs += 2 * (g.Pk - 1)
+					} else {
+						recv += dm*aMine + bMine*dn
+						msgs += 2
+					}
+				}
+				total += recv
+				maxRecv = max(maxRecv, recv)
+				maxMsgs = max(maxMsgs, msgs)
+			}
+		}
 	}
 	return algo.Model{
 		Name:     name,
@@ -399,7 +423,7 @@ func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 		Used:     g.Ranks(),
 		AvgRecv:  float64(total) / float64(pl.p),
 		MaxRecv:  float64(maxRecv),
-		MaxMsgs:  float64(msgs),
+		MaxMsgs:  float64(maxMsgs),
 		MaxFlops: 2 * float64(d.DomainM) * float64(d.DomainN) * float64(d.DomainK),
 	}
 }
