@@ -85,37 +85,75 @@ func (g *Group) Bcast(root int, data []float64, tag int) []float64 {
 // member with its share of the total: the member at position
 // pos = (me − root) mod n returns words layout.Block(len(data), n, pos)
 // of it in a loaned buffer (nil for an empty block). data is not
-// modified. Every member first sends each other member that member's
-// block of its own slice — destinations staggered pos+1, pos+2, … so no
-// receiver is everybody's first target — then folds its block of the n
-// slices in the fixed order n−1, n−2, …, 0 of their owners' positions,
-// its own in its place. That is the left fold from root+n−1 down to
-// root (mod n) whatever n cuts the slice into: root anchors the fold
-// order and the block assignment, it does not collect anything. Every
-// member receives (n−1)·|block| words in n−1 messages, and members that
-// enter together finish (n−1)·(α + β·|block|) later on the event clock.
+// modified. It is ReduceScatter with every block ready on entry: where
+// β·|block| ≥ α, members that enter together finish α + (n−1)·β·|block|
+// later on the event clock — one send's latency, then the n−1 blocks
+// back to back on the ingress port in the order they land.
 func (g *Group) Reduce(root int, data []float64, tag int) []float64 {
+	return g.ReduceScatter(root, data, tag, nil)
+}
+
+// ReduceScatter is Reduce with the blocks produced on the way: finish,
+// when non-nil, is called with each non-empty block's word range
+// [lo, hi) of data right before that block is first read, so a caller
+// can compute its slice block by block and the reduction's transfers
+// overlap what is still being computed. In order, the member at
+// position pos
+//
+//  1. posts its n−1 block receives (none if its own block is empty),
+//     so their transfers can start on the ingress port at once;
+//  2. finishes and sends block pos+1, then pos+2, … (mod n) to that
+//     block's owner — staggered, so no receiver is everybody's first
+//     target;
+//  3. finishes its own block;
+//  4. settles the receives in the order the staggered sends land them,
+//     pos−1, pos−2, … (an MPI Waitall), and folds its block of the n
+//     slices in the fixed order n−1, n−2, …, 0 of their owners'
+//     positions, its own in its place.
+//
+// The fold is the left fold from root+n−1 down to root (mod n) whatever
+// n cuts the slice into: root anchors the fold order and the block
+// assignment, it does not collect anything. Every member receives
+// (n−1)·|block| words in n−1 messages.
+func (g *Group) ReduceScatter(root int, data []float64, tag int, finish func(lo, hi int)) []float64 {
 	g.checkRoot(root)
 	n := len(g.ranks)
 	pos := (g.me - root + n) % n
+	mine := layout.Block(len(data), n, pos)
+	// reqs[d−1] receives from position pos−d: the d-th block to land.
+	// Groups of up to 17 keep them on the stack.
+	var stack [16]machine.Request
+	reqs := stack[:]
+	if n-1 > len(stack) {
+		reqs = make([]machine.Request, n-1)
+	}
+	if mine.Len() > 0 {
+		for d := 1; d < n; d++ {
+			g.rank.PostRecv(&reqs[d-1], g.ranks[(root+pos-d+n)%n], tag)
+		}
+	}
 	for d := 1; d < n; d++ {
 		q := (pos + d) % n
 		if blk := layout.Block(len(data), n, q); blk.Len() > 0 {
+			if finish != nil {
+				finish(blk.Lo, blk.Hi)
+			}
 			g.rank.Send(g.ranks[(root+q)%n], tag, data[blk.Lo:blk.Hi])
 		}
 	}
-	mine := layout.Block(len(data), n, pos)
 	if mine.Len() == 0 {
 		return nil
 	}
+	if finish != nil {
+		finish(mine.Lo, mine.Hi)
+	}
 	own := data[mine.Lo:mine.Hi]
-	recv := func(q int) []float64 {
-		part := g.rank.Recv(g.ranks[(root+q)%n], tag)
-		if len(part) != len(own) {
+	for d := 1; d < n; d++ {
+		if part := reqs[d-1].Wait(); len(part) != len(own) {
 			panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(part), len(own)))
 		}
-		return part
 	}
+	recv := func(q int) []float64 { return reqs[(pos-q+n)%n-1].Wait() } // settled: returns the payload
 	// The fold starts in position n−1's block: a received buffer is the
 	// receiver's to keep, only the tail has to copy its own.
 	var sum []float64

@@ -262,9 +262,10 @@ func TestReduceShareProperty(t *testing.T) {
 }
 
 // TestReduceClosedFormTimed pins the event clock on the benchmark's two
-// fiber shapes: members that enter together post n−1 sends (α each) and
-// then take n−1 blocks (β·⌈w/n⌉ each) that have all departed by then, so
-// the slowest finishes at (n−1)·(α + β·⌈w/n⌉) on pizdaint.
+// fiber shapes: members that enter together post their n−1 receives,
+// then n−1 sends (α each). The first block lands at the receiver's port
+// α in and the other n−2, departing α apart, queue behind it β·⌈w/n⌉
+// each, so the slowest finishes at α + (n−1)·β·⌈w/n⌉ on pizdaint.
 func TestReduceClosedFormTimed(t *testing.T) {
 	net := machine.PizDaintNet()
 	for _, c := range []struct{ n, w int }{{4, 262144}, {15, 16384}} {
@@ -282,7 +283,7 @@ func TestReduceClosedFormTimed(t *testing.T) {
 			t.Fatal(err)
 		}
 		block := (c.w + c.n - 1) / c.n
-		want := float64(c.n-1) * (net.Alpha + net.Beta*float64(block))
+		want := net.Alpha + float64(c.n-1)*net.Beta*float64(block)
 		if got := m.MaxTime(); math.Abs(got-want) > 1e-12*want {
 			t.Errorf("n=%d w=%d: finished at %.17g s, want %.17g", c.n, c.w, got, want)
 		}

@@ -17,12 +17,16 @@
 // fold from root+n−1 down to root, whatever n is. Every member receives
 // (n−1)/n of a slice in n−1 messages; funnelling the slice into one
 // member costs that member all of it, and the schedule's cost is its
-// busiest rank's. The name and the root argument stay: root anchors the
-// fold order and the block assignment, and benchmark/ calls
-// Group.Reduce by name (renaming it ReduceScatter waits for the
-// [benchmark] PR, ROADMAP item 7). Blocks and shares are loaned from
-// the machine pool, which is what keeps the steady-state round loop
-// allocation-free.
+// busiest rank's. The reduction is Group.ReduceScatter, whose optional
+// finish hook lets the caller produce each block just before it is
+// sent — the rank program multiplies its last round that way, block by
+// block, so the reduction's transfers overlap that compute (§7.3) —
+// and whose receives, posted first, settle in the order they land.
+// Group.Reduce is ReduceScatter with no hook; the name and the root
+// argument stay: root anchors the fold order and the block assignment,
+// and benchmark/ calls Group.Reduce by name. Blocks and shares are
+// loaned from the machine pool and the receives live on the stack,
+// which is what keeps the steady-state round loop allocation-free.
 //
 // The broadcast is one asynchronous tree walk (IBcast returning a
 // Pending): posting returns immediately and settling with Wait drives

@@ -273,9 +273,10 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	// tree. mulRound folds a settled round into the C tile and hands the
 	// chunk buffers — nil where nothing was packed or received — back to
 	// the pool with plain calls (a defer here would be a heap allocation
-	// per round). PipelineRounds sequences them — one round's pair in
-	// flight at a time, or double-buffered under overlap with round i+1's
-	// pair in flight while round i's is multiplied.
+	// per round); the last round's pair it only holds, for the reduction.
+	// PipelineRounds sequences them — one round's pair in flight at a
+	// time, or double-buffered under overlap with round i+1's pair in
+	// flight while round i's is multiplied.
 	startA := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(aParts, seg.Lo)
 		var chunk []float64
@@ -292,19 +293,55 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		}
 		return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
 	}
+	segs := pl.segs[ik]
+	last := segs[len(segs)-1]
+	var aLast, bLast []float64
 	mulRound := func(seg layout.Range, aChunk, bChunk []float64) {
+		if seg == last {
+			aLast, bLast = aChunk, bChunk
+			return
+		}
 		kern.Mul(cTile, panelA(seg, aChunk), panelB(seg, bChunk))
 		r.Compute(matrix.MulFlops(dm, dn, seg.Len()))
 		machine.Release(aChunk)
 		machine.Release(bChunk)
 	}
-	if err := comm.PipelineRounds(r, pl.segs[ik], pl.overlap, startA, startB, mulRound); err != nil {
+	if err := comm.PipelineRounds(r, segs, pl.overlap, startA, startB, mulRound); err != nil {
 		return nil, err
 	}
 
 	// Sum the partial C tiles along the fiber; every member keeps its
-	// share of the total.
-	return fiber.Reduce(0, cTile.Data, tagC), nil
+	// share of the total. The last round is multiplied inside the
+	// reduction, one row band per block right before the block is sent
+	// (§7.3): the sweep goes around the tile from the first row of block
+	// ik+1 — the first one sent — and done counts the rows behind it.
+	// A band never wraps, since block Pk−1 is never empty and ends the
+	// tile. The band that starts the round closes it on the round clock;
+	// the rest only charge their flops.
+	aPanel, bPanel := panelA(last, aLast), panelB(last, bLast)
+	start := layout.Block(dm*dn, pl.g.Pk, (ik+1)%pl.g.Pk).Lo / dn % dm
+	done := 0
+	finish := func(lo, hi int) {
+		first, end := (lo/dn-start+dm)%dm, ((hi-1)/dn-start+dm)%dm+1
+		if end <= first {
+			end = dm // the block ends in the sweep's first row: all rows are due
+		}
+		if end <= done {
+			return
+		}
+		r0 := (start + done) % dm
+		kern.MulRows(cTile, aPanel, bPanel, r0, r0+end-done)
+		if flops := matrix.MulFlops(end-done, dn, last.Len()); done == 0 {
+			r.Compute(flops)
+		} else {
+			r.Charge(flops)
+		}
+		done = end
+	}
+	share := fiber.ReduceScatter(0, cTile.Data, tagC, finish)
+	machine.Release(aLast)
+	machine.Release(bLast)
+	return share, nil
 }
 
 // StepSize is the latency-minimizing number of outer products per round

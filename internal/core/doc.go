@@ -11,7 +11,10 @@
 // ranks like A and B. A rank's pieces of that layout are views of the
 // caller's matrices: the panels it owns are multiplied where they
 // already are and packed only to be sent, so every input word is
-// touched once before the kernel packs it into micro-panels.
+// touched once before the kernel packs it into micro-panels. The last
+// round is multiplied inside the fiber reduction, one row band per C
+// block just before the block is sent, so the fiber's transfers
+// overlap the round's compute (§7.3).
 //
 // The work splits into two phases. Plan compiles a problem shape into
 // an immutable algo.Plan — the fitted grid, the per-slab round segments

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"cosma/internal/algo"
+	"cosma/internal/grid"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
@@ -91,6 +94,58 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 
 	// The timed pipelined run must still produce the exact product.
 	assertBitwiseEqual(t, cSync, cPipe, p)
+}
+
+// TestFiberReduceOverlapsLastRound pins when the fiber reduction ends on
+// a [1×1×Pk] grid, where there is no broadcast and every rank's clock is
+// its rounds plus the reduce-scatter. Each rank multiplies the last
+// round one 16-row band per C block, sending each block as its band is
+// done, so the first block lands one band and one α into the round and
+// the other Pk−2 queue behind it on the ingress port — β·|block| exceeds
+// a band plus α here. Every rank therefore finishes at
+//
+//	(rounds−1 full rounds) + one band + α + (Pk−1)·β·|block|,
+//
+// not after the whole last round and Pk−1 serial (α + β·|block|)
+// receives. The bands' flops add up to the rank's whole domain on the
+// flop counter, and the product is right.
+func TestFiberReduceOverlapsLastRound(t *testing.T) {
+	const m, n, pk, slab, h = 64, 64, 4, 96, 32
+	g := grid.Grid{Pm: 1, Pn: 1, Pk: pk}
+	pl, err := NewPlan("COSMA", g, m, n, pk*slab, pk, m*n+h*(m+n), false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := pl.Geometry.Rounds
+	if rounds != slab/h {
+		t.Fatalf("%d rounds, want %d", rounds, slab/h)
+	}
+	net := machine.PizDaintNet()
+	mach := machine.NewTimed(pk, net)
+	a, b := matrix.Random(m, pk*slab, rng(5)), matrix.Random(pk*slab, n, rng(6))
+	got, err := pl.Execute(context.Background(), mach, algo.NewArena(pk), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mulRef(a, b); !matrix.EqualWithin(got, want, 1e-9) {
+		t.Fatalf("product off by %g", matrix.MaxDiff(got, want))
+	}
+
+	const block = m * n / pk
+	round := net.Gamma * float64(matrix.MulFlops(m, n, h))
+	band := net.Gamma * float64(matrix.MulFlops(block/n, n, h))
+	if net.Beta*block < band+net.Alpha {
+		t.Fatalf("β·|block| = %g below a band plus α (%g): the blocks would not queue back to back", net.Beta*block, band+net.Alpha)
+	}
+	want := float64(rounds-1)*round + band + net.Alpha + (pk-1)*net.Beta*block
+	if got := mach.MaxTime(); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("reduction ends at %.17g s, want %.17g", got, want)
+	}
+	for id := 0; id < pk; id++ {
+		if got, want := mach.Counters(id).Flops, matrix.MulFlops(m, n, slab); got != want {
+			t.Errorf("rank %d charged %d flops, want %d", id, got, want)
+		}
+	}
 }
 
 func assertBitwiseEqual(t *testing.T, want, got *matrix.Dense, p int) {

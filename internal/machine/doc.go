@@ -13,9 +13,10 @@
 // measures with the mpiP profiler — and every rank action passes
 // through one of three choke points in rank.go: the send path
 // (Send, SendOwned and SendAt, where the FaultPlan hook sits), the take
-// path (Recv and Request.Wait) and Compute. Counting substitutes for
-// MPI on a real interconnect: communication volume is a property of the
-// schedule, not of the wire, so counting words that cross rank
+// path (Recv and Request.Wait) and Charge, which Compute calls before
+// closing a round on the fault plan's round clock. Counting substitutes
+// for MPI on a real interconnect: communication volume is a property of
+// the schedule, not of the wire, so counting words that cross rank
 // boundaries in-process yields the same per-rank volumes. Two optional
 // parts hang off those paths, each behind one nil check:
 //
@@ -29,11 +30,12 @@
 //     local mailboxes.
 //
 // Receives exist in blocking (Recv) and posted (IRecv returning a
-// Request settled with Wait) form. On a timed machine the two differ in
-// cost semantics, not just control flow: a blocking receive charges its
-// β·words serially on the receiver's clock, while a posted receive's
-// transfer runs on the rank's ingress port concurrently with subsequent
-// compute and only extends the clock if it outlives it — the §7.3
+// Request settled with Wait; PostRecv into caller-owned storage) form.
+// On a timed machine the two differ in cost semantics, not just control
+// flow: a blocking receive charges its β·words serially on the
+// receiver's clock, while a posted receive's transfer runs on the
+// rank's ingress port concurrently with subsequent compute and only
+// extends the clock if it outlives it — the §7.3
 // communication–computation overlap, which is what lets one schedule
 // executed both ways measure the Figure 12 gain on its critical path.
 // SendAt relays a payload stamped at its landing time, the primitive

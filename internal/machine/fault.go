@@ -328,26 +328,26 @@ func (f *faultState) send(rank, dst int) (drop bool, logical float64, corr *Corr
 	return false, logical, corr
 }
 
-// compute is the plan's hook in Rank.Compute, called after the charge:
-// a death scheduled for the round this Compute closes fires, the round
-// count advances, and any straggler skew is applied — as a real stall,
-// and on a timed machine (c non-nil) as extra seconds on the rank's
-// clock.
-func (f *faultState) compute(c *clock, rank int, flops int64) {
+// round is the plan's hook in Rank.Compute, called after the charge: a
+// death scheduled for the round this Compute closes fires, the round
+// count advances, and a straggler's PerCompute stall is taken.
+func (f *faultState) round(rank int) {
 	rf := &f.ranks[rank]
 	if d := rf.death; d != nil && rf.computes == d.Round && (d.OnAttempt == 0 || d.OnAttempt == f.run) {
 		panic(faultPanic{fmt.Errorf("%w: rank %d died in round %d (attempt %d)",
 			ErrFaultInjected, rank, d.Round, f.run)})
 	}
 	rf.computes++
-	s := rf.slow
-	if s == nil {
-		return
-	}
-	if s.PerCompute > 0 {
+	if s := rf.slow; s != nil && s.PerCompute > 0 {
 		time.Sleep(s.PerCompute)
 	}
-	if s.Factor > 1 && c != nil {
+}
+
+// skew is the plan's hook in Rank.Charge: on a timed machine (c
+// non-nil) a straggler's Factor stretches the rank's clock by the extra
+// seconds its flops take.
+func (f *faultState) skew(c *clock, rank int, flops int64) {
+	if s := f.ranks[rank].slow; s != nil && s.Factor > 1 && c != nil {
 		c.skew(rank, (s.Factor-1)*c.net.Gamma*float64(flops))
 	}
 }

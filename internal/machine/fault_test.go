@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -186,6 +187,43 @@ func TestFaultSlowRankSkewsTimedClock(t *testing.T) {
 	base, skewed := run(0), run(3)
 	if skewed < 2.9*base {
 		t.Fatalf("γ skew ×3 raised critical path only %v → %v", base, skewed)
+	}
+}
+
+// TestChargeKeepsTheRoundClock: a round charged in pieces — Compute
+// for the first, Charge for the rest — is one round to a RankDeath, and
+// every piece reaches the flop counter and a SlowRank's skew.
+func TestChargeKeepsTheRoundClock(t *testing.T) {
+	net := testNet()
+	m := NewTimed(1, net)
+	plan := FaultPlan{Deaths: []RankDeath{{Rank: 0, Round: 1}}, Slow: []SlowRank{{Rank: 0, Factor: 3}}}
+	if err := m.SetFaultPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	const flops = 1 << 10
+	err := m.Run(func(r *Rank) error {
+		r.Compute(flops)
+		r.Charge(flops)
+		r.Charge(flops)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("one round in three pieces tripped the round-1 death: %v", err)
+	}
+	if got := m.Counters(0).Flops; got != 3*flops {
+		t.Errorf("flop counter %d, want %d", got, 3*flops)
+	}
+	if got, want := m.MaxTime(), 3*3*net.Gamma*flops; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("skewed clock %v, want %v", got, want)
+	}
+	err = m.Run(func(r *Rank) error {
+		r.Compute(flops)
+		r.Charge(flops)
+		r.Compute(flops)
+		return nil
+	})
+	if !errors.Is(err, ErrFaultInjected) {
+		t.Fatalf("a second Compute survived the round-1 death: %v", err)
 	}
 }
 

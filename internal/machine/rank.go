@@ -125,8 +125,8 @@ func corruptPayload(data []float64, owned bool, c *Corrupt) ([]float64, bool) {
 // machine a blocking receive is a receive posted and settled at the same
 // instant: its β·words are charged serially on the rank's clock.
 func (r *Rank) Recv(src, tag int) []float64 {
-	r.checkPeer(src, "receives from")
-	req := Request{r: r, src: src, tag: tag, post: r.Now()}
+	var req Request
+	r.PostRecv(&req, src, tag)
 	return req.Wait()
 }
 
@@ -138,8 +138,19 @@ func (r *Rank) Recv(src, tag int) []float64 {
 // rank's clock. The payload buffer is owned by the caller exactly as
 // with Recv.
 func (r *Rank) IRecv(src, tag int) *Request {
+	q := new(Request)
+	r.PostRecv(q, src, tag)
+	return q
+}
+
+// PostRecv is IRecv into caller-owned storage: it posts q as a
+// non-blocking receive matched on (src, tag), overwriting whatever q
+// held. A collective that posts one receive per peer keeps them in one
+// array — the MPI_Irecv/MPI_Waitall pattern — instead of allocating a
+// Request each.
+func (r *Rank) PostRecv(q *Request, src, tag int) {
 	r.checkPeer(src, "receives from")
-	return &Request{r: r, src: src, tag: tag, post: r.Now()}
+	*q = Request{r: r, src: src, tag: tag, post: r.Now()}
 }
 
 // Request is a posted receive — the MPI_Request of this simulated
@@ -207,16 +218,29 @@ func (r *Rank) Now() float64 {
 // Compute registers flops floating-point operations of local work —
 // algorithms call it around their kernel invocations, once per
 // communication round, so a timed machine can charge γ·flops to this
-// rank's clock. It is also the round clock of the fault plan: a
-// scheduled RankDeath fires here.
+// rank's clock. It is also the round clock of the fault plan: it closes
+// one round, a scheduled RankDeath fires here and a SlowRank's
+// PerCompute stall is taken here.
 func (r *Rank) Compute(flops int64) {
+	r.Charge(flops)
+	if f := r.m.faults; f != nil {
+		f.round(r.id)
+	}
+}
+
+// Charge registers flops of local work inside the current round — a
+// round multiplied in several pieces calls Compute for its first and
+// Charge for the rest. The flop counter, a timed machine's clock and a
+// SlowRank's Factor see every piece; the fault plan's round count does
+// not advance.
+func (r *Rank) Charge(flops int64) {
 	m := r.m
 	m.count[r.id].Flops += flops
 	if m.clock != nil {
 		m.clock.compute(r.id, flops)
 	}
 	if f := m.faults; f != nil {
-		f.compute(m.clock, r.id, flops)
+		f.skew(m.clock, r.id, flops)
 	}
 }
 

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -89,9 +90,20 @@ func (k *Kernel) Threads() int { return k.threads }
 // none with one worker, which runs inline — and the per-element
 // accumulation order does not depend on the worker count (the result
 // is bitwise-reproducible for any thread count).
-func (k *Kernel) Mul(c, a, b *Dense) {
+func (k *Kernel) Mul(c, a, b *Dense) { k.MulRows(c, a, b, 0, a.Rows) }
+
+// MulRows computes rows [lo, hi) of C += A·B: those rows of C from the
+// same rows of A and all of B, without a view of either. The
+// per-element accumulation order does not depend on where a row range
+// starts — fringe tiles accumulate full-width into scratch, like
+// interior ones — so Mul over any row bands that cover C once is
+// bitwise one Mul.
+func (k *Kernel) MulRows(c, a, b *Dense, lo, hi int) {
 	checkMulShapes(c, a, b)
-	m, kk, n := a.Rows, a.Cols, b.Cols
+	if lo < 0 || lo > hi || hi > a.Rows {
+		panic(fmt.Sprintf("matrix: MulRows rows [%d, %d) outside %d", lo, hi, a.Rows))
+	}
+	m, kk, n := hi-lo, a.Cols, b.Cols
 	if m == 0 || n == 0 || kk == 0 {
 		return
 	}
@@ -108,18 +120,18 @@ func (k *Kernel) Mul(c, a, b *Dense) {
 			k.shared = grow(k.shared, (nb+nr-1)/nr*nr*kb)
 			packB(k.shared, b, pc, jc, kb, nb, nr)
 			if t == 1 {
-				k.rows(&k.workers[0], c, a, 0, m, pc, jc, kb, nb)
+				k.rows(&k.workers[0], c, a, lo, hi, pc, jc, kb, nb)
 				continue
 			}
 			// The loop variables pc and jc go in as arguments: captured,
 			// they would move to the heap every iteration, inline path too.
 			var wg sync.WaitGroup
-			for lo := 0; lo < m; lo += chunk {
+			for w := 0; w*chunk < m; w++ {
 				wg.Add(1)
 				go func(pb *packBuf, lo, hi, pc, jc int) {
 					defer wg.Done()
 					k.rows(pb, c, a, lo, hi, pc, jc, kb, nb)
-				}(&k.workers[lo/chunk], lo, min(lo+chunk, m), pc, jc)
+				}(&k.workers[w], lo+w*chunk, min(lo+(w+1)*chunk, hi), pc, jc)
 			}
 			wg.Wait()
 		}

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -176,6 +177,46 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMulRowBandsBitwiseOneMul holds the row-band contract the rank
+// program's last round relies on: for random shapes, cache blocks and
+// cuts of the rows that need not fall on a register tile, visited from
+// a random band onward and around, MulRows over the bands — and Mul
+// over views of them — equal one Mul bit for bit, on every tile this
+// binary runs (the portable Go 4×4 alone under noasm) and several
+// thread counts.
+func TestMulRowBandsBitwiseOneMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 8; trial++ {
+		m, n, kk := 1+rng.Intn(90), 1+rng.Intn(90), 1+rng.Intn(300)
+		a, b := randomStrided(rng, m, kk), randomStrided(rng, kk, n)
+		c0 := randomStrided(rng, m, n)
+		cuts := []int{0, m}
+		for i := rng.Intn(6); i > 0; i-- {
+			cuts = append(cuts, rng.Intn(m+1))
+		}
+		sort.Ints(cuts)
+		bands := len(cuts) - 1
+		first := rng.Intn(bands)
+		for _, tl := range testTiles() {
+			mcb, kcb, ncb := 4+rng.Intn(40), 8+rng.Intn(160), 16+rng.Intn(60)
+			for _, threads := range []int{1, 2, 5} {
+				kern := blockedKernel(threads, tl, mcb, kcb, ncb)
+				want, rows, views := cloneStrided(c0), cloneStrided(c0), cloneStrided(c0)
+				kern.Mul(want, a, b)
+				for i := 0; i < bands; i++ {
+					lo, hi := cuts[(first+i)%bands], cuts[(first+i)%bands+1]
+					kern.MulRows(rows, a, b, lo, hi)
+					kern.Mul(views.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kk), b)
+				}
+				requireSameBits(t, rows.Data, want.Data, "trial %d (%d×%d·%d×%d, %s, %d threads, cuts %v): MulRows bands",
+					trial, m, kk, kk, n, tl.name, threads, cuts)
+				requireSameBits(t, views.Data, want.Data, "trial %d (%d×%d·%d×%d, %s, %d threads, cuts %v): Mul on band views",
+					trial, m, kk, kk, n, tl.name, threads, cuts)
 			}
 		}
 	}
