@@ -41,6 +41,7 @@ type plan struct {
 	step       int
 	segs       [][]layout.Range // round segments per ik slab index
 	overlap    bool
+	stagger    bool // rotate which rank holds which piece (plan.parts)
 	// layer0 is 2.5D's initial layout: the inputs live on the ik = 0
 	// layer, whose ranks mail every other layer its pieces before the
 	// round loop. Otherwise every rank starts with its own pieces (§7.6).
@@ -74,6 +75,23 @@ func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 // starts the inputs on the ik = 0 layer (2.5D). A grid longer than a
 // dimension it cuts is refused with algo.ErrUnsupportedShape.
 func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*algo.Plan, error) {
+	pl, err := newPlan(g, m, n, k, p, s, overlap, layer0)
+	if err != nil {
+		return nil, err
+	}
+	d := pl.geometry()
+	return &algo.Plan{
+		Model: pl.count(name, d),
+		M:     m, N: n, K: k, P: p,
+		Geometry:    &d,
+		Overlap:     pl.overlap,
+		Distributed: true,
+		Execute:     pl.Execute,
+	}, nil
+}
+
+// newPlan compiles NewPlan's schedule.
+func newPlan(g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*plan, error) {
 	if m < 1 || n < 1 || k < 1 || g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
 		return nil, fmt.Errorf("core: grid %v does not fit %d×%d×%d on p = %d", g, m, n, k, p)
 	}
@@ -83,7 +101,7 @@ func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) 
 	dmMax, dnMax, _ := g.LocalDims(m, n, k)
 	step := StepSize(s, dmMax, dnMax)
 	segs := make([][]layout.Range, g.Pk)
-	hMax := 0
+	hMax, even := 0, true
 	for ik := 0; ik < g.Pk; ik++ {
 		slab := layout.Block(k, g.Pk, ik)
 		aParts := layout.Split(slab.Len(), g.Pn)
@@ -92,24 +110,31 @@ func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) 
 		for _, seg := range segs[ik] {
 			hMax = max(hMax, seg.Len())
 		}
+		even = even && slab.Len()%g.Pn == 0
 	}
 	// Overlap buys its second panel pair out of s (§7.3): the segments,
 	// and with them the product bits, are the same either way.
 	overlap = overlap && dmMax*dnMax+2*hMax*(dmMax+dnMax) <= s
-	pl := &plan{
+	// Stagger only a pipelined loop (a synchronous one gets slower) whose
+	// A and B parts line up (Pm = Pn) and are equal, so no word moves.
+	return &plan{
 		m: m, n: n, k: k, p: p,
 		g: g, step: step, segs: segs,
 		overlap: overlap, layer0: layer0,
-	}
-	d := pl.geometry()
-	return &algo.Plan{
-		Model: pl.count(name, d),
-		M:     m, N: n, K: k, P: p,
-		Geometry:    &d,
-		Overlap:     overlap,
-		Distributed: true,
-		Execute:     pl.Execute,
+		stagger: overlap && g.Pm == g.Pn && g.Pn > 1 && even,
 	}, nil
+}
+
+// parts returns the A and B part of its k slab that rank (im, in) holds
+// in the initial layout (§7.6), which the paper leaves free: A part in
+// and B part im, or, staggered, (in+im) mod Pn and (im+in+1) mod Pm. The
+// two then differ on a square grid, so no rank owns both panels of a
+// round and idles its ingress port for a whole part while it multiplies.
+func (pl *plan) parts(im, in int) (a, b int) {
+	if !pl.stagger {
+		return in, im
+	}
+	return (in + im) % pl.g.Pn, (im + in + 1) % pl.g.Pm
 }
 
 // geometry is the §6.3 schedule geometry the plan publishes.
@@ -210,20 +235,31 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	slab := layout.Block(pl.k, pl.g.Pk, ik) // my K range
 	dm, dn := rows.Len(), cols.Len()
 
-	rowGroup := comm.NewGroup(r, pl.g.RowGroup(in, ik)) // shares the B panel... see below
-	colGroup := comm.NewGroup(r, pl.g.ColGroup(im, ik)) // shares the A panel
-	fiber := comm.NewGroup(r, pl.g.FiberGroup(im, in))  // C reduction group
-
 	// Blocked initial layout (§7.6): the A panel rows×slab is divided by
-	// k among the pn members of my column group (the ranks that need it);
-	// the B panel slab×cols among the pm members of my row group.
+	// k among my column group (the ranks that need it), the B panel
+	// slab×cols among my row group, and a member's group position is the
+	// part it holds (plan.parts), so a round's root owns its segment.
+	colRanks, rowRanks := make([]int, pl.g.Pn), make([]int, pl.g.Pm)
+	for j := range colRanks {
+		part, _ := pl.parts(im, j)
+		colRanks[part] = pl.g.Rank(im, j, ik)
+	}
+	for j := range rowRanks {
+		_, part := pl.parts(j, in)
+		rowRanks[part] = pl.g.Rank(j, in, ik)
+	}
+	colGroup := comm.NewGroup(r, colRanks)             // shares the A panel
+	rowGroup := comm.NewGroup(r, rowRanks)             // shares the B panel
+	fiber := comm.NewGroup(r, pl.g.FiberGroup(im, in)) // C reduction group
+	pa, pb := colGroup.Index(), rowGroup.Index()
+
 	// inputs returns the pieces grid position (im, in, l) starts from, as
 	// views of the caller's matrices: a word its rank owns is read where
 	// it already is, never copied in.
 	inputs := func(l int) (aPiece, bPiece *matrix.Dense) {
 		sl := layout.Block(pl.k, pl.g.Pk, l)
-		aPart := layout.Block(sl.Len(), pl.g.Pn, in)
-		bPart := layout.Block(sl.Len(), pl.g.Pm, im)
+		aPart := layout.Block(sl.Len(), pl.g.Pn, pa)
+		bPart := layout.Block(sl.Len(), pl.g.Pm, pb)
 		return a.View(rows.Lo, sl.Lo+aPart.Lo, dm, aPart.Len()),
 			b.View(sl.Lo+bPart.Lo, cols.Lo, bPart.Len(), dn)
 	}
@@ -255,13 +291,13 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	// the view of my piece holding it — multiplied where it already is,
 	// the kernel's packA/packB read any stride — else the received chunk.
 	panelA := func(seg layout.Range, chunk []float64) *matrix.Dense {
-		if part := aParts[in]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
+		if part := aParts[pa]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
 			return myA.View(0, seg.Lo-part.Lo, dm, seg.Len())
 		}
 		return matrix.FromSlice(dm, seg.Len(), chunk)
 	}
 	panelB := func(seg layout.Range, chunk []float64) *matrix.Dense {
-		if part := bParts[im]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
+		if part := bParts[pb]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
 			return myB.View(seg.Lo-part.Lo, 0, seg.Len(), dn)
 		}
 		return matrix.FromSlice(seg.Len(), dn, chunk)
@@ -280,7 +316,7 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	startA := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(aParts, seg.Lo)
 		var chunk []float64
-		if in == owner && colGroup.Size() > 1 {
+		if pa == owner && colGroup.Size() > 1 {
 			chunk = panelA(seg, nil).Pack(machine.Loan(dm * seg.Len()))
 		}
 		return colGroup.IBcast(owner, chunk, tagA+seg.Lo)
@@ -288,7 +324,7 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	startB := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(bParts, seg.Lo)
 		var chunk []float64
-		if im == owner && rowGroup.Size() > 1 {
+		if pb == owner && rowGroup.Size() > 1 {
 			chunk = panelB(seg, nil).Pack(machine.Loan(seg.Len() * dn))
 		}
 		return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
@@ -396,21 +432,21 @@ func ownerOf(parts []layout.Range, x int) int {
 }
 
 // count is the plan's model, read off the schedule rankProgram runs: per
-// k slab it tallies the round segments by the owners rankProgram
-// broadcasts them from, and since a broadcast's messages depend only on
-// its root, a member's are each root's rounds times comm.BcastMsgs. Rank
-// by rank it adds the A and B panel words it does not own, its block of
-// the C tile from each of the fiber's other members with the
-// reduce-scatter's messages (comm.ReduceMsgs) and, under layer0, the
-// scatter: layer 0 mails every other layer its two pieces. Average and
-// maximum words and MaxMsgs (sent + received on the busiest rank)
-// therefore equal what an execution measures; MaxFlops is the largest
-// local domain's.
+// k slab it tallies the round segments by the parts rankProgram
+// broadcasts them from, and since a member's group position is its part
+// (plan.parts), its messages are each root's rounds times comm.BcastMsgs
+// at the part it holds. Rank by rank it adds the A and B panel words it
+// does not own, its block of the C tile from each of the fiber's other
+// members with the reduce-scatter's messages (comm.ReduceMsgs) and,
+// under layer0, the scatter: layer 0 mails every other layer its two
+// pieces. Average and maximum words and MaxMsgs (sent + received on the
+// busiest rank) therefore equal what an execution measures; MaxFlops is
+// the largest local domain's.
 func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 	g := pl.g
 	var total, maxRecv, maxMsgs int
-	aRounds, aMsgs := make([]int, g.Pn), make([]int, g.Pn) // by root / by in
-	bRounds, bMsgs := make([]int, g.Pm), make([]int, g.Pm) // by root / by im
+	aRounds, aMsgs := make([]int, g.Pn), make([]int, g.Pn) // by root / by member, as parts
+	bRounds, bMsgs := make([]int, g.Pm), make([]int, g.Pm) // by root / by member, as parts
 	bcastMsgs := func(rounds, msgs []int) {
 		for me := range msgs {
 			msgs[me] = 0
@@ -433,13 +469,13 @@ func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 		bcastMsgs(bRounds, bMsgs)
 		for in := 0; in < g.Pn; in++ {
 			dn := layout.Block(pl.n, g.Pn, in).Len()
-			aMine := aParts[in].Len()
 			for im := 0; im < g.Pm; im++ {
 				dm := layout.Block(pl.m, g.Pm, im).Len()
-				bMine := bParts[im].Len()
+				pa, pb := pl.parts(im, in)
+				aMine, bMine := aParts[pa].Len(), bParts[pb].Len()
 				recv := dm*(slab-aMine) + (slab-bMine)*dn +
 					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
-				msgs := aMsgs[in] + bMsgs[im] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
+				msgs := aMsgs[pa] + bMsgs[pb] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
 				if pl.layer0 && g.Pk > 1 {
 					if ik == 0 {
 						msgs += 2 * (g.Pk - 1)

@@ -148,6 +148,52 @@ func TestFiberReduceOverlapsLastRound(t *testing.T) {
 	}
 }
 
+// TestStaggerClosedFormTimed pins when an overlapped [2×2×Pk] plan with
+// two rounds of h outer products per slab ends. Staggered, every rank
+// holds one panel of each round and receives the other, w = dm·h words:
+// round 0's lands α + β·w in, round 1's streams in while round 0 is
+// multiplied, and the last round is multiplied inside the fiber
+// reduction as in TestFiberReduceOverlapsLastRound. Every rank
+// therefore finishes at
+//
+//	α + β·w + γ·F_round + band + α + (Pk−1)·β·|block|.
+//
+// In the plain layout rank (1,1) of every layer holds neither panel of
+// round 0, so its fiber pays 2·β·w before its first multiply.
+func TestStaggerClosedFormTimed(t *testing.T) {
+	const m, n, pk, h = 128, 128, 4, 32
+	const dm, dn, w, block = m / 2, n / 2, m / 2 * h, m / 2 * n / 2 / pk
+	g := grid.Grid{Pm: 2, Pn: 2, Pk: pk}
+	pl, err := NewPlan("COSMA", g, m, n, pk*2*h, g.Ranks(), dm*dn+2*h*(dm+dn), true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pl.Overlap || pl.Geometry.Rounds != 2 {
+		t.Fatalf("overlap %v, %d rounds: want a pipelined plan of 2 rounds", pl.Overlap, pl.Geometry.Rounds)
+	}
+	net := machine.NetworkParams{Name: "closed-form", Alpha: 1e-6, Beta: 1e-8, Gamma: 1e-10}
+	mach := machine.NewTimed(g.Ranks(), net)
+	a, b := matrix.Random(m, pk*2*h, rng(7)), matrix.Random(pk*2*h, n, rng(8))
+	got, err := pl.Execute(context.Background(), mach, algo.NewArena(g.Ranks()), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mulRef(a, b); !matrix.EqualWithin(got, want, 1e-9) {
+		t.Fatalf("product off by %g", matrix.MaxDiff(got, want))
+	}
+
+	round := net.Gamma * float64(matrix.MulFlops(dm, dn, h))
+	band := net.Gamma * float64(matrix.MulFlops(block/dn, dn, h))
+	if round < net.Alpha+net.Beta*w || net.Beta*block < band+net.Alpha {
+		t.Fatalf("round %g, β·w %g, band %g, β·|block| %g: round 1's panel would not hide behind round 0, or the blocks would not queue back to back",
+			round, net.Beta*w, band, net.Beta*block)
+	}
+	want := net.Alpha + net.Beta*w + round + band + net.Alpha + (pk-1)*net.Beta*block
+	if got := mach.MaxTime(); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("critical path %.17g s, want %.17g", got, want)
+	}
+}
+
 func assertBitwiseEqual(t *testing.T, want, got *matrix.Dense, p int) {
 	t.Helper()
 	if want.Rows != got.Rows || want.Cols != got.Cols {

@@ -73,6 +73,7 @@ type Transport struct {
 	peers []atomic.Pointer[peer]
 
 	dead      chan struct{}
+	closing   atomic.Bool // set as Close begins, before the goodbyes
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
@@ -362,6 +363,7 @@ func (t *Transport) adoptEpoch(e int64) {
 // process ever sent is flushed ahead of it.
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
+		t.closing.Store(true)
 		// Bound the final flush so a wedged peer cannot hang teardown,
 		// and say goodbye as the last frame on each connection. A full
 		// queue is waited for under the same bound — the writer is
@@ -595,13 +597,12 @@ func (t *Transport) markDead(proc int) {
 // fail records the first asynchronous transport failure (sticky until
 // the process is torn down or Recover clears it) and aborts the run in
 // flight. Once Close has begun it does nothing: peers may legitimately
-// be gone already, and a teardown hiccup must not abort runs still in
+// be gone already — a goodbye written to one that has exited fails with
+// a broken pipe — and a teardown hiccup must not abort runs still in
 // progress there.
 func (t *Transport) fail(err error) {
-	select {
-	case <-t.dead:
+	if t.closing.Load() {
 		return
-	default:
 	}
 	t.fmu.Lock()
 	first := t.failed == nil
