@@ -439,7 +439,7 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 		e.hits++
 		return p, nil
 	}
-	inner, err := e.spec.Plan(algo.Config{Delta: e.cfg.delta, Overlap: e.cfg.overlap}, m, n, k, e.cfg.procs, e.cfg.memory)
+	inner, err := e.spec.Plan(algo.Config{Delta: e.cfg.delta, Overlap: e.cfg.overlap, Network: e.cfg.network}, m, n, k, e.cfg.procs, e.cfg.memory)
 	if err != nil {
 		return nil, err
 	}

@@ -61,13 +61,18 @@ type Decomposition struct {
 	DomainM, DomainN, DomainK int // local domain extents per rank
 	StepSize                  int // most outer products one communication round carries
 	Rounds                    int // rounds the longest k slab executes, ownership cuts included
+	Bands                     int // row blocks a round's A panel is broadcast in; 1 sends it whole
 }
 
 // String implements fmt.Stringer.
 func (d Decomposition) String() string {
-	return fmt.Sprintf("grid [%d×%d×%d] (%d ranks), domain [%d×%d×%d], %d rounds of %d",
+	s := fmt.Sprintf("grid [%d×%d×%d] (%d ranks), domain [%d×%d×%d], %d rounds of %d",
 		d.GridPm, d.GridPn, d.GridPk, d.RanksUsed,
 		d.DomainM, d.DomainN, d.DomainK, d.Rounds, d.StepSize)
+	if d.Bands > 1 {
+		s += fmt.Sprintf(", A in %d bands", d.Bands)
+	}
+	return s
 }
 
 // Executor executes one Plan repeatedly on a dedicated pre-built
@@ -176,12 +181,13 @@ func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense,
 }
 
 // Run is the one-shot path of the experiment tables and tests: compile
-// the shape of a·b with plan (a Spec's Plan) under cfg, build a fresh
-// machine on net (nil counts), execute once.
+// the shape of a·b with plan (a Spec's Plan) under cfg on net, build a
+// fresh machine on net (nil counts), execute once.
 func Run(plan func(cfg Config, m, n, k, p, s int) (*Plan, error), cfg Config, net *machine.NetworkParams, a, b *matrix.Dense, p, s int) (*matrix.Dense, *Report, error) {
 	if a.Cols != b.Rows {
 		return nil, nil, fmt.Errorf("algo: A is %d×%d but B is %d×%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
+	cfg.Network = net
 	pl, err := plan(cfg, a.Rows, b.Cols, a.Cols, p, s)
 	if err != nil {
 		return nil, nil, err

@@ -1,8 +1,10 @@
 package algo
 
+import "cosma/internal/machine"
+
 // Config carries the options a plan is compiled under. Delta is read by
-// COSMA alone — the baselines fix their grid upfront — and Overlap by the
-// three Algorithm 1 policies (COSMA, SUMMA, 2.5D).
+// COSMA alone — the baselines fix their grid upfront — and Overlap and
+// Network by the three Algorithm 1 policies (COSMA, SUMMA, 2.5D).
 type Config struct {
 	// Delta is the grid-fitting idle-rank tolerance δ of §7.1; zero
 	// means core.DefaultDelta.
@@ -13,6 +15,11 @@ type Config struct {
 	// holds the second panel pair (Plan.Overlap); CARMA and Cannon
 	// execute synchronously regardless.
 	Overlap bool
+	// Network is the α-β-γ machine the plan will execute on, nil for a
+	// counting one. A synchronous plan derives from it how many row
+	// blocks to broadcast its A panels in; without one it sends each
+	// panel whole.
+	Network *machine.NetworkParams
 }
 
 // Spec is one row of the table of algorithms (baselines.Algorithms).

@@ -45,5 +45,5 @@ func Layers(m, n, k, p, sMem int) (pr, pc, c int) {
 // decomposition of Agarwal et al.
 func plan25D(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	pr, pc, c := Layers(m, n, k, p, s)
-	return core.NewPlan("CTF/2.5D", grid.Grid{Pm: pr, Pn: pc, Pk: c}, m, n, k, p, s, cfg.Overlap, true)
+	return core.NewPlan("CTF/2.5D", cfg, grid.Grid{Pm: pr, Pn: pc, Pk: c}, m, n, k, p, s, true)
 }

@@ -23,7 +23,8 @@ func gridPolicies() []algo.Spec {
 // seeded catalog, the three benchmark shapes, ragged dimensions, prime
 // rank counts and a C tile smaller than its fiber (1×2×64, p = 8: empty
 // reduction blocks); so is the busiest rank's message count, for them and
-// for Cannon, wherever a baseline plans at all.
+// for Cannon, wherever a baseline plans at all. The same holds for plans
+// compiled and executed on pizdaint, whose A panels travel in row blocks.
 func TestModelWordsEqualMeasured(t *testing.T) {
 	type shape struct{ m, n, k, p, s int }
 	shapes := []shape{
@@ -64,6 +65,41 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 					pl.Display, c, rep.Grid, rep.MaxMsgs, rep.Model.MaxMsgs)
 			}
 		}
+	}
+
+	// Compiled under pizdaint, synchronous plans on an A tree two levels
+	// deep broadcast their A panels in row blocks; the model counts every
+	// block's messages.
+	net := machine.PizDaintNet()
+	timed := []shape{{300, 200, 100, 12, 20000}, {256, 256, 256, 16, 6000}}
+	if !testing.Short() { // square-tight: three bands
+		timed = append(timed, shape{1024, 1024, 1024, 16, 69632})
+	}
+	banded := 0
+	for _, c := range timed {
+		a := matrix.Random(c.m, c.k, rng)
+		b := matrix.Random(c.k, c.n, rng)
+		for _, pl := range gridPolicies() {
+			plan, err := pl.Plan(algo.Config{Network: &net}, c.m, c.n, c.k, c.p, c.s)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", pl.Display, c, err)
+			}
+			if plan.Geometry.Bands > 1 {
+				banded++
+			}
+			_, rep, err := algo.Run(pl.Plan, algo.Config{}, &net, a, b, c.p, c.s)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", pl.Display, c, err)
+			}
+			if rep.Model != plan.Model || rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv ||
+				float64(rep.MaxMsgs) != rep.Model.MaxMsgs {
+				t.Errorf("%s %+v on %s, %d bands: measured avg %v max %d msgs %d, model %+v", pl.Display, c, net.Name,
+					plan.Geometry.Bands, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs, rep.Model)
+			}
+		}
+	}
+	if banded == 0 {
+		t.Error("no timed plan is banded: the band count goes unchecked")
 	}
 }
 

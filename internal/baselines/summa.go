@@ -29,9 +29,9 @@ func NearSquare(p int) (pr, pc int) {
 // factorization of p, every rank used. Each rank (i, j) owns the blocks
 // A[Mi, Kj], B[Ki, Nj] and computes C[Mi, Nj]; no fiber, so C never moves.
 // What the ranks receive (the k(m+n)/√p row of Table 3) is the plan's own
-// count. cfg.Overlap pipelines the round loop exactly like COSMA's (§7.3),
-// so timed comparisons pit overlapped COSMA against overlapped SUMMA.
+// count. cfg compiles it exactly like COSMA's — overlap (§7.3) and A
+// bands alike — so timed comparisons pit like schedules against each other.
 func planSUMMA(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	pr, pc := NearSquare(p)
-	return core.NewPlan("ScaLAPACK/SUMMA-2D", grid.Grid{Pm: pr, Pn: pc, Pk: 1}, m, n, k, p, s, cfg.Overlap, false)
+	return core.NewPlan("ScaLAPACK/SUMMA-2D", cfg, grid.Grid{Pm: pr, Pn: pc, Pk: 1}, m, n, k, p, s, false)
 }

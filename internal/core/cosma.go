@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"cosma/internal/algo"
@@ -42,6 +44,9 @@ type plan struct {
 	segs       [][]layout.Range // round segments per ik slab index
 	overlap    bool
 	stagger    bool // rotate which rank holds which piece (plan.parts)
+	// bands is how many row blocks a round's A panel is broadcast in
+	// (plan.bandsFor): 1 sends it whole.
+	bands int
 	// layer0 is 2.5D's initial layout: the inputs live on the ik = 0
 	// layer, whose ranks mail every other layer its pieces before the
 	// round loop. Otherwise every rank starts with its own pieces (§7.6).
@@ -62,36 +67,43 @@ func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if cfg.Delta == 0 {
 		cfg.Delta = DefaultDelta
 	}
-	return NewPlan("COSMA", grid.Fit(m, n, k, p, s, cfg.Delta), m, n, k, p, s, cfg.Overlap, false)
+	return NewPlan("COSMA", cfg, grid.Fit(m, n, k, p, s, cfg.Delta), m, n, k, p, s, false)
 }
 
 // NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for
 // an m×k by k×n multiplication on the grid g of a p-rank machine with
 // s words per rank, reported under the algorithm name. The grid is the
 // caller's policy — COSMA fits it (§7.1), SUMMA and 2.5D fix it upfront;
-// the model is not: the plan counts its own schedule. overlap asks for
-// the pipelined round loop (§7.3), which the plan grants only where s
-// holds the C tile and two panel pairs of its longest round; layer0
-// starts the inputs on the ik = 0 layer (2.5D). A grid longer than a
-// dimension it cuts is refused with algo.ErrUnsupportedShape.
-func NewPlan(name string, g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*algo.Plan, error) {
-	pl, err := newPlan(g, m, n, k, p, s, overlap, layer0)
+// the model is not: the plan counts its own schedule. cfg.Overlap asks
+// for the pipelined round loop (§7.3), which the plan grants only where
+// s holds the C tile and two panel pairs of its longest round; a
+// synchronous plan broadcasts its A panels in the row blocks
+// cfg.Network pays for (plan.bandsFor); layer0 starts the inputs on the
+// ik = 0 layer (2.5D). A grid longer than a dimension it cuts is refused
+// with algo.ErrUnsupportedShape.
+func NewPlan(name string, cfg algo.Config, g grid.Grid, m, n, k, p, s int, layer0 bool) (*algo.Plan, error) {
+	pl, err := newPlan(cfg, g, m, n, k, p, s, layer0)
 	if err != nil {
 		return nil, err
 	}
+	return pl.compile(name), nil
+}
+
+// compile publishes the plan: its model, geometry and Execute.
+func (pl *plan) compile(name string) *algo.Plan {
 	d := pl.geometry()
 	return &algo.Plan{
 		Model: pl.count(name, d),
-		M:     m, N: n, K: k, P: p,
+		M:     pl.m, N: pl.n, K: pl.k, P: pl.p,
 		Geometry:    &d,
 		Overlap:     pl.overlap,
 		Distributed: true,
 		Execute:     pl.Execute,
-	}, nil
+	}
 }
 
 // newPlan compiles NewPlan's schedule.
-func newPlan(g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*plan, error) {
+func newPlan(cfg algo.Config, g grid.Grid, m, n, k, p, s int, layer0 bool) (*plan, error) {
 	if m < 1 || n < 1 || k < 1 || g.Pm < 1 || g.Pn < 1 || g.Pk < 1 || g.Ranks() > p {
 		return nil, fmt.Errorf("core: grid %v does not fit %d×%d×%d on p = %d", g, m, n, k, p)
 	}
@@ -114,7 +126,7 @@ func newPlan(g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*plan, error
 	}
 	// Overlap buys its second panel pair out of s (§7.3): the segments,
 	// and with them the product bits, are the same either way.
-	overlap = overlap && dmMax*dnMax+2*hMax*(dmMax+dnMax) <= s
+	overlap := cfg.Overlap && dmMax*dnMax+2*hMax*(dmMax+dnMax) <= s
 	// Stagger only a pipelined loop (a synchronous one gets slower) whose
 	// A and B parts line up (Pm = Pn) and are equal, so no word moves.
 	return &plan{
@@ -122,7 +134,35 @@ func newPlan(g grid.Grid, m, n, k, p, s int, overlap, layer0 bool) (*plan, error
 		g: g, step: step, segs: segs,
 		overlap: overlap, layer0: layer0,
 		stagger: overlap && g.Pm == g.Pn && g.Pn > 1 && even,
+		bands:   bandsFor(cfg.Network, overlap, g, m, dmMax, hMax),
 	}, nil
+}
+
+// bandsFor is how many row blocks c a round's dm×h A panel is broadcast
+// in. A synchronous round has no second panel pair to hide its transfer
+// behind, so it overlaps inside its one pair instead: each block is its
+// own broadcast down the column tree, an interior member relays block j
+// while block j+1 is still arriving, and a receiver multiplies C's row
+// band j as soon as block j lands. Every block costs each tree hop one
+// more α and saves the hops below the first a share of β·dm·h, so
+//
+//	c = clamp(⌊√((d−1)·β·dm·h / (4α))⌋, 1, ⌊m/Pm⌋)
+//
+// with dm the largest tile's rows, h the longest round's outer products
+// and d = ⌊log₂ Pn⌋ the depth of the A tree; ⌊m/Pm⌋ keeps every block
+// non-empty. A pipelined plan (whose next pair already hides the
+// transfer), a tree of depth < 2 and a machine without a network — a
+// counting one pays nothing for time — send the panel whole.
+func bandsFor(net *machine.NetworkParams, overlap bool, g grid.Grid, m, dm, h int) int {
+	d := bits.Len(uint(g.Pn)) - 1
+	if net == nil || overlap || d < 2 {
+		return 1
+	}
+	c := math.Sqrt(float64(d-1) * net.Beta * float64(dm*h) / (4 * net.Alpha))
+	if !(c >= 1) { // NaN too: a network with α = β = 0
+		return 1
+	}
+	return int(math.Min(c, float64(m/g.Pm)))
 }
 
 // parts returns the A and B part of its k slab that rank (im, in) holds
@@ -150,6 +190,7 @@ func (pl *plan) geometry() algo.Decomposition {
 		DomainM:   dm, DomainN: dn, DomainK: dk,
 		StepSize: pl.step,
 		Rounds:   rounds,
+		Bands:    pl.bands,
 	}
 }
 
@@ -287,14 +328,15 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 	// Walk the slab over the precomputed round segments — the union
 	// breakpoints of the A and B ownership partitions, sub-chunked to
 	// the latency-minimizing step — so each round's panel lies inside one
-	// owner's piece. panelA/panelB return a round's operand: at its owner
-	// the view of my piece holding it — multiplied where it already is,
-	// the kernel's packA/packB read any stride — else the received chunk.
-	panelA := func(seg layout.Range, chunk []float64) *matrix.Dense {
+	// owner's piece. panelA/panelB return a round's operand — panelA the
+	// rows rs of its A panel: at its owner the view of my piece holding
+	// it — multiplied where it already is, the kernel's packA/packB read
+	// any stride — else the received chunk.
+	panelA := func(seg, rs layout.Range, chunk []float64) *matrix.Dense {
 		if part := aParts[pa]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
-			return myA.View(0, seg.Lo-part.Lo, dm, seg.Len())
+			return myA.View(rs.Lo, seg.Lo-part.Lo, rs.Len(), seg.Len())
 		}
-		return matrix.FromSlice(dm, seg.Len(), chunk)
+		return matrix.FromSlice(rs.Len(), seg.Len(), chunk)
 	}
 	panelB := func(seg layout.Range, chunk []float64) *matrix.Dense {
 		if part := bParts[pb]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
@@ -303,23 +345,38 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		return matrix.FromSlice(seg.Len(), dn, chunk)
 	}
 
-	// startA/startB post one round's panel broadcast. Packing exists to
-	// send: the owner copies its panel into a loaned buffer only when the
-	// group has another member, and the group relays it down the binary
-	// tree. mulRound folds a settled round into the C tile and hands the
-	// chunk buffers — nil where nothing was packed or received — back to
-	// the pool with plain calls (a defer here would be a heap allocation
-	// per round); the last round's pair it only holds, for the reduction.
-	// PipelineRounds sequences them — one round's pair in flight at a
-	// time, or double-buffered under overlap with round i+1's pair in
+	// A round's A panel is broadcast in pl.bands row blocks
+	// (plan.bandsFor), block j the rows band(j), each its own broadcast
+	// down the column tree under the round's tag: a (src, tag) queue is
+	// FIFO and every member settles the blocks in order. Bands are
+	// granted to synchronous plans only, so one round's blocks are in
+	// flight at a time: block 0's Pending goes to PipelineRounds, the
+	// others wait in aRest.
+	band := func(j int) layout.Range { return layout.Block(dm, pl.bands, j) }
+	aRest := make([]*comm.Pending, pl.bands-1)
+
+	// startA/startB post one round's panel broadcasts. Packing exists to
+	// send: the owner copies its panel into loaned buffers only when the
+	// group has another member, and the group relays them down the binary
+	// tree. PipelineRounds sequences them — one round's pair in flight at
+	// a time, or double-buffered under overlap with round i+1's pair in
 	// flight while round i's is multiplied.
 	startA := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(aParts, seg.Lo)
-		var chunk []float64
-		if pa == owner && colGroup.Size() > 1 {
-			chunk = panelA(seg, nil).Pack(machine.Loan(dm * seg.Len()))
+		var first *comm.Pending
+		for j := 0; j < pl.bands; j++ {
+			var chunk []float64
+			if pa == owner && colGroup.Size() > 1 {
+				rs := band(j)
+				chunk = panelA(seg, rs, nil).Pack(machine.Loan(rs.Len() * seg.Len()))
+			}
+			if p := colGroup.IBcast(owner, chunk, tagA+seg.Lo); j == 0 {
+				first = p
+			} else {
+				aRest[j-1] = p
+			}
 		}
-		return colGroup.IBcast(owner, chunk, tagA+seg.Lo)
+		return first
 	}
 	startB := func(seg layout.Range) *comm.Pending {
 		owner := ownerOf(bParts, seg.Lo)
@@ -329,6 +386,74 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		}
 		return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
 	}
+
+	// The round being multiplied: its segment, B packed once, block 0 of
+	// its A panel as PipelineRounds settled it, the block the multiply is
+	// in and that block's operand, and whether its first flops are
+	// charged. begin packs B and hands the B chunk back to the pool;
+	// blockChunk settles the A blocks up to j, in order — members relay as
+	// they settle — and returns block j's chunk.
+	var (
+		cur     layout.Range
+		bp      matrix.PackedB
+		a0      []float64
+		inBlock int
+		aBlock  *matrix.Dense
+		opened  bool
+	)
+	begin := func(seg layout.Range, aChunk, bChunk []float64) {
+		bp = kern.PackB(machine.Loan(kern.PackedLen(seg.Len(), dn)), panelB(seg, bChunk))
+		machine.Release(bChunk)
+		cur, a0, inBlock, opened = seg, aChunk, -1, false
+	}
+	blockChunk := func(j int) []float64 {
+		chunk := a0
+		for _, p := range aRest[:j] {
+			chunk = p.Wait()
+		}
+		return chunk
+	}
+	// mulRows multiplies rows [lo, hi) of the C tile by the round, band by
+	// band: a block of A is settled when the multiply reaches it, so each
+	// band's compute overlaps the next block's transfer (§7.3). The
+	// round's first band closes it on the round clock — one Compute per
+	// round, the fault plan's round count — the rest only charge their
+	// flops.
+	mulRows := func(lo, hi int) {
+		for j := 0; j < pl.bands; j++ {
+			rs := band(j)
+			due := rs.Intersect(layout.Range{Lo: lo, Hi: hi})
+			if due.Len() == 0 {
+				continue
+			}
+			if j != inBlock {
+				aBlock, inBlock = panelA(cur, rs, blockChunk(j)), j
+			}
+			c := cTile // one band is the tile: no view to allocate
+			if pl.bands > 1 {
+				c = cTile.View(rs.Lo, 0, rs.Len(), dn)
+			}
+			kern.MulPacked(c, aBlock, bp, due.Lo-rs.Lo, due.Hi-rs.Lo)
+			if flops := matrix.MulFlops(due.Len(), dn, cur.Len()); opened {
+				r.Charge(flops)
+			} else {
+				r.Compute(flops)
+				opened = true
+			}
+		}
+	}
+	// end hands the round's A chunks — nil where nothing was packed or
+	// received — and B's packing back to the pool, with plain calls (a
+	// defer would be a heap allocation per round).
+	end := func() {
+		for j := 0; j < pl.bands; j++ {
+			machine.Release(blockChunk(j))
+		}
+		machine.Release(bp.Data)
+	}
+
+	// mulRound folds a settled round into the C tile; the last round's
+	// pair it only holds, for the reduction.
 	segs := pl.segs[ik]
 	last := segs[len(segs)-1]
 	var aLast, bLast []float64
@@ -337,10 +462,9 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 			aLast, bLast = aChunk, bChunk
 			return
 		}
-		kern.Mul(cTile, panelA(seg, aChunk), panelB(seg, bChunk))
-		r.Compute(matrix.MulFlops(dm, dn, seg.Len()))
-		machine.Release(aChunk)
-		machine.Release(bChunk)
+		begin(seg, aChunk, bChunk)
+		mulRows(0, dm)
+		end()
 	}
 	if err := comm.PipelineRounds(r, segs, pl.overlap, startA, startB, mulRound); err != nil {
 		return nil, err
@@ -348,35 +472,28 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 
 	// Sum the partial C tiles along the fiber; every member keeps its
 	// share of the total. The last round is multiplied inside the
-	// reduction, one row band per block right before the block is sent
+	// reduction, one row band per C block right before the block is sent
 	// (§7.3): the sweep goes around the tile from the first row of block
 	// ik+1 — the first one sent — and done counts the rows behind it.
 	// A band never wraps, since block Pk−1 is never empty and ends the
-	// tile. The band that starts the round closes it on the round clock;
-	// the rest only charge their flops.
-	aPanel, bPanel := panelA(last, aLast), panelB(last, bLast)
+	// tile.
+	begin(last, aLast, bLast)
 	start := layout.Block(dm*dn, pl.g.Pk, (ik+1)%pl.g.Pk).Lo / dn % dm
 	done := 0
 	finish := func(lo, hi int) {
-		first, end := (lo/dn-start+dm)%dm, ((hi-1)/dn-start+dm)%dm+1
-		if end <= first {
-			end = dm // the block ends in the sweep's first row: all rows are due
+		first, stop := (lo/dn-start+dm)%dm, ((hi-1)/dn-start+dm)%dm+1
+		if stop <= first {
+			stop = dm // the block ends in the sweep's first row: all rows are due
 		}
-		if end <= done {
+		if stop <= done {
 			return
 		}
 		r0 := (start + done) % dm
-		kern.MulRows(cTile, aPanel, bPanel, r0, r0+end-done)
-		if flops := matrix.MulFlops(end-done, dn, last.Len()); done == 0 {
-			r.Compute(flops)
-		} else {
-			r.Charge(flops)
-		}
-		done = end
+		mulRows(r0, r0+stop-done)
+		done = stop
 	}
 	share := fiber.ReduceScatter(0, cTile.Data, tagC, finish)
-	machine.Release(aLast)
-	machine.Release(bLast)
+	end()
 	return share, nil
 }
 
@@ -475,7 +592,7 @@ func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 				aMine, bMine := aParts[pa].Len(), bParts[pb].Len()
 				recv := dm*(slab-aMine) + (slab-bMine)*dn +
 					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
-				msgs := aMsgs[pa] + bMsgs[pb] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
+				msgs := aMsgs[pa]*pl.bands + bMsgs[pb] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
 				if pl.layer0 && g.Pk > 1 {
 					if ik == 0 {
 						msgs += 2 * (g.Pk - 1)

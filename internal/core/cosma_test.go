@@ -214,7 +214,7 @@ func TestFitObjectiveIsTheCount(t *testing.T) {
 		{grid.Grid{Pm: 4, Pn: 4, Pk: 1}, 128, 128, 128},
 		{grid.Grid{Pm: 1, Pn: 1, Pk: 8}, 16, 16, 512},
 	} {
-		plan, err := NewPlan("COSMA", c.g, c.m, c.n, c.k, c.g.Ranks(), 1<<20, false, false)
+		plan, err := NewPlan("COSMA", algo.Config{}, c.g, c.m, c.n, c.k, c.g.Ranks(), 1<<20, false)
 		if err != nil {
 			t.Fatal(err)
 		}

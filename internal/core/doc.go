@@ -16,7 +16,12 @@
 // every input word is touched once before the kernel packs it into
 // micro-panels. The last round is multiplied inside the fiber
 // reduction, one row band per C block just before the block is sent, so
-// the fiber's transfers overlap the round's compute (§7.3).
+// the fiber's transfers overlap the round's compute (§7.3). A
+// synchronous plan compiled for a network whose A trees are at least two
+// levels deep broadcasts each A panel in row blocks the α-β price pays
+// for, and multiplies C's row band j as soon as block j lands: the
+// overlap a pipelined plan buys with a second panel pair, inside the
+// one pair S allows. A round packs its B panel once for all its bands.
 //
 // The work splits into two phases. Plan compiles a problem shape into
 // an immutable algo.Plan — the fitted grid, the per-slab round segments

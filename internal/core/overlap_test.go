@@ -112,7 +112,7 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 func TestFiberReduceOverlapsLastRound(t *testing.T) {
 	const m, n, pk, slab, h = 64, 64, 4, 96, 32
 	g := grid.Grid{Pm: 1, Pn: 1, Pk: pk}
-	pl, err := NewPlan("COSMA", g, m, n, pk*slab, pk, m*n+h*(m+n), false, false)
+	pl, err := NewPlan("COSMA", algo.Config{}, g, m, n, pk*slab, pk, m*n+h*(m+n), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestStaggerClosedFormTimed(t *testing.T) {
 	const m, n, pk, h = 128, 128, 4, 32
 	const dm, dn, w, block = m / 2, n / 2, m / 2 * h, m / 2 * n / 2 / pk
 	g := grid.Grid{Pm: 2, Pn: 2, Pk: pk}
-	pl, err := NewPlan("COSMA", g, m, n, pk*2*h, g.Ranks(), dm*dn+2*h*(dm+dn), true, false)
+	pl, err := NewPlan("COSMA", algo.Config{Overlap: true}, g, m, n, pk*2*h, g.Ranks(), dm*dn+2*h*(dm+dn), false)
 	if err != nil {
 		t.Fatal(err)
 	}

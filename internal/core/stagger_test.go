@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
-	"cosma/internal/baselines"
 	"cosma/internal/core"
 	"cosma/internal/grid"
 	"cosma/internal/layout"
@@ -24,14 +23,14 @@ var policies = []struct {
 
 type cell struct{ m, n, k, p, s int }
 
-// catalogCells are the serve-mix catalog's twelve shapes on p = 4, 9
-// and 16, each with S = 3(mn + mk + nk)/p and 3(mn + mk + nk).
-func catalogCells() []cell {
+// catalogCells are the serve-mix catalog's twelve shapes on each p of
+// ps, each with S = 3(mn + mk + nk)/p and 3(mn + mk + nk).
+func catalogCells(ps ...int) []cell {
 	var cells []cell
 	cat := workload.NewGenerator(workload.GenConfig{Seed: 1, Shapes: 12, ZipfS: 1.1, MinDim: 32, MaxDim: 192}).Catalog()
 	for _, d := range cat {
 		words := d.M*d.N + d.M*d.K + d.N*d.K
-		for _, p := range []int{4, 9, 16} {
+		for _, p := range ps {
 			cells = append(cells, cell{d.M, d.N, d.K, p, 3 * words / p}, cell{d.M, d.N, d.K, p, 3 * words})
 		}
 	}
@@ -90,17 +89,13 @@ type pair struct {
 // policy refuses the shape.
 func plans(t *testing.T, i int, c cell) (pr pair, ok bool) {
 	t.Helper()
-	spec, err := baselines.Lookup(policies[i].name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := spec.Plan(algo.Config{Overlap: true}, c.m, c.n, c.k, c.p, c.s)
-	if err != nil {
+	on, ok := compile(t, i, algo.Config{Overlap: true}, c)
+	if !ok {
 		return pair{}, false
 	}
 	d := on.Geometry
 	g := grid.Grid{Pm: d.GridPm, Pn: d.GridPn, Pk: d.GridPk}
-	off, staggered, err := core.Unstaggered(on.Name, g, c.m, c.n, c.k, c.p, c.s, true, policies[i].layer0)
+	off, staggered, err := core.Unstaggered(on.Name, algo.Config{Overlap: true}, g, c.m, c.n, c.k, c.p, c.s, policies[i].layer0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +110,7 @@ func plans(t *testing.T, i int, c cell) (pr pair, ok bool) {
 // rank's counters equal those of the same plan with the stagger off, and
 // the model equals the measurement.
 func TestStaggerMovesNoWordOrBit(t *testing.T) {
-	cells := catalogCells()
+	cells := catalogCells(4, 9, 16)
 	if !testing.Short() { // square-roomy, square-tight and tall-k
 		cells = append(cells, cell{1024, 1024, 1024, 16, 1 << 20}, cell{1024, 1024, 1024, 16, 69632}, cell{128, 128, 65536, 16, 1 << 18})
 	}
@@ -167,7 +162,7 @@ func TestStaggerMovesNoWordOrBit(t *testing.T) {
 func TestStaggerNeverSlower(t *testing.T) {
 	for _, net := range []machine.NetworkParams{machine.PizDaintNet(), machine.CommodityEthernet()} {
 		faster := 0
-		for _, c := range catalogCells() {
+		for _, c := range catalogCells(4, 9, 16) {
 			a, b := matrix.New(c.m, c.k), matrix.New(c.k, c.n)
 			for i := range policies {
 				pr, ok := plans(t, i, c)

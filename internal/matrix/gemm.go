@@ -90,20 +90,67 @@ func (k *Kernel) Threads() int { return k.threads }
 // none with one worker, which runs inline — and the per-element
 // accumulation order does not depend on the worker count (the result
 // is bitwise-reproducible for any thread count).
-func (k *Kernel) Mul(c, a, b *Dense) { k.MulRows(c, a, b, 0, a.Rows) }
-
-// MulRows computes rows [lo, hi) of C += A·B: those rows of C from the
-// same rows of A and all of B, without a view of either. The
-// per-element accumulation order does not depend on where a row range
-// starts — fringe tiles accumulate full-width into scratch, like
-// interior ones — so Mul over any row bands that cover C once is
-// bitwise one Mul.
-func (k *Kernel) MulRows(c, a, b *Dense, lo, hi int) {
+func (k *Kernel) Mul(c, a, b *Dense) {
 	checkMulShapes(c, a, b)
-	if lo < 0 || lo > hi || hi > a.Rows {
-		panic(fmt.Sprintf("matrix: MulRows rows [%d, %d) outside %d", lo, hi, a.Rows))
+	k.mulRows(c, a, 0, a.Rows, b, nil)
+}
+
+// PackedB is a B operand packed whole into a kernel's micro-panels by
+// Kernel.PackB: every (jc, pc) cache block, in the order Mul visits
+// them, back to back in Data.
+type PackedB struct {
+	Data       []float64 // the buffer PackB packed into; the caller's to recycle
+	Rows, Cols int
+}
+
+// PackedLen returns the words PackB packs a rows×cols B into: every
+// cache block's columns padded to whole micro-panels.
+func (k *Kernel) PackedLen(rows, cols int) int {
+	return (cols/k.nc*k.padded(k.nc) + k.padded(cols%k.nc)) * rows
+}
+
+// padded rounds a block width up to whole B micro-panels.
+func (k *Kernel) padded(nb int) int { return (nb + k.tile.nr - 1) / k.tile.nr * k.tile.nr }
+
+// PackB packs all of b into dst (grown when shorter than
+// PackedLen(b.Rows, b.Cols)) for MulPacked, so a product multiplied row
+// band by row band packs B once instead of once per band.
+func (k *Kernel) PackB(dst []float64, b *Dense) PackedB {
+	dst = grow(dst, k.PackedLen(b.Rows, b.Cols))
+	rest := dst
+	for jc := 0; jc < b.Cols; jc += k.nc {
+		nb := min(k.nc, b.Cols-jc)
+		for pc := 0; pc < b.Rows; pc += k.kc {
+			kb := min(k.kc, b.Rows-pc)
+			packB(rest, b, pc, jc, kb, nb, k.tile.nr)
+			rest = rest[k.padded(nb)*kb:]
+		}
 	}
-	m, kk, n := hi-lo, a.Cols, b.Cols
+	return PackedB{Data: dst, Rows: b.Rows, Cols: b.Cols}
+}
+
+// MulPacked computes rows [lo, hi) of C += A·B against a B that PackB
+// packed: those rows of C from the same rows of A, without a view of
+// either. The per-element accumulation order does not depend on where a
+// row range starts — fringe tiles accumulate full-width into scratch,
+// like interior ones — nor on when B was packed, so MulPacked over any
+// row bands that cover C once is bitwise one Mul.
+func (k *Kernel) MulPacked(c, a *Dense, b PackedB, lo, hi int) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols || len(b.Data) < k.PackedLen(b.Rows, b.Cols) {
+		panic(fmt.Sprintf("matrix: MulPacked shapes C %d×%d, A %d×%d, packed B %d×%d in %d words",
+			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols, len(b.Data)))
+	}
+	k.mulRows(c, a, lo, hi, nil, b.Data)
+}
+
+// mulRows is Mul and MulPacked on rows [lo, hi): B comes from b, packed
+// one (jc, pc) block at a time into the shared buffer, or from packed,
+// whose blocks it takes in the order PackB packed them.
+func (k *Kernel) mulRows(c, a *Dense, lo, hi int, b *Dense, packed []float64) {
+	if lo < 0 || lo > hi || hi > a.Rows {
+		panic(fmt.Sprintf("matrix: rows [%d, %d) outside %d", lo, hi, a.Rows))
+	}
+	m, kk, n := hi-lo, a.Cols, c.Cols
 	if m == 0 || n == 0 || kk == 0 {
 		return
 	}
@@ -117,21 +164,29 @@ func (k *Kernel) MulRows(c, a, b *Dense, lo, hi int) {
 		nb := min(k.nc, n-jc)
 		for pc := 0; pc < kk; pc += k.kc {
 			kb := min(k.kc, kk-pc)
-			k.shared = grow(k.shared, (nb+nr-1)/nr*nr*kb)
-			packB(k.shared, b, pc, jc, kb, nb, nr)
+			words := k.padded(nb) * kb
+			var bp []float64
+			if b == nil {
+				bp, packed = packed[:words], packed[words:]
+			} else {
+				k.shared = grow(k.shared, words)
+				packB(k.shared, b, pc, jc, kb, nb, nr)
+				bp = k.shared
+			}
 			if t == 1 {
-				k.rows(&k.workers[0], c, a, lo, hi, pc, jc, kb, nb)
+				k.rows(&k.workers[0], c, a, lo, hi, pc, jc, kb, nb, bp)
 				continue
 			}
-			// The loop variables pc and jc go in as arguments: captured,
-			// they would move to the heap every iteration, inline path too.
+			// The loop variables pc, jc and bp go in as arguments:
+			// captured, they would move to the heap every iteration,
+			// inline path too.
 			var wg sync.WaitGroup
 			for w := 0; w*chunk < m; w++ {
 				wg.Add(1)
-				go func(pb *packBuf, lo, hi, pc, jc int) {
+				go func(pb *packBuf, lo, hi, pc, jc int, bp []float64) {
 					defer wg.Done()
-					k.rows(pb, c, a, lo, hi, pc, jc, kb, nb)
-				}(&k.workers[w], lo+w*chunk, min(lo+(w+1)*chunk, hi), pc, jc)
+					k.rows(pb, c, a, lo, hi, pc, jc, kb, nb, bp)
+				}(&k.workers[w], lo+w*chunk, min(lo+(w+1)*chunk, hi), pc, jc, bp)
 			}
 			wg.Wait()
 		}
@@ -140,14 +195,14 @@ func (k *Kernel) MulRows(c, a, b *Dense, lo, hi int) {
 
 // rows is one worker's share of a (jc, pc) block: every mc-row block
 // of A in [lo, hi) is packed into the worker's buffer and swept
-// against the shared packed B block.
-func (k *Kernel) rows(pb *packBuf, c, a *Dense, lo, hi, pc, jc, kb, nb int) {
+// against the packed B block bp.
+func (k *Kernel) rows(pb *packBuf, c, a *Dense, lo, hi, pc, jc, kb, nb int, bp []float64) {
 	mr := k.tile.mr
 	for ic := lo; ic < hi; ic += k.mc {
 		mb := min(k.mc, hi-ic)
 		pb.a = grow(pb.a, (mb+mr-1)/mr*mr*kb)
 		packA(pb.a, a, ic, pc, mb, kb, mr)
-		k.macroKernel(pb, c, ic, jc, mb, nb, kb)
+		k.macroKernel(pb, c, ic, jc, mb, nb, kb, bp)
 	}
 }
 
@@ -197,7 +252,7 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 }
 
 // macroKernel sweeps the worker's packed mb×kb A block against the
-// shared packed kb×nb B block, one B micro-panel at a time. A SIMD tile
+// packed kb×nb B block bp, one B micro-panel at a time. A SIMD tile
 // takes every full-height tile of a full-width panel in one call — the
 // assembly walks the A block and C itself — so Go dispatches once per
 // panel, not once per tile; the portable Go tile keeps its per-tile
@@ -206,12 +261,12 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 // SIMD kernels in the worker's staging tile — and write back only the
 // live h×w corner, preserving the per-element accumulation order of
 // interior tiles.
-func (k *Kernel) macroKernel(pb *packBuf, c *Dense, ic, jc, mb, nb, kb int) {
+func (k *Kernel) macroKernel(pb *packBuf, c *Dense, ic, jc, mb, nb, kb int, packed []float64) {
 	mr, nr, sweep := k.tile.mr, k.tile.nr, k.tile.sweep
 	full := mb / mr // full-height tiles: one SIMD sweep per full-width panel
 	for j := 0; j < nb; j += nr {
 		w := min(nr, nb-j)
-		bp := k.shared[(j/nr)*kb*nr:]
+		bp := packed[(j/nr)*kb*nr:]
 		i := 0
 		if sweep != nil && w == nr && full > 0 {
 			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &pb.a[0], &bp[0], full)

@@ -183,12 +183,12 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 }
 
 // TestMulRowBandsBitwiseOneMul holds the row-band contract the rank
-// program's last round relies on: for random shapes, cache blocks and
-// cuts of the rows that need not fall on a register tile, visited from
-// a random band onward and around, MulRows over the bands — and Mul
-// over views of them — equal one Mul bit for bit, on every tile this
-// binary runs (the portable Go 4×4 alone under noasm) and several
-// thread counts.
+// program's banded rounds and last round rely on: for random shapes,
+// cache blocks and cuts of the rows that need not fall on a register
+// tile, visited from a random band onward and around, MulPacked over the
+// bands against one PackB, MulPacked and Mul over views of them equal
+// one Mul bit for bit, on every tile this binary runs (the portable Go
+// 4×4 alone under noasm) and several thread counts.
 func TestMulRowBandsBitwiseOneMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 8; trial++ {
@@ -206,17 +206,20 @@ func TestMulRowBandsBitwiseOneMul(t *testing.T) {
 			mcb, kcb, ncb := 4+rng.Intn(40), 8+rng.Intn(160), 16+rng.Intn(60)
 			for _, threads := range []int{1, 2, 5} {
 				kern := blockedKernel(threads, tl, mcb, kcb, ncb)
-				want, rows, views := cloneStrided(c0), cloneStrided(c0), cloneStrided(c0)
+				want, packed, packedViews, views := cloneStrided(c0), cloneStrided(c0), cloneStrided(c0), cloneStrided(c0)
 				kern.Mul(want, a, b)
+				bp := kern.PackB(make([]float64, threads%2*kern.PackedLen(kk, n)), b) // exact, or grown from empty
 				for i := 0; i < bands; i++ {
 					lo, hi := cuts[(first+i)%bands], cuts[(first+i)%bands+1]
-					kern.MulRows(rows, a, b, lo, hi)
+					kern.MulPacked(packed, a, bp, lo, hi)
+					kern.MulPacked(packedViews.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kk), bp, 0, hi-lo)
 					kern.Mul(views.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kk), b)
 				}
-				requireSameBits(t, rows.Data, want.Data, "trial %d (%d×%d·%d×%d, %s, %d threads, cuts %v): MulRows bands",
-					trial, m, kk, kk, n, tl.name, threads, cuts)
-				requireSameBits(t, views.Data, want.Data, "trial %d (%d×%d·%d×%d, %s, %d threads, cuts %v): Mul on band views",
-					trial, m, kk, kk, n, tl.name, threads, cuts)
+				for name, got := range map[string]*Dense{"MulPacked bands": packed,
+					"MulPacked on band views": packedViews, "Mul on band views": views} {
+					requireSameBits(t, got.Data, want.Data, "trial %d (%d×%d·%d×%d, %s, %d threads, cuts %v): %s",
+						trial, m, kk, kk, n, tl.name, threads, cuts, name)
+				}
 			}
 		}
 	}

@@ -124,7 +124,8 @@ func TestKernelReuseAcrossCalls(t *testing.T) {
 
 // TestKernelWarmMulAllocatesNothing: a warm one-worker kernel — what
 // every rank of a two-core box runs — multiplies without allocating,
-// fringes and several kc/nc blocks included.
+// fringes and several kc/nc blocks included, and so do PackB into a
+// buffer of its length and MulPacked over a band.
 func TestKernelWarmMulAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a, b := Random(37, kc+9, rng), Random(kc+9, nc+5, rng)
@@ -133,6 +134,10 @@ func TestKernelWarmMulAllocatesNothing(t *testing.T) {
 	kern.Mul(c, a, b)
 	if n := testing.AllocsPerRun(3, func() { kern.Mul(c, a, b) }); n != 0 {
 		t.Errorf("warm Mul allocates %v times per call, want 0", n)
+	}
+	buf := make([]float64, kern.PackedLen(b.Rows, b.Cols))
+	if n := testing.AllocsPerRun(3, func() { kern.MulPacked(c, a, kern.PackB(buf, b), 5, 30) }); n != 0 {
+		t.Errorf("warm PackB + MulPacked allocates %v times per call, want 0", n)
 	}
 }
 
