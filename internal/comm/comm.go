@@ -253,7 +253,7 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 // Wait blocks until the payload has landed here and been relayed to the
 // caller's subtrees, and returns it. A receiving member owns the
 // returned buffer (it may be handed back with machine.Release); the
-// root gets its own data back.
+// root gets its own data back. Waiting again returns the same payload.
 func (p *Pending) Wait() []float64 {
 	if p.done {
 		return p.data
@@ -276,50 +276,57 @@ func (p *Pending) Wait() []float64 {
 // returned.
 func (p *Pending) At() float64 { return p.at }
 
-// PipelineRounds drives the broadcast–multiply round loop of the
-// Algorithm 1 rank program: startA/startB post round seg's two
-// panel broadcasts (the owner packing a chunk only when the group has
-// someone to send it to) and mul folds a settled round into the local
-// tile, releasing the chunk buffers. A chunk is what its broadcast
-// settled to: the message at a receiver, the packed copy at a sending
-// owner, nil at the owner of a group of one — which multiplies the
-// panel where it already lies, as every owner may.
-//
-// It is one loop with a lookahead of 0 or 1 rounds. Before round i
-// multiplies, the broadcasts of every round up to i + lookahead are
-// posted; then round i's two are settled, A's first. With overlap
-// false the lookahead is 0: a round's A and B broadcasts go out
-// together, so B's root sends without waiting for A to land there,
-// and one panel pair is in flight — the pair the plan's step budgets.
-// With overlap true it is 1: round i+1's pair is in flight while round
-// i's is multiplied, and the tree traffic hides behind mul's compute
-// (§7.3). That second pair comes out of S, not on top of it: the plan
-// grants overlap only where the C tile and two pairs fit. The mul call
-// sequence is identical either way, so the computed values are
-// bitwise-equal across both modes.
+// Stream is the broadcast–compute round loop of the Algorithm 1 rank
+// program. Round i is per broadcasts, its units, which post(i, 0) …
+// post(i, per−1) start in that order; run(i, units) settles them in
+// whatever order it needs and computes on them. Before round i runs,
+// every unit up to ahead past its last one is posted, so with ahead = 0
+// a round's units go out together and only they are in flight, and with
+// ahead = per the next round is in flight while round i computes, its
+// tree traffic hidden behind that compute (§7.3). The units live in a
+// ring of 2·per Pendings, so ahead must lie in [0, per]. Posting order
+// and run's calls are the same for every ahead, and so is what run
+// computes.
 //
 // Cancellation is polled once per round via r.Err; every rank sees the
 // same context, and a cancelled context also interrupts ranks already
 // parked in a Wait, so no rank is left behind.
-func PipelineRounds(r *machine.Rank, segs []layout.Range, overlap bool,
-	startA, startB func(layout.Range) *Pending,
-	mul func(seg layout.Range, aChunk, bChunk []float64)) error {
-	lookahead := 0
-	if overlap {
-		lookahead = 1
+func Stream(r *machine.Rank, rounds, per, ahead int, post func(i, j int) *Pending, run func(i int, units []*Pending)) error {
+	if ahead < 0 || ahead > per {
+		panic(fmt.Sprintf("comm: lookahead %d outside [0, %d]", ahead, per))
 	}
-	var pendA, pendB [2]*Pending // round j's pair sits in slot j%2
+	ring := make([]*Pending, 2*per) // unit u sits in slot u mod 2·per
 	posted := 0
-	for i, seg := range segs {
+	for i := 0; i < rounds; i++ {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		for ; posted <= i+lookahead && posted < len(segs); posted++ {
-			pendA[posted%2], pendB[posted%2] = startA(segs[posted]), startB(segs[posted])
+		for ; posted < min((i+1)*per+ahead, rounds*per); posted++ {
+			ring[posted%(2*per)] = post(posted/per, posted%per)
 		}
-		mul(seg, pendA[i%2].Wait(), pendB[i%2].Wait())
+		run(i, ring[i%2*per:][:per])
 	}
 	return nil
+}
+
+// PipelineRounds is Stream over rounds of two units, round seg's A
+// and B panel broadcasts, which mul receives settled, A's first;
+// overlap keeps the next round's pair in flight.
+func PipelineRounds(r *machine.Rank, segs []layout.Range, overlap bool,
+	startA, startB func(layout.Range) *Pending,
+	mul func(seg layout.Range, aChunk, bChunk []float64)) error {
+	ahead := 0
+	if overlap {
+		ahead = 2
+	}
+	return Stream(r, len(segs), 2, ahead, func(i, j int) *Pending {
+		if j == 0 {
+			return startA(segs[i])
+		}
+		return startB(segs[i])
+	}, func(i int, units []*Pending) {
+		mul(segs[i], units[0].Wait(), units[1].Wait())
+	})
 }
 
 func (g *Group) checkRoot(root int) {

@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cosma/internal/layout"
@@ -145,6 +148,107 @@ func TestPipelineRoundsPostsBothBroadcasts(t *testing.T) {
 		if got := m.Times()[id]; math.Abs(got-want) > 1e-12*want {
 			t.Errorf("rank %d finished at %.17g s, want %.17g", id, got, want)
 		}
+	}
+}
+
+// TestStreamInterleaving pins Stream's call sequence for per ∈ {2, 4},
+// ahead ∈ {0, per} and one or three rounds: with ahead = 0 a round's
+// units are posted right before it runs, with ahead = per the next
+// round's are too, and run gets its own round's units in posting order.
+func TestStreamInterleaving(t *testing.T) {
+	for _, per := range []int{2, 4} {
+		for _, ahead := range []int{0, per} {
+			for _, rounds := range []int{1, 3} {
+				var want, got []string
+				postRound := func(i int) {
+					for j := 0; i < rounds && j < per; j++ {
+						want = append(want, fmt.Sprintf("post %d.%d", i, j))
+					}
+				}
+				postRound(0)
+				for i := 0; i < rounds; i++ {
+					if ahead == per {
+						postRound(i + 1)
+					}
+					want = append(want, fmt.Sprintf("run %d", i))
+					if ahead == 0 {
+						postRound(i + 1)
+					}
+				}
+				err := machine.New(1).Run(func(r *machine.Rank) error {
+					self := groupOf(r, []int{0})
+					return Stream(r, rounds, per, ahead, func(i, j int) *Pending {
+						got = append(got, fmt.Sprintf("post %d.%d", i, j))
+						return self.IBcast(0, []float64{float64(i*per + j)}, 1)
+					}, func(i int, units []*Pending) {
+						got = append(got, fmt.Sprintf("run %d", i))
+						if len(units) != per {
+							t.Errorf("per %d: round %d ran on %d units", per, i, len(units))
+						}
+						for j, u := range units {
+							if d := u.Wait(); d[0] != float64(i*per+j) {
+								t.Errorf("per %d ahead %d: round %d unit %d is unit %v", per, ahead, i, j, d[0])
+							}
+						}
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := strings.Join(got, ", "), strings.Join(want, ", "); g != w {
+					t.Errorf("per %d ahead %d rounds %d:\n got %s\nwant %s", per, ahead, rounds, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamStopsWhenCancelled: a context cancelled during round 1 stops
+// the loop before round 2, and Stream returns the context's error.
+func TestStreamStopsWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran []int
+	var streamErr error
+	err := machine.New(1).RunCtx(ctx, func(r *machine.Rank) error {
+		self := groupOf(r, []int{0})
+		streamErr = Stream(r, 5, 2, 2, func(int, int) *Pending { return self.IBcast(0, nil, 1) },
+			func(i int, _ []*Pending) {
+				ran = append(ran, i)
+				if i == 1 {
+					cancel()
+				}
+			})
+		return streamErr
+	})
+	if streamErr != ctx.Err() || err != ctx.Err() || len(ran) != 2 {
+		t.Errorf("ran rounds %v, Stream returned %v, run %v; want rounds [0 1] and %v", ran, streamErr, err, ctx.Err())
+	}
+}
+
+// TestPendingWaitAgain: a settled Pending's second Wait returns the same
+// buffer and takes nothing more from the mailbox.
+func TestPendingWaitAgain(t *testing.T) {
+	m := machine.New(2)
+	err := m.Run(func(r *machine.Rank) error {
+		g := groupOf(r, []int{0, 1})
+		if g.Index() == 0 {
+			g.IBcast(0, []float64{1, 2, 3}, 7)
+			return nil
+		}
+		p := g.IBcast(0, nil, 7)
+		first := p.Wait()
+		before := m.Counters(r.ID())
+		if again := p.Wait(); &again[0] != &first[0] || len(again) != len(first) {
+			t.Errorf("second Wait returned %v at %p, first %v at %p", again, again, first, first)
+		}
+		if after := m.Counters(r.ID()); after != before {
+			t.Errorf("second Wait moved the counters: %+v, then %+v", before, after)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

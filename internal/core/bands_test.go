@@ -3,18 +3,13 @@ package core_test
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 	"testing"
 
 	"cosma/internal/algo"
 	"cosma/internal/baselines"
-	"cosma/internal/core"
-	"cosma/internal/grid"
 	"cosma/internal/layout"
 	"cosma/internal/machine"
-	"cosma/internal/matrix"
-	"cosma/internal/workload"
 )
 
 // raceEnabled is set by race_test.go under -race.
@@ -124,86 +119,5 @@ func TestBandsOnlyWhereTheyPay(t *testing.T) {
 	}
 	if banded == 0 {
 		t.Fatal("no catalog plan is banded: the rule is checked only where it says 1")
-	}
-}
-
-// TestBandsNeverSlower: sending a round's A panel in row blocks changes
-// when words arrive, never which words or what is multiplied. On the
-// serve-mix catalog (p = 4, 9, 16, 27, 64; S = (mn+mk+nk)/p, three
-// times that and 3(mn+mk+nk)), for the three grid policies compiled on each preset with
-// and without overlap requested, every banded plan's critical path is at
-// most that of the same plan with every panel sent whole — and below it
-// somewhere — with the same product bits, the same words sent, received
-// and multiplied on every rank, and the model's counts measured. The
-// p = 27 and 64 cells and the 512³ one are skipped under -short and
-// -race.
-func TestBandsNeverSlower(t *testing.T) {
-	ps := []int{4, 9, 16, 27, 64}
-	if testing.Short() || raceEnabled {
-		ps = ps[:3]
-	}
-	// SUMMA's pinned [3×4×1], TestOneGridOneSchedule's [4×4×1] and
-	// square-tight at half its edge join the catalog, whose tiles are too
-	// small for more than a few bands.
-	cells := []cell{{300, 200, 100, 12, 20000}, {256, 256, 256, 16, 6000}}
-	if !testing.Short() && !raceEnabled {
-		cells = append(cells, cell{512, 512, 512, 16, 128*128 + 8*256})
-	}
-	for _, d := range workload.NewGenerator(workload.GenConfig{Seed: 1, Shapes: 12, ZipfS: 1.1, MinDim: 32, MaxDim: 192}).Catalog() {
-		words := d.M*d.N + d.M*d.K + d.N*d.K
-		for _, p := range ps {
-			cells = append(cells, cell{d.M, d.N, d.K, p, words / p}, cell{d.M, d.N, d.K, p, 3 * words / p}, cell{d.M, d.N, d.K, p, 3 * words})
-		}
-	}
-	rng := rand.New(rand.NewSource(35))
-	checked, faster := 0, 0
-	for _, c := range cells {
-		a, b := matrix.Random(c.m, c.k, rng), matrix.Random(c.k, c.n, rng)
-		for pi := range presets {
-			net := &presets[pi]
-			for i := range policies {
-				for _, overlap := range []bool{false, true} {
-					cfg := algo.Config{Overlap: overlap, Network: net}
-					on, ok := compile(t, i, cfg, c)
-					if !ok || on.Geometry.Bands == 1 {
-						continue
-					}
-					d := on.Geometry
-					g := grid.Grid{Pm: d.GridPm, Pn: d.GridPn, Pk: d.GridPk}
-					off, bands, err := core.Unbanded(on.Name, cfg, g, c.m, c.n, c.k, c.p, c.s, policies[i].layer0)
-					if err != nil || bands != d.Bands {
-						t.Fatalf("%s %+v: unbanded twin: %d bands, %v", on.Name, c, bands, err)
-					}
-					checked++
-					x, y := execute(t, on, *net, a, b), execute(t, off, *net, a, b)
-					if x.rep.CritPathTime > y.rep.CritPathTime {
-						t.Errorf("%s %s %+v grid %s, %d bands: critical path %.6g s, %.6g s unbanded",
-							net.Name, on.Name, c, on.Grid, bands, x.rep.CritPathTime, y.rep.CritPathTime)
-					}
-					if x.rep.CritPathTime < y.rep.CritPathTime {
-						faster++
-					}
-					for id := range x.count {
-						cx, cy := x.count[id], y.count[id]
-						if cx.SentWords != cy.SentWords || cx.RecvWords != cy.RecvWords || cx.Flops != cy.Flops {
-							t.Errorf("%s %s %+v rank %d: counters %+v banded, %+v not", net.Name, on.Name, c, id, cx, cy)
-						}
-					}
-					for w := range x.c.Data {
-						if x.c.Data[w] != y.c.Data[w] {
-							t.Fatalf("%s %s %+v: element %d differs bitwise: %v banded, %v not", net.Name, on.Name, c, w, x.c.Data[w], y.c.Data[w])
-						}
-					}
-					if rep := x.rep; rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv || float64(rep.MaxMsgs) != rep.Model.MaxMsgs {
-						t.Errorf("%s %s %+v: measured avg %v max %d msgs %d, model %v %v %v", net.Name, on.Name, c,
-							rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs, rep.Model.AvgRecv, rep.Model.MaxRecv, rep.Model.MaxMsgs)
-					}
-				}
-			}
-		}
-	}
-	t.Logf("%d banded plans, %d faster than unbanded", checked, faster)
-	if faster == 0 {
-		t.Fatal("banding shortened no critical path")
 	}
 }

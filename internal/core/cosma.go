@@ -42,8 +42,10 @@ type plan struct {
 	g          grid.Grid
 	step       int
 	segs       [][]layout.Range // round segments per ik slab index
-	overlap    bool
-	stagger    bool // rotate which rank holds which piece (plan.parts)
+	// overlap keeps the next round in flight while the round loop
+	// multiplies this one (comm.Stream's ahead is a whole round).
+	overlap bool
+	stagger bool // rotate which rank holds which piece (plan.parts)
 	// bands is how many row blocks a round's A panel is broadcast in
 	// (plan.bandsFor): 1 sends it whole.
 	bands int
@@ -345,77 +347,50 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		return matrix.FromSlice(seg.Len(), dn, chunk)
 	}
 
-	// A round's A panel is broadcast in pl.bands row blocks
-	// (plan.bandsFor), block j the rows band(j), each its own broadcast
-	// down the column tree under the round's tag: a (src, tag) queue is
-	// FIFO and every member settles the blocks in order. Bands are
-	// granted to synchronous plans only, so one round's blocks are in
-	// flight at a time: block 0's Pending goes to PipelineRounds, the
-	// others wait in aRest.
+	// A round is pl.bands+1 broadcasts, its units: the A panel in
+	// pl.bands row blocks (plan.bandsFor), block j the rows band(j), down
+	// the column tree, then the B panel along the row. Packing exists to
+	// send: an owner copies its panel into a loaned buffer only when the
+	// group has another member. comm.Stream posts the units in order,
+	// a whole round of them past the round being multiplied where the
+	// plan overlaps, none where it does not.
+	segs := pl.segs[ik]
 	band := func(j int) layout.Range { return layout.Block(dm, pl.bands, j) }
-	aRest := make([]*comm.Pending, pl.bands-1)
-
-	// startA/startB post one round's panel broadcasts. Packing exists to
-	// send: the owner copies its panel into loaned buffers only when the
-	// group has another member, and the group relays them down the binary
-	// tree. PipelineRounds sequences them — one round's pair in flight at
-	// a time, or double-buffered under overlap with round i+1's pair in
-	// flight while round i's is multiplied.
-	startA := func(seg layout.Range) *comm.Pending {
-		owner := ownerOf(aParts, seg.Lo)
-		var first *comm.Pending
-		for j := 0; j < pl.bands; j++ {
+	post := func(i, j int) *comm.Pending {
+		seg := segs[i]
+		if j == pl.bands {
+			owner := ownerOf(bParts, seg.Lo)
 			var chunk []float64
-			if pa == owner && colGroup.Size() > 1 {
-				rs := band(j)
-				chunk = panelA(seg, rs, nil).Pack(machine.Loan(rs.Len() * seg.Len()))
+			if pb == owner && rowGroup.Size() > 1 {
+				chunk = panelB(seg, nil).Pack(machine.Loan(seg.Len() * dn))
 			}
-			if p := colGroup.IBcast(owner, chunk, tagA+seg.Lo); j == 0 {
-				first = p
-			} else {
-				aRest[j-1] = p
-			}
+			return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
 		}
-		return first
-	}
-	startB := func(seg layout.Range) *comm.Pending {
-		owner := ownerOf(bParts, seg.Lo)
+		owner := ownerOf(aParts, seg.Lo)
 		var chunk []float64
-		if pb == owner && rowGroup.Size() > 1 {
-			chunk = panelB(seg, nil).Pack(machine.Loan(seg.Len() * dn))
+		if pa == owner && colGroup.Size() > 1 {
+			rs := band(j)
+			chunk = panelA(seg, rs, nil).Pack(machine.Loan(rs.Len() * seg.Len()))
 		}
-		return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
+		return colGroup.IBcast(owner, chunk, tagA+seg.Lo)
 	}
 
-	// The round being multiplied: its segment, B packed once, block 0 of
-	// its A panel as PipelineRounds settled it, the block the multiply is
-	// in and that block's operand, and whether its first flops are
-	// charged. begin packs B and hands the B chunk back to the pool;
-	// blockChunk settles the A blocks up to j, in order — members relay as
-	// they settle — and returns block j's chunk.
+	// The round being multiplied: its segment, its A blocks, B packed
+	// once, the block the multiply is in and that block's operand, and
+	// whether its first flops are charged.
 	var (
 		cur     layout.Range
+		blocks  []*comm.Pending
 		bp      matrix.PackedB
-		a0      []float64
 		inBlock int
 		aBlock  *matrix.Dense
 		opened  bool
 	)
-	begin := func(seg layout.Range, aChunk, bChunk []float64) {
-		bp = kern.PackB(machine.Loan(kern.PackedLen(seg.Len(), dn)), panelB(seg, bChunk))
-		machine.Release(bChunk)
-		cur, a0, inBlock, opened = seg, aChunk, -1, false
-	}
-	blockChunk := func(j int) []float64 {
-		chunk := a0
-		for _, p := range aRest[:j] {
-			chunk = p.Wait()
-		}
-		return chunk
-	}
 	// mulRows multiplies rows [lo, hi) of the C tile by the round, band by
 	// band: a block of A is settled when the multiply reaches it, so each
-	// band's compute overlaps the next block's transfer (§7.3). The
+	// band's compute overlaps the next block's transfer (§7.3). A round's
+	// blocks share one (src, tag) queue whose take happens at Wait, so
+	// blocks up to j settle in order — members relay as they settle. The
 	// round's first band closes it on the round clock — one Compute per
 	// round, the fault plan's round count — the rest only charge their
 	// flops.
@@ -427,7 +402,10 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 				continue
 			}
 			if j != inBlock {
-				aBlock, inBlock = panelA(cur, rs, blockChunk(j)), j
+				for _, p := range blocks[:j] {
+					p.Wait()
+				}
+				aBlock, inBlock = panelA(cur, rs, blocks[j].Wait()), j
 			}
 			c := cTile // one band is the tile: no view to allocate
 			if pl.bands > 1 {
@@ -442,42 +420,12 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 			}
 		}
 	}
-	// end hands the round's A chunks — nil where nothing was packed or
-	// received — and B's packing back to the pool, with plain calls (a
-	// defer would be a heap allocation per round).
-	end := func() {
-		for j := 0; j < pl.bands; j++ {
-			machine.Release(blockChunk(j))
-		}
-		machine.Release(bp.Data)
-	}
 
-	// mulRound folds a settled round into the C tile; the last round's
-	// pair it only holds, for the reduction.
-	segs := pl.segs[ik]
-	last := segs[len(segs)-1]
-	var aLast, bLast []float64
-	mulRound := func(seg layout.Range, aChunk, bChunk []float64) {
-		if seg == last {
-			aLast, bLast = aChunk, bChunk
-			return
-		}
-		begin(seg, aChunk, bChunk)
-		mulRows(0, dm)
-		end()
-	}
-	if err := comm.PipelineRounds(r, segs, pl.overlap, startA, startB, mulRound); err != nil {
-		return nil, err
-	}
-
-	// Sum the partial C tiles along the fiber; every member keeps its
-	// share of the total. The last round is multiplied inside the
-	// reduction, one row band per C block right before the block is sent
-	// (§7.3): the sweep goes around the tile from the first row of block
-	// ik+1 — the first one sent — and done counts the rows behind it.
-	// A band never wraps, since block Pk−1 is never empty and ends the
-	// tile.
-	begin(last, aLast, bLast)
+	// The last round is multiplied inside the fiber reduction, one row
+	// band per C block right before the block is sent (§7.3): the sweep
+	// goes around the tile from the first row of block ik+1 — the first
+	// one sent — and done counts the rows behind it. A band never wraps,
+	// since block Pk−1 is never empty and ends the tile.
 	start := layout.Block(dm*dn, pl.g.Pk, (ik+1)%pl.g.Pk).Lo / dn % dm
 	done := 0
 	finish := func(lo, hi int) {
@@ -492,8 +440,37 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		mulRows(r0, r0+stop-done)
 		done = stop
 	}
-	share := fiber.ReduceScatter(0, cTile.Data, tagC, finish)
-	end()
+
+	// run opens round i — settles A block 0, then B, and packs B once —
+	// and folds it into the C tile; the last round it folds while it sums
+	// the partial C tiles along the fiber, every member keeping its share
+	// of the total. It then hands the round's chunks — nil where nothing
+	// was packed or received — and B's packing back to the pool, with
+	// plain calls (a defer would be a heap allocation per round).
+	var share []float64
+	run := func(i int, units []*comm.Pending) {
+		cur, blocks, inBlock, opened = segs[i], units[:pl.bands], -1, false
+		blocks[0].Wait()
+		bChunk := units[pl.bands].Wait()
+		bp = kern.PackB(machine.Loan(kern.PackedLen(cur.Len(), dn)), panelB(cur, bChunk))
+		machine.Release(bChunk)
+		if i < len(segs)-1 {
+			mulRows(0, dm)
+		} else {
+			share = fiber.ReduceScatter(0, cTile.Data, tagC, finish)
+		}
+		for _, p := range blocks {
+			machine.Release(p.Wait())
+		}
+		machine.Release(bp.Data)
+	}
+	per, ahead := pl.bands+1, 0
+	if pl.overlap {
+		ahead = per
+	}
+	if err := comm.Stream(r, len(segs), per, ahead, post, run); err != nil {
+		return nil, err
+	}
 	return share, nil
 }
 

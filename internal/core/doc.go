@@ -8,15 +8,18 @@
 // (Algorithm 1 line 6), with inputs broadcast along grid rows/columns
 // from the blocked data layout (§7.6) and partial C results
 // reduce-scattered along the k fibers, so C ends distributed over all
-// ranks like A and B. The layout leaves free which rank holds which
-// piece; on a square grid a pipelined plan staggers them so that no rank
-// owns both panels of a round and idles its ingress port meanwhile. A
-// rank's pieces are views of the caller's matrices: the panels it owns
-// are multiplied where they already are and packed only to be sent, so
-// every input word is touched once before the kernel packs it into
-// micro-panels. The last round is multiplied inside the fiber
-// reduction, one row band per C block just before the block is sent, so
-// the fiber's transfers overlap the round's compute (§7.3). A
+// ranks like A and B. Every round goes through one loop, comm.Stream:
+// its A panel's row blocks, then its B panel, each a broadcast, with
+// the next round's in flight while it is multiplied where S holds a
+// second panel pair (§7.3). The layout leaves free which rank holds
+// which piece; on a square grid a pipelined plan staggers them so that
+// no rank owns both panels of a round and idles its ingress port
+// meanwhile. A rank's pieces are views of the caller's matrices: the
+// panels it owns are multiplied where they already are and packed only
+// to be sent, so every input word is touched once before the kernel
+// packs it into micro-panels. The last round is multiplied inside the
+// fiber reduction, one row band per C block just before the block is
+// sent, so the fiber's transfers overlap the round's compute. A
 // synchronous plan compiled for a network whose A trees are at least two
 // levels deep broadcasts each A panel in row blocks the α-β price pays
 // for, and multiplies C's row band j as soon as block j lands: the
