@@ -168,6 +168,7 @@ func (g *Group) ReduceScatter(root int, data []float64, tag int, finish func(lo,
 		if q != pos {
 			part = recv(q)
 		}
+		sum := sum[:len(part)] // one length: the fold takes no per-word bounds check
 		for i, v := range part {
 			sum[i] += v
 		}

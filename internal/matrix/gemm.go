@@ -19,7 +19,7 @@ const (
 	nr = 4 // register-tile cols of the portable Go tile
 
 	mc = 128 // rows of A packed per L2 block
-	kc = 256 // panel depth: packed A is mc×kc ≈ 256 KB, one B strip nr×kc ≈ 8 KB
+	kc = 256 // panel depth: packed A is mc×kc = 256 KB, one B strip nr×kc 8 KB (nr 4) or 16 KB (nr 8)
 	nc = 512 // cols of B packed per outer block (kc×nc ≈ 1 MB)
 )
 
@@ -209,11 +209,29 @@ func (k *Kernel) rows(pb *packBuf, c, a *Dense, lo, hi, pc, jc, kb, nb int, bp [
 // packA copies the mb×kb block of A at (ic, pc) into mr-wide
 // micro-panels: panel i holds rows [ic+i·mr, ic+i·mr+mr) stored
 // column-by-column, so the micro-kernel reads mr values of A per k-step
-// from consecutive memory. Short fringe panels are zero-padded to mr so
-// the register kernel can always run full-width.
+// from consecutive memory. A full panel is filled four rows at a time:
+// the four rows are read as streams, left to right, and each k-step
+// writes one 4-word group (mr is a multiple of 4). The short fringe
+// panel is gathered word by word and zero-padded to mr so the register
+// kernel can always run full-width.
 func packA(dst []float64, a *Dense, ic, pc, mb, kb, mr int) {
-	pos := 0
-	for i := 0; i < mb; i += mr {
+	full := mb - mb%mr
+	for i := 0; i < full; i += mr {
+		panel := dst[i*kb : (i+mr)*kb]
+		for r := 0; r < mr; r += 4 {
+			at := (ic+i+r)*a.Stride + pc
+			a0 := a.Data[at : at+kb]
+			a1 := a.Data[at+a.Stride:][:len(a0)]
+			a2 := a.Data[at+2*a.Stride:][:len(a0)]
+			a3 := a.Data[at+3*a.Stride:][:len(a0)]
+			for p, v := range a0 {
+				g := panel[p*mr+r:][:4]
+				g[0], g[1], g[2], g[3] = v, a1[p], a2[p], a3[p]
+			}
+		}
+	}
+	pos := full * kb
+	for i := full; i < mb; i += mr {
 		h := min(mr, mb-i)
 		for p := 0; p < kb; p++ {
 			base := (ic+i)*a.Stride + pc + p
@@ -231,11 +249,22 @@ func packA(dst []float64, a *Dense, ic, pc, mb, kb, mr int) {
 
 // packB copies the kb×nb block of B at (pc, jc) into nr-wide
 // micro-panels: panel j holds columns [jc+j·nr, jc+j·nr+nr) stored
-// row-by-row — the transpose-free mirror of packA — zero-padding short
-// fringe panels to nr.
+// row-by-row — the transpose-free mirror of packA. The full panels are
+// filled row by row: each B row is read once, left to right, and each
+// of its nr-word pieces is copied to row p of the micro-panel it
+// belongs to. The short fringe panel is copied on its own, zero-padded
+// to nr.
 func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
-	pos := 0
-	for j := 0; j < nb; j += nr {
+	full := nb - nb%nr
+	for p := 0; p < kb; p++ {
+		at := (pc+p)*b.Stride + jc
+		row := b.Data[at : at+full]
+		for j := 0; j < full; j += nr {
+			copy(dst[j*kb+p*nr:], row[j:j+nr]) // row p of the panel at column j
+		}
+	}
+	pos := full * kb
+	for j := full; j < nb; j += nr {
 		w := min(nr, nb-j)
 		for p := 0; p < kb; p++ {
 			base := (pc+p)*b.Stride + jc + j

@@ -278,6 +278,82 @@ func TestKernelStridedViewsBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestPackLayout holds packA and packB to the micro-panel layout the
+// register tiles read, stated as an index formula: word
+// (i/mr)·kb·mr + p·mr + i mod mr of packed A is A[ic+i][pc+p], or 0 in
+// the padding rows below mb, and word (j/nr)·kb·nr + p·nr + j mod nr of
+// packed B is B[pc+p][jc+j], or 0 in the padding columns right of nb.
+// It runs every panel width a tile packs — 4 and 8 either way, so the
+// NEON tile's 8-row A and 4-column B panels run on every architecture —
+// over random extents with fringes and zeros, views with a random pad
+// and block origins inside them. dst starts as NaN, a few NaN words
+// past its end included, so a word the loops skip or overrun fails.
+func TestPackLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const tail = 8
+	check := func(got []float64, want func(w int) float64, format string, args ...any) {
+		t.Helper()
+		for w, v := range got[:len(got)-tail] {
+			if math.Float64bits(v) != math.Float64bits(want(w)) {
+				t.Fatalf(format+": word %d = %v, want %v", append(args, w, v, want(w))...)
+			}
+		}
+		for w, v := range got[len(got)-tail:] {
+			if !math.IsNaN(v) {
+				t.Fatalf(format+": wrote %v %d words past the packed block", append(args, v, w)...)
+			}
+		}
+	}
+	nans := func(n int) []float64 {
+		d := make([]float64, n+tail)
+		for i := range d {
+			d[i] = math.NaN()
+		}
+		return d
+	}
+	for trial := 0; trial < 100; trial++ {
+		for _, mr := range []int{4, 8} {
+			for _, nr := range []int{4, 8} {
+				mb, kb, nb := rng.Intn(3*mr+4), rng.Intn(40), rng.Intn(3*nr+4)
+				ic, pc, jc := rng.Intn(5), rng.Intn(5), rng.Intn(5)
+				a := randomStrided(rng, ic+mb+rng.Intn(3), pc+kb+rng.Intn(3))
+				b := randomStrided(rng, pc+kb+rng.Intn(3), jc+nb+rng.Intn(3))
+
+				pa := nans((mb + mr - 1) / mr * mr * kb)
+				packA(pa[:len(pa)-tail], a, ic, pc, mb, kb, mr)
+				check(pa, func(w int) float64 {
+					i, p := w/(kb*mr)*mr+w%mr, w%(kb*mr)/mr
+					if i >= mb {
+						return 0
+					}
+					return a.Data[(ic+i)*a.Stride+pc+p]
+				}, "packA mr %d, %d×%d block at (%d, %d), stride %d", mr, mb, kb, ic, pc, a.Stride)
+
+				pb := nans((nb + nr - 1) / nr * nr * kb)
+				packB(pb[:len(pb)-tail], b, pc, jc, kb, nb, nr)
+				check(pb, func(w int) float64 {
+					j, p := w/(kb*nr)*nr+w%nr, w%(kb*nr)/nr
+					if j >= nb {
+						return 0
+					}
+					return b.Data[(pc+p)*b.Stride+jc+j]
+				}, "packB nr %d, %d×%d block at (%d, %d), stride %d", nr, kb, nb, pc, jc, b.Stride)
+			}
+		}
+	}
+}
+
+// TestTilesPackInGroupsOfFour holds every tile this build defines to
+// panel widths that are multiples of 4, which packA's four-row groups
+// assume.
+func TestTilesPackInGroupsOfFour(t *testing.T) {
+	for _, tl := range []tile{portableTile, dispatched} {
+		if tl.mr%4 != 0 || tl.nr%4 != 0 {
+			t.Errorf("tile %s is %d×%d, want multiples of 4", tl.name, tl.mr, tl.nr)
+		}
+	}
+}
+
 // TestKernelMatchesNaive pins the tiles to the true product, not just
 // to each other: every tile must agree with the textbook
 // triple loop within accumulation-order rounding.

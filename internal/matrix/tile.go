@@ -11,7 +11,9 @@ package matrix
 // register-resident partial sum per kc block, added to C once),
 // zero-padded fringe micro-panels, and therefore bitwise-identical
 // results across thread counts and cache blocks. Fused and unfused
-// tiles agree to rounding error, not bitwise.
+// tiles agree to rounding error, not bitwise. Every tile's mr and nr
+// are multiples of 4 (TestTilesPackInGroupsOfFour): packA fills a full
+// A micro-panel in groups of four rows and relies on it.
 type tile struct {
 	name   string
 	mr, nr int
