@@ -58,28 +58,45 @@ func TestEveryAlgorithmFillsItsPlan(t *testing.T) {
 	}
 }
 
-// TestOnePrice: a report's two predictions and Engine.Predict's two times
-// are Model.Time of the same model on the same network, to the bit.
+// TestOnePrice: for every algorithm, on a timed and on a counting engine,
+// a report's prediction is Model.Time of its plan's model on the run's
+// network, to the bit — and 0 on the counting engine, whose Network is
+// the zero value.
 func TestOnePrice(t *testing.T) {
 	const n = 128
 	net := PizDaintNetwork()
-	eng, err := NewEngine(WithProcs(16), WithMemory(1<<12), WithNetwork(net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := eng.Exec(context.Background(), RandomMatrix(n, n, 1), RandomMatrix(n, n, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, overlap := rep.Model.Time(net, false), rep.Model.Time(net, true)
-	if rep.PredictedTime != serial || rep.PredictedOverlapTime != overlap || serial <= 0 || overlap > serial {
-		t.Errorf("report predicts %v / %v, its model prices at %v / %v", rep.PredictedTime, rep.PredictedOverlapTime, serial, overlap)
-	}
-	pred, err := eng.Predict(context.Background(), n, n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.SerialTime != serial || pred.OverlapTime != overlap {
-		t.Errorf("Predict says %v / %v, the run's model prices at %v / %v", pred.SerialTime, pred.OverlapTime, serial, overlap)
+	a, b := RandomMatrix(n, n, 1), RandomMatrix(n, n, 2)
+	for _, name := range Algorithms() {
+		for _, timed := range []bool{true, false} {
+			opts := []Option{WithAlgorithm(name), WithProcs(16), WithMemory(1 << 12)}
+			if timed {
+				opts = append(opts, WithNetwork(net))
+			}
+			eng, err := NewEngine(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := eng.Plan(context.Background(), n, n, n)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			_, rep, err := eng.Exec(context.Background(), a, b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if rep.Model != plan.Model() {
+				t.Errorf("%s timed=%v: report model %+v, plan model %+v", name, timed, rep.Model, plan.Model())
+			}
+			got, want := rep.PredictedAsExecuted(), rep.Model.Time(rep.Network, rep.Overlap)
+			if got != want {
+				t.Errorf("%s timed=%v: report predicts %v, its model prices at %v", name, timed, got, want)
+			}
+			if timed && (rep.Network != net || got <= 0) {
+				t.Errorf("%s: timed report on %+v predicts %v", name, rep.Network, got)
+			}
+			if !timed && (rep.Network != NetworkParams{} || got != 0 || rep.CritPathTime != 0) {
+				t.Errorf("%s: counting report on %+v predicts %v, critical path %v", name, rep.Network, got, rep.CritPathTime)
+			}
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestPredictConsumesCalibratedGamma is the acceptance guard for
-// the measured-γ path: an engine configured with a faster measured γ
-// must predict a strictly lower runtime, and the gap must be exactly
+// the measured-γ path: a plan priced under a faster measured γ must
+// predict a strictly lower runtime, and the gap must be exactly
 // the compute term's change (the α and β terms are untouched).
 func TestPredictConsumesCalibratedGamma(t *testing.T) {
 	const m, n, k, p, s = 1024, 1024, 1024, 16, 1 << 18
@@ -25,23 +25,19 @@ func TestPredictConsumesCalibratedGamma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predSlow, err := slowEng.Predict(context.Background(), m, n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	predFast, err := fastEng.Predict(context.Background(), m, n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tSlow, tFast := predSlow.SerialTime, predFast.SerialTime
-	if tFast >= tSlow {
-		t.Fatalf("faster measured γ did not lower prediction: %g ≥ %g", tFast, tSlow)
-	}
-
 	plan, err := slowEng.Plan(context.Background(), m, n, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastPlan, err := fastEng.Plan(context.Background(), m, n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tSlow, tFast := plan.Model().Time(base, false), fastPlan.Model().Time(fast, false)
+	if tFast >= tSlow {
+		t.Fatalf("faster measured γ did not lower prediction: %g ≥ %g", tFast, tSlow)
+	}
+
 	wantGap := plan.Model().MaxFlops * (base.Gamma - fast.Gamma)
 	if gap := tSlow - tFast; gap < wantGap*0.999 || gap > wantGap*1.001 {
 		t.Errorf("prediction gap %g, want the compute term change %g", gap, wantGap)
@@ -52,7 +48,7 @@ func TestPredictConsumesCalibratedGamma(t *testing.T) {
 }
 
 // TestCalibrateFeedsEngine runs a real (tiny) calibration end to end:
-// measured γ → network → engine prediction, the workflow cmd/cosma's
+// measured γ → network → engine plan → prediction, the workflow cmd/cosma's
 // -calibrate flag performs.
 func TestCalibrateFeedsEngine(t *testing.T) {
 	cal := Calibrate(64, 1)
@@ -64,11 +60,11 @@ func TestCalibrateFeedsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Predict(context.Background(), 256, 256, 256)
+	plan, err := eng.Plan(context.Background(), 256, 256, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := pred.SerialTime
+	pt := plan.Model().Time(net, false)
 	if pt <= 0 {
 		t.Fatalf("predicted time %g", pt)
 	}

@@ -76,7 +76,7 @@ func TestChecksumsGolden(t *testing.T) {
 				} else if err != nil {
 					t.Fatalf("%s: %v", flags, err)
 				}
-				got = append(got, fmt.Sprintf("%s %s: %s checksum %016x", tile, flags, rep.Name, digest(out)))
+				got = append(got, fmt.Sprintf("%s %s: %s checksum %016x", tile, flags, rep.Model.Name, digest(out)))
 			}
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576 [-delta 0.03]
+//	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576
 //	      [-algo cosma|summa|2.5d|carma|cannon|all]
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
 //	      [-threads n] [-overlap=false]
@@ -62,7 +62,6 @@ func main() {
 	k := flag.Int("k", 512, "columns of A / rows of B")
 	p := flag.Int("p", 16, "number of simulated processors")
 	s := flag.Int("S", 1<<20, "local memory per processor in words")
-	delta := flag.Float64("delta", 0, "grid-fitting idle tolerance δ (0 = paper default)")
 	algoName := flag.String("algo", "cosma", "algorithm registry name or alias, \"all\", or \"list\"")
 	seed := flag.Int64("seed", 1, "random seed for the input matrices")
 	netName := flag.String("network", "", "timed α-β-γ preset: pizdaint, ethernet or sharedmem (empty counts only)")
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	opts := []cosma.Option{
-		cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithDelta(*delta),
+		cosma.WithProcs(*p), cosma.WithMemory(*s),
 		cosma.WithKernelThreads(*threads), cosma.WithOverlap(*overlap),
 	}
 	if *netName != "" {
@@ -168,9 +167,9 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 		if *checksum {
-			fmt.Printf("%s checksum %016x\n", rep.Name, digest(c))
+			fmt.Printf("%s checksum %016x\n", rep.Model.Name, digest(c))
 		}
-		row := []interface{}{rep.Name, rep.Grid, rep.Used, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs, int64(rep.Model.MaxMsgs), rep.Model.AvgRecv}
+		row := []interface{}{rep.Model.Name, rep.Model.Grid, rep.Model.Used, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs, int64(rep.Model.MaxMsgs), rep.Model.AvgRecv}
 		if timed {
 			row = append(row, report.Seconds(rep.PredictedAsExecuted()), report.Seconds(rep.CritPathTime))
 		}
@@ -280,9 +279,9 @@ func runWire(r wireRun) error {
 	}
 	if rank == 0 {
 		fmt.Printf("%s over %d ranks: grid %s, avg recv %.0f words/rank, max recv %d, max msgs %d\n",
-			rep.Name, rep.P, rep.Grid, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs)
+			rep.Model.Name, rep.P, rep.Model.Grid, rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs)
 		if r.checksum {
-			fmt.Printf("%s checksum %016x\n", rep.Name, digest(c))
+			fmt.Printf("%s checksum %016x\n", rep.Model.Name, digest(c))
 		}
 	}
 

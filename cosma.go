@@ -40,8 +40,9 @@ import (
 // of the paper's I/O analyses.
 type Matrix = matrix.Dense
 
-// Report describes an executed distributed multiplication: the grid, the
-// measured per-rank traffic, and the algorithm's analytic prediction.
+// Report describes an executed distributed multiplication: the measured
+// per-rank traffic beside the Model of the plan it ran (algorithm, grid,
+// ranks used, analytic counts).
 type Report = algo.Report
 
 // Model is an algorithm's analytic communication/computation prediction.
@@ -58,8 +59,9 @@ const DefaultDelta = core.DefaultDelta
 // NetworkParams are the α-β-γ constants of the timed machine model: α
 // seconds of latency per message, β seconds per 8-byte word, γ seconds
 // per flop. Passing one via WithNetwork executes the multiplication
-// on the timed transport, so the report carries runtime predictions
-// (PredictedTime, CritPathTime) alongside the counted volumes.
+// on the timed transport, so the report carries the network and the
+// measured CritPathTime alongside the counted volumes; Model.Time prices
+// any plan's model on it.
 type NetworkParams = machine.NetworkParams
 
 // PizDaintNetwork returns the Piz-Daint-like interconnect constants the

@@ -119,10 +119,10 @@ func TestExecOnTimedNetwork(t *testing.T) {
 	a := RandomMatrix(32, 32, 1)
 	b := RandomMatrix(32, 32, 2)
 	got, rep := execOnce(t, a, b, WithProcs(4), WithMemory(1<<16), WithNetwork(PizDaintNetwork()))
-	if rep.Network != "pizdaint" {
-		t.Fatalf("report network %q", rep.Network)
+	if rep.Network != PizDaintNetwork() {
+		t.Fatalf("report network %+v", rep.Network)
 	}
-	if rep.CritPathTime <= 0 || rep.PredictedTime <= 0 {
+	if rep.CritPathTime <= 0 || rep.PredictedAsExecuted() <= 0 {
 		t.Fatalf("missing runtime prediction: %+v", rep)
 	}
 	// The result must be identical to the counting-transport run: timing
@@ -133,7 +133,7 @@ func TestExecOnTimedNetwork(t *testing.T) {
 			t.Fatalf("timed result differs at %d", i)
 		}
 	}
-	if plainRep.Network != "" || plainRep.CritPathTime != 0 {
+	if plainRep.Network != (NetworkParams{}) || plainRep.CritPathTime != 0 {
 		t.Fatalf("counting run carries timing: %+v", plainRep)
 	}
 	if plainRep.MaxVolume != rep.MaxVolume || plainRep.MaxMsgs != rep.MaxMsgs {
@@ -141,18 +141,18 @@ func TestExecOnTimedNetwork(t *testing.T) {
 	}
 }
 
-// predictSerial is the test shorthand for a one-shot Predict.
+// predictSerial prices the serial schedule of a timed engine's plan.
 func predictSerial(t *testing.T, m, n, k, p, s int, net NetworkParams) float64 {
 	t.Helper()
 	eng, err := NewEngine(WithProcs(p), WithMemory(s), WithNetwork(net))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Predict(context.Background(), m, n, k)
+	plan, err := eng.Plan(context.Background(), m, n, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pred.SerialTime
+	return plan.Model().Time(net, false)
 }
 
 func TestPredictScales(t *testing.T) {
@@ -178,15 +178,11 @@ func TestPredictScales(t *testing.T) {
 func TestPredictFields(t *testing.T) {
 	const p, s = 16, 1 << 16
 	net := PizDaintNetwork()
-	// Every registered algorithm: the prediction is exactly the plan's
-	// model under the network's own evaluator, and the bound is
-	// Theorem 2's — no second α-β-γ sum, no per-algorithm exponent.
+	// Every registered algorithm: the plan's model, priced on the
+	// network, is the network's own serial sum, and overlapping can only
+	// hide time — no second α-β-γ sum, no per-algorithm exponent.
 	for _, name := range Algorithms() {
 		eng, err := NewEngine(WithAlgorithm(name), WithProcs(p), WithMemory(s), WithNetwork(net))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred, err := eng.Predict(context.Background(), 512, 512, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,29 +191,13 @@ func TestPredictFields(t *testing.T) {
 			t.Fatal(err)
 		}
 		mod := plan.Model()
-		if want := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); pred.SerialTime != want {
-			t.Fatalf("%s: serial prediction %v != model evaluation %v", name, pred.SerialTime, want)
+		serial, overlap := mod.Time(net, false), mod.Time(net, true)
+		if want := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); serial != want {
+			t.Fatalf("%s: serial prediction %v != the network's sum %v", name, serial, want)
 		}
-		if want := net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); pred.OverlapTime != want {
-			t.Fatalf("%s: overlap prediction %v != model evaluation %v", name, pred.OverlapTime, want)
+		if overlap <= 0 || overlap > serial || mod.MaxRecv <= 0 {
+			t.Fatalf("%s: degenerate prediction: overlap %v, serial %v, model %+v", name, overlap, serial, mod)
 		}
-		if pred.OverlapTime > pred.SerialTime {
-			t.Fatalf("%s: overlapped %v exceeds serial %v", name, pred.OverlapTime, pred.SerialTime)
-		}
-		if pred.Volume != mod.MaxRecv || pred.Volume <= 0 || pred.SerialTime <= 0 {
-			t.Fatalf("%s: degenerate prediction %+v", name, pred)
-		}
-		if want := ParallelLowerBound(512, 512, 512, p, s); pred.LowerBound != want {
-			t.Fatalf("%s: lower bound %v, want Theorem 2's %v", name, pred.LowerBound, want)
-		}
-	}
-	// Without a network, Predict must refuse rather than guess.
-	plain, err := NewEngine(WithProcs(16), WithMemory(1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Predict(context.Background(), 512, 512, 512); err == nil {
-		t.Fatal("Predict without WithNetwork must error")
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 
 	"cosma/internal/algo"
 	"cosma/internal/baselines"
-	"cosma/internal/bound"
 	"cosma/internal/lru"
 	"cosma/internal/machine"
 	"cosma/internal/machine/wire"
 )
 
 // Engine is the amortizing front door to the distributed multiplication
-// algorithms: it normalizes one option set (processors, memory, δ,
+// algorithms: it normalizes one option set (processors, memory,
 // network, algorithm), owns an LRU cache of compiled plans keyed by the
 // problem shape under those options, and pools executors (pre-built
 // machines with reusable per-rank buffers) per plan. An Engine is safe
@@ -75,7 +74,6 @@ type planKey struct{ m, n, k int }
 type engineConfig struct {
 	procs         int
 	memory        int
-	delta         float64
 	network       *NetworkParams
 	algorithm     string
 	kernelThreads int
@@ -115,22 +113,9 @@ func WithMemory(words int) Option {
 	}
 }
 
-// WithDelta sets the grid-fitting idle-rank tolerance δ of §7.1 in
-// [0, 1). Zero (the default) means DefaultDelta. The same δ governs
-// Plan, Exec and Predict, so the engine never describes two different
-// grids for one problem.
-func WithDelta(delta float64) Option {
-	return func(c *engineConfig) {
-		if delta < 0 || delta >= 1 {
-			c.err = fmt.Errorf("cosma: delta %v out of [0, 1)", delta)
-			return
-		}
-		c.delta = delta
-	}
-}
-
 // WithNetwork executes runs on the timed α-β-γ transport under net, so
-// every report carries PredictedTime and CritPathTime. Without it the
+// every report carries net and the measured CritPathTime, and
+// Report.PredictedAsExecuted prices its Model on net. Without it the
 // engine counts volumes only.
 func WithNetwork(net NetworkParams) Option {
 	return func(c *engineConfig) { c.network = &net }
@@ -324,9 +309,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if cfg.memory == 0 {
 		cfg.memory = UnboundedMemory
 	}
-	if cfg.delta == 0 {
-		cfg.delta = DefaultDelta
-	}
 	if cfg.faults != nil {
 		if err := cfg.faults.Validate(cfg.procs); err != nil {
 			return nil, err
@@ -401,9 +383,6 @@ func (e *Engine) Procs() int { return e.cfg.procs }
 // Memory returns the normalized per-rank memory S in words.
 func (e *Engine) Memory() int { return e.cfg.memory }
 
-// Delta returns the normalized grid-fitting tolerance δ.
-func (e *Engine) Delta() float64 { return e.cfg.delta }
-
 // KernelThreads returns the configured per-rank GEMM worker bound; 0
 // means the GOMAXPROCS-aware default is resolved per executor.
 func (e *Engine) KernelThreads() int { return e.cfg.kernelThreads }
@@ -440,7 +419,7 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 		e.hits++
 		return p, nil
 	}
-	inner, err := e.spec.Plan(algo.Config{Delta: e.cfg.delta, Overlap: e.cfg.overlap, Network: e.cfg.network}, m, n, k, e.cfg.procs, e.cfg.memory)
+	inner, err := e.spec.Plan(algo.Config{Overlap: e.cfg.overlap, Network: e.cfg.network}, m, n, k, e.cfg.procs, e.cfg.memory)
 	if err != nil {
 		return nil, err
 	}
@@ -540,49 +519,6 @@ func hostsRankZero(m *machine.Machine) bool {
 		}
 	}
 	return false
-}
-
-// Prediction is the engine's analytic forecast for one problem shape —
-// everything the α-β-γ evaluation of the plan's model yields, in one
-// struct, sourced from the same cached plan (and therefore the exact
-// grid) as Exec.
-type Prediction struct {
-	// SerialTime charges communication and computation sequentially:
-	// γ·MaxFlops + β·MaxRecv + α·MaxMsgs, in seconds.
-	SerialTime float64
-	// OverlapTime hides them behind each other (the §7.3 pipelining
-	// WithOverlap executes): max(γ·MaxFlops, β·MaxRecv + α·MaxMsgs).
-	// OverlapTime ≤ SerialTime always; their ratio is the predicted
-	// Figure 12 gain.
-	OverlapTime float64
-	// Volume is the modeled received words on the busiest rank.
-	Volume float64
-	// LowerBound is Theorem 2's per-rank communication lower bound.
-	LowerBound float64
-}
-
-// Predict returns the engine's analytic forecast for an m×k by k×n
-// multiplication on its network: the serial and overlapped end-to-end
-// runtimes, the modeled critical-path volume and the communication
-// lower bound. It reads the same cached plan as Plan and Exec — the
-// engine never describes two different grids for one problem — and
-// evaluates at any scale, including the paper's 18,432-core runs,
-// without executing anything. Requires WithNetwork.
-func (e *Engine) Predict(ctx context.Context, m, n, k int) (Prediction, error) {
-	if e.cfg.network == nil {
-		return Prediction{}, fmt.Errorf("cosma: Predict needs a network; configure the engine with WithNetwork")
-	}
-	plan, err := e.Plan(ctx, m, n, k)
-	if err != nil {
-		return Prediction{}, err
-	}
-	mod := plan.Model()
-	return Prediction{
-		SerialTime:  mod.Time(*e.cfg.network, false),
-		OverlapTime: mod.Time(*e.cfg.network, true),
-		Volume:      mod.MaxRecv,
-		LowerBound:  bound.ParallelLowerBound(m, n, k, e.cfg.procs, e.cfg.memory),
-	}, nil
 }
 
 // CacheStats is a snapshot of the engine's plan-cache accounting.

@@ -148,7 +148,7 @@ func TestRegistryReachableByName(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !matrix.EqualWithin(got, want, 1e-9) {
-			t.Fatalf("%s (%s) disagrees with reference", name, rep.Name)
+			t.Fatalf("%s (%s) disagrees with reference", name, rep.Model.Name)
 		}
 		plan, err := eng.Plan(context.Background(), 16, 16, 16)
 		if err != nil {
@@ -259,36 +259,31 @@ func TestMultiplyBatch(t *testing.T) {
 	}
 }
 
-// TestPredictSharesThePlanGrid is the delta-consistency fix: the
-// same engine (and δ) must govern both planning and time prediction.
+// TestPredictSharesThePlanGrid: a forecast read off Plan and the report
+// of executing the shape come from one cached plan, so they describe the
+// same grid and the same price.
 func TestPredictSharesThePlanGrid(t *testing.T) {
 	net := PizDaintNetwork()
-	eng, err := NewEngine(WithProcs(65), WithMemory(1<<22), WithDelta(0.03), WithNetwork(net))
+	eng, err := NewEngine(WithProcs(13), WithMemory(1<<14), WithNetwork(net))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := eng.Plan(context.Background(), 4096, 4096, 4096)
+	plan, err := eng.Plan(context.Background(), 96, 80, 112)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Predict(context.Background(), 4096, 4096, 4096)
+	_, rep, err := eng.Exec(context.Background(), RandomMatrix(96, 112, 1), RandomMatrix(112, 80, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := plan.Model()
-	if want := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); pred.SerialTime != want {
-		t.Fatalf("Predict %v disagrees with the plan's model %v", pred.SerialTime, want)
+	if rep.Model != plan.Model() || rep.Model.Grid != plan.Grid() {
+		t.Fatalf("report model %+v, plan model %+v", rep.Model, plan.Model())
+	}
+	if got, want := rep.PredictedAsExecuted(), plan.Model().Time(net, rep.Overlap); got != want {
+		t.Fatalf("report predicts %v, the plan's model prices at %v", got, want)
 	}
 	if stats := eng.CacheStats(); stats.Misses != 1 {
-		t.Fatalf("Predict re-planned: %+v", stats)
-	}
-	// Without a network the engine refuses rather than guessing.
-	plain, err := NewEngine(WithProcs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Predict(context.Background(), 64, 64, 64); err == nil {
-		t.Fatal("Predict without WithNetwork must error")
+		t.Fatalf("Exec re-planned: %+v", stats)
 	}
 }
 
@@ -299,7 +294,6 @@ func TestNewEngineValidation(t *testing.T) {
 	}{
 		{"negative procs", []Option{WithProcs(-1)}},
 		{"negative memory", []Option{WithMemory(-5)}},
-		{"delta out of range", []Option{WithDelta(1.5)}},
 		{"unknown algorithm", []Option{WithAlgorithm("nope")}},
 	}
 	for _, c := range cases {
@@ -312,8 +306,8 @@ func TestNewEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Procs() != 1 || eng.Memory() != UnboundedMemory || eng.Delta() != DefaultDelta {
-		t.Fatalf("defaults: p=%d S=%d δ=%v", eng.Procs(), eng.Memory(), eng.Delta())
+	if eng.Procs() != 1 || eng.Memory() != UnboundedMemory {
+		t.Fatalf("defaults: p=%d S=%d", eng.Procs(), eng.Memory())
 	}
 	if _, timed := eng.Network(); timed {
 		t.Fatal("default engine must count, not time")

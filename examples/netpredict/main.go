@@ -32,20 +32,21 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%-9s  critical path %10.1fµs   predicted %10.1fµs   (%d words max/rank)\n",
-			net.Name, rep.CritPathTime*1e6, rep.PredictedTime*1e6, rep.MaxRecv)
+			net.Name, rep.CritPathTime*1e6, rep.Model.Time(net, false)*1e6, rep.MaxRecv)
 	}
 
-	// Paper scale, analytically: Table 4's square strong-scaling point.
+	// Paper scale, analytically: Table 4's square strong-scaling point,
+	// priced off the plan's model without executing it.
+	net := cosma.PizDaintNetwork()
 	eng, err := cosma.NewEngine(
-		cosma.WithProcs(18432), cosma.WithMemory(1<<25),
-		cosma.WithNetwork(cosma.PizDaintNetwork()))
+		cosma.WithProcs(18432), cosma.WithMemory(1<<25), cosma.WithNetwork(net))
 	if err != nil {
 		panic(err)
 	}
-	pred, err := eng.Predict(ctx, 16384, 16384, 16384)
+	plan, err := eng.Plan(ctx, 16384, 16384, 16384)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nCOSMA m=n=k=16384 on p=18432 (Piz-Daint-like): predicted %.1f ms\n",
-		pred.SerialTime*1e3)
+		plan.Model().Time(net, false)*1e3)
 }

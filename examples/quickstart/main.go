@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("C[0,0] = %.6f (%d×%d result)\n", c.At(0, 0), c.Rows, c.Cols)
-	fmt.Printf("grid %s, %d of %d ranks used\n", rep.Grid, rep.Used, rep.P)
+	fmt.Printf("grid %s, %d of %d ranks used\n", rep.Model.Grid, rep.Model.Used, rep.P)
 	fmt.Printf("measured: avg %.0f words received/rank (max %d), %d messages max\n",
 		rep.AvgRecv, rep.MaxRecv, rep.MaxMsgs)
 	fmt.Printf("Theorem 2 lower bound: %.0f words/rank\n",

@@ -42,7 +42,7 @@ func main() {
 			log.Printf("%s: %v", name, err)
 			continue
 		}
-		executed.AddRow(rep.Name, rep.Grid, rep.AvgRecv, rep.MaxMsgs)
+		executed.AddRow(rep.Model.Name, rep.Model.Grid, rep.AvgRecv, rep.MaxMsgs)
 	}
 	fmt.Println(executed.String())
 

@@ -1,6 +1,10 @@
 package algo
 
-import "cosma/internal/machine"
+import (
+	"math"
+
+	"cosma/internal/machine"
+)
 
 // Model is a plan's analytic communication/computation prediction for an
 // m×n×k multiplication on p ranks with S words of memory per rank. The
@@ -29,20 +33,20 @@ type Model struct {
 // and computation hide each other: max(γ·MaxFlops, β·MaxRecv + α·MaxMsgs).
 // Cross-algorithm comparisons pass overlap = false: charging the two
 // serially is conservative and identical for every algorithm; Figure 12
-// quantifies the overlap gain separately.
+// quantifies the overlap gain separately. The zero NetworkParams prices
+// every model at 0.
 func (mod Model) Time(net machine.NetworkParams, overlap bool) float64 {
 	if overlap {
-		return net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+		return math.Max(net.Gamma*mod.MaxFlops, net.Beta*mod.MaxRecv+net.Alpha*mod.MaxMsgs)
 	}
 	return net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
 }
 
-// Report describes one executed run on the simulated machine.
+// Report describes one executed run on the simulated machine: what it
+// measured, beside the Model of the plan it ran (which names the
+// algorithm, its grid and its working ranks).
 type Report struct {
-	Name      string
-	Grid      string
 	P         int     // machine size
-	Used      int     // ranks that performed work
 	AvgRecv   float64 // measured average received words per rank
 	MaxRecv   int64
 	MaxVolume int64 // sent + received words on the busiest rank
@@ -61,34 +65,20 @@ type Report struct {
 	// columns describe the final, successful attempt only.
 	Attempts int
 
-	// Network names the timed transport's preset when the run executed
-	// on one; empty for counting-only runs, in which case the time
-	// fields are zero.
-	Network string
-	// PredictedTime is the analytic α-β-γ evaluation of Model on the
-	// run's network with communication and computation charged
-	// serially: γ·MaxFlops + β·MaxRecv + α·MaxMsgs, in seconds.
-	PredictedTime float64
-	// PredictedOverlapTime is the same evaluation with full overlap
-	// (§7.3): max(γ·MaxFlops, β·MaxRecv + α·MaxMsgs). Reports carry
-	// both so the Figure 12 gain is the ratio of the two fields,
-	// whichever way the run itself executed.
-	PredictedOverlapTime float64
+	// Network is the timed transport's α-β-γ constants when the run
+	// executed on one; the zero value for counting-only runs, which
+	// price at 0 and leave CritPathTime zero.
+	Network machine.NetworkParams
 	// CritPathTime is the measured critical path of the executed
 	// schedule — the latest per-rank event clock — in seconds.
 	CritPathTime float64
 }
 
 // NewReport assembles the Report of a finished run of plan on m. Runs on
-// a timed transport gain runtime predictions for free: the measured
-// event-clock critical path and the price of the plan's model under the
-// same network parameters.
+// a timed transport also carry the measured event-clock critical path.
 func NewReport(m *machine.Machine, plan *Plan) *Report {
 	rep := &Report{
-		Name:      plan.Name,
-		Grid:      plan.Grid,
 		P:         m.P(),
-		Used:      plan.Used,
 		Attempts:  1,
 		AvgRecv:   m.AvgRecv(),
 		MaxRecv:   m.MaxRecv(),
@@ -99,21 +89,13 @@ func NewReport(m *machine.Machine, plan *Plan) *Report {
 		Overlap:   plan.Overlap,
 	}
 	if net, ok := m.Network(); ok {
-		rep.Network = net.Name
-		rep.PredictedTime = plan.Time(net, false)
-		rep.PredictedOverlapTime = plan.Time(net, true)
+		rep.Network = net
 		rep.CritPathTime = m.MaxTime()
 	}
 	return rep
 }
 
-// PredictedAsExecuted returns the analytic prediction matching how the
-// run executed: the overlapped evaluation for pipelined runs, the
-// serial one otherwise — the number CritPathTime should be compared
-// against.
-func (r *Report) PredictedAsExecuted() float64 {
-	if r.Overlap {
-		return r.PredictedOverlapTime
-	}
-	return r.PredictedTime
-}
+// PredictedAsExecuted returns the Model's price on the run's network,
+// overlapped for pipelined runs and serial otherwise — the number
+// CritPathTime should be compared against; 0 on a counting-only run.
+func (r *Report) PredictedAsExecuted() float64 { return r.Model.Time(r.Network, r.Overlap) }

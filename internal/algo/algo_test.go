@@ -9,8 +9,9 @@ import (
 
 // TestModelTimeIsTheNetworksOwnSum pins the one-evaluator rule: on a
 // bandwidth-heavy and a latency-heavy network, with overlap off and on,
-// Model.Time is bit for bit what the network's own Time/TimeOverlap
-// return for the model's counts — the timed transport's prediction.
+// Model.Time serially is bit for bit the network's own Time of the
+// model's counts, and overlapped the larger of its compute and
+// communication terms — the timed transport's prediction.
 func TestModelTimeIsTheNetworksOwnSum(t *testing.T) {
 	nets := []machine.NetworkParams{machine.PizDaintNet(), machine.CommodityEthernet()}
 	mods := []Model{
@@ -25,9 +26,6 @@ func TestModelTimeIsTheNetworksOwnSum(t *testing.T) {
 			if want := net.Time(f, w, l); serial != want {
 				t.Errorf("%s/%s: Time %v, net.Time %v", net.Name, mod.Name, serial, want)
 			}
-			if want := net.TimeOverlap(f, w, l); over != want {
-				t.Errorf("%s/%s: overlapped Time %v, net.TimeOverlap %v", net.Name, mod.Name, over, want)
-			}
 			if compute, comm := net.Time(f, 0, 0), net.Time(0, w, l); over != math.Max(compute, comm) {
 				t.Errorf("%s/%s: overlapped Time %v is not max(%v, %v)", net.Name, mod.Name, over, compute, comm)
 			}
@@ -35,7 +33,7 @@ func TestModelTimeIsTheNetworksOwnSum(t *testing.T) {
 	}
 }
 
-func TestTimeOverlapVsSerial(t *testing.T) {
+func TestModelTimeSerialVsOverlap(t *testing.T) {
 	net := machine.NetworkParams{Gamma: 1e-9, Beta: 1e-8, Alpha: 1e-6}
 	mod := Model{MaxFlops: 2e9, MaxRecv: 1e8} // 2 s compute, 1 s comm
 	if got := mod.Time(net, true); got != 2 {
@@ -43,6 +41,9 @@ func TestTimeOverlapVsSerial(t *testing.T) {
 	}
 	if got := mod.Time(net, false); got != 3 {
 		t.Fatalf("serial time = %v, want 3", got)
+	}
+	if got := mod.Time(machine.NetworkParams{}, true) + mod.Time(machine.NetworkParams{}, false); got != 0 {
+		t.Fatalf("the zero network prices at %v, want 0", got)
 	}
 }
 

@@ -2,13 +2,9 @@ package algo
 
 import "cosma/internal/machine"
 
-// Config carries the options a plan is compiled under. Delta is read by
-// COSMA alone — the baselines fix their grid upfront — and Overlap and
-// Network by the three Algorithm 1 policies (COSMA, SUMMA, 2.5D).
+// Config carries the options a plan is compiled under, both read by the
+// three Algorithm 1 policies (COSMA, SUMMA, 2.5D).
 type Config struct {
-	// Delta is the grid-fitting idle-rank tolerance δ of §7.1; zero
-	// means core.DefaultDelta.
-	Delta float64
 	// Overlap asks to software-pipeline the round loop (§7.3): panels
 	// for round i+1 are prefetched with non-blocking broadcasts while
 	// the kernel multiplies round i's. A plan grants it only where S

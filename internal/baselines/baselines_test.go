@@ -28,7 +28,7 @@ func checkCorrect(t *testing.T, name string, run func() (*matrix.Dense, *algo.Re
 		t.Fatalf("%s: %v", name, err)
 	}
 	if d := matrix.MaxDiff(got, mulRef(a, b)); d > 1e-9*float64(k) {
-		t.Fatalf("%s: max diff %g (grid %s)", name, d, rep.Grid)
+		t.Fatalf("%s: max diff %g (grid %s)", name, d, rep.Model.Grid)
 	}
 	return rep
 }
@@ -169,7 +169,7 @@ func TestC25DMeasuredMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Abs(rep.AvgRecv-rep.Model.AvgRecv) > 1e-6*math.Max(1, rep.Model.AvgRecv) {
-			t.Fatalf("%+v (grid %s): measured %v, model %v", c, rep.Grid, rep.AvgRecv, rep.Model.AvgRecv)
+			t.Fatalf("%+v (grid %s): measured %v, model %v", c, rep.Model.Grid, rep.AvgRecv, rep.Model.AvgRecv)
 		}
 	}
 }
@@ -201,8 +201,8 @@ func TestCARMAUsesPowerOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Used != 8 {
-		t.Fatalf("used %d ranks of 12, want 8", rep.Used)
+	if rep.Model.Used != 8 {
+		t.Fatalf("used %d ranks of 12, want 8", rep.Model.Used)
 	}
 }
 
@@ -287,8 +287,8 @@ func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
 		return rep
 	}
 	cosma := crit(cosma)
-	if cosma.Grid != "[2×2×4]" {
-		t.Fatalf("COSMA fitted %s, want [2×2×4]", cosma.Grid)
+	if cosma.Model.Grid != "[2×2×4]" {
+		t.Fatalf("COSMA fitted %s, want [2×2×4]", cosma.Model.Grid)
 	}
 	for _, pl := range []algo.Spec{summa, c25d} {
 		if rep := crit(pl); cosma.CritPathTime >= rep.CritPathTime {

@@ -58,11 +58,11 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 			}
 			if pl.Name != cannon.Name && (rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv) {
 				t.Errorf("%s %+v grid %s: measured avg %v max %d, model avg %v max %v",
-					pl.Display, c, rep.Grid, rep.AvgRecv, rep.MaxRecv, rep.Model.AvgRecv, rep.Model.MaxRecv)
+					pl.Display, c, rep.Model.Grid, rep.AvgRecv, rep.MaxRecv, rep.Model.AvgRecv, rep.Model.MaxRecv)
 			}
 			if float64(rep.MaxMsgs) != rep.Model.MaxMsgs {
 				t.Errorf("%s %+v grid %s: busiest rank exchanged %d messages, model %v",
-					pl.Display, c, rep.Grid, rep.MaxMsgs, rep.Model.MaxMsgs)
+					pl.Display, c, rep.Model.Grid, rep.MaxMsgs, rep.Model.MaxMsgs)
 			}
 		}
 	}
@@ -123,9 +123,9 @@ func TestSameGridSameModel(t *testing.T) {
 		}
 		mod := rep.Model
 		mod.Name = ref.Model.Name
-		if rep.Grid != ref.Grid || mod != ref.Model || rep.PredictedTime != ref.PredictedTime {
+		if got, want := rep.PredictedAsExecuted(), ref.PredictedAsExecuted(); rep.Model.Grid != ref.Model.Grid || mod != ref.Model || got != want {
 			t.Errorf("%s on %s: model %+v predicts %v s; COSMA on %s: %+v predicts %v s",
-				pl.Display, rep.Grid, mod, rep.PredictedTime, ref.Grid, ref.Model, ref.PredictedTime)
+				pl.Display, rep.Model.Grid, mod, got, ref.Model.Grid, ref.Model, want)
 		}
 	}
 }

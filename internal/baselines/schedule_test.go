@@ -36,10 +36,10 @@ func TestGridPoliciesPinSchedule(t *testing.T) {
 		rep := checkCorrect(t, c.pl.Display, func() (*matrix.Dense, *algo.Report, error) {
 			return algo.Run(c.pl.Plan, algo.Config{}, &net, a, b, c.p, c.s)
 		}, a, b, c.k)
-		if rep.Grid != c.grid || rep.Used != c.p || rep.MaxRecv != c.recv ||
+		if rep.Model.Grid != c.grid || rep.Model.Used != c.p || rep.MaxRecv != c.recv ||
 			rep.MaxVolume != c.volume || rep.Total != c.tot || rep.MaxMsgs != c.msgs {
 			t.Errorf("%s %d×%d×%d p=%d: grid %s used %d recv %d volume %d total %d msgs %d, want %s %d %d %d %d %d",
-				c.pl.Display, c.m, c.n, c.k, c.p, rep.Grid, rep.Used, rep.MaxRecv, rep.MaxVolume, rep.Total, rep.MaxMsgs,
+				c.pl.Display, c.m, c.n, c.k, c.p, rep.Model.Grid, rep.Model.Used, rep.MaxRecv, rep.MaxVolume, rep.Total, rep.MaxMsgs,
 				c.grid, c.p, c.recv, c.volume, c.tot, c.msgs)
 		}
 		if math.Abs(rep.CritPathTime-c.crit) > 1e-8*c.crit {
@@ -62,15 +62,15 @@ func TestOneGridOneSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Grid != "[4×4×1]" {
-		t.Fatalf("COSMA fitted %s, want [4×4×1]", ref.Grid)
+	if ref.Model.Grid != "[4×4×1]" {
+		t.Fatalf("COSMA fitted %s, want [4×4×1]", ref.Model.Grid)
 	}
 	for _, pl := range []algo.Spec{summa, c25d} {
 		got, rep, err := algo.Run(pl.Plan, algo.Config{}, &net, a, b, p, s)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Display, err)
 		}
-		if rep.Grid != ref.Grid || rep.Used != ref.Used || rep.AvgRecv != ref.AvgRecv ||
+		if rep.Model.Grid != ref.Model.Grid || rep.Model.Used != ref.Model.Used || rep.AvgRecv != ref.AvgRecv ||
 			rep.MaxRecv != ref.MaxRecv || rep.MaxVolume != ref.MaxVolume || rep.Total != ref.Total ||
 			rep.MaxMsgs != ref.MaxMsgs || rep.CritPathTime != ref.CritPathTime {
 			t.Errorf("%s ran %+v, COSMA ran %+v", pl.Display, rep, ref)

@@ -77,24 +77,6 @@ func OptimalTile(s int) (a, b int) {
 	return a, b
 }
 
-// Intensity returns the computational intensity ρ = |V| / (X − R + T) of
-// Lemma 4 for a subcomputation of size v with partition parameter x,
-// maximum reuse r and minimum I/O t. Lemma 4: Q ≥ |V|/ρ_max.
-func Intensity(v, x, r, t float64) float64 {
-	den := x - r + t
-	if den <= 0 {
-		panic("bound: non-positive intensity denominator")
-	}
-	return v / den
-}
-
-// GreedyIntensity returns the maximal computational intensity √S/2 of
-// greedy MMM schedules (Eq. 25).
-func GreedyIntensity(s int) float64 {
-	checkMem(s)
-	return math.Sqrt(float64(s)) / 2
-}
-
 // ParallelLowerBound returns the Theorem 2 lower bound on per-processor
 // communication for MMM on p processors with S words of memory each:
 //

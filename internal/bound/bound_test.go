@@ -134,18 +134,6 @@ func TestParallelLowerBoundMonotoneInP(t *testing.T) {
 	}
 }
 
-func TestIntensity(t *testing.T) {
-	if got := Intensity(100, 30, 10, 0); got != 5 {
-		t.Fatalf("Intensity = %v, want 5", got)
-	}
-}
-
-func TestGreedyIntensity(t *testing.T) {
-	if got := GreedyIntensity(64); got != 4 {
-		t.Fatalf("GreedyIntensity(64) = %v, want 4", got)
-	}
-}
-
 func TestPanicsOnBadInput(t *testing.T) {
 	cases := []func(){
 		func() { SequentialLowerBound(0, 1, 1, 4) },
@@ -153,7 +141,6 @@ func TestPanicsOnBadInput(t *testing.T) {
 		func() { ParallelLowerBound(1, 1, 1, 0, 4) },
 		func() { OptimalTile(3) },
 		func() { TileIO(1, 1, 1, 0, 1) },
-		func() { Intensity(1, 1, 1, 0) },
 	}
 	for i, f := range cases {
 		func() {

@@ -1,8 +1,9 @@
 // Package bound implements the closed-form I/O results of the paper:
 // the sequential lower bound 2mnk/√S + mn (Theorem 1), the parallel
 // per-processor bound min{2mnk/(p√S) + S, 3(mnk/p)^(2/3)} (Theorem 2),
-// the optimal greedy-schedule tile sizes (Eq. 27/28) and the
-// computational-intensity machinery of Lemma 4. The parallel schedule's
+// and the optimal greedy-schedule tile sizes (Eq. 27/28): the tile that
+// maximizes Lemma 4's computational intensity ρ = |V|/(X − R + T), which
+// no greedy MMM schedule lifts above √S/2 (Eq. 25). The parallel schedule's
 // local domain (Eq. 32) is not here: the executed one is grid.Fit's grid
 // with core.StepSize's step, and Table 3's closed form is
 // costmodel.COSMA.

@@ -56,9 +56,8 @@ type plan struct {
 }
 
 // Plan is COSMA: the communication-optimal S-partition schedule on the
-// grid §7.1 fits, idling up to cfg.Delta·p ranks (zero means
-// DefaultDelta). All grid fitting and round-schedule construction happens
-// here, once per shape.
+// grid §7.1 fits, idling up to DefaultDelta·p ranks. All grid fitting and
+// round-schedule construction happens here, once per shape.
 func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if m < 1 || n < 1 || k < 1 {
 		return nil, fmt.Errorf("core: invalid dimensions %d×%d×%d", m, n, k)
@@ -66,10 +65,7 @@ func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("core: p = %d must be ≥ 1", p)
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = DefaultDelta
-	}
-	return NewPlan("COSMA", cfg, grid.Fit(m, n, k, p, s, cfg.Delta), m, n, k, p, s, false)
+	return NewPlan("COSMA", cfg, grid.Fit(m, n, k, p, s, DefaultDelta), m, n, k, p, s, false)
 }
 
 // NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for

@@ -47,7 +47,7 @@ func TestCOSMACorrectAcrossShapes(t *testing.T) {
 			}
 			want := mulRef(a, b)
 			if d := matrix.MaxDiff(got, want); d > 1e-9*float64(c.k) {
-				t.Fatalf("max diff %g (grid %s)", d, rep.Grid)
+				t.Fatalf("max diff %g (grid %s)", d, rep.Model.Grid)
 			}
 		})
 	}
@@ -80,8 +80,8 @@ func TestCOSMAMeasuredMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := rep.Model
-		if rep.Grid != c.grid {
-			t.Fatalf("%+v: fitted %s", c, rep.Grid)
+		if rep.Model.Grid != c.grid {
+			t.Fatalf("%+v: fitted %s", c, rep.Model.Grid)
 		}
 		if math.Abs(rep.AvgRecv-model.AvgRecv) > 1e-6*math.Max(1, model.AvgRecv) {
 			t.Fatalf("%+v: measured avg recv %v, model %v", c, rep.AvgRecv, model.AvgRecv)
@@ -130,8 +130,8 @@ func TestCOSMAIdleRanksDoNotCommunicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Used != 64 {
-		t.Fatalf("used %d ranks, want 64", rep.Used)
+	if rep.Model.Used != 64 {
+		t.Fatalf("used %d ranks, want 64", rep.Model.Used)
 	}
 }
 

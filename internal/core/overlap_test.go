@@ -78,14 +78,14 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 			repPipe.CritPathTime, computeOnly)
 	}
 
-	// Both reports carry both analytic predictions, overlapped ≤ serial.
+	// Both reports' models price on the run's network, overlapped ≤ serial.
 	for _, rep := range []*algo.Report{repSync, repPipe} {
-		if rep.PredictedOverlapTime <= 0 || rep.PredictedTime <= 0 {
+		serial, overlap := rep.Model.Time(rep.Network, false), rep.Model.Time(rep.Network, true)
+		if overlap <= 0 || serial <= 0 {
 			t.Fatalf("missing predictions in report: %+v", rep)
 		}
-		if rep.PredictedOverlapTime > rep.PredictedTime {
-			t.Errorf("predicted overlap time %v exceeds serial %v",
-				rep.PredictedOverlapTime, rep.PredictedTime)
+		if overlap > serial {
+			t.Errorf("predicted overlap time %v exceeds serial %v", overlap, serial)
 		}
 	}
 	if repSync.Overlap || !repPipe.Overlap {

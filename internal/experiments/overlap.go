@@ -41,13 +41,14 @@ func OverlapGain(net machine.NetworkParams) *report.Table {
 			t.AddRow(p, "COSMA", "error: "+err.Error(), "-", "-", "-", "-", "-", "-")
 			continue
 		}
-		t.AddRow(p, "COSMA", serial.Grid,
+		predSerial, predOverlap := serial.Model.Time(net, false), serial.Model.Time(net, true)
+		t.AddRow(p, "COSMA", serial.Model.Grid,
 			report.Seconds(serial.CritPathTime),
 			report.Seconds(overlapped.CritPathTime),
 			gain(serial.CritPathTime, overlapped.CritPathTime),
-			report.Seconds(serial.PredictedTime),
-			report.Seconds(serial.PredictedOverlapTime),
-			gain(serial.PredictedTime, serial.PredictedOverlapTime))
+			report.Seconds(predSerial),
+			report.Seconds(predOverlap),
+			gain(predSerial, predOverlap))
 	}
 	return t
 }

@@ -41,7 +41,7 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 				t.AddRow(p, r.Display, "error: "+err.Error(), "-", "-", "-", "-")
 				continue
 			}
-			t.AddRow(p, rep.Name, rep.Grid, float64(rep.MaxVolume),
+			t.AddRow(p, rep.Model.Name, rep.Model.Grid, float64(rep.MaxVolume),
 				float64(rep.MaxMsgs), report.Seconds(rep.PredictedAsExecuted()),
 				report.Seconds(rep.CritPathTime))
 		}

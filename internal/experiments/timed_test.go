@@ -58,8 +58,8 @@ func TestTimedOrderingMatchesVolume(t *testing.T) {
 		t.Fatalf("got %d reports", len(reps))
 	}
 	for _, r := range reps {
-		if r.Network != "bandwidth" || r.CritPathTime <= 0 || r.PredictedTime <= 0 {
-			t.Fatalf("%s: missing timing: %+v", r.Name, r)
+		if r.Network != net || r.CritPathTime <= 0 || r.PredictedAsExecuted() <= 0 {
+			t.Fatalf("%s: missing timing: %+v", r.Model.Name, r)
 		}
 	}
 	// Every strict MaxVolume inequality must be reproduced by the
@@ -68,19 +68,19 @@ func TestTimedOrderingMatchesVolume(t *testing.T) {
 		for _, b := range reps {
 			if a.MaxVolume < b.MaxVolume && a.CritPathTime >= b.CritPathTime {
 				t.Errorf("%s moves fewer words than %s (%d < %d) but is not faster (%v ≥ %v)",
-					a.Name, b.Name, a.MaxVolume, b.MaxVolume, a.CritPathTime, b.CritPathTime)
+					a.Model.Name, b.Model.Name, a.MaxVolume, b.MaxVolume, a.CritPathTime, b.CritPathTime)
 			}
 		}
 	}
 	// And COSMA must be the volume winner and the time winner outright.
 	byVol := append([]int(nil), 0, 1, 2, 3)
 	sort.Slice(byVol, func(i, j int) bool { return reps[byVol[i]].MaxVolume < reps[byVol[j]].MaxVolume })
-	if reps[byVol[0]].Name != "COSMA" {
-		t.Errorf("volume winner is %s, want COSMA", reps[byVol[0]].Name)
+	if reps[byVol[0]].Model.Name != "COSMA" {
+		t.Errorf("volume winner is %s, want COSMA", reps[byVol[0]].Model.Name)
 	}
 	for _, r := range reps[1:] {
 		if reps[0].CritPathTime >= r.CritPathTime {
-			t.Errorf("COSMA (%v) not faster than %s (%v)", reps[0].CritPathTime, r.Name, r.CritPathTime)
+			t.Errorf("COSMA (%v) not faster than %s (%v)", reps[0].CritPathTime, r.Model.Name, r.CritPathTime)
 		}
 	}
 }
@@ -144,7 +144,7 @@ func TestTimedCountersMatchCounting(t *testing.T) {
 			}
 			if rep, tr := reps[0], reps[1]; rep.MaxVolume != tr.MaxVolume || rep.MaxRecv != tr.MaxRecv ||
 				rep.Total != tr.Total || rep.MaxMsgs != tr.MaxMsgs || rep.AvgRecv != tr.AvgRecv {
-				t.Errorf("%s %+v: counting %+v vs timed %+v traffic differs", rep.Name, c, rep, tr)
+				t.Errorf("%s %+v: counting %+v vs timed %+v traffic differs", rep.Model.Name, c, rep, tr)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ type Counters struct {
 }
 
 // Volume returns the rank's total communication volume in words
-// (sent + received), the per-rank quantity reported in Table 4.
+// (sent + received).
 func (c Counters) Volume() int64 { return c.SentWords + c.RecvWords }
 
 // Messages returns the rank's total message count (sent + received),

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -23,15 +22,6 @@ type NetworkParams struct {
 // no overlap.
 func (n NetworkParams) Time(flops, words, msgs float64) float64 {
 	return n.Gamma*flops + n.Beta*words + n.Alpha*msgs
-}
-
-// TimeOverlap is the analytic evaluation with full communication–
-// computation overlap (§7.3): the compute and communication phases hide
-// each other, so the runtime is their maximum instead of their sum.
-func (n NetworkParams) TimeOverlap(flops, words, msgs float64) float64 {
-	compute := n.Gamma * flops
-	comms := n.Beta*words + n.Alpha*msgs
-	return math.Max(compute, comms)
 }
 
 // WithGamma returns a copy of the network with the compute constant γ

@@ -10,9 +10,9 @@ import (
 // sustained rate of the packed kernel and its reciprocal γ (seconds per
 // flop), the constant the α-β-γ cost surface charges compute with. The
 // paper's predictions assume a tuned dgemm running at hardware speed;
-// Calibrate replaces that assumption with a measurement, so
-// Engine.Predict and the figure tables report what this binary
-// actually achieves rather than a Piz Daint constant.
+// Calibrate replaces that assumption with a measurement, so a model
+// priced on the calibrated network (algo.Model.Time) reports what this
+// binary actually achieves rather than a Piz Daint constant.
 type Calibration struct {
 	N       int           // problem size measured (n×n×n)
 	Threads int           // kernel worker bound used

@@ -116,7 +116,7 @@ func (t *Table) CSV() string {
 func (t *Table) Rows() int { return len(t.rows) }
 
 // Seconds renders a duration in seconds with an adaptive unit, for the
-// PredictedTime/CritPathTime columns of the timed-transport tables.
+// predicted and critical-path columns of the timed-transport tables.
 func Seconds(v float64) string {
 	av := v
 	if av < 0 {

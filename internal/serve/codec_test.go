@@ -51,7 +51,7 @@ func referenceHandler(s *Server) http.Handler {
 		}
 		writeJSON(w, MultiplyResponse{
 			M: c.Rows, N: c.Cols, C: c.Data,
-			Algorithm: rep.Name, Grid: rep.Grid, MaxRecv: rep.MaxRecv,
+			Algorithm: rep.Model.Name, Grid: rep.Model.Grid, MaxRecv: rep.MaxRecv,
 		})
 	})
 }
@@ -359,7 +359,7 @@ func benchRequest(tb testing.TB) (s *Server, body []byte, resp *MultiplyResponse
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return s, body, &MultiplyResponse{M: dim, N: dim, C: c.Data, Algorithm: rep.Name, Grid: rep.Grid, MaxRecv: rep.MaxRecv}
+	return s, body, &MultiplyResponse{M: dim, N: dim, C: c.Data, Algorithm: rep.Model.Name, Grid: rep.Model.Grid, MaxRecv: rep.MaxRecv}
 }
 
 // countingWriter is a ResponseWriter that drops the answer and keeps

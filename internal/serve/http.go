@@ -112,7 +112,7 @@ func Handler(s *Server) http.Handler {
 		buf.Grow(24*len(c.Data) + 256)
 		out, err := appendResponse(buf.AvailableBuffer(), &MultiplyResponse{
 			M: c.Rows, N: c.Cols, C: c.Data,
-			Algorithm: rep.Name, Grid: rep.Grid, MaxRecv: rep.MaxRecv,
+			Algorithm: rep.Model.Name, Grid: rep.Model.Grid, MaxRecv: rep.MaxRecv,
 		})
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err)

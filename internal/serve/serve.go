@@ -142,10 +142,6 @@ type Stats struct {
 	PlanHits   int64 `json:"plan_hits"`   // summed over shards
 	PlanMisses int64 `json:"plan_misses"` // summed over shards
 
-	// ShedByShape breaks Shed down per problem shape ("m×n×k"), so a
-	// single hot shape saturating the queue is visible as such.
-	ShedByShape map[string]int64 `json:"shed_by_shape,omitempty"`
-
 	// Retries counts engine-level re-executions observed across all
 	// answered requests (report attempts beyond the first).
 	Retries int64 `json:"retries"`
@@ -159,7 +155,6 @@ type Stats struct {
 // misconfiguration surfaces here, not on the first request.
 func New(opts Options) (*Server, error) {
 	s := &Server{opts: opts, buckets: make(map[shapeKey]*bucket)}
-	s.stats.ShedByShape = make(map[string]int64)
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < opts.shards(); i++ {
 		eng, err := cosma.NewEngine(opts.Engine...)
@@ -211,7 +206,6 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 	}
 	if s.queued >= s.opts.queueLimit() {
 		s.stats.Shed++
-		s.stats.ShedByShape[fmt.Sprintf("%d×%d×%d", key.m, key.n, key.k)]++
 		s.mu.Unlock()
 		return nil, nil, ErrOverloaded
 	}
@@ -353,14 +347,6 @@ func (s *Server) Stats() Stats {
 	st := s.stats
 	st.Queued = s.queued
 	st.Draining = s.draining
-	if len(s.stats.ShedByShape) > 0 {
-		st.ShedByShape = make(map[string]int64, len(s.stats.ShedByShape))
-		for k, v := range s.stats.ShedByShape {
-			st.ShedByShape[k] = v
-		}
-	} else {
-		st.ShedByShape = nil
-	}
 	s.mu.Unlock()
 	st.Rejected = s.rejected.Load()
 	st.BatchFailures = s.batchFailures.Load()

@@ -168,7 +168,7 @@ func TestShedsBeyondQueueLimit(t *testing.T) {
 	b := cosma.RandomMatrix(16, 16, 2)
 
 	// Two requests fill the queue — one executing slowly, one behind it —
-	// long enough for the third to arrive and be shed.
+	// long enough for two more, of two shapes, to arrive and be shed.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -180,16 +180,14 @@ func TestShedsBeyondQueueLimit(t *testing.T) {
 		}()
 	}
 	waitQueued(t, s, 2)
-	if _, _, err := s.Multiply(ctx, a, b); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("got %v, want ErrOverloaded", err)
+	for _, m := range []*cosma.Matrix{a, cosma.RandomMatrix(8, 16, 3)} {
+		if _, _, err := s.Multiply(ctx, m, b); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("%d×16×16: got %v, want ErrOverloaded", m.Rows, err)
+		}
 	}
 	wg.Wait()
-	st := s.Stats()
-	if st.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", st.Shed)
-	}
-	if st.ShedByShape["16×16×16"] != 1 {
-		t.Fatalf("shed-by-shape = %v, want 16×16×16: 1", st.ShedByShape)
+	if st := s.Stats(); st.Shed != 2 {
+		t.Fatalf("shed = %d, want 2", st.Shed)
 	}
 }
 

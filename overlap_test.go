@@ -91,34 +91,29 @@ func TestEngineOverlapTimedReport(t *testing.T) {
 			repPipe.CritPathTime, repSync.CritPathTime)
 	}
 	for _, rep := range []*Report{repSync, repPipe} {
-		if rep.PredictedOverlapTime <= 0 || rep.PredictedOverlapTime > rep.PredictedTime {
-			t.Errorf("predictions: overlap %v, serial %v (want 0 < overlap ≤ serial)",
-				rep.PredictedOverlapTime, rep.PredictedTime)
+		serial, overlap := rep.Model.Time(rep.Network, false), rep.Model.Time(rep.Network, true)
+		if overlap <= 0 || overlap > serial {
+			t.Errorf("predictions: overlap %v, serial %v (want 0 < overlap ≤ serial)", overlap, serial)
 		}
 	}
 }
 
-// TestPredictOverlap checks the two analytic predictions of Predict
+// TestPredictOverlap checks the two analytic prices of a plan's model
 // against each other.
 func TestPredictOverlap(t *testing.T) {
-	eng, err := NewEngine(WithProcs(16), WithNetwork(PizDaintNetwork()))
+	net := PizDaintNetwork()
+	eng, err := NewEngine(WithProcs(16), WithNetwork(net))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Predict(context.Background(), 512, 512, 512)
+	plan, err := eng.Plan(context.Background(), 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.OverlapTime <= 0 || pred.SerialTime <= 0 || pred.OverlapTime > pred.SerialTime {
-		t.Errorf("Predict = (%v, %v), want 0 < overlapped ≤ serial", pred.SerialTime, pred.OverlapTime)
-	}
-
-	counting, err := NewEngine(WithProcs(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := counting.Predict(context.Background(), 64, 64, 64); err == nil {
-		t.Error("Predict on a counting engine did not error")
+	mod := plan.Model()
+	serial, overlap := mod.Time(net, false), mod.Time(net, true)
+	if overlap <= 0 || serial <= 0 || overlap > serial {
+		t.Errorf("prices (%v, %v), want 0 < overlapped ≤ serial", serial, overlap)
 	}
 }
 
