@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"cosma/internal/matrix"
 )
 
 // TestPredictConsumesCalibratedGamma is the acceptance guard for
@@ -72,41 +70,5 @@ func TestCalibrateFeedsEngine(t *testing.T) {
 	// γ·2mnk/p seconds.
 	if minCompute := cal.Gamma * 2 * 256 * 256 * 256 / 4; pt < minCompute {
 		t.Errorf("prediction %g below calibrated compute floor %g", pt, minCompute)
-	}
-}
-
-// TestWithKernelThreads covers option validation and that a threaded
-// engine still multiplies correctly (against the serial engine's
-// result).
-func TestWithKernelThreads(t *testing.T) {
-	if _, err := NewEngine(WithKernelThreads(-1)); err == nil {
-		t.Fatal("WithKernelThreads(-1) accepted")
-	}
-	ctx := context.Background()
-	a := RandomMatrix(97, 53, 1)
-	b := RandomMatrix(53, 61, 2)
-
-	serial, err := NewEngine(WithProcs(4), WithKernelThreads(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	threaded, err := NewEngine(WithProcs(4), WithKernelThreads(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := threaded.KernelThreads(); got != 3 {
-		t.Fatalf("KernelThreads() = %d, want 3", got)
-	}
-	c1, _, err := serial.Exec(ctx, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _, err := threaded.Exec(ctx, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same plan, same per-element accumulation order: bitwise equal.
-	if d := matrix.MaxDiff(c1, c2); d != 0 {
-		t.Errorf("threaded kernel changed the result by %g", d)
 	}
 }

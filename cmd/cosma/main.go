@@ -8,7 +8,7 @@
 //	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576
 //	      [-algo cosma|summa|2.5d|carma|cannon|all]
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
-//	      [-threads n] [-overlap=false]
+//	      [-overlap=false]
 //
 // The algorithm is looked up by name in the table of algorithms (aliases
 // like "scalapack" and "ctf" work too); -algo list prints it. The round
@@ -18,8 +18,7 @@
 // gains predicted and critical-path runtime columns; adding -calibrate
 // first measures the local packed kernel and replaces the preset's γ
 // with the measured seconds-per-flop, so the predictions charge compute
-// at the rate this machine actually achieves. -threads bounds each
-// rank's local GEMM worker pool (0 = GOMAXPROCS-aware default).
+// at the rate this machine actually achieves.
 //
 // With -transport wire the multiplication is genuinely distributed:
 // the p ranks are spread over -wire-procs OS processes connected by
@@ -66,7 +65,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for the input matrices")
 	netName := flag.String("network", "", "timed α-β-γ preset: pizdaint, ethernet or sharedmem (empty counts only)")
 	calibrate := flag.Bool("calibrate", false, "measure the local kernel and substitute its γ into -network")
-	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
 	overlap := flag.Bool("overlap", true,
 		"pipeline the round loops where S has room for a second panel pair (§7.3)")
 	transport := flag.String("transport", "inprocess",
@@ -92,8 +90,7 @@ func main() {
 	}
 
 	opts := []cosma.Option{
-		cosma.WithProcs(*p), cosma.WithMemory(*s),
-		cosma.WithKernelThreads(*threads), cosma.WithOverlap(*overlap),
+		cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithOverlap(*overlap),
 	}
 	if *netName != "" {
 		net, err := cosma.NetworkByName(*netName)
@@ -101,7 +98,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if *calibrate {
-			cal := cosma.Calibrate(0, *threads)
+			cal := cosma.Calibrate(0, 0)
 			fmt.Println(cal)
 			net = net.WithGamma(cal.Gamma)
 		}

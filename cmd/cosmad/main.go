@@ -8,7 +8,7 @@
 //
 //	cosmad [-addr :8642] [-p 4] [-S 1048576] [-algo cosma]
 //	       [-shards 4] [-queue 256] [-batch 32]
-//	       [-maxdim 8192] [-threads n]
+//	       [-maxdim 8192]
 //	       [-retry 0] [-verify] [-drain-timeout 30s]
 //
 // Endpoints: POST /v1/multiply (JSON in/out; honors X-Cosma-Deadline-Ms),
@@ -47,7 +47,6 @@ func main() {
 	queue := flag.Int("queue", 256, "admission queue bound before 429 shedding")
 	batch := flag.Int("batch", 32, "max pairs per batched execution")
 	maxDim := flag.Int("maxdim", 8192, "admission bound on each of m, n, k")
-	threads := flag.Int("threads", 0, "per-rank GEMM kernel workers (0 = GOMAXPROCS-aware)")
 	retry := flag.Int("retry", 0, "engine attempts per execution, the first included (0 = no re-runs)")
 	verify := flag.Bool("verify", false, "ABFT-verify every product (cosma.WithVerification)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
@@ -55,7 +54,7 @@ func main() {
 
 	engineOpts := []cosma.Option{
 		cosma.WithProcs(*p), cosma.WithMemory(*s), cosma.WithAlgorithm(*algoName),
-		cosma.WithKernelThreads(*threads), cosma.WithVerification(*verify),
+		cosma.WithVerification(*verify),
 	}
 	if *retry != 0 {
 		engineOpts = append(engineOpts, cosma.WithRetry(*retry))

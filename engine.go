@@ -72,18 +72,17 @@ func (m chanMutex) unlock() { <-m }
 type planKey struct{ m, n, k int }
 
 type engineConfig struct {
-	procs         int
-	memory        int
-	network       *NetworkParams
-	algorithm     string
-	kernelThreads int
-	overlap       bool
-	wireCfg       *wire.Config
-	recvTimeout   time.Duration
-	faults        *machine.FaultPlan
-	attempts      int // WithRetry's bound on executions; 0 means one
-	verify        bool
-	err           error // first option error, surfaced by NewEngine
+	procs       int
+	memory      int
+	network     *NetworkParams
+	algorithm   string
+	overlap     bool
+	wireCfg     *wire.Config
+	recvTimeout time.Duration
+	faults      *machine.FaultPlan
+	attempts    int // WithRetry's bound on executions; 0 means one
+	verify      bool
+	err         error // first option error, surfaced by NewEngine
 }
 
 // Option configures an Engine.
@@ -154,22 +153,6 @@ func WithAutotune(bool) Option { return func(*engineConfig) {} }
 // Algorithms. Unknown names error at NewEngine.
 func WithAlgorithm(name string) Option {
 	return func(c *engineConfig) { c.algorithm = name }
-}
-
-// WithKernelThreads bounds the worker pool of each rank's local packed
-// GEMM kernel, so a single rank's multiply can use idle cores. Zero
-// (the default) is GOMAXPROCS-aware: every executor grants each
-// working rank the cores left over once all ranks run concurrently
-// (max(1, GOMAXPROCS / ranks used)). Threads beyond the row count of
-// the local tile are never spawned.
-func WithKernelThreads(n int) Option {
-	return func(c *engineConfig) {
-		if n < 0 {
-			c.err = fmt.Errorf("cosma: kernel threads %d must be ≥ 0", n)
-			return
-		}
-		c.kernelThreads = n
-	}
 }
 
 // WithWireTransport executes runs on the wire transport: the engine's
@@ -331,9 +314,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		e.wireTr = tr
 		e.wireMach = machine.NewLinked(tr)
-		if cfg.recvTimeout > 0 {
-			e.wireMach.SetRecvTimeout(cfg.recvTimeout)
-		}
 		if e.multiProc() && !hostsRankZero(e.wireMach) {
 			// Only the process holding the gathered product can check it.
 			e.cfg.verify = false
@@ -372,34 +352,6 @@ func (e *Engine) WireRank() (int, bool) {
 		return 0, false
 	}
 	return e.cfg.wireCfg.Rank, true
-}
-
-// Algorithm returns the display name of the engine's algorithm.
-func (e *Engine) Algorithm() string { return e.spec.Display }
-
-// Procs returns the normalized processor count p.
-func (e *Engine) Procs() int { return e.cfg.procs }
-
-// Memory returns the normalized per-rank memory S in words.
-func (e *Engine) Memory() int { return e.cfg.memory }
-
-// KernelThreads returns the configured per-rank GEMM worker bound; 0
-// means the GOMAXPROCS-aware default is resolved per executor.
-func (e *Engine) KernelThreads() int { return e.cfg.kernelThreads }
-
-// Overlap reports whether the engine requests pipelined round loops
-// (communication–computation overlap, WithOverlap). Whether a run
-// pipelined is its Report.Overlap: a plan whose S has no room for a
-// second panel pair runs synchronously either way.
-func (e *Engine) Overlap() bool { return e.cfg.overlap }
-
-// Network returns the engine's α-β-γ parameters and true when runs
-// execute on the timed transport.
-func (e *Engine) Network() (NetworkParams, bool) {
-	if e.cfg.network == nil {
-		return NetworkParams{}, false
-	}
-	return *e.cfg.network, true
 }
 
 // Plan returns the engine's immutable compiled schedule for an m×k by

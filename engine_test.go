@@ -198,9 +198,8 @@ func TestEnginePlanIsCachedAndImmutable(t *testing.T) {
 	if stats.Misses != 1 || stats.Hits != 1 {
 		t.Fatalf("stats %+v, want 1 miss + 1 hit", stats)
 	}
-	m, n, k := p1.Dims()
-	if m != 64 || n != 64 || k != 64 || p1.Procs() != 8 {
-		t.Fatalf("plan geometry: dims %d×%d×%d p=%d", m, n, k, p1.Procs())
+	if in := p1.inner; in.M != 64 || in.N != 64 || in.K != 64 || in.P != 8 {
+		t.Fatalf("plan geometry: dims %d×%d×%d p=%d", in.M, in.N, in.K, in.P)
 	}
 }
 
@@ -276,7 +275,7 @@ func TestPredictSharesThePlanGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Model != plan.Model() || rep.Model.Grid != plan.Grid() {
+	if rep.Model != plan.Model() {
 		t.Fatalf("report model %+v, plan model %+v", rep.Model, plan.Model())
 	}
 	if got, want := rep.PredictedAsExecuted(), plan.Model().Time(net, rep.Overlap); got != want {
@@ -306,10 +305,10 @@ func TestNewEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Procs() != 1 || eng.Memory() != UnboundedMemory {
-		t.Fatalf("defaults: p=%d S=%d", eng.Procs(), eng.Memory())
+	if eng.cfg.procs != 1 || eng.cfg.memory != UnboundedMemory {
+		t.Fatalf("defaults: p=%d S=%d", eng.cfg.procs, eng.cfg.memory)
 	}
-	if _, timed := eng.Network(); timed {
+	if eng.cfg.network != nil {
 		t.Fatal("default engine must count, not time")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
@@ -86,54 +85,21 @@ type Executor struct {
 	scratch *Arena
 }
 
-// ExecOptions configures NewExecutor. The zero value is a fresh
-// counting machine and GOMAXPROCS-aware kernel threads.
-type ExecOptions struct {
-	// Network selects the timed α-β-γ transport when set; ignored when
-	// Machine is supplied.
-	Network *machine.NetworkParams
-	// KernelThreads bounds the worker pool of each rank's local GEMM
-	// kernel; ≤ 0 resolves GOMAXPROCS-aware — the cores left over after
-	// every working rank has one (max(1, GOMAXPROCS / ranks used)), so
-	// a single-rank plan on an idle machine multiplies with every core
-	// while a fully-populated simulation stays one-goroutine-per-rank.
-	KernelThreads int
-	// RecvTimeout, when positive, bounds every blocking receive of the
-	// executor's machine; an expired wait aborts the run
-	// with machine.ErrRecvTimeout instead of hanging on a lost peer.
-	RecvTimeout time.Duration
-	// Machine, when non-nil, is a pre-built machine spanning the plan's P
-	// ranks to execute on — the way wire-backed executors share their
-	// process's one socket mesh. The caller keeps ownership; executions
-	// on the same machine must not overlap.
-	Machine *machine.Machine
-	// Faults, when non-nil, installs a fault plan on the executor's
-	// machine: injected rank deaths, message drops/delays and
-	// stragglers perturb every Exec identically on all transports.
-	Faults *machine.FaultPlan
-}
-
-// NewExecutor builds an executor for p under o: the machine and the
-// scratch arena are allocated once here and reused by every Exec. A
-// supplied machine is used as-is (its ranks may span several OS
-// processes), otherwise one is built on o.Network.
-func NewExecutor(p *Plan, o ExecOptions) (*Executor, error) {
-	mach := o.Machine
-	if mach == nil {
-		mach = machine.NewWithNetwork(p.P, o.Network)
-	} else if mach.P() != p.P {
+// NewExecutor builds an executor for p on mach, which must span the
+// plan's P ranks and may span several OS processes (the wire
+// transport); the scratch arena is allocated once here and reused by
+// every Exec. The caller configures mach and keeps ownership;
+// executions on one machine must not overlap. Each rank's local GEMM
+// gets the cores left over once every working rank on this process
+// has one (max(1, GOMAXPROCS / ranks sharing them)), so a single-rank
+// plan on an idle machine multiplies with every core while a
+// fully-populated simulation stays one goroutine per rank.
+func NewExecutor(p *Plan, mach *machine.Machine) (*Executor, error) {
+	if mach.P() != p.P {
 		return nil, fmt.Errorf("algo: plan is for p=%d but the supplied machine has %d ranks", p.P, mach.P())
 	}
 	if mach.MultiProcess() && !p.Distributed {
 		return nil, fmt.Errorf("algo: %s plans cannot run on a multi-process machine (no distributed result gather)", p.Name)
-	}
-	if o.RecvTimeout > 0 {
-		mach.SetRecvTimeout(o.RecvTimeout)
-	}
-	if o.Faults != nil {
-		if err := mach.SetFaultPlan(*o.Faults); err != nil {
-			return nil, err
-		}
 	}
 	sharing := max(p.Used, 1)
 	// On a multi-process machine only the local ranks compete for this
@@ -141,15 +107,8 @@ func NewExecutor(p *Plan, o ExecOptions) (*Executor, error) {
 	if l := len(mach.LocalRanks()); l > 0 && l < sharing {
 		sharing = l
 	}
-	kernelThreads := o.KernelThreads
-	if kernelThreads <= 0 {
-		kernelThreads = runtime.GOMAXPROCS(0) / sharing
-		if kernelThreads < 1 {
-			kernelThreads = 1
-		}
-	}
 	scratch := NewArena(p.P)
-	scratch.kernelThreads = kernelThreads
+	scratch.kernelThreads = max(1, runtime.GOMAXPROCS(0)/sharing)
 	return &Executor{plan: p, mach: mach, scratch: scratch}, nil
 }
 
@@ -192,7 +151,7 @@ func Run(plan func(cfg Config, m, n, k, p, s int) (*Plan, error), cfg Config, ne
 	if err != nil {
 		return nil, nil, err
 	}
-	ex, err := NewExecutor(pl, ExecOptions{Network: net})
+	ex, err := NewExecutor(pl, machine.NewWithNetwork(p, net))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -211,7 +170,7 @@ func Run(plan func(cfg Config, m, n, k, p, s int) (*Plan, error), cfg Config, ne
 type Arena struct {
 	ranks []rankScratch
 	// kernelThreads bounds each rank kernel's worker pool; ≤ 0 means
-	// serial. NewExecutor resolves the GOMAXPROCS-aware default here.
+	// serial. NewExecutor sets the GOMAXPROCS-aware width here.
 	kernelThreads int
 }
 
@@ -287,10 +246,10 @@ func (a *Arena) Matrix(rank, rows, cols int) *matrix.Dense {
 }
 
 // Clone returns a scratch copy of src owned by rank until the next
-// Reset — the arena-backed counterpart of matrix.Dense.Clone, for a
-// rank program that needs a contiguous or writable copy (CARMA's
-// recursive schedule). The Algorithm 1 rank program reads its
-// input pieces in place and never calls it.
+// Reset — the arena-backed counterpart of matrix.Dense.Clone. Every
+// rank program reads its input pieces in place; only the repo
+// benchmark's clone-in replay, which times the copy the schedules no
+// longer make, calls it.
 func (a *Arena) Clone(rank int, src *matrix.Dense) *matrix.Dense {
 	if a == nil {
 		return src.Clone()

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -190,6 +191,34 @@ func TestCARMACorrectAcrossShapes(t *testing.T) {
 		checkCorrect(t, "carma", func() (*matrix.Dense, *algo.Report, error) {
 			return algo.Run(carma.Plan, algo.Config{}, nil, a, b, c.p, 1<<20)
 		}, a, b, c.k)
+	}
+}
+
+// TestCARMAReadsInputsInPlace: every rank reads its bands of A and B
+// where the caller put them — views with Stride > Cols included — so a
+// warm execute leaves nothing in the arena.
+func TestCARMAReadsInputsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const m, n, k, p = 24, 20, 36, 8
+	a := matrix.Random(m, k+5, rng).View(0, 3, m, k)
+	b := matrix.Random(k, n, rng)
+	pl, err := carma.Plan(algo.Config{}, m, n, k, p, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, arena := machine.New(p), algo.NewArena(p)
+	for run := 0; run < 2; run++ {
+		arena.Reset()
+		got, err := pl.Execute(context.Background(), mach, arena, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := matrix.MaxDiff(got, mulRef(a, b)); d > 1e-9*k {
+			t.Fatalf("run %d: max diff %g", run, d)
+		}
+	}
+	if got := arena.Retained(); got != 0 {
+		t.Fatalf("arena retains %d words after a warm CARMA execute, want 0", got)
 	}
 }
 

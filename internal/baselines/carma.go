@@ -89,8 +89,8 @@ func (pl *carmaPlan) Execute(ctx context.Context, mach *machine.Machine, scratch
 		if r.ID() < used {
 			ab := aDist.Band(r.ID())
 			bb := bDist.Band(r.ID())
-			aLoc = scratch.Clone(r.ID(), a.View(ab.Lo, 0, ab.Len(), k))
-			bLoc = scratch.Clone(r.ID(), b.View(bb.Lo, 0, bb.Len(), n))
+			aLoc = a.View(ab.Lo, 0, ab.Len(), k)
+			bLoc = b.View(bb.Lo, 0, bb.Len(), n)
 		}
 		pieces, err := carmaSolve(r, scratch.Kernel(r.ID()), team, aLoc, bLoc, m, n, k, 1)
 		if err != nil {

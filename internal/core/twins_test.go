@@ -65,7 +65,7 @@ type run struct {
 func execute(t *testing.T, pl *algo.Plan, net machine.NetworkParams, a, b *matrix.Dense) run {
 	t.Helper()
 	mach := machine.NewTimed(pl.P, net)
-	ex, err := algo.NewExecutor(pl, algo.ExecOptions{Machine: mach})
+	ex, err := algo.NewExecutor(pl, mach)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestTimedCountersMatchCounting(t *testing.T) {
 			banded = banded || pl.Geometry != nil && pl.Geometry.Bands > 1
 			var reps [2]*algo.Report
 			for i, on := range []*machine.NetworkParams{nil, &net} {
-				ex, err := algo.NewExecutor(pl, algo.ExecOptions{Network: on})
+				ex, err := algo.NewExecutor(pl, machine.NewWithNetwork(pl.P, on))
 				if err != nil {
 					t.Fatal(err)
 				}

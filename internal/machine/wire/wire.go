@@ -130,22 +130,6 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// NewLoopback returns a wire transport hosting all p ranks in this
-// process, with no sockets — nothing is ever forwarded. It exists so
-// the linked machine's paths (run epochs, the result gather of the
-// distributed plans) can be exercised without a cluster.
-func NewLoopback(p int) *Transport {
-	peers := make([]string, p)
-	for i := range peers {
-		peers[i] = "loopback"
-	}
-	t, err := build(Config{Rank: 0, Peers: peers})
-	if err != nil {
-		panic(err) // unreachable: the loopback config is well-formed
-	}
-	return t
-}
-
 func build(cfg Config) (*Transport, error) {
 	p := len(cfg.Peers)
 	if p < 1 {

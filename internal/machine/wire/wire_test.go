@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,10 +16,16 @@ import (
 )
 
 // TestConformanceLoopback runs the shared machine suite against a
-// linked machine with all ranks hosted in one process (no sockets).
+// linked machine with all ranks hosted in one process: every peer at
+// one address, so New builds the socket-free single-process transport
+// a single-process wire engine runs on.
 func TestConformanceLoopback(t *testing.T) {
 	conformance.Run(t, func(t *testing.T, p int) *conformance.Cluster {
-		tr := wire.NewLoopback(p)
+		peers := slices.Repeat([]string{wire.SocketAddrs(t.TempDir(), 1)[0]}, p)
+		tr, err := wire.New(wire.Config{Rank: 0, Peers: peers})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return &conformance.Cluster{
 			Machines: []*machine.Machine{machine.NewLinked(tr)},
 			Cleanup:  func() { tr.Close() },

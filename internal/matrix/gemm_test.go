@@ -93,7 +93,9 @@ func TestKernelZeroDims(t *testing.T) {
 // TestKernelThreadsBitwiseEqual: the worker split is over disjoint row
 // chunks with an unchanged per-element accumulation order, so any
 // thread count must produce bitwise-identical results to the serial
-// packed kernel.
+// packed kernel — through Mul, and through PackB + MulPacked over row
+// bands that start off a micro-panel boundary, as the rank programs
+// multiply.
 func TestKernelThreadsBitwiseEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range [][3]int{{129, 65, 130}, {mc + 7, 33, kc + 5}, {8, 8, 8}} {
@@ -102,11 +104,19 @@ func TestKernelThreadsBitwiseEqual(t *testing.T) {
 		b := Random(k, n, rng)
 		ref := New(m, n)
 		NewKernel(1).Mul(ref, a, b)
-		for _, threads := range []int{2, 3, 8} {
+		for _, threads := range []int{1, 2, 3, 8} {
+			kern := NewKernel(threads)
 			c := New(m, n)
-			NewKernel(threads).Mul(c, a, b)
-			if d := MaxDiff(c, ref); d != 0 {
-				t.Errorf("threads=%d %v: differs from serial by %g (want bitwise equality)", threads, s, d)
+			kern.Mul(c, a, b)
+			banded := New(m, n)
+			pb := kern.PackB(nil, b)
+			for _, band := range [][2]int{{0, m/3 + 1}, {m/3 + 1, m - 2}, {m - 2, m}} {
+				kern.MulPacked(banded, a, pb, band[0], band[1])
+			}
+			for name, got := range map[string]*Dense{"Mul": c, "PackB+MulPacked": banded} {
+				if d := MaxDiff(got, ref); d != 0 {
+					t.Errorf("threads=%d %v %s: differs from serial Mul by %g (want bitwise equality)", threads, s, name, d)
+				}
 			}
 		}
 	}

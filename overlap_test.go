@@ -14,49 +14,44 @@ import (
 )
 
 // TestEngineOverlapBitwiseIdentical drives the public surface: for
-// COSMA, SUMMA and 2.5D across machine sizes and kernel thread counts,
-// at an S with room for two panel pairs and two rounds or more, an
-// overlap engine's product must equal the synchronous engine's bit for
-// bit. Run under -race in CI, this also exercises the pipelined round
-// loop's concurrency.
+// COSMA, SUMMA and 2.5D across machine sizes, at an S with room for two
+// panel pairs and two rounds or more, an overlap engine's product must
+// equal the synchronous engine's bit for bit. Run under -race in CI,
+// this also exercises the pipelined round loop's concurrency.
 func TestEngineOverlapBitwiseIdentical(t *testing.T) {
 	a := RandomMatrix(120, 88, 21)
 	b := RandomMatrix(88, 104, 22)
 	for _, algoName := range []string{"cosma", "summa", "2.5d"} {
 		for _, p := range []int{4, 8, 16} {
-			for _, threads := range []int{1, 2} {
-				opts := func(overlap bool) []Option {
-					return []Option{
-						WithAlgorithm(algoName), WithProcs(p),
-						WithMemory(8 * 120 * 104 / p),
-						WithKernelThreads(threads), WithOverlap(overlap),
-					}
+			opts := func(overlap bool) []Option {
+				return []Option{
+					WithAlgorithm(algoName), WithProcs(p),
+					WithMemory(8 * 120 * 104 / p), WithOverlap(overlap),
 				}
-				engSync, err := NewEngine(opts(false)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				engPipe, err := NewEngine(opts(true)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cSync, repSync, err := engSync.Exec(context.Background(), a, b)
-				if err != nil {
-					t.Fatalf("%s p=%d threads=%d sync: %v", algoName, p, threads, err)
-				}
-				cPipe, repPipe, err := engPipe.Exec(context.Background(), a, b)
-				if err != nil {
-					t.Fatalf("%s p=%d threads=%d overlap: %v", algoName, p, threads, err)
-				}
-				if repSync.Overlap || !repPipe.Overlap {
-					t.Errorf("%s p=%d: report Overlap flags sync=%v pipe=%v",
-						algoName, p, repSync.Overlap, repPipe.Overlap)
-				}
-				for i := range cSync.Data {
-					if cSync.Data[i] != cPipe.Data[i] {
-						t.Fatalf("%s p=%d threads=%d: element %d differs bitwise",
-							algoName, p, threads, i)
-					}
+			}
+			engSync, err := NewEngine(opts(false)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engPipe, err := NewEngine(opts(true)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cSync, repSync, err := engSync.Exec(context.Background(), a, b)
+			if err != nil {
+				t.Fatalf("%s p=%d sync: %v", algoName, p, err)
+			}
+			cPipe, repPipe, err := engPipe.Exec(context.Background(), a, b)
+			if err != nil {
+				t.Fatalf("%s p=%d overlap: %v", algoName, p, err)
+			}
+			if repSync.Overlap || !repPipe.Overlap {
+				t.Errorf("%s p=%d: report Overlap flags sync=%v pipe=%v",
+					algoName, p, repSync.Overlap, repPipe.Overlap)
+			}
+			for i := range cSync.Data {
+				if cSync.Data[i] != cPipe.Data[i] {
+					t.Fatalf("%s p=%d: element %d differs bitwise", algoName, p, i)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"cosma/internal/algo"
+	"cosma/internal/machine"
 )
 
 // Plan is an immutable compiled multiplication schedule for one problem
@@ -31,18 +32,6 @@ type Plan struct {
 // the plan.
 func (p *Plan) Algorithm() string { return p.inner.Name }
 
-// Dims returns the (m, n, k) problem shape the plan multiplies.
-func (p *Plan) Dims() (m, n, k int) { return p.inner.M, p.inner.N, p.inner.K }
-
-// Procs returns the machine size p the plan was fitted for.
-func (p *Plan) Procs() int { return p.inner.P }
-
-// Used returns the number of ranks that perform work.
-func (p *Plan) Used() int { return p.inner.Used }
-
-// Grid returns the human-readable decomposition.
-func (p *Plan) Grid() string { return p.inner.Grid }
-
 // Model returns the analytic communication/computation prediction for
 // the planned schedule.
 func (p *Plan) Model() Model { return p.inner.Model }
@@ -64,23 +53,29 @@ func (p *Plan) String() string {
 	if d, ok := p.Decomposition(); ok {
 		return d.String()
 	}
-	return fmt.Sprintf("grid %s (%d ranks)", p.Grid(), p.Used())
+	return fmt.Sprintf("grid %s (%d ranks)", p.inner.Grid, p.inner.Used)
 }
 
 // newExecutor builds an executor for this plan under the engine's
-// options: a pre-built machine (the engine's one shared machine on the
-// wire transport) and a per-rank scratch arena, both reused by every
-// run on it, so repeated same-shape multiplications allocate only
-// their outputs.
+// options: a machine configured here — the engine's one shared machine
+// on the wire transport, otherwise a fresh one on the engine's network
+// — and a per-rank scratch arena, both reused by every run on it, so
+// repeated same-shape multiplications allocate only their outputs.
 func (p *Plan) newExecutor() (*algo.Executor, error) {
 	cfg := &p.eng.cfg
-	return algo.NewExecutor(p.inner, algo.ExecOptions{
-		Network:       cfg.network,
-		KernelThreads: cfg.kernelThreads,
-		RecvTimeout:   cfg.recvTimeout,
-		Machine:       p.eng.wireMach,
-		Faults:        cfg.faults,
-	})
+	mach := p.eng.wireMach
+	if mach == nil {
+		mach = machine.NewWithNetwork(p.inner.P, cfg.network)
+	}
+	if cfg.recvTimeout > 0 {
+		mach.SetRecvTimeout(cfg.recvTimeout)
+	}
+	if cfg.faults != nil {
+		if err := mach.SetFaultPlan(*cfg.faults); err != nil {
+			return nil, err
+		}
+	}
+	return algo.NewExecutor(p.inner, mach)
 }
 
 // acquire borrows a pooled executor, building one on first use.
