@@ -30,13 +30,19 @@ cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/matrix
 
-# fault-conformance runs the transport-semantics suite's fault-injection
-# section under -race on all three transports: every injected failure
-# class (rank death, message drop, delay, straggler) must surface as a
-# prompt error — never a deadlock (the suite runs behind hard watchdog
-# timeouts).
+# fault-conformance runs the conformance suite's fault section under
+# -race on the four backends (counting, timed, wire loopback, a Unix
+# socket mesh): every injected failure class (rank death, message drop,
+# delay, straggler) must surface as a prompt error, never a deadlock
+# (the suite runs behind hard watchdog timeouts). It fails unless
+# exactly 16 fault subtests (4 backends × 4 classes) pass, so a backend
+# dropped from the suite fails here instead of shrinking it silently.
 fault-conformance:
-	$(GO) test -race -run 'TestConformance.*/Fault' -count=1 ./internal/machine/...
+	@out=$$($(GO) test -race -count=1 -v -run 'TestConformance.*/Fault' ./internal/machine/...); status=$$?; \
+	echo "$$out"; \
+	n=$$(echo "$$out" | grep -c -- '--- PASS: TestConformance[A-Za-z]*/Fault'); \
+	echo "fault-conformance: $$n fault subtests passed, want 16"; \
+	test $$status -eq 0 && test $$n -eq 16
 
 # fuzz-smoke gives each fuzz target a short randomized budget beyond
 # its checked-in seed corpus; crashers land in testdata/fuzz and fail

@@ -8,31 +8,6 @@ import (
 	"time"
 )
 
-// TestRunCtxCancelUnblocksRecv parks every rank in a Recv that will
-// never be satisfied and cancels: RunCtx must return ctx.Err() instead
-// of deadlocking.
-func TestRunCtxCancelUnblocksRecv(t *testing.T) {
-	m := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- m.RunCtx(ctx, func(r *Rank) error {
-			r.Recv((r.ID()+1)%r.P(), 42) // nobody ever sends
-			return nil
-		})
-	}()
-	time.Sleep(10 * time.Millisecond) // let the ranks park
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunCtx returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled RunCtx did not return")
-	}
-}
-
 // TestMachineReusableAfterCancel cancels one run mid-flight and then
 // reuses the same machine for a full exchange: mailboxes and
 // interruption must both reset.
@@ -126,29 +101,5 @@ func TestRankPanicUnblocksParkedPeers(t *testing.T) {
 	// The machine must be reusable after the failure.
 	if err := m.Run(func(r *Rank) error { rendezvous(r, 12); return nil }); err != nil {
 		t.Fatalf("machine not reusable after a rank panic: %v", err)
-	}
-}
-
-// TestRunCtxTimedTransport ensures interruption also works on the timed
-// transport (which shares the counting delivery machinery).
-func TestRunCtxTimedTransport(t *testing.T) {
-	m := NewTimed(2, PizDaintNet())
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- m.RunCtx(ctx, func(r *Rank) error {
-			r.Recv((r.ID()+1)%2, 9)
-			return nil
-		})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("timed RunCtx returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled timed RunCtx did not return")
 	}
 }

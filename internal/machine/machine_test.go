@@ -54,90 +54,6 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
-func TestSendCopiesData(t *testing.T) {
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			buf := []float64{1, 2}
-			r.Send(1, 0, buf)
-			buf[0] = 99 // mutate after send; receiver must see the original
-		} else {
-			got := r.Recv(0, 0)
-			if got[0] != 1 {
-				t.Errorf("receiver saw mutated buffer: %v", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTagAndSourceMatching(t *testing.T) {
-	m := New(3)
-	err := m.Run(func(r *Rank) error {
-		switch r.ID() {
-		case 0:
-			r.Send(2, 5, []float64{10})
-		case 1:
-			r.Send(2, 6, []float64{20})
-		case 2:
-			// Receive in the opposite order of arrival possibilities.
-			b := r.Recv(1, 6)
-			a := r.Recv(0, 5)
-			if a[0] != 10 || b[0] != 20 {
-				t.Errorf("got %v %v", a, b)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInOrderDeliveryPerSourceTag(t *testing.T) {
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			for i := 0; i < 50; i++ {
-				r.Send(1, 3, []float64{float64(i)})
-			}
-		} else {
-			for i := 0; i < 50; i++ {
-				got := r.Recv(0, 3)
-				if got[0] != float64(i) {
-					t.Errorf("message %d out of order: %v", i, got)
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSelfSendNotCounted(t *testing.T) {
-	m := New(1)
-	err := m.Run(func(r *Rank) error {
-		r.Send(0, 1, []float64{1, 2, 3})
-		got := r.Recv(0, 1)
-		if len(got) != 3 {
-			t.Errorf("self recv %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := m.Counters(0); c.Volume() != 0 || c.SentMsgs != 0 {
-		t.Fatalf("self traffic counted: %+v", c)
-	}
-}
-
 func TestRunReportsError(t *testing.T) {
 	m := New(3)
 	want := errors.New("boom")
@@ -149,27 +65,6 @@ func TestRunReportsError(t *testing.T) {
 	})
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCountersResetBetweenRuns(t *testing.T) {
-	m := New(2)
-	prog := func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Send(1, 0, []float64{1})
-		} else {
-			r.Recv(0, 0)
-		}
-		return nil
-	}
-	if err := m.Run(prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(prog); err != nil {
-		t.Fatal(err)
-	}
-	if c := m.Counters(0); c.SentWords != 1 {
-		t.Fatalf("counters not reset: %+v", c)
 	}
 }
 
@@ -198,65 +93,6 @@ func TestManyRanksAllToOne(t *testing.T) {
 	}
 	if m.MaxMessages() != int64(p-1) {
 		t.Fatalf("MaxMessages = %d", m.MaxMessages())
-	}
-}
-
-func TestKeyedMailboxFIFOUnderMixedSends(t *testing.T) {
-	// Same-(src, tag) messages must arrive in send order even when Send
-	// and SendOwned interleave and a second tag's traffic is in flight.
-	const msgs = 200
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			for i := 0; i < msgs; i++ {
-				if i%2 == 0 {
-					r.Send(1, 3, []float64{float64(i)})
-				} else {
-					r.SendOwned(1, 3, []float64{float64(i)})
-				}
-				r.Send(1, 9, []float64{float64(-i)}) // decoy key
-			}
-		} else {
-			for i := 0; i < msgs; i++ {
-				if got := r.Recv(0, 3); got[0] != float64(i) {
-					t.Errorf("message %d out of order: %v", i, got)
-					return nil
-				}
-			}
-			for i := 0; i < msgs; i++ {
-				if got := r.Recv(0, 9); got[0] != float64(-i) {
-					t.Errorf("decoy %d out of order: %v", i, got)
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := m.Counters(1); c.RecvMsgs != 2*msgs {
-		t.Fatalf("received %d messages, want %d", c.RecvMsgs, 2*msgs)
-	}
-}
-
-func TestSendOwnedCountsLikeSend(t *testing.T) {
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			r.SendOwned(1, 0, make([]float64, 5))
-		} else {
-			if got := r.Recv(0, 0); len(got) != 5 {
-				t.Errorf("recv %v", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := m.Counters(0); c.SentWords != 5 || c.SentMsgs != 1 {
-		t.Fatalf("SendOwned miscounted: %+v", c)
 	}
 }
 

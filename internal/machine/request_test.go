@@ -1,11 +1,6 @@
 package machine
 
-import (
-	"context"
-	"errors"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestIRecvRoundTrip exercises the posted receive on the counting
 // machine: a request posted before the matching send exists completes
@@ -39,43 +34,6 @@ func TestIRecvRoundTrip(t *testing.T) {
 	}
 	if got := m.Counters(1).SentWords; got != 3 {
 		t.Errorf("rank 1 SentWords = %d, want 3", got)
-	}
-}
-
-// TestRequestWaitInterruptedByCancel parks every rank in a Request.Wait
-// that will never be satisfied and cancels the context: RunCtx must
-// unwind the parked Waits and return ctx.Err() instead of deadlocking —
-// the pipelined round loops rely on this to make overlapped executions
-// cancellable.
-func TestRequestWaitInterruptedByCancel(t *testing.T) {
-	m := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- m.RunCtx(ctx, func(r *Rank) error {
-			req := r.IRecv((r.ID()+1)%r.P(), 42) // nobody ever sends
-			req.Wait()
-			return nil
-		})
-	}()
-	time.Sleep(10 * time.Millisecond) // let the ranks park in Wait
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunCtx returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled RunCtx did not return from Request.Wait")
-	}
-	// The machine must remain reusable after the interrupted run.
-	if err := m.Run(func(r *Rank) error {
-		req := r.IRecv((r.ID()+1)%r.P(), 1)
-		r.Send((r.ID()+r.P()-1)%r.P(), 1, []float64{1})
-		req.Wait()
-		return nil
-	}); err != nil {
-		t.Fatalf("machine not reusable after interrupted Wait: %v", err)
 	}
 }
 

@@ -4,73 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cosma/internal/machine"
-	"cosma/internal/machine/conformance"
 	"cosma/internal/machine/wire"
 )
-
-// TestConformanceLoopback runs the shared machine suite against a
-// linked machine with all ranks hosted in one process: every peer at
-// one address, so New builds the socket-free single-process transport
-// a single-process wire engine runs on.
-func TestConformanceLoopback(t *testing.T) {
-	conformance.Run(t, func(t *testing.T, p int) *conformance.Cluster {
-		peers := slices.Repeat([]string{wire.SocketAddrs(t.TempDir(), 1)[0]}, p)
-		tr, err := wire.New(wire.Config{Rank: 0, Peers: peers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &conformance.Cluster{
-			Machines: []*machine.Machine{machine.NewLinked(tr)},
-			Cleanup:  func() { tr.Close() },
-			Recover:  tr.Recover,
-		}
-	})
-}
-
-// TestConformanceUnixSockets runs the suite against a genuine socket
-// mesh: p transports, one rank each, connected over Unix sockets —
-// every byte of every message crosses a real connection.
-func TestConformanceUnixSockets(t *testing.T) {
-	conformance.Run(t, func(t *testing.T, p int) *conformance.Cluster {
-		trs := bringUp(t, wire.SocketAddrs(t.TempDir(), p))
-		machines := make([]*machine.Machine, p)
-		for i, tr := range trs {
-			machines[i] = machine.NewLinked(tr)
-		}
-		return &conformance.Cluster{
-			Machines: machines,
-			Cleanup:  func() { closeAll(trs) },
-			Recover: func() error {
-				// Heal every process concurrently: survivors of a lost
-				// peer re-handshake with each other, so serial recovery
-				// would deadlock on the dial/accept pairing.
-				errs := make([]error, len(trs))
-				var wg sync.WaitGroup
-				for i, tr := range trs {
-					wg.Add(1)
-					go func(i int, tr *wire.Transport) {
-						defer wg.Done()
-						errs[i] = tr.Recover()
-					}(i, tr)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		}
-	})
-}
 
 // TestTCPRing exercises the TCP address scheme with a small ring
 // exchange across three single-rank processes on localhost.
@@ -255,23 +196,6 @@ func TestCleanDepartureWithFullQueue(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if err := trs[0].Failure(); err != nil {
 		t.Fatalf("survivor took the clean departure for a failure: %v", err)
-	}
-}
-
-// TestRecvDeadlineWithSilentPeer covers the lost-peer case the conn
-// layer cannot see: the peer process is alive (connection healthy) but
-// never sends. The receive deadline must unpark the rank.
-func TestRecvDeadlineWithSilentPeer(t *testing.T) {
-	trs := bringUp(t, wire.SocketAddrs(t.TempDir(), 2))
-	defer closeAll(trs)
-	m := machine.NewLinked(trs[0])
-	m.SetRecvTimeout(100 * time.Millisecond)
-	err := m.Run(func(r *machine.Rank) error {
-		r.Recv(1, 99)
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("got %v, want a receive-deadline failure", err)
 	}
 }
 
