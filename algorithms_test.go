@@ -14,11 +14,11 @@ import (
 // used to make the compiler check: the plan carries the row's display
 // name, its numbers and an Execute; the Algorithm 1 policies — and only
 // they — publish a geometry and gather their result, so a wire engine
-// refuses the other two at Plan; names and aliases are unique and resolve
+// refuses Cannon at Plan; names and aliases are unique and resolve
 // case-insensitively.
 func TestEveryAlgorithmFillsItsPlan(t *testing.T) {
 	const n, p, s = 64, 4, 1 << 16
-	algorithm1 := map[string]bool{"cosma": true, "summa": true, "2.5d": true}
+	algorithm1 := map[string]bool{"cosma": true, "summa": true, "2.5d": true, "carma": true}
 	seen := map[string]bool{}
 	for _, row := range baselines.Algorithms {
 		for _, key := range append([]string{row.Name}, row.Aliases...) {

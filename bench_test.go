@@ -16,7 +16,6 @@ import (
 	"cosma/internal/baselines"
 	"cosma/internal/bound"
 	"cosma/internal/core"
-	"cosma/internal/costmodel"
 	"cosma/internal/experiments"
 	"cosma/internal/grid"
 	"cosma/internal/matrix"
@@ -85,14 +84,14 @@ func BenchmarkFig5GridFitting(b *testing.B) {
 
 // BenchmarkTable3Closed — Table 3: closed-form cost rows.
 func BenchmarkTable3Closed(b *testing.B) {
-	p := costmodel.Params{M: 16384, N: 16384, K: 16384, P: 1024, S: 1 << 27}
-	var rows []costmodel.Costs
+	rows := 0
 	for i := 0; i < b.N; i++ {
-		rows = costmodel.All(p)
+		rows = 0
+		for _, t := range experiments.Table3() {
+			rows += t.Rows()
+		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Q, "Q-"+r.Algorithm)
-	}
+	b.ReportMetric(float64(rows), "rows")
 }
 
 // benchCommVolume produces a Figure 6/7-style series and reports COSMA

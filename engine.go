@@ -127,8 +127,8 @@ func WithNetwork(net NetworkParams) Option {
 // swapped every round. The product is bitwise-identical to the
 // synchronous schedule; on a timed engine the measured CritPathTime
 // drops by up to the hidden communication (Figure 12). The Algorithm 1
-// schedules — COSMA, SUMMA and 2.5D — pipeline; CARMA and Cannon
-// execute synchronously regardless.
+// schedules — COSMA, SUMMA, 2.5D and CARMA — pipeline; Cannon executes
+// synchronously regardless.
 //
 // The second panel pair is paid for out of WithMemory's S: a plan
 // pipelines only where its C tile plus two panel pairs of its longest
@@ -167,7 +167,7 @@ func WithAlgorithm(name string) Option {
 // of multiplications (same shapes, same order). The process hosting
 // rank 0 receives the gathered product; the others get a zero matrix
 // of the right shape. Only algorithms whose plans gather their result
-// tiles (COSMA, SUMMA, 2.5D) are supported. Close the engine to
+// tiles (COSMA, SUMMA, 2.5D, CARMA) are supported. Close the engine to
 // tear the mesh down. Incompatible with WithNetwork — the wire transport
 // measures real traffic, not the α-β-γ model.
 func WithWireTransport(cfg WireConfig) Option {
@@ -378,7 +378,7 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 	if e.wireMach != nil && !inner.Distributed {
 		// The distributed-gather gate of algo.NewExecutor, surfaced
 		// at planning time so execution can't fail on it later.
-		return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa or 2.5d", inner.Name)
+		return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa, 2.5d or carma", inner.Name)
 	}
 	p := &Plan{inner: inner, eng: e}
 	e.plans.Add(key, p)

@@ -134,7 +134,6 @@ func TestRegistryReachableByName(t *testing.T) {
 	// cmd/cosma prints "<algorithm> plan: <plan>": the plan's text must
 	// not repeat the name, Decomposition or not.
 	planText := map[string]string{
-		"carma":  "grid recursive p=4 (4 ranks)",
 		"cannon": "grid [2×2×1] (4 ranks)",
 	}
 	names := []string{"cosma", "summa", "2.5d", "carma", "cannon", "scalapack", "ctf", "CARMA"}

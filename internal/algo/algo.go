@@ -8,15 +8,13 @@ import (
 
 // Model is a plan's analytic communication/computation prediction for an
 // m×n×k multiplication on p ranks with S words of memory per rank. The
-// Algorithm 1 plans (COSMA, SUMMA, 2.5D) count their words and messages
-// rank by rank from the round table their rank program walks, so AvgRecv,
-// MaxRecv and MaxMsgs equal what an execution measures; Cannon's are
-// derived from its torus schedule (MaxMsgs exactly); CARMA's Q is the
-// recursive closed form of Table 3 (costmodel.Recursive) — the one
-// exception. MaxMsgs counts messages sent plus received on the busiest
-// rank, as machine.Counters.Messages does. Models evaluate at any scale,
-// including the paper's 18,432-core runs that are too large to execute
-// in-process.
+// Algorithm 1 plans (COSMA, SUMMA, 2.5D, CARMA) count their words and
+// messages rank by rank from the round table their rank program walks,
+// so AvgRecv, MaxRecv and MaxMsgs equal what an execution measures;
+// Cannon's are derived from its torus schedule (MaxMsgs exactly).
+// MaxMsgs counts messages sent plus received on the busiest rank, as
+// machine.Counters.Messages does. Models evaluate at any scale, including
+// the paper's 18,432-core runs that are too large to execute in-process.
 type Model struct {
 	Name     string
 	Grid     string  // human-readable decomposition

@@ -23,8 +23,8 @@ type Plan struct {
 	// size it was compiled for.
 	M, N, K, P int
 	// Geometry is the §6.3 schedule geometry of an Algorithm 1 plan
-	// (COSMA, SUMMA, 2.5D); nil where the schedule has none (CARMA,
-	// Cannon).
+	// (COSMA, SUMMA, 2.5D, CARMA); nil where the schedule has none
+	// (Cannon).
 	Geometry *Decomposition
 	// Overlap records that Execute pipelines its rounds (§7.3): what the
 	// plan decided, which is Config.Overlap only where S has room.
@@ -53,14 +53,17 @@ type Plan struct {
 var ErrUnsupportedShape = errors.New("shape not supported by this algorithm")
 
 // Decomposition describes a plan's §6.3 schedule geometry: the fitted
-// processor grid and the local-domain extents per rank.
+// processor grid and the local-domain extents per rank. A plan of
+// several C blocks reports its largest block's domain and the rounds of
+// all its blocks.
 type Decomposition struct {
 	GridPm, GridPn, GridPk    int // the fitted processor grid (§7.1)
 	RanksUsed                 int
 	DomainM, DomainN, DomainK int // local domain extents per rank
 	StepSize                  int // most outer products one communication round carries
-	Rounds                    int // rounds the longest k slab executes, ownership cuts included
+	Rounds                    int // rounds the longest k slab executes, ownership cuts and every C block included
 	Bands                     int // row blocks a round's A panel is broadcast in; 1 sends it whole
+	Blocks                    int // C blocks the ranks multiply one after another (CARMA's DFS); 1 for the others
 }
 
 // String implements fmt.Stringer.
@@ -68,6 +71,9 @@ func (d Decomposition) String() string {
 	s := fmt.Sprintf("grid [%d×%d×%d] (%d ranks), domain [%d×%d×%d], %d rounds of %d",
 		d.GridPm, d.GridPn, d.GridPk, d.RanksUsed,
 		d.DomainM, d.DomainN, d.DomainK, d.Rounds, d.StepSize)
+	if d.Blocks > 1 {
+		s += fmt.Sprintf(", C in %d blocks", d.Blocks)
+	}
 	if d.Bands > 1 {
 		s += fmt.Sprintf(", A in %d bands", d.Bands)
 	}

@@ -3,13 +3,13 @@ package algo
 import "cosma/internal/machine"
 
 // Config carries the options a plan is compiled under, both read by the
-// three Algorithm 1 policies (COSMA, SUMMA, 2.5D).
+// four Algorithm 1 policies (COSMA, SUMMA, 2.5D, CARMA).
 type Config struct {
 	// Overlap asks to software-pipeline the round loop (§7.3): panels
 	// for round i+1 are prefetched with non-blocking broadcasts while
 	// the kernel multiplies round i's. A plan grants it only where S
-	// holds the second panel pair (Plan.Overlap); CARMA and Cannon
-	// execute synchronously regardless.
+	// holds the second panel pair (Plan.Overlap); Cannon executes
+	// synchronously regardless.
 	Overlap bool
 	// Network is the α-β-γ machine the plan will execute on, nil for a
 	// counting one. A synchronous plan derives from it how many row

@@ -194,31 +194,41 @@ func TestCARMACorrectAcrossShapes(t *testing.T) {
 	}
 }
 
-// TestCARMAReadsInputsInPlace: every rank reads its bands of A and B
-// where the caller put them — views with Stride > Cols included — so a
-// warm execute leaves nothing in the arena.
+// TestCARMAReadsInputsInPlace: every rank reads its pieces of A and B
+// where the caller put them — views with Stride > Cols included — in one
+// C block and in four. After a warm execute the arena holds at most one
+// C tile per rank, the largest it sums any block in, and nothing the
+// size of an input piece.
 func TestCARMAReadsInputsInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const m, n, k, p = 24, 20, 36, 8
 	a := matrix.Random(m, k+5, rng).View(0, 3, m, k)
 	b := matrix.Random(k, n, rng)
-	pl, err := carma.Plan(algo.Config{}, m, n, k, p, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach, arena := machine.New(p), algo.NewArena(p)
-	for run := 0; run < 2; run++ {
-		arena.Reset()
-		got, err := pl.Execute(context.Background(), mach, arena, a, b)
+	for _, c := range []struct{ s, blocks int }{{1 << 20, 1}, {100, 4}} {
+		pl, err := carma.Plan(algo.Config{}, m, n, k, p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := matrix.MaxDiff(got, mulRef(a, b)); d > 1e-9*k {
-			t.Fatalf("run %d: max diff %g", run, d)
+		d := pl.Geometry
+		if d.Blocks != c.blocks {
+			t.Fatalf("S = %d: grid %s, %d C blocks, want %d", c.s, pl.Grid, d.Blocks, c.blocks)
 		}
-	}
-	if got := arena.Retained(); got != 0 {
-		t.Fatalf("arena retains %d words after a warm CARMA execute, want 0", got)
+		mach, arena := machine.New(p), algo.NewArena(p)
+		for run := 0; run < 2; run++ {
+			arena.Reset()
+			got, err := pl.Execute(context.Background(), mach, arena, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := matrix.MaxDiff(got, mulRef(a, b)); diff > 1e-9*k {
+				t.Fatalf("S = %d run %d: max diff %g", c.s, run, diff)
+			}
+		}
+		cTiles := d.RanksUsed * d.DomainM * d.DomainN
+		if got := arena.Retained(); got > cTiles {
+			t.Fatalf("S = %d: grid %s: arena retains %d words, more than the %d of one C tile per rank (inputs are %d)",
+				c.s, pl.Grid, got, cTiles, m*k+k*n)
+		}
 	}
 }
 

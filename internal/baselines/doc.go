@@ -7,21 +7,22 @@
 //     implements,
 //   - the 2.5D decomposition of Solomonik and Demmel (c25d.go) — what
 //     CTF implements,
-//   - Cannon's algorithm (cannon.go) — the classic 2D reference, in the
-//     table but outside the paper's comparison set,
 //   - CARMA (carma.go) — the recursive split-largest-dimension
-//     decomposition of Demmel et al.
+//     decomposition of Demmel et al.,
+//   - Cannon's algorithm (cannon.go) — the classic 2D reference, in the
+//     table but outside the paper's comparison set.
 //
-// SUMMA and 2.5D are grid policies over core.NewPlan — the same
-// Algorithm 1 rank program COSMA runs, on a grid fixed upfront instead
-// of fitted (§6.3) — while Cannon and CARMA fill in an algo.Plan around
-// their own rank programs. Either way planning fixes the grid once
-// per shape, execution runs on the simulated machine with
-// real data movement through the §7.2 collectives, and the local
-// tile multiplications go through the per-rank packed GEMM kernel
-// drawn from the executor's Arena. A model is read off a plan: SUMMA's
-// and 2.5D's is core.NewPlan's count of their grid's schedule (equal to
-// the measurement), Cannon's follows its torus schedule, and CARMA's is
-// the recursive closed form of Table 3 — the one that is cross-checked
-// against execution with a tolerance rather than with ==.
+// SUMMA, 2.5D and CARMA are grid policies over core's Algorithm 1 — the
+// same rank program COSMA runs, on a grid chosen upfront instead of
+// fitted (§6.3): SUMMA's most square 2D grid, 2.5D's layers, and the
+// grid CARMA's BFS steps reach by halving the largest dimension, with
+// its DFS steps as C blocks multiplied one after another where that
+// grid's tile does not fit S. Cannon fills in an algo.Plan around its
+// own torus program. Either way planning fixes the grid once per shape,
+// execution runs on the simulated machine with real data movement
+// through the §7.2 collectives, and the local tile multiplications go
+// through the per-rank packed GEMM kernel drawn from the executor's
+// Arena. A model is read off a plan: the grid policies' is core's count
+// of their schedule and Cannon's follows its torus schedule — each equal
+// to the measurement.
 package baselines

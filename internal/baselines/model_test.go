@@ -11,20 +11,21 @@ import (
 	"cosma/internal/workload"
 )
 
-// gridPolicies are the three planners that differ only in the grid they
-// hand core.NewPlan.
+// gridPolicies are the four planners that differ only in the grid they
+// hand core (and CARMA in its C blocks).
 func gridPolicies() []algo.Spec {
-	return []algo.Spec{cosma, summa, c25d}
+	return []algo.Spec{cosma, summa, c25d, carma}
 }
 
 // TestModelWordsEqualMeasured holds the plan's count to the machine's
-// counters: for the three grid policies the modelled average and maximum
+// counters: for the four grid policies the modelled average and maximum
 // received words are the measured ones — ==, not a tolerance — on the
 // seeded catalog, the three benchmark shapes, ragged dimensions, prime
-// rank counts and a C tile smaller than its fiber (1×2×64, p = 8: empty
-// reduction blocks); so is the busiest rank's message count, for them and
-// for Cannon, wherever a baseline plans at all. The same holds for plans
-// compiled and executed on pizdaint, whose A panels travel in row blocks.
+// rank counts, a C tile smaller than its fiber (1×2×64, p = 8: empty
+// reduction blocks) and CARMA plans of several C blocks; so is the
+// busiest rank's message count, for them and for Cannon, wherever a
+// baseline plans at all. The same holds for plans compiled and executed
+// on pizdaint, whose A panels travel in row blocks.
 func TestModelWordsEqualMeasured(t *testing.T) {
 	type shape struct{ m, n, k, p, s int }
 	shapes := []shape{
@@ -34,6 +35,8 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 		{33, 500, 77, 24, 1 << 20},
 		{1000, 30, 30, 10, 1 << 20},
 		{1, 2, 64, 8, 1 << 20},
+		{256, 256, 256, 64, 3072}, // CARMA: C in blocks
+		{97, 61, 203, 16, 600},    // CARMA: C in ragged blocks
 	}
 	for i, d := range workload.NewGenerator(workload.GenConfig{Seed: 1, Shapes: 12}).Catalog() {
 		shapes = append(shapes, shape{d.M, d.N, d.K, 4 + 3*i, 1 << (12 + i%3*4)})
@@ -45,6 +48,7 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 			shape{128, 128, 65536, 16, 1 << 18})
 	}
 	rng := rand.New(rand.NewSource(25))
+	blocked := 0
 	for _, c := range shapes {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
@@ -55,6 +59,11 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatalf("%s %+v: %v", pl.Display, c, err)
+			}
+			if pl.Name == carma.Name {
+				if plan, _ := pl.Plan(algo.Config{}, c.m, c.n, c.k, c.p, c.s); plan.Geometry.Blocks > 1 {
+					blocked++
+				}
 			}
 			if pl.Name != cannon.Name && (rep.AvgRecv != rep.Model.AvgRecv || float64(rep.MaxRecv) != rep.Model.MaxRecv) {
 				t.Errorf("%s %+v grid %s: measured avg %v max %d, model avg %v max %v",
@@ -67,11 +76,15 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 		}
 	}
 
+	if blocked == 0 {
+		t.Error("no CARMA plan runs in C blocks: the blocks' sum goes unchecked")
+	}
+
 	// Compiled under pizdaint, synchronous plans on an A tree two levels
 	// deep broadcast their A panels in row blocks; the model counts every
 	// block's messages.
 	net := machine.PizDaintNet()
-	timed := []shape{{300, 200, 100, 12, 20000}, {256, 256, 256, 16, 6000}}
+	timed := []shape{{300, 200, 100, 12, 20000}, {256, 256, 256, 16, 6000}, {256, 256, 256, 64, 3072}}
 	if !testing.Short() { // square-tight: three bands
 		timed = append(timed, shape{1024, 1024, 1024, 16, 69632})
 	}
@@ -103,29 +116,37 @@ func TestModelWordsEqualMeasured(t *testing.T) {
 	}
 }
 
-// TestSameGridSameModel: a model is a property of the schedule, so three
+// TestSameGridSameModel: a model is a property of the schedule, so
 // policies that pick the same grid predict the same run. At 1024³,
-// p = 16, S = 69 632 all three land on [4×4×1].
+// p = 16, S = 69 632 COSMA, SUMMA and 2.5D land on [4×4×1] (CARMA cuts C
+// in two blocks there); at 512³, p = 8 COSMA and CARMA land on [2×2×2].
 func TestSameGridSameModel(t *testing.T) {
-	const n, p, s = 1024, 16, 69632
 	net := machine.PizDaintNet()
-	a := matrix.Random(n, n, rand.New(rand.NewSource(1)))
-	b := matrix.Random(n, n, rand.New(rand.NewSource(2)))
-	var ref *algo.Report
-	for _, pl := range gridPolicies() {
-		_, rep, err := algo.Run(pl.Plan, algo.Config{}, &net, a, b, p, s)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.Display, err)
-		}
-		if ref == nil {
-			ref = rep
-			continue
-		}
-		mod := rep.Model
-		mod.Name = ref.Model.Name
-		if got, want := rep.PredictedAsExecuted(), ref.PredictedAsExecuted(); rep.Model.Grid != ref.Model.Grid || mod != ref.Model || got != want {
-			t.Errorf("%s on %s: model %+v predicts %v s; COSMA on %s: %+v predicts %v s",
-				pl.Display, rep.Model.Grid, mod, got, ref.Model.Grid, ref.Model, want)
+	for _, c := range []struct {
+		n, p, s  int
+		policies []algo.Spec
+	}{
+		{1024, 16, 69632, []algo.Spec{cosma, summa, c25d}},
+		{512, 8, 1 << 20, []algo.Spec{cosma, carma}},
+	} {
+		a := matrix.Random(c.n, c.n, rand.New(rand.NewSource(1)))
+		b := matrix.Random(c.n, c.n, rand.New(rand.NewSource(2)))
+		var ref *algo.Report
+		for _, pl := range c.policies {
+			_, rep, err := algo.Run(pl.Plan, algo.Config{}, &net, a, b, c.p, c.s)
+			if err != nil {
+				t.Fatalf("%s: %v", pl.Display, err)
+			}
+			if ref == nil {
+				ref = rep
+				continue
+			}
+			mod := rep.Model
+			mod.Name = ref.Model.Name
+			if got, want := rep.PredictedAsExecuted(), ref.PredictedAsExecuted(); rep.Model.Grid != ref.Model.Grid || mod != ref.Model || got != want {
+				t.Errorf("%s on %s: model %+v predicts %v s; COSMA on %s: %+v predicts %v s",
+					pl.Display, rep.Model.Grid, mod, got, ref.Model.Grid, ref.Model, want)
+			}
 		}
 	}
 }

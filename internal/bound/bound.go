@@ -88,9 +88,9 @@ func OptimalTile(s int) (a, b int) {
 // As coded the result never depends on S: with w = mnk/p, AM-GM gives
 // w/√S + w/√S + S ≥ 3w^(2/3) for every S (equality at √S = w^(1/3)), so
 // the minimum is always the cubic branch — 495 421 words/rank at 1024³,
-// p = 16 for S = 2²⁰ and S = 69 632 alike. costmodel.COSMA, which
-// case-splits on the attainable domain (Eq. 32: a = min{√S, w^(1/3)}),
-// gives 578 266 at S = 69 632. ROADMAP item 3(a) owns the fix; it must
+// p = 16 for S = 2²⁰ and S = 69 632 alike. Table 3's COSMA row
+// (experiments.Table3), which case-splits on the attainable domain
+// (Eq. 32: a = min{√S, w^(1/3)}), gives 578 266 at S = 69 632. ROADMAP item 3(a) owns the fix; it must
 // start from that case split, not from this min.
 func ParallelLowerBound(m, n, k, p, s int) float64 {
 	checkDims(m, n, k)

@@ -5,8 +5,8 @@
 // maximizes Lemma 4's computational intensity ρ = |V|/(X − R + T), which
 // no greedy MMM schedule lifts above √S/2 (Eq. 25). The parallel schedule's
 // local domain (Eq. 32) is not here: the executed one is grid.Fit's grid
-// with core.StepSize's step, and Table 3's closed form is
-// costmodel.COSMA.
+// with core.StepSize's step, and Table 3's closed form is COSMA's row
+// of experiments.Table3.
 //
 // SequentialGap returns the attainability factor √S/(√(S+1)−1) that
 // separates the executable Listing 1 schedule (internal/seq) from

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"cosma/internal/algo"
@@ -34,9 +35,9 @@ const (
 
 // plan is Algorithm 1's compiled schedule for one problem shape on one
 // processor grid: the latency-minimizing step, the round segments of
-// every k slab and the count of what its ranks receive. COSMA, SUMMA
-// and 2.5D differ only in how they choose the grid. It is immutable
-// after NewPlan returns.
+// every k slab and the count of what its ranks receive. COSMA, SUMMA,
+// 2.5D and CARMA differ only in how they choose the grid (and CARMA in
+// its C blocks). It is immutable after NewPlan returns.
 type plan struct {
 	m, n, k, p int
 	g          grid.Grid
@@ -71,32 +72,95 @@ func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 // NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for
 // an m×k by k×n multiplication on the grid g of a p-rank machine with
 // s words per rank, reported under the algorithm name. The grid is the
-// caller's policy — COSMA fits it (§7.1), SUMMA and 2.5D fix it upfront;
-// the model is not: the plan counts its own schedule. cfg.Overlap asks
-// for the pipelined round loop (§7.3), which the plan grants only where
-// s holds the C tile and two panel pairs of its longest round; a
-// synchronous plan broadcasts its A panels in the row blocks
-// cfg.Network pays for (plan.bandsFor); layer0 starts the inputs on the
-// ik = 0 layer (2.5D). A grid longer than a dimension it cuts is refused
-// with algo.ErrUnsupportedShape.
+// caller's policy — COSMA fits it (§7.1), SUMMA, 2.5D and CARMA fix it
+// upfront; the model is not: the plan counts its own schedule.
+// cfg.Overlap asks for the pipelined round loop (§7.3), which the plan
+// grants only where s holds the C tile and two panel pairs of its
+// longest round; a synchronous plan broadcasts its A panels in the row
+// blocks cfg.Network pays for (plan.bandsFor); layer0 starts the inputs
+// on the ik = 0 layer (2.5D). A grid longer than a dimension it cuts is
+// refused with algo.ErrUnsupportedShape.
 func NewPlan(name string, cfg algo.Config, g grid.Grid, m, n, k, p, s int, layer0 bool) (*algo.Plan, error) {
-	pl, err := newPlan(cfg, g, m, n, k, p, s, layer0)
+	sc, err := newSchedule(cfg, g, 1, 1, m, n, k, p, s, layer0)
 	if err != nil {
 		return nil, err
 	}
-	return pl.compile(name), nil
+	return sc.compile(name), nil
 }
 
-// compile publishes the plan: its model, geometry and Execute.
-func (pl *plan) compile(name string) *algo.Plan {
-	d := pl.geometry()
+// NewBlockedPlan compiles NewPlan's schedule one C block at a time: the
+// product is cut into bm×bn blocks (layout.Block cuts of m and n), and
+// the ranks multiply them in turn on the grid g, each block with all of
+// k — the sequential steps of a schedule whose grid's C tile does not
+// fit s (CARMA's DFS). The count sums every block's words and messages
+// rank by rank, so the model still equals the measurement.
+func NewBlockedPlan(name string, cfg algo.Config, g grid.Grid, bm, bn, m, n, k, p, s int) (*algo.Plan, error) {
+	sc, err := newSchedule(cfg, g, bm, bn, m, n, k, p, s, false)
+	if err != nil {
+		return nil, err
+	}
+	return sc.compile(name), nil
+}
+
+// schedule is a compiled plan: the m×n product cut into C blocks, which
+// every rank multiplies in order on one grid, each by the plan of its
+// shape. NewPlan's schedule is one block.
+type schedule struct {
+	m, n, k, p int
+	g          grid.Grid
+	blocks     []block
+}
+
+// block is one C block: its rows and columns of the product and the
+// plan that multiplies them, shared by every block of its shape.
+type block struct {
+	rows, cols layout.Range
+	*plan
+}
+
+// newSchedule cuts the product into bm×bn blocks and compiles one plan
+// per distinct block shape — at most four, since layout.Block's cuts
+// take two lengths.
+func newSchedule(cfg algo.Config, g grid.Grid, bm, bn, m, n, k, p, s int, layer0 bool) (*schedule, error) {
+	if bm < 1 || bn < 1 || bm > m || bn > n {
+		return nil, fmt.Errorf("core: %d×%d C blocks do not cut %d×%d", bm, bn, m, n)
+	}
+	sc := &schedule{m: m, n: n, k: k, p: p, g: g}
+	plans := map[[2]int]*plan{}
+	for i := 0; i < bm; i++ {
+		rows := layout.Block(m, bm, i)
+		for j := 0; j < bn; j++ {
+			cols := layout.Block(n, bn, j)
+			shape := [2]int{rows.Len(), cols.Len()}
+			pl := plans[shape]
+			if pl == nil {
+				var err error
+				if pl, err = newPlan(cfg, g, shape[0], shape[1], k, p, s, layer0); err != nil {
+					return nil, err
+				}
+				plans[shape] = pl
+			}
+			sc.blocks = append(sc.blocks, block{rows, cols, pl})
+		}
+	}
+	return sc, nil
+}
+
+// compile publishes the schedule: its model, geometry and Execute. It
+// pipelines where every block's plan does.
+func (sc *schedule) compile(name string) *algo.Plan {
+	d := sc.geometry()
+	overlap := true
+	for _, blk := range sc.blocks {
+		overlap = overlap && blk.overlap
+	}
 	return &algo.Plan{
-		Model: pl.count(name, d),
-		M:     pl.m, N: pl.n, K: pl.k, P: pl.p,
+		Model: sc.count(name),
+		M:     sc.m, N: sc.n, K: sc.k, P: sc.p,
 		Geometry:    &d,
-		Overlap:     pl.overlap,
+		Overlap:     overlap,
 		Distributed: true,
-		Execute:     pl.Execute,
+		Execute:     sc.Execute,
 	}
 }
 
@@ -175,43 +239,74 @@ func (pl *plan) parts(im, in int) (a, b int) {
 	return (in + im) % pl.g.Pn, (im + in + 1) % pl.g.Pm
 }
 
-// geometry is the §6.3 schedule geometry the plan publishes.
-func (pl *plan) geometry() algo.Decomposition {
-	dm, dn, dk := pl.g.LocalDims(pl.m, pl.n, pl.k)
-	rounds := 0
-	for _, segs := range pl.segs {
-		rounds = max(rounds, len(segs))
+// geometry is the §6.3 schedule geometry the schedule publishes: the
+// largest block's domain, the longest step and most bands of any block,
+// and the most rounds any rank multiplies over all blocks.
+func (sc *schedule) geometry() algo.Decomposition {
+	d := algo.Decomposition{
+		GridPm: sc.g.Pm, GridPn: sc.g.Pn, GridPk: sc.g.Pk,
+		RanksUsed: sc.g.Ranks(),
+		Blocks:    len(sc.blocks),
 	}
-	return algo.Decomposition{
-		GridPm: pl.g.Pm, GridPn: pl.g.Pn, GridPk: pl.g.Pk,
-		RanksUsed: pl.g.Ranks(),
-		DomainM:   dm, DomainN: dn, DomainK: dk,
-		StepSize: pl.step,
-		Rounds:   rounds,
-		Bands:    pl.bands,
+	rounds := make([]int, sc.g.Pk) // by k slab, over every block
+	for _, blk := range sc.blocks {
+		dm, dn, dk := sc.g.LocalDims(blk.m, blk.n, blk.k)
+		d.DomainM, d.DomainN, d.DomainK = max(d.DomainM, dm), max(d.DomainN, dn), max(d.DomainK, dk)
+		d.StepSize, d.Bands = max(d.StepSize, blk.step), max(d.Bands, blk.bands)
+		for ik, segs := range blk.segs {
+			rounds[ik] += len(segs)
+		}
 	}
+	d.Rounds = slices.Max(rounds)
+	return d
 }
 
-// Execute is the algo.Plan's Execute. Every rank reads its pieces of a and b
-// in place, as views, for the whole run. The returned matrix is
-// assembled from the ranks' shares of C; the share payloads (loaned from
-// the machine pool by the fiber reduction) are released back once copied
-// out. On a multi-process machine every rank forwards its share to
-// rank 0 (the tagOut gather), so only the process hosting rank 0
-// assembles the product — the others return a zero matrix.
-func (pl *plan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
+// Execute is the algo.Plan's Execute. Every rank multiplies the blocks
+// in order inside one run, reading its pieces of a and b in place, as
+// views, and summing each block in one C tile: the largest it holds in
+// any block. The returned matrix is assembled from the ranks' shares of
+// every block's C; the share payloads (loaned from the machine pool by
+// the fiber reduction) are released back once copied out. On a
+// multi-process machine every rank forwards its shares to rank 0 (the
+// tagOut gather), so only the process hosting rank 0 assembles the
+// product — the others return a zero matrix.
+func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
 	multi := mach.MultiProcess()
-	shares := make([][]float64, pl.g.Ranks()) // indexed by rank
+	ranks := sc.g.Ranks()
+	views := make([]*matrix.Dense, 2*len(sc.blocks)) // the blocks' rows of a, columns of b
+	for i, blk := range sc.blocks {
+		views[2*i] = a.View(blk.rows.Lo, 0, blk.m, sc.k)
+		views[2*i+1] = b.View(0, blk.cols.Lo, sc.k, blk.n)
+	}
+	shares := make([][]float64, len(sc.blocks)*ranks) // by block, then rank
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
-		if r.ID() >= pl.g.Ranks() {
+		id := r.ID()
+		if id >= ranks {
 			return nil // idle rank left out by the grid fitting
 		}
-		share, err := pl.rankProgram(r, scratch, a, b)
-		if err != nil || !multi {
-			shares[r.ID()] = share
-			return err
+		im, in, _ := sc.g.Coords(id)
+		dm, dn := 0, 0
+		for _, blk := range sc.blocks {
+			dm = max(dm, layout.Block(blk.m, sc.g.Pm, im).Len())
+			dn = max(dn, layout.Block(blk.n, sc.g.Pn, in).Len())
 		}
-		pl.gatherShares(r, share, shares)
+		tile := scratch.Matrix(id, dm, dn)
+		kern := scratch.Kernel(id)
+		for i, blk := range sc.blocks {
+			if i > 0 {
+				clear(tile.Data)
+			}
+			mine := shares[i*ranks : (i+1)*ranks]
+			share, err := blk.rankProgram(r, kern, tile, views[2*i], views[2*i+1])
+			if err != nil {
+				return err
+			}
+			if multi {
+				blk.gatherShares(r, share, mine)
+			} else {
+				mine[id] = share
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -220,16 +315,19 @@ func (pl *plan) Execute(ctx context.Context, mach *machine.Machine, scratch *alg
 
 	// A share is a flat word range of its fiber's row-major tile: it
 	// lands in out one row piece at a time.
-	out := matrix.New(pl.m, pl.n)
-	for id, share := range shares {
-		rows, cols, words := pl.share(id)
-		dn := cols.Len()
-		for rest := share; len(rest) > 0; {
-			i, j := words.Lo/dn, words.Lo%dn
-			c := copy(out.Data[(rows.Lo+i)*out.Stride+cols.Lo+j:][:dn-j], rest)
-			rest, words.Lo = rest[c:], words.Lo+c
+	out := matrix.New(sc.m, sc.n)
+	for bi, blk := range sc.blocks {
+		for id, share := range shares[bi*ranks : (bi+1)*ranks] {
+			rows, cols, words := blk.share(id)
+			top, left := blk.rows.Lo+rows.Lo, blk.cols.Lo+cols.Lo
+			dn := cols.Len()
+			for rest := share; len(rest) > 0; {
+				i, j := words.Lo/dn, words.Lo%dn
+				c := copy(out.Data[(top+i)*out.Stride+left+j:][:dn-j], rest)
+				rest, words.Lo = rest[c:], words.Lo+c
+			}
+			machine.Release(share)
 		}
-		machine.Release(share)
 	}
 	return out, nil
 }
@@ -264,10 +362,11 @@ func (pl *plan) gatherShares(r *machine.Rank, share []float64, shares [][]float6
 	}
 }
 
-// rankProgram is one rank's part of Algorithm 1. It returns the rank's
-// share of its fiber's summed C tile (plan.share), loaned from the
-// machine pool; Execute releases it after assembly.
-func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.Dense) ([]float64, error) {
+// rankProgram is one rank's part of Algorithm 1, summing into the first
+// words of tile, which are zero. It returns the rank's share of its
+// fiber's summed C tile (plan.share), loaned from the machine pool;
+// Execute releases it after assembly.
+func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *matrix.Dense) ([]float64, error) {
 	im, in, ik := pl.g.Coords(r.ID())
 	rows := layout.Block(pl.m, pl.g.Pm, im) // my M range
 	cols := layout.Block(pl.n, pl.g.Pn, in) // my N range
@@ -320,8 +419,10 @@ func (pl *plan) rankProgram(r *machine.Rank, scratch *algo.Arena, a, b *matrix.D
 		}
 	}
 
-	cTile := scratch.Matrix(r.ID(), dm, dn)
-	kern := scratch.Kernel(r.ID())
+	cTile := tile
+	if tile.Rows != dm || tile.Cols != dn { // a smaller block than the rank's largest
+		cTile = matrix.FromSlice(dm, dn, tile.Data[:dm*dn])
+	}
 
 	// Walk the slab over the precomputed round segments — the union
 	// breakpoints of the A and B ownership partitions, sub-chunked to
@@ -521,20 +622,43 @@ func ownerOf(parts []layout.Range, x int) int {
 	return i
 }
 
-// count is the plan's model, read off the schedule rankProgram runs: per
-// k slab it tallies the round segments by the parts rankProgram
-// broadcasts them from, and since a member's group position is its part
-// (plan.parts), its messages are each root's rounds times comm.BcastMsgs
-// at the part it holds. Rank by rank it adds the A and B panel words it
-// does not own, its block of the C tile from each of the fiber's other
-// members with the reduce-scatter's messages (comm.ReduceMsgs) and,
-// under layer0, the scatter: layer 0 mails every other layer its two
-// pieces. Average and maximum words and MaxMsgs (sent + received on the
-// busiest rank) therefore equal what an execution measures; MaxFlops is
-// the largest local domain's.
-func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
+// count is the schedule's model, read off what rankProgram runs: each
+// block's plan tallies every rank's words, messages and flops
+// (plan.tally), and the sums over the blocks give the average and the
+// busiest rank's. Average and maximum words and MaxMsgs (sent + received
+// on the busiest rank) therefore equal what an execution measures.
+func (sc *schedule) count(name string) algo.Model {
+	ranks := sc.g.Ranks()
+	recv, msgs, flops := make([]int, ranks), make([]int, ranks), make([]int, ranks)
+	for _, blk := range sc.blocks {
+		blk.tally(recv, msgs, flops)
+	}
+	total := 0
+	for _, w := range recv {
+		total += w
+	}
+	return algo.Model{
+		Name:     name,
+		Grid:     sc.g.String(),
+		Used:     ranks,
+		AvgRecv:  float64(total) / float64(sc.p),
+		MaxRecv:  float64(slices.Max(recv)),
+		MaxMsgs:  float64(slices.Max(msgs)),
+		MaxFlops: 2 * float64(slices.Max(flops)),
+	}
+}
+
+// tally adds to recv, msgs and flops, indexed by rank, what the plan's
+// ranks receive, exchange and multiply. Per k slab it tallies the round
+// segments by the parts rankProgram broadcasts them from, and since a
+// member's group position is its part (plan.parts), its messages are
+// each root's rounds times comm.BcastMsgs at the part it holds. Rank by
+// rank it adds the A and B panel words it does not own, its block of
+// the C tile from each of the fiber's other members with the
+// reduce-scatter's messages (comm.ReduceMsgs) and, under layer0, the
+// scatter: layer 0 mails every other layer its two pieces.
+func (pl *plan) tally(recv, msgs, flops []int) {
 	g := pl.g
-	var total, maxRecv, maxMsgs int
 	aRounds, aMsgs := make([]int, g.Pn), make([]int, g.Pn) // by root / by member, as parts
 	bRounds, bMsgs := make([]int, g.Pm), make([]int, g.Pm) // by root / by member, as parts
 	bcastMsgs := func(rounds, msgs []int) {
@@ -563,30 +687,20 @@ func (pl *plan) count(name string, d algo.Decomposition) algo.Model {
 				dm := layout.Block(pl.m, g.Pm, im).Len()
 				pa, pb := pl.parts(im, in)
 				aMine, bMine := aParts[pa].Len(), bParts[pb].Len()
-				recv := dm*(slab-aMine) + (slab-bMine)*dn +
+				id := g.Rank(im, in, ik)
+				recv[id] += dm*(slab-aMine) + (slab-bMine)*dn +
 					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
-				msgs := aMsgs[pa]*pl.bands + bMsgs[pb] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
+				msgs[id] += aMsgs[pa]*pl.bands + bMsgs[pb] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
+				flops[id] += dm * dn * slab
 				if pl.layer0 && g.Pk > 1 {
 					if ik == 0 {
-						msgs += 2 * (g.Pk - 1)
+						msgs[id] += 2 * (g.Pk - 1)
 					} else {
-						recv += dm*aMine + bMine*dn
-						msgs += 2
+						recv[id] += dm*aMine + bMine*dn
+						msgs[id] += 2
 					}
 				}
-				total += recv
-				maxRecv = max(maxRecv, recv)
-				maxMsgs = max(maxMsgs, msgs)
 			}
 		}
-	}
-	return algo.Model{
-		Name:     name,
-		Grid:     g.String(),
-		Used:     g.Ranks(),
-		AvgRecv:  float64(total) / float64(pl.p),
-		MaxRecv:  float64(maxRecv),
-		MaxMsgs:  float64(maxMsgs),
-		MaxFlops: 2 * float64(d.DomainM) * float64(d.DomainN) * float64(d.DomainK),
 	}
 }

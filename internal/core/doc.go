@@ -38,5 +38,8 @@
 // NewPlan exports the schedule with the grid left to the caller: the
 // 2D and 2.5D baselines (internal/baselines) are the same rank program
 // on a grid fixed upfront instead of fitted (§6.3), and the same count
-// is their model.
+// is their model. NewBlockedPlan cuts C into blocks that the ranks
+// multiply one after another on one grid, each with all of k, inside
+// one run: CARMA's sequential (DFS) steps where its grid's C tile does
+// not fit S.
 package core

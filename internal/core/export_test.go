@@ -10,11 +10,12 @@ import (
 // whole (plan.bands = 1), and reports whether NewPlan staggers it and
 // how many bands it grants.
 func Twin(name string, cfg algo.Config, g grid.Grid, m, n, k, p, s int, layer0 bool) (twin *algo.Plan, staggered bool, bands int, err error) {
-	pl, err := newPlan(cfg, g, m, n, k, p, s, layer0)
+	sc, err := newSchedule(cfg, g, 1, 1, m, n, k, p, s, layer0)
 	if err != nil {
 		return nil, false, 0, err
 	}
+	pl := sc.blocks[0]
 	staggered, bands = pl.stagger, pl.bands
 	pl.stagger, pl.bands = false, 1
-	return pl.compile(name), staggered, bands, nil
+	return sc.compile(name), staggered, bands, nil
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
+	"cosma/internal/baselines"
+	"cosma/internal/core"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
 
 // TestDecompositionRoundsCountsExecutedRounds holds Decomposition.Rounds
 // to what the rank program does: the most rounds any rank multiplies,
-// ownership cuts included, on the three benchmark shapes and an uneven
-// one. The rank program charges one Compute per executed round, and
+// ownership cuts included, on the three benchmark shapes, an uneven one
+// and a CARMA plan of ragged C blocks, whose rounds add up. The rank program charges one Compute per executed round, and
 // that is the clock a RankDeath's Round counts: a death scheduled for
 // round Rounds−1 must fire on some rank, one scheduled for round Rounds
 // on none.
@@ -22,20 +24,33 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 		name          string
 		m, n, k, p, s int
 		want          int // 0: only checked against the execution
+		carma         bool
 	}{
-		{"square-roomy", 1024, 1024, 1024, 16, 1 << 20, 2},
-		{"square-tight", 1024, 1024, 1024, 16, 69632, 128},
-		{"tall-k", 128, 128, 65536, 16, 1 << 18, 5},
-		{"uneven", 97, 61, 113, 6, 2000, 0},
+		{"square-roomy", 1024, 1024, 1024, 16, 1 << 20, 2, false},
+		{"square-tight", 1024, 1024, 1024, 16, 69632, 128, false},
+		{"tall-k", 128, 128, 65536, 16, 1 << 18, 5, false},
+		{"uneven", 97, 61, 113, 6, 2000, 0, false},
+		{"CARMA in blocks", 97, 61, 113, 8, 300, 0, true},
+	}
+	carma, err := baselines.Lookup("carma")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if testing.Short() && c.k >= 1024 {
 				t.Skip("benchmark-sized multiplication")
 			}
-			pl, err := Plan(algo.Config{}, c.m, c.n, c.k, c.p, c.s)
+			plan := core.Plan
+			if c.carma {
+				plan = carma.Plan
+			}
+			pl, err := plan(algo.Config{}, c.m, c.n, c.k, c.p, c.s)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.carma && pl.Geometry.Blocks < 2 {
+				t.Fatalf("%s: one C block", pl.Geometry)
 			}
 			got := pl.Geometry.Rounds
 			if c.want != 0 && got != c.want {
@@ -75,7 +90,7 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 // where the caller put them.
 func TestArenaRetainsNoInputSizedBuffer(t *testing.T) {
 	const m, n, k, p = 64, 64, 16384, 8
-	pl, err := Plan(algo.Config{}, m, n, k, p, 1<<16)
+	pl, err := core.Plan(algo.Config{}, m, n, k, p, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@
 // Small-scale points are executed on the machine simulator with real
 // data movement; paper-scale points are the models of plans compiled at
 // that scale (sweep plans each scenario once), which the test suite holds
-// equal to execution for the Algorithm 1 plans. The timed
+// equal to execution. Table 3 alone evaluates the paper's closed forms
+// (table3.go) instead of a plan. The timed
 // experiments accept any machine.NetworkParams, including presets
 // whose γ has been replaced by a matrix.Calibrate measurement
 // (cmd/experiments -calibrate).

@@ -12,7 +12,6 @@ import (
 	"cosma/internal/baselines"
 	"cosma/internal/bound"
 	"cosma/internal/core"
-	"cosma/internal/costmodel"
 	"cosma/internal/grid"
 	"cosma/internal/layout"
 	"cosma/internal/machine"
@@ -196,34 +195,6 @@ func Table4() *report.Table {
 		}
 	}
 	return t
-}
-
-// Table3 regenerates Table 3: the closed-form Q and L of every
-// decomposition in the general case and the two special cases.
-func Table3() []*report.Table {
-	general := report.NewTable(
-		"Table 3 (general): per-processor I/O cost Q and latency L — m=n=k=16384, p=1024, S=2^27",
-		"algorithm", "Q [words]", "L [msgs]")
-	params := costmodel.Params{M: 16384, N: 16384, K: 16384, P: 1024, S: 1 << 27}
-	for _, c := range costmodel.All(params) {
-		general.AddRow(c.Algorithm, c.Q, c.L)
-	}
-
-	square := report.NewTable(
-		"Table 3 (square, limited memory): m=n=k=4096, S=2n²/p, p=64",
-		"algorithm", "Q [words]", "Q/(2n²/√p)")
-	ref := 2.0 * 4096 * 4096 / 8
-	for _, c := range costmodel.SquareLimited(4096, 64) {
-		square.AddRow(c.Algorithm, c.Q, c.Q/ref)
-	}
-
-	tall := report.NewTable(
-		"Table 3 (tall, extra memory): m=n=√p, k=p^1.5/4, p=4096",
-		"algorithm", "Q [words]", "Q/p")
-	for _, c := range costmodel.TallExtra(4096) {
-		tall.AddRow(c.Algorithm, c.Q, c.Q/4096)
-	}
-	return []*report.Table{general, square, tall}
 }
 
 // Fig3 quantifies Figure 3's bottom-up-vs-top-down message on p = 8: a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,11 +71,12 @@ func TestTimedOrderingMatchesVolume(t *testing.T) {
 			}
 		}
 	}
-	// And COSMA must be the volume winner and the time winner outright.
-	byVol := append([]int(nil), 0, 1, 2, 3)
-	sort.Slice(byVol, func(i, j int) bool { return reps[byVol[i]].MaxVolume < reps[byVol[j]].MaxVolume })
-	if reps[byVol[0]].Model.Name != "COSMA" {
-		t.Errorf("volume winner is %s, want COSMA", reps[byVol[0]].Model.Name)
+	// And no algorithm may move fewer words than COSMA (CARMA's [4×2×2]
+	// ties its [2×4×2]), and COSMA must be the time winner outright.
+	for _, r := range reps[1:] {
+		if r.MaxVolume < reps[0].MaxVolume {
+			t.Errorf("%s moves fewer words than COSMA (%d < %d)", r.Model.Name, r.MaxVolume, reps[0].MaxVolume)
+		}
 	}
 	for _, r := range reps[1:] {
 		if reps[0].CritPathTime >= r.CritPathTime {

@@ -45,23 +45,3 @@ func Block(extent, parts, i int) Range {
 	}
 	return Range{Lo: i * extent / parts, Hi: (i + 1) * extent / parts}
 }
-
-// RowDist describes an R-row matrix block whose rows are distributed in
-// balanced contiguous bands over an ordered team of machine ranks.
-type RowDist struct {
-	Rows int   // number of rows distributed
-	Team []int // global rank ids, in band order
-}
-
-// Band returns the row range owned by team member idx.
-func (d RowDist) Band(idx int) Range { return Block(d.Rows, len(d.Team), idx) }
-
-// indexOf returns the team position of global rank id, or -1.
-func (d RowDist) indexOf(id int) int {
-	for i, r := range d.Team {
-		if r == id {
-			return i
-		}
-	}
-	return -1
-}

@@ -51,6 +51,33 @@ func TestUint32nUnbiased(t *testing.T) {
 	}
 }
 
+// TestIntnCoversItsDocumentedRange: Intn accepts every n in (0, 2³²].
+// At n = 2³² a draw is one 32-bit value of the stream; below it Intn is
+// Uint32n's draw, unchanged; outside the range it panics.
+func TestIntnCoversItsDocumentedRange(t *testing.T) {
+	rng, twin := NewRNG(3), NewRNG(3)
+	for i := 0; i < 100; i++ {
+		if got, want := rng.Intn(1<<32), int(uint32(twin.Uint64())); got != want {
+			t.Fatalf("draw %d: Intn(2³²) = %d, want the stream's 32 bits %d", i, got, want)
+		}
+	}
+	for _, n := range []int{2, 10, 1<<32 - 1} {
+		if got, want := rng.Intn(n), int(twin.Uint32n(uint32(n))); got != want {
+			t.Fatalf("Intn(%d) = %d, Uint32n draws %d", n, got, want)
+		}
+	}
+	for _, n := range []int{0, 1<<32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			rng.Intn(n)
+		}()
+	}
+}
+
 // Empirical Zipf frequencies must track the analytic probabilities.
 func TestZipfEmpiricalFrequencies(t *testing.T) {
 	const n, draws = 16, 100000

@@ -55,8 +55,11 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 || int64(n) > 1<<32 {
 		panic("workload: Intn range out of (0, 2³²]")
 	}
-	if n == 1 {
+	switch n {
+	case 1:
 		return 0
+	case 1 << 32: // uint32(n) would be 0: every 32-bit value is a draw
+		return int(uint32(r.Uint64()))
 	}
 	return int(r.Uint32n(uint32(n)))
 }

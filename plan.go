@@ -38,7 +38,7 @@ func (p *Plan) Model() Model { return p.inner.Model }
 
 // Decomposition returns the §6.3 schedule geometry (grid, local domain,
 // rounds) when the algorithm exposes it — the Algorithm 1 schedules
-// (COSMA, SUMMA, 2.5D) do; CARMA and Cannon report false.
+// (COSMA, SUMMA, 2.5D, CARMA) do; Cannon reports false.
 func (p *Plan) Decomposition() (Decomposition, bool) {
 	if p.inner.Geometry == nil {
 		return Decomposition{}, false
