@@ -60,7 +60,7 @@ func main() {
 	n := flag.Int("n", 512, "columns of B and C")
 	k := flag.Int("k", 512, "columns of A / rows of B")
 	p := flag.Int("p", 16, "number of simulated processors")
-	s := flag.Int("S", 1<<20, "local memory per processor in words")
+	s := flag.Int("S", 1<<20, "local memory per processor in words (0 = unbounded)")
 	algoName := flag.String("algo", "cosma", "algorithm registry name or alias, \"all\", or \"list\"")
 	seed := flag.Int64("seed", 1, "random seed for the input matrices")
 	netName := flag.String("network", "", "timed α-β-γ preset: pizdaint, ethernet or sharedmem (empty counts only)")
@@ -87,6 +87,9 @@ func main() {
 			fmt.Printf("  %-8s %s%s\n", info.Name, info.Summary, alias)
 		}
 		return
+	}
+	if *m < 1 || *n < 1 || *k < 1 || *p < 1 || *s < 0 {
+		log.Fatalf("-m, -n, -k and -p must be ≥ 1 and -S ≥ 0, got %d, %d, %d, %d and %d", *m, *n, *k, *p, *s)
 	}
 
 	opts := []cosma.Option{
@@ -137,8 +140,11 @@ func main() {
 	a := cosma.RandomMatrix(*m, *k, *seed)
 	b := cosma.RandomMatrix(*k, *n, *seed+1)
 
-	fmt.Printf("Theorem 2 lower bound: %.0f words/rank\n\n",
-		cosma.ParallelLowerBound(*m, *n, *k, *p, *s))
+	mem := *s // the engine's S: WithMemory(0) is UnboundedMemory
+	if mem == 0 {
+		mem = cosma.UnboundedMemory
+	}
+	fmt.Printf("Theorem 2 lower bound: %.0f words/rank\n\n", cosma.ParallelLowerBound(*m, *n, *k, *p, mem))
 
 	headers := []string{"algorithm", "grid", "ranks used", "avg recv words/rank", "max recv", "max msgs", "model msgs", "model words/rank"}
 	timed := *netName != ""

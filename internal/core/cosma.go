@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"cosma/internal/algo"
 	"cosma/internal/comm"
@@ -34,15 +33,15 @@ const (
 )
 
 // plan is Algorithm 1's compiled schedule for one problem shape on one
-// processor grid: the latency-minimizing step, the round segments of
-// every k slab and the count of what its ranks receive. COSMA, SUMMA,
+// processor grid: the latency-minimizing step, the round table of every
+// k slab (newSlab) and the count of what its ranks receive. COSMA, SUMMA,
 // 2.5D and CARMA differ only in how they choose the grid (and CARMA in
 // its C blocks). It is immutable after NewPlan returns.
 type plan struct {
 	m, n, k, p int
 	g          grid.Grid
 	step       int
-	segs       [][]layout.Range // round segments per ik slab index
+	slabs      []slab // by ik
 	// overlap keeps the next round in flight while the round loop
 	// multiplies this one (comm.Stream's ahead is a whole round).
 	overlap bool
@@ -174,26 +173,23 @@ func newPlan(cfg algo.Config, g grid.Grid, m, n, k, p, s int, layer0 bool) (*pla
 	}
 	dmMax, dnMax, _ := g.LocalDims(m, n, k)
 	step := StepSize(s, dmMax, dnMax)
-	segs := make([][]layout.Range, g.Pk)
+	slabs := make([]slab, g.Pk)
 	hMax, even := 0, true
-	for ik := 0; ik < g.Pk; ik++ {
-		slab := layout.Block(k, g.Pk, ik)
-		aParts := layout.Split(slab.Len(), g.Pn)
-		bParts := layout.Split(slab.Len(), g.Pm)
-		segs[ik] = segments(slab.Len(), aParts, bParts, step)
-		for _, seg := range segs[ik] {
-			hMax = max(hMax, seg.Len())
+	for ik := range slabs {
+		slabs[ik] = newSlab(layout.Block(k, g.Pk, ik), g, step)
+		for _, rd := range slabs[ik].rounds {
+			hMax = max(hMax, rd.seg.Len())
 		}
-		even = even && slab.Len()%g.Pn == 0
+		even = even && slabs[ik].k.Len()%g.Pn == 0
 	}
-	// Overlap buys its second panel pair out of s (§7.3): the segments,
+	// Overlap buys its second panel pair out of s (§7.3): the rounds,
 	// and with them the product bits, are the same either way.
 	overlap := cfg.Overlap && dmMax*dnMax+2*hMax*(dmMax+dnMax) <= s
 	// Stagger only a pipelined loop (a synchronous one gets slower) whose
 	// A and B parts line up (Pm = Pn) and are equal, so no word moves.
 	return &plan{
 		m: m, n: n, k: k, p: p,
-		g: g, step: step, segs: segs,
+		g: g, step: step, slabs: slabs,
 		overlap: overlap, layer0: layer0,
 		stagger: overlap && g.Pm == g.Pn && g.Pn > 1 && even,
 		bands:   bandsFor(cfg.Network, overlap, g, m, dmMax, hMax),
@@ -253,8 +249,8 @@ func (sc *schedule) geometry() algo.Decomposition {
 		dm, dn, dk := sc.g.LocalDims(blk.m, blk.n, blk.k)
 		d.DomainM, d.DomainN, d.DomainK = max(d.DomainM, dm), max(d.DomainN, dn), max(d.DomainK, dk)
 		d.StepSize, d.Bands = max(d.StepSize, blk.step), max(d.Bands, blk.bands)
-		for ik, segs := range blk.segs {
-			rounds[ik] += len(segs)
+		for ik, sl := range blk.slabs {
+			rounds[ik] += len(sl.rounds)
 		}
 	}
 	d.Rounds = slices.Max(rounds)
@@ -370,7 +366,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	im, in, ik := pl.g.Coords(r.ID())
 	rows := layout.Block(pl.m, pl.g.Pm, im) // my M range
 	cols := layout.Block(pl.n, pl.g.Pn, in) // my N range
-	slab := layout.Block(pl.k, pl.g.Pk, ik) // my K range
+	sl := pl.slabs[ik]                      // my K range, its parts and rounds
 	dm, dn := rows.Len(), cols.Len()
 
 	// Blocked initial layout (§7.6): the A panel rows×slab is divided by
@@ -395,14 +391,10 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// views of the caller's matrices: a word its rank owns is read where
 	// it already is, never copied in.
 	inputs := func(l int) (aPiece, bPiece *matrix.Dense) {
-		sl := layout.Block(pl.k, pl.g.Pk, l)
-		aPart := layout.Block(sl.Len(), pl.g.Pn, pa)
-		bPart := layout.Block(sl.Len(), pl.g.Pm, pb)
-		return a.View(rows.Lo, sl.Lo+aPart.Lo, dm, aPart.Len()),
-			b.View(sl.Lo+bPart.Lo, cols.Lo, bPart.Len(), dn)
+		k, aPart, bPart := pl.slabs[l].k, pl.slabs[l].aParts[pa], pl.slabs[l].bParts[pb]
+		return a.View(rows.Lo, k.Lo+aPart.Lo, dm, aPart.Len()),
+			b.View(k.Lo+bPart.Lo, cols.Lo, bPart.Len(), dn)
 	}
-	aParts := layout.Split(slab.Len(), pl.g.Pn)
-	bParts := layout.Split(slab.Len(), pl.g.Pm)
 	myA, myB := inputs(ik)
 	if pl.layer0 && ik != 0 {
 		root := pl.g.Rank(im, in, 0)
@@ -424,24 +416,22 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		cTile = matrix.FromSlice(dm, dn, tile.Data[:dm*dn])
 	}
 
-	// Walk the slab over the precomputed round segments — the union
-	// breakpoints of the A and B ownership partitions, sub-chunked to
-	// the latency-minimizing step — so each round's panel lies inside one
-	// owner's piece. panelA/panelB return a round's operand — panelA the
-	// rows rs of its A panel: at its owner the view of my piece holding
-	// it — multiplied where it already is, the kernel's packA/packB read
-	// any stride — else the received chunk.
-	panelA := func(seg, rs layout.Range, chunk []float64) *matrix.Dense {
-		if part := aParts[pa]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
-			return myA.View(rs.Lo, seg.Lo-part.Lo, rs.Len(), seg.Len())
+	// Walk the slab's round table (newSlab), whose rounds each lie inside
+	// one owner's piece. panelA/panelB return a round's operand — panelA
+	// the rows rs of its A panel: at its owner the view of my piece
+	// holding it — multiplied where it already is, the kernel's
+	// packA/packB read any stride — else the received chunk.
+	panelA := func(rd round, rs layout.Range, chunk []float64) *matrix.Dense {
+		if rd.a == pa {
+			return myA.View(rs.Lo, rd.seg.Lo-sl.aParts[pa].Lo, rs.Len(), rd.seg.Len())
 		}
-		return matrix.FromSlice(rs.Len(), seg.Len(), chunk)
+		return matrix.FromSlice(rs.Len(), rd.seg.Len(), chunk)
 	}
-	panelB := func(seg layout.Range, chunk []float64) *matrix.Dense {
-		if part := bParts[pb]; part.Lo <= seg.Lo && seg.Lo < part.Hi {
-			return myB.View(seg.Lo-part.Lo, 0, seg.Len(), dn)
+	panelB := func(rd round, chunk []float64) *matrix.Dense {
+		if rd.b == pb {
+			return myB.View(rd.seg.Lo-sl.bParts[pb].Lo, 0, rd.seg.Len(), dn)
 		}
-		return matrix.FromSlice(seg.Len(), dn, chunk)
+		return matrix.FromSlice(rd.seg.Len(), dn, chunk)
 	}
 
 	// A round is pl.bands+1 broadcasts, its units: the A panel in
@@ -451,32 +441,29 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// group has another member. comm.Stream posts the units in order,
 	// a whole round of them past the round being multiplied where the
 	// plan overlaps, none where it does not.
-	segs := pl.segs[ik]
 	band := func(j int) layout.Range { return layout.Block(dm, pl.bands, j) }
 	post := func(i, j int) *comm.Pending {
-		seg := segs[i]
+		rd := sl.rounds[i]
 		if j == pl.bands {
-			owner := ownerOf(bParts, seg.Lo)
 			var chunk []float64
-			if pb == owner && rowGroup.Size() > 1 {
-				chunk = panelB(seg, nil).Pack(machine.Loan(seg.Len() * dn))
+			if pb == rd.b && rowGroup.Size() > 1 {
+				chunk = panelB(rd, nil).Pack(machine.Loan(rd.seg.Len() * dn))
 			}
-			return rowGroup.IBcast(owner, chunk, tagB+seg.Lo)
+			return rowGroup.IBcast(rd.b, chunk, tagB+rd.seg.Lo)
 		}
-		owner := ownerOf(aParts, seg.Lo)
 		var chunk []float64
-		if pa == owner && colGroup.Size() > 1 {
+		if pa == rd.a && colGroup.Size() > 1 {
 			rs := band(j)
-			chunk = panelA(seg, rs, nil).Pack(machine.Loan(rs.Len() * seg.Len()))
+			chunk = panelA(rd, rs, nil).Pack(machine.Loan(rs.Len() * rd.seg.Len()))
 		}
-		return colGroup.IBcast(owner, chunk, tagA+seg.Lo)
+		return colGroup.IBcast(rd.a, chunk, tagA+rd.seg.Lo)
 	}
 
-	// The round being multiplied: its segment, its A blocks, B packed
+	// The round being multiplied: its table row, its A blocks, B packed
 	// once, the block the multiply is in and that block's operand, and
 	// whether its first flops are charged.
 	var (
-		cur     layout.Range
+		cur     round
 		blocks  []*comm.Pending
 		bp      matrix.PackedB
 		inBlock int
@@ -509,7 +496,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 				c = cTile.View(rs.Lo, 0, rs.Len(), dn)
 			}
 			kern.MulPacked(c, aBlock, bp, due.Lo-rs.Lo, due.Hi-rs.Lo)
-			if flops := matrix.MulFlops(due.Len(), dn, cur.Len()); opened {
+			if flops := matrix.MulFlops(due.Len(), dn, cur.seg.Len()); opened {
 				r.Charge(flops)
 			} else {
 				r.Compute(flops)
@@ -546,12 +533,12 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// plain calls (a defer would be a heap allocation per round).
 	var share []float64
 	run := func(i int, units []*comm.Pending) {
-		cur, blocks, inBlock, opened = segs[i], units[:pl.bands], -1, false
+		cur, blocks, inBlock, opened = sl.rounds[i], units[:pl.bands], -1, false
 		blocks[0].Wait()
 		bChunk := units[pl.bands].Wait()
-		bp = kern.PackB(machine.Loan(kern.PackedLen(cur.Len(), dn)), panelB(cur, bChunk))
+		bp = kern.PackB(machine.Loan(kern.PackedLen(cur.seg.Len(), dn)), panelB(cur, bChunk))
 		machine.Release(bChunk)
-		if i < len(segs)-1 {
+		if i < len(sl.rounds)-1 {
 			mulRows(0, dm)
 		} else {
 			share = fiber.ReduceScatter(0, cTile.Data, tagC, finish)
@@ -565,7 +552,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	if pl.overlap {
 		ahead = per
 	}
-	if err := comm.Stream(r, len(segs), per, ahead, post, run); err != nil {
+	if err := comm.Stream(r, len(sl.rounds), per, ahead, post, run); err != nil {
 		return nil, err
 	}
 	return share, nil
@@ -583,43 +570,44 @@ func StepSize(s, dm, dn int) int {
 	return h
 }
 
-// segments partitions [0, extent) at every boundary of either ownership
-// partition and then sub-chunks each piece to at most step.
-func segments(extent int, aParts, bParts []layout.Range, step int) []layout.Range {
-	cuts := map[int]bool{0: true, extent: true}
-	for _, r := range aParts {
-		cuts[r.Lo] = true
-	}
-	for _, r := range bParts {
-		cuts[r.Lo] = true
-	}
-	points := make([]int, 0, len(cuts))
-	for c := range cuts {
-		points = append(points, c)
-	}
-	sort.Ints(points)
-	var out []layout.Range
-	for i := 0; i+1 < len(points); i++ {
-		for lo := points[i]; lo < points[i+1]; lo += step {
-			hi := lo + step
-			if hi > points[i+1] {
-				hi = points[i+1]
-			}
-			out = append(out, layout.Range{Lo: lo, Hi: hi})
-		}
-	}
-	return out
+// slab is one k slab's layout (§7.6) and its rounds (Algorithm 1 line
+// 6), decided once per plan: its k range, the Pn-way split of its A
+// panel by column-group position, the Pm-way split of its B panel by
+// row-group position, and the rounds walking it. A member's group
+// position is the part it holds (plan.parts).
+type slab struct {
+	k              layout.Range
+	aParts, bParts []layout.Range
+	rounds         []round
 }
 
-// ownerOf returns the index of the partition member containing position
-// x. The members are sorted, disjoint and contiguous, so the owner is
-// found by binary search — this runs twice per round on every rank.
-func ownerOf(parts []layout.Range, x int) int {
-	i := sort.Search(len(parts), func(i int) bool { return parts[i].Hi > x })
-	if i == len(parts) || x < parts[i].Lo {
-		panic(fmt.Sprintf("core: position %d outside partition", x))
+// round is one round of a slab: its outer products, relative to the
+// slab, and the positions a and b that hold them, which root its A and
+// B broadcasts.
+type round struct {
+	seg  layout.Range
+	a, b int
+}
+
+// newSlab lays out the slab k on g and walks it in rounds of at most
+// step outer products, each inside one A part and one B part: a round
+// ends at the next A cut, the next B cut or lo+step, whichever comes
+// first. Empty parts hold no round.
+func newSlab(k layout.Range, g grid.Grid, step int) slab {
+	sl := slab{k: k, aParts: layout.Split(k.Len(), g.Pn), bParts: layout.Split(k.Len(), g.Pm)}
+	a, b := 0, 0
+	for lo := 0; lo < k.Len(); {
+		for sl.aParts[a].Hi <= lo {
+			a++
+		}
+		for sl.bParts[b].Hi <= lo {
+			b++
+		}
+		hi := min(lo+step, sl.aParts[a].Hi, sl.bParts[b].Hi)
+		sl.rounds = append(sl.rounds, round{layout.Range{Lo: lo, Hi: hi}, a, b})
+		lo = hi
 	}
-	return i
+	return sl
 }
 
 // count is the schedule's model, read off what rankProgram runs: each
@@ -649,8 +637,8 @@ func (sc *schedule) count(name string) algo.Model {
 }
 
 // tally adds to recv, msgs and flops, indexed by rank, what the plan's
-// ranks receive, exchange and multiply. Per k slab it tallies the round
-// segments by the parts rankProgram broadcasts them from, and since a
+// ranks receive, exchange and multiply. Per k slab it tallies the rounds
+// of its table (newSlab) by the parts that root them, and since a
 // member's group position is its part (plan.parts), its messages are
 // each root's rounds times comm.BcastMsgs at the part it holds. Rank by
 // rank it adds the A and B panel words it does not own, its block of
@@ -669,15 +657,13 @@ func (pl *plan) tally(recv, msgs, flops []int) {
 			}
 		}
 	}
-	for ik := 0; ik < g.Pk; ik++ {
-		slab := layout.Block(pl.k, g.Pk, ik).Len()
-		aParts := layout.Split(slab, g.Pn)
-		bParts := layout.Split(slab, g.Pm)
+	for ik, sl := range pl.slabs {
+		dk := sl.k.Len()
 		clear(aRounds)
 		clear(bRounds)
-		for _, seg := range pl.segs[ik] {
-			aRounds[ownerOf(aParts, seg.Lo)]++
-			bRounds[ownerOf(bParts, seg.Lo)]++
+		for _, rd := range sl.rounds {
+			aRounds[rd.a]++
+			bRounds[rd.b]++
 		}
 		bcastMsgs(aRounds, aMsgs)
 		bcastMsgs(bRounds, bMsgs)
@@ -686,12 +672,12 @@ func (pl *plan) tally(recv, msgs, flops []int) {
 			for im := 0; im < g.Pm; im++ {
 				dm := layout.Block(pl.m, g.Pm, im).Len()
 				pa, pb := pl.parts(im, in)
-				aMine, bMine := aParts[pa].Len(), bParts[pb].Len()
+				aMine, bMine := sl.aParts[pa].Len(), sl.bParts[pb].Len()
 				id := g.Rank(im, in, ik)
-				recv[id] += dm*(slab-aMine) + (slab-bMine)*dn +
+				recv[id] += dm*(dk-aMine) + (dk-bMine)*dn +
 					(g.Pk-1)*layout.Block(dm*dn, g.Pk, ik).Len()
 				msgs[id] += aMsgs[pa]*pl.bands + bMsgs[pb] + comm.ReduceMsgs(dm*dn, g.Pk, ik)
-				flops[id] += dm * dn * slab
+				flops[id] += dm * dn * dk
 				if pl.layer0 && g.Pk > 1 {
 					if ik == 0 {
 						msgs[id] += 2 * (g.Pk - 1)

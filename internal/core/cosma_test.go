@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -144,27 +146,78 @@ func TestCOSMAStepSize(t *testing.T) {
 	}
 }
 
-func TestSegmentsCoverAndAlign(t *testing.T) {
-	aParts := layout.Split(12, 3) // cuts at 0,4,8
-	bParts := layout.Split(12, 2) // cuts at 0,6
-	segs := segments(12, aParts, bParts, 3)
-	pos := 0
-	for _, s := range segs {
-		if s.Lo != pos {
-			t.Fatalf("gap at %d in %v", pos, segs)
-		}
-		if s.Len() > 3 {
-			t.Fatalf("segment %v exceeds step", s)
-		}
-		// No segment may straddle an ownership boundary.
-		if ownerOf(aParts, s.Lo) != ownerOf(aParts, s.Hi-1) ||
-			ownerOf(bParts, s.Lo) != ownerOf(bParts, s.Hi-1) {
-			t.Fatalf("segment %v straddles owners", s)
-		}
-		pos = s.Hi
+// segments is the reference round walk newSlab replaced: it partitions
+// [0, extent) at every boundary of either ownership partition and then
+// sub-chunks each piece to at most step.
+func segments(extent int, aParts, bParts []layout.Range, step int) []layout.Range {
+	cuts := map[int]bool{0: true, extent: true}
+	for _, r := range aParts {
+		cuts[r.Lo] = true
 	}
-	if pos != 12 {
-		t.Fatalf("segments cover %d of 12", pos)
+	for _, r := range bParts {
+		cuts[r.Lo] = true
+	}
+	points := make([]int, 0, len(cuts))
+	for c := range cuts {
+		points = append(points, c)
+	}
+	sort.Ints(points)
+	var out []layout.Range
+	for i := 0; i+1 < len(points); i++ {
+		for lo := points[i]; lo < points[i+1]; lo += step {
+			out = append(out, layout.Range{Lo: lo, Hi: min(lo+step, points[i+1])})
+		}
+	}
+	return out
+}
+
+// ownerOf is the reference root lookup: the index of the partition
+// member containing position x.
+func ownerOf(parts []layout.Range, x int) int {
+	i := sort.Search(len(parts), func(i int) bool { return parts[i].Hi > x })
+	if i == len(parts) || x < parts[i].Lo {
+		panic(fmt.Sprintf("core: position %d outside partition", x))
+	}
+	return i
+}
+
+// TestRoundTableMatchesUnionCuts checks newSlab's one merge walk against
+// the union-of-cuts reference: the same rounds in order, each rooted at
+// the parts holding its first outer product and crossing no part
+// boundary — also where the slab is shorter than a group, so some parts
+// are empty.
+func TestRoundTableMatchesUnionCuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	short := 0
+	for c := 0; c < 3000; c++ {
+		g := grid.Grid{Pm: 1 + rng.Intn(20), Pn: 1 + rng.Intn(20), Pk: 1}
+		ext := 1 + rng.Intn(200)
+		if c%4 == 0 { // a slab shorter than one of its groups
+			ext = 1 + rng.Intn(max(g.Pm, g.Pn))
+		}
+		if ext < g.Pm && ext < g.Pn {
+			short++
+		}
+		step := 1 + rng.Intn(ext+3)
+		k := layout.Range{Lo: 7, Hi: 7 + ext}
+		sl := newSlab(k, g, step)
+		want := segments(ext, sl.aParts, sl.bParts, step)
+		if sl.k != k || len(sl.aParts) != g.Pn || len(sl.bParts) != g.Pm || len(sl.rounds) != len(want) {
+			t.Fatalf("ext %d %v step %d: %d rounds, reference %d", ext, g, step, len(sl.rounds), len(want))
+		}
+		for i, rd := range sl.rounds {
+			seg := rd.seg
+			if seg != want[i] || rd.a != ownerOf(sl.aParts, seg.Lo) || rd.b != ownerOf(sl.bParts, seg.Lo) {
+				t.Fatalf("ext %d %v step %d: round %d = %+v, reference %v rooted at (%d, %d)", ext, g, step, i,
+					rd, want[i], ownerOf(sl.aParts, seg.Lo), ownerOf(sl.bParts, seg.Lo))
+			}
+			if seg.Len() > step || ownerOf(sl.aParts, seg.Hi-1) != rd.a || ownerOf(sl.bParts, seg.Hi-1) != rd.b {
+				t.Fatalf("ext %d %v step %d: round %v crosses a part boundary", ext, g, step, seg)
+			}
+		}
+	}
+	if short == 0 {
+		t.Fatal("no case had a slab shorter than both groups")
 	}
 }
 

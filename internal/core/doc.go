@@ -27,8 +27,8 @@
 // one pair S allows. A round packs its B panel once for all its bands.
 //
 // The work splits into two phases. Plan compiles a problem shape into
-// an immutable algo.Plan — the fitted grid, the per-slab round segments
-// and the model, a rank-by-rank count of the words that schedule moves —
+// an immutable algo.Plan — the fitted grid, every k slab's round table
+// (newSlab) and the model, a rank-by-rank count of the words that schedule moves —
 // whose Execute replays that schedule against
 // matrix values on a machine, so repeated same-shape multiplications
 // fit the grid exactly once. Per-round tile updates run on the packed

@@ -114,7 +114,7 @@ func Divisors(n int) []int {
 // [(1−δ)·p, p]. Grids whose local C tile ⌈m/pm⌉·⌈n/pn⌉ exceeds s are
 // rejected (the partial results must stay resident, §6.3); if every
 // candidate is rejected, the grid with the smallest C tile is returned as
-// a fallback. Ties prefer more utilized ranks, then less local work.
+// a fallback. Ties prefer more ranks, then a larger pk (betterTie).
 //
 // This is FitRanks of Algorithm 1 line 3 with tunable idle fraction δ
 // (§7.1, default 0.03 in the paper's experiments).

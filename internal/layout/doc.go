@@ -5,7 +5,7 @@
 // that would convert one to the blocked layout is not implemented here.
 //
 // Range, Block and Split are the vocabulary the schedules are compiled
-// in: core's plan stores its per-slab round segments as Range lists cut
-// at every ownership boundary of the A and B partitions, and cuts a
-// blocked plan's C blocks with Block.
+// in: core's round table (newSlab) holds each k slab's Split parts and
+// its rounds as Ranges cut at every boundary of either split, and a
+// blocked plan's C blocks are cut with Block.
 package layout
