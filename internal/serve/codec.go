@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"cosma/internal/machine"
 )
 
 // The JSON data plane of /v1/multiply. A request is two long arrays of
@@ -18,12 +20,14 @@ import (
 
 // decodeRequest parses one request body. Every body gets the result —
 // and, when malformed, the error — json.Decoder gives it: scanRequest
-// only ever accepts a body both agree on.
+// only ever accepts a body both agree on. Scanned operands are machine
+// pool buffers; a partial scan's go back before the fallback.
 func decodeRequest(body []byte) (MultiplyRequest, error) {
 	var req MultiplyRequest
 	if scanRequest(body, &req) {
 		return req, nil
 	}
+	req.release()
 	req = MultiplyRequest{}
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
 	return req, err
@@ -123,9 +127,9 @@ func scanDim(s []byte, i int, dst *int) int {
 }
 
 // scanFloats reads an array of numbers at s[i:] into *dst and returns
-// the index after its closing bracket, or -1. The slice is sized from
-// the commas up to that bracket, never from anything the client merely
-// claims.
+// the index after its closing bracket, or -1. The slice is a pool buffer
+// sized from the commas up to that bracket, never from anything the
+// client merely claims; it is in *dst even if the scan fails.
 func scanFloats(s []byte, i int, dst *[]float64) int {
 	if i == len(s) || s[i] != '[' {
 		return -1
@@ -145,7 +149,8 @@ func scanFloats(s []byte, i int, dst *[]float64) int {
 	if 2*n-1 > end-i {
 		return -1 // an element and its comma take two bytes: not all n are numbers
 	}
-	out := make([]float64, 0, n)
+	out := machine.Loan(n)[:0]
+	*dst = out
 	for {
 		j := numberEnd(s, i)
 		if j < 0 {

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"cosma"
+	"cosma/internal/machine"
 )
 
 // MultiplyRequest is the JSON body of POST /v1/multiply: row-major
@@ -84,6 +86,7 @@ func Handler(s *Server) http.Handler {
 		}
 		a, b, err := req.matrices()
 		if err != nil {
+			req.release()
 			httpError(w, http.StatusBadRequest, s.reject(err))
 			return
 		}
@@ -91,14 +94,17 @@ func Handler(s *Server) http.Handler {
 		if h := r.Header.Get(DeadlineHeader); h != "" {
 			ms, err := strconv.Atoi(h)
 			if err != nil || ms <= 0 {
+				req.release()
 				httpError(w, http.StatusBadRequest, s.reject(fmt.Errorf("serve: bad %s %q", DeadlineHeader, h)))
 				return
 			}
+			// Clamped: past the longest Duration, ms·1e6 would wrap around.
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+			ctx, cancel = context.WithTimeout(ctx, min(time.Duration(ms), math.MaxInt64/time.Millisecond)*time.Millisecond)
 			defer cancel()
 		}
-		c, rep, err := s.Multiply(ctx, a, b)
+		// The operands are the server's now: never released here.
+		c, rep, err := s.multiply(ctx, &request{a: a, b: b, owned: true})
 		if err != nil {
 			multiplyError(w, err)
 			return
@@ -119,6 +125,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 		w.Write(out)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -142,7 +149,7 @@ func Handler(s *Server) http.Handler {
 // sizes the buffer only up to that limit (and up to 1 GiB, which an int
 // holds on every platform); a longer body grows it as it arrives.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (MultiplyRequest, error) {
-	dim := int64(s.opts.maxDim())
+	dim := int64(s.opts.MaxDim)
 	limit := 2*dim*dim*25 + 1024
 	body := bufPool.Get().(*bytes.Buffer)
 	defer putBuffer(body)
@@ -153,6 +160,12 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (MultiplyRe
 		return MultiplyRequest{}, err
 	}
 	return decodeRequest(body.Bytes())
+}
+
+// release returns the operands, held nowhere else, to the machine pool.
+func (req *MultiplyRequest) release() {
+	machine.Release(req.A)
+	machine.Release(req.B)
 }
 
 func (req *MultiplyRequest) matrices() (a, b *cosma.Matrix, err error) {

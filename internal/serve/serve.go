@@ -13,6 +13,9 @@
 // serializes behind one plan-cache mutex.
 // Drain stops admission and waits for the queue to empty — the
 // graceful-shutdown half of cosmad's SIGTERM handling.
+// Multiply's operands stay the caller's. The HTTP handler decodes into
+// machine pool buffers and hands them to the server: their batch
+// releases them once MultiplyBatch returns, waited for or abandoned.
 package serve
 
 import (
@@ -24,6 +27,7 @@ import (
 	"time"
 
 	"cosma"
+	"cosma/internal/machine"
 )
 
 // ErrOverloaded is returned (and mapped to HTTP 429) when the bounded
@@ -54,32 +58,11 @@ type Options struct {
 	MaxDim int
 }
 
-func (o Options) shards() int {
-	if o.Shards < 1 {
-		return 4
+func orDefault(v, def int) int {
+	if v < 1 {
+		return def
 	}
-	return o.Shards
-}
-
-func (o Options) queueLimit() int {
-	if o.QueueLimit < 1 {
-		return 256
-	}
-	return o.QueueLimit
-}
-
-func (o Options) maxBatch() int {
-	if o.MaxBatch < 1 {
-		return 32
-	}
-	return o.MaxBatch
-}
-
-func (o Options) maxDim() int {
-	if o.MaxDim < 1 {
-		return 8192
-	}
-	return o.MaxDim
+	return v
 }
 
 // Server is the coalescing multiplication service. Create one with
@@ -88,7 +71,7 @@ func (o Options) maxDim() int {
 // nothing else: recovery from a transient fault is the engine's
 // (cosma.WithRetry), not the server's.
 type Server struct {
-	opts    Options
+	opts    Options // every default filled in by New
 	engines []*cosma.Engine
 
 	mu       sync.Mutex
@@ -121,6 +104,15 @@ type request struct {
 	// them, so an engine-side hang cannot outlive every waiter.
 	deadline time.Time
 	done     chan result
+	owned    bool // a and b are the server's to release (HTTP requests)
+}
+
+// release returns an owned request's operands to the machine pool.
+func (req *request) release() {
+	if req.owned {
+		machine.Release(req.a.Data)
+		machine.Release(req.b.Data)
+	}
 }
 
 type result struct {
@@ -154,9 +146,13 @@ type Stats struct {
 // New builds a server: the engine shards are constructed eagerly so a
 // misconfiguration surfaces here, not on the first request.
 func New(opts Options) (*Server, error) {
+	opts.Shards = orDefault(opts.Shards, 4)
+	opts.QueueLimit = orDefault(opts.QueueLimit, 256)
+	opts.MaxBatch = orDefault(opts.MaxBatch, 32)
+	opts.MaxDim = orDefault(opts.MaxDim, 8192)
 	s := &Server{opts: opts, buckets: make(map[shapeKey]*bucket)}
 	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < opts.shards(); i++ {
+	for i := 0; i < opts.Shards; i++ {
 		eng, err := cosma.NewEngine(opts.Engine...)
 		if err != nil {
 			return nil, err
@@ -182,32 +178,56 @@ func (k shapeKey) shard(n int) int {
 // Multiply answers one request: admit (or shed), join the shape's
 // batch bucket, and wait for the bucket flush that carries it. The
 // context covers only the caller's wait — an abandoned request's slot
-// is still executed and released by its batch.
+// is still executed and released by its batch. a and b stay the
+// caller's: the server only reads them, and never after its batch.
 func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matrix, *cosma.Report, error) {
+	return s.multiply(ctx, &request{a: a, b: b})
+}
+
+// multiply is Multiply for a request that may own its operands: one
+// refused at the door releases them here, an admitted one in its batch.
+func (s *Server) multiply(ctx context.Context, req *request) (*cosma.Matrix, *cosma.Report, error) {
+	if err := s.admit(ctx, req); err != nil {
+		req.release()
+		return nil, nil, err
+	}
+	select {
+	case res := <-req.done:
+		return res.c, res.rep, res.err
+	case <-ctx.Done():
+		// The batch still runs the pair; its result is dropped into the
+		// buffered channel and garbage-collected.
+		return nil, nil, ctx.Err()
+	}
+}
+
+// admit checks req's shape and queues it on its shape's bucket, or
+// says why not.
+func (s *Server) admit(ctx context.Context, req *request) error {
+	a, b := req.a, req.b
 	if a == nil || b == nil {
-		return nil, nil, s.reject(fmt.Errorf("serve: nil matrix"))
+		return s.reject(fmt.Errorf("serve: nil matrix"))
 	}
 	if a.Cols != b.Rows {
-		return nil, nil, s.reject(fmt.Errorf("serve: A is %d×%d but B is %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		return s.reject(fmt.Errorf("serve: A is %d×%d but B is %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	key := shapeKey{m: a.Rows, n: b.Cols, k: a.Cols}
-	if max := s.opts.maxDim(); key.m < 1 || key.n < 1 || key.k < 1 || key.m > max || key.n > max || key.k > max {
-		return nil, nil, s.reject(fmt.Errorf("serve: dimensions %d×%d×%d outside [1, %d]", key.m, key.n, key.k, s.opts.maxDim()))
+	if max := s.opts.MaxDim; key.m < 1 || key.n < 1 || key.k < 1 || key.m > max || key.n > max || key.k > max {
+		return s.reject(fmt.Errorf("serve: dimensions %d×%d×%d outside [1, %d]", key.m, key.n, key.k, s.opts.MaxDim))
 	}
 
-	req := &request{a: a, b: b, done: make(chan result, 1)}
+	req.done = make(chan result, 1)
 	if d, ok := ctx.Deadline(); ok {
 		req.deadline = d
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
-		return nil, nil, ErrDraining
+		return ErrDraining
 	}
-	if s.queued >= s.opts.queueLimit() {
+	if s.queued >= s.opts.QueueLimit {
 		s.stats.Shed++
-		s.mu.Unlock()
-		return nil, nil, ErrOverloaded
+		return ErrOverloaded
 	}
 	s.queued++
 	s.stats.Requests++
@@ -221,16 +241,7 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 		bk.flushing = true
 		go s.flushLoop(bk)
 	}
-	s.mu.Unlock()
-
-	select {
-	case res := <-req.done:
-		return res.c, res.rep, res.err
-	case <-ctx.Done():
-		// The batch still runs the pair; its result is dropped into the
-		// buffered channel and garbage-collected.
-		return nil, nil, ctx.Err()
-	}
+	return nil
 }
 
 // rejection marks an error as the request's own fault — bad shape, bad
@@ -258,7 +269,7 @@ func (s *Server) flushLoop(bk *bucket) {
 			s.mu.Unlock()
 			return
 		}
-		if max := s.opts.maxBatch(); len(batch) > max {
+		if max := s.opts.MaxBatch; len(batch) > max {
 			bk.pending = batch[max:]
 			batch = batch[:max]
 		} else {
@@ -293,6 +304,11 @@ func (s *Server) execute(key shapeKey, batch []*request) {
 		defer cancel()
 	}
 	outs, reps, err := s.engines[key.shard(len(s.engines))].MultiplyBatch(ctx, pairs)
+	// Every rank, retry and check is done with the operands; they go
+	// back before the answers so a caller's next request reuses them.
+	for _, req := range batch {
+		req.release()
+	}
 	s.finish(batch, outs, reps, err)
 }
 

@@ -6,14 +6,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"cosma"
 )
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
 
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
@@ -328,12 +335,21 @@ func TestHTTPMultiplyAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
+	// The answer is encoded whole before it is sent, so it carries its
+	// length rather than going out in chunks.
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("%d-byte answer sent with Content-Length %d, Transfer-Encoding %v", len(raw), resp.ContentLength, resp.TransferEncoding)
+	}
 	var out MultiplyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.M != 24 || out.N != 8 || len(out.C) != 24*8 {
@@ -401,7 +417,8 @@ func TestHTTPDrainingStatus(t *testing.T) {
 // TestHTTPDeadlineHeader proves the X-Cosma-Deadline-Ms budget
 // propagates: a budget shorter than the (slowed) execution expires while
 // the request waits for its batch and maps to 504; a malformed value is
-// a 400.
+// a 400; a budget past the longest time.Duration is no budget at all,
+// not one that wrapped around to a deadline already passed.
 func TestHTTPDeadlineHeader(t *testing.T) {
 	s := newTestServer(t, Options{Engine: slowEngine(150 * time.Millisecond)})
 	srv := httptest.NewServer(Handler(s))
@@ -434,6 +451,153 @@ func TestHTTPDeadlineHeader(t *testing.T) {
 	if status := post("30000"); status != http.StatusOK {
 		t.Fatalf("generous budget: status %d, want 200", status)
 	}
+	for _, ms := range []string{"9300000000000", strconv.Itoa(math.MaxInt64)} {
+		if status := post(ms); status != http.StatusOK {
+			t.Fatalf("%s ms budget: status %d, want 200", ms, status)
+		}
+	}
+}
+
+// TestHandlerRecyclesOperands: a warm request through Handler allocates
+// less than its operands' size. They are decoded into machine pool
+// buffers that their batch gives back, so what a request allocates is
+// its product and the bookkeeping around it. It runs on one P: sync.Pool
+// caches per P, and with several a buffer one P gave back can be out of
+// another's reach, which measures the scheduler rather than the handler.
+func TestHandlerRecyclesOperands(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its puts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const dim, warm, reqs = 96, 5, 50
+	s := newTestServer(t, Options{Shards: 1})
+	h := Handler(s)
+	a, b := cosma.RandomMatrix(dim, dim, 1), cosma.RandomMatrix(dim, dim, 2)
+	body, _ := json.Marshal(MultiplyRequest{M: dim, N: dim, K: dim, A: a.Data, B: b.Data})
+	post := func() {
+		w := countingWriter{header: http.Header{}}
+		h.ServeHTTP(&w, httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(body)))
+		if w.status != 0 && w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	for range warm {
+		post()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reqs {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	operands := uint64(2 * dim * dim * 8)
+	if perReq := (after.TotalAlloc - before.TotalAlloc) / reqs; perReq >= operands {
+		t.Fatalf("%d B allocated per warm %d³ request, not below its operands' %d B", perReq, dim, operands)
+	}
+}
+
+// TestAbandonedRequestsKeepOperandsUntilBatchReturns: a request that
+// gives up with 504 leaves its operands to its batch, which is still
+// reading them. Requests of two shapes whose operands share a pool size
+// class run at once, with a fallback body and a refused one among them,
+// so a buffer given back too early — or twice — would be decoded into
+// while a batch reads it (a race) or handed to two requests (a wrong
+// product).
+func TestAbandonedRequestsKeepOperandsUntilBatchReturns(t *testing.T) {
+	s := newTestServer(t, Options{Engine: slowEngine(10 * time.Millisecond)})
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	eng, err := cosma.NewEngine(cosma.WithProcs(4), cosma.WithMemory(1<<14))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type job struct {
+		body     []byte
+		deadline string
+		want     *cosma.Matrix // nil: refused with 400
+	}
+	var jobs []job
+	for i := range 36 {
+		m, n, k := 24, 24, 24 // 576-word operands, pooled as 1024
+		if i%2 == 1 {
+			m, n, k = 20, 28, 32 // 640 and 896 words: the same class
+		}
+		a, b := cosma.RandomMatrix(m, k, int64(i)), cosma.RandomMatrix(k, n, int64(100+i))
+		want, _, err := eng.Exec(context.Background(), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := job{want: want}
+		if i%2 == 0 && i%4 != 0 {
+			j.deadline = "5" // shorter than one slowed round: 504
+		}
+		req := MultiplyRequest{M: m, N: n, K: k, A: a.Data, B: b.Data}
+		if i%9 == 4 { // a length mismatch, found after both arrays are scanned
+			req.A, j.want = req.A[1:], nil
+		}
+		j.body, _ = json.Marshal(req)
+		if i%9 == 8 { // an upper-case key after A: scanned, then left to encoding/json
+			j.body = bytes.Replace(j.body, []byte(`"b":`), []byte(`"B":`), 1)
+		}
+		jobs = append(jobs, j)
+	}
+
+	var wg sync.WaitGroup
+	for wave := 0; wave < len(jobs); wave += 12 {
+		for _, j := range jobs[wave : wave+12] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/multiply", bytes.NewReader(j.body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if j.deadline != "" {
+					req.Header.Set(DeadlineHeader, j.deadline)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var out MultiplyResponse
+				json.NewDecoder(resp.Body).Decode(&out)
+				switch {
+				case j.want == nil:
+					if resp.StatusCode != http.StatusBadRequest {
+						t.Errorf("length mismatch: status %d, want 400", resp.StatusCode)
+					}
+				case j.deadline != "":
+					if resp.StatusCode != http.StatusGatewayTimeout {
+						t.Errorf("5 ms budget: status %d, want 504", resp.StatusCode)
+					}
+				case resp.StatusCode != http.StatusOK:
+					t.Errorf("status %d, want 200", resp.StatusCode)
+				case !sameBits(out.C, j.want.Data):
+					t.Errorf("%d×%d answer differs from a direct Engine.Exec", out.M, out.N)
+				}
+			}()
+		}
+		time.Sleep(15 * time.Millisecond) // the next wave decodes while this one's batches run
+	}
+	wg.Wait()
+	waitQueued(t, s, 0)
+}
+
+// sameBits compares two products bit for bit.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestEngineFailureIs500 separates whose fault a failed request is: an
