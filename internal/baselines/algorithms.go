@@ -6,6 +6,7 @@ import (
 
 	"cosma/internal/algo"
 	"cosma/internal/core"
+	"cosma/internal/grid"
 )
 
 // Algorithms is the table of algorithms, in the paper's comparison order:
@@ -26,7 +27,13 @@ var Algorithms = []algo.Spec{
 		Aliases:    []string{"scalapack", "2d"},
 		Summary:    "2D SUMMA on the most square grid — what ScaLAPACK's PDGEMM implements",
 		Comparison: true,
-		Plan:       planSUMMA,
+		// Algorithm 1 on grid.Square, every rank used and no fiber, so C
+		// never moves: what the ranks receive (the k(m+n)/√p row of Table
+		// 3) is the plan's own count, compiled from cfg exactly like
+		// COSMA's, so timed comparisons pit like schedules.
+		Plan: func(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
+			return core.NewPlan("ScaLAPACK/SUMMA-2D", cfg, grid.Square(p), m, n, k, p, s, false)
+		},
 	},
 	{
 		Name:       "2.5d",
@@ -34,7 +41,13 @@ var Algorithms = []algo.Spec{
 		Aliases:    []string{"ctf", "c25d"},
 		Summary:    "2.5D decomposition of Solomonik and Demmel — what CTF implements",
 		Comparison: true,
-		Plan:       plan25D,
+		// Algorithm 1 on grid.Layers' c layers (§2.4): the inputs start on
+		// layer 0, which scatters each layer its k slab's pieces, every
+		// layer runs SUMMA on its slab and the fiber reduces C. With c = 1
+		// it is SUMMA, with c = p^(1/3) the 3D decomposition of Agarwal et al.
+		Plan: func(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
+			return core.NewPlan("CTF/2.5D", cfg, grid.Layers(m, n, k, p, s), m, n, k, p, s, true)
+		},
 	},
 	{
 		Name:       "carma",

@@ -11,6 +11,7 @@ import (
 	"cosma/internal/algo"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
+	"cosma/internal/workload"
 )
 
 // The rows of the table, for the tests that run one algorithm.
@@ -32,18 +33,6 @@ func checkCorrect(t *testing.T, name string, run func() (*matrix.Dense, *algo.Re
 		t.Fatalf("%s: max diff %g (grid %s)", name, d, rep.Model.Grid)
 	}
 	return rep
-}
-
-func TestNearSquare(t *testing.T) {
-	cases := []struct{ p, pr, pc int }{
-		{1, 1, 1}, {4, 2, 2}, {6, 2, 3}, {12, 3, 4}, {13, 1, 13}, {36, 6, 6},
-	}
-	for _, c := range cases {
-		pr, pc := NearSquare(c.p)
-		if pr != c.pr || pc != c.pc {
-			t.Fatalf("NearSquare(%d) = %d×%d, want %d×%d", c.p, pr, pc, c.pr, c.pc)
-		}
-	}
 }
 
 func TestSUMMACorrectAcrossShapes(t *testing.T) {
@@ -137,22 +126,6 @@ func TestC25DCorrect(t *testing.T) {
 		checkCorrect(t, "2.5d", func() (*matrix.Dense, *algo.Report, error) {
 			return algo.Run(c25d.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 		}, a, b, c.k)
-	}
-}
-
-func TestC25DLayerSelection(t *testing.T) {
-	// Tiny memory: no replication possible.
-	if _, _, c := Layers(1024, 1024, 1024, 64, 64); c != 1 {
-		t.Fatalf("tiny memory picked c = %d", c)
-	}
-	// Huge memory: replication capped at p^(1/3).
-	if _, _, c := Layers(64, 64, 64, 64, 1<<30); c != 4 {
-		t.Fatalf("huge memory picked c = %d, want 4 = 64^(1/3)", c)
-	}
-	// c must divide p.
-	_, _, c := Layers(128, 128, 128, 12, 1<<18)
-	if 12%c != 0 {
-		t.Fatalf("c = %d does not divide p", c)
 	}
 }
 
@@ -339,5 +312,49 @@ func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
 	}
 	if float64(cosma.MaxRecv) > 1.25*cosma.AvgRecv {
 		t.Errorf("COSMA's busiest rank receives %d words, above 1.25 × the average %v", cosma.MaxRecv, cosma.AvgRecv)
+	}
+}
+
+// TestCOSMAOneGridNeverMoreWords plans the benchmark's three engine
+// shapes and the twelve-shape serve catalog: COSMA compiles the same grid
+// on every transport, overlapped or not (its score, the busiest rank's
+// words, moves with no cfg), and its busiest rank receives no more than
+// SUMMA's, 2.5D's or CARMA's.
+func TestCOSMAOneGridNeverMoreWords(t *testing.T) {
+	type problem struct{ m, n, k, p, s int }
+	probs := []problem{
+		{1024, 1024, 1024, 16, 1 << 20},
+		{1024, 1024, 1024, 16, 69632},
+		{128, 128, 65536, 16, 1 << 18},
+	}
+	gen := workload.NewGenerator(workload.GenConfig{Seed: 1, Shapes: 12, ZipfS: 1.1, MinDim: 32, MaxDim: 192})
+	for _, d := range gen.Catalog() {
+		probs = append(probs, problem{d.M, d.N, d.K, 4, 110592})
+	}
+	piz, eth, shm := machine.PizDaintNet(), machine.CommodityEthernet(), machine.SharedMemory()
+	for _, c := range probs {
+		plan := func(pl algo.Spec, cfg algo.Config) algo.Model {
+			t.Helper()
+			p, err := pl.Plan(cfg, c.m, c.n, c.k, c.p, c.s)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", pl.Display, c, err)
+			}
+			return p.Model
+		}
+		ref := plan(cosma, algo.Config{})
+		for _, net := range []*machine.NetworkParams{nil, &piz, &eth, &shm} {
+			for _, overlap := range []bool{true, false} {
+				if got := plan(cosma, algo.Config{Overlap: overlap, Network: net}); got.Grid != ref.Grid {
+					t.Errorf("%+v: COSMA compiles %s on network %v, overlap %v, and %s on a counting machine",
+						c, got.Grid, net, overlap, ref.Grid)
+				}
+			}
+		}
+		for _, pl := range []algo.Spec{summa, c25d, carma} {
+			if mod := plan(pl, algo.Config{}); ref.MaxRecv > mod.MaxRecv {
+				t.Errorf("%+v: COSMA's %s receives %v words on its busiest rank, %s's %s %v",
+					c, ref.Grid, ref.MaxRecv, pl.Display, mod.Grid, mod.MaxRecv)
+			}
+		}
 	}
 }

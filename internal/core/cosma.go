@@ -55,9 +55,13 @@ type plan struct {
 	layer0 bool
 }
 
-// Plan is COSMA: the communication-optimal S-partition schedule on the
-// grid §7.1 fits, idling up to DefaultDelta·p ranks. All grid fitting and
-// round-schedule construction happens here, once per shape.
+// Plan is COSMA: Algorithm 1 on whichever of grid.Candidates — the
+// grid §7.1 fits, using at least ⌊(1−DefaultDelta)·p⌋ ranks, and the
+// baselines' grids that pass the same tests — its own count says the
+// busiest rank receives least on; an exact tie keeps the earlier
+// candidate. Words do not depend on cfg, so every transport runs the
+// same grid. All grid fitting and round-schedule construction happens
+// here, once per shape.
 func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if m < 1 || n < 1 || k < 1 {
 		return nil, fmt.Errorf("core: invalid dimensions %d×%d×%d", m, n, k)
@@ -65,7 +69,18 @@ func Plan(cfg algo.Config, m, n, k, p, s int) (*algo.Plan, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("core: p = %d must be ≥ 1", p)
 	}
-	return NewPlan("COSMA", cfg, grid.Fit(m, n, k, p, s, DefaultDelta), m, n, k, p, s, false)
+	var best *schedule
+	bestRecv := 0.0
+	for _, g := range grid.Candidates(m, n, k, p, s, DefaultDelta) {
+		sc, err := newSchedule(cfg, g, 1, 1, m, n, k, p, s, false)
+		if err != nil {
+			return nil, err
+		}
+		if recv := sc.count("").MaxRecv; best == nil || recv < bestRecv {
+			best, bestRecv = sc, recv
+		}
+	}
+	return best.compile("COSMA"), nil
 }
 
 // NewPlan compiles Algorithm 1's broadcast–multiply–reduce schedule for

@@ -3,7 +3,9 @@
 //
 // The decomposition is bottom-up (§3): the optimal local domain [a×a×b]
 // comes from Eq. 32, the processor grid from the §7.1 fitting step that
-// may idle up to δ·p ranks, and execution proceeds in
+// uses at least ⌊(1−δ)·p⌋ ranks — or from a baseline's grid that passes
+// the same tests where the plan's own count says its busiest rank
+// receives fewer words (grid.Candidates) — and execution proceeds in
 // latency-minimizing rounds of s = ⌊(S−a²)/(2a)⌋ outer products
 // (Algorithm 1 line 6), with inputs broadcast along grid rows/columns
 // from the blocked data layout (§7.6) and partial C results
@@ -27,11 +29,11 @@
 // one pair S allows. A round packs its B panel once for all its bands.
 //
 // The work splits into two phases. Plan compiles a problem shape into
-// an immutable algo.Plan — the fitted grid, every k slab's round table
+// an immutable algo.Plan — the chosen grid, every k slab's round table
 // (newSlab) and the model, a rank-by-rank count of the words that schedule moves —
 // whose Execute replays that schedule against
 // matrix values on a machine, so repeated same-shape multiplications
-// fit the grid exactly once. Per-round tile updates run on the packed
+// choose the grid exactly once. Per-round tile updates run on the packed
 // register-blocked GEMM kernel each rank draws from the executor's
 // Arena (internal/matrix).
 //

@@ -198,7 +198,8 @@ func Table4() *report.Table {
 }
 
 // Fig3 quantifies Figure 3's bottom-up-vs-top-down message on p = 8: a
-// fixed [2×2×2] 3D split against COSMA's fitted grid. For square,
+// fixed [2×2×2] 3D split against the grid COSMA's plan runs and the
+// words its plan counts. For square,
 // ample-memory problems the two coincide (the cubic domain is optimal);
 // for tall matrices the top-down split pays broadcast traffic on the
 // small faces that the bottom-up schedule avoids entirely — the regime
@@ -219,9 +220,12 @@ func Fig3() *report.Table {
 	}
 	for _, c := range cases {
 		v3 := topDown.ModelVolume(c.m, c.n, c.k)
-		bottomUp := grid.Fit(c.m, c.n, c.k, p, s, core.DefaultDelta)
-		vC := bottomUp.ModelVolume(c.m, c.n, c.k) * float64(bottomUp.Ranks()) / float64(p)
-		t.AddRow(c.name, c.m, c.n, c.k, v3, bottomUp.String(), vC,
+		pl, err := core.Plan(algo.Config{}, c.m, c.n, c.k, p, s)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: COSMA on %+v: %v", c, err))
+		}
+		vC := pl.Model.AvgRecv // over all p ranks, idle ones included, like v3's
+		t.AddRow(c.name, c.m, c.n, c.k, v3, pl.Model.Grid, vC,
 			fmt.Sprintf("%.1f%%", 100*(1-vC/v3)))
 	}
 	return t

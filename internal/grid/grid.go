@@ -2,6 +2,8 @@ package grid
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -110,11 +112,12 @@ func Divisors(n int) []int {
 
 // Fit chooses the communication-minimizing grid for an m×n×k
 // multiplication on at most p ranks with local memories of s words,
-// examining every factorization of every rank count in
-// [(1−δ)·p, p]. Grids whose local C tile ⌈m/pm⌉·⌈n/pn⌉ exceeds s are
-// rejected (the partial results must stay resident, §6.3); if every
-// candidate is rejected, the grid with the smallest C tile is returned as
-// a fallback. Ties prefer more ranks, then a larger pk (betterTie).
+// examining every factorization of every rank count from ⌊(1−δ)·p⌋ (at
+// least one) to p: at δ = 3 % a 16-rank machine may idle one. Grids
+// whose local C tile ⌈m/pm⌉·⌈n/pn⌉ exceeds s are rejected (the partial
+// results must stay resident, §6.3); if every candidate is rejected, the
+// grid with the smallest C tile is returned as a fallback. A tie keeps
+// the grid found first: more ranks, then a smaller pm, then a smaller pn.
 //
 // This is FitRanks of Algorithm 1 line 3 with tunable idle fraction δ
 // (§7.1, default 0.03 in the paper's experiments).
@@ -128,64 +131,130 @@ func Fit(m, n, k, p, s int, delta float64) Grid {
 	if delta < 0 || delta >= 1 {
 		panic(fmt.Sprintf("grid: delta = %v out of [0,1)", delta))
 	}
-	minRanks := int(float64(p) * (1 - delta))
-	if minRanks < 1 {
-		minRanks = 1
-	}
 
 	var best Grid
 	bestCost := -1.0
-	var fallback Grid
-	fallbackTile := -1
+	fallback, fallbackTile := Grid{Pm: 1, Pn: 1, Pk: 1}, -1 // a single rank where no grid fits m×n×k
 
-	for used := p; used >= minRanks; used-- {
+	for used := p; used >= minRanks(p, delta); used-- {
 		for _, pm := range Divisors(used) {
-			if pm > m {
-				continue
-			}
-			rest := used / pm
-			for _, pn := range Divisors(rest) {
-				if pn > n {
+			for _, pn := range Divisors(used / pm) {
+				g := Grid{Pm: pm, Pn: pn, Pk: used / pm / pn}
+				tile, ok := g.tile(m, n, k)
+				if !ok {
 					continue
 				}
-				pk := rest / pn
-				if pk > k {
-					continue
-				}
-				g := Grid{Pm: pm, Pn: pn, Pk: pk}
-				dm, dn, _ := g.LocalDims(m, n, k)
-				if tile := dm * dn; fallbackTile < 0 || tile < fallbackTile {
+				if fallbackTile < 0 || tile < fallbackTile {
 					fallbackTile, fallback = tile, g
 				}
-				if dm*dn > s {
+				if tile > s {
 					continue
 				}
-				cost := g.ModelVolume(m, n, k)
-				if bestCost < 0 || cost < bestCost-1e-9 ||
-					(cost < bestCost+1e-9 && betterTie(g, best)) {
+				if cost := g.ModelVolume(m, n, k); bestCost < 0 || cost < bestCost-1e-9 {
 					bestCost, best = cost, g
 				}
 			}
 		}
 	}
 	if bestCost < 0 {
-		if fallbackTile < 0 {
-			// p exceeds the iteration space in every factorization; fall
-			// back to a single rank.
-			return Grid{Pm: 1, Pn: 1, Pk: 1}
-		}
 		return fallback
 	}
 	return best
 }
 
-// betterTie prefers, at equal cost, grids using more ranks and then grids
-// with a larger pk (which shortens the per-rank k extent).
-func betterTie(a, b Grid) bool {
-	if a.Ranks() != b.Ranks() {
-		return a.Ranks() > b.Ranks()
+// minRanks is the idle window of δ: a grid on p ranks uses at least
+// ⌊(1−δ)·p⌋ of them, and at least one.
+func minRanks(p int, delta float64) int {
+	return max(1, int(float64(p)*(1-delta)))
+}
+
+// tile returns the words of g's largest C tile on an m×n×k product, and
+// false where g cuts a dimension finer than its extent.
+func (g Grid) tile(m, n, k int) (int, bool) {
+	if g.Pm > m || g.Pn > n || g.Pk > k {
+		return 0, false
 	}
-	return a.Pk > b.Pk
+	dm, dn, _ := g.LocalDims(m, n, k)
+	return dm * dn, true
+}
+
+// Square returns the most square 2D grid on all p ranks, [pr×pc×1] with
+// pr ≤ pc and pr as large as possible — the grid shape ScaLAPACK users
+// pick by convention (SUMMA's).
+func Square(p int) Grid {
+	if p < 1 {
+		panic(fmt.Sprintf("grid: p = %d", p))
+	}
+	d := int(math.Sqrt(float64(p)))
+	for p%d != 0 {
+		d--
+	}
+	return Grid{Pm: d, Pn: p / d, Pk: 1}
+}
+
+// Layers returns the 2.5D decomposition's grid for an m×n×k product on p
+// ranks of s words: c layers, c the divisor of p closest to
+// min{pS/(mk+nk), p^(1/3)} (at least 1), each layer Square(p/c).
+func Layers(m, n, k, p, s int) Grid {
+	target := float64(p) * float64(s) / (float64(m)*float64(k) + float64(n)*float64(k))
+	target = max(1, min(target, math.Cbrt(float64(p))))
+	c, best := 1, math.Inf(1)
+	for _, d := range Divisors(p) {
+		if dist := math.Abs(float64(d) - target); dist < best {
+			c, best = d, dist
+		}
+	}
+	g := Square(p / c)
+	g.Pk = c
+	return g
+}
+
+// Halving is CARMA's BFS steps on the m×n×k product cut into bm×bn C
+// blocks: ⌊log₂ p⌋ times, halve the largest extent of the largest
+// block's tile together with the team — m, then n, then k on ties — and
+// skip an extent the grid cannot halve again without cutting the
+// smallest block's to nothing.
+func Halving(m, n, k, p, bm, bn int) Grid {
+	g := Grid{Pm: 1, Pn: 1, Pk: 1}
+	for 2*g.Ranks() <= p {
+		dm, dn, dk := g.LocalDims(ceilDiv(m, bm), ceilDiv(n, bn), k)
+		if 2*g.Pm > m/bm {
+			dm = 0
+		}
+		if 2*g.Pn > n/bn {
+			dn = 0
+		}
+		if 2*g.Pk > k {
+			dk = 0
+		}
+		switch {
+		case dm == 0 && dn == 0 && dk == 0:
+			return g
+		case dm >= dn && dm >= dk:
+			g.Pm *= 2
+		case dn >= dk:
+			g.Pn *= 2
+		default:
+			g.Pk *= 2
+		}
+	}
+	return g
+}
+
+// Candidates returns the grids COSMA scores for an m×n×k product on p
+// ranks of s words at idle tolerance δ: Fit's first, then Square's,
+// Layers' and Halving's on one C block, each only where it passes Fit's
+// tests — it uses at least ⌊(1−δ)·p⌋ ranks, cuts no dimension finer than
+// its extent and its C tile fits s — and is not already listed.
+func Candidates(m, n, k, p, s int, delta float64) []Grid {
+	out := []Grid{Fit(m, n, k, p, s, delta)}
+	for _, g := range []Grid{Square(p), Layers(m, n, k, p, s), Halving(m, n, k, p, 1, 1)} {
+		tile, ok := g.tile(m, n, k)
+		if ok && tile <= s && g.Ranks() >= minRanks(p, delta) && !slices.Contains(out, g) {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +209,83 @@ func TestFitUnfavorablePlusOne(t *testing.T) {
 	if vPlus > vGood*1.01 {
 		t.Fatalf("p=9217 volume %v much worse than p=9216 volume %v (%v vs %v)",
 			vPlus, vGood, gPlus, gGood)
+	}
+}
+
+func TestSquare(t *testing.T) {
+	cases := []struct{ p, pr, pc int }{
+		{1, 1, 1}, {4, 2, 2}, {6, 2, 3}, {12, 3, 4}, {13, 1, 13}, {36, 6, 6},
+	}
+	for _, c := range cases {
+		if g := Square(c.p); g != (Grid{c.pr, c.pc, 1}) {
+			t.Fatalf("Square(%d) = %v, want [%d×%d×1]", c.p, g, c.pr, c.pc)
+		}
+	}
+}
+
+func TestLayersSelection(t *testing.T) {
+	// Tiny memory: no replication possible.
+	if g := Layers(1024, 1024, 1024, 64, 64); g.Pk != 1 {
+		t.Fatalf("tiny memory picked %v", g)
+	}
+	// Huge memory: replication capped at p^(1/3).
+	if g := Layers(64, 64, 64, 64, 1<<30); g != (Grid{4, 4, 4}) {
+		t.Fatalf("huge memory picked %v, want [4×4×4] (c = 64^(1/3))", g)
+	}
+	// c must divide p, and the layers use all of it.
+	if g := Layers(128, 128, 128, 12, 1<<18); g.Ranks() != 12 {
+		t.Fatalf("layers %v do not use p = 12", g)
+	}
+}
+
+// TestHalving pins CARMA's BFS steps: the largest extent is halved with
+// the team, m before n before k on ties, and never below one row of the
+// smallest block.
+func TestHalving(t *testing.T) {
+	for _, c := range []struct {
+		m, n, k, p, bm, bn int
+		want               Grid
+	}{
+		{1024, 1024, 1024, 16, 1, 1, Grid{4, 2, 2}},
+		{16, 16, 128, 16, 1, 1, Grid{2, 1, 8}},
+		{16, 16, 16, 12, 1, 1, Grid{2, 2, 2}}, // 8 of 12: a power of two
+		{4, 4, 4, 32, 1, 1, Grid{4, 4, 2}},    // k cannot halve below one
+		{64, 8, 8, 16, 4, 1, Grid{4, 2, 2}},   // the block is 16×8×8
+	} {
+		if g := Halving(c.m, c.n, c.k, c.p, c.bm, c.bn); g != c.want {
+			t.Errorf("Halving(%d, %d, %d, p = %d, %d×%d blocks) = %v, want %v",
+				c.m, c.n, c.k, c.p, c.bm, c.bn, g, c.want)
+		}
+	}
+}
+
+// TestCandidates: Fit's grid comes first, and a policy grid is listed
+// once and only where it passes Fit's tests — the idle window ⌊(1−δ)p⌋,
+// a C tile within s and no dimension cut finer than its extent.
+func TestCandidates(t *testing.T) {
+	for _, c := range []struct {
+		m, n, k, p, s int
+		delta         float64
+		want          []Grid
+	}{
+		// 118³, p = 4: ModelVolume ties Fit's [1×2×2] with Square's.
+		{118, 118, 118, 4, 110592, 0.03, []Grid{{1, 2, 2}, {2, 2, 1}}},
+		// 16×16×128, p = 16: Fit idles a rank (⌊0.97·16⌋ = 15); Square,
+		// Layers and Halving use all 16.
+		{16, 16, 128, 16, 1 << 20, 0.03, []Grid{{1, 1, 15}, {4, 4, 1}, {2, 4, 2}, {2, 1, 8}}},
+		// Halving's [2×2×2] uses 8 of 12 ranks: outside the window.
+		{16, 16, 16, 12, 1 << 20, 0.03, []Grid{{2, 2, 3}, {3, 4, 1}, {2, 3, 2}}},
+		// Square's (and Layers') 1×13 cuts n = 4 finer than its extent.
+		{64, 4, 64, 13, 1 << 20, 0.03, []Grid{{3, 1, 4}}},
+		// 256³, p = 16, S = 6000: Square and Layers repeat Fit's [4×4×1];
+		// Halving's [4×2×2] tile (64×128) exceeds S.
+		{256, 256, 256, 16, 6000, 0.03, []Grid{{4, 4, 1}}},
+		// S = 300 holds no C tile: Fit's fallback, the smallest, alone.
+		{64, 64, 64, 4, 300, 0.03, []Grid{{1, 4, 1}}},
+	} {
+		got := Candidates(c.m, c.n, c.k, c.p, c.s, c.delta)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("Candidates(%d, %d, %d, p = %d, S = %d) = %v, want %v", c.m, c.n, c.k, c.p, c.s, got, c.want)
+		}
 	}
 }
