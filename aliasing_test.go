@@ -24,11 +24,12 @@ func wordsHash(m *Matrix) uint64 {
 }
 
 // TestExecReadsStridedOperandsInPlace pins the aliasing contract of the
-// Algorithm 1 rank program: operands are read where the caller put them.
-// Sub-views of larger matrices (Stride > Cols, one stride a power of
-// two) give the product of their compact copies bit for bit, and not a
-// word of the parents changes — at 3 output tiles of S, where the round
-// loop runs one panel pair at a time, and at 8, where it pipelines.
+// Algorithm 1 rank program, which COSMA, SUMMA, 2.5D and CARMA run:
+// operands are read where the caller put them. Sub-views of larger
+// matrices (Stride > Cols, one stride a power of two) give the product
+// of their compact copies bit for bit, and not a word of the parents
+// changes — at 3 output tiles of S, where the round loop runs one panel
+// pair at a time, and at 8, where it pipelines.
 func TestExecReadsStridedOperandsInPlace(t *testing.T) {
 	const m, k, n = 120, 88, 104
 	parentA := RandomMatrix(m+5, 128, 31) // power-of-two stride
@@ -39,7 +40,7 @@ func TestExecReadsStridedOperandsInPlace(t *testing.T) {
 	hashA, hashB := wordsHash(parentA), wordsHash(parentB)
 
 	ctx := context.Background()
-	for _, algoName := range []string{"cosma", "summa", "2.5d"} {
+	for _, algoName := range []string{"cosma", "summa", "2.5d", "carma"} {
 		for _, timed := range []bool{false, true} {
 			for _, tiles := range []int{3, 8} {
 				name := fmt.Sprintf("%s/timed=%v/tiles=%d", algoName, timed, tiles)

@@ -4,10 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -216,6 +218,47 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d identifiers checked", doc, len(refs))
+	}
+}
+
+// TestDocsNameRealTests keeps the docs' pointers to tests live: every
+// TestX in code — an inline span or a fenced block — of README, the
+// architecture doc or the verify skill is a test function of this
+// repository or, as in `go test . -run TestWire`, the prefix of one, so
+// deleting or renaming a test the docs cite fails here.
+func TestDocsNameRealTests(t *testing.T) {
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	var tests []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			tests = append(tests, string(m[1]))
+		}
+		return err
+	})
+	if err != nil || len(tests) == 0 {
+		t.Fatalf("%d test functions found (%v)", len(tests), err)
+	}
+	code := regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+	name := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		n := 0
+		for _, span := range code.FindAllString(string(data), -1) {
+			for _, ref := range name.FindAllString(span, -1) {
+				if n++; !slices.ContainsFunc(tests, func(fn string) bool { return strings.HasPrefix(fn, ref) }) {
+					t.Errorf("%s names `%s`, which is neither a test function of this repository nor the prefix of one", doc, ref)
+				}
+			}
+		}
+		t.Logf("%s: %d test names checked", doc, n)
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 // to equal the last line of BENCH_history.jsonl exactly. A PR that moves
 // one of them fails here until it appends a line saying so, so the file
 // is the trajectory of the rows that do not depend on the clock. The
-// line's go_lines is checked the same way: it must equal the newline
-// count of every .go file that is not a _test.go and not under
-// benchmark/ — the size the ROADMAP quotes — so the column cannot be
-// mis-copied.
+// line's go_lines and test_lines are checked the same way: they must
+// equal the newline counts of every .go file outside benchmark/, the
+// non-test ones and the _test.go ones — the sizes the ROADMAP quotes —
+// so neither column can be mis-copied.
 func TestBenchHistoryHead(t *testing.T) {
 	data, err := os.ReadFile("BENCH_history.jsonl")
 	if err != nil {
@@ -34,6 +34,7 @@ func TestBenchHistoryHead(t *testing.T) {
 	var head struct {
 		PR        int `json:"pr"`
 		GoLines   int `json:"go_lines"`
+		TestLines int `json:"test_lines"`
 		Workloads map[string]struct {
 			CritPathMs   float64 `json:"crit_path_ms"`
 			MaxRecvWords int64   `json:"max_recv_words"`
@@ -42,7 +43,7 @@ func TestBenchHistoryHead(t *testing.T) {
 	if err := json.Unmarshal(lines[len(lines)-1], &head); err != nil {
 		t.Fatalf("last line of BENCH_history.jsonl: %v", err)
 	}
-	goLines := 0
+	goLines, testLines := 0, 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -53,11 +54,15 @@ func TestBenchHistoryHead(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		goLines += bytes.Count(src, []byte("\n"))
+		if strings.HasSuffix(path, "_test.go") {
+			testLines += bytes.Count(src, []byte("\n"))
+		} else {
+			goLines += bytes.Count(src, []byte("\n"))
+		}
 		return err
 	})
 	if err != nil {
@@ -65,6 +70,9 @@ func TestBenchHistoryHead(t *testing.T) {
 	}
 	if goLines != head.GoLines {
 		t.Errorf("non-test Go lines outside benchmark/ = %d, PR %d recorded go_lines %d", goLines, head.PR, head.GoLines)
+	}
+	if testLines != head.TestLines {
+		t.Errorf("test Go lines outside benchmark/ = %d, PR %d recorded test_lines %d", testLines, head.PR, head.TestLines)
 	}
 	if testing.Short() {
 		t.Skip("executes the benchmark's four timed shapes")

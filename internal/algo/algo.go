@@ -11,7 +11,7 @@ import (
 // Algorithm 1 plans (COSMA, SUMMA, 2.5D, CARMA) count their words and
 // messages rank by rank from the round table their rank program walks,
 // so AvgRecv, MaxRecv and MaxMsgs equal what an execution measures;
-// Cannon's are derived from its torus schedule (MaxMsgs exactly).
+// Cannon's count its torus schedule rank by rank, and equal it too.
 // MaxMsgs counts messages sent plus received on the busiest rank, as
 // machine.Counters.Messages does. Models evaluate at any scale, including
 // the paper's 18,432-core runs that are too large to execute in-process.

@@ -2,11 +2,8 @@ package baselines
 
 import (
 	"context"
-	"errors"
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"cosma/internal/algo"
 	"cosma/internal/machine"
@@ -35,72 +32,6 @@ func checkCorrect(t *testing.T, name string, run func() (*matrix.Dense, *algo.Re
 	return rep
 }
 
-func TestSUMMACorrectAcrossShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, c := range []struct{ m, k, n, p, s int }{
-		{16, 16, 16, 4, 1 << 12},
-		{24, 12, 18, 6, 1 << 12},
-		{8, 64, 8, 4, 1 << 12},
-		{13, 7, 29, 12, 1 << 12},
-		{16, 16, 16, 1, 1 << 12},
-		{32, 32, 32, 9, 200}, // tight memory → narrow panels
-	} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		checkCorrect(t, "summa", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.Run(summa.Plan, algo.Config{}, nil, a, b, c.p, c.s)
-		}, a, b, c.k)
-	}
-}
-
-func TestSUMMAMeasuredMatchesModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, c := range []struct{ m, k, n, p, s int }{
-		{16, 16, 16, 4, 1 << 12},
-		{32, 64, 32, 16, 1 << 12},
-		{24, 24, 48, 6, 1 << 12},
-	} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := algo.Run(summa.Plan, algo.Config{}, nil, a, b, c.p, c.s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(rep.AvgRecv-rep.Model.AvgRecv) > 1e-6*math.Max(1, rep.Model.AvgRecv) {
-			t.Fatalf("%+v: measured %v, model %v", c, rep.AvgRecv, rep.Model.AvgRecv)
-		}
-	}
-}
-
-func TestCannonCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, c := range []struct{ m, k, n, p int }{
-		{16, 16, 16, 4},
-		{24, 12, 18, 9},
-		{32, 16, 32, 16},
-		{8, 8, 8, 1},
-	} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		checkCorrect(t, "cannon", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.Run(cannon.Plan, algo.Config{}, nil, a, b, c.p, 1<<12)
-		}, a, b, c.k)
-	}
-}
-
-func TestCannonMeasuredMatchesModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := matrix.Random(24, 12, rng)
-	b := matrix.Random(12, 18, rng)
-	_, rep, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 9, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rep.AvgRecv-rep.Model.AvgRecv) > 1e-6*rep.Model.AvgRecv {
-		t.Fatalf("measured %v, model %v", rep.AvgRecv, rep.Model.AvgRecv)
-	}
-}
-
 func TestCannonRejectsBadConfigs(t *testing.T) {
 	a := matrix.New(8, 8)
 	b := matrix.New(8, 8)
@@ -109,61 +40,6 @@ func TestCannonRejectsBadConfigs(t *testing.T) {
 	}
 	if _, _, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 9, 1<<12); err == nil {
 		t.Fatal("indivisible dims accepted")
-	}
-}
-
-func TestC25DCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, c := range []struct{ m, k, n, p, s int }{
-		{16, 16, 16, 8, 1 << 20},  // ample memory → c > 1
-		{16, 16, 16, 8, 64},       // tiny memory → c = 1 (SUMMA)
-		{8, 64, 8, 16, 1 << 20},   // largeK, deep replication
-		{24, 12, 18, 12, 1 << 16}, // non-square p
-		{9, 10, 11, 6, 1 << 16},   // awkward dims
-	} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		checkCorrect(t, "2.5d", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.Run(c25d.Plan, algo.Config{}, nil, a, b, c.p, c.s)
-		}, a, b, c.k)
-	}
-}
-
-func TestC25DMeasuredMatchesModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, c := range []struct{ m, k, n, p, s int }{
-		{16, 16, 16, 8, 1 << 20},
-		{16, 64, 16, 16, 1 << 20},
-		{32, 32, 32, 8, 300},
-	} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := algo.Run(c25d.Plan, algo.Config{}, nil, a, b, c.p, c.s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(rep.AvgRecv-rep.Model.AvgRecv) > 1e-6*math.Max(1, rep.Model.AvgRecv) {
-			t.Fatalf("%+v (grid %s): measured %v, model %v", c, rep.Model.Grid, rep.AvgRecv, rep.Model.AvgRecv)
-		}
-	}
-}
-
-func TestCARMACorrectAcrossShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, c := range []struct{ m, k, n, p int }{
-		{16, 16, 16, 8},
-		{16, 16, 16, 1},
-		{8, 64, 8, 8},   // largeK → k-splits and reductions
-		{64, 8, 8, 16},  // largeM
-		{13, 7, 29, 4},  // odd dims
-		{16, 16, 16, 6}, // non-power-of-2: 2 idle ranks
-		{4, 4, 4, 32},   // more ranks than sensible
-	} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		checkCorrect(t, "carma", func() (*matrix.Dense, *algo.Report, error) {
-			return algo.Run(carma.Plan, algo.Config{}, nil, a, b, c.p, 1<<20)
-		}, a, b, c.k)
 	}
 }
 
@@ -218,74 +94,12 @@ func TestCARMAUsesPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestCARMACorrectnessProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 1 + r.Intn(16)
-		k := 1 + r.Intn(16)
-		n := 1 + r.Intn(16)
-		p := 1 << r.Intn(5)
-		a := matrix.Random(m, k, rng)
-		b := matrix.Random(k, n, rng)
-		got, _, err := algo.Run(carma.Plan, algo.Config{}, nil, a, b, p, 1<<20)
-		if err != nil {
-			return false
-		}
-		return matrix.MaxDiff(got, mulRef(a, b)) <= 1e-9*float64(k)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllAlgorithmsAgreeOnOneProblem(t *testing.T) {
-	// Integration: every algorithm must produce the same product.
-	rng := rand.New(rand.NewSource(10))
-	m, k, n, p := 24, 24, 24, 4
-	a := matrix.Random(m, k, rng)
-	b := matrix.Random(k, n, rng)
-	want := mulRef(a, b)
-	for _, r := range []algo.Spec{summa, cannon, c25d, carma} {
-		got, _, err := algo.Run(r.Plan, algo.Config{}, nil, a, b, p, 1<<16)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Display, err)
-		}
-		if d := matrix.MaxDiff(got, want); d > 1e-9*float64(k) {
-			t.Fatalf("%s: max diff %g", r.Display, d)
-		}
-	}
-}
-
-func TestModelsScaleToPaperSizes(t *testing.T) {
-	// All four baselines' models must evaluate at the paper's largest
-	// configuration without executing anything.
-	m, n, k, p, s := 16384, 16384, 16384, 18432, 1<<21
-	for _, r := range []algo.Spec{summa, cannon, c25d, carma} {
-		plan, err := r.Plan(algo.Config{}, m, n, k, p, s)
-		if r.Name == "cannon" {
-			// 18 432 is not a square: no torus, so no model of one.
-			if !errors.Is(err, algo.ErrUnsupportedShape) {
-				t.Fatalf("%s: err = %v, want ErrUnsupportedShape", r.Display, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", r.Display, err)
-		}
-		mod := plan.Model
-		if mod.AvgRecv <= 0 || math.IsNaN(mod.AvgRecv) || math.IsInf(mod.AvgRecv, 0) {
-			t.Fatalf("%s: bad model %+v", r.Display, mod)
-		}
-	}
-}
-
 // TestCOSMAWinsItsOwnComparisonAtPlentifulMemory pins what the fiber
 // reduction's shape buys on the busiest rank: at 512³, p = 16, S = 2²⁰ on
 // pizdaint COSMA's [2×2×4] critical path is below SUMMA's and 2.5D's
 // and within 1.3 × Cannon's, and no rank receives more than 1.25 × the
-// average (with a tree on the fiber: 7.75 ms against 5.93, 5.93 and
-// 4.11, and 2.0 ×).
+// average (3.02 ms against 4.73, 4.21 and 4.11; the fiber
+// reduce-scatters C, so every rank receives the average).
 func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
 	const n, p, s = 512, 16, 1 << 20
 	net := machine.PizDaintNet()

@@ -19,13 +19,16 @@ const (
 
 // planCannon is Cannon's algorithm on a q×q torus: the original 2D
 // decomposition (1969). It requires p to be a perfect square and the
-// matrix dimensions to be divisible by q; it exists as the classical
-// reference point of Table 3 and Figure 2. The model follows the torus
-// schedule: per rank the skew moves one A block for every rank off the
-// zeroth row ((q−1)/q of ranks) and one B block off the zeroth column,
-// then q−1 shift rounds move one A and one B block each. Every move is a
-// send and a receive, so the busiest rank exchanges 4q messages (none on
-// a 1×1 torus).
+// matrix dimensions to be divisible by q; it is the square-torus row of
+// the timevolume experiment. Its model counts the torus schedule. The
+// skew moves an A block to each of the p−q ranks off the zeroth row and
+// a B block to each of the p−q off the zeroth column; then q−1 shift
+// rounds move one A and one B block to every rank. So the ranks receive
+// (p−q) + p(q−1) = q(p−1) block pairs in all, averaged as an integer
+// over p the way core's count does, and the busiest rank (off both the
+// zeroth row and column, where q > 1) receives q pairs. Every move is a
+// send and a receive, so the busiest rank exchanges 4q messages (none
+// on a 1×1 torus).
 func planCannon(_ algo.Config, m, n, k, p, _ int) (*algo.Plan, error) {
 	q := int(math.Round(math.Sqrt(float64(p))))
 	if q*q != p {
@@ -35,17 +38,15 @@ func planCannon(_ algo.Config, m, n, k, p, _ int) (*algo.Plan, error) {
 		return nil, fmt.Errorf("baselines: Cannon needs q=%d to divide %d×%d×%d: %w", q, m, n, k, algo.ErrUnsupportedShape)
 	}
 	dm, dk, dn := m/q, k/q, n/q
-	aBlk, bBlk := float64(dm*dk), float64(dk*dn)
-	shifts := float64(q - 1)
-	skewFrac := float64(q-1) / float64(q)
+	pair := dm*dk + dk*dn // words in one A and one B block
 	return &algo.Plan{
 		Model: algo.Model{
 			Name:     "Cannon-2D",
 			Grid:     fmt.Sprintf("[%d×%d×1]", q, q),
 			Used:     p,
-			AvgRecv:  aBlk*(shifts+skewFrac) + bBlk*(shifts+skewFrac),
-			MaxRecv:  (aBlk + bBlk) * (shifts + 1),
-			MaxMsgs:  4 * float64(q) * min(shifts, 1),
+			AvgRecv:  float64(q*(p-1)*pair) / float64(p),
+			MaxRecv:  float64(q * min(q-1, 1) * pair),
+			MaxMsgs:  4 * float64(q*min(q-1, 1)),
 			MaxFlops: 2 * float64(dm) * float64(dn) * float64(k),
 		},
 		M: m, N: n, K: k, P: p,

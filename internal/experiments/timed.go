@@ -19,10 +19,10 @@ import (
 // of (only) volume on the y axis. Memory is constrained to ~3 output
 // tiles per rank so the algorithms are squeezed into their
 // limited-memory regimes, where their volumes genuinely differ. The
-// algorithms with a pipelined round loop (COSMA, SUMMA, 2.5D) request
-// overlap, as an engine does by default, but at 3 tiles none of them
-// has room in S for a second panel pair, so none pipelines: every row
-// is a synchronous schedule.
+// algorithms with a pipelined round loop (COSMA, SUMMA, 2.5D, CARMA)
+// request overlap, as an engine does by default, but at 3 tiles none of
+// them has room in S for a second panel pair, so none pipelines: every
+// row is a synchronous schedule.
 func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Time vs volume on the %q network — executed at simulation scale (Figure 6 shape)", net.Name),
