@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/checksums.golden for this build's register tile")
+var update = flag.Bool("update", false, "rewrite testdata/checksums.golden for this build's rounding (fused or unfused)")
 
 // raceEnabled is set by race_test.go under -race, which skips the 1024³
 // rows of TestChecksumsGolden.
@@ -25,15 +25,20 @@ var raceEnabled bool
 // — for the benchmark's three engine shapes, a ragged prime-p shape and
 // a C tile smaller than its fiber, each with overlap on and off. A
 // schedule change may move words and times, never these. The digests
-// depend on the register tile (a fused tile rounds once per
-// multiply-add), so each line starts with the tile's name and a build
-// checks only its own. Regenerate one tile's lines with
+// depend on the register tile only through its rounding — a fused tile
+// rounds once per multiply-add, an unfused one twice; kc is a package
+// constant, and shape and blocking do not move a bit — so each line
+// starts with "fused" or "unfused" and a build checks the lines of its
+// own tile's rounding, which must exist. Regenerate one key's lines with
 //
 //	go test -run TestChecksumsGolden -update .
 //	go test -tags noasm -run TestChecksumsGolden -update .
 func TestChecksumsGolden(t *testing.T) {
 	const path = "testdata/checksums.golden"
-	tile := Calibrate(8, 1).Variant
+	key := "unfused"
+	if Calibrate(8, 1).Fused {
+		key = "fused"
+	}
 	type run struct {
 		m, n, k, p, s int
 		algos         []string // nil: -algo all
@@ -76,7 +81,7 @@ func TestChecksumsGolden(t *testing.T) {
 				} else if err != nil {
 					t.Fatalf("%s: %v", flags, err)
 				}
-				got = append(got, fmt.Sprintf("%s %s: %s checksum %016x", tile, flags, rep.Model.Name, digest(out)))
+				got = append(got, fmt.Sprintf("%s %s: %s checksum %016x", key, flags, rep.Model.Name, digest(out)))
 			}
 		}
 	}
@@ -85,13 +90,13 @@ func TestChecksumsGolden(t *testing.T) {
 	if err != nil && !(*update && errors.Is(err, os.ErrNotExist)) {
 		t.Fatal(err)
 	}
-	var kept, want []string // other tiles' lines; this tile's
+	var kept, want []string // the other key's lines; this key's
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		lineTile, rest, _ := strings.Cut(line, " ")
+		lineKey, rest, _ := strings.Cut(line, " ")
 		flags, _, _ := strings.Cut(rest, ":")
 		switch {
 		case line == "":
-		case lineTile != tile:
+		case lineKey != key:
 			kept = append(kept, line)
 		case !skipped[flags]:
 			want = append(want, line)
@@ -104,7 +109,7 @@ func TestChecksumsGolden(t *testing.T) {
 		return
 	}
 	if len(want) == 0 {
-		t.Skipf("%s has no lines for register tile %s; add them with -update", path, tile)
+		t.Fatalf("%s has no %s lines; add them with -update", path, key)
 	}
 	for i := 0; i < max(len(got), len(want)); i++ {
 		var g, w string
@@ -115,7 +120,7 @@ func TestChecksumsGolden(t *testing.T) {
 			w = want[i]
 		}
 		if g != w {
-			t.Errorf("line %d of %s's lines:\n got  %q\n want %q", i+1, tile, g, w)
+			t.Errorf("line %d of the %s lines:\n got  %q\n want %q", i+1, key, g, w)
 		}
 	}
 }

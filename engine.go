@@ -142,10 +142,10 @@ func WithOverlap(on bool) Option {
 // WithAutotune has no effect and is kept only because the repo
 // benchmark's engine.autotune_over_default row names it.
 //
-// Deprecated: the block-size search it enabled is deleted — since the
-// 4×8 AVX2 tile became the default it measured 0.97–1.01 of the default
-// on every workload, inside run-to-run spread — so there is one kernel
-// configuration. The option leaves together with that benchmark row.
+// Deprecated: the block-size search it enabled is deleted — it measured
+// 0.97–1.01 of the default on every workload, inside run-to-run spread
+// — so there is one kernel configuration. The option leaves together
+// with that benchmark row.
 func WithAutotune(bool) Option { return func(*engineConfig) {} }
 
 // WithAlgorithm selects the multiplication algorithm by name or alias —

@@ -18,6 +18,7 @@ type Calibration struct {
 	Threads int           // kernel worker bound used
 	Runs    int           // timed repetitions (best run is kept)
 	Variant string        // register tile the kernel dispatched to
+	Fused   bool          // whether that tile's multiply-add rounds once (math.FMA) or twice
 	Best    time.Duration // fastest single multiplication
 	GFlops  float64       // sustained 2n³/Best in Gflop/s
 	Gamma   float64       // measured seconds per flop: 1/(GFlops·1e9)
@@ -69,6 +70,7 @@ func Calibrate(n, threads int) Calibration {
 	return Calibration{
 		N: n, Threads: k.Threads(), Runs: runs,
 		Variant: k.tile.name,
+		Fused:   k.tile.fused,
 		Best:    best,
 		GFlops:  gflops,
 		Gamma:   best.Seconds() / flops,

@@ -9,7 +9,7 @@
 // pool splits the M dimension across goroutines in micro-panel-aligned
 // chunks. The register tile is selected once per process (tile.go):
 // the portable Go 4×4 tile, unless on amd64 (AVX2+FMA, detected at
-// startup) or arm64 (NEON) a wider assembly tile — 4×8 and 8×4 — takes
+// startup) or arm64 (NEON) a wider assembly tile — 4×12 and 8×4 — takes
 // over behind the !noasm build tag, called once per column of tiles
 // rather than once per tile. Every tile keeps the same per-element
 // accumulation order (one register partial sum per kc block, added to

@@ -13,13 +13,13 @@ import (
 // panel streams from L3/memory. Correctness does not depend on the
 // cache-block values mc/kc/nc — every loop handles fringes — only
 // throughput does. mr and nr are the portable Go tile's; the dispatched
-// tile (4×8 for AVX2, 8×4 for NEON) sets the packed micro-panel widths.
+// tile (4×12 for AVX2, 8×4 for NEON) sets the packed micro-panel widths.
 const (
 	mr = 4 // register-tile rows of the portable Go tile
 	nr = 4 // register-tile cols of the portable Go tile
 
 	mc = 128 // rows of A packed per L2 block
-	kc = 256 // panel depth: packed A is mc×kc = 256 KB, one B strip nr×kc 8 KB (nr 4) or 16 KB (nr 8)
+	kc = 256 // panel depth: packed A is mc×kc = 256 KB, one B strip nr×kc 8 KB (nr 4) or 24 KB (nr 12)
 	nc = 512 // cols of B packed per outer block (kc×nc ≈ 1 MB)
 )
 
@@ -33,10 +33,11 @@ const (
 // which is what the micro-kernel's streaming access wants.
 type packBuf struct {
 	a []float64 // packed A block: up to mc×kc in mr-wide micro-panels
-	// tile is the SIMD fringe staging buffer: an mr×nr scratch tile
-	// the full-width register kernel accumulates into when the live
-	// C corner is smaller than the tile, so the asm never writes out
-	// of bounds and the accumulation order matches interior tiles.
+	// tile is the SIMD fringe staging buffer: up to edgeTiles mr×nr
+	// scratch tiles, stacked, the full-width register kernel
+	// accumulates into when the live C corner is smaller than its
+	// tiles, so the asm never writes out of bounds and the
+	// accumulation order matches interior tiles.
 	tile []float64
 }
 
@@ -283,56 +284,72 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 // macroKernel sweeps the worker's packed mb×kb A block against the
 // packed kb×nb B block bp, one B micro-panel at a time. A SIMD tile
 // takes every full-height tile of a full-width panel in one call — the
-// assembly walks the A block and C itself — so Go dispatches once per
-// panel, not once per tile; the portable Go tile keeps its per-tile
-// loop. Fringe tiles (right and bottom edges) accumulate full-width
-// into zero-padded scratch — the Go tile in its accumulator array, the
-// SIMD kernels in the worker's staging tile — and write back only the
-// live h×w corner, preserving the per-element accumulation order of
-// interior tiles.
+// assembly walks the A block and C itself — and the rest of the panel
+// (a narrow right-edge panel, or a short bottom tile) staged, up to
+// edgeTiles tiles per call, so Go dispatches a few times per panel, not
+// once per tile; the portable Go tile keeps its per-tile loop. Fringe
+// tiles (right and bottom edges) accumulate full-width into zero-padded
+// scratch — the Go tile in its accumulator array, the SIMD kernels in
+// the worker's staging buffer — and write back only the live corner,
+// preserving the per-element accumulation order of interior tiles.
 func (k *Kernel) macroKernel(pb *packBuf, c *Dense, ic, jc, mb, nb, kb int, packed []float64) {
 	mr, nr, sweep := k.tile.mr, k.tile.nr, k.tile.sweep
 	full := mb / mr // full-height tiles: one SIMD sweep per full-width panel
 	for j := 0; j < nb; j += nr {
 		w := min(nr, nb-j)
 		bp := packed[(j/nr)*kb*nr:]
+		if sweep == nil {
+			for i := 0; i < mb; i += mr {
+				h := min(mr, mb-i)
+				ap := pb.a[(i/mr)*kb*mr:]
+				if h == mr && w == nr {
+					microKernel4x4(c, ic+i, jc+j, kb, ap, bp)
+				} else {
+					microKernelEdge(c, ic+i, jc+j, h, w, kb, ap, bp)
+				}
+			}
+			continue
+		}
 		i := 0
-		if sweep != nil && w == nr && full > 0 {
+		if w == nr && full > 0 {
 			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &pb.a[0], &bp[0], full)
 			i = full * mr
 		}
-		for ; i < mb; i += mr {
-			h := min(mr, mb-i)
-			ap := pb.a[(i/mr)*kb*mr:]
-			switch {
-			case sweep != nil:
-				k.simdEdge(pb, c, ic+i, jc+j, h, w, kb, ap, bp)
-			case h == mr && w == nr:
-				microKernel4x4(c, ic+i, jc+j, kb, ap, bp)
-			default:
-				microKernelEdge(c, ic+i, jc+j, h, w, kb, ap, bp)
-			}
+		if i < mb {
+			k.simdEdge(pb, c, ic+i, jc+j, mb-i, w, kb, pb.a[(i/mr)*kb*mr:], bp)
 		}
 	}
 }
 
-// simdEdge runs the SIMD register kernel on a fringe tile: the full
-// mr×nr tile is accumulated into a zeroed staging buffer (the packed
-// panels are zero-padded, so the dead lanes stay zero) and the live
-// h×w corner is added into C — the same accumulate-then-add sequence
-// as an interior tile, so fringes stay bitwise consistent.
+// edgeTiles is how many fringe tiles simdEdge stages per sweep: few
+// enough that every worker's staging buffer stays 8·mr·nr words, many
+// enough that a narrow right-edge panel costs a few calls, not one per
+// tile.
+const edgeTiles = 8
+
+// simdEdge runs the SIMD register kernel on the fringe tiles of one B
+// micro-panel, h rows deep from A micro-panel ap on: up to edgeTiles
+// full mr×nr tiles at a time are accumulated in one sweep into a
+// zeroed staging buffer (the packed panels are zero-padded, so the
+// dead lanes stay zero) and their live rows' w columns are added into
+// C — the same accumulate-then-add sequence as an interior tile, so
+// fringes stay bitwise consistent.
 func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
-	nr := k.tile.nr
-	pb.tile = grow(pb.tile, k.tile.mr*nr)
-	staged := pb.tile
-	for i := range staged {
-		staged[i] = 0
-	}
-	k.tile.sweep(&staged[0], nr, kb, &ap[0], &bp[0], 1)
-	for i := 0; i < h; i++ {
-		row := c.Data[(ci+i)*c.Stride+cj : (ci+i)*c.Stride+cj+w]
-		for j := range row {
-			row[j] += staged[i*nr+j]
+	mr, nr := k.tile.mr, k.tile.nr
+	for top := 0; top < h; top += edgeTiles * mr {
+		rows := min(edgeTiles*mr, h-top)
+		tiles := (rows + mr - 1) / mr
+		pb.tile = grow(pb.tile, tiles*mr*nr)
+		staged := pb.tile
+		for i := range staged {
+			staged[i] = 0
+		}
+		k.tile.sweep(&staged[0], nr, kb, &ap[top*kb], &bp[0], tiles)
+		for i := 0; i < rows; i++ {
+			row := c.Data[(ci+top+i)*c.Stride+cj : (ci+top+i)*c.Stride+cj+w]
+			for j := range row {
+				row[j] += staged[i*nr+j]
+			}
 		}
 	}
 }

@@ -11,15 +11,65 @@
 // the portable Go tile, so each C element sees exactly one partial sum
 // (a math.FMA chain in k order) plus one addition per k block.
 
-// func kernelAVX2_4x8(c *float64, cstride, kb int, ap, bp *float64, tiles int)
+// STEP4x12 is one k step of the 4×12 tile at byte offsets a into the A
+// micro-panel (R8) and b into the B micro-panel (R10): three 32-byte
+// loads of B, then per row one broadcast of its A value and three FMAs.
+#define STEP4x12(a, b) \
+	VMOVUPD      b(R10), Y12; \
+	VMOVUPD      b+32(R10), Y13; \
+	VMOVUPD      b+64(R10), Y14; \
+	VBROADCASTSD a(R8), Y15; \
+	VFMADD231PD  Y12, Y15, Y0; \
+	VFMADD231PD  Y13, Y15, Y1; \
+	VFMADD231PD  Y14, Y15, Y2; \
+	VBROADCASTSD a+8(R8), Y15; \
+	VFMADD231PD  Y12, Y15, Y3; \
+	VFMADD231PD  Y13, Y15, Y4; \
+	VFMADD231PD  Y14, Y15, Y5; \
+	VBROADCASTSD a+16(R8), Y15; \
+	VFMADD231PD  Y12, Y15, Y6; \
+	VFMADD231PD  Y13, Y15, Y7; \
+	VFMADD231PD  Y14, Y15, Y8; \
+	VBROADCASTSD a+24(R8), Y15; \
+	VFMADD231PD  Y12, Y15, Y9; \
+	VFMADD231PD  Y13, Y15, Y10; \
+	VFMADD231PD  Y14, Y15, Y11
+
+// PREFETCHROW4x12 asks for every cache line of the 96-byte C row at R12
+// (its first, 64th and last byte cover the two or three lines it spans)
+// and steps R12 to the next row.
+#define PREFETCHROW4x12 \
+	PREFETCHT0 (R12); \
+	PREFETCHT0 64(R12); \
+	PREFETCHT0 95(R12); \
+	ADDQ       SI, R12
+
+// ADDROW4x12 adds accumulators y0, y1, y2 into the 12-wide C row at DI
+// and steps DI to the next row.
+#define ADDROW4x12(y0, y1, y2) \
+	VMOVUPD (DI), Y12; \
+	VADDPD  y0, Y12, Y12; \
+	VMOVUPD Y12, (DI); \
+	VMOVUPD 32(DI), Y13; \
+	VADDPD  y1, Y13, Y13; \
+	VMOVUPD Y13, 32(DI); \
+	VMOVUPD 64(DI), Y14; \
+	VADDPD  y2, Y14, Y14; \
+	VMOVUPD Y14, 64(DI); \
+	ADDQ    SI, DI
+
+// func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles int)
 //
-// 4×8 tile: accumulator row r in Y(2r), Y(2r+1). Per k step: two
-// 32-byte loads of B, four broadcasts of A, eight FMAs.
+// 4×12 tile: accumulator row r in Y(3r), Y(3r+1), Y(3r+2). The k loop
+// takes two steps per iteration, then a last step when kb is odd; each
+// accumulator still sees its FMAs in k order from zero.
 //
 // One call sweeps `tiles` full-height tiles down one B micro-panel:
 // tile t reads the t-th packed A micro-panel (ap advances kb·4 words
-// by itself), re-reads the same bp, and adds into rows 4t..4t+3 of C.
-TEXT ·kernelAVX2_4x8(SB), NOSPLIT, $0-48
+// by itself), re-reads the same bp, and adds into rows 4t..4t+3 of C,
+// whose lines it prefetches before the k loop so the final
+// read-modify-write finds them in cache.
+TEXT ·kernelAVX2_4x12(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ cstride+8(FP), SI
 	MOVQ kb+16(FP), DX
@@ -29,9 +79,15 @@ TEXT ·kernelAVX2_4x8(SB), NOSPLIT, $0-48
 	SHLQ $3, SI                // row stride in bytes
 
 	TESTQ CX, CX
-	JLE   done4x8
+	JLE   done4x12
 
-tile4x8:
+tile4x12:
+	MOVQ DI, R12
+	PREFETCHROW4x12
+	PREFETCHROW4x12
+	PREFETCHROW4x12
+	PREFETCHROW4x12
+
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -40,64 +96,38 @@ tile4x8:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
 
-	MOVQ  R9, R10              // this tile's walk over the B micro-panel
-	MOVQ  DX, R11
-	TESTQ R11, R11
-	JZ    store4x8
+	MOVQ R9, R10               // this tile's walk over the B micro-panel
+	MOVQ DX, R11
+	SHRQ $1, R11               // pairs of k steps
+	JZ   tail4x12
 
-loop4x8:
-	VMOVUPD      (R10), Y8     // b0..b3
-	VMOVUPD      32(R10), Y9   // b4..b7
-	VBROADCASTSD (R8), Y10
-	VFMADD231PD  Y8, Y10, Y0   // row 0, cols 0..3
-	VFMADD231PD  Y9, Y10, Y1   // row 0, cols 4..7
-	VBROADCASTSD 8(R8), Y11
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 16(R8), Y10
-	VFMADD231PD  Y8, Y10, Y4
-	VFMADD231PD  Y9, Y10, Y5
-	VBROADCASTSD 24(R8), Y11
-	VFMADD231PD  Y8, Y11, Y6
-	VFMADD231PD  Y9, Y11, Y7
-	ADDQ         $32, R8       // next mr-wide A step
-	ADDQ         $64, R10      // next nr-wide B step
-	DECQ         R11
-	JNZ          loop4x8
+pair4x12:
+	STEP4x12(0, 0)
+	STEP4x12(32, 96)
+	ADDQ $64, R8               // two mr-wide A steps
+	ADDQ $192, R10             // two nr-wide B steps
+	DECQ R11
+	JNZ  pair4x12
 
-store4x8:
-	VMOVUPD (DI), Y8
-	VADDPD  Y0, Y8, Y8
-	VMOVUPD Y8, (DI)
-	VMOVUPD 32(DI), Y9
-	VADDPD  Y1, Y9, Y9
-	VMOVUPD Y9, 32(DI)
-	ADDQ    SI, DI
-	VMOVUPD (DI), Y10
-	VADDPD  Y2, Y10, Y10
-	VMOVUPD Y10, (DI)
-	VMOVUPD 32(DI), Y11
-	VADDPD  Y3, Y11, Y11
-	VMOVUPD Y11, 32(DI)
-	ADDQ    SI, DI
-	VMOVUPD (DI), Y8
-	VADDPD  Y4, Y8, Y8
-	VMOVUPD Y8, (DI)
-	VMOVUPD 32(DI), Y9
-	VADDPD  Y5, Y9, Y9
-	VMOVUPD Y9, 32(DI)
-	ADDQ    SI, DI
-	VMOVUPD (DI), Y10
-	VADDPD  Y6, Y10, Y10
-	VMOVUPD Y10, (DI)
-	VMOVUPD 32(DI), Y11
-	VADDPD  Y7, Y11, Y11
-	VMOVUPD Y11, 32(DI)
-	ADDQ    SI, DI             // first row of the next tile
-	DECQ    CX
-	JNZ     tile4x8
+tail4x12:
+	TESTQ $1, DX
+	JZ    store4x12
+	STEP4x12(0, 0)
+	ADDQ  $32, R8              // A advances to the next tile's panel
 
-done4x8:
+store4x12:
+	ADDROW4x12(Y0, Y1, Y2)
+	ADDROW4x12(Y3, Y4, Y5)
+	ADDROW4x12(Y6, Y7, Y8)
+	ADDROW4x12(Y9, Y10, Y11)   // leaves DI on the next tile's first row
+	DECQ CX
+	JNZ  tile4x12
+
+done4x12:
 	VZEROUPPER
 	RET

@@ -154,16 +154,18 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 
 	// The sweep's edges, exhaustively: block heights of one tile less a
 	// row, exactly one tile, one tile and a fringe row, two tiles and a
-	// fringe; panel widths either side of nr; depths of one step, the
-	// tight workload's eight, one full kc block and one step into the
-	// next; and MC values that are not multiples of mr, which put a
-	// fringe tile in the middle of a column (the sweep runs ⌊mb/mr⌋
-	// tiles, the staged edge kernel the rest, then the next block).
+	// fringe; panel widths either side of nr; depths of one step, one
+	// pair of steps, a pair and an odd last step (the AVX2 tile's k loop
+	// takes two steps at a time), the tight workload's eight, one short
+	// of a kc block, one full block and one step into the next; and MC
+	// values that are not multiples of mr, which put a fringe tile in
+	// the middle of a column (the sweep runs ⌊mb/mr⌋ tiles, the staged
+	// edge kernel the rest, then the next block).
 	for _, tl := range testTiles() {
 		for _, mcb := range []int{mc, tl.mr + 1, 2*tl.mr + 1} {
 			for _, m := range []int{tl.mr - 1, tl.mr, tl.mr + 1, 2*tl.mr + 3} {
 				for _, n := range []int{tl.nr - 1, tl.nr, tl.nr + 1} {
-					for _, kk := range []int{1, 8, kc, kc + 1} {
+					for _, kk := range []int{1, 2, 3, 8, kc - 1, kc, kc + 1} {
 						a := randomStrided(rng, m, kk)
 						b := randomStrided(rng, kk, n)
 						c0 := borderedC(rng, m, n)
@@ -283,10 +285,10 @@ func TestKernelStridedViewsBitwiseIdentical(t *testing.T) {
 // (i/mr)·kb·mr + p·mr + i mod mr of packed A is A[ic+i][pc+p], or 0 in
 // the padding rows below mb, and word (j/nr)·kb·nr + p·nr + j mod nr of
 // packed B is B[pc+p][jc+j], or 0 in the padding columns right of nb.
-// It runs every panel width a tile packs — 4 and 8 either way, so the
-// NEON tile's 8-row A and 4-column B panels run on every architecture —
-// over random extents with fringes and zeros, views with a random pad
-// and block origins inside them. dst starts as NaN, a few NaN words
+// It runs every panel width a tile packs — A's 4 and 8, B's 4 and 12,
+// so the NEON tile's 8-row A and the AVX2 tile's 12-column B panels
+// run on every architecture — over random extents with fringes and
+// zeros, views with a random pad and block origins inside them. dst starts as NaN, a few NaN words
 // past its end included, so a word the loops skip or overrun fails.
 func TestPackLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -313,7 +315,7 @@ func TestPackLayout(t *testing.T) {
 	}
 	for trial := 0; trial < 100; trial++ {
 		for _, mr := range []int{4, 8} {
-			for _, nr := range []int{4, 8} {
+			for _, nr := range []int{4, 12} {
 				mb, kb, nb := rng.Intn(3*mr+4), rng.Intn(40), rng.Intn(3*nr+4)
 				ic, pc, jc := rng.Intn(5), rng.Intn(5), rng.Intn(5)
 				a := randomStrided(rng, ic+mb+rng.Intn(3), pc+kb+rng.Intn(3))

@@ -3,14 +3,14 @@
 package matrix
 
 // The AVX2+FMA micro-kernel (gemm_amd64.s). It accumulates the full
-// 4×8 register tile over the packed panels and adds it into C with
+// 4×12 register tile over the packed panels and adds it into C with
 // plain (unfused) vector adds, exactly mirroring the accumulate-then-
 // add structure of the portable Go tile; each C element's value is a
 // math.FMA chain over the k block followed by one addition. One call
 // does that for `tiles` consecutive tiles down a column of C.
 //
 //go:noescape
-func kernelAVX2_4x8(c *float64, cstride, kb int, ap, bp *float64, tiles int)
+func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles int)
 
 // cpuid executes the CPUID instruction with the given leaf and
 // subleaf (cpu_amd64.s).
@@ -49,12 +49,17 @@ func detectAVX2FMA() bool {
 	return b7&avx2 != 0
 }
 
-// The 4×8 tile is, counted in YMM registers, 4×2: two B loads and four
-// A broadcasts feed eight FMAs per k step — six load µops, so the two
-// FMA ports set the pace, where a tile one register wide (8×1) would
-// need nine and wait on the two load ports.
+// The 4×12 tile is, counted in YMM registers, 4×3: twelve independent
+// FMA chains, more than the FMA latency (4 cycles) × 2 ports that keep
+// both ports busy, so the chains have slack; and three B loads plus four
+// A broadcasts feed twelve FMAs per k step — 7 load µops per 12 FMAs,
+// so the two load ports keep ahead of the FMA ports. Twelve
+// accumulators and four operand registers fill the sixteen YMM
+// registers. The tile prefetches its four C rows before its k loop:
+// a rank's C block (2 MiB at square-roomy's 512×512) outgrows L2, so
+// the final add would otherwise wait on memory.
 func init() {
 	if hasAVX2FMA {
-		dispatched = tile{name: "avx2-4x8", mr: 4, nr: 8, fused: true, sweep: kernelAVX2_4x8}
+		dispatched = tile{name: "avx2-4x12", mr: 4, nr: 12, fused: true, sweep: kernelAVX2_4x12}
 	}
 }

@@ -4,9 +4,9 @@ package matrix
 
 import "testing"
 
-// TestAVX2DispatchesFused4x8: an AVX2+FMA CPU runs the fused 4×8
+// TestAVX2DispatchesFused4x12: an AVX2+FMA CPU runs the fused 4×12
 // assembly tile, any other amd64 CPU the portable Go 4×4.
-func TestAVX2DispatchesFused4x8(t *testing.T) {
+func TestAVX2DispatchesFused4x12(t *testing.T) {
 	d := dispatched
 	if !hasAVX2FMA {
 		if d.name != portableTile.name || d.sweep != nil {
@@ -14,7 +14,7 @@ func TestAVX2DispatchesFused4x8(t *testing.T) {
 		}
 		return
 	}
-	if d.name != "avx2-4x8" || d.mr != 4 || d.nr != 8 || !d.fused || d.sweep == nil {
-		t.Fatalf("AVX2+FMA CPU dispatches %s %d×%d fused=%v, want the fused avx2-4x8", d.name, d.mr, d.nr, d.fused)
+	if d.name != "avx2-4x12" || d.mr != 4 || d.nr != 12 || !d.fused || d.sweep == nil {
+		t.Fatalf("AVX2+FMA CPU dispatches %s %d×%d fused=%v, want the fused avx2-4x12", d.name, d.mr, d.nr, d.fused)
 	}
 }

@@ -37,7 +37,7 @@ var portableTile = tile{name: "go4x4", mr: mr, nr: nr}
 
 // dispatched is the tile every Kernel runs. It is the portable tile
 // unless the build-tagged simd_*.go replaces it at init: amd64 with
-// AVX2+FMA (CPUID-detected) takes the 4×8 assembly tile, arm64 the 8×4
-// NEON tile. There is one per process and nothing chooses between
+// AVX2+FMA (CPUID-detected) takes the 4×12 assembly tile, arm64 the
+// 8×4 NEON tile. There is one per process and nothing chooses between
 // tiles afterwards.
 var dispatched = portableTile
