@@ -2,6 +2,7 @@ package cosma
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,12 +14,13 @@ import (
 // algorithms to what the Plan interface and its three optional interfaces
 // used to make the compiler check: the plan carries the row's display
 // name, its numbers and an Execute; the Algorithm 1 policies — and only
-// they — publish a geometry and gather their result, so a wire engine
-// refuses Cannon at Plan; names and aliases are unique and resolve
-// case-insensitively.
+// they — publish a geometry; every row plans and executes on a wire
+// engine, to the in-process product's bits; names and aliases are
+// unique and resolve case-insensitively.
 func TestEveryAlgorithmFillsItsPlan(t *testing.T) {
 	const n, p, s = 64, 4, 1 << 16
 	algorithm1 := map[string]bool{"cosma": true, "summa": true, "2.5d": true, "carma": true}
+	a, b := RandomMatrix(n, n, 1), RandomMatrix(n, n, 2)
 	seen := map[string]bool{}
 	for _, row := range baselines.Algorithms {
 		for _, key := range append([]string{row.Name}, row.Aliases...) {
@@ -38,8 +40,12 @@ func TestEveryAlgorithmFillsItsPlan(t *testing.T) {
 			pl.M != n || pl.N != n || pl.K != n || pl.P != p || pl.Execute == nil {
 			t.Errorf("%s: plan %+v is not filled in for %d³ on p=%d under %q", row.Name, pl, n, p, row.Display)
 		}
-		if want := algorithm1[row.Name]; (pl.Geometry != nil) != want || pl.Distributed != want {
-			t.Errorf("%s: geometry %v, distributed %v; want both %v", row.Name, pl.Geometry, pl.Distributed, want)
+		if want := algorithm1[row.Name]; (pl.Geometry != nil) != want {
+			t.Errorf("%s: geometry %v, want one: %v", row.Name, pl.Geometry, want)
+		}
+		want, _, err := algo.Run(row.Plan, algo.Config{}, nil, a, b, p, s)
+		if err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
 		}
 
 		addr := WireSocketAddrs(t.TempDir(), 1)[0]
@@ -49,11 +55,18 @@ func TestEveryAlgorithmFillsItsPlan(t *testing.T) {
 			t.Fatalf("%s: %v", row.Name, err)
 		}
 		plan, err := eng.Plan(context.Background(), n, n, n)
-		if (err == nil) != algorithm1[row.Name] {
-			t.Errorf("%s on a wire engine: Plan error %v, want planned = %v", row.Name, err, algorithm1[row.Name])
+		if err != nil {
+			t.Fatalf("%s on a wire engine: %v", row.Name, err)
 		}
-		if err == nil && plan.Algorithm() != row.Display {
+		if plan.Algorithm() != row.Display {
 			t.Errorf("%s: wire plan names its algorithm %q, want %q", row.Name, plan.Algorithm(), row.Display)
+		}
+		got, _, err := eng.Exec(context.Background(), a, b)
+		if err != nil {
+			t.Fatalf("%s on a wire engine: %v", row.Name, err)
+		}
+		if !slices.Equal(got.Data, want.Data) {
+			t.Errorf("%s: the wire product differs from the in-process one", row.Name)
 		}
 		eng.Close()
 	}

@@ -115,7 +115,7 @@ func main() {
 			log.Fatal("-transport wire measures real traffic; it cannot run on the timed -network transport")
 		}
 		if *algoName == "all" || *algoName == "list" {
-			log.Fatal("-transport wire runs one algorithm; pick one, e.g. -algo cosma, summa or 2.5d")
+			log.Fatal("-transport wire runs one algorithm; pick one with -algo (-algo list names them)")
 		}
 		err := runWire(wireRun{
 			algo: *algoName, m: *m, n: *n, k: *k, p: *p,

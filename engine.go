@@ -3,6 +3,7 @@ package cosma
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,10 +167,9 @@ func WithAlgorithm(name string) Option {
 // Wire runs are collective: every process must issue the same sequence
 // of multiplications (same shapes, same order). The process hosting
 // rank 0 receives the gathered product; the others get a zero matrix
-// of the right shape. Only algorithms whose plans gather their result
-// tiles (COSMA, SUMMA, 2.5D, CARMA) are supported. Close the engine to
-// tear the mesh down. Incompatible with WithNetwork — the wire transport
-// measures real traffic, not the α-β-γ model.
+// of the right shape. Close the engine to tear the mesh down.
+// Incompatible with WithNetwork — the wire transport measures real
+// traffic, not the α-β-γ model.
 func WithWireTransport(cfg WireConfig) Option {
 	return func(c *engineConfig) {
 		if len(cfg.Peers) < 1 {
@@ -314,8 +314,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		e.wireTr = tr
 		e.wireMach = machine.NewLinked(tr)
-		if e.multiProc() && !hostsRankZero(e.wireMach) {
-			// Only the process holding the gathered product can check it.
+		if !slices.Contains(e.wireMach.LocalRanks(), 0) {
+			// Only the process hosting rank 0 holds the gathered product.
 			e.cfg.verify = false
 		}
 	}
@@ -374,11 +374,6 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 	inner, err := e.spec.Plan(algo.Config{Overlap: e.cfg.overlap, Network: e.cfg.network}, m, n, k, e.cfg.procs, e.cfg.memory)
 	if err != nil {
 		return nil, err
-	}
-	if e.wireMach != nil && !inner.Distributed {
-		// The distributed-gather gate of algo.NewExecutor, surfaced
-		// at planning time so execution can't fail on it later.
-		return nil, fmt.Errorf("cosma: algorithm %s cannot run on the wire transport (no distributed result gather); use cosma, summa, 2.5d or carma", inner.Name)
 	}
 	p := &Plan{inner: inner, eng: e}
 	e.plans.Add(key, p)
@@ -460,17 +455,6 @@ func (e *Engine) MultiplyBatch(ctx context.Context, pairs []Pair) ([]*Matrix, []
 // WithVerification).
 func (e *Engine) multiProc() bool {
 	return e.wireMach != nil && len(e.wireMach.LocalRanks()) < e.cfg.procs
-}
-
-// hostsRankZero reports whether this process runs rank 0's program —
-// the rank the distributed algorithms gather the product to.
-func hostsRankZero(m *machine.Machine) bool {
-	for _, id := range m.LocalRanks() {
-		if id == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // CacheStats is a snapshot of the engine's plan-cache accounting.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"cosma/internal/layout"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
@@ -29,20 +30,16 @@ type Plan struct {
 	// Overlap records that Execute pipelines its rounds (§7.3): what the
 	// plan decided, which is Config.Overlap only where S has room.
 	Overlap bool
-	// Distributed records that Execute gathers the ranks' pieces of C to rank
-	// 0 when the machine's ranks span several OS processes (the wire
-	// transport), so the process hosting rank 0 returns the full product
-	// and every other process a zero matrix. A plan without it is refused
-	// on a multi-process machine rather than silently returning a partial
-	// result.
-	Distributed bool
 	// Execute runs the schedule on mach, which spans P ranks
 	// (NewExecutor checks), multiplying a·b and drawing rank-local scratch
 	// from scratch (nil for fresh allocations). a and b are read in place
 	// by every rank for the duration of the call and never written; the
 	// caller must not write them until Execute returns. Cancellation of
 	// ctx is honored at communication-round boundaries and unblocks
-	// ranks parked in a receive.
+	// ranks parked in a receive. It returns the product through a Gather,
+	// so on a machine spanning several OS processes (the wire transport)
+	// the process hosting rank 0 returns it and every other one a zero
+	// matrix.
 	Execute func(ctx context.Context, mach *machine.Machine, scratch *Arena, a, b *matrix.Dense) (*matrix.Dense, error)
 }
 
@@ -92,8 +89,7 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor for p on mach, which must span the
-// plan's P ranks and may span several OS processes (the wire
-// transport); the scratch arena is allocated once here and reused by
+// plan's P ranks; the scratch arena is allocated once here and reused by
 // every Exec. The caller configures mach and keeps ownership;
 // executions on one machine must not overlap. Each rank's local GEMM
 // gets the cores left over once every working rank on this process
@@ -103,9 +99,6 @@ type Executor struct {
 func NewExecutor(p *Plan, mach *machine.Machine) (*Executor, error) {
 	if mach.P() != p.P {
 		return nil, fmt.Errorf("algo: plan is for p=%d but the supplied machine has %d ranks", p.P, mach.P())
-	}
-	if mach.MultiProcess() && !p.Distributed {
-		return nil, fmt.Errorf("algo: %s plans cannot run on a multi-process machine (no distributed result gather)", p.Name)
 	}
 	sharing := max(p.Used, 1)
 	// On a multi-process machine only the local ranks compete for this
@@ -143,6 +136,75 @@ func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense,
 		return nil, nil, fmt.Errorf("algo: merging the processes' counters: %w", err)
 	}
 	return c, NewReport(e.mach, e.plan), nil
+}
+
+// tagGather tags the result gather, offset by the sender's id: clear of
+// every rank program's tags, which stay below 7<<20.
+const tagGather = 7 << 20
+
+// Piece is where a share of C lands: words Words of the row-major tile
+// of C whose top left element is (Top, Left) and whose rows are Width
+// long.
+type Piece struct {
+	Top, Left, Width int
+	Words            layout.Range
+}
+
+// Gather is the one result path of every plan's Execute. Each working
+// rank Puts its share of every C block it multiplies, loaned from the
+// machine pool, and Assemble copies the shares into the product and
+// releases them. On a multi-process machine the ranks other than 0 send
+// their non-empty shares to rank 0 instead, tagged by sender, so only
+// the process hosting rank 0 assembles the product; the others return a
+// zero matrix.
+type Gather struct {
+	multi  bool
+	ranks  int
+	place  func(block, id int) Piece
+	shares [][]float64 // by block, then rank
+}
+
+// NewGather returns the gather of blocks C blocks on mach, each cut into
+// shares held by ranks 0 … ranks−1 that land where place says.
+func NewGather(mach *machine.Machine, blocks, ranks int, place func(block, id int) Piece) *Gather {
+	return &Gather{multi: mach.MultiProcess(), ranks: ranks, place: place, shares: make([][]float64, blocks*ranks)}
+}
+
+// Put hands over r's share of block; at rank 0 of a multi-process
+// machine it also receives the block's other non-empty shares.
+func (g *Gather) Put(r *machine.Rank, block int, share []float64) {
+	mine, id := g.shares[block*g.ranks:(block+1)*g.ranks], r.ID()
+	switch {
+	case !g.multi:
+		mine[id] = share
+	case id != 0:
+		if len(share) > 0 {
+			r.SendOwned(0, tagGather+id, share)
+		}
+	default:
+		mine[0] = share
+		for src := 1; src < g.ranks; src++ {
+			if g.place(block, src).Words.Len() > 0 {
+				mine[src] = r.Recv(src, tagGather+src)
+			}
+		}
+	}
+}
+
+// Assemble returns the m×n product, each share landing one row piece at
+// a time.
+func (g *Gather) Assemble(m, n int) *matrix.Dense {
+	out := matrix.New(m, n)
+	for i, share := range g.shares {
+		pc := g.place(i/g.ranks, i%g.ranks)
+		for rest, w := share, pc.Words.Lo; len(rest) > 0; {
+			row, col := w/pc.Width, w%pc.Width
+			c := copy(out.Data[(pc.Top+row)*out.Stride+pc.Left+col:][:pc.Width-col], rest)
+			rest, w = rest[c:], w+c
+		}
+		machine.Release(share)
+	}
+	return out
 }
 
 // Run is the one-shot path of the experiment tables and tests: compile

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"cosma/internal/algo"
+	"cosma/internal/layout"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
@@ -59,11 +60,15 @@ type cannonPlan struct {
 	m, n, k, p, q int
 }
 
-// Execute is the algo.Plan's Execute.
+// Execute is the algo.Plan's Execute. Every rank sums its dm×dn block
+// of C in a loaned tile and hands the whole tile to the gather as its
+// one share.
 func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
 	q := pl.q
 	dm, dk, dn := pl.m/q, pl.k/q, pl.n/q
-	tiles := make([]*matrix.Dense, pl.p)
+	out := algo.NewGather(mach, 1, pl.p, func(_, id int) algo.Piece {
+		return algo.Piece{Top: id / q * dm, Left: id % q * dn, Width: dn, Words: layout.Range{Hi: dm * dn}}
+	})
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
 		i, j := r.ID()/q, r.ID()%q // row-major torus coordinates
 		rank := func(ii, jj int) int { return mod(ii, q)*q + mod(jj, q) }
@@ -87,7 +92,8 @@ func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratc
 			myB = shift(rank(i-j, j), myB, rank(i+j, j), canTagSkewB)
 		}
 
-		cTile := scratch.Matrix(r.ID(), dm, dn)
+		cTile := matrix.FromSlice(dm, dn, machine.Loan(dm*dn))
+		clear(cTile.Data)
 		kern := scratch.Kernel(r.ID())
 		for t := 0; t < q; t++ {
 			if err := r.Err(); err != nil {
@@ -105,19 +111,13 @@ func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratc
 		}
 		machine.Release(myA)
 		machine.Release(myB)
-		tiles[r.ID()] = cTile
+		out.Put(r, 0, cTile.Data)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := matrix.New(pl.m, pl.n)
-	for id := 0; id < pl.p; id++ {
-		i, j := id/q, id%q
-		out.View(i*dm, j*dn, dm, dn).CopyFrom(tiles[id])
-	}
-	return out, nil
+	return out.Assemble(pl.m, pl.n), nil
 }
 
 func mod(x, q int) int { return ((x % q) + q) % q }

@@ -24,9 +24,6 @@ const (
 	tagA = 1 << 20
 	tagB = 2 << 20
 	tagC = 3 << 20
-	// tagOut carries the multi-process result gather: every rank sends
-	// its share of C to rank 0 (tag offset by sender id).
-	tagOut = 4 << 20
 	// tagInA/tagInB carry the layer-0 input scatter (plan.layer0).
 	tagInA = 5 << 20
 	tagInB = 6 << 20
@@ -171,10 +168,9 @@ func (sc *schedule) compile(name string) *algo.Plan {
 	return &algo.Plan{
 		Model: sc.count(name),
 		M:     sc.m, N: sc.n, K: sc.k, P: sc.p,
-		Geometry:    &d,
-		Overlap:     overlap,
-		Distributed: true,
-		Execute:     sc.Execute,
+		Geometry: &d,
+		Overlap:  overlap,
+		Execute:  sc.Execute,
 	}
 }
 
@@ -275,21 +271,17 @@ func (sc *schedule) geometry() algo.Decomposition {
 // Execute is the algo.Plan's Execute. Every rank multiplies the blocks
 // in order inside one run, reading its pieces of a and b in place, as
 // views, and summing each block in one C tile: the largest it holds in
-// any block. The returned matrix is assembled from the ranks' shares of
-// every block's C; the share payloads (loaned from the machine pool by
-// the fiber reduction) are released back once copied out. On a
-// multi-process machine every rank forwards its shares to rank 0 (the
-// tagOut gather), so only the process hosting rank 0 assembles the
-// product — the others return a zero matrix.
+// any block. It hands each block's share of C (loaned from the machine
+// pool by the fiber reduction) to the plan's gather, which assembles the
+// product.
 func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
-	multi := mach.MultiProcess()
 	ranks := sc.g.Ranks()
 	views := make([]*matrix.Dense, 2*len(sc.blocks)) // the blocks' rows of a, columns of b
 	for i, blk := range sc.blocks {
 		views[2*i] = a.View(blk.rows.Lo, 0, blk.m, sc.k)
 		views[2*i+1] = b.View(0, blk.cols.Lo, sc.k, blk.n)
 	}
-	shares := make([][]float64, len(sc.blocks)*ranks) // by block, then rank
+	out := algo.NewGather(mach, len(sc.blocks), ranks, sc.place)
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
 		id := r.ID()
 		if id >= ranks {
@@ -307,76 +299,37 @@ func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch 
 			if i > 0 {
 				clear(tile.Data)
 			}
-			mine := shares[i*ranks : (i+1)*ranks]
 			share, err := blk.rankProgram(r, kern, tile, views[2*i], views[2*i+1])
 			if err != nil {
 				return err
 			}
-			if multi {
-				blk.gatherShares(r, share, mine)
-			} else {
-				mine[id] = share
-			}
+			out.Put(r, i, share)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// A share is a flat word range of its fiber's row-major tile: it
-	// lands in out one row piece at a time.
-	out := matrix.New(sc.m, sc.n)
-	for bi, blk := range sc.blocks {
-		for id, share := range shares[bi*ranks : (bi+1)*ranks] {
-			rows, cols, words := blk.share(id)
-			top, left := blk.rows.Lo+rows.Lo, blk.cols.Lo+cols.Lo
-			dn := cols.Len()
-			for rest := share; len(rest) > 0; {
-				i, j := words.Lo/dn, words.Lo%dn
-				c := copy(out.Data[(top+i)*out.Stride+left+j:][:dn-j], rest)
-				rest, words.Lo = rest[c:], words.Lo+c
-			}
-			machine.Release(share)
-		}
-	}
-	return out, nil
+	return out.Assemble(sc.m, sc.n), nil
 }
 
-// share returns what rank id ends with: words of the row-major
-// rows×cols C tile of its fiber, cut evenly over the fiber's Pk members
-// by the reduction.
-func (pl *plan) share(id int) (rows, cols, words layout.Range) {
-	im, in, ik := pl.g.Coords(id)
-	rows = layout.Block(pl.m, pl.g.Pm, im)
-	cols = layout.Block(pl.n, pl.g.Pn, in)
-	return rows, cols, layout.Block(rows.Len()*cols.Len(), pl.g.Pk, ik)
-}
-
-// gatherShares is the multi-process epilogue: every rank other than
-// rank 0 hands its (pool-loaned) share to rank 0, which collects them
-// into shares for assembly. The tags are offset by the sender id, so
-// the receives match deterministically regardless of arrival order. An
-// empty share is neither sent nor awaited.
-func (pl *plan) gatherShares(r *machine.Rank, share []float64, shares [][]float64) {
-	if r.ID() != 0 {
-		if len(share) > 0 {
-			r.SendOwned(0, tagOut+r.ID(), share)
-		}
-		return
-	}
-	shares[0] = share
-	for id := 1; id < pl.g.Ranks(); id++ {
-		if _, _, words := pl.share(id); words.Len() > 0 {
-			shares[id] = r.Recv(id, tagOut+id)
-		}
+// place is where rank id's share of block bi lands in the product:
+// words of the row-major C tile of its fiber, cut evenly over the
+// fiber's Pk members by the reduction.
+func (sc *schedule) place(bi, id int) algo.Piece {
+	blk := sc.blocks[bi]
+	im, in, ik := sc.g.Coords(id)
+	rows, cols := layout.Block(blk.m, sc.g.Pm, im), layout.Block(blk.n, sc.g.Pn, in)
+	return algo.Piece{
+		Top: blk.rows.Lo + rows.Lo, Left: blk.cols.Lo + cols.Lo, Width: cols.Len(),
+		Words: layout.Block(rows.Len()*cols.Len(), sc.g.Pk, ik),
 	}
 }
 
 // rankProgram is one rank's part of Algorithm 1, summing into the first
 // words of tile, which are zero. It returns the rank's share of its
-// fiber's summed C tile (plan.share), loaned from the machine pool;
-// Execute releases it after assembly.
+// fiber's summed C tile (schedule.place), loaned from the machine pool;
+// the gather releases it after assembly.
 func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *matrix.Dense) ([]float64, error) {
 	im, in, ik := pl.g.Coords(r.ID())
 	rows := layout.Block(pl.m, pl.g.Pm, im) // my M range
