@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test race test-noasm cross-arm64 fault-conformance fuzz-smoke bench
+.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-short runs the tests under -short, whose branches neither test
+# nor race reaches: smaller sweeps, and the algorithm suite's
+# eighth-scale benchmark shapes on COSMA's row alone.
+test-short:
+	$(GO) test -short -count=1 ./...
 
 race:
 	$(GO) test -race ./...

@@ -32,14 +32,13 @@ type Plan struct {
 	Overlap bool
 	// Execute runs the schedule on mach, which spans P ranks
 	// (NewExecutor checks), multiplying a·b and drawing rank-local scratch
-	// from scratch (nil for fresh allocations). a and b are read in place
-	// by every rank for the duration of the call and never written; the
-	// caller must not write them until Execute returns. Cancellation of
-	// ctx is honored at communication-round boundaries and unblocks
-	// ranks parked in a receive. It returns the product through a Gather,
-	// so on a machine spanning several OS processes (the wire transport)
-	// the process hosting rank 0 returns it and every other one a zero
-	// matrix.
+	// from scratch. a and b are read in place by every rank for the
+	// duration of the call and never written; the caller must not write
+	// them until Execute returns. Cancellation of ctx is honored at
+	// communication-round boundaries and unblocks ranks parked in a
+	// receive. It returns the product through a Gather, so on a machine
+	// spanning several OS processes (the wire transport) the process
+	// hosting rank 0 returns it and every other one a zero matrix.
 	Execute func(ctx context.Context, mach *machine.Machine, scratch *Arena, a, b *matrix.Dense) (*matrix.Dense, error)
 }
 
@@ -256,11 +255,8 @@ func NewArena(p int) *Arena {
 // Kernel returns rank's packed GEMM kernel, creating it on first use
 // with the arena's thread bound. The kernel — and, crucially, its pack
 // buffers — survives Reset, so packing is allocation-free across
-// executions. A nil arena returns a fresh serial kernel.
+// executions.
 func (a *Arena) Kernel(rank int) *matrix.Kernel {
-	if a == nil {
-		return matrix.NewKernel(1)
-	}
 	rs := &a.ranks[rank]
 	if rs.kern == nil {
 		t := a.kernelThreads
@@ -274,9 +270,6 @@ func (a *Arena) Kernel(rank int) *matrix.Kernel {
 
 // Reset recycles every buffer for the next execution.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
 	for i := range a.ranks {
 		a.ranks[i].next = 0
 	}
@@ -286,9 +279,6 @@ func (a *Arena) Reset() {
 // for the next execution, summed over ranks (kernel pack buffers, which
 // are bounded by the cache-block parameters, not counted).
 func (a *Arena) Retained() int {
-	if a == nil {
-		return 0
-	}
 	words := 0
 	for _, rs := range a.ranks {
 		for _, m := range rs.mats {
@@ -299,13 +289,10 @@ func (a *Arena) Retained() int {
 }
 
 // Matrix returns a zeroed rows×cols scratch matrix owned by rank until
-// the next Reset. A nil arena degrades to a plain allocation. Arena
-// matrices must never be handed to machine.Release or SendOwned — the
-// arena retains them for the next execution.
+// the next Reset. Arena matrices must never be handed to
+// machine.Release or SendOwned — the arena retains them for the next
+// execution.
 func (a *Arena) Matrix(rank, rows, cols int) *matrix.Dense {
-	if a == nil {
-		return matrix.New(rows, cols)
-	}
 	m, reused := a.get(rank, rows, cols)
 	if reused {
 		m.Zero()

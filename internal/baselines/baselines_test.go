@@ -20,18 +20,6 @@ func mulRef(a, b *matrix.Dense) *matrix.Dense {
 	return c
 }
 
-func checkCorrect(t *testing.T, name string, run func() (*matrix.Dense, *algo.Report, error), a, b *matrix.Dense, k int) *algo.Report {
-	t.Helper()
-	got, rep, err := run()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if d := matrix.MaxDiff(got, mulRef(a, b)); d > 1e-9*float64(k) {
-		t.Fatalf("%s: max diff %g (grid %s)", name, d, rep.Model.Grid)
-	}
-	return rep
-}
-
 func TestCannonRejectsBadConfigs(t *testing.T) {
 	a := matrix.New(8, 8)
 	b := matrix.New(8, 8)
@@ -44,39 +32,51 @@ func TestCannonRejectsBadConfigs(t *testing.T) {
 }
 
 // TestCARMAReadsInputsInPlace: every rank reads its pieces of A and B
-// where the caller put them — views with Stride > Cols included — in one
-// C block and in four. After a warm execute the arena holds at most one
+// where the caller put them — A a view with Stride > Cols — for CARMA in
+// one C block and in four, and for COSMA on a scaled-down tall-k on a
+// k-parallel grid. After each warm execute the arena holds at most one
 // C tile per rank, the largest it sums any block in, and nothing the
 // size of an input piece.
 func TestCARMAReadsInputsInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	const m, n, k, p = 24, 20, 36, 8
-	a := matrix.Random(m, k+5, rng).View(0, 3, m, k)
-	b := matrix.Random(k, n, rng)
-	for _, c := range []struct{ s, blocks int }{{1 << 20, 1}, {100, 4}} {
-		pl, err := carma.Plan(algo.Config{}, m, n, k, p, c.s)
+	for _, c := range []struct {
+		row           algo.Spec
+		m, n, k, p, s int
+		blocks        int
+	}{
+		{carma, 24, 20, 36, 8, 1 << 20, 1},
+		{carma, 24, 20, 36, 8, 100, 4},
+		{cosma, 64, 64, 16384, 8, 1 << 16, 1},
+	} {
+		a := matrix.Random(c.m, c.k+5, rng).View(0, 3, c.m, c.k)
+		b := matrix.Random(c.k, c.n, rng)
+		want := mulRef(a, b)
+		pl, err := c.row.Plan(algo.Config{}, c.m, c.n, c.k, c.p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := pl.Geometry
 		if d.Blocks != c.blocks {
-			t.Fatalf("S = %d: grid %s, %d C blocks, want %d", c.s, pl.Grid, d.Blocks, c.blocks)
+			t.Fatalf("%s S = %d: grid %s, %d C blocks, want %d", pl.Name, c.s, pl.Grid, d.Blocks, c.blocks)
 		}
-		mach, arena := machine.New(p), algo.NewArena(p)
+		if c.row.Name == cosma.Name && d.GridPk < 2 {
+			t.Fatalf("grid %s is not k-parallel; the shape no longer stands in for tall-k", pl.Grid)
+		}
+		mach, arena := machine.New(c.p), algo.NewArena(c.p)
+		cTiles := d.RanksUsed * d.DomainM * d.DomainN
 		for run := 0; run < 2; run++ {
 			arena.Reset()
 			got, err := pl.Execute(context.Background(), mach, arena, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diff := matrix.MaxDiff(got, mulRef(a, b)); diff > 1e-9*k {
-				t.Fatalf("S = %d run %d: max diff %g", c.s, run, diff)
+			if diff := matrix.MaxDiff(got, want); diff > 1e-9*float64(c.k) {
+				t.Fatalf("%s S = %d run %d: max diff %g", pl.Name, c.s, run, diff)
 			}
-		}
-		cTiles := d.RanksUsed * d.DomainM * d.DomainN
-		if got := arena.Retained(); got > cTiles {
-			t.Fatalf("S = %d: grid %s: arena retains %d words, more than the %d of one C tile per rank (inputs are %d)",
-				c.s, pl.Grid, got, cTiles, m*k+k*n)
+			if got := arena.Retained(); got > cTiles {
+				t.Fatalf("%s S = %d run %d: grid %s: arena retains %d words, more than the %d of one C tile per rank (inputs are %d)",
+					pl.Name, c.s, run, pl.Grid, got, cTiles, c.m*c.k+c.k*c.n)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cosma/internal/algo"
@@ -33,9 +34,13 @@ func TestGridPoliciesPinSchedule(t *testing.T) {
 	} {
 		a := matrix.Random(c.m, c.k, rand.New(rand.NewSource(1)))
 		b := matrix.Random(c.k, c.n, rand.New(rand.NewSource(2)))
-		rep := checkCorrect(t, c.pl.Display, func() (*matrix.Dense, *algo.Report, error) {
-			return algo.Run(c.pl.Plan, algo.Config{}, &net, a, b, c.p, c.s)
-		}, a, b, c.k)
+		got, rep, err := algo.Run(c.pl.Plan, algo.Config{}, &net, a, b, c.p, c.s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.pl.Display, err)
+		}
+		if d := matrix.MaxDiff(got, mulRef(a, b)); d > 1e-9*float64(c.k) {
+			t.Errorf("%s %d×%d×%d p=%d: max diff %g", c.pl.Display, c.m, c.n, c.k, c.p, d)
+		}
 		if rep.Model.Grid != c.grid || rep.Model.Used != c.p || rep.MaxRecv != c.recv ||
 			rep.MaxVolume != c.volume || rep.Total != c.tot || rep.MaxMsgs != c.msgs {
 			t.Errorf("%s %d×%d×%d p=%d: grid %s used %d recv %d volume %d total %d msgs %d, want %s %d %d %d %d %d",
@@ -75,10 +80,8 @@ func TestOneGridOneSchedule(t *testing.T) {
 			rep.MaxMsgs != ref.MaxMsgs || rep.CritPathTime != ref.CritPathTime {
 			t.Errorf("%s ran %+v, COSMA ran %+v", pl.Display, rep, ref)
 		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%s: element %d differs bitwise from COSMA's", pl.Display, i)
-			}
+		if !slices.Equal(got.Data, want.Data) {
+			t.Errorf("%s: the product differs bitwise from COSMA's", pl.Display)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -157,20 +158,22 @@ func checkRow(row algo.Spec, c suiteShape, a, b, want *matrix.Dense, configs []a
 	return plans, nil
 }
 
-// suiteGroup is shapes to run every row on in configs.
+// suiteGroup is shapes to run rows on in configs.
 type suiteGroup struct {
 	shapes  []suiteShape
 	configs []algo.Config
+	rows    []algo.Spec
 }
 
-// suiteTally is what runSuite ran: the shapes each row planned, and the
-// plans in C blocks and in A bands.
+// suiteTally is what runSuite ran: the shapes each row planned, the
+// shapes with a grid pin COSMA's row ran, and the plans in C blocks and
+// in A bands.
 type suiteTally struct {
-	ran             map[string]int
-	blocked, banded int
+	ran                     map[string]int
+	pinned, blocked, banded int
 }
 
-// runSuite runs checkRow for every row on each shape of each group,
+// runSuite runs checkRow for each group's rows on each of its shapes,
 // reports every failed check and tallies what ran.
 func runSuite(t *testing.T, groups ...suiteGroup) suiteTally {
 	t.Helper()
@@ -180,13 +183,16 @@ func runSuite(t *testing.T, groups ...suiteGroup) suiteTally {
 		for _, c := range g.shapes {
 			a, b := matrix.Random(c.m, c.k, rng), matrix.Random(c.k, c.n, rng)
 			want := mulRef(a, b)
-			for _, row := range Algorithms {
+			for _, row := range g.rows {
 				plans, err := checkRow(row, c, a, b, want, g.configs)
 				if err != nil {
 					t.Error(err)
 				}
 				if len(plans) > 0 {
 					tally.ran[row.Name]++
+					if row.Name == cosma.Name && c.grid != "" {
+						tally.pinned++
+					}
 				}
 				for _, pl := range plans {
 					if pl.Geometry != nil && pl.Geometry.Blocks > 1 {
@@ -218,7 +224,7 @@ func smallConfigs() []algo.Config {
 // shape.
 func checkRows(t *testing.T, planners []algo.Spec, shapes []suiteShape) {
 	t.Helper()
-	tally := runSuite(t, suiteGroup{shapes, smallConfigs()})
+	tally := runSuite(t, suiteGroup{shapes, smallConfigs(), Algorithms})
 	for _, row := range planners {
 		if n := tally.ran[row.Name]; n != len(shapes) {
 			t.Errorf("%s refused %d of its %d shapes", row.Display, len(shapes)-n, len(shapes))
@@ -230,27 +236,36 @@ func checkRows(t *testing.T, planners []algo.Spec, shapes []suiteShape) {
 // of the table of algorithms on every suite shape in the four suite
 // configurations (checkRow), so each row's modelled words and messages
 // are its measured ones, exactly. Under -short or -race it runs the
-// small shapes in smallConfigs, leaves the eighth-scale shapes to core's
-// TestCOSMAMeasuredMatchesModel, which runs them on COSMA's row counting
-// with overlap off, and runs the benchmark's shapes on every row that
-// way too; under -race square-tight also runs on pizdaint, overlap off,
-// for its three A bands. Some CARMA plan must run in C blocks and some
-// pizdaint plan in A bands, and every row must run somewhere.
+// small shapes in smallConfigs, the eighth-scale shapes on COSMA's row
+// alone, counting with overlap off, and the benchmark's shapes on every
+// row that way; under -race square-tight also runs on pizdaint, overlap
+// off, for its three A bands. COSMA's row must run every shape with a
+// grid pin, some CARMA plan must run in C blocks and some pizdaint plan
+// in A bands, and every row must run somewhere.
 func TestModelWordsEqualMeasured(t *testing.T) {
 	small, eighth, bench := suiteShapes()
-	groups := []suiteGroup{{small, smallConfigs()}, {eighth, suiteConfigs}, {bench, suiteConfigs}}
+	groups := []suiteGroup{{small, smallConfigs(), Algorithms}, {eighth, suiteConfigs, Algorithms}, {bench, suiteConfigs, Algorithms}}
 	if testing.Short() || raceEnabled {
-		groups[1].shapes = nil
+		groups[1] = suiteGroup{eighth, suiteConfigs[:1], []algo.Spec{cosma}}
 		groups[2].configs = suiteConfigs[:1]
 	}
 	if raceEnabled && bench != nil {
-		groups = append(groups, suiteGroup{bench[1:2], suiteConfigs[2:3]})
+		groups = append(groups, suiteGroup{bench[1:2], suiteConfigs[2:3], Algorithms})
 	}
 	tally := runSuite(t, groups...)
 	for _, row := range Algorithms {
 		if tally.ran[row.Name] == 0 {
 			t.Errorf("%s refused every shape", row.Display)
 		}
+	}
+	pins := 0
+	for _, c := range slices.Concat(small, eighth, bench) {
+		if c.grid != "" {
+			pins++
+		}
+	}
+	if tally.pinned != pins {
+		t.Errorf("COSMA's row ran %d of the %d shapes with a grid pin", tally.pinned, pins)
 	}
 	if tally.blocked == 0 {
 		t.Error("no CARMA plan runs in C blocks: the blocks' sum goes unchecked")
@@ -282,11 +297,11 @@ func TestCARMACorrectAcrossShapes(t *testing.T) { checkRows(t, []algo.Spec{carma
 
 func TestAllAlgorithmsAgreeOnOneProblem(t *testing.T) { checkRows(t, Algorithms, agreeShapes) }
 
-// TestCARMACorrectnessProperty makes checkRow's checks, in all four
+// TestCorrectnessProperty makes checkRow's checks, in all four
 // configurations, for every row, CARMA's included, on random problems:
 // m, n, k ≤ 20, p ≤ 16, and S from 16 words, where a round is one outer
 // product, to 2²⁰.
-func TestCARMACorrectnessProperty(t *testing.T) {
+func TestCorrectnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := suiteShape{m: 1 + r.Intn(20), n: 1 + r.Intn(20), k: 1 + r.Intn(20), p: 1 + r.Intn(16), s: 16 + r.Intn(2000)}

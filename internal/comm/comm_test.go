@@ -27,7 +27,7 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 					data = payload
 				}
 				got := g.Bcast(root, data, 10)
-				if len(got) != 4 || got[3] != 4 {
+				if len(got) != 4 || got[0] != 1 || got[3] != 4 {
 					t.Errorf("n=%d root=%d rank=%d got %v", n, root, r.ID(), got)
 				}
 				return nil

@@ -11,44 +11,6 @@ import (
 	"cosma/internal/machine"
 )
 
-// TestIBcastMatchesBcast runs the asynchronous broadcast over every
-// size and root and checks payloads and tree volume against the
-// blocking collective's contract.
-func TestIBcastMatchesBcast(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		for root := 0; root < n; root++ {
-			m := machine.New(n)
-			payload := []float64{1, 2, 3, 4}
-			ids := make([]int, n)
-			for i := range ids {
-				ids[i] = i
-			}
-			err := m.Run(func(r *machine.Rank) error {
-				g := groupOf(r, ids)
-				var data []float64
-				if g.Index() == root {
-					data = payload
-				}
-				got := g.IBcast(root, data, 10).Wait()
-				if len(got) != 4 || got[0] != 1 || got[3] != 4 {
-					t.Errorf("n=%d root=%d rank=%d got %v", n, root, r.ID(), got)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
-			}
-			var recv int64
-			for i := 0; i < n; i++ {
-				recv += m.Counters(i).RecvWords
-			}
-			if want := int64(4 * (n - 1)); recv != want {
-				t.Fatalf("n=%d root=%d: received %d words, want %d", n, root, recv, want)
-			}
-		}
-	}
-}
-
 // blockingBcast is the tree broadcast written with blocking primitives —
 // receive from the parent, send to each child — kept as the reference
 // the one tree walk (IBcast) is held to.

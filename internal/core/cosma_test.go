@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"cosma/internal/algo"
 	"cosma/internal/bound"
@@ -52,48 +50,6 @@ func TestCOSMACorrectAcrossShapes(t *testing.T) {
 				t.Fatalf("max diff %g (grid %s)", d, rep.Model.Grid)
 			}
 		})
-	}
-}
-
-func TestCOSMAMeasuredMatchesModel(t *testing.T) {
-	// The measured average received words must equal the structural
-	// model exactly (==), and so must the busiest rank's words
-	// and messages: the model counts the broadcast trees and the
-	// reduce-scatter the ranks run.
-	rng := rand.New(rand.NewSource(2))
-	cases := []struct {
-		m, k, n, p, s int
-		grid          string
-	}{
-		{32, 32, 32, 8, 1 << 20, "[2×2×2]"},
-		{16, 64, 16, 16, 1 << 20, "[1×2×8]"},
-		{64, 16, 32, 8, 1 << 20, "[4×2×1]"},
-		{32, 32, 32, 8, 600, "[2×2×2]"}, // limited memory → k-parallel grid
-		// The benchmark's two reducing shapes at an eighth of their edge:
-		// square-roomy's grid and tall-k's 14-deep fiber.
-		{512, 512, 512, 16, 1 << 20, "[2×2×4]"},
-		{128, 15360, 128, 15, 1 << 22, "[1×1×14]"},
-	}
-	for _, c := range cases {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		_, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, c.p, c.s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := rep.Model
-		if rep.Model.Grid != c.grid {
-			t.Fatalf("%+v: fitted %s", c, rep.Model.Grid)
-		}
-		if rep.AvgRecv != model.AvgRecv {
-			t.Fatalf("%+v: measured avg recv %v, model %v", c, rep.AvgRecv, model.AvgRecv)
-		}
-		if float64(rep.MaxRecv) != model.MaxRecv {
-			t.Fatalf("%+v: measured max recv %d, model %v", c, rep.MaxRecv, model.MaxRecv)
-		}
-		if float64(rep.MaxMsgs) != model.MaxMsgs {
-			t.Fatalf("%+v: busiest rank exchanged %d messages, model %v", c, rep.MaxMsgs, model.MaxMsgs)
-		}
 	}
 }
 
@@ -221,28 +177,6 @@ func TestRoundTableMatchesUnionCuts(t *testing.T) {
 	}
 }
 
-func TestCOSMACorrectnessProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 1 + r.Intn(20)
-		k := 1 + r.Intn(20)
-		n := 1 + r.Intn(20)
-		p := 1 + r.Intn(12)
-		s := 16 + r.Intn(2000)
-		a := matrix.Random(m, k, rng)
-		b := matrix.Random(k, n, rng)
-		got, _, err := algo.Run(Plan, algo.Config{}, nil, a, b, p, s)
-		if err != nil {
-			return false
-		}
-		return matrix.MaxDiff(got, mulRef(a, b)) <= 1e-9*float64(k)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // planModel is COSMA's model of a shape: the count its plan carries.
 func planModel(t *testing.T, m, n, k, p, s int) algo.Model {
 	t.Helper()
@@ -274,23 +208,6 @@ func TestFitObjectiveIsTheCount(t *testing.T) {
 		if got, want := plan.Model.AvgRecv, c.g.ModelVolume(c.m, c.n, c.k); got != want {
 			t.Errorf("%v on %d×%d×%d: counted %v words/rank, Fit's objective says %v", c.g, c.m, c.n, c.k, got, want)
 		}
-	}
-}
-
-func TestCOSMAModelScalesToPaperSizes(t *testing.T) {
-	// The model must evaluate instantly at the paper's largest runs and
-	// decrease with p.
-	s := 1 << 21
-	prev := math.Inf(1)
-	for _, p := range []int{2048, 4096, 8192, 16384} {
-		mod := planModel(t, 16384, 16384, 16384, p, s)
-		if mod.AvgRecv <= 0 || math.IsNaN(mod.AvgRecv) {
-			t.Fatalf("p=%d: bad model %+v", p, mod)
-		}
-		if mod.AvgRecv > prev*1.05 {
-			t.Fatalf("p=%d: volume %v did not scale down from %v", p, mod.AvgRecv, prev)
-		}
-		prev = mod.AvgRecv
 	}
 }
 

@@ -83,32 +83,3 @@ func TestDecompositionRoundsCountsExecutedRounds(t *testing.T) {
 		})
 	}
 }
-
-// TestArenaRetainsNoInputSizedBuffer guards the no-clone-in contract on
-// a scaled-down tall-k: after a warm Execute the arena holds the ranks'
-// C tiles and nothing the size of an input piece — the inputs are read
-// where the caller put them.
-func TestArenaRetainsNoInputSizedBuffer(t *testing.T) {
-	const m, n, k, p = 64, 64, 16384, 8
-	pl, err := core.Plan(algo.Config{}, m, n, k, p, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := pl.Geometry
-	if d.GridPk < 2 {
-		t.Fatalf("grid %s is not k-parallel; the shape no longer stands in for tall-k", pl.Grid)
-	}
-	a, b := matrix.New(m, k), matrix.New(k, n)
-	mach, arena := machine.New(p), algo.NewArena(p)
-	for run := 0; run < 2; run++ {
-		arena.Reset()
-		if _, err := pl.Execute(context.Background(), mach, arena, a, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cTiles := d.RanksUsed * d.DomainM * d.DomainN
-	if got := arena.Retained(); got > cTiles {
-		t.Fatalf("grid %s: arena retains %d words, more than the %d of the C tiles (inputs are %d)",
-			pl.Grid, got, cTiles, m*k+k*n)
-	}
-}

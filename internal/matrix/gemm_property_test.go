@@ -246,35 +246,37 @@ func viewInStride(rng *rand.Rand, rows, cols, stride int) *Dense {
 // a smaller power of two, and an odd one — every tile and thread
 // count must produce the bits it produces from compact copies, and,
 // into a C that is itself a view inside a −0 border, the bits the
-// scalar reference produces from those copies.
+// scalar reference produces from those copies — with the package's
+// cache blocks and with random small ones. The shapes are ragged, wide,
+// tall (131 rows: past one mc block) and small.
 func TestKernelStridedViewsBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	borderRng := rand.New(rand.NewSource(8))
-	const m, n, kk = 29, 37, 70
-	for _, strides := range [][2]int{{65536, 1537}, {1024, 1024}, {1537, 1024}} {
-		a := viewInStride(rng, m, kk, strides[0])
-		b := viewInStride(rng, kk, n, strides[1])
-		compactA, compactB := a.Clone(), b.Clone()
-		c0 := randomStrided(rng, m, n)
-		bordered0 := borderedC(borderRng, m, n)
-		for _, tl := range testTiles() {
-			mcb, kcb, ncb := 4+rng.Intn(40), 8+rng.Intn(80), 16+rng.Intn(40)
-			ref := cloneStrided(bordered0)
-			mulBlockedRef(window(ref), compactA, compactB, kcb, tl.fused)
-			for _, threads := range []int{1, 2, 5} {
-				want, got := cloneStrided(c0), cloneStrided(c0)
-				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(want, compactA, compactB)
-				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(got, a, b)
-				for i := range got.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("strides %v, %s, blocks %d/%d/%d, %d threads: Data[%d] = %v from views, %v from compact copies",
-							strides, tl.name, mcb, kcb, ncb, threads, i, got.Data[i], want.Data[i])
+	for _, s := range [][3]int{{29, 37, 70}, {37, 41, 43}, {5, 131, 7}, {131, 5, 9}, {6, 5, 7}} {
+		m, n, kk := s[0], s[1], s[2]
+		for _, strides := range [][2]int{{65536, 1537}, {1024, 1024}, {1537, 1024}} {
+			a := viewInStride(rng, m, kk, strides[0])
+			b := viewInStride(rng, kk, n, strides[1])
+			compactA, compactB := a.Clone(), b.Clone()
+			c0 := randomStrided(rng, m, n)
+			bordered0 := borderedC(borderRng, m, n)
+			for _, tl := range testTiles() {
+				for _, blocks := range [][3]int{{mc, kc, nc}, {4 + rng.Intn(40), 8 + rng.Intn(80), 16 + rng.Intn(40)}} {
+					mcb, kcb, ncb := blocks[0], blocks[1], blocks[2]
+					ref := cloneStrided(bordered0)
+					mulBlockedRef(window(ref), compactA, compactB, kcb, tl.fused)
+					for _, threads := range []int{1, 2, 5} {
+						want, got := cloneStrided(c0), cloneStrided(c0)
+						blockedKernel(threads, tl, mcb, kcb, ncb).Mul(want, compactA, compactB)
+						blockedKernel(threads, tl, mcb, kcb, ncb).Mul(got, a, b)
+						requireSameBits(t, got.Data, want.Data, "%d×%d×%d, strides %v, %s, blocks %d/%d/%d, %d threads: from views vs from compact copies",
+							m, n, kk, strides, tl.name, mcb, kcb, ncb, threads)
+						bordered := cloneStrided(bordered0)
+						blockedKernel(threads, tl, mcb, kcb, ncb).Mul(window(bordered), a, b)
+						requireSameBits(t, bordered.Data, ref.Data, "%d×%d×%d, strides %v, %s, blocks %d/%d/%d, %d threads, views into C with its border",
+							m, n, kk, strides, tl.name, mcb, kcb, ncb, threads)
 					}
 				}
-				bordered := cloneStrided(bordered0)
-				blockedKernel(threads, tl, mcb, kcb, ncb).Mul(window(bordered), a, b)
-				requireSameBits(t, bordered.Data, ref.Data, "strides %v, %s, blocks %d/%d/%d, %d threads, views into C with its border",
-					strides, tl.name, mcb, kcb, ncb, threads)
 			}
 		}
 	}
@@ -352,27 +354,6 @@ func TestTilesPackInGroupsOfFour(t *testing.T) {
 	for _, tl := range []tile{portableTile, dispatched} {
 		if tl.mr%4 != 0 || tl.nr%4 != 0 {
 			t.Errorf("tile %s is %d×%d, want multiples of 4", tl.name, tl.mr, tl.nr)
-		}
-	}
-}
-
-// TestKernelMatchesNaive pins the tiles to the true product, not just
-// to each other: every tile must agree with the textbook
-// triple loop within accumulation-order rounding.
-func TestKernelMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 97 // prime: every blocking fringe is exercised
-	a := Random(n, n, rng)
-	b := Random(n, n, rng)
-	want := New(n, n)
-	MulNaive(want, a, b)
-	for _, tl := range testTiles() {
-		got := New(n, n)
-		newKernel(2, tl).Mul(got, a, b)
-		for i := range got.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9*math.Max(1, math.Abs(want.Data[i])) {
-				t.Fatalf("%s: element %d = %v, naive %v", tl.name, i, got.Data[i], want.Data[i])
-			}
 		}
 	}
 }

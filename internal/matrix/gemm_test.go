@@ -21,55 +21,33 @@ func mulCase(t *testing.T, kern *Kernel, m, n, k int, seed int64) {
 	kern.Mul(c, a, b)
 	MulNaive(want, a, b)
 	if d := MaxDiff(c, want); d > tol(k) {
-		t.Errorf("kernel(threads=%d) %d×%d×%d: max diff %g vs naive", kern.Threads(), m, n, k, d)
+		t.Errorf("%s kernel(threads=%d) %d×%d×%d: max diff %g vs naive", kern.tile.name, kern.Threads(), m, n, k, d)
 	}
 }
 
-// TestKernelFringeShapes drives the packed kernel over shapes chosen to
-// hit every fringe path: primes straddling the mr/nr/kc boundaries,
-// dimensions of 1, and sizes just above and below the cache-block
-// constants.
+// TestKernelFringeShapes drives every tile this build defines, on one
+// to three workers, over shapes chosen to hit every fringe path: primes
+// straddling the mr/nr/kc boundaries, dimensions of 1, sizes just above
+// and below the cache-block constants, and a prime cube whose every
+// blocking has a fringe. Each product must be the naive one within
+// accumulation-order rounding.
 func TestKernelFringeShapes(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {7, 1, 13},
-		{2, 3, 5}, {3, 5, 2}, {5, 2, 3},
-		{4, 4, 4}, {5, 5, 5}, {8, 8, 8},
+		{2, 3, 5}, {3, 5, 2}, {5, 2, 3}, {3, 5, 4},
+		{4, 4, 4}, {5, 5, 5}, {8, 8, 8}, {64, 64, 64},
 		{mr - 1, nr - 1, 3}, {mr + 1, nr + 1, 3},
-		{13, 17, 19}, {31, 37, 41}, {53, 59, 61},
+		{13, 17, 19}, {17, 33, 9}, {31, 37, 41}, {53, 59, 61}, {65, 67, 130}, {97, 97, 97},
 		{mc - 1, nr, kc - 1}, {mc + 1, 2*nr + 1, kc + 1},
 		{67, nc + 3, 5}, {mc + mr + 1, 71, 2},
-		{1, 101, 97}, {97, 1, 101}, {101, 97, 1},
+		{1, 101, 97}, {97, 1, 101}, {101, 97, 1}, {128, 100, 1},
 	}
-	for _, threads := range []int{1, 3} {
-		kern := NewKernel(threads)
-		for i, s := range shapes {
-			mulCase(t, kern, s[0], s[1], s[2], int64(100+i))
-		}
-	}
-}
-
-// TestKernelStridedViews multiplies through submatrix views of a larger
-// backing matrix, so every operand has Stride > Cols — the layout the
-// distributed rank programs hand the kernel.
-func TestKernelStridedViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	big := Random(150, 150, rng)
-	kern := NewKernel(2)
-	for _, s := range [][3]int{{37, 41, 43}, {5, 131, 7}, {131, 5, 9}} {
-		m, n, k := s[0], s[1], s[2]
-		a := big.View(1, 2, m, k)
-		b := big.View(3, 4, k, n)
-		cBack := Random(m+3, n+5, rng)
-		c := cBack.View(2, 4, m, n)
-		want := c.Clone()
-		kern.Mul(c, a, b)
-		MulNaive(want, a.Clone(), b.Clone())
-		if d := MaxDiff(c.Clone(), want); d > tol(k) {
-			t.Errorf("strided %d×%d×%d: max diff %g", m, n, k, d)
-		}
-		// The kernel must not write outside the C view.
-		if cBack.At(0, 0) != cBack.At(0, 0) || cBack.At(m+2, n+4) != cBack.At(m+2, n+4) {
-			t.Fatal("NaN outside view")
+	for _, tl := range testTiles() {
+		for _, threads := range []int{1, 2, 3} {
+			kern := newKernel(threads, tl)
+			for i, s := range shapes {
+				mulCase(t, kern, s[0], s[1], s[2], int64(100+i))
+			}
 		}
 	}
 }

@@ -27,21 +27,6 @@ func MulNaive(c, a, b *Dense) {
 	}
 }
 
-// RankOneUpdate computes C += col·row where col is m×1 and row is 1×n.
-// This is the elementary outer product of the paper's sequential schedule
-// (Listing 1 with a = b = 1).
-func RankOneUpdate(c *Dense, col, row []float64) {
-	if len(col) != c.Rows || len(row) != c.Cols {
-		panic(fmt.Sprintf("matrix: RankOneUpdate %d×%d into %d×%d", len(col), len(row), c.Rows, c.Cols))
-	}
-	for i, ci := range col {
-		crow := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-		for j := range crow {
-			crow[j] += ci * row[j]
-		}
-	}
-}
-
 func checkMulShapes(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: Mul shapes C %d×%d, A %d×%d, B %d×%d",

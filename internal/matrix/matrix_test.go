@@ -193,36 +193,6 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
-func TestMulMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {17, 9, 33}, {64, 64, 64}, {65, 130, 67}, {128, 1, 100}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := Random(m, k, rng)
-		b := Random(k, n, rng)
-		c1 := Random(m, n, rng)
-		c2 := c1.Clone()
-		NewKernel(1).Mul(c1, a, b)
-		MulNaive(c2, a, b)
-		if d := MaxDiff(c1, c2); d > 1e-10*float64(k) {
-			t.Fatalf("Mul vs naive for %v: max diff %g", dims, d)
-		}
-	}
-}
-
-func TestMulOnViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	big := Random(20, 20, rng)
-	a := big.View(0, 0, 6, 7)
-	b := big.View(7, 7, 7, 5)
-	c := New(6, 5)
-	cRef := New(6, 5)
-	NewKernel(1).Mul(c, a, b)
-	MulNaive(cRef, a.Clone(), b.Clone())
-	if d := MaxDiff(c, cRef); d > 1e-9 {
-		t.Fatalf("Mul on views: max diff %g", d)
-	}
-}
-
 func TestMulAccumulates(t *testing.T) {
 	a := Eye(3)
 	b := FromSlice(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -240,39 +210,6 @@ func TestMulAccumulates(t *testing.T) {
 func TestMulShapePanic(t *testing.T) {
 	defer wantPanic(t, "shape mismatch")
 	NewKernel(1).Mul(New(2, 2), New(2, 3), New(4, 2))
-}
-
-func TestRankOneUpdate(t *testing.T) {
-	c := New(2, 3)
-	RankOneUpdate(c, []float64{1, 2}, []float64{10, 20, 30})
-	want := FromSlice(2, 3, []float64{10, 20, 30, 20, 40, 60})
-	if MaxDiff(c, want) != 0 {
-		t.Fatalf("RankOneUpdate = %v", c)
-	}
-}
-
-func TestRankOneEqualsMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m, n, k := 9, 11, 6
-	a := Random(m, k, rng)
-	b := Random(k, n, rng)
-	c1 := New(m, n)
-	c2 := New(m, n)
-	NewKernel(1).Mul(c1, a, b)
-	col := make([]float64, m)
-	row := make([]float64, n)
-	for p := 0; p < k; p++ {
-		for i := 0; i < m; i++ {
-			col[i] = a.At(i, p)
-		}
-		for j := 0; j < n; j++ {
-			row[j] = b.At(p, j)
-		}
-		RankOneUpdate(c2, col, row)
-	}
-	if d := MaxDiff(c1, c2); d > 1e-10*float64(k) {
-		t.Fatalf("sum of rank-1 updates differs from Mul by %g", d)
-	}
 }
 
 // Property: (A·B)·x == A·(B·x) for random matrices, i.e. Mul is associative

@@ -162,6 +162,3 @@ func (game *Game) RedCount() int { return game.red.Len() }
 
 // HasRed reports whether v currently holds a red pebble.
 func (game *Game) HasRed(v VertexID) bool { return game.red.Has(v) }
-
-// HasBlue reports whether v currently holds a blue pebble.
-func (game *Game) HasBlue(v VertexID) bool { return game.blue.Has(v) }

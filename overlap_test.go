@@ -13,105 +13,6 @@ import (
 	"cosma/internal/workload"
 )
 
-// TestEngineOverlapBitwiseIdentical drives the public surface: for
-// COSMA, SUMMA and 2.5D across machine sizes, at an S with room for two
-// panel pairs and two rounds or more, an overlap engine's product must
-// equal the synchronous engine's bit for bit. Run under -race in CI,
-// this also exercises the pipelined round loop's concurrency.
-func TestEngineOverlapBitwiseIdentical(t *testing.T) {
-	a := RandomMatrix(120, 88, 21)
-	b := RandomMatrix(88, 104, 22)
-	for _, algoName := range []string{"cosma", "summa", "2.5d"} {
-		for _, p := range []int{4, 8, 16} {
-			opts := func(overlap bool) []Option {
-				return []Option{
-					WithAlgorithm(algoName), WithProcs(p),
-					WithMemory(8 * 120 * 104 / p), WithOverlap(overlap),
-				}
-			}
-			engSync, err := NewEngine(opts(false)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engPipe, err := NewEngine(opts(true)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cSync, repSync, err := engSync.Exec(context.Background(), a, b)
-			if err != nil {
-				t.Fatalf("%s p=%d sync: %v", algoName, p, err)
-			}
-			cPipe, repPipe, err := engPipe.Exec(context.Background(), a, b)
-			if err != nil {
-				t.Fatalf("%s p=%d overlap: %v", algoName, p, err)
-			}
-			if repSync.Overlap || !repPipe.Overlap {
-				t.Errorf("%s p=%d: report Overlap flags sync=%v pipe=%v",
-					algoName, p, repSync.Overlap, repPipe.Overlap)
-			}
-			for i := range cSync.Data {
-				if cSync.Data[i] != cPipe.Data[i] {
-					t.Fatalf("%s p=%d: element %d differs bitwise", algoName, p, i)
-				}
-			}
-		}
-	}
-}
-
-// TestEngineOverlapTimedReport checks the timed end-to-end path: with
-// WithOverlap and room in S for a second panel pair, the measured
-// critical path at 512³/p=16 is strictly below the synchronous
-// engine's, and both reports carry the serial and overlapped
-// predictions with overlapped ≤ serial.
-func TestEngineOverlapTimedReport(t *testing.T) {
-	const n, p = 512, 16
-	a := RandomMatrix(n, n, 31)
-	b := RandomMatrix(n, n, 32)
-	run := func(overlap bool) *Report {
-		eng, err := NewEngine(WithProcs(p), WithMemory(8*n*n/p),
-			WithNetwork(PizDaintNetwork()), WithOverlap(overlap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rep, err := eng.Exec(context.Background(), a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	repSync := run(false)
-	repPipe := run(true)
-	if repPipe.CritPathTime >= repSync.CritPathTime {
-		t.Errorf("overlap engine critical path %v not strictly below synchronous %v",
-			repPipe.CritPathTime, repSync.CritPathTime)
-	}
-	for _, rep := range []*Report{repSync, repPipe} {
-		serial, overlap := rep.Model.Time(rep.Network, false), rep.Model.Time(rep.Network, true)
-		if overlap <= 0 || overlap > serial {
-			t.Errorf("predictions: overlap %v, serial %v (want 0 < overlap ≤ serial)", overlap, serial)
-		}
-	}
-}
-
-// TestPredictOverlap checks the two analytic prices of a plan's model
-// against each other.
-func TestPredictOverlap(t *testing.T) {
-	net := PizDaintNetwork()
-	eng, err := NewEngine(WithProcs(16), WithNetwork(net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := eng.Plan(context.Background(), 512, 512, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := plan.Model()
-	serial, overlap := mod.Time(net, false), mod.Time(net, true)
-	if overlap <= 0 || serial <= 0 || overlap > serial {
-		t.Errorf("prices (%v, %v), want 0 < overlapped ≤ serial", serial, overlap)
-	}
-}
-
 // TestOverlapExecCancellation cancels a pipelined execution mid-run (S
 // has room for the second panel pair): ranks parked in Request.Wait
 // inside the prefetching round loop must unwind and Exec must return
@@ -142,7 +43,9 @@ func TestOverlapExecCancellation(t *testing.T) {
 // second panel pair out of S, not on top of it). Over the seeded catalog
 // and the benchmark's three engine shapes, a COSMA, SUMMA or 2.5D plan
 // asked to overlap pipelines exactly when its C tile plus two panel
-// pairs of its longest round fit: dm·dn + 2·h·(dm + dn) ≤ S. At
+// pairs of its longest round fit: dm·dn + 2·h·(dm + dn) ≤ S. Where a
+// second pair fits, an engine's WithOverlap reaches its plan, the report
+// says which schedule ran, and both products have the same bits. At
 // square-tight's S no second pair fits, and an engine asked to overlap
 // runs the synchronous schedule to the same critical path.
 func TestOverlapOnlyWhenSHasRoom(t *testing.T) {
@@ -187,6 +90,27 @@ func TestOverlapOnlyWhenSHasRoom(t *testing.T) {
 	}
 	if granted == 0 || refused == 0 {
 		t.Errorf("the sweep granted overlap %d times and refused it %d times; want both", granted, refused)
+	}
+
+	// 120×104×88 on p = 4 has room for two panel pairs.
+	a, b := RandomMatrix(120, 88, 21), RandomMatrix(88, 104, 22)
+	var prods []*Matrix
+	for _, overlap := range []bool{true, false} {
+		eng, err := NewEngine(WithProcs(4), WithMemory(8*120*104/4), WithOverlap(overlap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, rep, err := eng.Exec(context.Background(), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Overlap != overlap {
+			t.Errorf("WithOverlap(%v): Report.Overlap = %v", overlap, rep.Overlap)
+		}
+		prods = append(prods, c)
+	}
+	if !slices.Equal(prods[0].Data, prods[1].Data) {
+		t.Error("the overlapped and the synchronous product differ bitwise")
 	}
 
 	if testing.Short() {
