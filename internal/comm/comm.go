@@ -213,6 +213,10 @@ type Pending struct {
 	done bool
 	data []float64
 	at   float64 // landing time of data (timed transports)
+	// sh is the payload's handle in a by-reference broadcast (IShare),
+	// which every member drops with Drop; shared marks one.
+	sh     *machine.Shared
+	shared bool
 
 	// The parent receive to settle and the children to relay the payload
 	// to as it lands.
@@ -251,25 +255,72 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 	return p
 }
 
+// IShare is IBcast by reference: the root's handle sh reaches every
+// member along the same tree with the same messages and words (the
+// words sh was shared with, whatever the buffer's length), but no
+// member copies it — each reads the root's buffer where it lies, under
+// a hold taken for it on delivery (machine.Rank.SendShared). Every
+// member, the root included, calls Drop once it no longer reads the
+// payload; the last Drop returns the buffer to the pool. Only the
+// root's sh is read.
+func (g *Group) IShare(root int, sh *machine.Shared, tag int) *Pending {
+	g.checkRoot(root)
+	p := &Pending{g: g, tag: tag, shared: true}
+	parent, children := treeLinks(len(g.ranks), root, g.me)
+	if parent >= 0 {
+		p.recv = g.rank.IRecv(g.ranks[parent], tag)
+		p.children = children
+		return p
+	}
+	for _, c := range children {
+		if c >= 0 {
+			g.rank.SendShared(g.ranks[c], tag, sh)
+		}
+	}
+	p.sh, p.data, p.at, p.done = sh, sh.Data(), g.rank.Now(), true
+	return p
+}
+
 // Wait blocks until the payload has landed here and been relayed to the
-// caller's subtrees, and returns it. A receiving member owns the
-// returned buffer (it may be handed back with machine.Release); the
-// root gets its own data back. Waiting again returns the same payload.
+// caller's subtrees, and returns it. A receiving member of IBcast owns
+// the returned buffer (it may be handed back with machine.Release); a
+// member of IShare reads it until it calls Drop; the root gets its own
+// data back. Waiting again returns the same payload.
 func (p *Pending) Wait() []float64 {
 	if p.done {
 		return p.data
 	}
 	// Receive from the parent, then relay to the subtrees stamped at the
-	// landing time.
+	// landing time. A by-reference payload that arrived as this member's
+	// own — a perturbed or cross-process copy — is shared from here on
+	// under a handle of its own.
 	p.data = p.recv.Wait()
 	p.at = p.recv.At()
+	if p.shared {
+		if p.sh = p.recv.Shared(); p.sh == nil {
+			p.sh = machine.Share(p.data, p.recv.Words())
+		}
+	}
 	for _, c := range p.children {
-		if c >= 0 {
+		if c < 0 {
+			continue
+		}
+		if p.shared {
+			p.g.rank.SendSharedAt(p.g.ranks[c], p.tag, p.sh, p.at)
+		} else {
 			p.g.rank.SendAt(p.g.ranks[c], p.tag, p.data, p.at)
 		}
 	}
 	p.done = true
 	return p.data
+}
+
+// Drop settles a by-reference broadcast (IShare) — relaying it first if
+// Wait has not — and gives up this member's hold on its payload, which
+// the caller must not read afterwards.
+func (p *Pending) Drop() {
+	p.Wait()
+	p.sh.Drop()
 }
 
 // At returns the logical landing time of the collective's payload at

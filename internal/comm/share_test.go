@@ -1,0 +1,152 @@
+package comm
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"cosma/internal/machine"
+)
+
+// sharedPanel is a packed panel as an owner shares it: words logical
+// words padded to a longer buffer, loaned from the pool.
+func sharedPanel(words, padded int) *machine.Shared {
+	buf := machine.Loan(padded)
+	for i := range buf {
+		buf[i] = float64(i + 1)
+	}
+	return machine.Share(buf, words)
+}
+
+// TestIShareAllSizesAllRoots: over TestBcastAllSizesAllRoots' group
+// sizes and every root, a by-reference broadcast of a packed panel
+// (4 logical words in a 6-word buffer) hands every member the owner's
+// buffer itself, bit for bit; each rank's counters — and on the timed
+// machine its clock — equal those of the owning IBcast of 4 words; and
+// once every member has dropped its hold the buffer is back in the pool
+// and a further Drop panics.
+func TestIShareAllSizesAllRoots(t *testing.T) {
+	const words, padded, tag = 4, 6, 10
+	for _, timed := range []bool{false, true} {
+		newMachine := func(n int) *machine.Machine {
+			if timed {
+				return machine.NewTimed(n, machine.PizDaintNet())
+			}
+			return machine.New(n)
+		}
+		for _, n := range []int{1, 2, 3, 5, 8, 13} {
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = i
+			}
+			for root := 0; root < n; root++ {
+				owning := newMachine(n)
+				err := owning.Run(func(r *machine.Rank) error {
+					g := NewGroup(r, ids)
+					var data []float64
+					if g.Index() == root {
+						data = make([]float64, words)
+					}
+					g.IBcast(root, data, tag).Wait()
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh := sharedPanel(words, padded)
+				owner, want := sh.Data(), slices.Clone(sh.Data())
+				shared := newMachine(n)
+				err = shared.Run(func(r *machine.Rank) error {
+					g := NewGroup(r, ids)
+					var mine *machine.Shared
+					if g.Index() == root {
+						mine = sh
+					}
+					p := g.IShare(root, mine, tag)
+					got := p.Wait()
+					if &got[0] != &owner[0] || !slices.Equal(got, want) {
+						t.Errorf("timed %v n=%d root=%d rank %d: got %v, not the owner's buffer %v", timed, n, root, r.ID(), got, want)
+					}
+					p.Drop()
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := 0; id < n; id++ {
+					if got, want := shared.Counters(id), owning.Counters(id); got != want {
+						t.Errorf("timed %v n=%d root=%d rank %d: counters %+v, owning broadcast %+v", timed, n, root, id, got, want)
+					}
+				}
+				if got, want := shared.Times(), owning.Times(); !slices.Equal(got, want) {
+					t.Errorf("timed %v n=%d root=%d: clocks %v, owning broadcast %v", timed, n, root, got, want)
+				}
+				if sh.Data() != nil {
+					t.Errorf("timed %v n=%d root=%d: the buffer outlived every member's hold", timed, n, root)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("n=%d root=%d: a Drop past the last hold did not panic", n, root)
+						}
+					}()
+					sh.Drop()
+				}()
+			}
+		}
+	}
+}
+
+// TestIShareCorruptLinkPerturbsOnlyItsSubtree: on a 7-member tree rooted
+// at 0 (children 1 and 2; 1 relays to 3 and 4, 2 to 5 and 6), a Corrupt
+// fault on the link 0 → 1 hands rank 1 a private perturbed copy, which
+// it relays: ranks 1, 3 and 4 read it, ranks 2, 5 and 6 the owner's
+// buffer, which stays unchanged. Both payloads are released once every
+// member has dropped its hold.
+func TestIShareCorruptLinkPerturbsOnlyItsSubtree(t *testing.T) {
+	const words, padded, tag, n = 4, 6, 3, 7
+	m := machine.New(n)
+	if err := m.SetFaultPlan(machine.FaultPlan{Links: []machine.LinkFault{{Src: 0, Dst: 1, Corrupt: true, Word: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	sh := sharedPanel(words, padded)
+	want := slices.Clone(sh.Data())
+	owner := sh.Data()
+	ids := []int{0, 1, 2, 3, 4, 5, 6}
+	copies := make([]*machine.Shared, n)
+	err := m.Run(func(r *machine.Rank) error {
+		g := NewGroup(r, ids)
+		var mine *machine.Shared
+		if r.ID() == 0 {
+			mine = sh
+		}
+		p := g.IShare(0, mine, tag)
+		got := p.Wait()
+		copies[r.ID()] = p.sh
+		perturbed := r.ID() == 1 || r.ID() == 3 || r.ID() == 4
+		for i, v := range got {
+			if changed := math.Float64bits(v) != math.Float64bits(want[i]); changed != (perturbed && i == 1) {
+				t.Errorf("rank %d word %d: %v, owner's %v", r.ID(), i, v, want[i])
+			}
+		}
+		if inPlace := &got[0] == &owner[0]; inPlace == perturbed {
+			t.Errorf("rank %d reads the owner's buffer: %v", r.ID(), inPlace)
+		}
+		p.Drop()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(owner, want) {
+		t.Errorf("owner's buffer changed: %v, want %v", owner, want)
+	}
+	if copies[3] != copies[1] || copies[4] != copies[1] || copies[1] == sh {
+		t.Error("ranks 3 and 4 do not share rank 1's private copy")
+	}
+	for _, c := range []*machine.Shared{sh, copies[1]} {
+		if c.Data() != nil {
+			t.Error("a payload outlived every member's hold")
+		}
+	}
+}

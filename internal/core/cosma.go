@@ -385,57 +385,47 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	}
 
 	// Walk the slab's round table (newSlab), whose rounds each lie inside
-	// one owner's piece. panelA/panelB return a round's operand — panelA
-	// the rows rs of its A panel: at its owner the view of my piece
-	// holding it — multiplied where it already is, the kernel's
-	// packA/packB read any stride — else the received chunk.
-	panelA := func(rd round, rs layout.Range, chunk []float64) *matrix.Dense {
-		if rd.a == pa {
-			return myA.View(rs.Lo, rd.seg.Lo-sl.aParts[pa].Lo, rs.Len(), rd.seg.Len())
-		}
-		return matrix.FromSlice(rs.Len(), rd.seg.Len(), chunk)
-	}
-	panelB := func(rd round, chunk []float64) *matrix.Dense {
-		if rd.b == pb {
-			return myB.View(rd.seg.Lo-sl.bParts[pb].Lo, 0, rd.seg.Len(), dn)
-		}
-		return matrix.FromSlice(rd.seg.Len(), dn, chunk)
-	}
-
-	// A round is pl.bands+1 broadcasts, its units: the A panel in
-	// pl.bands row blocks (plan.bandsFor), block j the rows band(j), down
-	// the column tree, then the B panel along the row. Packing exists to
-	// send: an owner copies its panel into a loaned buffer only when the
-	// group has another member. comm.Stream posts the units in order,
-	// a whole round of them past the round being multiplied where the
-	// plan overlaps, none where it does not.
+	// one owner's piece. A round is pl.bands+1 broadcasts, its units: the
+	// A panel in pl.bands row blocks (plan.bandsFor), block j the rows
+	// band(j), down the column tree, then the B panel along the row. The
+	// owner packs each unit once — A's block with PackA, B with PackB,
+	// from a view of its piece (the packs read any stride) into a loaned
+	// buffer — and every member multiplies that one buffer where it lies:
+	// comm.IShare delivers it by reference, counting the panel's words,
+	// not the packing's padding, under a hold each member drops after
+	// the round. A group of one packs for itself the same way, so
+	// MulPacked has one operand form. comm.Stream posts the units in
+	// order, a whole round of them past the round being multiplied where
+	// the plan overlaps, none where it does not.
 	band := func(j int) layout.Range { return layout.Block(dm, pl.bands, j) }
 	post := func(i, j int) *comm.Pending {
 		rd := sl.rounds[i]
+		h := rd.seg.Len()
+		var sh *machine.Shared
 		if j == pl.bands {
-			var chunk []float64
-			if pb == rd.b && rowGroup.Size() > 1 {
-				chunk = panelB(rd, nil).Pack(machine.Loan(rd.seg.Len() * dn))
+			if pb == rd.b {
+				panel := myB.View(rd.seg.Lo-sl.bParts[pb].Lo, 0, h, dn)
+				sh = machine.Share(kern.PackB(machine.Loan(kern.PackedBLen(h, dn)), panel).Data, h*dn)
 			}
-			return rowGroup.IBcast(rd.b, chunk, tagB+rd.seg.Lo)
+			return rowGroup.IShare(rd.b, sh, tagB+rd.seg.Lo)
 		}
-		var chunk []float64
-		if pa == rd.a && colGroup.Size() > 1 {
+		if pa == rd.a {
 			rs := band(j)
-			chunk = panelA(rd, rs, nil).Pack(machine.Loan(rs.Len() * rd.seg.Len()))
+			panel := myA.View(rs.Lo, rd.seg.Lo-sl.aParts[pa].Lo, rs.Len(), h)
+			sh = machine.Share(kern.PackA(machine.Loan(kern.PackedALen(rs.Len(), h)), panel).Data, rs.Len()*h)
 		}
-		return colGroup.IBcast(rd.a, chunk, tagA+rd.seg.Lo)
+		return colGroup.IShare(rd.a, sh, tagA+rd.seg.Lo)
 	}
 
-	// The round being multiplied: its table row, its A blocks, B packed
-	// once, the block the multiply is in and that block's operand, and
+	// The round being multiplied: its table row, its A blocks, its packed
+	// B, the block the multiply is in and that block's packed rows, and
 	// whether its first flops are charged.
 	var (
 		cur     round
 		blocks  []*comm.Pending
 		bp      matrix.PackedB
 		inBlock int
-		aBlock  *matrix.Dense
+		aBlock  matrix.PackedA
 		opened  bool
 	)
 	// mulRows multiplies rows [lo, hi) of the C tile by the round, band by
@@ -457,7 +447,8 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 				for _, p := range blocks[:j] {
 					p.Wait()
 				}
-				aBlock, inBlock = panelA(cur, rs, blocks[j].Wait()), j
+				aBlock = matrix.PackedA{Data: blocks[j].Wait(), Rows: rs.Len(), Cols: cur.seg.Len()}
+				inBlock = j
 			}
 			c := cTile // one band is the tile: no view to allocate
 			if pl.bands > 1 {
@@ -477,7 +468,8 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// band per C block right before the block is sent (§7.3): the sweep
 	// goes around the tile from the first row of block ik+1 — the first
 	// one sent — and done counts the rows behind it. A band never wraps,
-	// since block Pk−1 is never empty and ends the tile.
+	// since block Pk−1 is never empty and ends the tile. A block's rows
+	// need not start on a micro-panel: MulPacked stages that one.
 	start := layout.Block(dm*dn, pl.g.Pk, (ik+1)%pl.g.Pk).Lo / dn % dm
 	done := 0
 	finish := func(lo, hi int) {
@@ -493,28 +485,24 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		done = stop
 	}
 
-	// run opens round i — settles A block 0, then B, and packs B once —
-	// and folds it into the C tile; the last round it folds while it sums
-	// the partial C tiles along the fiber, every member keeping its share
-	// of the total. It then hands the round's chunks — nil where nothing
-	// was packed or received — and B's packing back to the pool, with
-	// plain calls (a defer would be a heap allocation per round).
+	// run opens round i — settles A block 0, then B — and folds it into
+	// the C tile; the last round it folds while it sums the partial C
+	// tiles along the fiber, every member keeping its share of the total.
+	// It then drops its hold on every unit of the round, with plain calls
+	// (a defer would be a heap allocation per round).
 	var share []float64
 	run := func(i int, units []*comm.Pending) {
 		cur, blocks, inBlock, opened = sl.rounds[i], units[:pl.bands], -1, false
 		blocks[0].Wait()
-		bChunk := units[pl.bands].Wait()
-		bp = kern.PackB(machine.Loan(kern.PackedLen(cur.seg.Len(), dn)), panelB(cur, bChunk))
-		machine.Release(bChunk)
+		bp = matrix.PackedB{Data: units[pl.bands].Wait(), Rows: cur.seg.Len(), Cols: dn}
 		if i < len(sl.rounds)-1 {
 			mulRows(0, dm)
 		} else {
 			share = fiber.ReduceScatter(0, cTile.Data, tagC, finish)
 		}
-		for _, p := range blocks {
-			machine.Release(p.Wait())
+		for _, p := range units {
+			p.Drop()
 		}
-		machine.Release(bp.Data)
 	}
 	per, ahead := pl.bands+1, 0
 	if pl.overlap {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"cosma/internal/bound"
 	"cosma/internal/grid"
 	"cosma/internal/layout"
+	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
 
@@ -84,12 +86,24 @@ func TestCOSMAIdleRanksDoNotCommunicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.Random(16, 16, rng)
 	b := matrix.Random(16, 16, rng)
-	_, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, 65, 1<<10)
+	pl, err := Plan(algo.Config{}, 16, 16, 16, 65, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := machine.New(65)
+	ex, err := algo.NewExecutor(pl, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := ex.Exec(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Model.Used != 64 {
 		t.Fatalf("used %d ranks, want 64", rep.Model.Used)
+	}
+	if c := mach.Counters(64); c != (machine.Counters{}) {
+		t.Errorf("idle rank 64 has counters %+v, want no words, messages or flops", c)
 	}
 }
 

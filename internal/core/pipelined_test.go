@@ -25,23 +25,30 @@ var slower = map[string]float64{
 }
 
 // TestPipelinedNeverSlowerThanSynchronous: on the serve-mix catalog at
-// p = 4, 9 and 16 (S = w/p, 3w/p and 3w), SUMMA's pinned [3×4×1],
-// TestOneGridOneSchedule's [4×4×1] and 256³ on p = 16 with room for two
-// panel pairs of four rounds, for COSMA's fitted grid and SUMMA's
+// p = 4, 9 and 16 (S = w/p, 3w/p and 3w), SUMMA's pinned [3×4×1] and
+// 256³ on p = 16 with room for two panel pairs of four rounds, for
+// COSMA's fitted grid and SUMMA's
 // near-square Pk = 1 grid on each preset, every plan that pipelines has
 // a critical path at most that of the synchronous plan compiled from
 // the same arguments — except on the cells listed in slower, and there
 // by no more than listed — and each report records the mode that ran.
+// The two hand-listed cells are here for their pipelined run: each must
+// pipeline for both policies on every preset. A catalog cell whose plan
+// does not is skipped.
 func TestPipelinedNeverSlowerThanSynchronous(t *testing.T) {
-	cells := append([]cell{{300, 200, 100, 12, 20000}, {256, 256, 256, 16, 6000}, {256, 256, 256, 16, 32768}}, catalogCells(4, 9, 16)...)
+	listed := []cell{{300, 200, 100, 12, 20000}, {256, 256, 256, 16, 32768}}
+	cells := append(listed, catalogCells(4, 9, 16)...)
 	compared := 0
-	for _, c := range cells {
+	for ci, c := range cells {
 		a, b := matrix.New(c.m, c.k), matrix.New(c.k, c.n)
 		for pi := range presets {
 			net := &presets[pi]
 			for i := range policies[:2] { // cosma, summa
 				pipe, ok := compile(t, i, algo.Config{Overlap: true, Network: net}, c)
 				if !ok || !pipe.Overlap {
+					if ci < len(listed) {
+						t.Errorf("%s %s %+v: a hand-listed cell's plan does not pipeline (compiled %v)", policies[i].name, net.Name, c, ok)
+					}
 					continue
 				}
 				sync, _ := compile(t, i, algo.Config{Network: net}, c)

@@ -38,19 +38,20 @@ type Link interface {
 	// Ranks returns the machine size p and the ranks this process hosts.
 	Ranks() (p int, local []int)
 	// Bind is called once, by NewLinked: deliver posts an inbound
-	// message into local rank dst's mailbox (taking ownership of data),
-	// and interrupt unwinds the local run when a peer aborts or a
-	// connection drops.
-	Bind(deliver func(dst, src, tag int, data []float64), interrupt func())
+	// message that counts words into local rank dst's mailbox (taking
+	// ownership of data), and interrupt unwinds the local run when a
+	// peer aborts or a connection drops.
+	Bind(deliver func(dst, src, tag int, data []float64, words int), interrupt func())
 	// Begin starts a run, in lockstep on every process: it calls reset
 	// (which empties the local mailboxes) and then delivers any message
 	// of this run that arrived before it, atomically with respect to
 	// inbound traffic. A non-nil error means the run cannot complete — a
 	// connection already died, or a peer already aborted this run.
 	Begin(reset func()) error
-	// Forward ships a message to dst, a rank hosted by another process,
-	// taking ownership of data. It never blocks on the receiver.
-	Forward(src, dst, tag int, data []float64)
+	// Forward ships a message that counts words to dst, a rank hosted
+	// by another process, taking ownership of data. It never blocks on
+	// the receiver.
+	Forward(src, dst, tag int, data []float64, words int)
 	// Abort tells every peer process to unwind the run in flight; calls
 	// after the first of a run do nothing.
 	Abort()
@@ -289,9 +290,10 @@ func (m *Machine) resetMailboxes() {
 }
 
 // deliver posts a message that arrived over the link into local rank
-// dst's mailbox; the receiver counts it when it takes it.
-func (m *Machine) deliver(dst, src, tag int, data []float64) {
-	m.office[dst].post(mailKey{src: src, tag: tag}, envelope{data: data})
+// dst's mailbox, the receiver's own buffer; the receiver counts its
+// words when it takes it.
+func (m *Machine) deliver(dst, src, tag int, data []float64, words int) {
+	m.office[dst].post(mailKey{src: src, tag: tag}, envelope{data: data, words: words})
 }
 
 // errInterrupted marks a rank torn out of a blocking Recv by interrupt;

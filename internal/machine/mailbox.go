@@ -9,11 +9,16 @@ import (
 // on (source, tag).
 type mailKey struct{ src, tag int }
 
-// envelope is one in-flight message. at is the time it left the
+// envelope is one in-flight message: its payload, the words it counts
+// (len(data) unless the payload is a packed panel, whose padding is not
+// traffic), the handle it travels under when it is delivered by
+// reference (nil when the receiver owns data), and the time it left the
 // sender's injection port (zero on a machine without a clock).
 type envelope struct {
-	data []float64
-	at   float64
+	data  []float64
+	words int
+	sh    *Shared
+	at    float64
 }
 
 // mailQueue is the FIFO of pending messages for one (src, tag) key. Its

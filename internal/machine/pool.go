@@ -3,6 +3,7 @@ package machine
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // The shared buffer pool behind the zero-copy message discipline. Every
@@ -67,4 +68,46 @@ func Release(buf []float64) {
 	h := headerPool.Get().(*bufHeader)
 	h.data = buf[:c]
 	classPools[class].Put(h)
+}
+
+// Shared is a payload several ranks read in place — a panel its owner
+// packed once for every member of a broadcast — under a hold count.
+// Share gives the owner the first hold, each delivery by reference
+// (Rank.SendShared) adds one for its receiver before the message is
+// posted, and every holder calls Drop once it no longer reads the
+// buffer; the last Drop returns the buffer to the pool. A message
+// carrying it counts the words it was shared with: the panel's logical
+// size, not its padded packed length. A message that cannot travel by
+// reference carries a private copy, which its receiver owns.
+type Shared struct {
+	data  []float64
+	words int
+	holds atomic.Int32
+}
+
+// Share wraps data, a buffer the caller owns (from Loan or a receive),
+// in a handle holding it once for the caller; messages carrying it
+// count words.
+func Share(data []float64, words int) *Shared {
+	sh := &Shared{data: data, words: words}
+	sh.holds.Store(1)
+	return sh
+}
+
+// Data returns the shared buffer: read-only to every holder, and nil
+// once the last hold is dropped.
+func (sh *Shared) Data() []float64 { return sh.data }
+
+// Drop gives up one hold; the last returns the buffer to the pool. A
+// Drop with no hold left panics: a second release of a buffer the pool
+// may already have loaned out would corrupt its next owner.
+func (sh *Shared) Drop() {
+	switch n := sh.holds.Add(-1); {
+	case n == 0:
+		buf := sh.data
+		sh.data = nil
+		Release(buf)
+	case n < 0:
+		panic("machine: shared payload dropped more often than held")
+	}
 }

@@ -29,14 +29,14 @@ func (r *Rank) P() int { return r.m.P() }
 // oneself is a local copy and is not counted as communication. Send never
 // blocks (eager unbounded buffering).
 func (r *Rank) Send(dst, tag int, data []float64) {
-	r.send(dst, tag, data, false, false, 0)
+	r.send(dst, tag, data, nil, false, false, 0)
 }
 
 // SendOwned delivers data to rank dst with the given tag, transferring
 // ownership of the buffer to the machine (and ultimately the receiver)
 // without copying. The caller must not touch data afterwards.
 func (r *Rank) SendOwned(dst, tag int, data []float64) {
-	r.send(dst, tag, data, true, false, 0)
+	r.send(dst, tag, data, nil, true, false, 0)
 }
 
 // SendAt delivers a copy of data to dst stamped as departing at logical
@@ -46,19 +46,41 @@ func (r *Rank) SendOwned(dst, tag int, data []float64) {
 // past that moment under overlapped compute. On untimed machines it is
 // Send.
 func (r *Rank) SendAt(dst, tag int, data []float64, at float64) {
-	r.send(dst, tag, data, false, true, at)
+	r.send(dst, tag, data, nil, false, true, at)
+}
+
+// SendShared delivers the shared payload sh to rank dst by reference:
+// the receiver reads sh's buffer in place, under a hold added for it
+// before the message is posted, and the message counts the words sh
+// was shared with, not the buffer's length. Where it cannot travel by
+// reference — to a rank another process hosts, or perturbed by a
+// Corrupt link fault — the receiver gets a copy of its own instead,
+// with the same count.
+func (r *Rank) SendShared(dst, tag int, sh *Shared) {
+	r.send(dst, tag, nil, sh, false, false, 0)
+}
+
+// SendSharedAt is SendShared stamped as departing at logical time at,
+// as SendAt is Send: the relay primitive of a by-reference broadcast.
+func (r *Rank) SendSharedAt(dst, tag int, sh *Shared, at float64) {
+	r.send(dst, tag, nil, sh, false, true, at)
 }
 
 // send is the one path every outgoing message takes: the fault plan's
 // link rule (drop, corrupt, delay), the copy of a payload the caller
-// keeps, the sender's half of the accounting (the sender counts at
+// keeps or the hold on a shared one (sh non-nil: data and the word count
+// are sh's), the sender's half of the accounting (the sender counts at
 // post, the receiver at take, self-sends are free), the clock's
 // departure stamp, and delivery — into the destination's mailbox, or
 // over the link when another process hosts it. Each rank mutates only
 // its own Counters entry, so the counters need no lock.
-func (r *Rank) send(dst, tag int, data []float64, owned, relay bool, at float64) {
+func (r *Rank) send(dst, tag int, data []float64, sh *Shared, owned, relay bool, at float64) {
 	r.checkPeer(dst, "sends to")
 	m := r.m
+	words := len(data)
+	if sh != nil {
+		data, words = sh.data, sh.words
+	}
 	if f := m.faults; f != nil && dst != r.id {
 		if l := f.link(r.id, dst); l != nil {
 			if l.Drop {
@@ -69,6 +91,7 @@ func (r *Rank) send(dst, tag int, data []float64, owned, relay bool, at float64)
 			}
 			if l.Corrupt && len(data) > 0 {
 				data, owned = corrupt(data, owned, l.Word, l.Scale)
+				sh = nil // the receiver's own perturbed copy
 			}
 			if l.Wall > 0 {
 				time.Sleep(l.Wall)
@@ -82,13 +105,15 @@ func (r *Rank) send(dst, tag int, data []float64, owned, relay bool, at float64)
 			}
 		}
 	}
-	if !owned {
+	if sh != nil && m.office[dst] != nil {
+		sh.holds.Add(1)
+	} else if !owned {
 		cp := Loan(len(data))
 		copy(cp, data)
-		data = cp
+		data, sh = cp, nil
 	}
 	if dst != r.id {
-		m.count[r.id].SentWords += int64(len(data))
+		m.count[r.id].SentWords += int64(words)
 		m.count[r.id].SentMsgs++
 	}
 	var dep float64
@@ -96,17 +121,18 @@ func (r *Rank) send(dst, tag int, data []float64, owned, relay bool, at float64)
 		dep = m.clock.depart(r.id, dst, relay, at)
 	}
 	if m.office[dst] == nil {
-		m.link.Forward(r.id, dst, tag, data)
+		m.link.Forward(r.id, dst, tag, data, words)
 		return
 	}
-	m.office[dst].post(mailKey{src: r.id, tag: tag}, envelope{data: data, at: dep})
+	m.office[dst].post(mailKey{src: r.id, tag: tag}, envelope{data: data, words: words, sh: sh, at: dep})
 }
 
 // corrupt perturbs word (modulo the length) of a non-empty outgoing
 // payload: multiplied by scale, or with scale 0 its exponent bit 62
-// flipped. A copied send is first cloned into a pool buffer (the
-// caller's data must never be mutated) and becomes an owned send; an
-// owned payload is perturbed in place.
+// flipped. A copied or shared send is first cloned into a pool buffer
+// (the caller's data must never be mutated, nor a buffer other ranks
+// read) and becomes an owned send; an owned payload is perturbed in
+// place. A packed panel is perturbed in its packed layout.
 func corrupt(data []float64, owned bool, word int, scale float64) ([]float64, bool) {
 	if !owned {
 		cp := Loan(len(data))
@@ -171,6 +197,8 @@ type Request struct {
 	post     float64 // receiver's clock when the request was posted
 	done     bool
 	data     []float64
+	words    int
+	sh       *Shared
 	at       float64
 }
 
@@ -192,15 +220,27 @@ func (q *Request) Wait() []float64 {
 	m, dst := q.r.m, q.r.id
 	e := m.office[dst].take(mailKey{src: q.src, tag: q.tag}, m.recvTimeout)
 	if q.src != dst {
-		m.count[dst].RecvWords += int64(len(e.data))
+		m.count[dst].RecvWords += int64(e.words)
 		m.count[dst].RecvMsgs++
 	}
 	if m.clock != nil {
 		q.at = m.clock.land(dst, q.src, e, q.post)
 	}
-	q.data, q.done = e.data, true
+	q.data, q.words, q.sh, q.done = e.data, e.words, e.sh, true
 	return q.data
 }
+
+// Shared returns the handle the message was delivered under by
+// reference (Rank.SendShared): the receiver reads the payload in place
+// and drops the hold taken for it instead of releasing the buffer. It
+// is nil when the receiver owns the payload — a copied send, a
+// perturbed or cross-process copy of a shared one — and before Wait.
+func (q *Request) Shared() *Shared { return q.sh }
+
+// Words returns the words the message counted: the payload's length,
+// or the logical size of a packed panel shared with it (Share). Valid
+// once Wait has returned.
+func (q *Request) Words() int { return q.words }
 
 // At returns the logical time in seconds at which the payload landed
 // (transfer completion on the receiver's ingress port). It is zero on

@@ -204,3 +204,49 @@ func TestTimedSendAtSerializesInjections(t *testing.T) {
 		t.Errorf("second relayed receiver clock = %v, want 17 (injections serialized)", got)
 	}
 }
+
+// TestSendSharedHoldsAndCounts: a payload shared by reference reaches
+// its receiver in place, under a hold added for it, and counts its
+// logical words on both sides, not the buffer's padded length; a
+// dropped message adds no hold, so the owner's and the receiver's Drop
+// return the buffer; and one more panics.
+func TestSendSharedHoldsAndCounts(t *testing.T) {
+	m := New(3)
+	if err := m.SetFaultPlan(FaultPlan{Links: []LinkFault{{Src: 0, Dst: 2, Drop: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	sh := Share(Loan(6), 4)
+	owner := sh.Data()
+	err := m.Run(func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			r.SendShared(1, 5, sh)
+			r.SendShared(2, 5, sh) // dropped: adds no hold
+			sh.Drop()
+		case 1:
+			var q Request
+			r.PostRecv(&q, 0, 5)
+			got := q.Wait()
+			if &got[0] != &owner[0] || q.Shared() != sh || q.Words() != 4 {
+				t.Errorf("received %d words under %p in place %v, want 4 under %p", q.Words(), q.Shared(), &got[0] == &owner[0], sh)
+			}
+			q.Shared().Drop()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, r := m.Counters(0).SentWords, m.Counters(1).RecvWords; s != 4 || r != 4 || m.Counters(2).RecvMsgs != 0 {
+		t.Errorf("sent %d and received %d words, want 4 each", s, r)
+	}
+	if sh.Data() != nil {
+		t.Error("the buffer outlived the owner's and the receiver's holds")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a Drop past the last hold did not panic")
+		}
+	}()
+	sh.Drop()
+}

@@ -193,7 +193,7 @@ func (c *clock) land(dst, src int, e envelope, post float64) float64 {
 	if post > start {
 		start = post
 	}
-	done := start + c.net.Beta*float64(len(e.data))
+	done := start + c.net.Beta*float64(e.words)
 	c.ingress[dst] = done
 	if done > c.now[dst] {
 		c.now[dst] = done

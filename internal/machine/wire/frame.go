@@ -7,27 +7,33 @@ import (
 	"math"
 
 	"cosma/internal/machine"
+	"cosma/internal/matrix"
 )
 
 // The wire frame is the length-prefixed binary unit every byte on a
 // connection belongs to. Layout (little-endian, 40-byte header):
 //
 //	off  0  magic      0xC5
-//	off  1  version    0x01
+//	off  1  version    0x02
 //	off  2  kind       frame kind (below)
 //	off  3  reserved   0
 //	off  4  src        uint32  sending rank
 //	off  8  dst        uint32  destination rank (data frames)
 //	off 12  words      uint32  payload length in float64 words
 //	off 16  tag        int64   message tag / ctrl epoch
-//	off 24  at         float64 reserved for a departure stamp; 0 (a linked machine has no clock)
+//	off 24  count      uint64  words the message counts (data frames): the
+//	                           payload length, or a packed panel's logical size
 //	off 32  epoch      int64   sender's run number
 //	off 40  payload    words × 8 bytes of little-endian float64s
 //
 // Data frames are demultiplexed into the destination rank's
 // (src, tag)-keyed mailbox, so the matching discipline over the wire is
-// bit-for-bit the in-process one. Control frames (abort, counters)
-// never touch mailboxes or traffic counters.
+// bit-for-bit the in-process one, and counted there by their count
+// field, so a packed panel's padding is never traffic. Control frames
+// (abort, counters) never touch mailboxes or traffic counters. A HELLO's
+// payload is the name of the register tile its process packs panels
+// for (helloTile): packed panels cross the wire as packed, so processes
+// that pack differently refuse to form a mesh.
 //
 // The epoch pins every frame to the run that produced it: processes
 // begin runs in lockstep (runs are collective) but not simultaneously, so
@@ -37,7 +43,7 @@ import (
 // run n, and are dropped.
 const (
 	frameMagic   = 0xC5
-	frameVersion = 0x01
+	frameVersion = 0x02
 	headerLen    = 40
 
 	// maxFrameWords bounds a single payload (2^27 words = 1 GiB); a
@@ -64,7 +70,7 @@ type frame struct {
 	kind     byte
 	src, dst int
 	tag      int64
-	at       float64
+	count    int
 	epoch    int64
 	payload  []float64
 	// release hands the payload back to the machine buffer pool once
@@ -88,7 +94,7 @@ func appendFrame(buf []byte, f frame) []byte {
 	binary.LittleEndian.PutUint32(buf[8:], uint32(f.dst))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(len(f.payload)))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(f.tag))
-	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(f.at))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(f.count))
 	binary.LittleEndian.PutUint64(buf[32:], uint64(f.epoch))
 	for i, v := range f.payload {
 		binary.LittleEndian.PutUint64(buf[headerLen+8*i:], math.Float64bits(v))
@@ -121,7 +127,7 @@ func readFrame(r io.Reader, scratch []byte) (frame, []byte, error) {
 		src:   int(binary.LittleEndian.Uint32(hdr[4:])),
 		dst:   int(binary.LittleEndian.Uint32(hdr[8:])),
 		tag:   int64(binary.LittleEndian.Uint64(hdr[16:])),
-		at:    math.Float64frombits(binary.LittleEndian.Uint64(hdr[24:])),
+		count: int(binary.LittleEndian.Uint64(hdr[24:])),
 		epoch: int64(binary.LittleEndian.Uint64(hdr[32:])),
 	}
 	words := int(binary.LittleEndian.Uint32(hdr[12:]))
@@ -166,4 +172,27 @@ func readFrame(r io.Reader, scratch []byte) (frame, []byte, error) {
 	}
 	f.payload = payload
 	return f, scratch, nil
+}
+
+// helloTile is a HELLO's payload: the name of this process's register
+// tile (matrix.TileName), one byte per word.
+func helloTile() []float64 {
+	name := matrix.TileName()
+	words := make([]float64, len(name))
+	for i := 0; i < len(name); i++ {
+		words[i] = float64(name[i])
+	}
+	return words
+}
+
+// sameTile reports whether a peer's HELLO payload names this process's
+// register tile, and hands the payload back to the pool.
+func sameTile(payload []float64) bool {
+	name := matrix.TileName()
+	same := len(payload) == len(name)
+	for i := 0; same && i < len(name); i++ {
+		same = payload[i] == float64(name[i])
+	}
+	machine.Release(payload)
+	return same
 }

@@ -7,7 +7,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []frame{
-		{kind: kindData, src: 3, dst: 1, tag: 3<<20 + 7, at: 1.25, epoch: 17, payload: []float64{1, -2.5, 3e300, 0}},
+		{kind: kindData, src: 3, dst: 1, tag: 3<<20 + 7, count: 3, epoch: 17, payload: []float64{1, -2.5, 3e300, 0}},
 		{kind: kindCtrl, src: 2, tag: 5, epoch: 5, payload: []float64{2, 10, 20, 1, 1, 4096}},
 		{kind: kindAbort, src: 0, epoch: 12},
 	}
@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.kind != want.kind || got.src != want.src || got.dst != want.dst ||
-			got.tag != want.tag || got.at != want.at || got.epoch != want.epoch ||
+			got.tag != want.tag || got.count != want.count || got.epoch != want.epoch ||
 			len(got.payload) != len(want.payload) {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
 		}
@@ -55,5 +55,25 @@ func TestFrameRejectsRetiredKinds(t *testing.T) {
 		if _, _, err := readFrame(bytes.NewReader(raw), nil); err == nil {
 			t.Fatalf("frame kind %d accepted", kind)
 		}
+	}
+}
+
+// TestHelloNamesTheTile: a HELLO carries the name of the register tile
+// its process packs panels for, and only a peer naming the same tile
+// is accepted.
+func TestHelloNamesTheTile(t *testing.T) {
+	raw := appendFrame(nil, frame{kind: kindHello, src: 1, payload: helloTile()})
+	f, _, err := readFrame(bytes.NewReader(raw), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTile(f.payload) {
+		t.Error("a HELLO from this process names another tile")
+	}
+	if other := append(helloTile(), 'x'); sameTile(other) {
+		t.Error("a HELLO naming another tile is accepted")
+	}
+	if sameTile(nil) {
+		t.Error("a HELLO naming no tile is accepted")
 	}
 }

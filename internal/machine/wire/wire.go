@@ -59,7 +59,7 @@ type Transport struct {
 	// (Bind): deliver is called under bmu — only for frames of the run
 	// in progress, so never before the machine's first Begin — and
 	// interrupt is read under fmu.
-	deliver   func(dst, src, tag int, data []float64)
+	deliver   func(dst, src, tag int, data []float64, words int)
 	interrupt func()
 
 	dialT   time.Duration
@@ -256,17 +256,17 @@ func (t *Transport) dialPeer(j int) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: process %d dialing process %d (%s): %w", t.self, j, t.procs[j], err)
 	}
-	hello := appendFrame(nil, frame{kind: kindHello, src: t.self, dst: j, tag: int64(t.p), epoch: t.curEpoch()})
+	hello := appendFrame(nil, frame{kind: kindHello, src: t.self, dst: j, tag: int64(t.p), epoch: t.curEpoch(), payload: helloTile()})
 	if _, err := conn.Write(hello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: process %d handshake with process %d: %w", t.self, j, err)
 	}
 	conn.SetReadDeadline(time.Now().Add(t.dialT))
 	ack, _, err := readFrame(conn, nil)
-	if err != nil || ack.kind != kindHello || ack.tag != int64(t.p) || ack.src != j {
+	if err != nil || ack.kind != kindHello || ack.tag != int64(t.p) || ack.src != j || !sameTile(ack.payload) {
 		conn.Close()
 		if err == nil {
-			err = fmt.Errorf("bad hello ack from process %d", ack.src)
+			err = fmt.Errorf("bad hello ack from process %d (another size, process or register tile)", ack.src)
 		}
 		return nil, fmt.Errorf("wire: process %d handshake with process %d: %w", t.self, j, err)
 	}
@@ -285,7 +285,7 @@ func (t *Transport) acceptPeer(conns []net.Conn, scratch []byte, want func(src i
 	conn.SetReadDeadline(time.Now().Add(t.dialT))
 	var hello frame
 	hello, scratch, err = readFrame(conn, scratch)
-	if err != nil || hello.kind != kindHello || hello.tag != int64(t.p) ||
+	if err != nil || hello.kind != kindHello || hello.tag != int64(t.p) || !sameTile(hello.payload) ||
 		hello.src <= t.self || hello.src >= len(t.procs) || conns[hello.src] != nil || !want(hello.src) {
 		conn.Close()
 		if err == nil {
@@ -293,7 +293,7 @@ func (t *Transport) acceptPeer(conns []net.Conn, scratch []byte, want func(src i
 		}
 		return scratch, fmt.Errorf("wire: process %d handshake: %w", t.self, err)
 	}
-	ack := appendFrame(nil, frame{kind: kindHello, src: t.self, dst: hello.src, tag: int64(t.p), epoch: t.curEpoch()})
+	ack := appendFrame(nil, frame{kind: kindHello, src: t.self, dst: hello.src, tag: int64(t.p), epoch: t.curEpoch(), payload: helloTile()})
 	if _, err := conn.Write(ack); err != nil {
 		conn.Close()
 		return scratch, fmt.Errorf("wire: process %d handshake ack to process %d: %w", t.self, hello.src, err)
@@ -505,7 +505,7 @@ func (t *Transport) dispatch(f frame) {
 		t.bmu.Lock()
 		switch {
 		case f.epoch == t.epoch:
-			t.deliver(f.dst, f.src, int(f.tag), f.payload)
+			t.deliver(f.dst, f.src, int(f.tag), f.payload, f.count)
 			t.bmu.Unlock()
 		case f.epoch > t.epoch:
 			t.early = append(t.early, f)
@@ -660,7 +660,7 @@ func (t *Transport) Failure() error {
 }
 
 // Bind implements machine.Link.
-func (t *Transport) Bind(deliver func(dst, src, tag int, data []float64), interrupt func()) {
+func (t *Transport) Bind(deliver func(dst, src, tag int, data []float64, words int), interrupt func()) {
 	t.bmu.Lock()
 	t.deliver = deliver
 	t.bmu.Unlock()
@@ -674,11 +674,11 @@ func (t *Transport) Ranks() (p int, local []int) { return t.p, t.local }
 
 // Forward implements machine.Link: the message becomes a data frame on
 // the destination process's connection, stamped with the run it belongs
-// to. Reading epoch without bmu is safe on this path: only Begin writes
-// it, and Begin is sequenced before (and after) the rank goroutines that
-// send.
-func (t *Transport) Forward(src, dst, tag int, data []float64) {
-	t.enqueue(t.procOf[dst], frame{kind: kindData, src: src, dst: dst, tag: int64(tag), epoch: t.epoch, payload: data, release: true})
+// to and the words it counts. Reading epoch without bmu is safe on this
+// path: only Begin writes it, and Begin is sequenced before (and after)
+// the rank goroutines that send.
+func (t *Transport) Forward(src, dst, tag int, data []float64, words int) {
+	t.enqueue(t.procOf[dst], frame{kind: kindData, src: src, dst: dst, tag: int64(tag), count: words, epoch: t.epoch, payload: data, release: true})
 }
 
 // Abort implements machine.Link: once per run, every peer process is
@@ -730,7 +730,7 @@ func (t *Transport) Begin(reset func()) error {
 	for _, f := range t.early {
 		switch {
 		case f.epoch == t.epoch:
-			t.deliver(f.dst, f.src, int(f.tag), f.payload)
+			t.deliver(f.dst, f.src, int(f.tag), f.payload, f.count)
 		case f.epoch > t.epoch:
 			keep = append(keep, f)
 		default:

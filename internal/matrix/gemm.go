@@ -93,7 +93,16 @@ func (k *Kernel) Threads() int { return k.threads }
 // is bitwise-reproducible for any thread count).
 func (k *Kernel) Mul(c, a, b *Dense) {
 	checkMulShapes(c, a, b)
-	k.mulRows(c, a, 0, a.Rows, b, nil)
+	k.mulRows(c, a, PackedA{}, b, nil, a.Cols, 0, a.Rows)
+}
+
+// PackedA is an A operand packed whole into a kernel's micro-panels by
+// Kernel.PackA: for every kc-deep block of its columns, in order, all
+// its rows in mr-row micro-panels, the last zero-padded, back to back
+// in Data.
+type PackedA struct {
+	Data       []float64 // the buffer PackA packed into; the caller's to recycle
+	Rows, Cols int
 }
 
 // PackedB is a B operand packed whole into a kernel's micro-panels by
@@ -104,20 +113,39 @@ type PackedB struct {
 	Rows, Cols int
 }
 
-// PackedLen returns the words PackB packs a rows×cols B into: every
+// PackedALen returns the words PackA packs a rows×cols A into: its rows
+// padded to whole micro-panels.
+func (k *Kernel) PackedALen(rows, cols int) int { return k.paddedRows(rows) * cols }
+
+// PackedBLen returns the words PackB packs a rows×cols B into: every
 // cache block's columns padded to whole micro-panels.
-func (k *Kernel) PackedLen(rows, cols int) int {
+func (k *Kernel) PackedBLen(rows, cols int) int {
 	return (cols/k.nc*k.padded(k.nc) + k.padded(cols%k.nc)) * rows
 }
 
 // padded rounds a block width up to whole B micro-panels.
 func (k *Kernel) padded(nb int) int { return (nb + k.tile.nr - 1) / k.tile.nr * k.tile.nr }
 
+// paddedRows rounds a height up to whole A micro-panels.
+func (k *Kernel) paddedRows(mb int) int { return (mb + k.tile.mr - 1) / k.tile.mr * k.tile.mr }
+
+// PackA packs all of a into dst (grown when shorter than
+// PackedALen(a.Rows, a.Cols)) for MulPacked: a panel packed once where
+// it lives is multiplied where it lies by every rank that reads it.
+func (k *Kernel) PackA(dst []float64, a *Dense) PackedA {
+	dst = grow(dst, k.PackedALen(a.Rows, a.Cols))
+	rows := k.paddedRows(a.Rows)
+	for pc := 0; pc < a.Cols; pc += k.kc {
+		packA(dst[pc*rows:], a, 0, pc, a.Rows, min(k.kc, a.Cols-pc), k.tile.mr)
+	}
+	return PackedA{Data: dst, Rows: a.Rows, Cols: a.Cols}
+}
+
 // PackB packs all of b into dst (grown when shorter than
-// PackedLen(b.Rows, b.Cols)) for MulPacked, so a product multiplied row
+// PackedBLen(b.Rows, b.Cols)) for MulPacked, so a product multiplied row
 // band by row band packs B once instead of once per band.
 func (k *Kernel) PackB(dst []float64, b *Dense) PackedB {
-	dst = grow(dst, k.PackedLen(b.Rows, b.Cols))
+	dst = grow(dst, k.PackedBLen(b.Rows, b.Cols))
 	rest := dst
 	for jc := 0; jc < b.Cols; jc += k.nc {
 		nb := min(k.nc, b.Cols-jc)
@@ -130,35 +158,46 @@ func (k *Kernel) PackB(dst []float64, b *Dense) PackedB {
 	return PackedB{Data: dst, Rows: b.Rows, Cols: b.Cols}
 }
 
-// MulPacked computes rows [lo, hi) of C += A·B against a B that PackB
-// packed: those rows of C from the same rows of A, without a view of
-// either. The per-element accumulation order does not depend on where a
-// row range starts — fringe tiles accumulate full-width into scratch,
-// like interior ones — nor on when B was packed, so MulPacked over any
-// row bands that cover C once is bitwise one Mul.
-func (k *Kernel) MulPacked(c, a *Dense, b PackedB, lo, hi int) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols || len(b.Data) < k.PackedLen(b.Rows, b.Cols) {
-		panic(fmt.Sprintf("matrix: MulPacked shapes C %d×%d, A %d×%d, packed B %d×%d in %d words",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols, len(b.Data)))
+// MulPacked computes rows [lo, hi) of C += A·B from an A that PackA and
+// a B that PackB packed, with this kernel's tile and cache blocks. The
+// per-element accumulation order does not depend on where a row range
+// starts — a range that starts inside a micro-panel stages that
+// panel's live rows as the top of a zero-padded one, and fringe tiles
+// accumulate full-width like interior ones — nor on when or where the
+// operands were packed, so MulPacked over any row bands that cover C
+// once is bitwise one Mul.
+func (k *Kernel) MulPacked(c *Dense, a PackedA, b PackedB, lo, hi int) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols ||
+		len(a.Data) < k.PackedALen(a.Rows, a.Cols) || len(b.Data) < k.PackedBLen(b.Rows, b.Cols) {
+		panic(fmt.Sprintf("matrix: MulPacked shapes C %d×%d, packed A %d×%d in %d words, packed B %d×%d in %d words",
+			c.Rows, c.Cols, a.Rows, a.Cols, len(a.Data), b.Rows, b.Cols, len(b.Data)))
 	}
-	k.mulRows(c, a, lo, hi, nil, b.Data)
+	k.mulRows(c, nil, a, nil, b.Data, a.Cols, lo, hi)
 }
 
-// mulRows is Mul and MulPacked on rows [lo, hi): B comes from b, packed
-// one (jc, pc) block at a time into the shared buffer, or from packed,
-// whose blocks it takes in the order PackB packed them.
-func (k *Kernel) mulRows(c, a *Dense, lo, hi int, b *Dense, packed []float64) {
-	if lo < 0 || lo > hi || hi > a.Rows {
-		panic(fmt.Sprintf("matrix: rows [%d, %d) outside %d", lo, hi, a.Rows))
+// mulRows is Mul and MulPacked on rows [lo, hi) of a kk-deep product: A
+// comes from a, packed one mc-row block at a time into the worker's
+// buffer, or (a nil) from pa; B from b, packed one (jc, pc) block at a
+// time into the shared buffer, or (b nil) from packed, whose blocks it
+// takes in the order PackB packed them.
+func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk, lo, hi int) {
+	rows := pa.Rows
+	if a != nil {
+		rows = a.Rows
 	}
-	m, kk, n := hi-lo, a.Cols, c.Cols
-	if m == 0 || n == 0 || kk == 0 {
+	if lo < 0 || lo > hi || hi > rows {
+		panic(fmt.Sprintf("matrix: rows [%d, %d) outside %d", lo, hi, rows))
+	}
+	n := c.Cols
+	if hi == lo || n == 0 || kk == 0 {
 		return
 	}
 	// One contiguous row chunk per worker, each a whole number of
-	// micro-panels so no register tile straddles two workers.
+	// micro-panels counted from the panel holding lo, so no register
+	// tile straddles two workers.
 	mr, nr := k.tile.mr, k.tile.nr
-	panels := (m + mr - 1) / mr
+	base := lo - lo%mr
+	panels := (hi - base + mr - 1) / mr
 	t := min(k.threads, panels)
 	chunk := (panels + t - 1) / t * mr
 	for jc := 0; jc < n; jc += k.nc {
@@ -175,19 +214,19 @@ func (k *Kernel) mulRows(c, a *Dense, lo, hi int, b *Dense, packed []float64) {
 				bp = k.shared
 			}
 			if t == 1 {
-				k.rows(&k.workers[0], c, a, lo, hi, pc, jc, kb, nb, bp)
+				k.rows(&k.workers[0], c, a, pa, lo, hi, pc, jc, kb, nb, bp)
 				continue
 			}
 			// The loop variables pc, jc and bp go in as arguments:
 			// captured, they would move to the heap every iteration,
 			// inline path too.
 			var wg sync.WaitGroup
-			for w := 0; w*chunk < m; w++ {
+			for w := 0; base+w*chunk < hi; w++ {
 				wg.Add(1)
 				go func(pb *packBuf, lo, hi, pc, jc int, bp []float64) {
 					defer wg.Done()
-					k.rows(pb, c, a, lo, hi, pc, jc, kb, nb, bp)
-				}(&k.workers[w], lo+w*chunk, min(lo+(w+1)*chunk, hi), pc, jc, bp)
+					k.rows(pb, c, a, pa, lo, hi, pc, jc, kb, nb, bp)
+				}(&k.workers[w], max(lo, base+w*chunk), min(base+(w+1)*chunk, hi), pc, jc, bp)
 			}
 			wg.Wait()
 		}
@@ -195,15 +234,36 @@ func (k *Kernel) mulRows(c, a *Dense, lo, hi int, b *Dense, packed []float64) {
 }
 
 // rows is one worker's share of a (jc, pc) block: every mc-row block
-// of A in [lo, hi) is packed into the worker's buffer and swept
-// against the packed B block bp.
-func (k *Kernel) rows(pb *packBuf, c, a *Dense, lo, hi, pc, jc, kb, nb int, bp []float64) {
+// of A in [lo, hi) — packed into the worker's buffer, or read where
+// PackA put it — is swept against the packed B block bp.
+func (k *Kernel) rows(pb *packBuf, c, a *Dense, pa PackedA, lo, hi, pc, jc, kb, nb int, bp []float64) {
 	mr := k.tile.mr
-	for ic := lo; ic < hi; ic += k.mc {
-		mb := min(k.mc, hi-ic)
-		pb.a = grow(pb.a, (mb+mr-1)/mr*mr*kb)
-		packA(pb.a, a, ic, pc, mb, kb, mr)
-		k.macroKernel(pb, c, ic, jc, mb, nb, kb, bp)
+	if a != nil {
+		for ic := lo; ic < hi; ic += k.mc {
+			mb := min(k.mc, hi-ic)
+			pb.a = grow(pb.a, (mb+mr-1)/mr*mr*kb)
+			packA(pb.a, a, ic, pc, mb, kb, mr)
+			k.macroKernel(pb, pb.a, c, ic, jc, mb, nb, kb, bp)
+		}
+		return
+	}
+	ap := pa.Data[pc*k.paddedRows(pa.Rows):] // this kc block's micro-panels
+	if skip := lo % mr; skip != 0 {
+		// lo is inside a micro-panel: its live rows become the top of a
+		// zero-padded staged panel, a fringe tile like any other.
+		h := min(hi, lo-skip+mr) - lo
+		src := ap[lo/mr*mr*kb:][:mr*kb]
+		pb.a = grow(pb.a, mr*kb)
+		clear(pb.a)
+		for p := 0; p < kb; p++ {
+			copy(pb.a[p*mr:p*mr+h], src[p*mr+skip:])
+		}
+		k.macroKernel(pb, pb.a, c, lo, jc, h, nb, kb, bp)
+		lo += h
+	}
+	step := max(mr, k.mc/mr*mr) // blocks start on a micro-panel
+	for ic := lo; ic < hi; ic += step {
+		k.macroKernel(pb, ap[ic/mr*mr*kb:], c, ic, jc, min(step, hi-ic), nb, kb, bp)
 	}
 }
 
@@ -281,42 +341,44 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 	}
 }
 
-// macroKernel sweeps the worker's packed mb×kb A block against the
-// packed kb×nb B block bp, one B micro-panel at a time. A SIMD tile
-// takes every full-height tile of a full-width panel in one call — the
-// assembly walks the A block and C itself — and the rest of the panel
-// (a narrow right-edge panel, or a short bottom tile) staged, up to
-// edgeTiles tiles per call, so Go dispatches a few times per panel, not
-// once per tile; the portable Go tile keeps its per-tile loop. Fringe
-// tiles (right and bottom edges) accumulate full-width into zero-padded
-// scratch — the Go tile in its accumulator array, the SIMD kernels in
-// the worker's staging buffer — and write back only the live corner,
-// preserving the per-element accumulation order of interior tiles.
-func (k *Kernel) macroKernel(pb *packBuf, c *Dense, ic, jc, mb, nb, kb int, packed []float64) {
+// macroKernel sweeps the packed mb×kb A block ap against the packed
+// kb×nb B block bp, one B micro-panel at a time. A SIMD tile takes every
+// full-height tile of a panel in one call — the assembly walks the A
+// block and C itself, and a tile that knows the live width of a narrow
+// right-edge panel adds just those columns into C — and the rest (a
+// short bottom tile, or a narrow panel of a tile that does not know its
+// width) staged, up to edgeTiles tiles per call, so Go dispatches a few
+// times per panel, not once per tile; the portable Go tile keeps its
+// per-tile loop. Staged fringe tiles accumulate full-width into
+// zero-padded scratch — the Go tile in its accumulator array, the SIMD
+// kernels in the worker's staging buffer — and write back only the live
+// corner, preserving the per-element accumulation order of interior
+// tiles.
+func (k *Kernel) macroKernel(pb *packBuf, ap []float64, c *Dense, ic, jc, mb, nb, kb int, packed []float64) {
 	mr, nr, sweep := k.tile.mr, k.tile.nr, k.tile.sweep
-	full := mb / mr // full-height tiles: one SIMD sweep per full-width panel
+	full := mb / mr // full-height tiles: one SIMD sweep per panel
 	for j := 0; j < nb; j += nr {
 		w := min(nr, nb-j)
 		bp := packed[(j/nr)*kb*nr:]
 		if sweep == nil {
 			for i := 0; i < mb; i += mr {
 				h := min(mr, mb-i)
-				ap := pb.a[(i/mr)*kb*mr:]
+				tp := ap[(i/mr)*kb*mr:]
 				if h == mr && w == nr {
-					microKernel4x4(c, ic+i, jc+j, kb, ap, bp)
+					microKernel4x4(c, ic+i, jc+j, kb, tp, bp)
 				} else {
-					microKernelEdge(c, ic+i, jc+j, h, w, kb, ap, bp)
+					microKernelEdge(c, ic+i, jc+j, h, w, kb, tp, bp)
 				}
 			}
 			continue
 		}
 		i := 0
-		if w == nr && full > 0 {
-			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &pb.a[0], &bp[0], full)
+		if full > 0 && (w == nr || k.tile.narrow) {
+			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &ap[0], &bp[0], full, w)
 			i = full * mr
 		}
 		if i < mb {
-			k.simdEdge(pb, c, ic+i, jc+j, mb-i, w, kb, pb.a[(i/mr)*kb*mr:], bp)
+			k.simdEdge(pb, c, ic+i, jc+j, mb-i, w, kb, ap[(i/mr)*kb*mr:], bp)
 		}
 	}
 }
@@ -330,10 +392,10 @@ const edgeTiles = 8
 // simdEdge runs the SIMD register kernel on the fringe tiles of one B
 // micro-panel, h rows deep from A micro-panel ap on: up to edgeTiles
 // full mr×nr tiles at a time are accumulated in one sweep into a
-// zeroed staging buffer (the packed panels are zero-padded, so the
-// dead lanes stay zero) and their live rows' w columns are added into
-// C — the same accumulate-then-add sequence as an interior tile, so
-// fringes stay bitwise consistent.
+// zeroed staging buffer (the packed B panel is zero-padded, so its dead
+// lanes stay zero) and their live rows' w columns are added into C —
+// the same accumulate-then-add sequence as an interior tile, so fringes
+// stay bitwise consistent.
 func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
 	mr, nr := k.tile.mr, k.tile.nr
 	for top := 0; top < h; top += edgeTiles * mr {
@@ -341,10 +403,8 @@ func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []
 		tiles := (rows + mr - 1) / mr
 		pb.tile = grow(pb.tile, tiles*mr*nr)
 		staged := pb.tile
-		for i := range staged {
-			staged[i] = 0
-		}
-		k.tile.sweep(&staged[0], nr, kb, &ap[top*kb], &bp[0], tiles)
+		clear(staged)
+		k.tile.sweep(&staged[0], nr, kb, &ap[top*kb], &bp[0], tiles, nr)
 		for i := 0; i < rows; i++ {
 			row := c.Data[(ci+top+i)*c.Stride+cj : (ci+top+i)*c.Stride+cj+w]
 			for j := range row {

@@ -58,7 +58,27 @@
 	VMOVUPD Y14, 64(DI); \
 	ADDQ    SI, DI
 
-// func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles int)
+// EDGEMASK is eight quadwords, four of all ones then four zeros: the
+// four read at byte offset 8·(4 − t) are the VMASKMOVPD mask of a
+// group's first t lanes.
+DATA edgemask<>+0(SB)/8, $-1
+DATA edgemask<>+8(SB)/8, $-1
+DATA edgemask<>+16(SB)/8, $-1
+DATA edgemask<>+24(SB)/8, $-1
+DATA edgemask<>+32(SB)/8, $0
+DATA edgemask<>+40(SB)/8, $0
+DATA edgemask<>+48(SB)/8, $0
+DATA edgemask<>+56(SB)/8, $0
+GLOBL edgemask<>(SB), RODATA|NOPTR, $64
+
+// EDGEGROUP adds accumulator y into the 4-wide group at byte offset off
+// of the C row at DI, only the lanes the mask in Y15 selects.
+#define EDGEGROUP(y, off) \
+	VMASKMOVPD off(DI), Y15, Y12; \
+	VADDPD     y, Y12, Y12; \
+	VMASKMOVPD Y12, Y15, off(DI)
+
+// func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
 //
 // 4×12 tile: accumulator row r in Y(3r), Y(3r+1), Y(3r+2). The k loop
 // takes two steps per iteration, then a last step when kb is odd; each
@@ -68,15 +88,26 @@
 // tile t reads the t-th packed A micro-panel (ap advances kb·4 words
 // by itself), re-reads the same bp, and adds into rows 4t..4t+3 of C,
 // whose lines it prefetches before the k loop so the final
-// read-modify-write finds them in cache.
-TEXT ·kernelAVX2_4x12(SB), NOSPLIT, $0-48
+// read-modify-write finds them in cache. A panel w < 12 columns wide
+// (its dead lanes zero-padded) adds each row's first w columns only:
+// its whole 4-column groups with plain stores, the t = w mod 4 columns
+// after them with VMASKMOVPD, one row at a time — the next row's
+// accumulators move up into Y0–Y2 — and nothing past column w.
+TEXT ·kernelAVX2_4x12(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ cstride+8(FP), SI
 	MOVQ kb+16(FP), DX
 	MOVQ ap+24(FP), R8
 	MOVQ bp+32(FP), R9
 	MOVQ tiles+40(FP), CX
+	MOVQ w+48(FP), BX
 	SHLQ $3, SI                // row stride in bytes
+
+	MOVQ BX, AX
+	ANDQ $3, AX                // t: columns past the whole groups
+	SHLQ $3, AX
+	LEAQ edgemask<>+32(SB), R13
+	SUBQ AX, R13               // R13: the mask of t lanes
 
 	TESTQ CX, CX
 	JLE   done4x12
@@ -121,12 +152,60 @@ tail4x12:
 	ADDQ  $32, R8              // A advances to the next tile's panel
 
 store4x12:
+	CMPQ BX, $12
+	JLT  narrow4x12
 	ADDROW4x12(Y0, Y1, Y2)
 	ADDROW4x12(Y3, Y4, Y5)
 	ADDROW4x12(Y6, Y7, Y8)
 	ADDROW4x12(Y9, Y10, Y11)   // leaves DI on the next tile's first row
 	DECQ CX
 	JNZ  tile4x12
+	JMP  done4x12
+
+narrow4x12:
+	VMOVUPD (R13), Y15
+	MOVQ    $4, R11            // rows left in the tile
+
+row4x12:
+	CMPQ BX, $4
+	JLT  part0x12
+	VMOVUPD (DI), Y12
+	VADDPD  Y0, Y12, Y12
+	VMOVUPD Y12, (DI)
+	CMPQ    BX, $8
+	JLT     part1x12
+	VMOVUPD 32(DI), Y13
+	VADDPD  Y1, Y13, Y13
+	VMOVUPD Y13, 32(DI)
+	TESTQ   $3, BX
+	JZ      next4x12
+	EDGEGROUP(Y2, 64)
+	JMP     next4x12
+
+part1x12:
+	TESTQ $3, BX
+	JZ    next4x12
+	EDGEGROUP(Y1, 32)
+	JMP   next4x12
+
+part0x12:
+	EDGEGROUP(Y0, 0)
+
+next4x12:
+	VMOVAPD Y3, Y0
+	VMOVAPD Y4, Y1
+	VMOVAPD Y5, Y2
+	VMOVAPD Y6, Y3
+	VMOVAPD Y7, Y4
+	VMOVAPD Y8, Y5
+	VMOVAPD Y9, Y6
+	VMOVAPD Y10, Y7
+	VMOVAPD Y11, Y8
+	ADDQ    SI, DI
+	DECQ    R11
+	JNZ     row4x12
+	DECQ    CX
+	JNZ     tile4x12
 
 done4x12:
 	VZEROUPPER

@@ -150,9 +150,9 @@ func BenchmarkKernelRankShapes(b *testing.B) {
 }
 
 // BenchmarkPack times packing alone at the rank shapes, for the panel
-// widths of the portable and the dispatched tile: packA over every
-// (mc, kc) block of A, as the kernel's rows visit them, and PackB over
-// all of B. Throughput is in bytes of the operand read.
+// widths of the portable and the dispatched tile: PackA over all of A
+// and PackB over all of B, as a panel's owner packs them. Throughput is
+// in bytes of the operand read.
 func BenchmarkPack(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range rankShapes {
@@ -161,18 +161,14 @@ func BenchmarkPack(b *testing.B) {
 			k := newKernel(1, tl)
 			name := fmt.Sprintf("%s_%dx%dx%d/%s", s.name, s.m, s.kk, s.n, tl.name)
 			b.Run(name+"/packA", func(b *testing.B) {
-				dst := make([]float64, (mc+tl.mr-1)/tl.mr*tl.mr*kc)
+				dst := make([]float64, k.PackedALen(s.m, s.kk))
 				b.SetBytes(int64(8 * s.m * s.kk))
 				for i := 0; i < b.N; i++ {
-					for ic := 0; ic < s.m; ic += mc {
-						for pc := 0; pc < s.kk; pc += kc {
-							packA(dst, a, ic, pc, min(mc, s.m-ic), min(kc, s.kk-pc), tl.mr)
-						}
-					}
+					k.PackA(dst, a)
 				}
 			})
 			b.Run(name+"/packB", func(b *testing.B) {
-				dst := make([]float64, k.PackedLen(s.kk, s.n))
+				dst := make([]float64, k.PackedBLen(s.kk, s.n))
 				b.SetBytes(int64(8 * s.kk * s.n))
 				for i := 0; i < b.N; i++ {
 					k.PackB(dst, bb)

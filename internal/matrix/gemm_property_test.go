@@ -186,18 +186,20 @@ func TestKernelVariantsBitwiseIdentical(t *testing.T) {
 
 // TestMulRowBandsBitwiseOneMul holds the row-band contract the rank
 // program's banded rounds and last round rely on: for random shapes,
-// cache blocks and cuts of the rows that need not fall on a register
-// tile, visited from a random band onward and around, MulPacked over the
-// bands against one PackB, MulPacked and Mul over views of them equal
-// one Mul bit for bit, on every tile this binary runs (the portable Go
-// 4×4 alone under noasm) and several thread counts.
+// cache blocks and cuts of the rows — one of them inside a micro-panel
+// of either tile height — visited from a random band onward and
+// around, MulPacked over the bands of one packed A against one PackB,
+// MulPacked over bands packed one by one (as a panel's owner packs its
+// row blocks) and Mul over views of them equal one Mul bit for bit, on
+// every tile this binary runs (the portable Go 4×4 alone under noasm)
+// and several thread counts.
 func TestMulRowBandsBitwiseOneMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 8; trial++ {
 		m, n, kk := 1+rng.Intn(90), 1+rng.Intn(90), 1+rng.Intn(300)
 		a, b := randomStrided(rng, m, kk), randomStrided(rng, kk, n)
 		c0 := randomStrided(rng, m, n)
-		cuts := []int{0, m}
+		cuts := []int{0, m, min(m, 4*rng.Intn(m/4+1)+2)}
 		for i := rng.Intn(6); i > 0; i-- {
 			cuts = append(cuts, rng.Intn(m+1))
 		}
@@ -208,19 +210,53 @@ func TestMulRowBandsBitwiseOneMul(t *testing.T) {
 			mcb, kcb, ncb := 4+rng.Intn(40), 8+rng.Intn(160), 16+rng.Intn(60)
 			for _, threads := range []int{1, 2, 5} {
 				kern := blockedKernel(threads, tl, mcb, kcb, ncb)
-				want, packed, packedViews, views := cloneStrided(c0), cloneStrided(c0), cloneStrided(c0), cloneStrided(c0)
+				want, packed, packedBands, views := cloneStrided(c0), cloneStrided(c0), cloneStrided(c0), cloneStrided(c0)
 				kern.Mul(want, a, b)
-				bp := kern.PackB(make([]float64, threads%2*kern.PackedLen(kk, n)), b) // exact, or grown from empty
+				exact := threads % 2 // pack into buffers of the exact length, or grow from empty
+				pa := kern.PackA(make([]float64, exact*kern.PackedALen(m, kk)), a)
+				bp := kern.PackB(make([]float64, exact*kern.PackedBLen(kk, n)), b)
 				for i := 0; i < bands; i++ {
 					lo, hi := cuts[(first+i)%bands], cuts[(first+i)%bands+1]
-					kern.MulPacked(packed, a, bp, lo, hi)
-					kern.MulPacked(packedViews.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kk), bp, 0, hi-lo)
+					kern.MulPacked(packed, pa, bp, lo, hi)
+					kern.MulPacked(packedBands.View(lo, 0, hi-lo, n), kern.PackA(nil, a.View(lo, 0, hi-lo, kk)), bp, 0, hi-lo)
 					kern.Mul(views.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kk), b)
 				}
 				for name, got := range map[string]*Dense{"MulPacked bands": packed,
-					"MulPacked on band views": packedViews, "Mul on band views": views} {
+					"MulPacked on bands packed alone": packedBands, "Mul on band views": views} {
 					requireSameBits(t, got.Data, want.Data, "trial %d (%d×%d·%d×%d, %s, %d threads, cuts %v): %s",
 						trial, m, kk, kk, n, tl.name, threads, cuts, name)
+				}
+			}
+		}
+	}
+}
+
+// TestMulPackedEdgeKeepsBorder holds the right-edge store to the live
+// columns: for every panel width from 1 to two full B micro-panels and
+// heights of one tile, two tiles and a fringe row, and bands starting
+// inside a micro-panel, MulPacked into a C view inside a −0 border (3
+// columns on the left, 9 on the right) adds exactly the scalar
+// reference's bits into the window and leaves every border word —
+// where even an added +0 would flip −0 — untouched.
+func TestMulPackedEdgeKeepsBorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tl := range testTiles() {
+		kern := newKernel(1, tl)
+		for _, m := range []int{tl.mr, 2*tl.mr + 1} {
+			for n := 1; n <= 2*tl.nr; n++ {
+				for _, kk := range []int{1, 8, 9} {
+					a, b := randomStrided(rng, m, kk), randomStrided(rng, kk, n)
+					c0 := borderedC(rng, m, n)
+					want := cloneStrided(c0)
+					mulBlockedRef(window(want), a, b, kc, tl.fused)
+					pa, pb := kern.PackA(nil, a), kern.PackB(nil, b)
+					for _, cut := range []int{0, 1, m - 1} {
+						got := cloneStrided(c0)
+						kern.MulPacked(window(got), pa, pb, 0, cut)
+						kern.MulPacked(window(got), pa, pb, cut, m)
+						requireSameBits(t, got.Data, want.Data, "%d×%d·%d×%d, %s, cut at row %d, C with its border",
+							m, kk, kk, n, tl.name, cut)
+					}
 				}
 			}
 		}

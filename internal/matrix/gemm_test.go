@@ -28,8 +28,10 @@ func mulCase(t *testing.T, kern *Kernel, m, n, k int, seed int64) {
 // TestKernelFringeShapes drives every tile this build defines, on one
 // to three workers, over shapes chosen to hit every fringe path: primes
 // straddling the mr/nr/kc boundaries, dimensions of 1, sizes just above
-// and below the cache-block constants, and a prime cube whose every
-// blocking has a fringe. Each product must be the naive one within
+// and below the cache-block constants, a prime cube whose every
+// blocking has a fringe, and every residue of n mod 12 — the AVX2
+// tile's B panel width — under two full-height tiles and a fringe row
+// of either tile height. Each product must be the naive one within
 // accumulation-order rounding.
 func TestKernelFringeShapes(t *testing.T) {
 	shapes := [][3]int{
@@ -41,6 +43,9 @@ func TestKernelFringeShapes(t *testing.T) {
 		{mc - 1, nr, kc - 1}, {mc + 1, 2*nr + 1, kc + 1},
 		{67, nc + 3, 5}, {mc + mr + 1, 71, 2},
 		{1, 101, 97}, {97, 1, 101}, {101, 97, 1}, {128, 100, 1},
+	}
+	for r := 0; r < 12; r++ {
+		shapes = append(shapes, [3]int{17, 12 + r, 9})
 	}
 	for _, tl := range testTiles() {
 		for _, threads := range []int{1, 2, 3} {
@@ -71,9 +76,9 @@ func TestKernelZeroDims(t *testing.T) {
 // TestKernelThreadsBitwiseEqual: the worker split is over disjoint row
 // chunks with an unchanged per-element accumulation order, so any
 // thread count must produce bitwise-identical results to the serial
-// packed kernel — through Mul, and through PackB + MulPacked over row
-// bands that start off a micro-panel boundary, as the rank programs
-// multiply.
+// packed kernel — through Mul, and through PackA + PackB + MulPacked
+// over row bands that start off a micro-panel boundary, as the rank
+// programs multiply.
 func TestKernelThreadsBitwiseEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range [][3]int{{129, 65, 130}, {mc + 7, 33, kc + 5}, {8, 8, 8}} {
@@ -87,11 +92,11 @@ func TestKernelThreadsBitwiseEqual(t *testing.T) {
 			c := New(m, n)
 			kern.Mul(c, a, b)
 			banded := New(m, n)
-			pb := kern.PackB(nil, b)
+			pa, pb := kern.PackA(nil, a), kern.PackB(nil, b)
 			for _, band := range [][2]int{{0, m/3 + 1}, {m/3 + 1, m - 2}, {m - 2, m}} {
-				kern.MulPacked(banded, a, pb, band[0], band[1])
+				kern.MulPacked(banded, pa, pb, band[0], band[1])
 			}
-			for name, got := range map[string]*Dense{"Mul": c, "PackB+MulPacked": banded} {
+			for name, got := range map[string]*Dense{"Mul": c, "PackA+PackB+MulPacked": banded} {
 				if d := MaxDiff(got, ref); d != 0 {
 					t.Errorf("threads=%d %v %s: differs from serial Mul by %g (want bitwise equality)", threads, s, name, d)
 				}
@@ -112,8 +117,9 @@ func TestKernelReuseAcrossCalls(t *testing.T) {
 
 // TestKernelWarmMulAllocatesNothing: a warm one-worker kernel — what
 // every rank of a two-core box runs — multiplies without allocating,
-// fringes and several kc/nc blocks included, and so do PackB into a
-// buffer of its length and MulPacked over a band.
+// fringes and several kc/nc blocks included, and so do PackA and PackB
+// into buffers of their length and MulPacked over a band that starts
+// inside a micro-panel.
 func TestKernelWarmMulAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a, b := Random(37, kc+9, rng), Random(kc+9, nc+5, rng)
@@ -123,9 +129,9 @@ func TestKernelWarmMulAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(3, func() { kern.Mul(c, a, b) }); n != 0 {
 		t.Errorf("warm Mul allocates %v times per call, want 0", n)
 	}
-	buf := make([]float64, kern.PackedLen(b.Rows, b.Cols))
-	if n := testing.AllocsPerRun(3, func() { kern.MulPacked(c, a, kern.PackB(buf, b), 5, 30) }); n != 0 {
-		t.Errorf("warm PackB + MulPacked allocates %v times per call, want 0", n)
+	abuf, bbuf := make([]float64, kern.PackedALen(a.Rows, a.Cols)), make([]float64, kern.PackedBLen(b.Rows, b.Cols))
+	if n := testing.AllocsPerRun(3, func() { kern.MulPacked(c, kern.PackA(abuf, a), kern.PackB(bbuf, b), 5, 30) }); n != 0 {
+		t.Errorf("warm PackA + PackB + MulPacked allocates %v times per call, want 0", n)
 	}
 }
 

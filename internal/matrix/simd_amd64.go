@@ -7,10 +7,12 @@ package matrix
 // plain (unfused) vector adds, exactly mirroring the accumulate-then-
 // add structure of the portable Go tile; each C element's value is a
 // math.FMA chain over the k block followed by one addition. One call
-// does that for `tiles` consecutive tiles down a column of C.
+// does that for `tiles` consecutive tiles down a column of C, adding
+// only each row's first w columns when the B micro-panel is w < 12
+// wide: whole 4-column groups with plain stores, the rest masked.
 //
 //go:noescape
-func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles int)
+func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
 
 // cpuid executes the CPUID instruction with the given leaf and
 // subleaf (cpu_amd64.s).
@@ -60,6 +62,6 @@ func detectAVX2FMA() bool {
 // the final add would otherwise wait on memory.
 func init() {
 	if hasAVX2FMA {
-		dispatched = tile{name: "avx2-4x12", mr: 4, nr: 12, fused: true, sweep: kernelAVX2_4x12}
+		dispatched = tile{name: "avx2-4x12", mr: 4, nr: 12, fused: true, sweep: kernelAVX2_4x12, narrow: true}
 	}
 }

@@ -15,8 +15,9 @@ import "unsafe"
 func kernelNEON_8x4(c *float64, cstride, kb int, ap, bp *float64)
 
 // sweepNEON_8x4 gives the one-tile assembly the dispatch signature:
-// tile t adds into rows 8t..8t+7 of C from the t-th A micro-panel.
-func sweepNEON_8x4(c *float64, cstride, kb int, ap, bp *float64, tiles int) {
+// tile t adds into rows 8t..8t+7 of C from the t-th A micro-panel. The
+// tile is not narrow, so w is always 4.
+func sweepNEON_8x4(c *float64, cstride, kb int, ap, bp *float64, tiles, _ int) {
 	const rows, word = 8, 8 // tile height; bytes per float64
 	for t := 0; t < tiles; t++ {
 		kernelNEON_8x4((*float64)(unsafe.Add(unsafe.Pointer(c), t*rows*cstride*word)), cstride, kb,

@@ -6,7 +6,9 @@ package matrix
 // multiply-adds fused (one rounding per step, math.FMA semantics) or
 // split (separate multiply and add roundings, the portable Go
 // semantics), and its assembly sweep (nil for the Go tile, which has
-// its own typed path). Every tile obeys the kernel's reproducibility
+// its own typed path), and whether that sweep adds the full-height tiles
+// of a B micro-panel narrower than nr straight into C (narrow) or
+// leaves such panels to be staged. Every tile obeys the kernel's reproducibility
 // contract: a fixed k-accumulation order per element of C (one
 // register-resident partial sum per kc block, added to C once),
 // zero-padded fringe micro-panels, and therefore bitwise-identical
@@ -19,6 +21,7 @@ type tile struct {
 	mr, nr int
 	fused  bool
 	sweep  microKernelFunc
+	narrow bool
 }
 
 // microKernelFunc is the raw dispatch signature of the SIMD register
@@ -28,8 +31,10 @@ type tile struct {
 // column of C: tile t takes the t-th micro-panel of the packed A block
 // (kb·mr words further on), the same bp, and rows t·mr … t·mr+mr−1. c
 // points at the first tile's top-left element; cstride is C's row
-// stride in elements.
-type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64, tiles int)
+// stride in elements. w is the live width of bp: a sweep whose tile is
+// narrow adds only C's first w columns of each tile row and touches no
+// other word; every other sweep is only called with w = nr.
+type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
 
 // portableTile is the register-blocked Go micro-kernel: a 4×4 tile in
 // sixteen scalar accumulators, unfused multiply-add.
@@ -41,3 +46,8 @@ var portableTile = tile{name: "go4x4", mr: mr, nr: nr}
 // 8×4 NEON tile. There is one per process and nothing chooses between
 // tiles afterwards.
 var dispatched = portableTile
+
+// TileName returns the name of the tile every Kernel of this process
+// runs: the micro-panel layout PackA and PackB pack operands in, which
+// a packed panel keeps wherever it is sent.
+func TileName() string { return dispatched.name }
