@@ -9,7 +9,7 @@ import (
 // executor must beat the one-shot Multiply on allocations, because grid
 // fitting, machine construction and the per-rank buffers are all paid
 // once instead of per call. The benchmarks record the numbers (run with
-// -benchmem); the test below is the CI guard.
+// -benchmem); the tests below are the CI guards.
 
 const (
 	benchDim   = 256
@@ -39,10 +39,35 @@ func BenchmarkEngineExecWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineExecTight measures a warm Engine.Exec in the
+// limited-memory regime: 256³ on [4×4×1] in 32 rounds of 8, so allocs/op
+// shows whether the round loop allocates per round (it does not:
+// TestWarmExecAllocsDoNotGrowWithRounds).
+func BenchmarkEngineExecTight(b *testing.B) {
+	eng, err := NewEngine(WithProcs(benchProcs), WithMemory(5120))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := RandomMatrix(benchDim, benchDim, 1)
+	bb := RandomMatrix(benchDim, benchDim, 2)
+	ctx := context.Background()
+	if _, _, err := eng.Exec(ctx, a, bb); err != nil { // warm the plan + executor
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.Exec(ctx, a, bb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineExecTallK measures a warm Engine.Exec on a scaled-down
 // tall-k (the benchmark's largeK workload at 1/16 the words): a
-// k-parallel grid whose ranks read 16 MB of input in place, so B/op is
-// the product plus per-round bookkeeping and ns/op has no copy-in.
+// k-parallel grid whose ranks read 16 MB of input in place and are
+// groups of one, so B/op is the product plus the pool's misses and
+// ns/op has no copy-in.
 func BenchmarkEngineExecTallK(b *testing.B) {
 	eng, err := NewEngine(WithProcs(8), WithMemory(1<<16))
 	if err != nil {
@@ -122,4 +147,49 @@ func TestWarmExecAllocatesLessThanOneShot(t *testing.T) {
 	}
 	t.Logf("allocs/op: warm Exec %.0f vs one-shot engine %.0f (%.1f%% of one-shot)",
 		warm, cold, 100*warm/cold)
+}
+
+// TestWarmExecAllocsDoNotGrowWithRounds guards the allocation-free
+// round loop: at 256³ on p = 16, a warm Exec on [4×4×1] in 32 rounds of
+// 8 allocates within one object per rank of the same grid in 16 rounds
+// of 16, and neither more than 400 objects. A per-round allocation
+// (a Pending, a receive, a share handle, a panel view) costs 16 ranks
+// × 16 more rounds at least.
+func TestWarmExecAllocsDoNotGrowWithRounds(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation guard runs full 256³ multiplications, and -race instruments allocations")
+	}
+	a := RandomMatrix(benchDim, benchDim, 1)
+	b := RandomMatrix(benchDim, benchDim, 2)
+	ctx := context.Background()
+	allocs := make(map[int]float64)
+	for _, c := range []struct{ s, rounds int }{{5120, 32}, {6144, 16}} {
+		eng, err := NewEngine(WithProcs(benchProcs), WithMemory(c.s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := eng.Plan(ctx, benchDim, benchDim, benchDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := pl.Decomposition()
+		if d.GridPm != 4 || d.GridPn != 4 || d.GridPk != 1 || d.Rounds != c.rounds {
+			t.Fatalf("S = %d plans [%d×%d×%d] in %d rounds, want [4×4×1] in %d", c.s, d.GridPm, d.GridPn, d.GridPk, d.Rounds, c.rounds)
+		}
+		if _, _, err := eng.Exec(ctx, a, b); err != nil { // warm the executor
+			t.Fatal(err)
+		}
+		allocs[c.s] = testing.AllocsPerRun(3, func() {
+			if _, _, err := eng.Exec(ctx, a, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs[c.s] > 400 {
+			t.Errorf("S = %d: warm Exec allocates %.0f objects in %d rounds, want ≤ 400", c.s, allocs[c.s], c.rounds)
+		}
+	}
+	if d := allocs[5120] - allocs[6144]; d > benchProcs || d < -benchProcs {
+		t.Errorf("32 rounds allocate %.0f objects, 16 rounds %.0f: want within %d", allocs[5120], allocs[6144], benchProcs)
+	}
+	t.Logf("allocs per warm Exec: %.0f in 32 rounds, %.0f in 16", allocs[5120], allocs[6144])
 }

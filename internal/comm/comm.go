@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"cosma/internal/layout"
 	"cosma/internal/machine"
@@ -17,15 +18,14 @@ type Group struct {
 }
 
 // NewGroup creates the view of the communicator over ranks (global ids,
-// all distinct) for the calling rank r, which must be a member.
+// all distinct: a scan checks, a group is one grid dimension long) for
+// the calling rank r, which must be a member.
 func NewGroup(r *machine.Rank, ranks []int) *Group {
 	me := -1
-	seen := make(map[int]bool, len(ranks))
 	for i, id := range ranks {
-		if seen[id] {
+		if slices.Contains(ranks[:i], id) {
 			panic(fmt.Sprintf("comm: duplicate rank %d in group", id))
 		}
-		seen[id] = true
 		if id == r.ID() {
 			me = i
 		}
@@ -35,9 +35,6 @@ func NewGroup(r *machine.Rank, ranks []int) *Group {
 	}
 	return &Group{rank: r, ranks: ranks, me: me}
 }
-
-// Size returns the number of group members.
-func (g *Group) Size() int { return len(g.ranks) }
 
 // Index returns the caller's position within the group.
 func (g *Group) Index() int { return g.me }
@@ -206,7 +203,8 @@ func ReduceMsgs(words, n, pos int) int {
 //
 // A Pending belongs to the rank that posted it; every group member must
 // eventually settle its Pending (the tree's interior hops are driven by
-// the members' own Waits).
+// the members' own Waits). Posted into reused storage (PostShare), it
+// allocates nothing: it holds its parent receive by value.
 type Pending struct {
 	g    *Group
 	tag  int
@@ -214,13 +212,14 @@ type Pending struct {
 	data []float64
 	at   float64 // landing time of data (timed transports)
 	// sh is the payload's handle in a by-reference broadcast (IShare),
-	// which every member drops with Drop; shared marks one.
+	// which every member drops with Drop (none in a group of one);
+	// shared marks one this member has not dropped yet.
 	sh     *machine.Shared
 	shared bool
 
 	// The parent receive to settle and the children to relay the payload
 	// to as it lands.
-	recv     *machine.Request
+	recv     machine.Request
 	children [2]int // −1 where absent
 }
 
@@ -250,7 +249,7 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 		p.done = true
 		return p
 	}
-	p.recv = g.rank.IRecv(g.ranks[parent], tag)
+	g.rank.PostRecv(&p.recv, g.ranks[parent], tag)
 	p.children = children
 	return p
 }
@@ -264,13 +263,38 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 // payload; the last Drop returns the buffer to the pool. Only the
 // root's sh is read.
 func (g *Group) IShare(root int, sh *machine.Shared, tag int) *Pending {
+	p := new(Pending)
+	g.share(p, root, sh, tag)
+	return p
+}
+
+// PostShare is IShare into p, storage the caller reuses (Stream's ring),
+// with the root's payload data, a loaned buffer that counts words,
+// shared under a recycled handle (machine.Share): a warm round loop
+// allocates nothing to post, relay or drop a unit. A group of one takes
+// no handle and no tree, and its Drop releases data.
+func (g *Group) PostShare(p *Pending, root int, data []float64, words, tag int) {
+	if len(g.ranks) == 1 {
+		g.checkRoot(root)
+		*p = Pending{data: data, at: g.rank.Now(), done: true, shared: true}
+		return
+	}
+	var sh *machine.Shared
+	if root == g.me {
+		sh = machine.Share(data, words)
+	}
+	g.share(p, root, sh, tag)
+}
+
+// share posts IShare into p.
+func (g *Group) share(p *Pending, root int, sh *machine.Shared, tag int) {
 	g.checkRoot(root)
-	p := &Pending{g: g, tag: tag, shared: true}
+	*p = Pending{g: g, tag: tag, shared: true}
 	parent, children := treeLinks(len(g.ranks), root, g.me)
 	if parent >= 0 {
-		p.recv = g.rank.IRecv(g.ranks[parent], tag)
+		g.rank.PostRecv(&p.recv, g.ranks[parent], tag)
 		p.children = children
-		return p
+		return
 	}
 	for _, c := range children {
 		if c >= 0 {
@@ -278,7 +302,6 @@ func (g *Group) IShare(root int, sh *machine.Shared, tag int) *Pending {
 		}
 	}
 	p.sh, p.data, p.at, p.done = sh, sh.Data(), g.rank.Now(), true
-	return p
 }
 
 // Wait blocks until the payload has landed here and been relayed to the
@@ -292,8 +315,8 @@ func (p *Pending) Wait() []float64 {
 	}
 	// Receive from the parent, then relay to the subtrees stamped at the
 	// landing time. A by-reference payload that arrived as this member's
-	// own — a perturbed or cross-process copy — is shared from here on
-	// under a handle of its own.
+	// own — a cross-process copy — is shared from here on under a
+	// handle of its own.
 	p.data = p.recv.Wait()
 	p.at = p.recv.At()
 	if p.shared {
@@ -315,11 +338,20 @@ func (p *Pending) Wait() []float64 {
 	return p.data
 }
 
-// Drop settles a by-reference broadcast (IShare) — relaying it first if
-// Wait has not — and gives up this member's hold on its payload, which
-// the caller must not read afterwards.
+// Drop settles a by-reference broadcast (IShare, PostShare) — relaying
+// it first if Wait has not — and gives up this member's hold on its
+// payload, which the caller must not read afterwards. A second Drop
+// panics: the handle may already hold another broadcast's payload.
 func (p *Pending) Drop() {
+	if !p.shared {
+		panic("comm: Drop of a broadcast not held by reference")
+	}
 	p.Wait()
+	p.shared = false
+	if p.sh == nil {
+		machine.Release(p.data)
+		return
+	}
 	p.sh.Drop()
 }
 
@@ -329,34 +361,35 @@ func (p *Pending) Drop() {
 func (p *Pending) At() float64 { return p.at }
 
 // Stream is the broadcast–compute round loop of the Algorithm 1 rank
-// program. Round i is per broadcasts, its units, which post(i, 0) …
-// post(i, per−1) start in that order; run(i, units) settles them in
+// program. Round i is per broadcasts, its units, which post(i, 0, p) …
+// post(i, per−1, p) start in that order, each into its slot p of a ring
+// of 2·per Pendings (per for one round) reused by value, the loop's one
+// allocation (PostShare); run(i, units) settles them in
 // whatever order it needs and computes on them. Before round i runs,
 // every unit up to ahead past its last one is posted, so with ahead = 0
 // a round's units go out together and only they are in flight, and with
 // ahead = per the next round is in flight while round i computes, its
-// tree traffic hidden behind that compute (§7.3). The units live in a
-// ring of 2·per Pendings, so ahead must lie in [0, per]. Posting order
-// and run's calls are the same for every ahead, and so is what run
-// computes.
+// tree traffic hidden behind that compute (§7.3). Slots are reused, so
+// ahead must lie in [0, per]. Posting order and run's calls are the
+// same for every ahead, and so is what run computes.
 //
 // Cancellation is polled once per round via r.Err; every rank sees the
 // same context, and a cancelled context also interrupts ranks already
 // parked in a Wait, so no rank is left behind.
-func Stream(r *machine.Rank, rounds, per, ahead int, post func(i, j int) *Pending, run func(i int, units []*Pending)) error {
+func Stream(r *machine.Rank, rounds, per, ahead int, post func(i, j int, p *Pending), run func(i int, units []Pending)) error {
 	if ahead < 0 || ahead > per {
 		panic(fmt.Sprintf("comm: lookahead %d outside [0, %d]", ahead, per))
 	}
-	ring := make([]*Pending, 2*per) // unit u sits in slot u mod 2·per
+	ring := make([]Pending, min(rounds, 2)*per) // unit u sits in slot u mod len(ring)
 	posted := 0
 	for i := 0; i < rounds; i++ {
 		if err := r.Err(); err != nil {
 			return err
 		}
 		for ; posted < min((i+1)*per+ahead, rounds*per); posted++ {
-			ring[posted%(2*per)] = post(posted/per, posted%per)
+			post(posted/per, posted%per, &ring[posted%len(ring)])
 		}
-		run(i, ring[i%2*per:][:per])
+		run(i, ring[i*per%len(ring):][:per])
 	}
 	return nil
 }
@@ -371,12 +404,13 @@ func PipelineRounds(r *machine.Rank, segs []layout.Range, overlap bool,
 	if overlap {
 		ahead = 2
 	}
-	return Stream(r, len(segs), 2, ahead, func(i, j int) *Pending {
+	return Stream(r, len(segs), 2, ahead, func(i, j int, p *Pending) {
 		if j == 0 {
-			return startA(segs[i])
+			*p = *startA(segs[i])
+		} else {
+			*p = *startB(segs[i])
 		}
-		return startB(segs[i])
-	}, func(i int, units []*Pending) {
+	}, func(i int, units []Pending) {
 		mul(segs[i], units[0].Wait(), units[1].Wait())
 	})
 }

@@ -25,8 +25,9 @@
 // Group.Reduce is ReduceScatter with no hook; the name and the root
 // argument stay: root anchors the fold order and the block assignment,
 // and benchmark/ calls Group.Reduce by name. Blocks and shares are
-// loaned from the machine pool and the receives live on the stack,
-// which is what keeps the steady-state round loop allocation-free.
+// loaned from the machine pool, receives live on the stack or in the
+// Pendings of Stream's ring, and handles are recycled (PostShare): the
+// steady-state round loop is allocation-free.
 //
 // The broadcast is one asynchronous tree walk (IBcast returning a
 // Pending): posting returns immediately and settling with Wait drives

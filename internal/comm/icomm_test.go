@@ -15,7 +15,7 @@ import (
 // receive from the parent, send to each child — kept as the reference
 // the one tree walk (IBcast) is held to.
 func blockingBcast(g *Group, root int, data []float64, tag int) []float64 {
-	parent, children := treeLinks(g.Size(), root, g.me)
+	parent, children := treeLinks(len(g.ranks), root, g.me)
 	if parent >= 0 {
 		data = g.rank.Recv(g.ranks[parent], tag)
 	}
@@ -139,16 +139,16 @@ func TestStreamInterleaving(t *testing.T) {
 				}
 				err := machine.New(1).Run(func(r *machine.Rank) error {
 					self := groupOf(r, []int{0})
-					return Stream(r, rounds, per, ahead, func(i, j int) *Pending {
+					return Stream(r, rounds, per, ahead, func(i, j int, p *Pending) {
 						got = append(got, fmt.Sprintf("post %d.%d", i, j))
-						return self.IBcast(0, []float64{float64(i*per + j)}, 1)
-					}, func(i int, units []*Pending) {
+						*p = *self.IBcast(0, []float64{float64(i*per + j)}, 1)
+					}, func(i int, units []Pending) {
 						got = append(got, fmt.Sprintf("run %d", i))
 						if len(units) != per {
 							t.Errorf("per %d: round %d ran on %d units", per, i, len(units))
 						}
-						for j, u := range units {
-							if d := u.Wait(); d[0] != float64(i*per+j) {
+						for j := range units {
+							if d := units[j].Wait(); d[0] != float64(i*per+j) {
 								t.Errorf("per %d ahead %d: round %d unit %d is unit %v", per, ahead, i, j, d[0])
 							}
 						}
@@ -174,8 +174,8 @@ func TestStreamStopsWhenCancelled(t *testing.T) {
 	var streamErr error
 	err := machine.New(1).RunCtx(ctx, func(r *machine.Rank) error {
 		self := groupOf(r, []int{0})
-		streamErr = Stream(r, 5, 2, 2, func(int, int) *Pending { return self.IBcast(0, nil, 1) },
-			func(i int, _ []*Pending) {
+		streamErr = Stream(r, 5, 2, 2, func(_, _ int, p *Pending) { *p = *self.IBcast(0, nil, 1) },
+			func(i int, _ []Pending) {
 				ran = append(ran, i)
 				if i == 1 {
 					cancel()

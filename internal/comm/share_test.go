@@ -150,3 +150,66 @@ func TestIShareCorruptLinkPerturbsOnlyItsSubtree(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamShareRoundsAllocateNothing: on a warm 4-rank machine, a
+// Stream of by-reference rounds over a 4-member group — two units a
+// round, the next round in flight, every member rooting some — makes
+// no more allocations in 32 rounds than in 8: the ring's Pendings, their
+// receives and the recycled share handles are all reused. The payload
+// has a capacity the pool does not take, so no pool miss adds noise.
+func TestStreamShareRoundsAllocateNothing(t *testing.T) {
+	const n, per = 4, 2
+	m := machine.New(n)
+	payload := make([]float64, 3)
+	stream := func(rounds int) func() {
+		return func() {
+			err := m.Run(func(r *machine.Rank) error {
+				g := NewGroup(r, []int{0, 1, 2, 3})
+				return Stream(r, rounds, per, per, func(i, j int, p *Pending) {
+					root := (i + j) % n
+					g.PostShare(p, root, payload, len(payload), j)
+				}, func(_ int, units []Pending) {
+					for j := range units {
+						units[j].Drop()
+					}
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	long := testing.AllocsPerRun(20, stream(32))
+	short := testing.AllocsPerRun(20, stream(8))
+	if long-short >= 1 {
+		t.Errorf("32 rounds allocate %.2f objects per run, 8 rounds %.2f: want no more", long, short)
+	}
+}
+
+// TestPendingDropTwicePanics: a second Drop of a by-reference broadcast
+// panics on every member — the root, a relay, a leaf, and the one
+// member of a group of one — even once the last Drop has sent the
+// payload's handle back for reuse, where the handle's own guard no
+// longer holds.
+func TestPendingDropTwicePanics(t *testing.T) {
+	for _, n := range []int{1, 4} { // 4: 0 roots 1 and 2, 1 relays to 3
+		m := machine.New(n)
+		ids := []int{0, 1, 2, 3}[:n]
+		err := m.Run(func(r *machine.Rank) error {
+			g := NewGroup(r, ids)
+			var p Pending
+			g.PostShare(&p, 0, machine.Loan(4), 4, 1)
+			p.Drop()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("n=%d rank %d: a second Drop did not panic", n, r.ID())
+				}
+			}()
+			p.Drop()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -391,30 +391,37 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// owner packs each unit once — A's block with PackA, B with PackB,
 	// from a view of its piece (the packs read any stride) into a loaned
 	// buffer — and every member multiplies that one buffer where it lies:
-	// comm.IShare delivers it by reference, counting the panel's words,
-	// not the packing's padding, under a hold each member drops after
-	// the round. A group of one packs for itself the same way, so
+	// comm.PostShare delivers it by reference, counting the panel's
+	// words, not the packing's padding, under a hold each member drops
+	// after the round. A group of one packs for itself the same way, so
 	// MulPacked has one operand form. comm.Stream posts the units in
-	// order, a whole round of them past the round being multiplied where
-	// the plan overlaps, none where it does not.
+	// order into its ring, a whole round of them past the round being
+	// multiplied where the plan overlaps, none where it does not. The
+	// panel views stay on the stack: a warm round allocates nothing.
 	band := func(j int) layout.Range { return layout.Block(dm, pl.bands, j) }
-	post := func(i, j int) *comm.Pending {
+	post := func(i, j int, p *comm.Pending) {
 		rd := sl.rounds[i]
 		h := rd.seg.Len()
-		var sh *machine.Shared
+		var buf []float64
 		if j == pl.bands {
 			if pb == rd.b {
 				panel := myB.View(rd.seg.Lo-sl.bParts[pb].Lo, 0, h, dn)
-				sh = machine.Share(kern.PackB(machine.Loan(kern.PackedBLen(h, dn)), panel).Data, h*dn)
+				buf = kern.PackB(machine.Loan(kern.PackedBLen(h, dn)), panel).Data
 			}
-			return rowGroup.IShare(rd.b, sh, tagB+rd.seg.Lo)
+			rowGroup.PostShare(p, rd.b, buf, h*dn, tagB+rd.seg.Lo)
+			return
 		}
+		rs := band(j)
 		if pa == rd.a {
-			rs := band(j)
 			panel := myA.View(rs.Lo, rd.seg.Lo-sl.aParts[pa].Lo, rs.Len(), h)
-			sh = machine.Share(kern.PackA(machine.Loan(kern.PackedALen(rs.Len(), h)), panel).Data, rs.Len()*h)
+			buf = kern.PackA(machine.Loan(kern.PackedALen(rs.Len(), h)), panel).Data
 		}
-		return colGroup.IShare(rd.a, sh, tagA+rd.seg.Lo)
+		colGroup.PostShare(p, rd.a, buf, rs.Len()*h, tagA+rd.seg.Lo)
+	}
+	cBands := make([]*matrix.Dense, pl.bands) // C's rows band(j), for MulPacked
+	for j := range cBands {
+		rs := band(j)
+		cBands[j] = cTile.View(rs.Lo, 0, rs.Len(), dn)
 	}
 
 	// The round being multiplied: its table row, its A blocks, its packed
@@ -422,7 +429,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// whether its first flops are charged.
 	var (
 		cur     round
-		blocks  []*comm.Pending
+		blocks  []comm.Pending
 		bp      matrix.PackedB
 		inBlock int
 		aBlock  matrix.PackedA
@@ -444,17 +451,13 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 				continue
 			}
 			if j != inBlock {
-				for _, p := range blocks[:j] {
-					p.Wait()
+				for k := range blocks[:j] {
+					blocks[k].Wait()
 				}
 				aBlock = matrix.PackedA{Data: blocks[j].Wait(), Rows: rs.Len(), Cols: cur.seg.Len()}
 				inBlock = j
 			}
-			c := cTile // one band is the tile: no view to allocate
-			if pl.bands > 1 {
-				c = cTile.View(rs.Lo, 0, rs.Len(), dn)
-			}
-			kern.MulPacked(c, aBlock, bp, due.Lo-rs.Lo, due.Hi-rs.Lo)
+			kern.MulPacked(cBands[j], aBlock, bp, due.Lo-rs.Lo, due.Hi-rs.Lo)
 			if flops := matrix.MulFlops(due.Len(), dn, cur.seg.Len()); opened {
 				r.Charge(flops)
 			} else {
@@ -491,7 +494,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// It then drops its hold on every unit of the round, with plain calls
 	// (a defer would be a heap allocation per round).
 	var share []float64
-	run := func(i int, units []*comm.Pending) {
+	run := func(i int, units []comm.Pending) {
 		cur, blocks, inBlock, opened = sl.rounds[i], units[:pl.bands], -1, false
 		blocks[0].Wait()
 		bp = matrix.PackedB{Data: units[pl.bands].Wait(), Rows: cur.seg.Len(), Cols: dn}
@@ -500,8 +503,8 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		} else {
 			share = fiber.ReduceScatter(0, cTile.Data, tagC, finish)
 		}
-		for _, p := range units {
-			p.Drop()
+		for j := range units {
+			units[j].Drop()
 		}
 	}
 	per, ahead := pl.bands+1, 0

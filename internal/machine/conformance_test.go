@@ -277,11 +277,12 @@ func checkRequestWaitTest(t *testing.T, c *cluster) {
 		src := (r.ID() + r.P() - 1) % r.P()
 		// A receive posted before its send, settled after it; a second
 		// Wait must return the identical settled payload.
-		req := r.IRecv(src, 11)
+		var req machine.Request
+		r.PostRecv(&req, src, 11)
 		r.Send(dst, 11, []float64{float64(r.ID())})
 		got := req.Wait()
 		if len(got) != 1 || got[0] != float64(src) {
-			return fmt.Errorf("rank %d: IRecv payload %v, want [%d]", r.ID(), got, src)
+			return fmt.Errorf("rank %d: posted receive payload %v, want [%d]", r.ID(), got, src)
 		}
 		if again := req.Wait(); &again[0] != &got[0] {
 			return fmt.Errorf("rank %d: second Wait returned a different payload", r.ID())

@@ -29,8 +29,8 @@
 //     destination rank, and which feeds inbound messages back into the
 //     local mailboxes.
 //
-// Receives exist in blocking (Recv) and posted (IRecv returning a
-// Request settled with Wait; PostRecv into caller-owned storage) form.
+// Receives exist in blocking (Recv) and posted (PostRecv into a
+// caller-owned Request, settled with Wait) form.
 // On a timed machine the two differ in cost semantics, not just control
 // flow: a blocking receive charges its β·words serially on the
 // receiver's clock, while a posted receive's transfer runs on the

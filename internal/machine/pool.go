@@ -78,18 +78,37 @@ func Release(buf []float64) {
 // buffer; the last Drop returns the buffer to the pool. A message
 // carrying it counts the words it was shared with: the panel's logical
 // size, not its padded packed length. A message that cannot travel by
-// reference carries a private copy, which its receiver owns.
+// reference carries a private copy, which its receiver owns. A handle
+// lives from Share to its last Drop, which puts it on a free list for
+// Share to hand out again: no holder touches a handle after its own
+// Drop, and a warm round loop allocates none.
 type Shared struct {
 	data  []float64
 	words int
 	holds atomic.Int32
 }
 
+// spare holds the handles whose last hold has dropped. The last Drop
+// may run on any rank, hence the lock.
+var spare struct {
+	sync.Mutex
+	free []*Shared
+}
+
 // Share wraps data, a buffer the caller owns (from Loan or a receive),
 // in a handle holding it once for the caller; messages carrying it
 // count words.
 func Share(data []float64, words int) *Shared {
-	sh := &Shared{data: data, words: words}
+	spare.Lock()
+	var sh *Shared
+	if n := len(spare.free); n > 0 {
+		sh, spare.free = spare.free[n-1], spare.free[:n-1]
+	}
+	spare.Unlock()
+	if sh == nil {
+		sh = new(Shared)
+	}
+	sh.data, sh.words = data, words
 	sh.holds.Store(1)
 	return sh
 }
@@ -98,15 +117,21 @@ func Share(data []float64, words int) *Shared {
 // once the last hold is dropped.
 func (sh *Shared) Data() []float64 { return sh.data }
 
-// Drop gives up one hold; the last returns the buffer to the pool. A
-// Drop with no hold left panics: a second release of a buffer the pool
-// may already have loaned out would corrupt its next owner.
+// Drop gives up one hold; the last returns the buffer to the pool and
+// the handle to Share. A Drop with no hold left panics — a second
+// release of a buffer the pool may already have loaned out would corrupt
+// its next owner — but only until Share hands the handle out again:
+// after that a stale Drop takes the new holder's hold. A holder that
+// might drop twice guards itself (comm.Pending.Drop does).
 func (sh *Shared) Drop() {
 	switch n := sh.holds.Add(-1); {
 	case n == 0:
 		buf := sh.data
 		sh.data = nil
 		Release(buf)
+		spare.Lock()
+		spare.free = append(spare.free, sh)
+		spare.Unlock()
 	case n < 0:
 		panic("machine: shared payload dropped more often than held")
 	}

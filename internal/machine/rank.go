@@ -55,7 +55,8 @@ func (r *Rank) SendAt(dst, tag int, data []float64, at float64) {
 // was shared with, not the buffer's length. Where it cannot travel by
 // reference — to a rank another process hosts, or perturbed by a
 // Corrupt link fault — the receiver gets a copy of its own instead,
-// with the same count.
+// with the same count; a perturbed copy arrives under a new handle
+// holding it once for the receiver, which may share it on.
 func (r *Rank) SendShared(dst, tag int, sh *Shared) {
 	r.send(dst, tag, nil, sh, false, false, 0)
 }
@@ -91,7 +92,11 @@ func (r *Rank) send(dst, tag int, data []float64, sh *Shared, owned, relay bool,
 			}
 			if l.Corrupt && len(data) > 0 {
 				data, owned = corrupt(data, owned, l.Word, l.Scale)
-				sh = nil // the receiver's own perturbed copy
+				if sh != nil {
+					// The receiver's own perturbed copy, under a handle
+					// of its own that it can share on.
+					sh = &Shared{data: data, words: words}
+				}
 			}
 			if l.Wall > 0 {
 				time.Sleep(l.Wall)
@@ -161,24 +166,13 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	return req.Wait()
 }
 
-// IRecv posts a non-blocking receive matched on (src, tag) and returns
-// its Request; settle it with Wait. On a timed machine the transfer is
-// charged to this rank's ingress port concurrently with any compute
-// performed before settling — communication is hidden up to the
-// compute time (§7.3) — whereas a blocking Recv serializes on the
-// rank's clock. The payload buffer is owned by the caller exactly as
-// with Recv.
-func (r *Rank) IRecv(src, tag int) *Request {
-	q := new(Request)
-	r.PostRecv(q, src, tag)
-	return q
-}
-
-// PostRecv is IRecv into caller-owned storage: it posts q as a
-// non-blocking receive matched on (src, tag), overwriting whatever q
-// held. A collective that posts one receive per peer keeps them in one
-// array — the MPI_Irecv/MPI_Waitall pattern — instead of allocating a
-// Request each.
+// PostRecv posts q, storage the caller owns, as a non-blocking receive
+// matched on (src, tag), overwriting whatever q held; settle it with
+// Wait. On a timed machine the transfer is charged to this rank's
+// ingress port concurrently with any compute performed before settling
+// (§7.3), whereas a blocking Recv serializes on the rank's clock.
+// Posting allocates nothing: a collective keeps its receives in an
+// array or its Pendings, the MPI_Irecv/MPI_Waitall pattern.
 func (r *Rank) PostRecv(q *Request, src, tag int) {
 	r.checkPeer(src, "receives from")
 	*q = Request{r: r, src: src, tag: tag, post: r.Now()}
@@ -232,9 +226,10 @@ func (q *Request) Wait() []float64 {
 
 // Shared returns the handle the message was delivered under by
 // reference (Rank.SendShared): the receiver reads the payload in place
-// and drops the hold taken for it instead of releasing the buffer. It
-// is nil when the receiver owns the payload — a copied send, a
-// perturbed or cross-process copy of a shared one — and before Wait.
+// and drops the hold taken for it instead of releasing the buffer — a
+// perturbed copy of a shared payload comes under a handle of its own.
+// It is nil when the receiver owns the payload — a copied send, a
+// cross-process copy of a shared one — and before Wait.
 func (q *Request) Shared() *Shared { return q.sh }
 
 // Words returns the words the message counted: the payload's length,

@@ -11,11 +11,12 @@ func TestIRecvRoundTrip(t *testing.T) {
 	err := m.Run(func(r *Rank) error {
 		switch r.ID() {
 		case 0:
-			req := r.IRecv(1, 7)
+			var req Request
+			r.PostRecv(&req, 1, 7)
 			rendezvous(r, 8) // rank 1 sends only after this
 			data := req.Wait()
 			if len(data) != 3 || data[0] != 42 {
-				t.Errorf("IRecv payload = %v, want [42 0 0]", data)
+				t.Errorf("posted receive payload = %v, want [42 0 0]", data)
 			}
 			if again := req.Wait(); &again[0] != &data[0] {
 				t.Error("second Wait returned a different buffer")
@@ -63,7 +64,8 @@ func TestTimedIRecvOverlapsCompute(t *testing.T) {
 				r.Compute(flops)      // then 11 + 100 = 111
 				return nil
 			}
-			req := r.IRecv(0, 5)
+			var req Request
+			r.PostRecv(&req, 0, 5)
 			r.Compute(flops) // clock = 100; transfer lands at 11 meanwhile
 			Release(req.Wait())
 			return nil
@@ -93,7 +95,8 @@ func TestTimedIRecvTransferOutlivesCompute(t *testing.T) {
 			r.Send(1, 5, make([]float64, words)) // departs at 1
 			return nil
 		}
-		req := r.IRecv(0, 5)
+		var req Request
+		r.PostRecv(&req, 0, 5)
 		r.Compute(flops) // clock = 10
 		Release(req.Wait())
 		return nil
@@ -119,8 +122,10 @@ func TestTimedIngressSerializesTransfers(t *testing.T) {
 			r.Send(1, 2, make([]float64, 10)) // departs at 2
 			return nil
 		}
-		reqA := r.IRecv(0, 1)
-		reqB := r.IRecv(0, 2)
+		var reqA Request
+		r.PostRecv(&reqA, 0, 1)
+		var reqB Request
+		r.PostRecv(&reqB, 0, 2)
 		r.Compute(100) // clock = 100
 		at1 := reqA.Wait()
 		at2 := reqB.Wait()
@@ -154,7 +159,8 @@ func TestTimedSendAtStampsDeparture(t *testing.T) {
 		case 0:
 			r.Send(1, 1, make([]float64, 10)) // departs at 1
 		case 1:
-			req := r.IRecv(0, 1)
+			var req Request
+			r.PostRecv(&req, 0, 1)
 			r.Compute(1000) // clock = 1000; transfer lands at 11
 			data := req.Wait()
 			// Relay at the landing time: departs at 11 + α = 12, even
@@ -162,8 +168,7 @@ func TestTimedSendAtStampsDeparture(t *testing.T) {
 			r.SendAt(2, 1, data, req.At())
 			Release(data)
 		case 2:
-			data := r.IRecv(1, 1).Wait()
-			Release(data)
+			Release(r.Recv(1, 1))
 		}
 		return nil
 	})
@@ -189,7 +194,7 @@ func TestTimedSendAtSerializesInjections(t *testing.T) {
 			r.SendAt(1, 1, data, 5) // departs at 5+α = 6
 			r.SendAt(2, 1, data, 5) // port busy until 6: departs at 7
 		case 1, 2:
-			Release(r.IRecv(0, 1).Wait())
+			Release(r.Recv(0, 1))
 		}
 		return nil
 	})

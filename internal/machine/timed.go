@@ -113,7 +113,7 @@ func NetworkByName(name string) (NetworkParams, error) {
 //
 // Non-blocking receives additionally model overlap (§7.3): each rank
 // owns an ingress port whose free time advances independently of the
-// rank's compute clock. A posted IRecv's β·words transfer occupies the
+// rank's compute clock. A posted receive's β·words transfer occupies the
 // port from the moment the message is available (and the port free),
 // concurrently with whatever the rank computes before settling the
 // request; Wait only drags the compute clock forward if the transfer

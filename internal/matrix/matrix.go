@@ -71,16 +71,23 @@ func (m *Dense) check(i, j int) {
 }
 
 // View returns an r×c submatrix starting at (i, j) sharing storage with m.
+// It inlines, so a view that its caller does not let escape is not
+// allocated.
 func (m *Dense) View(i, j, r, c int) *Dense {
+	v := m.view(i, j, r, c)
+	return &v
+}
+
+func (m *Dense) view(i, j, r, c int) Dense {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("matrix: view (%d,%d)+%d×%d out of range %d×%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	if r == 0 || c == 0 {
-		return &Dense{Rows: r, Cols: c, Stride: m.Stride}
+		return Dense{Rows: r, Cols: c, Stride: m.Stride}
 	}
 	start := i*m.Stride + j
 	end := (i+r-1)*m.Stride + j + c
-	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[start:end]}
+	return Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[start:end]}
 }
 
 // Clone returns a contiguous deep copy of m.
