@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench
+.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench bench-layout
 
 build:
 	$(GO) build ./...
@@ -65,3 +65,14 @@ fuzz-smoke:
 # row of one of the two.
 bench:
 	$(GO) run ./benchmark -seed 1 -seconds 5
+
+# bench-layout builds the benchmark as `go run ./benchmark` does and
+# prints where the linker put the clock yardstick's closure: its wall
+# clock follows its offset mod 64 (ROADMAP item 7), so two builds'
+# wall-clock rows compare only at one offset.
+bench-layout:
+	@mkdir -p .bench_build
+	@$(GO) build -o .bench_build/layout ./benchmark
+	@addr=$$($(GO) tool nm .bench_build/layout | awk '$$3 == "main.yardstick.func1" { print $$1 }'); \
+	test -n "$$addr" || { echo "bench-layout: no main.yardstick.func1 in the benchmark binary"; exit 1; }; \
+	echo "main.yardstick.func1 at 0x$$addr: $$(( 0x$$addr % 64 )) mod 64"

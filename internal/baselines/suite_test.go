@@ -47,7 +47,8 @@ var (
 // small are ragged dimensions, prime and non-square rank counts, idle
 // ranks at p = 65, a C tile smaller than its fiber (1×2×64, p = 8: empty
 // reduction blocks), CARMA in C blocks and in ragged ones, A in bands on
-// pizdaint, memory tight enough for one-outer-product rounds, COSMA's
+// pizdaint (on 2.5D's [2×4×3] with fiber blocks that start and end
+// inside an A band's micro-panels), memory tight enough for one-outer-product rounds, COSMA's
 // grid pins, CARMA's strided-input problem in one C block and in four,
 // the engine's overlap problem, the seeded catalog and the Zipf serve
 // catalog; eighth are the benchmark's two reducing shapes at an eighth
@@ -59,6 +60,7 @@ func suiteShapes() (small, eighth, bench []suiteShape) {
 		{33, 500, 77, 24, 1 << 20, ""}, {1000, 30, 30, 10, 1 << 20, ""}, {1, 2, 64, 8, 1 << 20, ""},
 		{256, 256, 256, 64, 3072, ""}, {97, 61, 203, 16, 600, ""}, // CARMA: C in blocks, ragged ones
 		{300, 200, 100, 12, 20000, ""}, {256, 256, 256, 16, 6000, ""}, // A in bands on pizdaint
+		{90, 40, 300, 24, 1 << 20, ""}, // 2.5D's [2×4×3]: 2 A bands of 45 rows, fiber blocks mid-micro-panel
 		{16, 16, 16, 4, 1024, ""}, {8, 8, 64, 8, 1024, ""}, {64, 8, 8, 8, 1024, ""},
 		{32, 32, 4, 8, 1024, ""}, {8, 8, 8, 1, 1024, ""}, {24, 24, 24, 7, 1024, ""}, {16, 16, 16, 65, 1024, ""},
 		{13, 11, 17, 6, 1024, ""}, {1, 2, 64, 8, 1024, ""},

@@ -211,7 +211,7 @@ type Pending struct {
 	done bool
 	data []float64
 	at   float64 // landing time of data (timed transports)
-	// sh is the payload's handle in a by-reference broadcast (IShare),
+	// sh is the payload's handle in a by-reference broadcast (PostShare),
 	// which every member drops with Drop (none in a group of one);
 	// shared marks one this member has not dropped yet.
 	sh     *machine.Shared
@@ -254,41 +254,23 @@ func (g *Group) IBcast(root int, data []float64, tag int) *Pending {
 	return p
 }
 
-// IShare is IBcast by reference: the root's handle sh reaches every
-// member along the same tree with the same messages and words (the
-// words sh was shared with, whatever the buffer's length), but no
-// member copies it — each reads the root's buffer where it lies, under
-// a hold taken for it on delivery (machine.Rank.SendShared). Every
-// member, the root included, calls Drop once it no longer reads the
-// payload; the last Drop returns the buffer to the pool. Only the
-// root's sh is read.
-func (g *Group) IShare(root int, sh *machine.Shared, tag int) *Pending {
-	p := new(Pending)
-	g.share(p, root, sh, tag)
-	return p
-}
-
-// PostShare is IShare into p, storage the caller reuses (Stream's ring),
-// with the root's payload data, a loaned buffer that counts words,
-// shared under a recycled handle (machine.Share): a warm round loop
-// allocates nothing to post, relay or drop a unit. A group of one takes
-// no handle and no tree, and its Drop releases data.
+// PostShare is IBcast by reference, posted into p, storage the caller
+// reuses (Stream's ring). The root's payload data, a loaned buffer,
+// reaches every member along the same tree with the same messages and
+// words (words, whatever the buffer's length), but no member copies it:
+// each reads the root's buffer where it lies, under a hold taken for it
+// on delivery (machine.Rank.SendShared) on a recycled handle
+// (machine.Share). Every member, the root included, calls Drop once it
+// no longer reads the payload; the last Drop returns the buffer to the
+// pool. A warm round loop allocates nothing to post, relay or drop a
+// unit. Only the root's data is read. A group of one takes no handle
+// and no tree, and its Drop releases data.
 func (g *Group) PostShare(p *Pending, root int, data []float64, words, tag int) {
+	g.checkRoot(root)
 	if len(g.ranks) == 1 {
-		g.checkRoot(root)
 		*p = Pending{data: data, at: g.rank.Now(), done: true, shared: true}
 		return
 	}
-	var sh *machine.Shared
-	if root == g.me {
-		sh = machine.Share(data, words)
-	}
-	g.share(p, root, sh, tag)
-}
-
-// share posts IShare into p.
-func (g *Group) share(p *Pending, root int, sh *machine.Shared, tag int) {
-	g.checkRoot(root)
 	*p = Pending{g: g, tag: tag, shared: true}
 	parent, children := treeLinks(len(g.ranks), root, g.me)
 	if parent >= 0 {
@@ -296,18 +278,19 @@ func (g *Group) share(p *Pending, root int, sh *machine.Shared, tag int) {
 		p.children = children
 		return
 	}
+	sh := machine.Share(data, words)
 	for _, c := range children {
 		if c >= 0 {
 			g.rank.SendShared(g.ranks[c], tag, sh)
 		}
 	}
-	p.sh, p.data, p.at, p.done = sh, sh.Data(), g.rank.Now(), true
+	p.sh, p.data, p.at, p.done = sh, data, g.rank.Now(), true
 }
 
 // Wait blocks until the payload has landed here and been relayed to the
 // caller's subtrees, and returns it. A receiving member of IBcast owns
 // the returned buffer (it may be handed back with machine.Release); a
-// member of IShare reads it until it calls Drop; the root gets its own
+// member of PostShare reads it until it calls Drop; the root gets its own
 // data back. Waiting again returns the same payload.
 func (p *Pending) Wait() []float64 {
 	if p.done {
@@ -338,7 +321,7 @@ func (p *Pending) Wait() []float64 {
 	return p.data
 }
 
-// Drop settles a by-reference broadcast (IShare, PostShare) — relaying
+// Drop settles a by-reference broadcast (PostShare) — relaying
 // it first if Wait has not — and gives up this member's hold on its
 // payload, which the caller must not read afterwards. A second Drop
 // panics: the handle may already hold another broadcast's payload.

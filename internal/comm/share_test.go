@@ -8,24 +8,26 @@ import (
 	"cosma/internal/machine"
 )
 
-// sharedPanel is a packed panel as an owner shares it: words logical
-// words padded to a longer buffer, loaned from the pool.
-func sharedPanel(words, padded int) *machine.Shared {
+// packedPanel is a packed panel as an owner shares it: a buffer
+// loaned from the pool, longer than the words it carries.
+func packedPanel(padded int) []float64 {
 	buf := machine.Loan(padded)
 	for i := range buf {
 		buf[i] = float64(i + 1)
 	}
-	return machine.Share(buf, words)
+	return buf
 }
 
-// TestIShareAllSizesAllRoots: over TestBcastAllSizesAllRoots' group
+// TestPostShareAllSizesAllRoots: over TestBcastAllSizesAllRoots' group
 // sizes and every root, a by-reference broadcast of a packed panel
 // (4 logical words in a 6-word buffer) hands every member the owner's
 // buffer itself, bit for bit; each rank's counters — and on the timed
 // machine its clock — equal those of the owning IBcast of 4 words; and
-// once every member has dropped its hold the buffer is back in the pool
-// and a further Drop panics.
-func TestIShareAllSizesAllRoots(t *testing.T) {
+// once every member has dropped its hold the root's handle has given
+// the buffer back to the pool and a further Drop of it panics. A group
+// of one takes no handle: its member reads the owner's buffer and its
+// Drop releases it (PostShare).
+func TestPostShareAllSizesAllRoots(t *testing.T) {
 	const words, padded, tag = 4, 6, 10
 	for _, timed := range []bool{false, true} {
 		newMachine := func(n int) *machine.Machine {
@@ -53,19 +55,24 @@ func TestIShareAllSizesAllRoots(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh := sharedPanel(words, padded)
-				owner, want := sh.Data(), slices.Clone(sh.Data())
+				owner := packedPanel(padded)
+				want := slices.Clone(owner)
+				var sh *machine.Shared // the root's handle
 				shared := newMachine(n)
 				err = shared.Run(func(r *machine.Rank) error {
 					g := NewGroup(r, ids)
-					var mine *machine.Shared
+					var data []float64
 					if g.Index() == root {
-						mine = sh
+						data = owner
 					}
-					p := g.IShare(root, mine, tag)
+					var p Pending
+					g.PostShare(&p, root, data, words, tag)
 					got := p.Wait()
 					if &got[0] != &owner[0] || !slices.Equal(got, want) {
 						t.Errorf("timed %v n=%d root=%d rank %d: got %v, not the owner's buffer %v", timed, n, root, r.ID(), got, want)
+					}
+					if g.Index() == root {
+						sh = p.sh
 					}
 					p.Drop()
 					return nil
@@ -80,6 +87,12 @@ func TestIShareAllSizesAllRoots(t *testing.T) {
 				}
 				if got, want := shared.Times(), owning.Times(); !slices.Equal(got, want) {
 					t.Errorf("timed %v n=%d root=%d: clocks %v, owning broadcast %v", timed, n, root, got, want)
+				}
+				if n == 1 {
+					if sh != nil {
+						t.Errorf("timed %v: a group of one took a handle", timed)
+					}
+					continue
 				}
 				if sh.Data() != nil {
 					t.Errorf("timed %v n=%d root=%d: the buffer outlived every member's hold", timed, n, root)
@@ -97,32 +110,33 @@ func TestIShareAllSizesAllRoots(t *testing.T) {
 	}
 }
 
-// TestIShareCorruptLinkPerturbsOnlyItsSubtree: on a 7-member tree rooted
-// at 0 (children 1 and 2; 1 relays to 3 and 4, 2 to 5 and 6), a Corrupt
-// fault on the link 0 → 1 hands rank 1 a private perturbed copy, which
-// it relays: ranks 1, 3 and 4 read it, ranks 2, 5 and 6 the owner's
-// buffer, which stays unchanged. Both payloads are released once every
-// member has dropped its hold.
-func TestIShareCorruptLinkPerturbsOnlyItsSubtree(t *testing.T) {
+// TestPostShareCorruptLinkPerturbsOnlyItsSubtree: on a 7-member tree
+// rooted at 0 (children 1 and 2; 1 relays to 3 and 4, 2 to 5 and 6), a
+// Corrupt fault on the link 0 → 1 hands rank 1 a private perturbed copy,
+// which it relays: ranks 1, 3 and 4 read it, ranks 2, 5 and 6 the
+// owner's buffer, which stays unchanged. Both payloads are released
+// once every member has dropped its hold.
+func TestPostShareCorruptLinkPerturbsOnlyItsSubtree(t *testing.T) {
 	const words, padded, tag, n = 4, 6, 3, 7
 	m := machine.New(n)
 	if err := m.SetFaultPlan(machine.FaultPlan{Links: []machine.LinkFault{{Src: 0, Dst: 1, Corrupt: true, Word: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	sh := sharedPanel(words, padded)
-	want := slices.Clone(sh.Data())
-	owner := sh.Data()
+	owner := packedPanel(padded)
+	want := slices.Clone(owner)
 	ids := []int{0, 1, 2, 3, 4, 5, 6}
-	copies := make([]*machine.Shared, n)
+	handles := make([]*machine.Shared, n)
+	reads := make([]*float64, n)
 	err := m.Run(func(r *machine.Rank) error {
 		g := NewGroup(r, ids)
-		var mine *machine.Shared
+		var data []float64
 		if r.ID() == 0 {
-			mine = sh
+			data = owner
 		}
-		p := g.IShare(0, mine, tag)
+		var p Pending
+		g.PostShare(&p, 0, data, words, tag)
 		got := p.Wait()
-		copies[r.ID()] = p.sh
+		handles[r.ID()], reads[r.ID()] = p.sh, &got[0]
 		perturbed := r.ID() == 1 || r.ID() == 3 || r.ID() == 4
 		for i, v := range got {
 			if changed := math.Float64bits(v) != math.Float64bits(want[i]); changed != (perturbed && i == 1) {
@@ -141,10 +155,10 @@ func TestIShareCorruptLinkPerturbsOnlyItsSubtree(t *testing.T) {
 	if !slices.Equal(owner, want) {
 		t.Errorf("owner's buffer changed: %v, want %v", owner, want)
 	}
-	if copies[3] != copies[1] || copies[4] != copies[1] || copies[1] == sh {
+	if reads[3] != reads[1] || reads[4] != reads[1] || handles[3] != handles[1] || handles[4] != handles[1] {
 		t.Error("ranks 3 and 4 do not share rank 1's private copy")
 	}
-	for _, c := range []*machine.Shared{sh, copies[1]} {
+	for _, c := range []*machine.Shared{handles[0], handles[1]} {
 		if c.Data() != nil {
 			t.Error("a payload outlived every member's hold")
 		}

@@ -435,15 +435,18 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		aBlock  matrix.PackedA
 		opened  bool
 	)
-	// mulRows multiplies rows [lo, hi) of the C tile by the round, band by
-	// band: a block of A is settled when the multiply reaches it, so each
-	// band's compute overlaps the next block's transfer (§7.3). A round's
+	// mulRows multiplies rows [plo, phi) of the C tile by the round and
+	// charges rows [lo, hi) of it, band by band: a block of A is settled
+	// when the charge reaches it, so each band's compute overlaps the
+	// next block's transfer (§7.3). The rows multiplied lie in the bands
+	// the rows charged do (finish multiplies ahead only inside the band
+	// it ends in), so a block is settled before it is read. A round's
 	// blocks share one (src, tag) queue whose take happens at Wait, so
 	// blocks up to j settle in order — members relay as they settle. The
 	// round's first band closes it on the round clock — one Compute per
 	// round, the fault plan's round count — the rest only charge their
 	// flops.
-	mulRows := func(lo, hi int) {
+	mulRows := func(lo, hi, plo, phi int) {
 		for j := 0; j < pl.bands; j++ {
 			rs := band(j)
 			due := rs.Intersect(layout.Range{Lo: lo, Hi: hi})
@@ -457,7 +460,9 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 				aBlock = matrix.PackedA{Data: blocks[j].Wait(), Rows: rs.Len(), Cols: cur.seg.Len()}
 				inBlock = j
 			}
-			kern.MulPacked(cBands[j], aBlock, bp, due.Lo-rs.Lo, due.Hi-rs.Lo)
+			if mul := rs.Intersect(layout.Range{Lo: plo, Hi: phi}); mul.Len() > 0 {
+				kern.MulPacked(cBands[j], aBlock, bp, mul.Lo-rs.Lo, mul.Hi-rs.Lo)
+			}
 			if flops := matrix.MulFlops(due.Len(), dn, cur.seg.Len()); opened {
 				r.Charge(flops)
 			} else {
@@ -472,9 +477,16 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// goes around the tile from the first row of block ik+1 — the first
 	// one sent — and done counts the rows behind it. A band never wraps,
 	// since block Pk−1 is never empty and ends the tile. A block's rows
-	// need not start on a micro-panel: MulPacked stages that one.
+	// need not start or end on a micro-panel, so the multiply runs ahead
+	// of the charge: it ends each band on the A band's next panel
+	// boundary (PanelRows), or at the A band's end, or where the lap
+	// closes at row start, and swept counts the rows it has multiplied.
+	// Every band but the lap's first then starts on a panel, and
+	// MulPacked stages a partial panel only where the lap opens and
+	// closes, not twice per block; the clock still charges each block's
+	// rows before its send.
 	start := layout.Block(dm*dn, pl.g.Pk, (ik+1)%pl.g.Pk).Lo / dn % dm
-	done := 0
+	done, swept, mr := 0, 0, kern.PanelRows()
 	finish := func(lo, hi int) {
 		first, stop := (lo/dn-start+dm)%dm, ((hi-1)/dn-start+dm)%dm+1
 		if stop <= first {
@@ -484,8 +496,18 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 			return
 		}
 		r0 := (start + done) % dm
-		mulRows(r0, r0+stop-done)
-		done = stop
+		end := r0 + stop - done
+		rs := band(0)
+		for j := 1; rs.Hi < end; j++ { // the A band the block ends in
+			rs = band(j)
+		}
+		phi := min(rs.Lo+(end-rs.Lo+mr-1)/mr*mr, rs.Hi)
+		if r0 < start {
+			phi = min(phi, start)
+		}
+		plo := r0 + swept - done
+		mulRows(r0, end, plo, phi)
+		done, swept = stop, swept+max(phi-plo, 0)
 	}
 
 	// run opens round i — settles A block 0, then B — and folds it into
@@ -499,7 +521,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		blocks[0].Wait()
 		bp = matrix.PackedB{Data: units[pl.bands].Wait(), Rows: cur.seg.Len(), Cols: dn}
 		if i < len(sl.rounds)-1 {
-			mulRows(0, dm)
+			mulRows(0, dm, 0, dm)
 		} else {
 			share = fiber.ReduceScatter(0, cTile.Data, tagC, finish)
 		}

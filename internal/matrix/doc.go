@@ -11,9 +11,10 @@
 // the portable Go 4×4 tile, unless on amd64 (AVX2+FMA, detected at
 // startup) or arm64 (NEON) a wider assembly tile — 4×12 and 8×4 — takes
 // over behind the !noasm build tag, called once per column of tiles
-// rather than once per tile. Every tile keeps the same per-element
-// accumulation order (one register partial sum per kc block, added to
-// C once, zero-padded fringes), so results are bitwise-identical across
+// rather than once per tile; the AVX2 tile packs in assembly too.
+// Every tile keeps the same per-element accumulation order (one
+// register partial sum per kc block, added to C once, zero-padded
+// fringes), so results are bitwise-identical across
 // thread counts and cache-block sizes; only the fused-multiply-add
 // rounding distinguishes the SIMD tiles from the portable one. Pack
 // buffers persist inside the Kernel, so hot paths that hold one (the

@@ -113,6 +113,12 @@ type PackedB struct {
 	Rows, Cols int
 }
 
+// PanelRows returns the height of the kernel's A micro-panels. A
+// MulPacked row range whose ends lie on multiples of it, counted from
+// the packed A's first row, or at its last row, stages no partial
+// panel.
+func (k *Kernel) PanelRows() int { return k.tile.mr }
+
 // PackedALen returns the words PackA packs a rows×cols A into: its rows
 // padded to whole micro-panels.
 func (k *Kernel) PackedALen(rows, cols int) int { return k.paddedRows(rows) * cols }
@@ -136,7 +142,7 @@ func (k *Kernel) PackA(dst []float64, a *Dense) PackedA {
 	dst = grow(dst, k.PackedALen(a.Rows, a.Cols))
 	rows := k.paddedRows(a.Rows)
 	for pc := 0; pc < a.Cols; pc += k.kc {
-		packA(dst[pc*rows:], a, 0, pc, a.Rows, min(k.kc, a.Cols-pc), k.tile.mr)
+		k.packA(dst[pc*rows:], a, 0, pc, a.Rows, min(k.kc, a.Cols-pc))
 	}
 	return PackedA{Data: dst, Rows: a.Rows, Cols: a.Cols}
 }
@@ -151,7 +157,7 @@ func (k *Kernel) PackB(dst []float64, b *Dense) PackedB {
 		nb := min(k.nc, b.Cols-jc)
 		for pc := 0; pc < b.Rows; pc += k.kc {
 			kb := min(k.kc, b.Rows-pc)
-			packB(rest, b, pc, jc, kb, nb, k.tile.nr)
+			k.packB(rest, b, pc, jc, kb, nb)
 			rest = rest[k.padded(nb)*kb:]
 		}
 	}
@@ -195,7 +201,7 @@ func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk
 	// One contiguous row chunk per worker, each a whole number of
 	// micro-panels counted from the panel holding lo, so no register
 	// tile straddles two workers.
-	mr, nr := k.tile.mr, k.tile.nr
+	mr := k.tile.mr
 	base := lo - lo%mr
 	panels := (hi - base + mr - 1) / mr
 	t := min(k.threads, panels)
@@ -210,7 +216,7 @@ func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk
 				bp, packed = packed[:words], packed[words:]
 			} else {
 				k.shared = grow(k.shared, words)
-				packB(k.shared, b, pc, jc, kb, nb, nr)
+				k.packB(k.shared, b, pc, jc, kb, nb)
 				bp = k.shared
 			}
 			if t == 1 {
@@ -242,7 +248,7 @@ func (k *Kernel) rows(pb *packBuf, c, a *Dense, pa PackedA, lo, hi, pc, jc, kb, 
 		for ic := lo; ic < hi; ic += k.mc {
 			mb := min(k.mc, hi-ic)
 			pb.a = grow(pb.a, (mb+mr-1)/mr*mr*kb)
-			packA(pb.a, a, ic, pc, mb, kb, mr)
+			k.packA(pb.a, a, ic, pc, mb, kb)
 			k.macroKernel(pb, pb.a, c, ic, jc, mb, nb, kb, bp)
 		}
 		return
@@ -267,14 +273,49 @@ func (k *Kernel) rows(pb *packBuf, c, a *Dense, pa PackedA, lo, hi, pc, jc, kb, 
 	}
 }
 
+// packA is the packA function at the kernel's mr, by the tile's assembly
+// where it has one: its full micro-panels in one call, the fringe panel
+// by packAFringe. The bounds are checked here, so a bad block panics
+// before the assembly reads or writes a word.
+func (k *Kernel) packA(dst []float64, a *Dense, ic, pc, mb, kb int) {
+	mr := k.tile.mr
+	if k.tile.packA == nil {
+		packA(dst, a, ic, pc, mb, kb, mr)
+		return
+	}
+	full := mb - mb%mr
+	if full > 0 && kb > 0 {
+		_ = dst[full*kb-1]
+		_ = a.Data[(ic+full-1)*a.Stride+pc+kb-1]
+		k.tile.packA(&dst[0], &a.Data[ic*a.Stride+pc], a.Stride, kb, full/mr)
+	}
+	packAFringe(dst[full*kb:], a, ic+full, pc, mb-full, kb, mr)
+}
+
+// packB is the packB function at the kernel's nr, by the tile's assembly,
+// fringe panel included, where it has one.
+func (k *Kernel) packB(dst []float64, b *Dense, pc, jc, kb, nb int) {
+	nr := k.tile.nr
+	if k.tile.packB == nil {
+		packB(dst, b, pc, jc, kb, nb, nr)
+		return
+	}
+	if kb == 0 || nb == 0 {
+		return
+	}
+	_ = dst[k.padded(nb)*kb-1]
+	_ = b.Data[(pc+kb-1)*b.Stride+jc+nb-1]
+	k.tile.packB(&dst[0], &b.Data[pc*b.Stride+jc], b.Stride, kb, nb/nr, nb%nr)
+}
+
 // packA copies the mb×kb block of A at (ic, pc) into mr-wide
 // micro-panels: panel i holds rows [ic+i·mr, ic+i·mr+mr) stored
 // column-by-column, so the micro-kernel reads mr values of A per k-step
 // from consecutive memory. A full panel is filled four rows at a time:
 // the four rows are read as streams, left to right, and each k-step
 // writes one 4-word group (mr is a multiple of 4). The short fringe
-// panel is gathered word by word and zero-padded to mr so the register
-// kernel can always run full-width.
+// panel (packAFringe) is gathered word by word and zero-padded to mr so
+// the register kernel can always run full-width.
 func packA(dst []float64, a *Dense, ic, pc, mb, kb, mr int) {
 	full := mb - mb%mr
 	for i := 0; i < full; i += mr {
@@ -291,19 +332,25 @@ func packA(dst []float64, a *Dense, ic, pc, mb, kb, mr int) {
 			}
 		}
 	}
-	pos := full * kb
-	for i := full; i < mb; i += mr {
-		h := min(mr, mb-i)
-		for p := 0; p < kb; p++ {
-			base := (ic+i)*a.Stride + pc + p
-			for r := 0; r < h; r++ {
-				dst[pos] = a.Data[base+r*a.Stride]
-				pos++
-			}
-			for r := h; r < mr; r++ {
-				dst[pos] = 0
-				pos++
-			}
+	packAFringe(dst[full*kb:], a, ic+full, pc, mb-full, kb, mr)
+}
+
+// packAFringe packs the h < mr rows of A at (ic, pc), kb deep, as one
+// micro-panel zero-padded to mr rows; h = 0 packs nothing.
+func packAFringe(dst []float64, a *Dense, ic, pc, h, kb, mr int) {
+	if h == 0 {
+		return
+	}
+	pos := 0
+	for p := 0; p < kb; p++ {
+		base := ic*a.Stride + pc + p
+		for r := 0; r < h; r++ {
+			dst[pos] = a.Data[base+r*a.Stride]
+			pos++
+		}
+		for r := h; r < mr; r++ {
+			dst[pos] = 0
+			pos++
 		}
 	}
 }

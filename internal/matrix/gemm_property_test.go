@@ -318,16 +318,20 @@ func TestKernelStridedViewsBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestPackLayout holds packA and packB to the micro-panel layout the
+// TestPackLayout holds every pack to the micro-panel layout the
 // register tiles read, stated as an index formula: word
 // (i/mr)·kb·mr + p·mr + i mod mr of packed A is A[ic+i][pc+p], or 0 in
 // the padding rows below mb, and word (j/nr)·kb·nr + p·nr + j mod nr of
 // packed B is B[pc+p][jc+j], or 0 in the padding columns right of nb.
-// It runs every panel width a tile packs — A's 4 and 8, B's 4 and 12,
-// so the NEON tile's 8-row A and the AVX2 tile's 12-column B panels
-// run on every architecture — over random extents with fringes and
-// zeros, views with a random pad and block origins inside them. dst starts as NaN, a few NaN words
-// past its end included, so a word the loops skip or overrun fails.
+// It runs the Go loops at every panel width a tile packs — A's 4 and 8,
+// B's 4 and 12, so the NEON tile's 8-row A and the AVX2 tile's
+// 12-column B panels run on every architecture — and the dispatched
+// tile's own packs (the AVX2 tile's assembly) at its widths. Each pack
+// gets every extent from 0 to its width + 3 (no panel, a fringe alone,
+// one full panel with each fringe) and random larger ones, at depths
+// below 40 that take every kb mod 4 in turn, views with a random pad and block origins
+// inside them. dst starts as NaN, a few NaN words past its end
+// included, so a word a pack skips or overruns fails.
 func TestPackLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const tail = 8
@@ -351,34 +355,58 @@ func TestPackLayout(t *testing.T) {
 		}
 		return d
 	}
-	for trial := 0; trial < 100; trial++ {
-		for _, mr := range []int{4, 8} {
-			for _, nr := range []int{4, 12} {
-				mb, kb, nb := rng.Intn(3*mr+4), rng.Intn(40), rng.Intn(3*nr+4)
-				ic, pc, jc := rng.Intn(5), rng.Intn(5), rng.Intn(5)
-				a := randomStrided(rng, ic+mb+rng.Intn(3), pc+kb+rng.Intn(3))
-				b := randomStrided(rng, pc+kb+rng.Intn(3), jc+nb+rng.Intn(3))
-
-				pa := nans((mb + mr - 1) / mr * mr * kb)
-				packA(pa[:len(pa)-tail], a, ic, pc, mb, kb, mr)
-				check(pa, func(w int) float64 {
-					i, p := w/(kb*mr)*mr+w%mr, w%(kb*mr)/mr
-					if i >= mb {
-						return 0
-					}
-					return a.Data[(ic+i)*a.Stride+pc+p]
-				}, "packA mr %d, %d×%d block at (%d, %d), stride %d", mr, mb, kb, ic, pc, a.Stride)
-
-				pb := nans((nb + nr - 1) / nr * nr * kb)
-				packB(pb[:len(pb)-tail], b, pc, jc, kb, nb, nr)
-				check(pb, func(w int) float64 {
-					j, p := w/(kb*nr)*nr+w%nr, w%(kb*nr)/nr
-					if j >= nb {
-						return 0
-					}
-					return b.Data[(pc+p)*b.Stride+jc+j]
-				}, "packB nr %d, %d×%d block at (%d, %d), stride %d", nr, kb, nb, pc, jc, b.Stride)
-			}
+	type pack struct {
+		name  string
+		pack  func(dst []float64, m *Dense, r0, c0, rows, cols, width int)
+		width int
+	}
+	k := newKernel(1, dispatched)
+	aPacks := []pack{{"go", packA, 4}, {"go", packA, 8}, {dispatched.name, func(dst []float64, a *Dense, ic, pc, mb, kb, _ int) {
+		k.packA(dst, a, ic, pc, mb, kb)
+	}, dispatched.mr}}
+	bPacks := []pack{{"go", packB, 4}, {"go", packB, 12}, {dispatched.name, func(dst []float64, b *Dense, pc, jc, kb, nb, _ int) {
+		k.packB(dst, b, pc, jc, kb, nb)
+	}, dispatched.nr}}
+	extents := func(width int) []int {
+		var ext []int
+		for e := 0; e <= width+3; e++ {
+			ext = append(ext, e)
+		}
+		for trial := 0; trial < 40; trial++ {
+			ext = append(ext, rng.Intn(3*width+4))
+		}
+		return ext
+	}
+	for _, pk := range aPacks {
+		mr := pk.width
+		for t, mb := range extents(mr) {
+			kb, ic, pc := 4*rng.Intn(10)+t%4, rng.Intn(5), rng.Intn(5)
+			a := randomStrided(rng, ic+mb+rng.Intn(3), pc+kb+rng.Intn(3))
+			pa := nans((mb + mr - 1) / mr * mr * kb)
+			pk.pack(pa[:len(pa)-tail], a, ic, pc, mb, kb, mr)
+			check(pa, func(w int) float64 {
+				i, p := w/(kb*mr)*mr+w%mr, w%(kb*mr)/mr
+				if i >= mb {
+					return 0
+				}
+				return a.Data[(ic+i)*a.Stride+pc+p]
+			}, "%s packA mr %d, %d×%d block at (%d, %d), stride %d", pk.name, mr, mb, kb, ic, pc, a.Stride)
+		}
+	}
+	for _, pk := range bPacks {
+		nr := pk.width
+		for t, nb := range extents(nr) {
+			kb, pc, jc := 4*rng.Intn(10)+t%4, rng.Intn(5), rng.Intn(5)
+			b := randomStrided(rng, pc+kb+rng.Intn(3), jc+nb+rng.Intn(3))
+			pb := nans((nb + nr - 1) / nr * nr * kb)
+			pk.pack(pb[:len(pb)-tail], b, pc, jc, kb, nb, nr)
+			check(pb, func(w int) float64 {
+				j, p := w/(kb*nr)*nr+w%nr, w%(kb*nr)/nr
+				if j >= nb {
+					return 0
+				}
+				return b.Data[(pc+p)*b.Stride+jc+j]
+			}, "%s packB nr %d, %d×%d block at (%d, %d), stride %d", pk.name, nr, kb, nb, pc, jc, b.Stride)
 		}
 	}
 }

@@ -14,6 +14,15 @@ package matrix
 //go:noescape
 func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
 
+// packA4AVX2 and packB12AVX2 are the 4×12 tile's packs
+// (pack_amd64.s), packAFunc at mr = 4 and packBFunc at nr = 12.
+//
+//go:noescape
+func packA4AVX2(dst, src *float64, stride, kb, panels int)
+
+//go:noescape
+func packB12AVX2(dst, src *float64, stride, kb, panels, w int)
+
 // cpuid executes the CPUID instruction with the given leaf and
 // subleaf (cpu_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -62,6 +71,7 @@ func detectAVX2FMA() bool {
 // the final add would otherwise wait on memory.
 func init() {
 	if hasAVX2FMA {
-		dispatched = tile{name: "avx2-4x12", mr: 4, nr: 12, fused: true, sweep: kernelAVX2_4x12, narrow: true}
+		dispatched = tile{name: "avx2-4x12", mr: 4, nr: 12, fused: true, sweep: kernelAVX2_4x12, narrow: true,
+			packA: packA4AVX2, packB: packB12AVX2}
 	}
 }
