@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench bench-layout
+.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench bench-layout lines
 
 build:
 	$(GO) build ./...
@@ -76,3 +76,11 @@ bench-layout:
 	@addr=$$($(GO) tool nm .bench_build/layout | awk '$$3 == "main.yardstick.func1" { print $$1 }'); \
 	test -n "$$addr" || { echo "bench-layout: no main.yardstick.func1 in the benchmark binary"; exit 1; }; \
 	echo "main.yardstick.func1 at 0x$$addr: $$(( 0x$$addr % 64 )) mod 64"
+
+# lines prints the go_lines and test_lines that TestBenchHistoryHead
+# counts (the newlines of every .go file outside benchmark/, non-test
+# and _test.go), so a BENCH_history.jsonl line copies them from one
+# command. It fails, after printing them, while they differ from the
+# file's last line.
+lines:
+	$(GO) test -short -count=1 -run TestBenchHistoryHead -v .

@@ -70,29 +70,6 @@ func TestEngineFaultPlanDropTripsRecvTimeout(t *testing.T) {
 	}
 }
 
-// TestEngineFaultPlanEmptyIsIdentity proves WithFaultPlan(FaultPlan{})
-// is a no-op: the product matches a fault-free engine bitwise.
-func TestEngineFaultPlanEmptyIsIdentity(t *testing.T) {
-	a := RandomMatrix(40, 40, 5)
-	b := RandomMatrix(40, 40, 6)
-	run := func(opts ...Option) *Matrix {
-		eng, err := NewEngine(append([]Option{WithProcs(4), WithMemory(1 << 16)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, _, err := eng.Exec(context.Background(), a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	plain := run()
-	empty := run(WithFaultPlan(FaultPlan{}))
-	if !matrix.EqualWithin(plain, empty, 0) {
-		t.Fatal("empty fault plan changed the product")
-	}
-}
-
 // TestEngineFaultPlanValidatedAtConstruction proves an out-of-range
 // plan is rejected by NewEngine, not at Exec time.
 func TestEngineFaultPlanValidatedAtConstruction(t *testing.T) {

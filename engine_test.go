@@ -20,25 +20,6 @@ func reference(a, b *Matrix) *Matrix {
 	return c
 }
 
-func TestEngineExecMatchesReference(t *testing.T) {
-	eng, err := NewEngine(WithProcs(8), WithMemory(1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := RandomMatrix(32, 24, 1)
-	b := RandomMatrix(24, 40, 2)
-	got, rep, err := eng.Exec(context.Background(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.EqualWithin(got, reference(a, b), 1e-9) {
-		t.Fatal("engine result disagrees with reference")
-	}
-	if rep == nil || rep.P != 8 {
-		t.Fatalf("report: %+v", rep)
-	}
-}
-
 // TestEngineConcurrentMixedShapes drives one shared Engine from many
 // goroutines with a mix of shapes — some hitting the plan cache, some
 // missing — and verifies every product against the reference kernel.
@@ -53,6 +34,7 @@ func TestEngineConcurrentMixedShapes(t *testing.T) {
 		{48, 16, 24},
 		{16, 64, 8},
 		{40, 24, 56},
+		{32, 40, 24},
 	}
 	const workers = 12
 	const iters = 3
@@ -67,13 +49,13 @@ func TestEngineConcurrentMixedShapes(t *testing.T) {
 			b := RandomMatrix(sh.k, sh.n, int64(w+100))
 			want := reference(a, b)
 			for i := 0; i < iters; i++ {
-				got, _, err := eng.Exec(context.Background(), a, b)
+				got, rep, err := eng.Exec(context.Background(), a, b)
 				if err != nil {
 					errc <- err
 					return
 				}
-				if !matrix.EqualWithin(got, want, 1e-9) {
-					errc <- errors.New("concurrent result disagrees with reference")
+				if !matrix.EqualWithin(got, want, 1e-9) || rep.P != 8 {
+					errc <- fmt.Errorf("concurrent result on %d ranks disagrees with reference", rep.P)
 					return
 				}
 			}

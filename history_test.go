@@ -24,7 +24,8 @@ import (
 // line's go_lines and test_lines are checked the same way: they must
 // equal the newline counts of every .go file outside benchmark/, the
 // non-test ones and the _test.go ones — the sizes the ROADMAP quotes —
-// so neither column can be mis-copied.
+// so neither column can be mis-copied. It logs both counts, which `make
+// lines` prints.
 func TestBenchHistoryHead(t *testing.T) {
 	data, err := os.ReadFile("BENCH_history.jsonl")
 	if err != nil {
@@ -68,6 +69,7 @@ func TestBenchHistoryHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("go_lines %d, test_lines %d", goLines, testLines)
 	if goLines != head.GoLines {
 		t.Errorf("non-test Go lines outside benchmark/ = %d, PR %d recorded go_lines %d", goLines, head.PR, head.GoLines)
 	}

@@ -55,13 +55,3 @@ func TestDeltaAblationImprovesUnfavorableCounts(t *testing.T) {
 		}
 	}
 }
-
-func TestStepAblationRows(t *testing.T) {
-	tb := StepAblation()
-	if tb.Rows() != 4 {
-		t.Fatalf("rows = %d", tb.Rows())
-	}
-	if !strings.Contains(tb.String(), "true") {
-		t.Fatal("the optimal step must fit in memory")
-	}
-}

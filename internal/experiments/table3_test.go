@@ -100,18 +100,6 @@ func TestTwoDCollapsesForSquare(t *testing.T) {
 	}
 }
 
-func TestAllReturnsFourRows(t *testing.T) {
-	rows := closedForms(workload.Config{M: 64, N: 64, K: 64, P: 4, S: 4096})
-	if len(rows) != 4 {
-		t.Fatalf("closedForms returned %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.q <= 0 || math.IsNaN(r.q) || r.l < 0 || math.IsNaN(r.l) {
-			t.Fatalf("%s: bad costs %+v", r.algorithm, r)
-		}
-	}
-}
-
 func TestValidatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -85,18 +84,6 @@ func TestTimedOrderingMatchesVolume(t *testing.T) {
 	}
 }
 
-func TestTimeVsVolumeTable(t *testing.T) {
-	tab := TimeVsVolume(machine.CommodityEthernet())
-	// 3 core counts × 5 algorithms (Cannon included at every p).
-	if tab.Rows() != 15 {
-		t.Fatalf("timevolume has %d rows, want 15", tab.Rows())
-	}
-	// One COSMA row per core count.
-	if tab := OverlapGain(machine.CommodityEthernet()); tab.Rows() != 3 {
-		t.Fatalf("overlap has %d rows, want 3", tab.Rows())
-	}
-}
-
 // TestOverlapGainShowsAGain keeps Figure 12 a figure about overlap: at
 // the S the table runs at, every row's plan has room for the second
 // panel pair, so on the default network every measured gain, as
@@ -110,45 +97,5 @@ func TestOverlapGainShowsAGain(t *testing.T) {
 		if err != nil || gain <= 1.00 {
 			t.Errorf("row %q measures gain %q, want > 1.00×", row, cell)
 		}
-	}
-}
-
-// TestTimedCountersMatchCounting pins the transports together: one plan
-// of each algorithm, compiled under the network, must count identical
-// traffic executed on the counting and on the timed backend — timing is
-// an overlay, never a behavioral change. SUMMA's [3×4×1] plan of the
-// second problem broadcasts its A panels in row blocks, so the overlay
-// covers them too.
-func TestTimedCountersMatchCounting(t *testing.T) {
-	net := machine.PizDaintNet()
-	rng := rand.New(rand.NewSource(9))
-	banded := false
-	for _, c := range []struct{ m, n, k, p, s int }{{64, 64, 64, 8, 2048}, {300, 200, 100, 12, 20000}} {
-		a := matrix.Random(c.m, c.k, rng)
-		b := matrix.Random(c.k, c.n, rng)
-		for _, runner := range comparison() {
-			pl, err := runner.Plan(algo.Config{Network: &net}, c.m, c.n, c.k, c.p, c.s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			banded = banded || pl.Geometry != nil && pl.Geometry.Bands > 1
-			var reps [2]*algo.Report
-			for i, on := range []*machine.NetworkParams{nil, &net} {
-				ex, err := algo.NewExecutor(pl, machine.NewWithNetwork(pl.P, on))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, reps[i], err = ex.Exec(context.Background(), a, b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rep, tr := reps[0], reps[1]; rep.MaxVolume != tr.MaxVolume || rep.MaxRecv != tr.MaxRecv ||
-				rep.Total != tr.Total || rep.MaxMsgs != tr.MaxMsgs || rep.AvgRecv != tr.AvgRecv {
-				t.Errorf("%s %+v: counting %+v vs timed %+v traffic differs", rep.Model.Name, c, rep, tr)
-			}
-		}
-	}
-	if !banded {
-		t.Error("no plan broadcasts its A panels in bands: the overlay is not checked on them")
 	}
 }

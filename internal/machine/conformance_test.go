@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +16,9 @@ import (
 )
 
 // The conformance suite is one set of semantic checks — FIFO delivery
-// per (src, tag), owned-vs-copied sends, posted receives, accounting,
-// cancellation, receive deadlines, machine reuse, and the fault section
+// per (src, tag), owned-vs-copied sends, posted receives, accounting and
+// its aggregates, cancellation, receive deadlines, a panicking rank,
+// machine reuse, and the fault section
 // (rank death mid-round, dropped and delayed messages, stragglers: each
 // must surface as a prompt error, never a hang) — run against the four
 // backends below, so a clock or a link cannot drift from the delivery
@@ -34,6 +36,7 @@ var suite = []struct {
 	{"AccountingIdentical", checkAccountingIdentical},
 	{"Cancellation", checkCancellation},
 	{"RecvDeadline", checkRecvDeadline},
+	{"RankPanicLeavesNoStaleMessage", checkRankPanicLeavesNoStaleMessage},
 	{"FaultRankDeathMidRound", checkFaultRankDeathMidRound},
 	{"FaultMessageDrop", checkFaultMessageDrop},
 	{"FaultDelayedDelivery", checkFaultDelayedDelivery},
@@ -299,7 +302,9 @@ func checkRequestWaitTest(t *testing.T, c *cluster) {
 // seeded mixedTraffic schedule implies — each message between two
 // distinct ranks counted once on each side, self-sends free, Flops as
 // charged — and to a plain counting machine running the same program:
-// accounting lives in the machine, not in its clock or link.
+// accounting lives in the machine, not in its clock or link. Once the
+// counters are merged, the aggregates of rank 0's host are the per-rank
+// counters' sum and maxima.
 func checkAccountingIdentical(t *testing.T, c *cluster) {
 	want := make([]machine.Counters, p)
 	for rank := range want {
@@ -328,6 +333,18 @@ func checkAccountingIdentical(t *testing.T, c *cluster) {
 	if err := first(c.run(context.Background(), mixedTraffic)); err != nil {
 		t.Fatal(err)
 	}
+	if err := first(concurrently(len(c.machines), func(i int) error { return c.machines[i].SyncCounters() })); err != nil {
+		t.Fatal(err)
+	}
+	var volume, maxVolume, maxMsgs int64
+	for _, w := range want {
+		volume += w.SentWords + w.RecvWords
+		maxVolume, maxMsgs = max(maxVolume, w.SentWords+w.RecvWords), max(maxMsgs, w.SentMsgs+w.RecvMsgs)
+	}
+	if m := c.machines[c.host[0]]; m.TotalVolume() != volume/2 || m.MaxVolume() != maxVolume || m.MaxMessages() != maxMsgs {
+		t.Errorf("aggregates: total %d, max volume %d, max messages %d; the counters imply %d, %d, %d",
+			m.TotalVolume(), m.MaxVolume(), m.MaxMessages(), volume/2, maxVolume, maxMsgs)
+	}
 	for rank := range p {
 		got, counted := c.machines[c.host[rank]].Counters(rank), ref.Counters(rank)
 		if got != want[rank] || counted != want[rank] {
@@ -339,21 +356,36 @@ func checkAccountingIdentical(t *testing.T, c *cluster) {
 	}
 }
 
+// checkCancellation cancels a run before it starts, a run whose ranks
+// all park in a receive that is never satisfied, and a run of
+// compute-only ranks that only poll Rank.Err: each must return
+// context.Canceled on every machine, and the next run must succeed.
 func checkCancellation(t *testing.T, c *cluster) {
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(30*time.Millisecond, cancel)
-	errs := runWithin(t, 5*time.Second, c, ctx, func(r *machine.Rank) error {
-		// Every rank parks in a receive that is never satisfied.
+	parked := func(r *machine.Rank) error {
 		r.Recv((r.ID()+1)%r.P(), 404)
 		return errors.New("receive of an unsent message returned")
-	})
-	for i, err := range errs {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("machine %d: got %v, want context.Canceled", i, err)
-		}
 	}
-	if err := first(c.run(context.Background(), pingRing)); err != nil {
-		t.Fatalf("run after a cancelled one: %v", err)
+	polling := func(r *machine.Rank) error {
+		for r.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		return r.Err()
+	}
+	for i, program := range []func(*machine.Rank) error{parked, parked, polling} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if i == 0 {
+			cancel()
+		} else {
+			time.AfterFunc(30*time.Millisecond, cancel)
+		}
+		for j, err := range runWithin(t, 5*time.Second, c, ctx, program) {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("run %d, machine %d: got %v, want context.Canceled", i, j, err)
+			}
+		}
+		if err := first(c.run(context.Background(), pingRing)); err != nil {
+			t.Fatalf("run after cancelled run %d: %v", i, err)
+		}
 	}
 }
 
@@ -374,6 +406,46 @@ func checkRecvDeadline(t *testing.T, c *cluster) {
 	c.setRecvTimeout(0)
 	if err := first(c.run(context.Background(), pingRing)); err != nil {
 		t.Fatalf("run after a deadline failure: %v", err)
+	}
+}
+
+// checkRankPanicLeavesNoStaleMessage: a rank that sends and then panics
+// must unblock the peers parked in a receive it will never satisfy, be
+// reported as the root cause on its host, and leave its undelivered
+// message out of the next run, which sends one on the same key.
+func checkRankPanicLeavesNoStaleMessage(t *testing.T, c *cluster) {
+	errs := runWithin(t, 30*time.Second, c, context.Background(), func(r *machine.Rank) error {
+		if r.ID() == 0 {
+			r.Send(1, 31, []float64{-1}) // never received
+			panic("rank 0 exploded")
+		}
+		r.Recv(0, 32) // never sent
+		return errors.New("receive of an unsent message returned")
+	})
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("machine %d returned nil from a run with a panicking rank", i)
+		}
+	}
+	if err := errs[c.host[0]]; !strings.Contains(err.Error(), "rank 0 panicked") {
+		t.Fatalf("rank 0 host: got %v, want rank 0's panic as the root cause", err)
+	}
+	err := first(c.run(context.Background(), func(r *machine.Rank) error {
+		switch r.ID() {
+		case 0:
+			r.Send(1, 31, []float64{42})
+		case 1:
+			if got := r.Recv(0, 31); len(got) != 1 || got[0] != 42 {
+				return fmt.Errorf("rank 1 received %v, want the fresh [42]", got)
+			}
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.machines[c.host[1]].Counters(1).RecvMsgs; got != 1 {
+		t.Fatalf("rank 1 counted %d messages, want 1", got)
 	}
 }
 
@@ -517,15 +589,15 @@ func checkReuseAndCounterReset(t *testing.T, c *cluster) {
 		t.Fatal(err)
 	}
 	host := c.machines[c.host[1]]
-	want := host.Counters(1)
+	want, clocks := host.Counters(1), host.Times()
 	if want.SentWords == 0 || want.RecvWords == 0 {
 		t.Fatalf("rank 1 counted no traffic: %+v", want)
 	}
 	if err := first(c.run(context.Background(), pingRing)); err != nil {
 		t.Fatal(err)
 	}
-	if got := host.Counters(1); got != want {
-		t.Fatalf("counters not reset between runs: first %+v, second %+v", want, got)
+	if got := host.Counters(1); got != want || !slices.Equal(host.Times(), clocks) {
+		t.Fatalf("counters or clocks not reset between runs: first %+v at %v, second %+v at %v", want, clocks, got, host.Times())
 	}
 }
 
@@ -544,8 +616,8 @@ func mixedSchedule() []mixedMsg {
 	return sched
 }
 
-// mixedTraffic posts a rank's part of mixedSchedule, charges 100 + id
-// flops and then takes what is addressed to it.
+// mixedTraffic posts a rank's part of mixedSchedule, charges 100 and
+// then id flops and takes what is addressed to it.
 func mixedTraffic(r *machine.Rank) error {
 	sched := mixedSchedule()
 	for i, s := range sched {
@@ -567,7 +639,8 @@ func mixedTraffic(r *machine.Rank) error {
 			machine.Release(data)
 		}
 	}
-	r.Compute(int64(100 + r.ID()))
+	r.Compute(100)
+	r.Compute(int64(r.ID()))
 	for i, s := range sched {
 		if s.dst != r.ID() {
 			continue

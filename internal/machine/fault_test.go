@@ -23,119 +23,6 @@ func ringProgram(rounds, words int) func(r *Rank) error {
 	}
 }
 
-func TestFaultDeathReportedAsRootCauseNotCollateral(t *testing.T) {
-	// Rank 0 dies; every other rank unwinds through an interrupted Recv. The error Run returns must still be the
-	// injected death, not the collateral.
-	m := New(4)
-	if err := m.SetFaultPlan(FaultPlan{Deaths: []RankDeath{{Rank: 0, Round: 0}}}); err != nil {
-		t.Fatal(err)
-	}
-	err := m.Run(ringProgram(2, 8))
-	if !errors.Is(err, ErrFaultInjected) {
-		t.Fatalf("root cause = %v, want ErrFaultInjected", err)
-	}
-}
-
-func TestFaultDropAfterLetsEarlyMessagesThrough(t *testing.T) {
-	m := New(2)
-	m.SetRecvTimeout(100 * time.Millisecond)
-	// First message passes, second drops.
-	if err := m.SetFaultPlan(FaultPlan{Links: []LinkFault{{Src: 0, Dst: 1, After: 1, Drop: true}}}); err != nil {
-		t.Fatal(err)
-	}
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Send(1, 0, make([]float64, 4))
-			r.Send(1, 1, make([]float64, 4))
-		} else {
-			r.Recv(0, 0) // delivered
-			r.Recv(0, 1) // dropped → timeout
-		}
-		return nil
-	})
-	if !errors.Is(err, ErrRecvTimeout) {
-		t.Fatalf("err = %v, want ErrRecvTimeout on the second message", err)
-	}
-}
-
-func TestFaultWildcardDropSpecificity(t *testing.T) {
-	// The specific rule with no effect must beat the wildcard
-	// drop-everything rule for the 0→1 link.
-	m := New(3)
-	m.SetRecvTimeout(100 * time.Millisecond)
-	plan := FaultPlan{Links: []LinkFault{
-		{Src: -1, Dst: -1, Drop: true}, // drop everything...
-		{Src: 0, Dst: 1},               // ...except 0→1
-	}}
-	if err := m.SetFaultPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Send(1, 0, make([]float64, 4))
-		}
-		if r.ID() == 1 {
-			r.Recv(0, 0)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("specific rule must win over wildcard: %v", err)
-	}
-}
-
-func TestFaultLogicalDelayShiftsTimedClock(t *testing.T) {
-	net := testNet() // α=1, β=0.1, γ=0.001
-	run := func(delay float64) float64 {
-		m := NewTimed(2, net)
-		if delay > 0 {
-			plan := FaultPlan{Links: []LinkFault{{Src: 0, Dst: 1, Seconds: delay}}}
-			if err := m.SetFaultPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err := m.Run(func(r *Rank) error {
-			if r.ID() == 0 {
-				r.Send(1, 0, make([]float64, 10))
-			} else {
-				r.Recv(0, 0)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.MaxTime()
-	}
-	base, delayed := run(0), run(5)
-	if delayed < base+4.5 {
-		t.Fatalf("logical delay did not stretch the critical path: %v vs %v", delayed, base)
-	}
-}
-
-func TestFaultSlowRankSkewsTimedClock(t *testing.T) {
-	net := testNet()
-	run := func(factor float64) float64 {
-		m := NewTimed(2, net)
-		if factor > 0 {
-			if err := m.SetFaultPlan(FaultPlan{Slow: []SlowRank{{Rank: 1, Factor: factor}}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.Run(func(r *Rank) error {
-			r.Compute(1 << 20)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return m.MaxTime()
-	}
-	base, skewed := run(0), run(3)
-	if skewed < 2.9*base {
-		t.Fatalf("γ skew ×3 raised critical path only %v → %v", base, skewed)
-	}
-}
-
 // TestChargeKeepsTheRoundClock: a round charged in pieces — Compute
 // for the first, Charge for the rest — is one round to a RankDeath, and
 // every piece reaches the flop counter and a SlowRank's skew.
@@ -232,69 +119,6 @@ func TestFaultCorruptFlipsOneWord(t *testing.T) {
 		if sent[i] != v {
 			t.Fatalf("corruption mutated the caller's buffer at word %d", i)
 		}
-	}
-}
-
-func TestFaultCorruptScaleAndAfter(t *testing.T) {
-	// Scale-mode corruption that starts after the first message: message
-	// 0 arrives clean, message 1 arrives with word 0 scaled.
-	m := New(2)
-	plan := FaultPlan{Links: []LinkFault{{Src: 0, Dst: 1, After: 1, Corrupt: true, Scale: 10}}}
-	if err := m.SetFaultPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	err := m.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Send(1, 0, []float64{5})
-			r.Send(1, 1, []float64{5})
-			return nil
-		}
-		first := r.Recv(0, 0)
-		second := r.Recv(0, 1)
-		defer Release(first)
-		defer Release(second)
-		if first[0] != 5 {
-			return errors.New("message before After was corrupted")
-		}
-		if second[0] != 50 {
-			return errors.New("message after After was not scaled")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFaultCorruptOnAttemptGating(t *testing.T) {
-	// OnAttempt: 1 corrupts only the first run after installation; the
-	// second run on the same machine is clean — the contract retry
-	// loops script chaos experiments against.
-	m := New(2)
-	plan := FaultPlan{Links: []LinkFault{{Src: 0, Dst: 1, OnAttempt: 1, Corrupt: true}}}
-	if err := m.SetFaultPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	run := func() (clean bool) {
-		err := m.Run(func(r *Rank) error {
-			if r.ID() == 0 {
-				r.Send(1, 0, []float64{7})
-				return nil
-			}
-			got := r.Recv(0, 0)
-			defer Release(got)
-			if got[0] != 7 {
-				return errors.New("corrupted")
-			}
-			return nil
-		})
-		return err == nil
-	}
-	if run() {
-		t.Fatal("attempt 1 was not corrupted")
-	}
-	if !run() {
-		t.Fatal("attempt 2 was corrupted despite OnAttempt: 1")
 	}
 }
 

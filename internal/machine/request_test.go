@@ -2,42 +2,6 @@ package machine
 
 import "testing"
 
-// TestIRecvRoundTrip exercises the posted receive on the counting
-// machine: a request posted before the matching send exists completes
-// under Wait, a second Wait returns the same buffer, and the counters
-// match a blocking exchange.
-func TestIRecvRoundTrip(t *testing.T) {
-	m := New(2)
-	err := m.Run(func(r *Rank) error {
-		switch r.ID() {
-		case 0:
-			var req Request
-			r.PostRecv(&req, 1, 7)
-			rendezvous(r, 8) // rank 1 sends only after this
-			data := req.Wait()
-			if len(data) != 3 || data[0] != 42 {
-				t.Errorf("posted receive payload = %v, want [42 0 0]", data)
-			}
-			if again := req.Wait(); &again[0] != &data[0] {
-				t.Error("second Wait returned a different buffer")
-			}
-		case 1:
-			rendezvous(r, 8)
-			r.Send(0, 7, []float64{42, 0, 0})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Counters(0).RecvWords; got != 3 {
-		t.Errorf("rank 0 RecvWords = %d, want 3", got)
-	}
-	if got := m.Counters(1).SentWords; got != 3 {
-		t.Errorf("rank 1 SentWords = %d, want 3", got)
-	}
-}
-
 // overlapNet is a synthetic network with unit constants so the clock
 // arithmetic in the overlap tests is exact.
 func overlapNet() NetworkParams {

@@ -84,11 +84,16 @@ type Transport struct {
 	abortErr error  // per-run: a peer aborted; cleared by Begin
 
 	// bmu guards the run/abort/ctrl bookkeeping; bcond wakes the
-	// coordinator parked in MergeCounters.
+	// coordinator parked in MergeCounters and a Begin waiting for
+	// landing aborts.
 	bmu     sync.Mutex
 	bcond   *sync.Cond
 	aborted bool
 	epoch   int64 // run number; advanced by Begin, aligned across processes
+	// landing counts peer aborts past their epoch check whose effect
+	// (abortErr, the interrupt) has not yet landed; Begin waits for
+	// them, so an abort can only land on the run it names.
+	landing int
 	// pendingAbort is the epoch of an ABORT frame that arrived from a
 	// process already ahead of us; it is applied when Begin advances us
 	// to that run.
@@ -630,6 +635,7 @@ func (t *Transport) remoteAbort(epoch int64) {
 		t.bmu.Unlock()
 		return
 	}
+	t.landing++
 	t.bmu.Unlock()
 	t.fmu.Lock()
 	if t.abortErr == nil {
@@ -637,6 +643,11 @@ func (t *Transport) remoteAbort(epoch int64) {
 	}
 	t.fmu.Unlock()
 	t.interruptLocal()
+	t.bmu.Lock()
+	if t.landing--; t.landing == 0 {
+		t.bcond.Broadcast()
+	}
+	t.bmu.Unlock()
 }
 
 // ErrPeerFailure marks every failure caused by a peer process rather
@@ -704,13 +715,17 @@ func (t *Transport) Abort() {
 // over from earlier runs are dropped. A transport whose connection has
 // died stays poisoned, and a peer may already have aborted the run being
 // started — either way Begin says so, so the run fails fast with the
-// recorded failure instead of hanging.
+// recorded failure instead of hanging. A peer's abort of the run that is
+// ending, caught mid-way in remoteAbort, lands before the epoch advances.
 func (t *Transport) Begin(reset func()) error {
+	t.bmu.Lock()
+	for t.landing > 0 {
+		t.bcond.Wait()
+	}
 	t.fmu.Lock()
 	t.abortErr = nil
 	failed := t.failed
 	t.fmu.Unlock()
-	t.bmu.Lock()
 	t.epoch++
 	pendingHit := t.pendingAbort == t.epoch
 	t.aborted = failed != nil || pendingHit

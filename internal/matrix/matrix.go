@@ -43,15 +43,6 @@ func Random(r, c int, rng *rand.Rand) *Dense {
 	return m
 }
 
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*m.Stride+i] = 1
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 {
 	m.check(i, j)
@@ -199,19 +190,6 @@ func (m *Dense) Pack(dst []float64) []float64 {
 		copy(dst[i*m.Cols:(i+1)*m.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
 	}
 	return dst
-}
-
-// Unpack copies a contiguous row-major slice of length Rows*Cols into m.
-func (m *Dense) Unpack(src []float64) {
-	if len(src) != m.Rows*m.Cols {
-		panic(fmt.Sprintf("matrix: Unpack %d elements into %d×%d", len(src), m.Rows, m.Cols))
-	}
-	if len(src) == 0 {
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		copy(m.Data[i*m.Stride:i*m.Stride+m.Cols], src[i*m.Cols:(i+1)*m.Cols])
-	}
 }
 
 // String renders small matrices for debugging; large ones are summarized.

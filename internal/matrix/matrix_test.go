@@ -3,7 +3,6 @@ package matrix
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewZeroed(t *testing.T) {
@@ -46,21 +45,6 @@ func TestFromSlice(t *testing.T) {
 func TestFromSliceBadLength(t *testing.T) {
 	defer wantPanic(t, "FromSlice with wrong length")
 	FromSlice(2, 3, make([]float64, 5))
-}
-
-func TestEye(t *testing.T) {
-	m := Eye(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if m.At(i, j) != want {
-				t.Fatalf("Eye(3) at (%d,%d) = %v", i, j, m.At(i, j))
-			}
-		}
-	}
 }
 
 func TestViewSharesStorage(t *testing.T) {
@@ -165,7 +149,7 @@ func TestMaxDiff(t *testing.T) {
 	}
 }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
+func TestPackRowMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := Random(5, 7, rng)
 	v := m.View(1, 2, 3, 4)
@@ -173,10 +157,10 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if len(packed) != 12 {
 		t.Fatalf("Pack length %d", len(packed))
 	}
-	out := New(3, 4)
-	out.Unpack(packed)
-	if MaxDiff(out, v.Clone()) != 0 {
-		t.Fatal("Pack/Unpack round trip failed")
+	for i, x := range packed {
+		if x != v.At(i/4, i%4) {
+			t.Fatalf("packed word %d = %v, want element (%d,%d) = %v", i, x, i/4, i%4, v.At(i/4, i%4))
+		}
 	}
 }
 
@@ -193,68 +177,9 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
-func TestMulAccumulates(t *testing.T) {
-	a := Eye(3)
-	b := FromSlice(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	c := b.Clone()
-	NewKernel(1).Mul(c, a, b) // C = B + I·B = 2B
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if c.At(i, j) != 2*b.At(i, j) {
-				t.Fatalf("Mul does not accumulate at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestMulShapePanic(t *testing.T) {
 	defer wantPanic(t, "shape mismatch")
 	NewKernel(1).Mul(New(2, 2), New(2, 3), New(4, 2))
-}
-
-// Property: (A·B)·x == A·(B·x) for random matrices, i.e. Mul is associative
-// with matrix-vector products — a strong structural check of the kernel.
-func TestMulAssociativityProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 1 + r.Intn(12)
-		k := 1 + r.Intn(12)
-		n := 1 + r.Intn(12)
-		a := Random(m, k, rng)
-		b := Random(k, n, rng)
-		x := Random(n, 1, rng)
-		ab := New(m, n)
-		NewKernel(1).Mul(ab, a, b)
-		abx := New(m, 1)
-		NewKernel(1).Mul(abx, ab, x)
-		bx := New(k, 1)
-		NewKernel(1).Mul(bx, b, x)
-		abx2 := New(m, 1)
-		NewKernel(1).Mul(abx2, a, bx)
-		return MaxDiff(abx, abx2) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: identity is a left and right unit for Mul.
-func TestMulIdentityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 1 + r.Intn(20)
-		n := 1 + r.Intn(20)
-		a := Random(m, n, r)
-		left := New(m, n)
-		NewKernel(1).Mul(left, Eye(m), a)
-		right := New(m, n)
-		NewKernel(1).Mul(right, a, Eye(n))
-		return MaxDiff(left, a) == 0 && MaxDiff(right, a) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestEmptyViewOperations(t *testing.T) {
@@ -277,7 +202,6 @@ func TestEmptyViewOperations(t *testing.T) {
 	if got := v.Pack(nil); len(got) != 0 {
 		t.Fatalf("Pack of empty view returned %d words", len(got))
 	}
-	v.Unpack(nil)
 	w := m.View(2, 1, 0, 1) // 0×1 view
 	if got := w.Pack(nil); len(got) != 0 {
 		t.Fatalf("Pack of 0×1 view returned %d words", len(got))
