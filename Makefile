@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench bench-layout lines
+.PHONY: build test test-short race test-noasm cross-arm64 fault-conformance fuzz-smoke bench bench-layout bench-pair lines
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,18 @@ bench-layout:
 	@addr=$$($(GO) tool nm .bench_build/layout | awk '$$3 == "main.yardstick.func1" { print $$1 }'); \
 	test -n "$$addr" || { echo "bench-layout: no main.yardstick.func1 in the benchmark binary"; exit 1; }; \
 	echo "main.yardstick.func1 at 0x$$addr: $$(( 0x$$addr % 64 )) mod 64"
+
+# bench-pair reads a wall-clock claim test-side: it builds the root
+# package's test binary at BASE (a git worktree in a temporary
+# directory, under the working tree's *_bench_test.go) and at the
+# working tree, runs the benchmarks matching BENCH in PAIRS alternating
+# pairs, and prints per benchmark the median, IQR and wins of ns/op,
+# B/op and allocs/op, then both trees' bench-layout lines.
+BASE ?= HEAD
+BENCH ?= EngineExec
+PAIRS ?= 10
+bench-pair:
+	$(GO) run ./cmd/benchpair '$(BASE)' '$(BENCH)' '$(PAIRS)'
 
 # lines prints the go_lines and test_lines that TestBenchHistoryHead
 # counts (the newlines of every .go file outside benchmark/, non-test

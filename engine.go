@@ -230,9 +230,9 @@ func WithFaultPlan(fp FaultPlan) Option {
 // WireConfig.Respawn and rebuilding the lost connections), sleeps a
 // backoff that starts at 10ms and doubles up to 1s, and re-runs on the
 // same executor, up to attempts executions in all, the first included
-// (1 never re-runs). Per-rank scratch resets between attempts as it
-// does between any two runs, so a retried product is bitwise-identical
-// to a fault-free one. Permanent errors — validation, context
+// (1 never re-runs). Each attempt's first round overwrites every rank's
+// C tile, as on any run, so a retried product is bitwise-identical to a
+// fault-free one. Permanent errors — validation, context
 // cancellation, a closed engine — are never retried. The successful
 // Report carries the attempt count in Attempts.
 func WithRetry(attempts int) Option {

@@ -17,74 +17,46 @@ const (
 	benchMem   = 1 << 14
 )
 
-// BenchmarkEngineExecWarm measures Engine.Exec at steady state: the
-// plan is cached and the executor (machine + per-rank scratch) reused.
-func BenchmarkEngineExecWarm(b *testing.B) {
-	eng, err := NewEngine(WithProcs(benchProcs), WithMemory(benchMem))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := RandomMatrix(benchDim, benchDim, 1)
-	bb := RandomMatrix(benchDim, benchDim, 2)
-	ctx := context.Background()
-	if _, _, err := eng.Exec(ctx, a, bb); err != nil { // warm the plan + executor
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Exec(ctx, a, bb); err != nil {
-			b.Fatal(err)
-		}
-	}
+// engineExecShapes are BenchmarkEngineExec's problems: 256³ at roomy
+// and tight memory, a 1/16-scale tall-k (groups of one reading 16 MB of
+// input in place, so B/op is the product plus the pool's misses), and
+// the repo benchmark's three engine workloads at full size.
+var engineExecShapes = []struct {
+	name          string
+	m, n, k, p, s int
+}{
+	{"256-roomy", benchDim, benchDim, benchDim, benchProcs, benchMem},
+	{"256-tight", benchDim, benchDim, benchDim, benchProcs, 5120}, // [4×4×1] in 32 rounds of 8
+	{"tall-k-16th", 64, 64, 16384, 8, 1 << 16},
+	{"square-roomy", 1024, 1024, 1024, 16, 1 << 20},
+	{"square-tight", 1024, 1024, 1024, 16, 69632},
+	{"tall-k", 128, 128, 65536, 16, 1 << 18},
 }
 
-// BenchmarkEngineExecTight measures a warm Engine.Exec in the
-// limited-memory regime: 256³ on [4×4×1] in 32 rounds of 8, so allocs/op
-// shows whether the round loop allocates per round (it does not:
-// TestWarmExecAllocsDoNotGrowWithRounds).
-func BenchmarkEngineExecTight(b *testing.B) {
-	eng, err := NewEngine(WithProcs(benchProcs), WithMemory(5120))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := RandomMatrix(benchDim, benchDim, 1)
-	bb := RandomMatrix(benchDim, benchDim, 2)
-	ctx := context.Background()
-	if _, _, err := eng.Exec(ctx, a, bb); err != nil { // warm the plan + executor
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Exec(ctx, a, bb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineExecTallK measures a warm Engine.Exec on a scaled-down
-// tall-k (the benchmark's largeK workload at 1/16 the words): a
-// k-parallel grid whose ranks read 16 MB of input in place and are
-// groups of one, so B/op is the product plus the pool's misses and
-// ns/op has no copy-in.
-func BenchmarkEngineExecTallK(b *testing.B) {
-	eng, err := NewEngine(WithProcs(8), WithMemory(1<<16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := RandomMatrix(64, 16384, 1)
-	bb := RandomMatrix(16384, 64, 2)
-	ctx := context.Background()
-	if _, _, err := eng.Exec(ctx, a, bb); err != nil { // warm the plan + executor
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Exec(ctx, a, bb); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkEngineExec measures a warm Engine.Exec on each of
+// engineExecShapes: the plan is cached and the executor (machine and
+// per-rank kernels) reused. make bench-pair runs it against another
+// revision's build.
+func BenchmarkEngineExec(b *testing.B) {
+	for _, c := range engineExecShapes {
+		b.Run(c.name, func(b *testing.B) {
+			eng, err := NewEngine(WithProcs(c.p), WithMemory(c.s))
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, bb := RandomMatrix(c.m, c.k, 1), RandomMatrix(c.k, c.n, 2)
+			ctx := context.Background()
+			if _, _, err := eng.Exec(ctx, a, bb); err != nil { // warm the plan + executor
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eng.Exec(ctx, a, bb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -127,7 +99,7 @@ func TestWarmExecAllocatesLessThanOneShot(t *testing.T) {
 	a := RandomMatrix(benchDim, benchDim, 1)
 	b := RandomMatrix(benchDim, benchDim, 2)
 	ctx := context.Background()
-	if _, _, err := eng.Exec(ctx, a, b); err != nil { // plan, pool an executor, populate its scratch arena
+	if _, _, err := eng.Exec(ctx, a, b); err != nil { // plan, pool an executor, build its kernels
 		t.Fatal(err)
 	}
 

@@ -13,8 +13,8 @@
 //     shape with ErrUnsupportedShape. Model.Time is the one α-β-γ price
 //     of a model on a network.
 //   - An Executor replays a Plan against matrix values on a pre-built
-//     simulated machine, drawing per-rank scratch matrices and packed
-//     GEMM kernels from an Arena that is recycled across executions,
-//     so repeated same-shape multiplications allocate nothing at
-//     steady state.
+//     simulated machine, drawing per-rank packed GEMM kernels from an
+//     Arena that is recycled across executions and every other buffer
+//     a rank holds, its C tile included, from the machine pool, so
+//     repeated same-shape multiplications reuse their buffers.
 package algo

@@ -31,8 +31,8 @@ type Plan struct {
 	// plan decided, which is Config.Overlap only where S has room.
 	Overlap bool
 	// Execute runs the schedule on mach, which spans P ranks
-	// (NewExecutor checks), multiplying a·b and drawing rank-local scratch
-	// from scratch. a and b are read in place by every rank for the
+	// (NewExecutor checks), multiplying a·b with each rank's kernel from
+	// scratch. a and b are read in place by every rank for the
 	// duration of the call and never written; the caller must not write
 	// them until Execute returns. Cancellation of ctx is honored at
 	// communication-round boundaries and unblocks ranks parked in a
@@ -77,8 +77,8 @@ func (d Decomposition) String() string {
 }
 
 // Executor executes one Plan repeatedly on a dedicated pre-built
-// machine with per-rank scratch buffers that are recycled across calls,
-// so repeated same-shape multiplications pay only the execution cost.
+// machine with per-rank kernels that are recycled across calls, so
+// repeated same-shape multiplications pay only the execution cost.
 // An Executor is not safe for concurrent use; run concurrent executions
 // on separate Executors of the same Plan.
 type Executor struct {
@@ -88,8 +88,8 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor for p on mach, which must span the
-// plan's P ranks; the scratch arena is allocated once here and reused by
-// every Exec. The caller configures mach and keeps ownership;
+// plan's P ranks; the kernels' arena is allocated once here and reused
+// by every Exec. The caller configures mach and keeps ownership;
 // executions on one machine must not overlap. Each rank's local GEMM
 // gets the cores left over once every working rank on this process
 // has one (max(1, GOMAXPROCS / ranks sharing them)), so a single-rank
@@ -123,7 +123,6 @@ func (e *Executor) Exec(ctx context.Context, a, b *matrix.Dense) (*matrix.Dense,
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	e.scratch.Reset()
 	c, err := e.plan.Execute(ctx, e.mach, e.scratch, a, b)
 	if err != nil {
 		return nil, nil, err
@@ -151,60 +150,61 @@ type Piece struct {
 
 // Gather is the one result path of every plan's Execute. Each working
 // rank Puts its share of every C block it multiplies, loaned from the
-// machine pool, and Assemble copies the shares into the product and
-// releases them. On a multi-process machine the ranks other than 0 send
-// their non-empty shares to rank 0 instead, tagged by sender, so only
-// the process hosting rank 0 assembles the product; the others return a
-// zero matrix.
+// machine pool, and on an in-process machine Put copies the share into
+// the product and releases it — in parallel, while the share is still
+// in the rank's cache. On a multi-process machine the ranks other than
+// 0 send their non-empty shares to rank 0 instead, tagged by sender, so
+// only the process hosting rank 0 fills the product; the others return
+// a zero matrix.
 type Gather struct {
-	multi  bool
-	ranks  int
-	place  func(block, id int) Piece
-	shares [][]float64 // by block, then rank
+	out   *matrix.Dense
+	multi bool
+	ranks int
+	place func(block, id int) Piece
 }
 
-// NewGather returns the gather of blocks C blocks on mach, each cut into
-// shares held by ranks 0 … ranks−1 that land where place says.
-func NewGather(mach *machine.Machine, blocks, ranks int, place func(block, id int) Piece) *Gather {
-	return &Gather{multi: mach.MultiProcess(), ranks: ranks, place: place, shares: make([][]float64, blocks*ranks)}
+// NewGather returns the gather of an m×n product cut into blocks C
+// blocks, each cut into shares held by ranks 0 … ranks−1 that land where
+// place says.
+func NewGather(mach *machine.Machine, m, n, blocks, ranks int, place func(block, id int) Piece) *Gather {
+	return &Gather{out: matrix.New(m, n), multi: mach.MultiProcess(), ranks: ranks, place: place}
 }
 
 // Put hands over r's share of block; at rank 0 of a multi-process
 // machine it also receives the block's other non-empty shares.
 func (g *Gather) Put(r *machine.Rank, block int, share []float64) {
-	mine, id := g.shares[block*g.ranks:(block+1)*g.ranks], r.ID()
+	id := r.ID()
 	switch {
 	case !g.multi:
-		mine[id] = share
+		g.land(block, id, share)
 	case id != 0:
 		if len(share) > 0 {
 			r.SendOwned(0, tagGather+id, share)
 		}
 	default:
-		mine[0] = share
+		g.land(block, 0, share)
 		for src := 1; src < g.ranks; src++ {
 			if g.place(block, src).Words.Len() > 0 {
-				mine[src] = r.Recv(src, tagGather+src)
+				g.land(block, src, r.Recv(src, tagGather+src))
 			}
 		}
 	}
 }
 
-// Assemble returns the m×n product, each share landing one row piece at
-// a time.
-func (g *Gather) Assemble(m, n int) *matrix.Dense {
-	out := matrix.New(m, n)
-	for i, share := range g.shares {
-		pc := g.place(i/g.ranks, i%g.ranks)
-		for rest, w := share, pc.Words.Lo; len(rest) > 0; {
-			row, col := w/pc.Width, w%pc.Width
-			c := copy(out.Data[(pc.Top+row)*out.Stride+pc.Left+col:][:pc.Width-col], rest)
-			rest, w = rest[c:], w+c
-		}
-		machine.Release(share)
+// land copies rank id's share of block into the product, one row piece
+// at a time, and releases it.
+func (g *Gather) land(block, id int, share []float64) {
+	pc := g.place(block, id)
+	for rest, w := share, pc.Words.Lo; len(rest) > 0; {
+		row, col := w/pc.Width, w%pc.Width
+		c := copy(g.out.Data[(pc.Top+row)*g.out.Stride+pc.Left+col:][:pc.Width-col], rest)
+		rest, w = rest[c:], w+c
 	}
-	return out
+	machine.Release(share)
 }
+
+// Assemble returns the product, once every rank's program has returned.
+func (g *Gather) Assemble() *matrix.Dense { return g.out }
 
 // Run is the one-shot path of the experiment tables and tests: compile
 // the shape of a·b with plan (a Spec's Plan) under cfg on net, build a
@@ -225,15 +225,11 @@ func Run(plan func(cfg Config, m, n, k, p, s int) (*Plan, error), cfg Config, ne
 	return ex.Exec(context.Background(), a, b)
 }
 
-// Arena is a set of per-rank scratch matrices — the C tiles and
-// temporaries a rank program accumulates into — and GEMM kernels reused
-// across executions. A deterministic schedule requests the same
-// sequence of shapes on every execution, so after the first run every
-// request is served from the buffers of the previous one and the steady
-// state allocates nothing — including the kernels' packing buffers.
-// Each rank touches only its own slots, so concurrent rank programs
-// need no locking; Reset must be called between executions with no rank
-// program running.
+// Arena is a set of per-rank GEMM kernels reused across executions, so
+// the steady state packs without allocating, plus the scratch copies
+// Clone makes. Each rank touches only its own slots, so concurrent rank
+// programs need no locking. No rank program keeps a matrix here: each
+// rank's C tile is a machine.Loan for one execution.
 type Arena struct {
 	ranks []rankScratch
 	// kernelThreads bounds each rank kernel's worker pool; ≤ 0 means
@@ -242,7 +238,7 @@ type Arena struct {
 }
 
 type rankScratch struct {
-	mats []*matrix.Dense
+	mats []*matrix.Dense // Clone's copies
 	next int
 	kern *matrix.Kernel
 }
@@ -259,80 +255,45 @@ func NewArena(p int) *Arena {
 func (a *Arena) Kernel(rank int) *matrix.Kernel {
 	rs := &a.ranks[rank]
 	if rs.kern == nil {
-		t := a.kernelThreads
-		if t < 1 {
-			t = 1
-		}
-		rs.kern = matrix.NewKernel(t)
+		rs.kern = matrix.NewKernel(max(a.kernelThreads, 1))
 	}
 	return rs.kern
 }
 
-// Reset recycles every buffer for the next execution.
+// Reset recycles Clone's copies for the next ones, with no rank
+// program running.
 func (a *Arena) Reset() {
 	for i := range a.ranks {
 		a.ranks[i].next = 0
 	}
 }
 
-// Retained returns the words of scratch-matrix storage the arena keeps
-// for the next execution, summed over ranks (kernel pack buffers, which
-// are bounded by the cache-block parameters, not counted).
-func (a *Arena) Retained() int {
-	words := 0
-	for _, rs := range a.ranks {
-		for _, m := range rs.mats {
-			words += cap(m.Data)
-		}
-	}
-	return words
-}
-
-// Matrix returns a zeroed rows×cols scratch matrix owned by rank until
-// the next Reset. Arena matrices must never be handed to
-// machine.Release or SendOwned — the arena retains them for the next
-// execution.
-func (a *Arena) Matrix(rank, rows, cols int) *matrix.Dense {
-	m, reused := a.get(rank, rows, cols)
-	if reused {
-		m.Zero()
-	}
-	return m
-}
-
 // Clone returns a scratch copy of src owned by rank until the next
 // Reset — the arena-backed counterpart of matrix.Dense.Clone. Every
 // rank program reads its input pieces in place; only the repo
 // benchmark's clone-in replay, which times the copy the schedules no
-// longer make, calls it.
+// longer make, calls it. A deterministic caller clones the same shapes
+// every time, so after the first round of copies every one reuses the
+// buffer of the last.
 func (a *Arena) Clone(rank int, src *matrix.Dense) *matrix.Dense {
 	if a == nil {
 		return src.Clone()
 	}
-	m, _ := a.get(rank, src.Rows, src.Cols)
-	m.CopyFrom(src)
-	return m
-}
-
-// get returns the next scratch slot for rank resized to rows×cols,
-// reporting whether it recycled an earlier buffer (whose stale contents
-// the caller must overwrite).
-func (a *Arena) get(rank, rows, cols int) (m *matrix.Dense, reused bool) {
 	rs := &a.ranks[rank]
-	if rs.next < len(rs.mats) {
-		if m := rs.mats[rs.next]; cap(m.Data) >= rows*cols {
-			rs.next++
-			m.Rows, m.Cols, m.Stride = rows, cols, cols
-			m.Data = m.Data[:rows*cols]
-			return m, true
+	var m *matrix.Dense
+	if rs.next < len(rs.mats) && cap(rs.mats[rs.next].Data) >= src.Rows*src.Cols {
+		m = rs.mats[rs.next]
+		m.Rows, m.Cols, m.Stride = src.Rows, src.Cols, src.Cols
+		m.Data = m.Data[:src.Rows*src.Cols]
+	} else {
+		m = matrix.New(src.Rows, src.Cols)
+		if rs.next < len(rs.mats) {
+			rs.mats[rs.next] = m
+		} else {
+			rs.mats = append(rs.mats, m)
 		}
 	}
-	m = matrix.New(rows, cols)
-	if rs.next < len(rs.mats) {
-		rs.mats[rs.next] = m
-	} else {
-		rs.mats = append(rs.mats, m)
-	}
 	rs.next++
-	return m, false
+	m.CopyFrom(src)
+	return m
 }

@@ -66,7 +66,7 @@ type cannonPlan struct {
 func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
 	q := pl.q
 	dm, dk, dn := pl.m/q, pl.k/q, pl.n/q
-	out := algo.NewGather(mach, 1, pl.p, func(_, id int) algo.Piece {
+	out := algo.NewGather(mach, pl.m, pl.n, 1, pl.p, func(_, id int) algo.Piece {
 		return algo.Piece{Top: id / q * dm, Left: id % q * dn, Width: dn, Words: layout.Range{Hi: dm * dn}}
 	})
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
@@ -117,7 +117,7 @@ func (pl *cannonPlan) Execute(ctx context.Context, mach *machine.Machine, scratc
 	if err != nil {
 		return nil, err
 	}
-	return out.Assemble(pl.m, pl.n), nil
+	return out.Assemble(), nil
 }
 
 func mod(x, q int) int { return ((x % q) + q) % q }

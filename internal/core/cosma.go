@@ -270,10 +270,11 @@ func (sc *schedule) geometry() algo.Decomposition {
 
 // Execute is the algo.Plan's Execute. Every rank multiplies the blocks
 // in order inside one run, reading its pieces of a and b in place, as
-// views, and summing each block in one C tile: the largest it holds in
-// any block. It hands each block's share of C (loaned from the machine
-// pool by the fiber reduction) to the plan's gather, which assembles the
-// product.
+// views, and summing each block in one C tile loaned for the run: the
+// largest it holds in any block, whose stale contents each block's first
+// round overwrites. It hands each block's share of C (loaned from the
+// machine pool by the fiber reduction) to the plan's gather, which lands
+// it in the product.
 func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch *algo.Arena, a, b *matrix.Dense) (*matrix.Dense, error) {
 	ranks := sc.g.Ranks()
 	views := make([]*matrix.Dense, 2*len(sc.blocks)) // the blocks' rows of a, columns of b
@@ -281,7 +282,7 @@ func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch 
 		views[2*i] = a.View(blk.rows.Lo, 0, blk.m, sc.k)
 		views[2*i+1] = b.View(0, blk.cols.Lo, sc.k, blk.n)
 	}
-	out := algo.NewGather(mach, len(sc.blocks), ranks, sc.place)
+	out := algo.NewGather(mach, sc.m, sc.n, len(sc.blocks), ranks, sc.place)
 	err := mach.RunCtx(ctx, func(r *machine.Rank) error {
 		id := r.ID()
 		if id >= ranks {
@@ -293,12 +294,10 @@ func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch 
 			dm = max(dm, layout.Block(blk.m, sc.g.Pm, im).Len())
 			dn = max(dn, layout.Block(blk.n, sc.g.Pn, in).Len())
 		}
-		tile := scratch.Matrix(id, dm, dn)
+		tile := machine.Loan(dm * dn)
+		defer machine.Release(tile)
 		kern := scratch.Kernel(id)
 		for i, blk := range sc.blocks {
-			if i > 0 {
-				clear(tile.Data)
-			}
 			share, err := blk.rankProgram(r, kern, tile, views[2*i], views[2*i+1])
 			if err != nil {
 				return err
@@ -310,7 +309,7 @@ func (sc *schedule) Execute(ctx context.Context, mach *machine.Machine, scratch 
 	if err != nil {
 		return nil, err
 	}
-	return out.Assemble(sc.m, sc.n), nil
+	return out.Assemble(), nil
 }
 
 // place is where rank id's share of block bi lands in the product:
@@ -326,11 +325,12 @@ func (sc *schedule) place(bi, id int) algo.Piece {
 	}
 }
 
-// rankProgram is one rank's part of Algorithm 1, summing into the first
-// words of tile, which are zero. It returns the rank's share of its
-// fiber's summed C tile (schedule.place), loaned from the machine pool;
-// the gather releases it after assembly.
-func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *matrix.Dense) ([]float64, error) {
+// rankProgram is one rank's part of Algorithm 1, summing in the first
+// words of tile, which its first round stores into without reading. It
+// returns the rank's share of its fiber's summed C tile
+// (schedule.place), loaned from the machine pool; the gather releases it
+// once it lands.
+func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile []float64, a, b *matrix.Dense) ([]float64, error) {
 	im, in, ik := pl.g.Coords(r.ID())
 	rows := layout.Block(pl.m, pl.g.Pm, im) // my M range
 	cols := layout.Block(pl.n, pl.g.Pn, in) // my N range
@@ -379,10 +379,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		}
 	}
 
-	cTile := tile
-	if tile.Rows != dm || tile.Cols != dn { // a smaller block than the rank's largest
-		cTile = matrix.FromSlice(dm, dn, tile.Data[:dm*dn])
-	}
+	cTile := matrix.Dense{Rows: dm, Cols: dn, Stride: dn, Data: tile[:dm*dn]} // on the stack
 
 	// Walk the slab's round table (newSlab), whose rounds each lie inside
 	// one owner's piece. A round is pl.bands+1 broadcasts, its units: the
@@ -425,8 +422,9 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	}
 
 	// The round being multiplied: its table row, its A blocks, its packed
-	// B, the block the multiply is in and that block's packed rows, and
-	// whether its first flops are charged.
+	// B, the block the multiply is in and that block's packed rows,
+	// whether its first flops are charged, and whether it is the slab's
+	// first, which stores into the C tile (BLAS's β = 0) instead of adding.
 	var (
 		cur     round
 		blocks  []comm.Pending
@@ -434,6 +432,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 		inBlock int
 		aBlock  matrix.PackedA
 		opened  bool
+		first   bool
 	)
 	// mulRows multiplies rows [plo, phi) of the C tile by the round and
 	// charges rows [lo, hi) of it, band by band: a block of A is settled
@@ -461,7 +460,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 				inBlock = j
 			}
 			if mul := rs.Intersect(layout.Range{Lo: plo, Hi: phi}); mul.Len() > 0 {
-				kern.MulPacked(cBands[j], aBlock, bp, mul.Lo-rs.Lo, mul.Hi-rs.Lo)
+				kern.MulPacked(cBands[j], aBlock, bp, mul.Lo-rs.Lo, mul.Hi-rs.Lo, first)
 			}
 			if flops := matrix.MulFlops(due.Len(), dn, cur.seg.Len()); opened {
 				r.Charge(flops)
@@ -517,7 +516,7 @@ func (pl *plan) rankProgram(r *machine.Rank, kern *matrix.Kernel, tile, a, b *ma
 	// (a defer would be a heap allocation per round).
 	var share []float64
 	run := func(i int, units []comm.Pending) {
-		cur, blocks, inBlock, opened = sl.rounds[i], units[:pl.bands], -1, false
+		cur, blocks, inBlock, opened, first = sl.rounds[i], units[:pl.bands], -1, false, i == 0
 		blocks[0].Wait()
 		bp = matrix.PackedB{Data: units[pl.bands].Wait(), Rows: cur.seg.Len(), Cols: dn}
 		if i < len(sl.rounds)-1 {

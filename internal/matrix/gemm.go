@@ -34,8 +34,8 @@ const (
 type packBuf struct {
 	a []float64 // packed A block: up to mc×kc in mr-wide micro-panels
 	// tile is the SIMD fringe staging buffer: up to edgeTiles mr×nr
-	// scratch tiles, stacked, the full-width register kernel
-	// accumulates into when the live C corner is smaller than its
+	// scratch tiles, stacked, the full-width register kernel stores
+	// into when the live C corner is smaller than its
 	// tiles, so the asm never writes out of bounds and the
 	// accumulation order matches interior tiles.
 	tile []float64
@@ -93,7 +93,7 @@ func (k *Kernel) Threads() int { return k.threads }
 // is bitwise-reproducible for any thread count).
 func (k *Kernel) Mul(c, a, b *Dense) {
 	checkMulShapes(c, a, b)
-	k.mulRows(c, a, PackedA{}, b, nil, a.Cols, 0, a.Rows)
+	k.mulRows(c, a, PackedA{}, b, nil, a.Cols, 0, a.Rows, false)
 }
 
 // PackedA is an A operand packed whole into a kernel's micro-panels by
@@ -165,28 +165,33 @@ func (k *Kernel) PackB(dst []float64, b *Dense) PackedB {
 }
 
 // MulPacked computes rows [lo, hi) of C += A·B from an A that PackA and
-// a B that PackB packed, with this kernel's tile and cache blocks. The
-// per-element accumulation order does not depend on where a row range
-// starts — a range that starts inside a micro-panel stages that
-// panel's live rows as the top of a zero-padded one, and fringe tiles
-// accumulate full-width like interior ones — nor on when or where the
-// operands were packed, so MulPacked over any row bands that cover C
-// once is bitwise one Mul.
-func (k *Kernel) MulPacked(c *Dense, a PackedA, b PackedB, lo, hi int) {
+// a B that PackB packed, with this kernel's tile and cache blocks — or,
+// with store, C := A·B (BLAS's β = 0): the first kc block of the sum is
+// stored into those rows, never reading them, and the later blocks add
+// to it. A stored sum lands as 0 + sum, the bits a zeroed C plus the
+// product gives (a −0 sum lands as +0). The per-element accumulation
+// order does not depend on where a row range starts — a range that
+// starts inside a micro-panel stages that panel's live rows as the top
+// of a zero-padded one, and fringe tiles accumulate full-width like
+// interior ones — nor on when or where the operands were packed, so
+// MulPacked over any row bands that cover C once is bitwise one Mul,
+// and with store one Mul into a zeroed C.
+func (k *Kernel) MulPacked(c *Dense, a PackedA, b PackedB, lo, hi int, store bool) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols ||
 		len(a.Data) < k.PackedALen(a.Rows, a.Cols) || len(b.Data) < k.PackedBLen(b.Rows, b.Cols) {
 		panic(fmt.Sprintf("matrix: MulPacked shapes C %d×%d, packed A %d×%d in %d words, packed B %d×%d in %d words",
 			c.Rows, c.Cols, a.Rows, a.Cols, len(a.Data), b.Rows, b.Cols, len(b.Data)))
 	}
-	k.mulRows(c, nil, a, nil, b.Data, a.Cols, lo, hi)
+	k.mulRows(c, nil, a, nil, b.Data, a.Cols, lo, hi, store)
 }
 
 // mulRows is Mul and MulPacked on rows [lo, hi) of a kk-deep product: A
 // comes from a, packed one mc-row block at a time into the worker's
 // buffer, or (a nil) from pa; B from b, packed one (jc, pc) block at a
 // time into the shared buffer, or (b nil) from packed, whose blocks it
-// takes in the order PackB packed them.
-func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk, lo, hi int) {
+// takes in the order PackB packed them. With store, each column
+// block's first kc block stores into C.
+func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk, lo, hi int, store bool) {
 	rows := pa.Rows
 	if a != nil {
 		rows = a.Rows
@@ -219,20 +224,21 @@ func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk
 				k.packB(k.shared, b, pc, jc, kb, nb)
 				bp = k.shared
 			}
+			first := store && pc == 0
 			if t == 1 {
-				k.rows(&k.workers[0], c, a, pa, lo, hi, pc, jc, kb, nb, bp)
+				k.rows(&k.workers[0], c, a, pa, lo, hi, pc, jc, kb, nb, bp, first)
 				continue
 			}
-			// The loop variables pc, jc and bp go in as arguments:
-			// captured, they would move to the heap every iteration,
-			// inline path too.
+			// The loop variables pc, jc, bp and first go in as
+			// arguments: captured, they would move to the heap every
+			// iteration, inline path too.
 			var wg sync.WaitGroup
 			for w := 0; base+w*chunk < hi; w++ {
 				wg.Add(1)
-				go func(pb *packBuf, lo, hi, pc, jc int, bp []float64) {
+				go func(pb *packBuf, lo, hi, pc, jc int, bp []float64, first bool) {
 					defer wg.Done()
-					k.rows(pb, c, a, pa, lo, hi, pc, jc, kb, nb, bp)
-				}(&k.workers[w], max(lo, base+w*chunk), min(base+(w+1)*chunk, hi), pc, jc, bp)
+					k.rows(pb, c, a, pa, lo, hi, pc, jc, kb, nb, bp, first)
+				}(&k.workers[w], max(lo, base+w*chunk), min(base+(w+1)*chunk, hi), pc, jc, bp, first)
 			}
 			wg.Wait()
 		}
@@ -241,15 +247,16 @@ func (k *Kernel) mulRows(c, a *Dense, pa PackedA, b *Dense, packed []float64, kk
 
 // rows is one worker's share of a (jc, pc) block: every mc-row block
 // of A in [lo, hi) — packed into the worker's buffer, or read where
-// PackA put it — is swept against the packed B block bp.
-func (k *Kernel) rows(pb *packBuf, c, a *Dense, pa PackedA, lo, hi, pc, jc, kb, nb int, bp []float64) {
+// PackA put it — is swept against the packed B block bp, storing into C
+// where store says.
+func (k *Kernel) rows(pb *packBuf, c, a *Dense, pa PackedA, lo, hi, pc, jc, kb, nb int, bp []float64, store bool) {
 	mr := k.tile.mr
 	if a != nil {
 		for ic := lo; ic < hi; ic += k.mc {
 			mb := min(k.mc, hi-ic)
 			pb.a = grow(pb.a, (mb+mr-1)/mr*mr*kb)
 			k.packA(pb.a, a, ic, pc, mb, kb)
-			k.macroKernel(pb, pb.a, c, ic, jc, mb, nb, kb, bp)
+			k.macroKernel(pb, pb.a, c, ic, jc, mb, nb, kb, bp, store)
 		}
 		return
 	}
@@ -264,12 +271,12 @@ func (k *Kernel) rows(pb *packBuf, c, a *Dense, pa PackedA, lo, hi, pc, jc, kb, 
 		for p := 0; p < kb; p++ {
 			copy(pb.a[p*mr:p*mr+h], src[p*mr+skip:])
 		}
-		k.macroKernel(pb, pb.a, c, lo, jc, h, nb, kb, bp)
+		k.macroKernel(pb, pb.a, c, lo, jc, h, nb, kb, bp, store)
 		lo += h
 	}
 	step := max(mr, k.mc/mr*mr) // blocks start on a micro-panel
 	for ic := lo; ic < hi; ic += step {
-		k.macroKernel(pb, ap[ic/mr*mr*kb:], c, ic, jc, min(step, hi-ic), nb, kb, bp)
+		k.macroKernel(pb, ap[ic/mr*mr*kb:], c, ic, jc, min(step, hi-ic), nb, kb, bp, store)
 	}
 }
 
@@ -389,19 +396,19 @@ func packB(dst []float64, b *Dense, pc, jc, kb, nb, nr int) {
 }
 
 // macroKernel sweeps the packed mb×kb A block ap against the packed
-// kb×nb B block bp, one B micro-panel at a time. A SIMD tile takes every
-// full-height tile of a panel in one call — the assembly walks the A
-// block and C itself, and a tile that knows the live width of a narrow
-// right-edge panel adds just those columns into C — and the rest (a
-// short bottom tile, or a narrow panel of a tile that does not know its
-// width) staged, up to edgeTiles tiles per call, so Go dispatches a few
-// times per panel, not once per tile; the portable Go tile keeps its
-// per-tile loop. Staged fringe tiles accumulate full-width into
-// zero-padded scratch — the Go tile in its accumulator array, the SIMD
-// kernels in the worker's staging buffer — and write back only the live
-// corner, preserving the per-element accumulation order of interior
-// tiles.
-func (k *Kernel) macroKernel(pb *packBuf, ap []float64, c *Dense, ic, jc, mb, nb, kb int, packed []float64) {
+// kb×nb B block bp, one B micro-panel at a time, adding into C or, with
+// store, storing. A SIMD tile takes every full-height tile of a panel in
+// one call — the assembly walks the A block and C itself, and a tile
+// that knows the live width of a narrow right-edge panel writes just
+// those columns of C — and the rest (a short bottom tile, or a narrow
+// panel of a tile that does not know its width) staged, up to edgeTiles
+// tiles per call, so Go dispatches a few times per panel, not once per
+// tile; the portable Go tile keeps its per-tile loop. Staged fringe
+// tiles accumulate full-width into scratch — the Go tile in its
+// accumulator array, the SIMD kernels in the worker's staging buffer —
+// and write back only the live corner, preserving the per-element
+// accumulation order of interior tiles.
+func (k *Kernel) macroKernel(pb *packBuf, ap []float64, c *Dense, ic, jc, mb, nb, kb int, packed []float64, store bool) {
 	mr, nr, sweep := k.tile.mr, k.tile.nr, k.tile.sweep
 	full := mb / mr // full-height tiles: one SIMD sweep per panel
 	for j := 0; j < nb; j += nr {
@@ -409,23 +416,17 @@ func (k *Kernel) macroKernel(pb *packBuf, ap []float64, c *Dense, ic, jc, mb, nb
 		bp := packed[(j/nr)*kb*nr:]
 		if sweep == nil {
 			for i := 0; i < mb; i += mr {
-				h := min(mr, mb-i)
-				tp := ap[(i/mr)*kb*mr:]
-				if h == mr && w == nr {
-					microKernel4x4(c, ic+i, jc+j, kb, tp, bp)
-				} else {
-					microKernelEdge(c, ic+i, jc+j, h, w, kb, tp, bp)
-				}
+				microKernel4x4(c, ic+i, jc+j, min(mr, mb-i), w, kb, ap[(i/mr)*kb*mr:], bp, store)
 			}
 			continue
 		}
 		i := 0
 		if full > 0 && (w == nr || k.tile.narrow) {
-			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &ap[0], &bp[0], full, w)
+			sweep(&c.Data[ic*c.Stride+jc+j], c.Stride, kb, &ap[0], &bp[0], full, w, store)
 			i = full * mr
 		}
 		if i < mb {
-			k.simdEdge(pb, c, ic+i, jc+j, mb-i, w, kb, ap[(i/mr)*kb*mr:], bp)
+			k.simdEdge(pb, c, ic+i, jc+j, mb-i, w, kb, ap[(i/mr)*kb*mr:], bp, store)
 		}
 	}
 }
@@ -438,24 +439,27 @@ const edgeTiles = 8
 
 // simdEdge runs the SIMD register kernel on the fringe tiles of one B
 // micro-panel, h rows deep from A micro-panel ap on: up to edgeTiles
-// full mr×nr tiles at a time are accumulated in one sweep into a
-// zeroed staging buffer (the packed B panel is zero-padded, so its dead
-// lanes stay zero) and their live rows' w columns are added into C —
-// the same accumulate-then-add sequence as an interior tile, so fringes
+// full mr×nr tiles at a time are stored in one sweep into a staging
+// buffer (the packed B panel is zero-padded, so its dead lanes hold +0)
+// and their live rows' w columns are added into C, or with store copied
+// — the same sum-then-write sequence as an interior tile, so fringes
 // stay bitwise consistent.
-func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
+func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []float64, store bool) {
 	mr, nr := k.tile.mr, k.tile.nr
 	for top := 0; top < h; top += edgeTiles * mr {
 		rows := min(edgeTiles*mr, h-top)
 		tiles := (rows + mr - 1) / mr
 		pb.tile = grow(pb.tile, tiles*mr*nr)
 		staged := pb.tile
-		clear(staged)
-		k.tile.sweep(&staged[0], nr, kb, &ap[top*kb], &bp[0], tiles, nr)
+		k.tile.sweep(&staged[0], nr, kb, &ap[top*kb], &bp[0], tiles, nr, true)
 		for i := 0; i < rows; i++ {
-			row := c.Data[(ci+top+i)*c.Stride+cj : (ci+top+i)*c.Stride+cj+w]
+			row, src := c.Data[(ci+top+i)*c.Stride+cj:][:w], staged[i*nr:][:w]
+			if store {
+				copy(row, src)
+				continue
+			}
 			for j := range row {
-				row[j] += staged[i*nr+j]
+				row[j] += src[j]
 			}
 		}
 	}
@@ -464,8 +468,13 @@ func (k *Kernel) simdEdge(pb *packBuf, c *Dense, ci, cj, h, w, kb int, ap, bp []
 // microKernel4x4 is the portable register-blocked inner loop: a 4×4
 // tile of C held in sixteen scalar accumulators, updated by one rank-1
 // step per iteration over the kb-deep packed panels (8 loads and 16
-// multiply-adds per step, all from contiguous memory).
-func microKernel4x4(c *Dense, ci, cj, kb int, ap, bp []float64) {
+// multiply-adds per step, all from contiguous memory). The packed panels
+// are zero-padded to full micro-panel width, so a fringe tile
+// accumulates full-width too and writes back only its live h×w corner:
+// added into C, or with store added to +0 and stored. An unfused chain
+// from +0 never sums to −0, but a compiler may fuse it (arm64 does), and
+// a fused one can; the +0 gives a −0 sum the +0 a zeroed C gives.
+func microKernel4x4(c *Dense, ci, cj, h, w, kb int, ap, bp []float64, store bool) {
 	var (
 		c00, c01, c02, c03 float64
 		c10, c11, c12, c13 float64
@@ -496,49 +505,20 @@ func microKernel4x4(c *Dense, ci, cj, kb int, ap, bp []float64) {
 		c32 += a3 * b2
 		c33 += a3 * b3
 	}
-	row := c.Data[ci*c.Stride+cj:]
-	row[0] += c00
-	row[1] += c01
-	row[2] += c02
-	row[3] += c03
-	row = c.Data[(ci+1)*c.Stride+cj:]
-	row[0] += c10
-	row[1] += c11
-	row[2] += c12
-	row[3] += c13
-	row = c.Data[(ci+2)*c.Stride+cj:]
-	row[0] += c20
-	row[1] += c21
-	row[2] += c22
-	row[3] += c23
-	row = c.Data[(ci+3)*c.Stride+cj:]
-	row[0] += c30
-	row[1] += c31
-	row[2] += c32
-	row[3] += c33
-}
-
-// microKernelEdge handles the h×w fringe tiles (h ≤ mr, w ≤ nr) of the
-// portable Go tile. The packed panels are zero-padded to full
-// micro-panel width, so it can accumulate full-width and write back
-// only the live h×w corner.
-func microKernelEdge(c *Dense, ci, cj, h, w, kb int, ap, bp []float64) {
-	var acc [mr][nr]float64
-	for p := 0; p < kb; p++ {
-		a := ap[p*mr : p*mr+mr : p*mr+mr]
-		b := bp[p*nr : p*nr+nr : p*nr+nr]
-		for i := 0; i < mr; i++ {
-			ai := a[i]
-			acc[i][0] += ai * b[0]
-			acc[i][1] += ai * b[1]
-			acc[i][2] += ai * b[2]
-			acc[i][3] += ai * b[3]
-		}
+	acc := [mr][nr]float64{
+		{c00, c01, c02, c03},
+		{c10, c11, c12, c13},
+		{c20, c21, c22, c23},
+		{c30, c31, c32, c33},
 	}
 	for i := 0; i < h; i++ {
-		row := c.Data[(ci+i)*c.Stride+cj : (ci+i)*c.Stride+cj+w]
-		for j := range row {
-			row[j] += acc[i][j]
+		row := c.Data[(ci+i)*c.Stride+cj:][:w]
+		for j, v := range acc[i][:w] {
+			if store {
+				row[j] = 0 + v
+			} else {
+				row[j] += v
+			}
 		}
 	}
 }

@@ -9,7 +9,10 @@
 // per accumulator over the kb steps, and finally adds the tile into C
 // with unfused VADDPDs — the same accumulate-then-add discipline as
 // the portable Go tile, so each C element sees exactly one partial sum
-// (a math.FMA chain in k order) plus one addition per k block.
+// (a math.FMA chain in k order) plus one addition per k block. A store
+// call (BLAS's β = 0) adds the tile to +0 instead of to C and never
+// reads C: a fused chain whose products underflow can sum to −0, and
+// the +0 lands it as the +0 a zeroed C plus the sum gives.
 
 // STEP4x12 is one k step of the 4×12 tile at byte offsets a into the A
 // micro-panel (R8) and b into the B micro-panel (R10): three 32-byte
@@ -58,6 +61,18 @@
 	VMOVUPD Y14, 64(DI); \
 	ADDQ    SI, DI
 
+// PUTROW4x12 stores accumulators y0, y1, y2, each added to the +0 in
+// Y12, into the 12-wide C row at DI without reading it, and steps DI to
+// the next row.
+#define PUTROW4x12(y0, y1, y2) \
+	VADDPD  y0, Y12, Y13; \
+	VMOVUPD Y13, (DI); \
+	VADDPD  y1, Y12, Y13; \
+	VMOVUPD Y13, 32(DI); \
+	VADDPD  y2, Y12, Y13; \
+	VMOVUPD Y13, 64(DI); \
+	ADDQ    SI, DI
+
 // EDGEMASK is eight quadwords, four of all ones then four zeros: the
 // four read at byte offset 8·(4 − t) are the VMASKMOVPD mask of a
 // group's first t lanes.
@@ -71,14 +86,23 @@ DATA edgemask<>+48(SB)/8, $0
 DATA edgemask<>+56(SB)/8, $0
 GLOBL edgemask<>(SB), RODATA|NOPTR, $64
 
+// GROUP adds accumulator y into the 4-wide group at byte offset off of
+// the C row at DI, reading the lanes the mask in Y14 selects (masked-off
+// lanes read +0), and stores it whole.
+#define GROUP(y, off) \
+	VMASKMOVPD off(DI), Y14, Y12; \
+	VADDPD     y, Y12, Y12; \
+	VMOVUPD    Y12, off(DI)
+
 // EDGEGROUP adds accumulator y into the 4-wide group at byte offset off
-// of the C row at DI, only the lanes the mask in Y15 selects.
+// of the C row at DI, reading the lanes the mask in Y13 selects and
+// writing the lanes the mask in Y15 selects.
 #define EDGEGROUP(y, off) \
-	VMASKMOVPD off(DI), Y15, Y12; \
+	VMASKMOVPD off(DI), Y13, Y12; \
 	VADDPD     y, Y12, Y12; \
 	VMASKMOVPD Y12, Y15, off(DI)
 
-// func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
+// func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int, store bool)
 //
 // 4×12 tile: accumulator row r in Y(3r), Y(3r+1), Y(3r+2). The k loop
 // takes two steps per iteration, then a last step when kb is odd; each
@@ -92,8 +116,10 @@ GLOBL edgemask<>(SB), RODATA|NOPTR, $64
 // (its dead lanes zero-padded) adds each row's first w columns only:
 // its whole 4-column groups with plain stores, the t = w mod 4 columns
 // after them with VMASKMOVPD, one row at a time — the next row's
-// accumulators move up into Y0–Y2 — and nothing past column w.
-TEXT ·kernelAVX2_4x12(SB), NOSPLIT, $0-56
+// accumulators move up into Y0–Y2 — and nothing past column w. With
+// store, a full-width tile adds its rows to +0 (PUTROW4x12), and a
+// narrow one reads C through masks that select no lane.
+TEXT ·kernelAVX2_4x12(SB), NOSPLIT, $0-57
 	MOVQ c+0(FP), DI
 	MOVQ cstride+8(FP), SI
 	MOVQ kb+16(FP), DX
@@ -108,6 +134,7 @@ TEXT ·kernelAVX2_4x12(SB), NOSPLIT, $0-56
 	SHLQ $3, AX
 	LEAQ edgemask<>+32(SB), R13
 	SUBQ AX, R13               // R13: the mask of t lanes
+	MOVBQZX store+56(FP), AX   // AX: 1 stores the tiles, 0 adds them
 
 	TESTQ CX, CX
 	JLE   done4x12
@@ -152,8 +179,10 @@ tail4x12:
 	ADDQ  $32, R8              // A advances to the next tile's panel
 
 store4x12:
-	CMPQ BX, $12
-	JLT  narrow4x12
+	CMPQ  BX, $12
+	JLT   narrow4x12
+	TESTQ AX, AX
+	JNZ   put4x12
 	ADDROW4x12(Y0, Y1, Y2)
 	ADDROW4x12(Y3, Y4, Y5)
 	ADDROW4x12(Y6, Y7, Y8)
@@ -162,25 +191,36 @@ store4x12:
 	JNZ  tile4x12
 	JMP  done4x12
 
+put4x12:
+	VXORPD Y12, Y12, Y12
+	PUTROW4x12(Y0, Y1, Y2)
+	PUTROW4x12(Y3, Y4, Y5)
+	PUTROW4x12(Y6, Y7, Y8)
+	PUTROW4x12(Y9, Y10, Y11)   // leaves DI on the next tile's first row
+	DECQ CX
+	JNZ  tile4x12
+	JMP  done4x12
+
 narrow4x12:
-	VMOVUPD (R13), Y15
+	MOVQ    AX, R12
+	SHLQ    $5, R12
+	LEAQ    edgemask<>(SB), R11
+	VMOVUPD (R11)(R12*1), Y14  // Y14: whole groups' lanes to read, all or (store) none
+	VMOVUPD (R13), Y15         // Y15: the edge group's t lanes to write
+	VANDPD  Y14, Y15, Y13      // Y13: the edge group's lanes to read
 	MOVQ    $4, R11            // rows left in the tile
 
 row4x12:
 	CMPQ BX, $4
 	JLT  part0x12
-	VMOVUPD (DI), Y12
-	VADDPD  Y0, Y12, Y12
-	VMOVUPD Y12, (DI)
-	CMPQ    BX, $8
-	JLT     part1x12
-	VMOVUPD 32(DI), Y13
-	VADDPD  Y1, Y13, Y13
-	VMOVUPD Y13, 32(DI)
-	TESTQ   $3, BX
-	JZ      next4x12
+	GROUP(Y0, 0)
+	CMPQ  BX, $8
+	JLT   part1x12
+	GROUP(Y1, 32)
+	TESTQ $3, BX
+	JZ    next4x12
 	EDGEGROUP(Y2, 64)
-	JMP     next4x12
+	JMP   next4x12
 
 part1x12:
 	TESTQ $3, BX

@@ -217,8 +217,8 @@ func TestMulRowBandsBitwiseOneMul(t *testing.T) {
 				bp := kern.PackB(make([]float64, exact*kern.PackedBLen(kk, n)), b)
 				for i := 0; i < bands; i++ {
 					lo, hi := cuts[(first+i)%bands], cuts[(first+i)%bands+1]
-					kern.MulPacked(packed, pa, bp, lo, hi)
-					kern.MulPacked(packedBands.View(lo, 0, hi-lo, n), kern.PackA(nil, a.View(lo, 0, hi-lo, kk)), bp, 0, hi-lo)
+					kern.MulPacked(packed, pa, bp, lo, hi, false)
+					kern.MulPacked(packedBands.View(lo, 0, hi-lo, n), kern.PackA(nil, a.View(lo, 0, hi-lo, kk)), bp, 0, hi-lo, false)
 					kern.Mul(views.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kk), b)
 				}
 				for name, got := range map[string]*Dense{"MulPacked bands": packed,
@@ -237,25 +237,34 @@ func TestMulRowBandsBitwiseOneMul(t *testing.T) {
 // inside a micro-panel, MulPacked into a C view inside a −0 border (3
 // columns on the left, 9 on the right) adds exactly the scalar
 // reference's bits into the window and leaves every border word —
-// where even an added +0 would flip −0 — untouched.
+// where even an added +0 would flip −0 — untouched. The store rows do
+// the same into a NaN-filled window, one of them deeper than a kc block
+// so that only the first block may store: each must give the bits of
+// the reference into a zeroed window.
 func TestMulPackedEdgeKeepsBorder(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tl := range testTiles() {
 		kern := newKernel(1, tl)
-		for _, m := range []int{tl.mr, 2*tl.mr + 1} {
-			for n := 1; n <= 2*tl.nr; n++ {
-				for _, kk := range []int{1, 8, 9} {
-					a, b := randomStrided(rng, m, kk), randomStrided(rng, kk, n)
-					c0 := borderedC(rng, m, n)
-					want := cloneStrided(c0)
-					mulBlockedRef(window(want), a, b, kc, tl.fused)
-					pa, pb := kern.PackA(nil, a), kern.PackB(nil, b)
-					for _, cut := range []int{0, 1, m - 1} {
-						got := cloneStrided(c0)
-						kern.MulPacked(window(got), pa, pb, 0, cut)
-						kern.MulPacked(window(got), pa, pb, cut, m)
-						requireSameBits(t, got.Data, want.Data, "%d×%d·%d×%d, %s, cut at row %d, C with its border",
-							m, kk, kk, n, tl.name, cut)
+		for _, store := range []bool{false, true} {
+			for _, m := range []int{tl.mr, 2*tl.mr + 1} {
+				for n := 1; n <= 2*tl.nr; n++ {
+					for _, kk := range []int{1, 8, 9, kc + 9} {
+						a, b := randomStrided(rng, m, kk), randomStrided(rng, kk, n)
+						c0 := borderedC(rng, m, n)
+						want := cloneStrided(c0)
+						if store {
+							window(c0).Fill(math.NaN())
+							window(want).Fill(0)
+						}
+						mulBlockedRef(window(want), a, b, kc, tl.fused)
+						pa, pb := kern.PackA(nil, a), kern.PackB(nil, b)
+						for _, cut := range []int{0, 1, m - 1} {
+							got := cloneStrided(c0)
+							kern.MulPacked(window(got), pa, pb, 0, cut, store)
+							kern.MulPacked(window(got), pa, pb, cut, m, store)
+							requireSameBits(t, got.Data, want.Data, "%d×%d·%d×%d, %s, store %v, cut at row %d, C with its border",
+								m, kk, kk, n, tl.name, store, cut)
+						}
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -32,7 +33,9 @@ func mulCase(t *testing.T, kern *Kernel, m, n, k int, seed int64) {
 // blocking has a fringe, and every residue of n mod 12 — the AVX2
 // tile's B panel width — under two full-height tiles and a fringe row
 // of either tile height. Each product must be the naive one within
-// accumulation-order rounding.
+// accumulation-order rounding. One more row's products all underflow
+// to −0, so a fused chain sums to −0: stored (MulPacked's β = 0) into a
+// NaN-filled C it must land as +0, what a zeroed C plus the sum gives.
 func TestKernelFringeShapes(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {7, 1, 13},
@@ -52,6 +55,16 @@ func TestKernelFringeShapes(t *testing.T) {
 			kern := newKernel(threads, tl)
 			for i, s := range shapes {
 				mulCase(t, kern, s[0], s[1], s[2], int64(100+i))
+			}
+			a, b, c := New(17, 13), New(13, 19), New(17, 19)
+			a.Fill(-1e-200)
+			b.Fill(1e-200)
+			c.Fill(math.NaN())
+			kern.MulPacked(c, kern.PackA(nil, a), kern.PackB(nil, b), 0, 17, true)
+			for i, v := range c.Data {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s, %d threads: −0 sums stored Data[%d] = %v (bits %#x), want +0", tl.name, threads, i, v, math.Float64bits(v))
+				}
 			}
 		}
 	}
@@ -94,7 +107,7 @@ func TestKernelThreadsBitwiseEqual(t *testing.T) {
 			banded := New(m, n)
 			pa, pb := kern.PackA(nil, a), kern.PackB(nil, b)
 			for _, band := range [][2]int{{0, m/3 + 1}, {m/3 + 1, m - 2}, {m - 2, m}} {
-				kern.MulPacked(banded, pa, pb, band[0], band[1])
+				kern.MulPacked(banded, pa, pb, band[0], band[1], false)
 			}
 			for name, got := range map[string]*Dense{"Mul": c, "PackA+PackB+MulPacked": banded} {
 				if d := MaxDiff(got, ref); d != 0 {
@@ -130,7 +143,7 @@ func TestKernelWarmMulAllocatesNothing(t *testing.T) {
 		t.Errorf("warm Mul allocates %v times per call, want 0", n)
 	}
 	abuf, bbuf := make([]float64, kern.PackedALen(a.Rows, a.Cols)), make([]float64, kern.PackedBLen(b.Rows, b.Cols))
-	if n := testing.AllocsPerRun(3, func() { kern.MulPacked(c, kern.PackA(abuf, a), kern.PackB(bbuf, b), 5, 30) }); n != 0 {
+	if n := testing.AllocsPerRun(3, func() { kern.MulPacked(c, kern.PackA(abuf, a), kern.PackB(bbuf, b), 5, 30, false) }); n != 0 {
 		t.Errorf("warm PackA + PackB + MulPacked allocates %v times per call, want 0", n)
 	}
 }

@@ -9,10 +9,11 @@ package matrix
 // math.FMA chain over the k block followed by one addition. One call
 // does that for `tiles` consecutive tiles down a column of C, adding
 // only each row's first w columns when the B micro-panel is w < 12
-// wide: whole 4-column groups with plain stores, the rest masked.
+// wide: whole 4-column groups with plain stores, the rest masked. With
+// store it writes 0 + tile without reading C.
 //
 //go:noescape
-func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
+func kernelAVX2_4x12(c *float64, cstride, kb int, ap, bp *float64, tiles, w int, store bool)
 
 // packA4AVX2 and packB12AVX2 are the 4×12 tile's packs
 // (pack_amd64.s), packAFunc at mr = 4 and packBFunc at nr = 12.

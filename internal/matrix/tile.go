@@ -31,14 +31,15 @@ type tile struct {
 // microKernelFunc is the raw dispatch signature of the SIMD register
 // kernels: accumulate the full mr×nr register tile over the kb-deep
 // packed micro-panels ap (mr-wide, k-major) and bp (nr-wide, k-major),
-// then add it into C — and do so for `tiles` tiles stacked down one
-// column of C: tile t takes the t-th micro-panel of the packed A block
-// (kb·mr words further on), the same bp, and rows t·mr … t·mr+mr−1. c
-// points at the first tile's top-left element; cstride is C's row
-// stride in elements. w is the live width of bp: a sweep whose tile is
-// narrow adds only C's first w columns of each tile row and touches no
-// other word; every other sweep is only called with w = nr.
-type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64, tiles, w int)
+// then add it into C, or with store add it to +0 and store it without
+// reading C — and do so for `tiles` tiles stacked down one column of C:
+// tile t takes the t-th micro-panel of the packed A block (kb·mr words
+// further on), the same bp, and rows t·mr … t·mr+mr−1. c points at the
+// first tile's top-left element; cstride is C's row stride in elements.
+// w is the live width of bp: a sweep whose tile is narrow writes only
+// C's first w columns of each tile row and touches no other word; every
+// other sweep is only called with w = nr.
+type microKernelFunc func(c *float64, cstride, kb int, ap, bp *float64, tiles, w int, store bool)
 
 // packAFunc and packBFunc are the raw signatures of a SIMD tile's
 // packs, which lay out exactly the words packA and packB do. packAFunc

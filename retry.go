@@ -47,7 +47,7 @@ func Retryable(err error) bool {
 // runRetry drives one executor through the engine's attempts: run,
 // verify (when WithVerification is on), and on a retryable failure
 // recover the transport, back off, and run again on the same executor
-// — reusing it keeps the per-rank scratch warm and advances the fault
+// — reusing it keeps the per-rank kernels warm and advances the fault
 // plan's attempt clock, so OnAttempt-scripted faults play out as
 // scheduled. The successful report carries the attempt count.
 func (p *Plan) runRetry(ctx context.Context, ex *algo.Executor, a, b *Matrix) (*Matrix, *Report, error) {
