@@ -390,7 +390,9 @@ func (e *Engine) Plan(ctx context.Context, m, n, k int) (*Plan, error) {
 // a and b are read in place for the duration of the call — every rank
 // multiplies the panels it owns straight out of them, views with
 // Stride > Cols included — and are never written; the caller must not
-// write them until Exec returns.
+// write them until Exec returns. The product's storage is a pool loan
+// the caller owns and may simply drop; its capacity is m·n words
+// rounded up to a power of two.
 func (e *Engine) Exec(ctx context.Context, a, b *Matrix) (*Matrix, *Report, error) {
 	if e.closed.Load() {
 		return nil, nil, ErrEngineClosed
@@ -419,7 +421,7 @@ type Pair struct {
 // reusing a single executor (machine and per-rank buffers) across the
 // whole batch. All pairs must have the shape of the first. On error
 // (including cancellation) it returns the results completed so far,
-// with nil entries for the rest.
+// with nil entries for the rest. Each product is a loan, as Exec's.
 func (e *Engine) MultiplyBatch(ctx context.Context, pairs []Pair) ([]*Matrix, []*Report, error) {
 	if e.closed.Load() {
 		return nil, nil, ErrEngineClosed

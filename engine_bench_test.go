@@ -19,8 +19,9 @@ const (
 
 // engineExecShapes are BenchmarkEngineExec's problems: 256³ at roomy
 // and tight memory, a 1/16-scale tall-k (groups of one reading 16 MB of
-// input in place, so B/op is the product plus the pool's misses), and
-// the repo benchmark's three engine workloads at full size.
+// input in place, so B/op is the product plus the pool's misses), the
+// repo benchmark's three engine workloads at full size, and serve-mix's
+// hottest shape, whose kept product holds its pool class's 2¹⁴ words.
 var engineExecShapes = []struct {
 	name          string
 	m, n, k, p, s int
@@ -31,6 +32,7 @@ var engineExecShapes = []struct {
 	{"square-roomy", 1024, 1024, 1024, 16, 1 << 20},
 	{"square-tight", 1024, 1024, 1024, 16, 69632},
 	{"tall-k", 128, 128, 65536, 16, 1 << 18},
+	{"serve-hot", 118, 118, 118, 4, 110592},
 }
 
 // BenchmarkEngineExec measures a warm Engine.Exec on each of

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"cosma/internal/layout"
 	"cosma/internal/machine"
@@ -155,7 +156,8 @@ type Piece struct {
 // in the rank's cache. On a multi-process machine the ranks other than
 // 0 send their non-empty shares to rank 0 instead, tagged by sender, so
 // only the process hosting rank 0 fills the product; the others return
-// a zero matrix.
+// a zero matrix. The product's storage is a machine.Loan the caller
+// owns: it may drop it or hand it back with machine.Release.
 type Gather struct {
 	out   *matrix.Dense
 	multi bool
@@ -165,9 +167,14 @@ type Gather struct {
 
 // NewGather returns the gather of an m×n product cut into blocks C
 // blocks, each cut into shares held by ranks 0 … ranks−1 that land where
-// place says.
+// place says. The shares cover the product, so its loan is cleared only
+// in a process that hosts no rank 0 and so lands none.
 func NewGather(mach *machine.Machine, m, n, blocks, ranks int, place func(block, id int) Piece) *Gather {
-	return &Gather{out: matrix.New(m, n), multi: mach.MultiProcess(), ranks: ranks, place: place}
+	g := &Gather{out: matrix.FromSlice(m, n, machine.Loan(m*n)), multi: mach.MultiProcess(), ranks: ranks, place: place}
+	if g.multi && !slices.Contains(mach.LocalRanks(), 0) {
+		clear(g.out.Data)
+	}
+	return g
 }
 
 // Put hands over r's share of block; at rank 0 of a multi-process

@@ -112,7 +112,8 @@ func Handler(s *Server) http.Handler {
 		// The whole answer is encoded before the first byte goes out, so a
 		// product JSON cannot carry still gets a status of its own. 24
 		// bytes a word is room for full-precision values; append grows
-		// past it if a product needs more.
+		// past it if a product needs more. The product is a pool loan the
+		// handler alone holds, given back once it is encoded.
 		buf := bufPool.Get().(*bytes.Buffer)
 		defer putBuffer(buf)
 		buf.Grow(24*len(c.Data) + 256)
@@ -120,6 +121,7 @@ func Handler(s *Server) http.Handler {
 			M: c.Rows, N: c.Cols, C: c.Data,
 			Algorithm: rep.Model.Name, Grid: rep.Model.Grid, MaxRecv: rep.MaxRecv,
 		})
+		machine.Release(c.Data)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err)
 			return

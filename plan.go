@@ -60,7 +60,8 @@ func (p *Plan) String() string {
 // options: a machine configured here — the engine's one shared machine
 // on the wire transport, otherwise a fresh one on the engine's network
 // — and a per-rank scratch arena, both reused by every run on it, so
-// repeated same-shape multiplications allocate only their outputs.
+// repeated same-shape multiplications allocate little beyond their
+// reports: even their products are pool loans.
 func (p *Plan) newExecutor() (*algo.Executor, error) {
 	cfg := &p.eng.cfg
 	mach := p.eng.wireMach

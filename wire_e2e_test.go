@@ -3,13 +3,16 @@ package cosma_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"os/exec"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"cosma"
+	"cosma/internal/machine"
 )
 
 // The multi-process tests below re-execute this test binary once per
@@ -62,10 +65,24 @@ func TestWireRankHelper(t *testing.T) {
 		os.Exit(3)
 	}
 
+	// A process without rank 0 lands no share, so its product must be
+	// zero even from a dirty loan: NaN buffers of the product's pool
+	// class go in first, two so one is in reach of every P.
+	for range 2 {
+		dirty := make([]float64, e2eDim*e2eDim)
+		for i := range dirty {
+			dirty[i] = math.NaN()
+		}
+		machine.Release(dirty)
+	}
 	a := cosma.RandomMatrix(e2eDim, e2eDim, e2eSeed)
 	b := cosma.RandomMatrix(e2eDim, e2eDim, e2eSeed+1)
-	if _, _, err := eng.Exec(context.Background(), a, b); err != nil {
+	c, _, err := eng.Exec(context.Background(), a, b)
+	if err != nil {
 		t.Fatalf("worker rank %d: %v", cfg.Rank, err)
+	}
+	if c.Rows != e2eDim || c.Cols != e2eDim || slices.ContainsFunc(c.Data, func(v float64) bool { return v != 0 }) {
+		t.Fatalf("worker rank %d: product is not a zero %d×%d matrix", cfg.Rank, e2eDim, e2eDim)
 	}
 }
 
