@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cosma -m 512 -n 512 -k 512 -p 16 -S 1048576
-//	      [-algo cosma|summa|2.5d|carma|cannon|all]
+//	      [-algo cosma|summa|2.5d|carma|all]
 //	      [-network pizdaint|ethernet|sharedmem] [-calibrate]
 //	      [-overlap=false]
 //

@@ -11,7 +11,7 @@
 // measures the local packed kernel (matrix.Calibrate) and substitutes
 // the measured γ into the preset, so the reported compute times are
 // calibrated to this machine rather than assumed. The comparison set is
-// drawn from the table of algorithms; "algos" lists it.
+// the table of algorithms; "algos" lists it.
 package main
 
 import (

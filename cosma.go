@@ -127,9 +127,8 @@ var ErrPeerFailure = wire.ErrPeerFailure
 var ErrFaultInjected = machine.ErrFaultInjected
 
 // ErrUnsupportedShape is wrapped by Plan and Exec errors when the
-// engine's algorithm cannot schedule an otherwise valid shape — Cannon
-// off a square torus that divides the dimensions, SUMMA's or 2.5D's fixed
-// grid on a shorter dimension; test with errors.Is.
+// engine's algorithm cannot schedule an otherwise valid shape — SUMMA's
+// or 2.5D's fixed grid on a shorter dimension; test with errors.Is.
 var ErrUnsupportedShape = algo.ErrUnsupportedShape
 
 // WireFromEnv reads the wire bootstrap handshake from the environment
@@ -211,9 +210,8 @@ func ParallelLowerBound(m, n, k, p, s int) float64 {
 type Decomposition = algo.Decomposition
 
 // Algorithms returns the canonical names of every algorithm ("cosma",
-// "summa", "2.5d", "carma", "cannon") in the paper's comparison order
-// followed by the extras. Any of them (or their aliases) is a valid
-// WithAlgorithm argument.
+// "summa", "2.5d", "carma") in the paper's comparison order. Any of
+// them (or their aliases) is a valid WithAlgorithm argument.
 func Algorithms() []string {
 	names := make([]string, len(baselines.Algorithms))
 	for i, s := range baselines.Algorithms {

@@ -127,9 +127,8 @@ func WithNetwork(net NetworkParams) Option {
 // multiplies round i's — double-buffered panel pairs per operand,
 // swapped every round. The product is bitwise-identical to the
 // synchronous schedule; on a timed engine the measured CritPathTime
-// drops by up to the hidden communication (Figure 12). The Algorithm 1
-// schedules — COSMA, SUMMA, 2.5D and CARMA — pipeline; Cannon executes
-// synchronously regardless.
+// drops by up to the hidden communication (Figure 12). Every algorithm
+// pipelines: all four run the Algorithm 1 round loop.
 //
 // The second panel pair is paid for out of WithMemory's S: a plan
 // pipelines only where its C tile plus two panel pairs of its longest
@@ -150,7 +149,7 @@ func WithOverlap(on bool) Option {
 func WithAutotune(bool) Option { return func(*engineConfig) {} }
 
 // WithAlgorithm selects the multiplication algorithm by name or alias —
-// "cosma" (the default), "summa", "2.5d", "carma", "cannon"; see
+// "cosma" (the default), "summa", "2.5d", "carma"; see
 // Algorithms. Unknown names error at NewEngine.
 func WithAlgorithm(name string) Option {
 	return func(c *engineConfig) { c.algorithm = name }

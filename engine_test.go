@@ -106,19 +106,13 @@ func TestEngineExecCancellation(t *testing.T) {
 	}
 }
 
-// TestRegistryReachableByName exercises COSMA and the four baselines
+// TestRegistryReachableByName exercises COSMA and the three baselines
 // end-to-end through WithAlgorithm, by canonical name and alias.
 func TestRegistryReachableByName(t *testing.T) {
-	// 16×16×16 on p=4: Cannon's q=2 divides everything.
 	a := RandomMatrix(16, 16, 3)
 	b := RandomMatrix(16, 16, 4)
 	want := reference(a, b)
-	// cmd/cosma prints "<algorithm> plan: <plan>": the plan's text must
-	// not repeat the name, Decomposition or not.
-	planText := map[string]string{
-		"cannon": "grid [2×2×1] (4 ranks)",
-	}
-	names := []string{"cosma", "summa", "2.5d", "carma", "cannon", "scalapack", "ctf", "CARMA"}
+	names := []string{"cosma", "summa", "2.5d", "carma", "scalapack", "ctf", "CARMA"}
 	for _, name := range names {
 		eng, err := NewEngine(WithProcs(4), WithMemory(1<<16), WithAlgorithm(name))
 		if err != nil {
@@ -135,21 +129,19 @@ func TestRegistryReachableByName(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		text := fmt.Sprint(plan)
-		if strings.Contains(text, plan.Algorithm()) {
+		// cmd/cosma prints "<algorithm> plan: <plan>": the plan's text
+		// must not repeat the name.
+		if text := fmt.Sprint(plan); strings.Contains(text, plan.Algorithm()) {
 			t.Fatalf("%s: plan text %q repeats the algorithm name %q", name, text, plan.Algorithm())
 		}
-		if pinned, ok := planText[name]; ok && text != pinned {
-			t.Fatalf("%s: plan text %q, want %q", name, text, pinned)
-		}
 	}
-	paperOrder := []string{"cosma", "summa", "2.5d", "carma", "cannon"}
+	paperOrder := []string{"cosma", "summa", "2.5d", "carma"}
 	if got := Algorithms(); !reflect.DeepEqual(got, paperOrder) {
 		t.Fatalf("Algorithms() = %v, want %v", got, paperOrder)
 	}
-	// The sub-cubic algorithm and its aliases (lookup folds case) left
-	// the registry; the error names what is there instead.
-	for _, name := range []string{"winograd", "caps", "STRASSEN", "bdhs"} {
+	// The sub-cubic algorithm, Cannon's and their aliases (lookup folds
+	// case) left the registry; the error names what is there instead.
+	for _, name := range []string{"winograd", "caps", "STRASSEN", "bdhs", "cannon", "torus"} {
 		_, err := NewEngine(WithAlgorithm(name))
 		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") ||
 			!strings.Contains(err.Error(), strings.Join(paperOrder, ", ")) {

@@ -7,11 +7,10 @@ import (
 )
 
 // Model is a plan's analytic communication/computation prediction for an
-// m×n×k multiplication on p ranks with S words of memory per rank. The
-// Algorithm 1 plans (COSMA, SUMMA, 2.5D, CARMA) count their words and
-// messages rank by rank from the round table their rank program walks,
-// so AvgRecv, MaxRecv and MaxMsgs equal what an execution measures;
-// Cannon's count its torus schedule rank by rank, and equal it too.
+// m×n×k multiplication on p ranks with S words of memory per rank. Every
+// plan counts its words and messages rank by rank from the round table
+// its Algorithm 1 rank program walks, so AvgRecv, MaxRecv and MaxMsgs
+// equal what an execution measures.
 // MaxMsgs counts messages sent plus received on the busiest rank, as
 // machine.Counters.Messages does. Models evaluate at any scale, including
 // the paper's 18,432-core runs that are too large to execute in-process.

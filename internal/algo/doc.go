@@ -8,10 +8,10 @@
 //
 //   - A Spec — one row of the table baselines.Algorithms — compiles
 //     (m, n, k, p, S) under a Config into an immutable Plan: one struct
-//     holding the schedule's Execute, its shape, its geometry where it has
-//     one, and the Model of what it moves, at any scale — or refuses the
-//     shape with ErrUnsupportedShape. Model.Time is the one α-β-γ price
-//     of a model on a network.
+//     holding the schedule's Execute, its shape, its geometry and the
+//     Model of what it moves, at any scale — or refuses the shape with
+//     ErrUnsupportedShape. Model.Time is the one α-β-γ price of a model
+//     on a network.
 //   - An Executor replays a Plan against matrix values on a pre-built
 //     simulated machine, drawing per-rank packed GEMM kernels from an
 //     Arena that is recycled across executions and every other buffer

@@ -24,10 +24,8 @@ type Plan struct {
 	// M, N, K is the problem shape the plan multiplies, P the machine
 	// size it was compiled for.
 	M, N, K, P int
-	// Geometry is the §6.3 schedule geometry of an Algorithm 1 plan
-	// (COSMA, SUMMA, 2.5D, CARMA); nil where the schedule has none
-	// (Cannon).
-	Geometry *Decomposition
+	// Geometry is the plan's §6.3 schedule geometry.
+	Geometry Decomposition
 	// Overlap records that Execute pipelines its rounds (§7.3): what the
 	// plan decided, which is Config.Overlap only where S has room.
 	Overlap bool
@@ -44,9 +42,9 @@ type Plan struct {
 }
 
 // ErrUnsupportedShape marks a Spec.Plan refusal that is a restriction of
-// the algorithm, not a bug or an invalid argument: Cannon off a square
-// torus that divides the dimensions, a fixed grid longer than a dimension
-// it cuts. Comparisons skip such a row and fail on any other error.
+// the algorithm, not a bug or an invalid argument: a fixed grid longer
+// than a dimension it cuts. Comparisons skip such a row and fail on any
+// other error.
 var ErrUnsupportedShape = errors.New("shape not supported by this algorithm")
 
 // Decomposition describes a plan's §6.3 schedule geometry: the fitted

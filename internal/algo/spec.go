@@ -8,8 +8,7 @@ type Config struct {
 	// Overlap asks to software-pipeline the round loop (§7.3): panels
 	// for round i+1 are prefetched with non-blocking broadcasts while
 	// the kernel multiplies round i's. A plan grants it only where S
-	// holds the second panel pair (Plan.Overlap); Cannon executes
-	// synchronously regardless.
+	// holds the second panel pair (Plan.Overlap).
 	Overlap bool
 	// Network is the α-β-γ machine the plan will execute on, nil for a
 	// counting one. A synchronous plan derives from it how many row
@@ -21,7 +20,7 @@ type Config struct {
 // Spec is one row of the table of algorithms (baselines.Algorithms).
 type Spec struct {
 	// Name is the canonical lower-case lookup key ("cosma", "summa",
-	// "2.5d", "carma", "cannon").
+	// "2.5d", "carma").
 	Name string
 	// Display is the name the algorithm's plans and reports carry
 	// ("COSMA", "ScaLAPACK/SUMMA-2D", ...).
@@ -30,9 +29,6 @@ type Spec struct {
 	Aliases []string
 	// Summary is a one-line description for CLIs.
 	Summary string
-	// Comparison marks membership in the paper's default comparison
-	// set (Cannon is listed but excluded, as in §9).
-	Comparison bool
 	// Plan compiles the schedule for an m×k by k×n multiplication on p
 	// ranks with s words of memory each. It performs all grid fitting;
 	// executing the returned plan does none, and the plan's Model is the

@@ -10,23 +10,20 @@ import (
 )
 
 // Algorithms is the table of algorithms, in the paper's comparison order:
-// COSMA first, then the baselines it is compared against (§9), then
-// Cannon. It lives here because this package already imports every
-// implementation.
+// COSMA first, then the baselines it is compared against (§9). It lives
+// here because this package already imports every implementation.
 var Algorithms = []algo.Spec{
 	{
-		Name:       "cosma",
-		Display:    "COSMA",
-		Summary:    "near-I/O-optimal S-partition schedule with §7.1 grid fitting (this paper)",
-		Comparison: true,
-		Plan:       core.Plan,
+		Name:    "cosma",
+		Display: "COSMA",
+		Summary: "near-I/O-optimal S-partition schedule with §7.1 grid fitting (this paper)",
+		Plan:    core.Plan,
 	},
 	{
-		Name:       "summa",
-		Display:    "ScaLAPACK/SUMMA-2D",
-		Aliases:    []string{"scalapack", "2d"},
-		Summary:    "2D SUMMA on the most square grid — what ScaLAPACK's PDGEMM implements",
-		Comparison: true,
+		Name:    "summa",
+		Display: "ScaLAPACK/SUMMA-2D",
+		Aliases: []string{"scalapack", "2d"},
+		Summary: "2D SUMMA on the most square grid — what ScaLAPACK's PDGEMM implements",
 		// Algorithm 1 on grid.Square, every rank used and no fiber, so C
 		// never moves: what the ranks receive (the k(m+n)/√p row of Table
 		// 3) is the plan's own count, compiled from cfg exactly like
@@ -36,11 +33,10 @@ var Algorithms = []algo.Spec{
 		},
 	},
 	{
-		Name:       "2.5d",
-		Display:    "CTF/2.5D",
-		Aliases:    []string{"ctf", "c25d"},
-		Summary:    "2.5D decomposition of Solomonik and Demmel — what CTF implements",
-		Comparison: true,
+		Name:    "2.5d",
+		Display: "CTF/2.5D",
+		Aliases: []string{"ctf", "c25d"},
+		Summary: "2.5D decomposition of Solomonik and Demmel — what CTF implements",
 		// Algorithm 1 on grid.Layers' c layers (§2.4): the inputs start on
 		// layer 0, which scatters each layer its k slab's pieces, every
 		// layer runs SUMMA on its slab and the fiber reduces C. With c = 1
@@ -50,19 +46,11 @@ var Algorithms = []algo.Spec{
 		},
 	},
 	{
-		Name:       "carma",
-		Display:    "CARMA-recursive",
-		Aliases:    []string{"recursive"},
-		Summary:    "recursive split-largest-dimension decomposition of Demmel et al.",
-		Comparison: true,
-		Plan:       planCARMA,
-	},
-	{
-		Name:    "cannon",
-		Display: "Cannon-2D",
-		Aliases: []string{"torus"},
-		Summary: "Cannon's algorithm on a square torus (1969) — needs square p and divisible dims",
-		Plan:    planCannon, // outside the paper's comparison set (§9)
+		Name:    "carma",
+		Display: "CARMA-recursive",
+		Aliases: []string{"recursive"},
+		Summary: "recursive split-largest-dimension decomposition of Demmel et al.",
+		Plan:    planCARMA,
 	},
 }
 

@@ -12,23 +12,12 @@ import (
 )
 
 // The rows of the table, for the tests that run one algorithm.
-var cosma, summa, c25d, carma, cannon = Algorithms[0], Algorithms[1], Algorithms[2], Algorithms[3], Algorithms[4]
+var cosma, summa, c25d, carma = Algorithms[0], Algorithms[1], Algorithms[2], Algorithms[3]
 
 func mulRef(a, b *matrix.Dense) *matrix.Dense {
 	c := matrix.New(a.Rows, b.Cols)
 	matrix.NewKernel(1).Mul(c, a, b)
 	return c
-}
-
-func TestCannonRejectsBadConfigs(t *testing.T) {
-	a := matrix.New(8, 8)
-	b := matrix.New(8, 8)
-	if _, _, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 6, 1<<12); err == nil {
-		t.Fatal("non-square p accepted")
-	}
-	if _, _, err := algo.Run(cannon.Plan, algo.Config{}, nil, a, b, 9, 1<<12); err == nil {
-		t.Fatal("indivisible dims accepted")
-	}
 }
 
 // TestCARMAReadsInputsInPlace: every rank reads its pieces of A and B
@@ -89,10 +78,10 @@ func TestCARMAUsesPowerOfTwo(t *testing.T) {
 
 // TestCOSMAWinsItsOwnComparisonAtPlentifulMemory pins what the fiber
 // reduction's shape buys on the busiest rank: at 512³, p = 16, S = 2²⁰ on
-// pizdaint COSMA's [2×2×4] critical path is below SUMMA's and 2.5D's
-// and within 1.3 × Cannon's, and no rank receives more than 1.25 × the
-// average (3.02 ms against 4.73, 4.21 and 4.11; the fiber
-// reduce-scatters C, so every rank receives the average).
+// pizdaint COSMA's [2×2×4] critical path is below SUMMA's and 2.5D's,
+// and no rank receives more than 1.25 × the average (3.02 ms against
+// 4.73 and 4.21; the fiber reduce-scatters C, so every rank receives
+// the average).
 func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
 	const n, p, s = 512, 16, 1 << 20
 	net := machine.PizDaintNet()
@@ -113,9 +102,6 @@ func TestCOSMAWinsItsOwnComparisonAtPlentifulMemory(t *testing.T) {
 		if rep := crit(pl); cosma.CritPathTime >= rep.CritPathTime {
 			t.Errorf("COSMA's critical path %.4g s is not below %s's %.4g", cosma.CritPathTime, pl.Display, rep.CritPathTime)
 		}
-	}
-	if cannon := crit(cannon); cosma.CritPathTime > 1.3*cannon.CritPathTime {
-		t.Errorf("COSMA's critical path %.4g s is above 1.3 × Cannon's %.4g", cosma.CritPathTime, cannon.CritPathTime)
 	}
 	if float64(cosma.MaxRecv) > 1.25*cosma.AvgRecv {
 		t.Errorf("COSMA's busiest rank receives %d words, above 1.25 × the average %v", cosma.MaxRecv, cosma.AvgRecv)

@@ -52,8 +52,6 @@ func TestPlanRefusalsAreTyped(t *testing.T) {
 		m, n, k, p, s int
 		unsupported   bool
 	}{
-		{"Cannon on a non-square p", cannon, 12, 12, 12, 6, 1 << 12, true},
-		{"Cannon with 3 ∤ dims", cannon, 10, 10, 10, 9, 1 << 12, true},
 		{"SUMMA's 4×4 grid on m = 2", summa, 2, 64, 64, 16, 1 << 12, true},
 		{"2.5D's grid on m = 1", c25d, 1, 64, 64, 16, 1 << 12, true},
 		{"SUMMA with m = 0", summa, 0, 64, 64, 16, 1 << 12, false},

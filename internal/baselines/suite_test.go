@@ -28,10 +28,8 @@ type suiteShape struct {
 var (
 	summaShapes = []suiteShape{{16, 16, 16, 4, 4096, ""}, {24, 18, 12, 6, 4096, ""}, {8, 8, 64, 4, 4096, ""},
 		{13, 29, 7, 12, 4096, ""}, {16, 16, 16, 1, 4096, ""}, {32, 32, 32, 9, 200, ""}} // 200 words: narrow panels
-	summaModelShapes  = []suiteShape{{32, 32, 64, 16, 4096, ""}, {24, 48, 24, 6, 4096, ""}}
-	cannonShapes      = []suiteShape{{32, 32, 16, 16, 4096, ""}, {8, 8, 8, 1, 4096, ""}}
-	cannonModelShapes = []suiteShape{{24, 18, 12, 9, 4096, ""}} // its float mean once missed by an ulp
-	c25dShapes        = []suiteShape{{16, 16, 16, 8, 1 << 20, ""}, {16, 16, 16, 8, 64, ""}, {8, 8, 64, 16, 1 << 20, ""},
+	summaModelShapes = []suiteShape{{32, 32, 64, 16, 4096, ""}, {24, 48, 24, 6, 4096, ""}}
+	c25dShapes       = []suiteShape{{16, 16, 16, 8, 1 << 20, ""}, {16, 16, 16, 8, 64, ""}, {8, 8, 64, 16, 1 << 20, ""},
 		{24, 18, 12, 12, 1 << 16, ""}, {9, 11, 10, 6, 1 << 16, ""}} // replicated, SUMMA, deep, non-square p, awkward dims
 	c25dModelShapes = []suiteShape{{16, 16, 64, 16, 1 << 20, ""}, {32, 32, 32, 8, 300, ""}}
 	carmaShapes     = []suiteShape{{16, 16, 16, 1, 1 << 20, ""}, {8, 8, 64, 8, 1 << 20, ""}, {64, 8, 8, 16, 1 << 20, ""},
@@ -39,8 +37,8 @@ var (
 	agreeShapes   = []suiteShape{{24, 24, 24, 4, 1 << 16, ""}}
 	overlapShapes = []suiteShape{{96, 80, 112, 4, 12 * 96 * 80 / 4, ""}, {96, 80, 112, 8, 12 * 96 * 80 / 8, ""},
 		{96, 80, 112, 16, 12 * 96 * 80 / 16, ""}} // room for two panel pairs
-	namedShapes = [][]suiteShape{summaShapes, summaModelShapes, cannonShapes, cannonModelShapes, c25dShapes,
-		c25dModelShapes, carmaShapes, agreeShapes, overlapShapes}
+	namedShapes = [][]suiteShape{summaShapes, summaModelShapes, c25dShapes, c25dModelShapes, carmaShapes,
+		agreeShapes, overlapShapes}
 )
 
 // suiteShapes are the suite's problems, none of them a named test's.
@@ -66,6 +64,7 @@ func suiteShapes() (small, eighth, bench []suiteShape) {
 		{13, 11, 17, 6, 1024, ""}, {1, 2, 64, 8, 1024, ""},
 		{32, 32, 32, 8, 1 << 20, "[2×2×2]"}, {16, 16, 64, 16, 1 << 20, "[1×2×8]"}, {64, 32, 16, 8, 1 << 20, "[4×2×1]"},
 		{32, 32, 32, 8, 600, "[2×2×2]"}, {24, 20, 36, 8, 1 << 20, ""}, {24, 20, 36, 8, 100, ""},
+		{32, 32, 16, 16, 4096, ""}, {8, 8, 8, 1, 4096, ""}, {24, 18, 12, 9, 4096, ""}, // square p: 16, 1, 9
 	}}
 	for _, p := range []int{4, 8, 16} { // room for two panel pairs
 		groups = append(groups, []suiteShape{{120, 104, 88, p, 8 * 120 * 104 / p, ""}})
@@ -108,12 +107,12 @@ var raceEnabled bool
 // counting and the pizdaint machine, each with overlap off and on.
 var suiteConfigs = []algo.Config{{}, {Overlap: true}, {Network: &pizdaint}, {Network: &pizdaint, Overlap: true}}
 
-// mayRefuse are the rows whose grid or torus can fail a valid shape.
-var mayRefuse = map[string]bool{summa.Name: true, c25d.Name: true, cannon.Name: true}
+// mayRefuse are the rows whose grid can fail a valid shape.
+var mayRefuse = map[string]bool{summa.Name: true, c25d.Name: true}
 
 // checkRow runs row on c in each of configs and returns the plans it
 // compiled and the first check it fails:
-//   - a refusal is ErrUnsupportedShape from SUMMA, 2.5D or Cannon, and
+//   - a refusal is ErrUnsupportedShape from SUMMA or 2.5D, and
 //     in the first configuration (then nothing runs and plans is nil);
 //   - each product is within 1e-9·k of want, and all carry one bit
 //     pattern;
@@ -197,10 +196,10 @@ func runSuite(t *testing.T, groups ...suiteGroup) suiteTally {
 					}
 				}
 				for _, pl := range plans {
-					if pl.Geometry != nil && pl.Geometry.Blocks > 1 {
+					if pl.Geometry.Blocks > 1 {
 						tally.blocked++
 					}
-					if pl.Geometry != nil && pl.Geometry.Bands > 1 {
+					if pl.Geometry.Bands > 1 {
 						tally.banded++
 					}
 				}
@@ -285,12 +284,6 @@ func TestSUMMAMeasuredMatchesModel(t *testing.T) { checkRows(t, []algo.Spec{summ
 
 func TestSUMMAOverlapBitwiseIdentical(t *testing.T) { checkRows(t, []algo.Spec{summa}, overlapShapes) }
 
-func TestCannonCorrect(t *testing.T) { checkRows(t, []algo.Spec{cannon}, cannonShapes) }
-
-func TestCannonMeasuredMatchesModel(t *testing.T) {
-	checkRows(t, []algo.Spec{cannon}, cannonModelShapes)
-}
-
 func TestC25DCorrect(t *testing.T) { checkRows(t, []algo.Spec{c25d}, c25dShapes) }
 
 func TestC25DMeasuredMatchesModel(t *testing.T) { checkRows(t, []algo.Spec{c25d}, c25dModelShapes) }
@@ -327,19 +320,15 @@ func TestCorrectnessProperty(t *testing.T) {
 
 // TestModelsScaleToPaperSizes plans every row on the paper's largest
 // square problem, 16384³ with S = 2²¹, from 2 048 to 18 432 ranks,
-// without executing: a refusal is ErrUnsupportedShape from SUMMA, 2.5D
-// or Cannon, Cannon refuses every p that is not a square (no torus, so
-// no model of one), every model is finite and positive, and no row's
-// average words grow with p by more than 5 %.
+// without executing: a refusal is ErrUnsupportedShape from SUMMA or
+// 2.5D, every model is finite and positive, and no row's average words
+// grow with p by more than 5 %.
 func TestModelsScaleToPaperSizes(t *testing.T) {
 	const n, s = 16384, 1 << 21
 	for _, row := range Algorithms {
 		prev := math.Inf(1)
 		for _, p := range []int{2048, 4096, 8192, 16384, 18432} {
 			pl, err := row.Plan(algo.Config{}, n, n, n, p, s)
-			if q := int(math.Sqrt(float64(p))); row.Name == cannon.Name && q*q != p && err == nil {
-				t.Errorf("%s p=%d: planned a torus on a non-square p", row.Display, p)
-			}
 			if err != nil {
 				if !mayRefuse[row.Name] || !errors.Is(err, algo.ErrUnsupportedShape) {
 					t.Errorf("%s p=%d: %v", row.Display, p, err)

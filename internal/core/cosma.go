@@ -160,7 +160,6 @@ func newSchedule(cfg algo.Config, g grid.Grid, bm, bn, m, n, k, p, s int, layer0
 // compile publishes the schedule: its model, geometry and Execute. It
 // pipelines where every block's plan does.
 func (sc *schedule) compile(name string) *algo.Plan {
-	d := sc.geometry()
 	overlap := true
 	for _, blk := range sc.blocks {
 		overlap = overlap && blk.overlap
@@ -168,7 +167,7 @@ func (sc *schedule) compile(name string) *algo.Plan {
 	return &algo.Plan{
 		Model: sc.count(name),
 		M:     sc.m, N: sc.n, K: sc.k, P: sc.p,
-		Geometry: &d,
+		Geometry: sc.geometry(),
 		Overlap:  overlap,
 		Execute:  sc.Execute,
 	}

@@ -21,40 +21,6 @@ func mulRef(a, b *matrix.Dense) *matrix.Dense {
 	return c
 }
 
-func TestCOSMACorrectAcrossShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cases := []struct {
-		name       string
-		m, k, n, p int
-		s          int
-	}{
-		{"square p4", 16, 16, 16, 4, 1 << 10},
-		{"square p8 limited", 32, 32, 32, 8, 300},
-		{"largeK", 8, 64, 8, 8, 1 << 10},
-		{"largeM", 64, 8, 8, 8, 1 << 10},
-		{"flat", 32, 4, 32, 8, 1 << 10},
-		{"single rank", 8, 8, 8, 1, 1 << 10},
-		{"odd p", 24, 24, 24, 7, 1 << 10},
-		{"p65 fig5", 16, 16, 16, 65, 1 << 10},
-		{"prime dims", 13, 17, 11, 6, 1 << 10},
-		{"tile smaller than its fiber", 1, 64, 2, 8, 1 << 10}, // empty shares of C
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			a := matrix.Random(c.m, c.k, rng)
-			b := matrix.Random(c.k, c.n, rng)
-			got, rep, err := algo.Run(Plan, algo.Config{}, nil, a, b, c.p, c.s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := mulRef(a, b)
-			if d := matrix.MaxDiff(got, want); d > 1e-9*float64(c.k) {
-				t.Fatalf("max diff %g (grid %s)", d, rep.Model.Grid)
-			}
-		})
-	}
-}
-
 func TestCOSMAVolumeNearLowerBound(t *testing.T) {
 	// The measured per-rank volume must sit above the Theorem 2 bound and
 	// within a small factor of it in the ample-memory (cubic) regime.

@@ -65,12 +65,11 @@ func perRegime(panel func(workload.Shape, workload.Regime) *report.Table, shape 
 	}
 }
 
-// algorithms lists the table of algorithms the comparison set is drawn
-// from.
+// algorithms lists the table of algorithms, the paper's comparison set.
 func algorithms() *report.Table {
-	t := report.NewTable("registered algorithms", "name", "aliases", "in comparison set", "summary")
+	t := report.NewTable("registered algorithms", "name", "aliases", "summary")
 	for _, s := range baselines.Algorithms {
-		t.AddRow(s.Name, strings.Join(s.Aliases, ", "), s.Comparison, s.Summary)
+		t.AddRow(s.Name, strings.Join(s.Aliases, ", "), s.Summary)
 	}
 	return t
 }

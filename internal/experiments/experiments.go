@@ -58,7 +58,7 @@ func compare(c workload.Config) (_ cell, ok bool) {
 		return cell{}, false
 	}
 	var mods []algo.Model
-	for _, r := range comparison() {
+	for _, r := range baselines.Algorithms {
 		pl, err := r.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 		if errors.Is(err, algo.ErrUnsupportedShape) {
 			return cell{}, false
@@ -68,18 +68,6 @@ func compare(c workload.Config) (_ cell, ok bool) {
 		mods = append(mods, pl.Model)
 	}
 	return cell{c, mods}, true
-}
-
-// comparison is the paper's default comparison set (§9): COSMA and the
-// baselines with Comparison set, in table order.
-func comparison() []algo.Spec {
-	var rs []algo.Spec
-	for _, s := range baselines.Algorithms {
-		if s.Comparison {
-			rs = append(rs, s)
-		}
-	}
-	return rs
 }
 
 // timeSec predicts mod's runtime on Piz Daint, communication and
@@ -288,7 +276,7 @@ func Fig12() *report.Table {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: COSMA on %+v: %v", c, err))
 			}
-			compute, input, output := split(net, pl.Model, outputWords(*pl.Geometry))
+			compute, input, output := split(net, pl.Model, outputWords(pl.Geometry))
 			t.AddRow(shape.String(), p, compute*1e3, input*1e3, output*1e3,
 				pl.Time(net, false)*1e3, pl.Time(net, true)*1e3)
 		}
@@ -375,7 +363,7 @@ func Validate() *report.Table {
 	for _, c := range cases {
 		a := matrix.Random(c.m, c.k, rng)
 		b := matrix.Random(c.k, c.n, rng)
-		for _, r := range comparison() {
+		for _, r := range baselines.Algorithms {
 			_, rep, err := algo.Run(r.Plan, algo.Config{}, nil, a, b, c.p, c.s)
 			if errors.Is(err, algo.ErrUnsupportedShape) {
 				continue

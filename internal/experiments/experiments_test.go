@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
+	"cosma/internal/baselines"
 	"cosma/internal/core"
 	"cosma/internal/machine"
 	"cosma/internal/workload"
@@ -24,7 +25,7 @@ func TestCommVolumeCOSMAWinsEverywhere(t *testing.T) {
 					continue
 				}
 				var cosma algo.Model
-				for i, r := range comparison() {
+				for i, r := range baselines.Algorithms {
 					plan, err := r.Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 					if err != nil {
 						t.Fatalf("%v: %s: %v", c, r.Display, err)
@@ -53,7 +54,7 @@ func TestCommVolumeCOSMAWinsEverywhere(t *testing.T) {
 // puts on its sequential schedule. The rows at p = 1000 and 9216, where
 // CARMA idles p − 2^⌊log₂ p⌋ ranks, are listed.
 func TestCARMASweepFitsAndPaysUpToRoot3(t *testing.T) {
-	carma := slices.IndexFunc(comparison(), func(r algo.Spec) bool { return r.Name == "carma" })
+	carma := slices.IndexFunc(baselines.Algorithms, func(r algo.Spec) bool { return r.Name == "carma" })
 	limited := 0
 	for _, shape := range shapes {
 		for _, regime := range regimes {
@@ -61,7 +62,7 @@ func TestCARMASweepFitsAndPaysUpToRoot3(t *testing.T) {
 				t.Errorf("%v/%v: no feasible configuration", shape, regime)
 			}
 			for _, c := range sweeps()[shape][regime] {
-				pl, err := comparison()[carma].Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
+				pl, err := baselines.Algorithms[carma].Plan(algo.Config{}, c.M, c.N, c.K, c.P, c.S)
 				if err != nil {
 					t.Fatalf("%v: %v", c.Config, err)
 				}
@@ -149,7 +150,7 @@ func TestFig12OutputWithinMaxRecv(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, maxRecv := outputWords(*pl.Geometry), pl.Model.MaxRecv
+			out, maxRecv := outputWords(pl.Geometry), pl.Model.MaxRecv
 			if in := maxRecv - out; out < 0 || out > maxRecv || in+out != maxRecv {
 				t.Errorf("%v p=%d: output %v, input %v words of MaxRecv %v", shape, p, out, in, maxRecv)
 			}

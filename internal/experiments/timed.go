@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -12,17 +11,15 @@ import (
 	"cosma/internal/report"
 )
 
-// TimeVsVolume executes COSMA and every baseline (including Cannon where
-// its square-grid restriction allows) on the timed transport and tabulates
-// measured communication volume against predicted runtime — the shape of
-// the paper's Figure 6 comparison, at simulation scale, with time instead
-// of (only) volume on the y axis. Memory is constrained to ~3 output
-// tiles per rank so the algorithms are squeezed into their
-// limited-memory regimes, where their volumes genuinely differ. The
-// algorithms with a pipelined round loop (COSMA, SUMMA, 2.5D, CARMA)
-// request overlap, as an engine does by default, but at 3 tiles none of
-// them has room in S for a second panel pair, so none pipelines: every
-// row is a synchronous schedule.
+// TimeVsVolume executes COSMA and every baseline on the timed transport
+// and tabulates measured communication volume against predicted runtime
+// — the shape of the paper's Figure 6 comparison, at simulation scale,
+// with time instead of (only) volume on the y axis. Memory is
+// constrained to ~3 output tiles per rank so the algorithms are
+// squeezed into their limited-memory regimes, where their volumes
+// genuinely differ. Every algorithm requests overlap, as an engine does
+// by default, but at 3 tiles none has room in S for a second panel
+// pair, so none pipelines: every row is a synchronous schedule.
 func TimeVsVolume(net machine.NetworkParams) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Time vs volume on the %q network — executed at simulation scale (Figure 6 shape)", net.Name),
@@ -35,9 +32,7 @@ func TimeVsVolume(net machine.NetworkParams) *report.Table {
 		s := 3 * n * n / p
 		for _, r := range baselines.Algorithms {
 			_, rep, err := algo.Run(r.Plan, algo.Config{Overlap: true}, &net, a, b, p, s)
-			if errors.Is(err, algo.ErrUnsupportedShape) {
-				continue // Cannon's square-torus/divisibility restriction
-			} else if err != nil {
+			if err != nil {
 				t.AddRow(p, r.Display, "error: "+err.Error(), "-", "-", "-", "-")
 				continue
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cosma/internal/algo"
+	"cosma/internal/baselines"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
 )
@@ -20,7 +21,7 @@ func timedReports(m, n, k, p, s int, net machine.NetworkParams, seed int64) ([]*
 	a := matrix.Random(m, k, rng)
 	b := matrix.Random(k, n, rng)
 	var reps []*algo.Report
-	for _, r := range comparison() {
+	for _, r := range baselines.Algorithms {
 		_, rep, err := algo.Run(r.Plan, algo.Config{}, &net, a, b, p, s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Display, err)

@@ -238,18 +238,19 @@ func TestRejectsOversized(t *testing.T) {
 }
 
 // TestServeUnschedulableShapeDoesNotStarveOthers holds a batch's error
-// to its own requests: shapes Cannon cannot schedule are each refused
-// and counted as rejected, and a schedulable shape on the same shard is
-// answered right after them, bit for bit as a direct Exec would.
+// to its own requests: shapes SUMMA's [2×2×1] grid cannot cut (m = 1)
+// are each refused and counted as rejected, and a schedulable shape on
+// the same shard is answered right after them, bit for bit as a direct
+// Exec would.
 func TestServeUnschedulableShapeDoesNotStarveOthers(t *testing.T) {
-	engine := []cosma.Option{cosma.WithProcs(4), cosma.WithMemory(1 << 14), cosma.WithAlgorithm("cannon")}
+	engine := []cosma.Option{cosma.WithProcs(4), cosma.WithMemory(1 << 14), cosma.WithAlgorithm("summa")}
 	s := newTestServer(t, Options{Engine: engine, Shards: 1})
 	ctx := context.Background()
 
 	for i := 0; i < 6; i++ {
-		_, _, err := s.Multiply(ctx, cosma.RandomMatrix(3, 3, int64(i)), cosma.RandomMatrix(3, 3, int64(i+10)))
+		_, _, err := s.Multiply(ctx, cosma.RandomMatrix(1, 3, int64(i)), cosma.RandomMatrix(3, 3, int64(i+10)))
 		if !errors.Is(err, cosma.ErrUnsupportedShape) {
-			t.Fatalf("3×3×3 request %d: err = %v, want ErrUnsupportedShape", i, err)
+			t.Fatalf("1×3×3 request %d: err = %v, want ErrUnsupportedShape", i, err)
 		}
 	}
 	if st := s.Stats(); st.Rejected != 6 || st.BatchFailures != 0 {
@@ -609,9 +610,8 @@ func sameBits(got, want []float64) bool {
 // X-Cosma-Deadline-Ms budget still 504.
 func TestEngineFailureIs500(t *testing.T) {
 	base := []cosma.Option{cosma.WithProcs(4), cosma.WithMemory(1 << 14)}
-	square := func(n int) []byte {
-		w := make([]float64, n*n)
-		body, _ := json.Marshal(MultiplyRequest{M: n, N: n, K: n, A: w, B: w})
+	shape := func(m, n, k int) []byte {
+		body, _ := json.Marshal(MultiplyRequest{M: m, N: n, K: k, A: make([]float64, m*k), B: make([]float64, k*n)})
 		return body
 	}
 	cases := []struct {
@@ -623,12 +623,12 @@ func TestEngineFailureIs500(t *testing.T) {
 	}{
 		{"rank death", Options{Engine: append(base[:2:2],
 			cosma.WithFaultPlan(cosma.FaultPlan{Deaths: []cosma.RankDeath{{Rank: 1, Round: 0}}}))},
-			square(4), "", http.StatusInternalServerError},
-		{"oversized shape", Options{Engine: base, MaxDim: 2}, square(4), "", http.StatusBadRequest},
-		{"unschedulable shape", Options{Engine: append(base[:2:2], cosma.WithAlgorithm("cannon"))},
-			square(3), "", http.StatusBadRequest},
+			shape(4, 4, 4), "", http.StatusInternalServerError},
+		{"oversized shape", Options{Engine: base, MaxDim: 2}, shape(4, 4, 4), "", http.StatusBadRequest},
+		{"unschedulable shape", Options{Engine: append(base[:2:2], cosma.WithAlgorithm("summa"))},
+			shape(1, 3, 3), "", http.StatusBadRequest},
 		{"expired deadline", Options{Engine: slowEngine(150 * time.Millisecond)},
-			square(4), "20", http.StatusGatewayTimeout},
+			shape(4, 4, 4), "20", http.StatusGatewayTimeout},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

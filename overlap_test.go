@@ -69,7 +69,7 @@ func TestOverlapOnlyWhenSHasRoom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, c, err)
 			}
-			d := *pl.Geometry
+			d := pl.Geometry
 			room := d.DomainM*d.DomainN+2*longestRound(c.k, d)*(d.DomainM+d.DomainN) <= c.s
 			if pl.Overlap != room {
 				t.Errorf("%s %+v (%v): Overlap = %v, room for two pairs = %v", name, c, d, pl.Overlap, room)

@@ -2,7 +2,6 @@ package cosma
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -37,24 +36,12 @@ func (p *Plan) Algorithm() string { return p.inner.Name }
 func (p *Plan) Model() Model { return p.inner.Model }
 
 // Decomposition returns the §6.3 schedule geometry (grid, local domain,
-// rounds) when the algorithm exposes it — the Algorithm 1 schedules
-// (COSMA, SUMMA, 2.5D, CARMA) do; Cannon reports false.
-func (p *Plan) Decomposition() (Decomposition, bool) {
-	if p.inner.Geometry == nil {
-		return Decomposition{}, false
-	}
-	return *p.inner.Geometry, true
-}
+// rounds). Every algorithm's plan has one, so ok is always true.
+func (p *Plan) Decomposition() (Decomposition, bool) { return p.inner.Geometry, true }
 
-// String implements fmt.Stringer: the decomposition where the plan has
-// one, else its grid and rank count — never the algorithm's name, which
-// callers print themselves.
-func (p *Plan) String() string {
-	if d, ok := p.Decomposition(); ok {
-		return d.String()
-	}
-	return fmt.Sprintf("grid %s (%d ranks)", p.inner.Grid, p.inner.Used)
-}
+// String implements fmt.Stringer: the decomposition, never the
+// algorithm's name, which callers print themselves.
+func (p *Plan) String() string { return p.inner.Geometry.String() }
 
 // newExecutor builds an executor for this plan under the engine's
 // options: a machine configured here — the engine's one shared machine
