@@ -56,6 +56,7 @@ fault-conformance:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 30s -run '^$$' ./internal/machine/wire
 	$(GO) test -fuzz FuzzMultiplyHandler -fuzztime 30s -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzScanFloats -fuzztime 30s -run '^$$' ./internal/serve
 
 # bench is the one harness: the repo benchmark (BENCHMARK.json,
 # benchmark/README.md) prints one table of the end-to-end metrics, a

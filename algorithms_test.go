@@ -36,7 +36,8 @@ func TestEveryAlgorithmFillsItsPlan(t *testing.T) {
 		}
 		if pl.Name != row.Display || pl.Grid == "" || pl.Used < 1 || pl.Used > p ||
 			pl.M != n || pl.N != n || pl.K != n || pl.P != p || pl.Execute == nil ||
-			pl.Geometry.RanksUsed != pl.Used || pl.Geometry.Rounds < 1 {
+			pl.Geometry.RanksUsed != pl.Used || pl.Geometry.Rounds < 1 ||
+			pl.Geometry.StepSize < 1 || pl.Geometry.StepSize > pl.Geometry.DomainK {
 			t.Errorf("%s: plan %+v is not filled in for %d³ on p=%d under %q", row.Name, pl, n, p, row.Display)
 		}
 		want, _, err := algo.Run(row.Plan, algo.Config{}, nil, a, b, p, s)

@@ -47,7 +47,7 @@ func ExampleEngine_Plan() {
 	fmt.Println(d)
 	// Output:
 	// COSMA true
-	// grid [2×2×4] (16 ranks), domain [256×256×128], 2 rounds of 128
+	// grid [2×2×4] (16 ranks), domain [256×256×128], 2 rounds of 64
 }
 
 // ExampleModel_Time prices a plan's model with the analytic α-β-γ runtime

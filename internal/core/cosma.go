@@ -30,14 +30,13 @@ const (
 )
 
 // plan is Algorithm 1's compiled schedule for one problem shape on one
-// processor grid: the latency-minimizing step, the round table of every
-// k slab (newSlab) and the count of what its ranks receive. COSMA, SUMMA,
-// 2.5D and CARMA differ only in how they choose the grid (and CARMA in
-// its C blocks). It is immutable after NewPlan returns.
+// processor grid: the round table of every k slab (newSlab), cut at the
+// latency-minimizing step, and the count of what its ranks receive.
+// COSMA, SUMMA, 2.5D and CARMA differ only in how they choose the grid
+// (and CARMA in its C blocks). It is immutable after NewPlan returns.
 type plan struct {
 	m, n, k, p int
 	g          grid.Grid
-	step       int
 	slabs      []slab // by ik
 	// overlap keeps the next round in flight while the round loop
 	// multiplies this one (comm.Stream's ahead is a whole round).
@@ -199,7 +198,7 @@ func newPlan(cfg algo.Config, g grid.Grid, m, n, k, p, s int, layer0 bool) (*pla
 	// A and B parts line up (Pm = Pn) and are equal, so no word moves.
 	return &plan{
 		m: m, n: n, k: k, p: p,
-		g: g, step: step, slabs: slabs,
+		g: g, slabs: slabs,
 		overlap: overlap, layer0: layer0,
 		stagger: overlap && g.Pm == g.Pn && g.Pn > 1 && even,
 		bands:   bandsFor(cfg.Network, overlap, g, m, dmMax, hMax),
@@ -246,8 +245,8 @@ func (pl *plan) parts(im, in int) (a, b int) {
 }
 
 // geometry is the §6.3 schedule geometry the schedule publishes: the
-// largest block's domain, the longest step and most bands of any block,
-// and the most rounds any rank multiplies over all blocks.
+// largest block's domain, the longest round and most bands of any
+// block, and the most rounds any rank multiplies over all blocks.
 func (sc *schedule) geometry() algo.Decomposition {
 	d := algo.Decomposition{
 		GridPm: sc.g.Pm, GridPn: sc.g.Pn, GridPk: sc.g.Pk,
@@ -258,9 +257,12 @@ func (sc *schedule) geometry() algo.Decomposition {
 	for _, blk := range sc.blocks {
 		dm, dn, dk := sc.g.LocalDims(blk.m, blk.n, blk.k)
 		d.DomainM, d.DomainN, d.DomainK = max(d.DomainM, dm), max(d.DomainN, dn), max(d.DomainK, dk)
-		d.StepSize, d.Bands = max(d.StepSize, blk.step), max(d.Bands, blk.bands)
+		d.Bands = max(d.Bands, blk.bands)
 		for ik, sl := range blk.slabs {
 			rounds[ik] += len(sl.rounds)
+			for _, rd := range sl.rounds {
+				d.StepSize = max(d.StepSize, rd.seg.Len())
+			}
 		}
 	}
 	d.Rounds = slices.Max(rounds)

@@ -11,12 +11,14 @@ import (
 )
 
 // The JSON data plane of /v1/multiply. A request is two long arrays of
-// floats and a response is one, so the codec is strconv on a byte
-// buffer: the plain form of a request is scanned directly, everything
-// else goes to encoding/json unchanged, and the response is appended in
+// floats and a response is one, so the codec works on a byte buffer:
+// the plain form of a request is scanned directly, each number in one
+// pass that checks its grammar and gathers its digits, converting the
+// exact case itself and the rest with strconv; everything else goes to
+// encoding/json unchanged, and the response is appended in
 // encoding/json's own float format. Both directions produce exactly
-// what encoding/json would — codec_test.go and FuzzMultiplyHandler
-// hold them to that.
+// what encoding/json would — codec_test.go, FuzzMultiplyHandler and
+// FuzzScanFloats hold them to that.
 
 // decodeRequest parses one request body. Every body gets the result —
 // and, when malformed, the error — json.Decoder gives it: scanRequest
@@ -152,15 +154,8 @@ func scanFloats(s []byte, i int, dst *[]float64) int {
 	out := machine.Loan(n)[:0]
 	*dst = out
 	for {
-		j := numberEnd(s, i)
+		v, j := scanNumber(s, i)
 		if j < 0 {
-			return -1
-		}
-		// strconv reads more than the JSON grammar (hex, underscores,
-		// "Inf"), so the grammar is checked first; what it then refuses
-		// is out of float64's range, as it is for encoding/json.
-		v, err := strconv.ParseFloat(string(s[i:j]), 64)
-		if err != nil {
 			return -1
 		}
 		out = append(out, v)
@@ -176,41 +171,92 @@ func scanFloats(s []byte, i int, dst *[]float64) int {
 	}
 }
 
-// numberEnd returns the index after the JSON-grammar number starting
-// at s[i], or -1 if there is none:
-// -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
-func numberEnd(s []byte, i int) int {
-	digits := func() bool {
-		start := i
-		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-			i++
-		}
-		return i > start
-	}
-	if i < len(s) && s[i] == '-' {
+// scanNumber reads the JSON-grammar number at s[i:],
+//
+//	-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+//
+// and returns its float64 and the index after it, or -1 if there is
+// none or float64 cannot hold it. The loop that checks the grammar also
+// gathers the significant digits into mant while it is below 2⁵³
+// (leading zeros add nothing) and into exp the power of ten they are
+// scaled by. Where all of them fit and |exp| ≤ 22, both mant and
+// 10^|exp| are exact float64s, so one multiply or divide rounds to the
+// correct value: Clinger's exact case, the one strconv tries first.
+// Every other number is strconv's, from the same bytes. strconv reads
+// more than the JSON grammar (hex, underscores, "Inf"), so it only sees
+// what the grammar let through, and what it refuses is out of float64's
+// range, as it is for encoding/json.
+func scanNumber(s []byte, i int) (float64, int) {
+	start := i
+	neg := i < len(s) && s[i] == '-'
+	if neg {
 		i++
 	}
+	var mant uint64
+	exp := 0
 	if i < len(s) && s[i] == '0' {
 		i++
-	} else if !digits() {
-		return -1
+	} else {
+		j := i
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			if mant < 1<<53 {
+				mant = 10*mant + uint64(s[i]-'0')
+			}
+		}
+		if i == j {
+			return 0, -1
+		}
 	}
 	if i < len(s) && s[i] == '.' {
 		i++
-		if !digits() {
-			return -1
+		j := i
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			if mant < 1<<53 {
+				mant = 10*mant + uint64(s[i]-'0')
+				exp--
+			}
+		}
+		if i == j {
+			return 0, -1
 		}
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
 		i++
+		eneg := i < len(s) && s[i] == '-'
 		if i < len(s) && (s[i] == '+' || s[i] == '-') {
 			i++
 		}
-		if !digits() {
-			return -1
+		j, e := i, 0
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			if e < 10000 { // where strconv stops: its value, not the true one
+				e = 10*e + int(s[i]-'0')
+			}
 		}
+		if i == j {
+			return 0, -1
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
-	return i
+	if mant < 1<<53 && -22 <= exp && exp <= 22 {
+		f := float64(mant)
+		if exp < 0 {
+			f /= math.Pow10(-exp)
+		} else {
+			f *= math.Pow10(exp)
+		}
+		if neg {
+			f = -f
+		}
+		return f, i
+	}
+	f, err := strconv.ParseFloat(string(s[start:i]), 64)
+	if err != nil {
+		return 0, -1
+	}
+	return f, i
 }
 
 // appendResponse appends exactly the bytes json.NewEncoder(w).Encode(resp)

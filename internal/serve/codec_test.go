@@ -197,6 +197,10 @@ func TestScanRequestMatchesEncodingJSON(t *testing.T) {
 	spellings = append(spellings, "-0", "0e0", "0.0E-0", "-0.000e+5", "1E5", "1e+5", "12e-1",
 		"1e-400", "-1e-400", "4.9e-324", "2.4703282292062327e-324",
 		"0.1000000000000000055511151231257827021181583404541015625", "123456789012345678901234567890")
+	spellings = append(spellings, exactEdges...)
+	// strconv stops reading an exponent once it reaches 10000, so this is
+	// 0, not 1, to encoding/json: the scan must stop where strconv does.
+	spellings = append(spellings, "0."+strings.Repeat("0", 99999)+"1e100000")
 	for _, sp := range spellings {
 		check(`{"m":1,"n":1,"k":1,"a":[` + sp + `],"b":[` + sp + `]}`)
 	}
@@ -213,6 +217,17 @@ func TestScanRequestMatchesEncodingJSON(t *testing.T) {
 	} {
 		check(body)
 	}
+}
+
+// exactEdges are the spellings at the edges of scanNumber's exact case
+// (a mantissa below 2⁵³ scaled by 10^-22 … 10^22): just inside and just
+// outside each bound, mantissas of 19 and 20 digits, leading zeros that
+// do not count and zeros scaled out of float64's range.
+var exactEdges = []string{
+	"9007199254740991", "9007199254740992", "9007199254740993", "4503599627370497e-22",
+	"9007199254740991e-22", "9007199254740993e-22", "1e22", "1e23", "1e-22", "1e-23", "-1.5e22",
+	"1234567890123456789", "1234567890123456789000", "12345678901234567891", "12345678901234567891000",
+	"0.0000000000000000000000001", "-0e22", "0e400", "1e0000000000000000001", "0.00000000000000000000000001e25",
 }
 
 // TestScanRequestFallsBack: bodies outside the plain form — most of
