@@ -90,10 +90,11 @@ PAIRS ?= 10
 bench-pair:
 	$(GO) run ./cmd/benchpair '$(BASE)' '$(BENCH)' '$(PAIRS)'
 
-# lines prints the go_lines and test_lines that TestBenchHistoryHead
-# counts (the newlines of every .go file outside benchmark/, non-test
-# and _test.go), so a BENCH_history.jsonl line copies them from one
-# command. It fails, after printing them, while they differ from the
-# file's last line.
+# lines prints the line counts of README.md and docs/ARCHITECTURE.md,
+# then the go_lines and test_lines that TestBenchHistoryHead counts (the
+# newlines of every .go file outside benchmark/, non-test and _test.go),
+# so a BENCH_history.jsonl line copies them from one command. It fails,
+# after printing them, while they differ from the file's last line.
 lines:
+	@wc -l README.md docs/ARCHITECTURE.md
 	$(GO) test -short -count=1 -run TestBenchHistoryHead -v .

@@ -121,14 +121,14 @@ func WithNetwork(net NetworkParams) Option {
 	return func(c *engineConfig) { c.network = &net }
 }
 
-// WithOverlap requests communication–computation overlap (§7.3), and
-// it is on by default: the round loops software-pipeline, prefetching
-// round i+1's panels with non-blocking broadcasts while the kernel
-// multiplies round i's — double-buffered panel pairs per operand,
-// swapped every round. The product is bitwise-identical to the
-// synchronous schedule; on a timed engine the measured CritPathTime
-// drops by up to the hidden communication (Figure 12). Every algorithm
-// pipelines: all four run the Algorithm 1 round loop.
+// WithOverlap requests communication–computation overlap (§7.3), on by
+// default: the round loops software-pipeline, broadcasting round i+1's
+// panels (non-blocking, into a second panel pair per operand) while the
+// kernel multiplies round i's. The product is bitwise-identical to the
+// synchronous schedule. On a timed engine a pipelined plan is never
+// slower where no broadcast tree relays (Pm, Pn ≤ 3); where one does it
+// can be, by up to 8.74 % (internal/core's slower map, ROADMAP item 9).
+// Every algorithm pipelines: all four run the Algorithm 1 round loop.
 //
 // The second panel pair is paid for out of WithMemory's S: a plan
 // pipelines only where its C tile plus two panel pairs of its longest

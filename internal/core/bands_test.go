@@ -64,9 +64,9 @@ func compile(t *testing.T, i int, cfg algo.Config, c cell) (*algo.Plan, bool) {
 // blocks only where the rule says — never without a network, under
 // overlap or on an A tree shallower than two levels; three of them on
 // the benchmark's square-tight on pizdaint, none on ethernet, where α
-// is twenty times dearer. On the serve-mix catalog (p = 4, 9, 16, 27,
-// 64), for every grid policy, every preset and no network, with and
-// without overlap, the published count is the rule's.
+// is twenty times dearer. Across the twin sweep, for every grid policy,
+// every preset and no network, with and without overlap, the published
+// count is the rule's.
 func TestBandsOnlyWhereTheyPay(t *testing.T) {
 	pizdaint, ethernet := machine.PizDaintNet(), machine.CommodityEthernet()
 	tight := cell{1024, 1024, 1024, 16, 69632}
@@ -93,31 +93,5 @@ func TestBandsOnlyWhereTheyPay(t *testing.T) {
 			t.Errorf("%s: grid %s overlap %v, %d bands, want %d", c.name, pl.Grid, pl.Overlap, got, c.want)
 		}
 	}
-
-	nets := []*machine.NetworkParams{nil}
-	for i := range presets {
-		nets = append(nets, &presets[i])
-	}
-	banded := 0
-	for _, c := range catalogCells(4, 9, 16, 27, 64) {
-		for i := range policies {
-			for _, net := range nets {
-				for _, overlap := range []bool{false, true} {
-					pl, ok := compile(t, i, algo.Config{Overlap: overlap, Network: net}, c)
-					if !ok {
-						continue
-					}
-					if got, want := pl.Geometry.Bands, rule(pl, net); got != want {
-						t.Errorf("%s %+v grid %s overlap %v net %v: %d bands, the rule says %d", pl.Name, c, pl.Grid, pl.Overlap, net, got, want)
-					}
-					if pl.Geometry.Bands > 1 {
-						banded++
-					}
-				}
-			}
-		}
-	}
-	if banded == 0 {
-		t.Fatal("no catalog plan is banded: the rule is checked only where it says 1")
-	}
+	reportTwins(t)
 }

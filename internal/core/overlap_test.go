@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"cosma/internal/algo"
@@ -14,69 +13,6 @@ import (
 )
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// TestCOSMAOverlapCritPathLower is the paper-facing acceptance
-// property (§7.3, Figure 12): at m=n=k=512 on p=16 timed ranks, with S
-// holding two panel pairs of the plan's two rounds, the pipelined
-// schedule's measured critical path is strictly below the synchronous
-// one's, and respects Model.Time's overlap semantics —
-// communication hides up to (but never below) the per-rank compute
-// time, so the overlapped critical path still dominates the pure
-// compute term.
-func TestCOSMAOverlapCritPathLower(t *testing.T) {
-	const n, p = 512, 16
-	s := 8 * n * n / p
-	net := machine.PizDaintNet()
-	a := matrix.Random(n, n, rng(3))
-	b := matrix.Random(n, n, rng(4))
-
-	run := func(overlap bool) (*matrix.Dense, *algo.Report) {
-		out, rep, err := algo.Run(Plan, algo.Config{Overlap: overlap}, &net, a, b, p, s)
-		if err != nil {
-			t.Fatalf("overlap=%v: %v", overlap, err)
-		}
-		return out, rep
-	}
-	cSync, repSync := run(false)
-	cPipe, repPipe := run(true)
-
-	if repPipe.CritPathTime >= repSync.CritPathTime {
-		t.Errorf("overlapped critical path %v is not strictly below synchronous %v",
-			repPipe.CritPathTime, repSync.CritPathTime)
-	}
-
-	// Model.Time's overlap semantics: the hidden communication cannot push
-	// the critical path below the busiest rank's compute time.
-	pl, err := Plan(algo.Config{}, n, n, n, p, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := pl.Geometry
-	computeOnly := net.Gamma * 2 * float64(d.DomainM) * float64(d.DomainN) * float64(d.DomainK)
-	if repPipe.CritPathTime < computeOnly {
-		t.Errorf("overlapped critical path %v below the compute-only bound %v: overlap hid compute, not just communication",
-			repPipe.CritPathTime, computeOnly)
-	}
-
-	// Both reports' models price on the run's network, overlapped ≤ serial.
-	for _, rep := range []*algo.Report{repSync, repPipe} {
-		serial, overlap := rep.Model.Time(rep.Network, false), rep.Model.Time(rep.Network, true)
-		if overlap <= 0 || serial <= 0 {
-			t.Fatalf("missing predictions in report: %+v", rep)
-		}
-		if overlap > serial {
-			t.Errorf("predicted overlap time %v exceeds serial %v", overlap, serial)
-		}
-	}
-	if repSync.Overlap || !repPipe.Overlap {
-		t.Errorf("Overlap flags: sync=%v pipe=%v, want false/true", repSync.Overlap, repPipe.Overlap)
-	}
-
-	// The timed pipelined run must still produce the exact product.
-	if !slices.Equal(cSync.Data, cPipe.Data) {
-		t.Error("the pipelined product differs bitwise from the synchronous one")
-	}
-}
 
 // TestFiberReduceOverlapsLastRound pins when the fiber reduction ends on
 // a [1×1×Pk] grid, where there is no broadcast and every rank's clock is

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -20,18 +21,27 @@ import (
 // what encoding/json would — codec_test.go, FuzzMultiplyHandler and
 // FuzzScanFloats hold them to that.
 
+// errLongNumber refuses a number of more than 800 mantissa digits, which
+// strconv reads from the 800 it keeps: "1" + 800 zeros + "e-800" is 0.1.
+var errLongNumber = errors.New("serve: a number has more than 800 mantissa digits")
+
+const longNumber = -2 // the scanners' index for errLongNumber
+
 // decodeRequest parses one request body. Every body gets the result —
-// and, when malformed, the error — json.Decoder gives it: scanRequest
-// only ever accepts a body both agree on. Scanned operands are machine
-// pool buffers; a partial scan's go back before the fallback.
+// and, when malformed, the error — json.Decoder gives it, bar
+// errLongNumber: scanRequest only ever accepts a body both agree on.
+// Scanned operands are machine pool buffers; a partial scan's go back.
 func decodeRequest(body []byte) (MultiplyRequest, error) {
 	var req MultiplyRequest
-	if scanRequest(body, &req) {
+	ok, err := scanRequest(body, &req)
+	if ok {
 		return req, nil
 	}
 	req.release()
 	req = MultiplyRequest{}
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	}
 	return req, err
 }
 
@@ -41,28 +51,28 @@ func decodeRequest(body []byte) (MultiplyRequest, error) {
 // digits) and "a", "b" (arrays of JSON-grammar numbers float64 can
 // hold), each at most once, in any order, with any whitespace. On false
 // req is partly written and body may still be valid JSON (a null
-// element, an upper-case or escaped key, a repeated key, trailing
-// text): the caller decodes it with encoding/json.
-func scanRequest(body []byte, req *MultiplyRequest) bool {
+// element, an upper-case or escaped key, a repeated key, trailing text):
+// the caller decodes it with encoding/json, unless err is set.
+func scanRequest(body []byte, req *MultiplyRequest) (bool, error) {
 	i := skipSpace(body, 0)
 	if i == len(body) || body[i] != '{' {
-		return false
+		return false, nil
 	}
 	i = skipSpace(body, i+1)
 	if i < len(body) && body[i] == '}' {
-		return skipSpace(body, i+1) == len(body)
+		return skipSpace(body, i+1) == len(body), nil
 	}
 	var seen [256]bool
 	for {
 		// A key is exactly three bytes: quote, one letter, quote.
 		if i+3 > len(body) || body[i] != '"' || body[i+2] != '"' || seen[body[i+1]] {
-			return false
+			return false, nil
 		}
 		key := body[i+1]
 		seen[key] = true
 		i = skipSpace(body, i+3)
 		if i == len(body) || body[i] != ':' {
-			return false
+			return false, nil
 		}
 		i = skipSpace(body, i+1)
 		switch key {
@@ -77,22 +87,25 @@ func scanRequest(body []byte, req *MultiplyRequest) bool {
 		case 'b':
 			i = scanFloats(body, i, &req.B)
 		default:
-			return false
+			return false, nil
+		}
+		if i == longNumber {
+			return false, errLongNumber
 		}
 		if i < 0 {
-			return false
+			return false, nil
 		}
 		i = skipSpace(body, i)
 		if i == len(body) {
-			return false
+			return false, nil
 		}
 		switch body[i] {
 		case ',':
 			i = skipSpace(body, i+1)
 		case '}':
-			return skipSpace(body, i+1) == len(body)
+			return skipSpace(body, i+1) == len(body), nil
 		default:
-			return false
+			return false, nil
 		}
 	}
 }
@@ -129,9 +142,10 @@ func scanDim(s []byte, i int, dst *int) int {
 }
 
 // scanFloats reads an array of numbers at s[i:] into *dst and returns
-// the index after its closing bracket, or -1. The slice is a pool buffer
-// sized from the commas up to that bracket, never from anything the
-// client merely claims; it is in *dst even if the scan fails.
+// the index after its closing bracket, or -1 or longNumber. The slice is
+// a pool buffer sized from the commas up to that bracket, never from
+// anything the client merely claims; it is in *dst even if the scan
+// fails.
 func scanFloats(s []byte, i int, dst *[]float64) int {
 	if i == len(s) || s[i] != '[' {
 		return -1
@@ -156,7 +170,7 @@ func scanFloats(s []byte, i int, dst *[]float64) int {
 	for {
 		v, j := scanNumber(s, i)
 		if j < 0 {
-			return -1
+			return j
 		}
 		out = append(out, v)
 		i = skipSpace(s, j)
@@ -176,7 +190,8 @@ func scanFloats(s []byte, i int, dst *[]float64) int {
 //	-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
 //
 // and returns its float64 and the index after it, or -1 if there is
-// none or float64 cannot hold it. The loop that checks the grammar also
+// none or float64 cannot hold it (longNumber past 800 mantissa digits,
+// leading zeros included). The loop that checks the grammar also
 // gathers the significant digits into mant while it is below 2⁵³
 // (leading zeros add nothing) and into exp the power of ten they are
 // scaled by. Where all of them fit and |exp| ≤ 22, both mant and
@@ -193,7 +208,7 @@ func scanNumber(s []byte, i int) (float64, int) {
 		i++
 	}
 	var mant uint64
-	exp := 0
+	exp, digits := 0, 1
 	if i < len(s) && s[i] == '0' {
 		i++
 	} else {
@@ -206,6 +221,7 @@ func scanNumber(s []byte, i int) (float64, int) {
 		if i == j {
 			return 0, -1
 		}
+		digits = i - j
 	}
 	if i < len(s) && s[i] == '.' {
 		i++
@@ -219,6 +235,7 @@ func scanNumber(s []byte, i int) (float64, int) {
 		if i == j {
 			return 0, -1
 		}
+		digits += i - j
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
 		i++
@@ -239,6 +256,9 @@ func scanNumber(s []byte, i int) (float64, int) {
 			e = -e
 		}
 		exp += e
+	}
+	if digits > 800 {
+		return 0, longNumber
 	}
 	if mant < 1<<53 && -22 <= exp && exp <= 22 {
 		f := float64(mant)

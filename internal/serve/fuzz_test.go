@@ -21,7 +21,7 @@ import (
 // garbage, 413 past the body limit, 422 for a product JSON cannot
 // carry, 429 when shedding, 503 while draining — and answers every
 // body with the status and the bytes the encoding/json handler it
-// replaced gives it (checkAgainstReference names the two exceptions).
+// replaced gives it (checkAgainstReference names the three exceptions).
 func FuzzMultiplyHandler(f *testing.F) {
 	srv, err := New(Options{
 		Engine: []cosma.Option{cosma.WithProcs(2), cosma.WithMemory(1 << 10)},
@@ -82,24 +82,25 @@ func FuzzMultiplyHandler(f *testing.F) {
 // FuzzScanFloats holds the number scanner alone to encoding/json, many
 // times faster than a handler round trip: an array scanFloats takes is
 // one json.Unmarshal takes to the same bits, and an array of numbers
-// json.Unmarshal takes is one scanFloats takes. (A null element is
-// json's alone: the scan leaves it to the fallback.)
+// json.Unmarshal takes is one scanFloats takes, bar a null element (the
+// fallback's) and a number past 800 mantissa digits (refused).
 func FuzzScanFloats(f *testing.F) {
-	// The last seed overflows: the scan must not stop reading its
-	// exponent before strconv does (at 10000) and take it for 0.1.
+	// The last seed overflows: a scan that stopped reading its exponent
+	// early would land in the exact case and read a finite number.
 	for _, tok := range append(exactEdges, "", " ", "1,2", "1e400", "01", "1.", "+1", "0x10", "null", "1,null",
-		"0."+strings.Repeat("0", 1000)+"1e10000") {
+		"0."+strings.Repeat("0", 798)+"1e10000") {
 		f.Add(tok)
 	}
 	f.Fuzz(func(t *testing.T, tok string) {
 		body := "[" + tok + "]"
 		var got, want []float64
-		scanned := scanFloats([]byte(body), 0, &got) == len(body)
+		j := scanFloats([]byte(body), 0, &got)
+		scanned := j == len(body)
 		decoded := json.Unmarshal([]byte(body), &want) == nil
 		switch {
 		case scanned && !decoded:
 			t.Fatalf("%q: scanned to %v, encoding/json refuses it", body, got)
-		case !scanned && decoded && !strings.Contains(tok, "null"):
+		case !scanned && decoded && !strings.Contains(tok, "null") && j != longNumber:
 			t.Fatalf("%q: refused, encoding/json reads %v", body, want)
 		case scanned && !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }):
 			t.Fatalf("%q: scanned to %v, encoding/json reads %v", body, got, want)

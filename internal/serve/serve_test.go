@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -614,6 +615,7 @@ func TestEngineFailureIs500(t *testing.T) {
 		body, _ := json.Marshal(MultiplyRequest{M: m, N: n, K: k, A: make([]float64, m*k), B: make([]float64, k*n)})
 		return body
 	}
+	one := func(x string) []byte { return []byte(`{"m":1,"n":1,"k":1,"a":[` + x + `],"b":[1]}`) }
 	cases := []struct {
 		name     string
 		opts     Options
@@ -627,6 +629,9 @@ func TestEngineFailureIs500(t *testing.T) {
 		{"oversized shape", Options{Engine: base, MaxDim: 2}, shape(4, 4, 4), "", http.StatusBadRequest},
 		{"unschedulable shape", Options{Engine: append(base[:2:2], cosma.WithAlgorithm("summa"))},
 			shape(1, 3, 3), "", http.StatusBadRequest},
+		{"1 in 801 digits", Options{Engine: base}, one("1" + strings.Repeat("0", 800) + "e-800"), "", http.StatusBadRequest},
+		{"1 in 1001 digits", Options{Engine: base}, one("1" + strings.Repeat("0", 1000) + "e-1000"), "", http.StatusBadRequest},
+		{"1 in 100001 digits", Options{Engine: base}, one("0." + strings.Repeat("0", 99999) + "1e100000"), "", http.StatusBadRequest},
 		{"expired deadline", Options{Engine: slowEngine(150 * time.Millisecond)},
 			shape(4, 4, 4), "20", http.StatusGatewayTimeout},
 	}

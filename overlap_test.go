@@ -44,8 +44,9 @@ func TestOverlapExecCancellation(t *testing.T) {
 // and the benchmark's three engine shapes, a COSMA, SUMMA or 2.5D plan
 // asked to overlap pipelines exactly when its C tile plus two panel
 // pairs of its longest round fit: dm·dn + 2·h·(dm + dn) ≤ S. Where a
-// second pair fits, an engine's WithOverlap reaches its plan, the report
-// says which schedule ran, and both products have the same bits. At
+// second pair fits, an engine's WithOverlap reaches its plan and the
+// report says which schedule ran (the twin sweep in internal/core holds
+// the two products to the same bits). At
 // square-tight's S no second pair fits, and an engine asked to overlap
 // runs the synchronous schedule to the same critical path.
 func TestOverlapOnlyWhenSHasRoom(t *testing.T) {
@@ -94,23 +95,18 @@ func TestOverlapOnlyWhenSHasRoom(t *testing.T) {
 
 	// 120×104×88 on p = 4 has room for two panel pairs.
 	a, b := RandomMatrix(120, 88, 21), RandomMatrix(88, 104, 22)
-	var prods []*Matrix
 	for _, overlap := range []bool{true, false} {
 		eng, err := NewEngine(WithProcs(4), WithMemory(8*120*104/4), WithOverlap(overlap))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, rep, err := eng.Exec(context.Background(), a, b)
+		_, rep, err := eng.Exec(context.Background(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Overlap != overlap {
 			t.Errorf("WithOverlap(%v): Report.Overlap = %v", overlap, rep.Overlap)
 		}
-		prods = append(prods, c)
-	}
-	if !slices.Equal(prods[0].Data, prods[1].Data) {
-		t.Error("the overlapped and the synchronous product differ bitwise")
 	}
 
 	if testing.Short() {
